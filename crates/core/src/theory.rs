@@ -10,7 +10,7 @@
 //! | hypercube | `(9/10)^{m−1} + 1/√A` (Lemma 25) | `O(1)` for t = O(√A) | matches i.i.d. |
 //! | complete | `1/A` exactly | `1 + t/A` | Chernoff baseline |
 
-use antdensity_engine::{EstimatorSpec, TopologySpec};
+use antdensity_engine::{EstimatorSpec, TopologySpec, WorkerPool};
 use antdensity_stats::bounds;
 
 /// The topology families the paper analyses, with the parameters entering
@@ -213,9 +213,20 @@ impl TopologyClass {
 /// stale values are never served.
 const LAMBDA_CACHE_NS: &str = "antdensity-lambda v1";
 
+/// Power-iteration seed of the measured-λ path ("LAMB"). Fixed, so the
+/// measured column is a pure function of the spec and resumed or re-run
+/// sweeps report identical bounds.
+const LAMBDA_SEED: u64 = 0x4c41_4d42;
+
+/// Power-iteration budget of the measured-λ path.
+const LAMBDA_ITERS: u32 = 4000;
+
 /// Process-wide disk layer under the in-memory λ memo, set by
-/// [`set_lambda_cache_dir`].
-static LAMBDA_STORE: std::sync::Mutex<Option<antdensity_cas::Store>> = std::sync::Mutex::new(None);
+/// [`set_lambda_cache_dir`]. Callers clone the `Arc` out and drop the
+/// lock before any disk I/O, so concurrent measurements never
+/// serialize on a read or an fsync'd publish.
+static LAMBDA_STORE: std::sync::Mutex<Option<std::sync::Arc<antdensity_cas::Store>>> =
+    std::sync::Mutex::new(None);
 
 /// Points the measured-λ memo at an on-disk content-addressed store
 /// (the same root `repro sweep --cache DIR` uses), so large CSR
@@ -225,11 +236,24 @@ static LAMBDA_STORE: std::sync::Mutex<Option<antdensity_cas::Store>> = std::sync
 /// bit patterns, and a corrupt entry is silently re-measured.
 pub fn set_lambda_cache_dir(dir: &std::path::Path) {
     if let Ok(store) = antdensity_cas::Store::open(dir, LAMBDA_CACHE_NS) {
-        *LAMBDA_STORE.lock().expect("lambda store lock") = Some(store);
+        *LAMBDA_STORE.lock().expect("lambda store lock") = Some(std::sync::Arc::new(store));
     }
 }
 
-/// Measures (and caches) `λ` for a spec's built topology.
+/// Measures the decay rate of `spec`'s built topology from scratch,
+/// bypassing both memo layers: [`antdensity_graphs::spectral::effective_lambda`]
+/// under the fixed seed and iteration budget every measured-gap bound
+/// uses. [`TopologyClass::measured`] is the memoised form of this
+/// estimate's `lambda`.
+pub fn measure_lambda(spec: TopologySpec) -> antdensity_graphs::spectral::SpectralEstimate {
+    let topo = spec.build();
+    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(LAMBDA_SEED);
+    antdensity_graphs::spectral::effective_lambda(&topo, LAMBDA_ITERS, &mut rng)
+}
+
+/// Measures (and caches) `λ` for a spec's built topology. Safe to call
+/// from several threads at once: distinct specs measure in parallel; a
+/// racing duplicate of one spec is wasted work with the same bits.
 fn measured_lambda(spec: TopologySpec) -> f64 {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
@@ -238,38 +262,65 @@ fn measured_lambda(spec: TopologySpec) -> f64 {
     if let Some(&lambda) = cache.lock().expect("lambda cache lock").get(&spec) {
         return lambda;
     }
-    // Disk layer: the spec's display form is its canonical token, the
-    // value its exact f64 bit pattern in hex.
-    let key = format!("{spec}");
-    {
-        let store = LAMBDA_STORE.lock().expect("lambda store lock");
-        if let Some(store) = store.as_ref() {
-            if let antdensity_cas::Lookup::Hit(text) = store.get(&key) {
-                if let Ok(bits) = u64::from_str_radix(text.trim(), 16) {
-                    let lambda = f64::from_bits(bits);
-                    if lambda.is_finite() {
-                        cache
-                            .lock()
-                            .expect("lambda cache lock")
-                            .insert(spec, lambda);
-                        return lambda;
-                    }
-                }
-            }
-        }
-    }
-    let topo = spec.build();
-    // Fixed seed: the measured column is a pure function of the spec,
-    // so resumed/re-run sweeps report identical bounds.
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0x4c41_4d42); // "LAMB"
-    let lambda = antdensity_graphs::spectral::effective_lambda(&topo, 4000, &mut rng).lambda;
-    if let Some(store) = LAMBDA_STORE.lock().expect("lambda store lock").as_ref() {
-        let _ = store.put(&key, &format!("{:016x}", lambda.to_bits()));
-    }
+    let store = LAMBDA_STORE.lock().expect("lambda store lock").clone();
+    let lambda = stored_or_measured(store.as_deref(), spec);
     cache
         .lock()
         .expect("lambda cache lock")
         .insert(spec, lambda);
+    lambda
+}
+
+/// Fills the measured-λ memo for every spec in `specs` with at most
+/// `threads` estimates in flight: that many tasks on the process-wide
+/// [`WorkerPool`] pull from one shared queue, the graph with the most
+/// moves first (power-iteration cost scales with moves, so the longest
+/// estimate starts at once instead of last). The pool's threads are
+/// already running, so the warm-up spawns none. Every λ is a pure
+/// function of its spec, so the memo ends up holding the same bits as
+/// serial measurement, for any thread count.
+pub fn warm_measured_lambdas(specs: &[TopologySpec], threads: usize) {
+    use antdensity_graphs::Topology;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let mut queue: Vec<(usize, TopologySpec)> = specs
+        .iter()
+        .map(|&spec| {
+            let topo = spec.build();
+            let moves = (0..topo.num_nodes()).map(|v| topo.degree(v)).sum();
+            (moves, spec)
+        })
+        .collect();
+    queue.sort_by_key(|&(moves, _)| std::cmp::Reverse(moves));
+    let next = AtomicUsize::new(0);
+    let pull = || {
+        while let Some(&(_, spec)) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
+            measured_lambda(spec);
+        }
+    };
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads.min(queue.len()))
+        .map(|_| Box::new(&pull) as _)
+        .collect();
+    WorkerPool::global().run(tasks);
+}
+
+/// The disk layer under the memo: `store`'s entry for `spec` when it
+/// holds a valid one, else a fresh [`measure_lambda`] published to it.
+/// The spec's display form is its canonical key, the value its exact
+/// f64 bit pattern in hex.
+fn stored_or_measured(store: Option<&antdensity_cas::Store>, spec: TopologySpec) -> f64 {
+    let key = format!("{spec}");
+    if let Some(antdensity_cas::Lookup::Hit(text)) = store.map(|s| s.get(&key)) {
+        if let Ok(bits) = u64::from_str_radix(text.trim(), 16) {
+            let lambda = f64::from_bits(bits);
+            if lambda.is_finite() {
+                return lambda;
+            }
+        }
+    }
+    let lambda = measure_lambda(spec).lambda;
+    if let Some(store) = store {
+        let _ = store.put(&key, &format!("{:016x}", lambda.to_bits()));
+    }
     lambda
 }
 
@@ -314,6 +365,16 @@ pub struct TheoryBound {
     pub epsilon: Option<f64>,
     /// How it was derived.
     pub source: BoundSource,
+}
+
+/// Whether [`theory_bound`] takes the measured-gap path for this
+/// combination: Algorithm 1 or quorum on a topology without a closed
+/// form. These are the cells whose bound costs a spectral estimate.
+pub fn uses_measured_gap(topology: TopologySpec, estimator: &EstimatorSpec) -> bool {
+    matches!(
+        estimator,
+        EstimatorSpec::Algorithm1 | EstimatorSpec::Quorum { .. }
+    ) && TopologyClass::from_spec(topology).is_none()
 }
 
 /// The predicted relative-error bound (unit constants) for an estimator
@@ -498,6 +559,68 @@ mod tests {
         assert_eq!((b.epsilon, b.source), (None, BoundSource::Unavailable));
         assert_eq!(BoundSource::MeasuredGap.to_string(), "measured-gap");
         assert_eq!(BoundSource::Unavailable.as_str(), "");
+    }
+
+    #[test]
+    fn uses_measured_gap_matches_theory_bound_source() {
+        let topologies = [
+            TopologySpec::Torus2d { side: 8 },
+            TopologySpec::TorusKd { dims: 2, side: 5 },
+            TopologySpec::TorusKd { dims: 3, side: 4 },
+            TopologySpec::Ring { nodes: 9 },
+            TopologySpec::CsrCliqueRing {
+                cliques: 4,
+                clique_size: 4,
+            },
+        ];
+        let estimators = [
+            EstimatorSpec::Algorithm1,
+            EstimatorSpec::Algorithm4,
+            EstimatorSpec::Quorum { threshold: 0.1 },
+            EstimatorSpec::RelativeFrequency { property_agents: 2 },
+        ];
+        for t in topologies {
+            for e in &estimators {
+                let source = theory_bound(t, e, 16, 0.1, 0.1).source;
+                assert_eq!(
+                    uses_measured_gap(t, e),
+                    source == BoundSource::MeasuredGap,
+                    "{t} {e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lambda_store_hits_and_recovers_from_bad_entries() {
+        let dir =
+            std::env::temp_dir().join(format!("antdensity_lambda_store_{}", std::process::id()));
+        let store = antdensity_cas::Store::open(&dir, LAMBDA_CACHE_NS).unwrap();
+        let spec = TopologySpec::TorusKd { dims: 2, side: 5 };
+        let fresh = measure_lambda(spec).lambda;
+        // a miss measures and publishes the exact bits
+        assert_eq!(
+            stored_or_measured(Some(&store), spec).to_bits(),
+            fresh.to_bits()
+        );
+        assert_eq!(stored_or_measured(None, spec).to_bits(), fresh.to_bits());
+        let key = spec.to_string();
+        let hex = format!("{:016x}", fresh.to_bits());
+        assert_eq!(store.get(&key), antdensity_cas::Lookup::Hit(hex));
+        // a hit is served from the store, not re-measured
+        store
+            .put(&key, &format!("{:016x}", 0.5f64.to_bits()))
+            .unwrap();
+        assert_eq!(stored_or_measured(Some(&store), spec), 0.5);
+        // unparsable or non-finite entries are re-measured
+        for bad in ["zz".to_string(), format!("{:016x}", f64::NAN.to_bits())] {
+            store.put(&key, &bad).unwrap();
+            assert_eq!(
+                stored_or_measured(Some(&store), spec).to_bits(),
+                fresh.to_bits()
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

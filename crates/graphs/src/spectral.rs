@@ -65,12 +65,8 @@ pub fn walk_matrix_lambda<T: Topology, R: Rng + ?Sized>(
     max_iters: u32,
     rng: &mut R,
 ) -> SpectralEstimate {
-    // Top eigenvector of S: phi(v) = sqrt(deg v), normalised.
-    let mut phi: Vec<f64> = (0..graph.num_nodes())
-        .map(|v| (graph.degree(v) as f64).sqrt())
-        .collect();
-    normalize(&mut phi);
-    power_iterate(graph, &[phi], max_iters, rng)
+    let op = WalkOperator::new(graph);
+    power_iterate(&op, &[op.stationary()], max_iters, rng)
 }
 
 /// The **decay rate** of the walk's non-structural modes: the largest
@@ -95,11 +91,9 @@ pub fn effective_lambda<T: Topology, R: Rng + ?Sized>(
     max_iters: u32,
     rng: &mut R,
 ) -> SpectralEstimate {
-    let mut phi: Vec<f64> = (0..graph.num_nodes())
-        .map(|v| (graph.degree(v) as f64).sqrt())
-        .collect();
-    normalize(&mut phi);
-    match bipartite_signs(graph) {
+    let op = WalkOperator::new(graph);
+    let phi = op.stationary();
+    match op.bipartite_signs() {
         Some(signs) => {
             let mut psi: Vec<f64> = phi
                 .iter()
@@ -107,55 +101,127 @@ pub fn effective_lambda<T: Topology, R: Rng + ?Sized>(
                 .map(|(p, &s)| p * f64::from(s))
                 .collect();
             normalize(&mut psi);
-            power_iterate(graph, &[phi, psi], max_iters, rng)
+            power_iterate(&op, &[phi, psi], max_iters, rng)
         }
-        None => power_iterate(graph, &[phi], max_iters, rng),
+        None => power_iterate(&op, &[phi], max_iters, rng),
     }
 }
 
-/// BFS 2-coloring over every component: `Some(±1 per node)` when the
-/// graph is bipartite, `None` otherwise (including self-loop moves).
-fn bipartite_signs<T: Topology>(graph: &T) -> Option<Vec<i8>> {
-    let n = graph.num_nodes() as usize;
-    let mut sign = vec![0i8; n];
-    let mut queue = std::collections::VecDeque::new();
-    for start in 0..n {
-        if sign[start] != 0 {
-            continue;
+/// `S = D^{−1/2} A D^{−1/2}` (A with move multiplicity), flattened once
+/// per estimate: `v`'s moves are `offsets[v]..offsets[v + 1]`, in
+/// neighbor-index order, each with its target and its scale
+/// `s = √(deg v · deg u)` (the entry of `S` is `1 / s`). Power
+/// iteration then runs over flat slices instead of re-walking the
+/// topology's neighbor and degree lookups every iteration.
+struct WalkOperator {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+    scale: Vec<f64>,
+}
+
+impl WalkOperator {
+    fn new<T: Topology>(graph: &T) -> Self {
+        let n = graph.num_nodes();
+        let degree: Vec<f64> = (0..n).map(|v| graph.degree(v) as f64).collect();
+        let mut offsets = Vec::with_capacity(degree.len() + 1);
+        offsets.push(0);
+        let (mut targets, mut scale) = (Vec::new(), Vec::new());
+        for v in 0..n {
+            let dv = degree[v as usize];
+            for i in 0..graph.degree(v) {
+                let u = graph.neighbor(v, i) as usize;
+                targets.push(u);
+                scale.push((dv * degree[u]).sqrt());
+            }
+            offsets.push(targets.len());
         }
-        sign[start] = 1;
-        queue.push_back(start as u64);
-        while let Some(v) = queue.pop_front() {
-            let sv = sign[v as usize];
-            for u in graph.neighbors(v) {
-                let su = &mut sign[u as usize];
-                if *su == 0 {
-                    *su = -sv;
-                    queue.push_back(u);
-                } else if *su == sv {
-                    return None;
+        Self {
+            offsets,
+            targets,
+            scale,
+        }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// `v`'s outgoing moves as (targets, scales).
+    fn edges(&self, v: usize) -> (&[usize], &[f64]) {
+        let range = self.offsets[v]..self.offsets[v + 1];
+        (&self.targets[range.clone()], &self.scale[range])
+    }
+
+    /// The top eigenvector of `S`: `φ(v) = √deg(v)`, normalised.
+    fn stationary(&self) -> Vec<f64> {
+        let mut phi: Vec<f64> = self
+            .offsets
+            .windows(2)
+            .map(|w| ((w[1] - w[0]) as f64).sqrt())
+            .collect();
+        normalize(&mut phi);
+        phi
+    }
+
+    /// BFS 2-coloring over every component: `Some(±1 per node)` when the
+    /// graph is bipartite, `None` otherwise (including self-loop moves).
+    fn bipartite_signs(&self) -> Option<Vec<i8>> {
+        let n = self.num_nodes();
+        let mut sign = vec![0i8; n];
+        let mut queue = std::collections::VecDeque::new();
+        for start in 0..n {
+            if sign[start] != 0 {
+                continue;
+            }
+            sign[start] = 1;
+            queue.push_back(start);
+            while let Some(v) = queue.pop_front() {
+                let sv = sign[v];
+                for &u in self.edges(v).0 {
+                    let su = &mut sign[u];
+                    if *su == 0 {
+                        *su = -sv;
+                        queue.push_back(u);
+                    } else if *su == sv {
+                        return None;
+                    }
                 }
             }
         }
+        Some(sign)
     }
-    Some(sign)
+
+    /// `y = S x`, pushed from each `v` along its moves in order. The
+    /// summation order and the `xv / s` division are part of the
+    /// estimate's bit pattern: pinned λ values depend on both.
+    fn matvec(&self, x: &[f64], y: &mut [f64]) {
+        y.fill(0.0);
+        for (v, &xv) in x.iter().enumerate() {
+            if xv == 0.0 {
+                continue;
+            }
+            let (targets, scale) = self.edges(v);
+            for (&u, &s) in targets.iter().zip(scale) {
+                y[u] += xv / s;
+            }
+        }
+    }
 }
 
-/// Deflated power iteration on `S = D^{−1/2} A D^{−1/2}`: the largest
-/// `|λ|` orthogonal to every vector in `deflators` (which must be
-/// normalised).
+/// Deflated power iteration on `S`: the largest `|λ|` orthogonal to
+/// every vector in `deflators` (which must be normalised).
 ///
 /// # Panics
 ///
 /// Panics if `max_iters == 0`.
-fn power_iterate<T: Topology, R: Rng + ?Sized>(
-    graph: &T,
+fn power_iterate<R: Rng + ?Sized>(
+    op: &WalkOperator,
     deflators: &[Vec<f64>],
     max_iters: u32,
     rng: &mut R,
 ) -> SpectralEstimate {
     assert!(max_iters > 0, "need at least one iteration");
-    let n = graph.num_nodes() as usize;
+    let n = op.num_nodes();
     if n <= deflators.len() {
         // the deflated subspace is empty: no non-structural modes
         return SpectralEstimate {
@@ -179,7 +245,7 @@ fn power_iterate<T: Topology, R: Rng + ?Sized>(
     let mut iters = 0;
     for it in 0..max_iters {
         iters = it + 1;
-        matvec_sym(graph, &x, &mut y);
+        op.matvec(&x, &mut y);
         deflate_all(&mut y);
         let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm < 1e-300 {
@@ -205,22 +271,6 @@ fn power_iterate<T: Topology, R: Rng + ?Sized>(
         lambda: lambda.min(1.0),
         iterations: iters,
         residual,
-    }
-}
-
-/// `y = S x` with `S = D^{−1/2} A D^{−1/2}` (A with move multiplicity).
-fn matvec_sym<T: Topology>(graph: &T, x: &[f64], y: &mut [f64]) {
-    y.iter_mut().for_each(|v| *v = 0.0);
-    for v in 0..graph.num_nodes() {
-        let dv = graph.degree(v) as f64;
-        let xv = x[v as usize];
-        if xv == 0.0 {
-            continue;
-        }
-        for u in graph.neighbors(v) {
-            let du = graph.degree(u) as f64;
-            y[u as usize] += xv / (dv * du).sqrt();
-        }
     }
 }
 
@@ -259,15 +309,6 @@ pub fn mixing_time_from(graph: &AdjGraph, start: u64, eps: f64, max_steps: u64) 
         }
     }
     None
-}
-
-/// TV distance to stationarity after `m` steps from `start` — the burn-in
-/// diagnostic of Section 5.1.4.
-pub fn tv_after<T: Topology>(graph: &AdjGraph, _marker: &T, start: u64, m: u64) -> f64 {
-    let stationary = WalkDistribution::stationary(graph);
-    let mut dist = WalkDistribution::point(graph, start);
-    dist.evolve(graph, m);
-    dist.tv_distance(&stationary)
 }
 
 #[cfg(test)]

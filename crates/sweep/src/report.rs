@@ -11,7 +11,7 @@
 
 use crate::runner::SweepOutcome;
 use crate::spec::SkippedCell;
-use antdensity_core::theory::theory_bound;
+use antdensity_core::theory::{theory_bound, uses_measured_gap, warm_measured_lambdas};
 use antdensity_stats::table::{format_sig, Table};
 use std::path::{Path, PathBuf};
 
@@ -140,6 +140,7 @@ pub fn build_row(
 /// Builds the report for a (possibly partial) sweep outcome.
 pub fn build_report(outcome: &SweepOutcome) -> SweepReport {
     let resolved = &outcome.resolved;
+    warm_lambdas(outcome);
     let rows = resolved
         .cells
         .iter()
@@ -160,6 +161,27 @@ pub fn build_report(outcome: &SweepOutcome) -> SweepReport {
         total_cells: resolved.cells.len(),
         skipped: resolved.skipped.clone(),
         rows,
+    }
+}
+
+/// Measures the λ of every distinct measured-gap topology among the
+/// completed cells concurrently, at most `workers_effective` at once
+/// on the worker pool (idle once the shards are done), so the rows
+/// built next read a warm memo. With one worker or one such topology
+/// the rows measure serially. The report bytes do not depend on the
+/// worker count: each λ is a pure function of its spec.
+fn warm_lambdas(outcome: &SweepOutcome) {
+    let mut specs = Vec::new();
+    for (cell, agg) in outcome.resolved.cells.iter().zip(&outcome.aggregates) {
+        if agg.is_some()
+            && uses_measured_gap(cell.topology, &cell.estimator)
+            && !specs.contains(&cell.topology)
+        {
+            specs.push(cell.topology);
+        }
+    }
+    if outcome.workers_effective > 1 && specs.len() > 1 {
+        warm_measured_lambdas(&specs, outcome.workers_effective);
     }
 }
 
