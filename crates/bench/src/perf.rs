@@ -1,12 +1,11 @@
 //! Machine-readable engine throughput benchmarks: `BENCH_engine.json`.
 //!
-//! The criterion benches (`benches/engine.rs`) are for humans at a
-//! terminal; this module is the tracked perf trajectory. `repro bench`
-//! times the engine's stepping paths — the monomorphized sequential
-//! kernel, the worker-pool parallel path across worker counts, and the
-//! per-round-spawn baseline the pool replaced — and writes one JSON file
-//! that CI uploads as an artifact, so every PR's throughput is
-//! comparable to the last.
+//! This module is the workspace's one benchmark harness and its tracked
+//! perf trajectory. `repro bench` times the engine's stepping paths —
+//! the monomorphized sequential kernel, the worker-pool parallel path
+//! across worker counts, the CSR gather kernel, observer fusion and the
+//! other [`GROUPS`] — and writes one JSON file that CI uploads as an
+//! artifact, so every change's throughput is comparable to the last.
 //!
 //! The JSON schema (documented in README.md):
 //!
@@ -32,11 +31,10 @@
 //!
 //! All figures are medians over `samples` timed batches. `workers` is
 //! the *requested* worker count; `effective_workers` is what the
-//! implementation actually ran after its own caps (the spawn baseline
-//! caps at the host's core count, the pool path at the schedule-chunk
-//! supply) — compare rows with matching effective parallelism. Timings
-//! move with the host, but the `pool` / `spawn_baseline` ratio on one
-//! host is the number the worker-pool work is judged by.
+//! implementation actually ran after its own caps (the pool path caps
+//! at the schedule-chunk supply) — compare rows with matching effective
+//! parallelism. Timings move with the host, so compare ratios between
+//! rows measured on one host, not absolute figures across hosts.
 
 use crate::report::Effort;
 use antdensity_engine::sampling::{
@@ -60,7 +58,7 @@ use std::time::Instant;
 pub struct EngineBenchResult {
     /// Benchmark family (`sequential` or `parallel_scaling`).
     pub group: &'static str,
-    /// Implementation under test (`mono`, `pool`, `spawn_baseline`).
+    /// Implementation under test (`mono`, `pool`, ...).
     pub implementation: &'static str,
     /// Population size.
     pub agents: usize,
@@ -233,27 +231,6 @@ pub fn run_engine_bench_group(
             results.push(result(
                 "parallel_scaling",
                 "pool",
-                agents,
-                workers,
-                effective,
-                ns,
-            ));
-
-            // The pre-pool implementation: per-round thread::scope
-            // spawns, dyn-erased draw chain, per-round parallelism
-            // probe — verbatim what shipped before the worker pool
-            // (including its own caps: it never exceeds the host's core
-            // count, hence the recorded effective worker count).
-            let mut engine = Engine::new(Torus2d::new(SIDE), agents)
-                .with_seed_sequence(SeedSequence::new(7))
-                .with_threads(workers);
-            let mut rng = SmallRng::seed_from_u64(2);
-            engine.place_uniform(&mut rng);
-            let effective = engine.spawn_workers();
-            let ns = median_ns_per_round(|| engine.step_round_parallel_spawn(), rounds, SAMPLES);
-            results.push(result(
-                "parallel_scaling",
-                "spawn_baseline",
                 agents,
                 workers,
                 effective,
@@ -585,7 +562,7 @@ fn bench_telemetry_overhead(
                 let round_seq = seeds.subsequence(round);
                 for (j, block) in positions.chunks_mut(STREAM_BLOCK).enumerate() {
                     let mut rng = round_seq.rng(j as u64);
-                    step_slice_pure_batched(&topo, span, block, &mut rng);
+                    step_slice_pure_batched::<false, _, _>(&topo, span, block, &mut rng);
                 }
                 occ.rebuild(&positions);
                 round += 1;
@@ -947,8 +924,7 @@ impl EngineBenchReport {
         Ok(path)
     }
 
-    /// Human-readable summary table plus the headline pool-vs-spawn
-    /// speedups.
+    /// Human-readable summary table plus each group's headline ratio.
     pub fn render(&self) -> String {
         let mut t = Table::new(
             "engine throughput",
@@ -968,13 +944,6 @@ impl EngineBenchReport {
             ]);
         }
         let mut out = t.render();
-        for s in self.pool_speedups() {
-            out.push_str(&format!(
-                "  => pool vs per-round-spawn at {} agents, {} workers requested \
-                 (pool ran {}, spawn ran {}): {:.2}x\n",
-                s.agents, s.workers, s.pool_effective, s.spawn_effective, s.ratio
-            ));
-        }
         for (agents, ratio) in self.fusion_speedups() {
             out.push_str(&format!(
                 "  => fused observer pass vs dedicated per-(estimator, rounds) runs \
@@ -1146,33 +1115,6 @@ impl EngineBenchReport {
             })
             .collect()
     }
-
-    /// Pool-over-spawn throughput ratios, paired by *requested*
-    /// configuration (same agents, same `with_threads` value): the
-    /// end-to-end answer to "what changed for this config when the pool
-    /// replaced per-round spawns" — kernel gains included. The two
-    /// implementations cap workers differently, so each pair carries
-    /// both effective counts; compare like-for-like parallelism by
-    /// matching those, not the requested figure.
-    pub fn pool_speedups(&self) -> Vec<PoolSpeedup> {
-        let mut out = Vec::new();
-        for pool in self.results.iter().filter(|r| r.implementation == "pool") {
-            if let Some(spawn) = self.results.iter().find(|r| {
-                r.implementation == "spawn_baseline"
-                    && r.agents == pool.agents
-                    && r.workers == pool.workers
-            }) {
-                out.push(PoolSpeedup {
-                    agents: pool.agents,
-                    workers: pool.workers,
-                    pool_effective: pool.effective_workers,
-                    spawn_effective: spawn.effective_workers,
-                    ratio: spawn.ns_per_agent_step / pool.ns_per_agent_step,
-                });
-            }
-        }
-        out
-    }
 }
 
 /// Parses a `BENCH_engine.json` file written by
@@ -1209,7 +1151,6 @@ pub fn parse_json(text: &str) -> Result<EngineBenchReport, String> {
             "csr_stepping",
             "mono",
             "pool",
-            "spawn_baseline",
             "fused",
             "unfused",
             "torus_native",
@@ -1420,21 +1361,6 @@ pub struct TelemetryOverhead {
     pub enabled_ratio: f64,
 }
 
-/// One pool-vs-spawn comparison at a requested configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoolSpeedup {
-    /// Population size.
-    pub agents: usize,
-    /// Requested worker count (identical for both implementations).
-    pub workers: usize,
-    /// Workers the pool path actually ran.
-    pub pool_effective: usize,
-    /// Workers the spawn baseline actually ran (capped at core count).
-    pub spawn_effective: usize,
-    /// Spawn-baseline time over pool time (higher = pool faster).
-    pub ratio: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1448,16 +1374,16 @@ mod tests {
                     group: "parallel_scaling",
                     implementation: "pool",
                     agents: 1024,
-                    workers: 2,
+                    workers: 4,
                     effective_workers: 2,
                     ns_per_agent_step: 10.0,
                     msteps_per_sec: 100.0,
                 },
                 EngineBenchResult {
-                    group: "parallel_scaling",
-                    implementation: "spawn_baseline",
+                    group: "sequential",
+                    implementation: "mono",
                     agents: 1024,
-                    workers: 2,
+                    workers: 1,
                     effective_workers: 1,
                     ns_per_agent_step: 25.0,
                     msteps_per_sec: 40.0,
@@ -1698,7 +1624,7 @@ mod tests {
     fn json_is_well_formed_and_complete() {
         let json = tiny_report().to_json();
         assert!(json.contains("\"bench\": \"engine\""));
-        assert!(json.contains("\"impl\": \"spawn_baseline\""));
+        assert!(json.contains("\"impl\": \"mono\""));
         assert!(json.contains("\"ns_per_agent_step\": 10.000"));
         // no trailing comma before the closing bracket
         assert!(!json.contains(",\n  ]"));
@@ -1706,21 +1632,28 @@ mod tests {
     }
 
     #[test]
-    fn speedup_pairs_pool_with_matching_spawn() {
-        let speedups = tiny_report().pool_speedups();
-        assert_eq!(speedups.len(), 1);
-        let s = speedups[0];
-        assert_eq!((s.agents, s.workers), (1024, 2));
-        assert_eq!((s.pool_effective, s.spawn_effective), (2, 1));
-        assert!((s.ratio - 2.5).abs() < 1e-9);
+    fn render_headline_shows_effective_counts() {
+        // the pool row asked for 4 workers and ran 2: the table shows both
+        let text = tiny_report().render();
+        let pool_row: Vec<&str> = text
+            .lines()
+            .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
+            .find(|cells| cells.get(2) == Some(&"pool"))
+            .expect("pool row rendered");
+        assert_eq!(&pool_row[3..6], ["1024", "4", "2"]);
     }
 
     #[test]
-    fn render_headline_shows_effective_counts() {
-        let text = tiny_report().render();
-        assert!(text.contains("pool vs per-round-spawn"));
-        assert!(text.contains("pool ran 2, spawn ran 1"));
-        assert!(text.contains("2.50x"));
+    fn committed_baseline_parses_with_known_groups() {
+        let baseline = parse_json(include_str!("../../../BENCH_baseline.json"))
+            .expect("BENCH_baseline.json parses");
+        for r in &baseline.results {
+            assert!(
+                GROUPS.contains(&r.group),
+                "baseline row has unknown group `{}`",
+                r.group
+            );
+        }
     }
 
     #[test]

@@ -33,9 +33,7 @@ use crate::movement::MovementModel;
 use crate::occupancy::{DenseOccupancy, GroupOccupancy, MAX_NODES};
 use crate::pool::WorkerPool;
 use crate::sampling::fill_uniform_indices;
-use crate::step::{
-    step_slice, step_slice_pure_batched, step_slice_pure_batched_timed, Interaction,
-};
+use crate::step::{step_slice, step_slice_pure_batched, Interaction};
 use antdensity_graphs::{MoveScratch, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
@@ -376,7 +374,9 @@ impl<T: Topology> Engine<T> {
     pub fn step_round<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
         assert!(self.placed, "place agents before stepping");
         match self.pure_batch_span() {
-            Some(span) => step_slice_pure_batched(&self.topo, span, &mut self.positions, rng),
+            Some(span) => {
+                step_slice_pure_batched::<false, _, _>(&self.topo, span, &mut self.positions, rng);
+            }
             None => step_slice(
                 &self.topo,
                 &mut self.positions,
@@ -448,8 +448,8 @@ impl<T: Topology> Engine<T> {
 /// freely without touching the draw streams.
 ///
 /// With `timed` set (telemetry enabled, decided once per round) the
-/// batched fast path routes through its bit-identical timed variant;
-/// the returned `(draw_ns, apply_ns)` totals are zero otherwise. The
+/// batched fast path runs its bit-identical `TIMED` instantiation; the
+/// returned `(draw_ns, apply_ns)` totals are zero otherwise. The
 /// non-batched kernel interleaves draws and moves per agent, so it has
 /// no phase split to report under any setting.
 #[allow(clippy::too_many_arguments)]
@@ -472,12 +472,15 @@ fn step_window<T: Topology>(
     {
         let mut rng = round_seq.rng((first_block + j) as u64);
         match span {
-            Some(s) if timed => {
-                let (d, a) = step_slice_pure_batched_timed(topo, s, block, &mut rng);
+            Some(s) => {
+                let (d, a) = if timed {
+                    step_slice_pure_batched::<true, _, _>(topo, s, block, &mut rng)
+                } else {
+                    step_slice_pure_batched::<false, _, _>(topo, s, block, &mut rng)
+                };
                 totals.0 += d;
                 totals.1 += a;
             }
-            Some(s) => step_slice_pure_batched(topo, s, block, &mut rng),
             None => step_slice(topo, block, models, occ, interaction, &mut rng),
         }
     }
@@ -488,14 +491,8 @@ fn step_window<T: Topology>(
 /// positions window, movement window)`.
 type ChunkWork<'a> = (usize, &'a mut [u32], &'a [MovementModel]);
 
-/// `MIN_CHUNKS_PER_WORKER` of the pre-config engine, used by the
-/// [`Engine::step_round_parallel_spawn`] baseline.
-const LEGACY_MIN_CHUNKS_PER_WORKER: usize = 4;
-
 /// The machine's available parallelism, probed once. The OS query is a
-/// syscall costing ~10µs — the pre-pool engine paid it every round
-/// (kept that way in [`Engine::step_round_parallel_spawn`], which
-/// replicates the old implementation verbatim as a baseline).
+/// syscall costing ~10µs, too much to pay every round.
 fn available_cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| {
@@ -503,6 +500,39 @@ fn available_cores() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
+}
+
+/// Records one finished parallel round's telemetry: the round and
+/// agent-step counters, the round span (tagged with its throughput),
+/// the draw/apply split, and the occupancy-rebuild span that started at
+/// `occ_t0` and ends now. The draw/apply totals may be accumulated
+/// across workers, so in the trace they are laid end to end from the
+/// round start: a *time split*, not two wall-clock intervals. Rounds
+/// with no split to report (the non-batched kernel) emit neither span.
+fn record_round(t0: Instant, agents: u64, draw_ns: u64, apply_ns: u64, occ_t0: Instant) {
+    let occ_ns = u64::try_from(occ_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let total_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    ROUNDS_COUNTER.add(1);
+    AGENT_STEPS.add(agents);
+    let msteps_per_sec = if total_ns > 0 {
+        agents as f64 * 1e3 / total_ns as f64
+    } else {
+        0.0
+    };
+    ROUND_SPAN.record_interval_at(
+        t0,
+        0,
+        total_ns,
+        &[
+            ("agents", agents as f64),
+            ("msteps_per_sec", msteps_per_sec),
+        ],
+    );
+    if draw_ns + apply_ns > 0 {
+        DRAW_SPAN.record_interval_at(t0, 0, draw_ns, &[]);
+        APPLY_SPAN.record_interval_at(t0, draw_ns, apply_ns, &[]);
+    }
+    OCC_SPAN.record_interval_at(occ_t0, 0, occ_ns, &[]);
 }
 
 impl<T: Topology + Sync> Engine<T> {
@@ -517,23 +547,6 @@ impl<T: Topology + Sync> Engine<T> {
     pub fn parallel_workers(&self) -> usize {
         let num_chunks = self.positions.len().div_ceil(self.config.schedule_chunk);
         self.effective_workers(num_chunks)
-    }
-
-    /// Worker count the [`Self::step_round_parallel_spawn`] baseline
-    /// will use — the pre-pool policy, frozen with the baseline: capped
-    /// by [`STREAM_BLOCK`] chunk count over the legacy
-    /// chunks-per-worker minimum and by the machine's core count
-    /// (probed fresh, exactly as the baseline itself does each round —
-    /// the cached probe is the pool path's optimization).
-    pub fn spawn_workers(&self) -> usize {
-        let num_chunks = self.positions.len().div_ceil(STREAM_BLOCK);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.threads
-            .min(num_chunks / LEGACY_MIN_CHUNKS_PER_WORKER)
-            .min(cores)
-            .max(1)
     }
 
     fn effective_workers(&self, num_chunks: usize) -> usize {
@@ -662,33 +675,7 @@ impl<T: Topology + Sync> Engine<T> {
         let occ_start = observe.then(Instant::now);
         self.rebuild_occupancy();
         if let (Some(t0), Some(occ_t0)) = (round_start, occ_start) {
-            let occ_ns = u64::try_from(occ_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let total_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let agents = self.positions.len() as u64;
-            ROUNDS_COUNTER.add(1);
-            AGENT_STEPS.add(agents);
-            let msteps_per_sec = if total_ns > 0 {
-                agents as f64 * 1e3 / total_ns as f64
-            } else {
-                0.0
-            };
-            ROUND_SPAN.record_interval_at(
-                t0,
-                0,
-                total_ns,
-                &[
-                    ("agents", agents as f64),
-                    ("msteps_per_sec", msteps_per_sec),
-                ],
-            );
-            // The draw/apply totals are accumulated across workers, so
-            // in the trace they are laid end to end from the round
-            // start: a *time split*, not two wall-clock intervals.
-            if draw_ns + apply_ns > 0 {
-                DRAW_SPAN.record_interval_at(t0, 0, draw_ns, &[]);
-                APPLY_SPAN.record_interval_at(t0, draw_ns, apply_ns, &[]);
-            }
-            OCC_SPAN.record_interval_at(occ_t0, 0, occ_ns, &[]);
+            record_round(t0, self.positions.len() as u64, draw_ns, apply_ns, occ_t0);
         }
     }
 
@@ -756,87 +743,8 @@ impl<T: Topology + Sync> Engine<T> {
         {
             let draw_ns = u64::try_from((apply_t0 - draw_t0).as_nanos()).unwrap_or(u64::MAX);
             let apply_ns = u64::try_from((occ_t0 - apply_t0).as_nanos()).unwrap_or(u64::MAX);
-            let occ_ns = u64::try_from(occ_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let total_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let agents = n as u64;
-            ROUNDS_COUNTER.add(1);
-            AGENT_STEPS.add(agents);
-            let msteps_per_sec = if total_ns > 0 {
-                agents as f64 * 1e3 / total_ns as f64
-            } else {
-                0.0
-            };
-            ROUND_SPAN.record_interval_at(
-                t0,
-                0,
-                total_ns,
-                &[
-                    ("agents", agents as f64),
-                    ("msteps_per_sec", msteps_per_sec),
-                ],
-            );
-            DRAW_SPAN.record_interval_at(t0, 0, draw_ns, &[]);
-            APPLY_SPAN.record_interval_at(t0, draw_ns, apply_ns, &[]);
-            OCC_SPAN.record_interval_at(occ_t0, 0, occ_ns, &[]);
+            record_round(t0, n as u64, draw_ns, apply_ns, occ_t0);
         }
-    }
-
-    /// The engine's original parallel round: per-round `thread::scope`
-    /// spawns and the dyn-erased draw chain, kept verbatim as the
-    /// measurable baseline for the worker pool and the monomorphized
-    /// kernels (`crates/bench/benches/engine.rs`, `repro bench`).
-    /// Bit-identical results to [`Self::step_round_parallel`] — only the
-    /// wall clock differs — which the engine property tests assert.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is unplaced.
-    pub fn step_round_parallel_spawn(&mut self) {
-        assert!(self.placed, "place agents before stepping");
-        let round_seq = self.seeds.subsequence(self.round);
-        // One policy, one place: the same per-round computation (fresh
-        // parallelism probe included) the benches record as the
-        // baseline's effective worker count.
-        let workers = self.spawn_workers();
-        if workers == 1 {
-            for (ci, (chunk, models)) in self
-                .positions
-                .chunks_mut(STREAM_BLOCK)
-                .zip(self.movement.chunks(STREAM_BLOCK))
-                .enumerate()
-            {
-                let mut rng = round_seq.rng(ci as u64);
-                let rng: &mut dyn RngCore = &mut rng;
-                step_slice(&self.topo, chunk, models, &self.occ, &self.interaction, rng);
-            }
-        } else {
-            let topo = &self.topo;
-            let occ = &self.occ;
-            let interaction = self.interaction;
-            let mut per_worker: Vec<Vec<ChunkWork<'_>>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (ci, (chunk, models)) in self
-                .positions
-                .chunks_mut(STREAM_BLOCK)
-                .zip(self.movement.chunks(STREAM_BLOCK))
-                .enumerate()
-            {
-                per_worker[ci % workers].push((ci, chunk, models));
-            }
-            std::thread::scope(|scope| {
-                for work in per_worker {
-                    scope.spawn(move || {
-                        for (ci, chunk, models) in work {
-                            let mut rng = round_seq.rng(ci as u64);
-                            let rng: &mut dyn RngCore = &mut rng;
-                            step_slice(topo, chunk, models, occ, &interaction, rng);
-                        }
-                    });
-                }
-            });
-        }
-        self.round += 1;
-        self.rebuild_occupancy();
     }
 
     /// Runs `rounds` parallel rounds back to back.

@@ -127,33 +127,17 @@ const SAMPLE_BATCH: usize = 128;
 /// over all `A` nodes, `span = degree = A` consumes the same bits as its
 /// `uniform_node` override.)
 ///
+/// With `TIMED` set the kernel also measures the RNG-draw vs
+/// `apply_moves` split and returns accumulated `(draw_ns, apply_ns)`
+/// over the slice; otherwise it returns `(0, 0)` and reads no clock.
+/// Draws, destinations, and residual RNG state are identical either way
+/// — the only difference is clock reads bracketing the two phase calls
+/// per `SAMPLE_BATCH`-sized buffer fill, never inside the per-agent
+/// loops. The engine picks `TIMED` with one telemetry check per *round*.
+///
 /// The caller asserts the preconditions: `span == degree(v)` for every
 /// `v`, all agents `MovementModel::Pure`, interaction pure.
-pub fn step_slice_pure_batched<T: Topology, R: RngCore + ?Sized>(
-    topo: &T,
-    span: u64,
-    positions: &mut [u32],
-    rng: &mut R,
-) {
-    let mut idx = [0u32; SAMPLE_BATCH];
-    for block in positions.chunks_mut(SAMPLE_BATCH) {
-        let buf = &mut idx[..block.len()];
-        fill_uniform_indices(span, buf, rng);
-        topo.apply_moves(block, buf);
-    }
-}
-
-/// [`step_slice_pure_batched`] with the RNG-draw vs `apply_moves` split
-/// measured: returns accumulated `(draw_ns, apply_ns)` over the slice.
-///
-/// Draws, destinations, and residual RNG state are **bit-identical** to
-/// the untimed kernel — the only difference is clock reads bracketing
-/// the two existing phase calls per `SAMPLE_BATCH`-sized buffer fill
-/// (never inside the per-agent loops, which live in
-/// [`fill_uniform_indices`] and `apply_moves` unchanged). The engine
-/// selects this variant with one telemetry check per *round*, so
-/// disabled runs never reach it.
-pub fn step_slice_pure_batched_timed<T: Topology, R: RngCore + ?Sized>(
+pub fn step_slice_pure_batched<const TIMED: bool, T: Topology, R: RngCore + ?Sized>(
     topo: &T,
     span: u64,
     positions: &mut [u32],
@@ -163,52 +147,26 @@ pub fn step_slice_pure_batched_timed<T: Topology, R: RngCore + ?Sized>(
     let (mut draw_ns, mut apply_ns) = (0u64, 0u64);
     for block in positions.chunks_mut(SAMPLE_BATCH) {
         let buf = &mut idx[..block.len()];
-        let t0 = std::time::Instant::now();
-        fill_uniform_indices(span, buf, rng);
-        let t1 = std::time::Instant::now();
-        topo.apply_moves(block, buf);
-        let t2 = std::time::Instant::now();
-        draw_ns += u64::try_from((t1 - t0).as_nanos()).unwrap_or(u64::MAX);
-        apply_ns += u64::try_from((t2 - t1).as_nanos()).unwrap_or(u64::MAX);
+        if TIMED {
+            let t0 = std::time::Instant::now();
+            fill_uniform_indices(span, buf, rng);
+            let t1 = std::time::Instant::now();
+            topo.apply_moves(block, buf);
+            let t2 = std::time::Instant::now();
+            draw_ns += u64::try_from((t1 - t0).as_nanos()).unwrap_or(u64::MAX);
+            apply_ns += u64::try_from((t2 - t1).as_nanos()).unwrap_or(u64::MAX);
+        } else {
+            fill_uniform_indices(span, buf, rng);
+            topo.apply_moves(block, buf);
+        }
     }
     (draw_ns, apply_ns)
-}
-
-/// The pure-model fast path fed by [`crate::sampling::RNG_LANES`]
-/// interleaved generator lanes instead of a single serial stream.
-///
-/// Agent `i` of the slice draws from lane `i % RNG_LANES`, exactly as
-/// one [`crate::sampling::fill_uniform_indices_lanes`] call over the
-/// whole slice would (`SAMPLE_BATCH` is a multiple of the lane count,
-/// so chunking never shifts the lane phase). This breaks the serial
-/// xoshiro dependency chain that bounds [`step_slice_pure_batched`]:
-/// with four independent lanes the next state update of one lane
-/// overlaps the output computation of the others.
-///
-/// The draw streams are **different** from the single-stream kernels by
-/// design — callers opt in per block with lane RNGs derived from the
-/// same `SeedSequence` block scheme, and results remain deterministic
-/// for a fixed lane assignment.
-pub fn step_slice_pure_batched_lanes<T: Topology>(
-    topo: &T,
-    span: u64,
-    positions: &mut [u32],
-    lanes: &mut [rand::rngs::SmallRng; crate::sampling::RNG_LANES],
-) {
-    const { assert!(SAMPLE_BATCH.is_multiple_of(crate::sampling::RNG_LANES)) };
-    let mut idx = [0u32; SAMPLE_BATCH];
-    for block in positions.chunks_mut(SAMPLE_BATCH) {
-        let buf = &mut idx[..block.len()];
-        crate::sampling::fill_uniform_indices_lanes(span, buf, lanes);
-        topo.apply_moves(block, buf);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use antdensity_graphs::{CompleteGraph, Hypercube, Ring, Torus2d};
-    use antdensity_stats::rng::SeedSequence;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -339,7 +297,7 @@ mod tests {
             );
             let after_ref = rng.next_u64();
             let mut rng = SmallRng::seed_from_u64(seed);
-            step_slice_pure_batched(&topo, span, &mut batched, &mut rng);
+            step_slice_pure_batched::<false, _, _>(&topo, span, &mut batched, &mut rng);
             assert_eq!(reference, batched);
             assert_eq!(after_ref, rng.next_u64(), "residual RNG state differs");
         }
@@ -359,11 +317,12 @@ mod tests {
                 .collect();
             let mut timed = plain.clone();
             let mut rng = SmallRng::seed_from_u64(seed);
-            step_slice_pure_batched(&topo, span, &mut plain, &mut rng);
+            let untimed = step_slice_pure_batched::<false, _, _>(&topo, span, &mut plain, &mut rng);
+            assert_eq!(untimed, (0, 0), "the untimed kernel reads no clock");
             let after_plain = rng.next_u64();
             let mut rng = SmallRng::seed_from_u64(seed);
             let (draw_ns, apply_ns) =
-                step_slice_pure_batched_timed(&topo, span, &mut timed, &mut rng);
+                step_slice_pure_batched::<true, _, _>(&topo, span, &mut timed, &mut rng);
             assert_eq!(plain, timed);
             assert_eq!(after_plain, rng.next_u64(), "residual RNG state differs");
             // Sanity: both phases ran (clock may be coarse, so only
@@ -373,40 +332,6 @@ mod tests {
         }
         for seed in 0..4 {
             check(Torus2d::new(16), 4, 1000, seed);
-            check(Hypercube::new(5), 5, 321, seed);
-            check(Ring::new(77), 2, 130, seed);
-            check(CompleteGraph::new(1000), 1000, 500, seed);
-        }
-    }
-
-    #[test]
-    fn lanes_kernel_matches_whole_slice_lane_fill() {
-        // The chunked kernel must draw agent i from lane i % RNG_LANES
-        // exactly as a single lane fill over the whole slice would —
-        // including across SAMPLE_BATCH chunk boundaries and a ragged
-        // tail — with identical residual lane states.
-        use crate::sampling::{fill_uniform_indices_lanes, lane_rngs, RNG_LANES};
-        fn check<T: Topology>(topo: T, span: u64, n: usize, seed: u64) {
-            let seq = SeedSequence::new(seed);
-            let start: Vec<u32> = (0..n)
-                .map(|i| (i as u64 % topo.num_nodes()) as u32)
-                .collect();
-            let mut kernel_pos = start.clone();
-            let mut kernel_lanes = lane_rngs(&seq, 0);
-            step_slice_pure_batched_lanes(&topo, span, &mut kernel_pos, &mut kernel_lanes);
-            let mut reference_lanes = lane_rngs(&seq, 0);
-            let mut moves = vec![0u32; n];
-            fill_uniform_indices_lanes(span, &mut moves, &mut reference_lanes);
-            let mut reference_pos = start;
-            topo.apply_moves(&mut reference_pos, &moves);
-            assert_eq!(kernel_pos, reference_pos);
-            for (k, r) in kernel_lanes.iter_mut().zip(reference_lanes.iter_mut()) {
-                assert_eq!(k.next_u64(), r.next_u64(), "residual lane state differs");
-            }
-            let _ = RNG_LANES;
-        }
-        for seed in 0..4 {
-            check(Torus2d::new(16), 4, SAMPLE_BATCH * 3 + 37, seed);
             check(Hypercube::new(5), 5, 321, seed);
             check(Ring::new(77), 2, 130, seed);
             check(CompleteGraph::new(1000), 1000, 500, seed);

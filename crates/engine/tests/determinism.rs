@@ -4,8 +4,8 @@
 //!
 //! 1. **Pool-based parallel stepping is bit-identical to the inline
 //!    chunked loop** — for torus, ring, hypercube, and complete
-//!    topologies, across 1/2/4/8 workers, explicit pools, the spawn
-//!    baseline, and every valid [`EngineConfig`].
+//!    topologies, across 1/2/4/8 workers, explicit pools, a per-block
+//!    `step_slice` reference, and every valid [`EngineConfig`].
 //! 2. **The monomorphized kernels reproduce the legacy `dyn` draw
 //!    order** — an explicit replica of the pre-monomorphization kernel
 //!    (per-agent dyn-dispatched `gen_range` draws, the historical
@@ -16,7 +16,10 @@
 //!    pre-worker-pool engine (PR 1) for fixed seeds; any change to the
 //!    stream mapping or the draw algorithms breaks these.
 
-use antdensity_engine::{Engine, EngineConfig, MovementModel, WorkerPool, STREAM_BLOCK};
+use antdensity_engine::step::{step_slice, Interaction};
+use antdensity_engine::{
+    DenseOccupancy, Engine, EngineConfig, MovementModel, WorkerPool, STREAM_BLOCK,
+};
 use antdensity_graphs::{CompleteGraph, Hypercube, NodeId, Ring, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
 use proptest::prelude::*;
@@ -112,6 +115,31 @@ fn legacy_step_round<T: Topology>(
             next = legacy_model_step(topo, uniform_resample, model, next, rng);
         }
         *pos = next;
+    }
+}
+
+/// The stream contract spelled out: round `r` steps every
+/// [`STREAM_BLOCK`]-sized block of pure walkers through `step_slice`,
+/// block `b` drawing from `seeds.subsequence(r).rng(b)`, one block after
+/// another on the calling thread.
+fn per_block_reference<T: Topology>(
+    topo: &T,
+    positions: &mut [u32],
+    seeds: SeedSequence,
+    rounds: u64,
+) {
+    let movement = vec![MovementModel::Pure; positions.len()];
+    let occ = DenseOccupancy::new(topo.num_nodes());
+    for round in 0..rounds {
+        let round_seq = seeds.subsequence(round);
+        for (block, (chunk, models)) in positions
+            .chunks_mut(STREAM_BLOCK)
+            .zip(movement.chunks(STREAM_BLOCK))
+            .enumerate()
+        {
+            let mut rng = round_seq.rng(block as u64);
+            step_slice(topo, chunk, models, &occ, &Interaction::pure(), &mut rng);
+        }
     }
 }
 
@@ -360,19 +388,13 @@ proptest! {
                 inline_step_threshold: 0,
                 blocked_round_threshold: usize::MAX,
             });
-        let mut spawned = Engine::new(Torus2d::new(64), agents)
-            .with_seed_sequence(SeedSequence::new(master))
-            .with_threads(4);
         let mut rng = SmallRng::seed_from_u64(master ^ 3);
         pooled.place_uniform(&mut rng);
-        let mut rng = SmallRng::seed_from_u64(master ^ 3);
-        spawned.place_uniform(&mut rng);
-        for _ in 0..rounds {
-            pooled.step_round_parallel();
-            spawned.step_round_parallel_spawn();
-        }
-        for a in 0..agents {
-            prop_assert_eq!(pooled.position(a), spawned.position(a));
+        let mut reference: Vec<u32> = (0..agents).map(|a| pooled.position(a) as u32).collect();
+        pooled.run_parallel(rounds);
+        per_block_reference(&Torus2d::new(64), &mut reference, SeedSequence::new(master), rounds);
+        for (a, &expected) in reference.iter().enumerate() {
+            prop_assert_eq!(pooled.position(a), expected as NodeId);
         }
     }
 
