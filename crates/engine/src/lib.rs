@@ -78,7 +78,7 @@ pub mod scenario;
 pub mod step;
 
 pub use config::{EngineConfig, STREAM_BLOCK};
-pub use counts::{CountsEngine, CountsOutcome, COUNT_BLOCK};
+pub use counts::{CountsEngine, CountsOutcome, COUNTS_SAMPLER_VERSION, COUNT_BLOCK};
 pub use engine::{AgentId, Engine, GroupId, PARALLEL_CHUNK};
 pub use movement::MovementModel;
 pub use observer::{

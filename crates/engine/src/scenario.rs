@@ -948,6 +948,9 @@ impl Scenario {
         let mut engine = crate::CountsEngine::new(topo, self.num_agents as u64)
             .with_seed_sequence(seq.subsequence(COUNTS_STEP_STREAM))
             .with_threads(self.threads);
+        if let Some(pool) = &self.pool {
+            engine = engine.with_worker_pool(std::sync::Arc::clone(pool));
+        }
         engine.place_uniform(&seq.subsequence(COUNTS_PLACEMENT_STREAM));
         let mut total_encounters: u128 = 0;
         let mut outcomes = Vec::with_capacity(checkpoints.len());

@@ -12,13 +12,15 @@
 //!
 //! Determinism, by contrast, is still exact: for a fixed seed the
 //! counts trajectory is bit-identical across thread counts and
-//! schedules.
+//! schedules, and pinned by a golden table.
 
+use antdensity_engine::counts::SMALL_COUNT_MAX;
 use antdensity_engine::{CountsEngine, Engine, EstimatorSpec, NoiseSpec, Scenario, TopologySpec};
 use antdensity_graphs::{Ring, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 /// Time-averaged per-node visit distribution of a counts run.
 fn counts_visit_distribution<T: Topology + Sync>(topo: T, agents: u64, seed: u64) -> Vec<f64> {
@@ -178,4 +180,172 @@ fn counts_rejects_incompatible_scenarios() {
     Scenario::new(TopologySpec::Torus2d { side: 8 }, 20, 16)
         .with_flee()
         .run_counts(1);
+}
+
+/// Upper `α = 1e-4` critical value of χ² with `df` degrees of freedom
+/// (Wilson–Hilferty; z = 3.719). Seeds are fixed, so a pass is stable.
+fn chi2_critical(df: usize) -> f64 {
+    let k = df as f64;
+    let a = 2.0 / (9.0 * k);
+    k * (1.0 - a + 3.719 * a.sqrt()).powi(3)
+}
+
+/// Exact Multinomial(c; 1/d, …, 1/d) probability of `split`.
+fn uniform_multinomial_pmf(split: &[u64]) -> f64 {
+    let d = split.len() as f64;
+    let c: u64 = split.iter().sum();
+    let ln_fact = |n: u64| (1..=n).map(|k| (k as f64).ln()).sum::<f64>();
+    let ln_p = ln_fact(c) - split.iter().map(|&k| ln_fact(k)).sum::<f64>() - c as f64 * d.ln();
+    ln_p.exp()
+}
+
+/// Every way to split `c` agents over `d` neighbors.
+fn compositions(c: u64, d: usize) -> Vec<Vec<u64>> {
+    if d == 1 {
+        return vec![vec![c]];
+    }
+    (0..=c)
+        .flat_map(|k| {
+            compositions(c - k, d - 1).into_iter().map(move |mut rest| {
+                rest.insert(0, k);
+                rest
+            })
+        })
+        .collect()
+}
+
+/// The per-neighbor split of one node's count follows the exact uniform
+/// multinomial, on both samplers: χ² goodness of fit of the joint split
+/// over independent seeds, at `c ∈ {1, 2, 5, SMALL_COUNT_MAX}` (staged
+/// per-agent draws) and `SMALL_COUNT_MAX + 1` (the multinomial chain).
+/// Outcomes expected fewer than five times pool into one cell.
+#[test]
+fn per_node_split_matches_the_exact_multinomial() {
+    let torus = Torus2d::new(8);
+    let node = torus.node(3, 5);
+    let neighbors: Vec<usize> = (0..4).map(|i| torus.neighbor(node, i) as usize).collect();
+    let samples = 20_000u64;
+    for c in [1, 2, 5, SMALL_COUNT_MAX, SMALL_COUNT_MAX + 1] {
+        let mut observed: BTreeMap<Vec<u64>, u64> = BTreeMap::new();
+        for seed in 0..samples {
+            let mut engine =
+                CountsEngine::new(torus, 0).with_seed_sequence(SeedSequence::new(seed));
+            let mut counts = vec![0u64; 64];
+            counts[node as usize] = c;
+            engine.set_counts(&counts);
+            engine.step_round();
+            let split: Vec<u64> = neighbors.iter().map(|&v| engine.counts()[v]).collect();
+            assert_eq!(
+                split.iter().sum::<u64>(),
+                c,
+                "c = {c}: agents left the neighborhood"
+            );
+            *observed.entry(split).or_default() += 1;
+        }
+        let (mut stat, mut df) = (0.0, 0usize);
+        let (mut pooled_obs, mut pooled_exp) = (0.0, 0.0);
+        for split in compositions(c, 4) {
+            let expected = uniform_multinomial_pmf(&split) * samples as f64;
+            let obs = observed.get(&split).copied().unwrap_or(0) as f64;
+            if expected < 5.0 {
+                pooled_obs += obs;
+                pooled_exp += expected;
+            } else {
+                stat += (obs - expected).powi(2) / expected;
+                df += 1;
+            }
+        }
+        if pooled_exp >= 5.0 {
+            stat += (pooled_obs - pooled_exp).powi(2) / pooled_exp;
+            df += 1;
+        }
+        let df = df - 1;
+        let critical = chi2_critical(df);
+        assert!(
+            stat < critical,
+            "c = {c}: χ² = {stat:.1} over {df} df exceeds {critical:.1}"
+        );
+    }
+}
+
+/// Two-sample Kolmogorov–Smirnov statistic `sup |F_a − F_b|`.
+fn ks_statistic(mut a: Vec<f64>, mut b: Vec<f64>) -> f64 {
+    a.sort_by(f64::total_cmp);
+    b.sort_by(f64::total_cmp);
+    let (mut i, mut j, mut d) = (0usize, 0usize, 0.0f64);
+    while i < a.len() && j < b.len() {
+        let x = a[i].min(b[j]);
+        while i < a.len() && a[i] <= x {
+            i += 1;
+        }
+        while j < b.len() && b[j] <= x {
+            j += 1;
+        }
+        d = d.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
+    }
+    d
+}
+
+/// What users read: the per-trial Algorithm 1 mean estimate. The counts
+/// path and the agent path draw it from one law, at the paper's sparse
+/// density (d = 0.25, almost every node staged) and at d = 1 — a
+/// two-sample KS test over independent seeds.
+#[test]
+fn counts_estimates_match_agent_estimates_in_law() {
+    let trials = 300u64;
+    for agents in [65usize, 257] {
+        let spec = Scenario::new(TopologySpec::Torus2d { side: 16 }, agents, 24);
+        let counts: Vec<f64> = (0..trials)
+            .map(|seed| spec.run_counts(seed).mean_estimate)
+            .collect();
+        let agent: Vec<f64> = (0..trials)
+            .map(|seed| spec.run(10_000 + seed).mean_estimate())
+            .collect();
+        let d = ks_statistic(counts, agent);
+        // α = 1e-3: c(α) = 1.949, scaled by √((n + m) / nm).
+        let critical = 1.949 * (2.0 / trials as f64).sqrt();
+        assert!(
+            d < critical,
+            "density {}: KS D = {d:.3} exceeds {critical:.3}",
+            spec.true_density()
+        );
+    }
+}
+
+/// The pinned trajectories of the sampler version in
+/// `COUNTS_SAMPLER_VERSION`: cumulative encounter tallies at each
+/// checkpoint, on a regular torus, a ring and an irregular CSR graph,
+/// at densities that use the staged sampler, the multinomial one, or
+/// both; each graph spans two stream blocks, so two threads take the
+/// parallel path. A change that moves these bits must bump the version
+/// (it orphans sweep checkpoints and cached shards) and re-pin here.
+#[test]
+fn counts_scheduled_outcomes_are_pinned() {
+    let cases: [(&str, usize, [u128; 3]); 5] = [
+        ("torus2d:40", 401, [80, 710, 3_836]),
+        ("torus2d:40", 40_000, [999_462, 8_002_400, 39_993_042]),
+        ("ring:1500", 1_500, [1_458, 12_124, 59_282]),
+        ("ring:1500", 30_000, [598_422, 4_795_084, 23_977_128]),
+        ("csr:grid-holes:40:3:0.2", 320, [68, 654, 3_450]),
+    ];
+    let checkpoints = [1u64, 8, 40];
+    for (topology, agents, expected) in cases {
+        let topology: TopologySpec = topology.parse().unwrap();
+        let spec = Scenario::new(topology, agents, 40);
+        for threads in [1usize, 2] {
+            let outcomes = spec
+                .clone()
+                .with_threads(threads)
+                .run_counts_scheduled(2016, &checkpoints);
+            let got: Vec<u128> = outcomes.iter().map(|o| o.total_encounters).collect();
+            assert_eq!(
+                got, expected,
+                "{topology} agents {agents} threads {threads}"
+            );
+            for (o, &t) in outcomes.iter().zip(&checkpoints) {
+                assert_eq!(o.rounds, t);
+                assert_eq!(o.num_agents, agents as u64);
+            }
+        }
+    }
 }

@@ -20,9 +20,14 @@
 //!
 //! Shards are dispatched in waves onto the existing [`WorkerPool`] (via
 //! [`antdensity_walks::parallel::run_trials_on`], the workspace's
-//! deterministic fan-out primitive); after each wave the full completed
-//! state is checkpointed. Killing a sweep loses at most one wave of
-//! work, and [`run_sweep`] with `resume` picks up from the checkpoint.
+//! deterministic fan-out primitive): `workers` tasks claim a wave's
+//! shards through an atomic cursor, costliest first by agent-steps, so
+//! one worker never runs two heavy shards back to back while another
+//! idles. Each result goes back to its wave slot, so merges, `on_shard`
+//! observations and checkpoints keep wave order. After each wave the
+//! full completed state is checkpointed. Killing a sweep loses at most
+//! one wave of work, and [`run_sweep`] with `resume` picks up from the
+//! checkpoint.
 
 use crate::aggregate::CellAggregate;
 use crate::checkpoint::Checkpoint;
@@ -444,13 +449,17 @@ pub fn run_sweep_observed(
         let wave = &wave[..wave.len().min(budget - executed)];
         let mut wave_span = WAVE_SPAN.start();
         wave_span.arg("shards", wave.len() as f64);
+        // Claim order: costliest shard first (stable, so ties keep wave
+        // order). Results are put back in wave order below.
+        let mut claim: Vec<usize> = (0..wave.len()).collect();
+        claim.sort_by_key(|&k| std::cmp::Reverse(shard_agent_steps(&resolved.fused[wave[k]])));
         // Unused per-trial RNG (shards derive their own streams), but
         // run_trials_on is the workspace's deterministic pool fan-out.
         let seq = SeedSequence::new(resolved.seed);
         let cache = opts.cache.as_deref();
         let cache_verify = opts.cache_verify;
-        let results = parallel::run_trials_on(pool, wave.len() as u64, workers, seq, |i, _| {
-            let shard = wave[i as usize];
+        let claimed = parallel::run_trials_on(pool, wave.len() as u64, workers, seq, |i, _| {
+            let shard = wave[claim[i as usize]];
             match cache {
                 Some(cache) => run_shard_cached(&resolved, shard, fuse, cache, cache_verify),
                 None => Ok((
@@ -463,7 +472,9 @@ pub fn run_sweep_observed(
                 )),
             }
         });
-        for (&shard_idx, result) in wave.iter().zip(results) {
+        let mut results: Vec<_> = claim.into_iter().zip(claimed).collect();
+        results.sort_unstable_by_key(|&(k, _)| k);
+        for (&shard_idx, (_, result)) in wave.iter().zip(results) {
             let (cell_aggs, simulated) = result?;
             let shard = &resolved.fused[shard_idx];
             if simulated {

@@ -36,7 +36,9 @@
 //! probabilities and are therefore not expressible in the comma-split
 //! axis list — drive those through the library API.
 
-use antdensity_engine::{EstimatorSpec, MovementModel, NoiseSpec, SimFamily, TopologySpec};
+use antdensity_engine::{
+    EstimatorSpec, MovementModel, NoiseSpec, SimFamily, TopologySpec, COUNTS_SAMPLER_VERSION,
+};
 use antdensity_stats::rng::splitmix64;
 use antdensity_stats::schedule::Schedule;
 
@@ -790,21 +792,28 @@ impl ResolvedSweep {
         }
         // Appended only when enabled: every pre-existing spec (counts
         // off) keeps its fingerprint byte-for-byte, so old checkpoints
-        // stay resumable.
+        // stay resumable. The counts sampler's version rides along, so
+        // checkpoints and cached shards of an older counts kernel (whose
+        // trajectories differ bit for bit) never mix with new ones.
         if self.counts {
-            s.push_str("counts on\n");
+            s.push_str(&format!("counts v{COUNTS_SAMPLER_VERSION}\n"));
         }
         s
     }
 
     /// SplitMix64-chained hash of [`Self::canonical`].
     fn compute_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.canonical().bytes() {
-            h = splitmix64(h ^ u64::from(b));
-        }
-        h
+        hash_canonical(&self.canonical())
     }
+}
+
+/// The fingerprint hash: SplitMix64 chained over the canonical text.
+fn hash_canonical(canonical: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in canonical.bytes() {
+        h = splitmix64(h ^ u64::from(b));
+    }
+    h
 }
 
 #[cfg(test)]
@@ -896,6 +905,20 @@ mod tests {
         assert_ne!(
             resolved_on.fingerprint, baseline.fingerprint,
             "counts = on must move the fingerprint"
+        );
+        // ...and the sampler version is part of it: a counts-on
+        // checkpoint or cached shard of the version-1 sampler (whose
+        // canonical line was `counts on`) no longer matches.
+        let canonical = resolved_on.canonical();
+        assert!(canonical.ends_with(&format!("counts v{COUNTS_SAMPLER_VERSION}\n")));
+        assert_eq!(COUNTS_SAMPLER_VERSION, 2);
+        let mut v1 = resolved_on.clone();
+        v1.counts = false;
+        assert_eq!(hash_canonical(&v1.canonical()), baseline.fingerprint);
+        assert_ne!(
+            resolved_on.fingerprint,
+            hash_canonical(&format!("{}counts on\n", v1.canonical())),
+            "version-1 counts fingerprints are orphaned"
         );
 
         let err = SweepSpec::parse(&format!("{SPEC}\ncounts = maybe")).unwrap_err();

@@ -2,14 +2,16 @@
 //!
 //! Every trial gets its own RNG stream derived from
 //! `(master seed, trial index)`, so results are bit-identical regardless
-//! of the number of workers. Trials are processed as contiguous chunks
-//! dispatched onto the process-global persistent
-//! [`WorkerPool`] — no per-call thread
-//! spawns — and results are concatenated in trial order.
+//! of the number of workers. `threads` tasks on the process-global
+//! persistent [`WorkerPool`] — no per-call thread spawns — claim trials
+//! in index order through a shared atomic cursor, so a worker that
+//! finishes early takes the next trial instead of idling behind a fixed
+//! chunk. Each result goes back to its trial's slot.
 
 use antdensity_engine::WorkerPool;
 use antdensity_stats::rng::SeedSequence;
 use rand::rngs::SmallRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Runs `trials` independent trials of `f` split across `threads` units
 /// of pool work.
@@ -46,7 +48,9 @@ where
 
 /// [`run_trials`] dispatching onto an explicit pool — for embedders that
 /// isolate workloads and tests that pin a worker count. Results are
-/// identical for every pool and every `threads` value.
+/// identical for every pool and every `threads` value. Trials start in
+/// index order, so a caller that knows their costs puts the costly ones
+/// first (the sweep runner orders each wave that way).
 ///
 /// # Panics
 ///
@@ -75,31 +79,26 @@ where
         }
         return out;
     }
-    let chunk = trials.div_ceil(threads as u64);
-    let f_ref = &f;
-    let mut slots: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+    let cursor = AtomicU64::new(0);
+    let (f_ref, cursor_ref) = (&f, &cursor);
+    let mut claimed: Vec<Vec<(u64, T)>> = (0..threads).map(|_| Vec::new()).collect();
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = claimed
         .iter_mut()
-        .enumerate()
-        .map(|(w, slot)| {
-            let lo = (w as u64 * chunk).min(trials);
-            let hi = ((w as u64 + 1) * chunk).min(trials);
-            Box::new(move || {
-                let mut out = Vec::with_capacity((hi - lo) as usize);
-                for i in lo..hi {
-                    let mut rng = seeds.rng(i);
-                    out.push(f_ref(i, &mut rng));
+        .map(|slot| {
+            Box::new(move || loop {
+                let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
+                if i >= trials {
+                    break;
                 }
-                *slot = out;
+                let mut rng = seeds.rng(i);
+                slot.push((i, f_ref(i, &mut rng)));
             }) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
     pool.run(tasks);
-    let mut out = Vec::with_capacity(trials as usize);
-    for c in slots {
-        out.extend(c);
-    }
-    out
+    let mut out: Vec<(u64, T)> = claimed.into_iter().flatten().collect();
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, result)| result).collect()
 }
 
 /// A sensible worker count for Monte-Carlo fan-out: the available
@@ -146,6 +145,29 @@ mod tests {
         let seq = SeedSequence::new(5);
         let out = run_trials(40, 7, seq, |i, _| i);
         assert_eq!(out, (0..40).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_slow_trial_does_not_hold_back_the_rest() {
+        // Trial 0 finishes only after trials 1..4 have: with fixed
+        // chunks its worker would own trial 1 too and never get there.
+        use std::sync::atomic::AtomicUsize;
+        use std::time::{Duration, Instant};
+        let pool = WorkerPool::new(2);
+        let others_done = AtomicUsize::new(0);
+        let out = run_trials_on(&pool, 4, 2, SeedSequence::new(3), |i, _| {
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_secs(20);
+                while others_done.load(Ordering::Acquire) < 3 {
+                    assert!(Instant::now() < deadline, "trial 0 waited on its own chunk");
+                    std::thread::yield_now();
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::Release);
+            }
+            i
+        });
+        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]
