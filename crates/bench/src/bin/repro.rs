@@ -17,7 +17,6 @@
 //! repro serve [--listen ADDR]       # estimation daemon (line-delimited JSON jobs)
 //! repro serve --stdio               # one daemon session over stdin/stdout
 //! repro serve-submit ADDR SPEC      # submit a spec to a daemon, stream results
-//! repro serve-bench [--full]        # hammer an in-process daemon, verify bytes
 //! options:
 //!   --quick           small grids (default for experiments)
 //!   --full            the EXPERIMENTS.md grids
@@ -97,14 +96,14 @@ use std::time::Instant;
 fn usage() -> ! {
     eprintln!(
         "usage: repro <list|bench|sweep SPEC|sweep-worker|check-metrics FILE|serve|\
-         serve-submit ADDR SPEC|serve-bench|all|e1..e17...> \
+         serve-submit ADDR SPEC|all|e1..e17...> \
          [--quick|--full] [--seed N] [--out DIR] [--compare [BASELINE]] [--tolerance F] \
          [--group NAME] [--list-groups] \
          [--workers N] [--resume] [--max-shards K] [--no-checkpoint] [--no-fuse] \
          [--dry-run] [--metrics [FILE]] [--trace FILE] [--progress] \
          [--serve-shards] [--workers-cmd N] [--listen ADDR] [--fault PLAN] \
          [--cache DIR|off] [--cache-verify] [--cache-cap BYTES] \
-         [--stdio] [--max-queue N] [--executors N] [--dist N] [--clients N] [--jobs N]"
+         [--stdio] [--max-queue N] [--executors N] [--dist N]"
     );
     ExitCode::Usage.exit()
 }
@@ -126,7 +125,6 @@ fn main() {
         Command::SweepWorker(req) => run_sweep_worker(&req),
         Command::CheckMetrics(req) => run_check_metrics(&req.path),
         Command::Serve(req) => run_serve(&req),
-        Command::ServeBench(req) => run_serve_bench_cmd(&req),
         Command::ServeSubmit(req) => run_serve_submit(&req),
     }
 }
@@ -661,45 +659,5 @@ fn run_serve_submit(req: &cli::ServeSubmitRequest) {
         std::fs::write(metrics_path, metrics.encode())
             .unwrap_or_else(|e| ExitCode::Failure.fail(&format!("serve-submit: write: {e}")));
         println!("  metrics: {}", metrics_path.display());
-    }
-}
-
-/// `repro serve-bench`: hammer a fresh in-process daemon with
-/// concurrent clients; every delivered report is verified byte-for-
-/// byte against its sequential reference before any number is printed.
-fn run_serve_bench_cmd(req: &cli::ServeBenchRequest) {
-    antdensity_telemetry::set_enabled(true);
-    let mut cfg = if req.full {
-        serve::ServeBenchConfig::full()
-    } else {
-        serve::ServeBenchConfig::quick()
-    };
-    if let Some(c) = req.clients {
-        cfg.clients = c;
-    }
-    if let Some(j) = req.jobs {
-        cfg.jobs_per_client = j;
-    }
-    let t0 = Instant::now();
-    match serve::run_serve_bench(&cfg) {
-        Ok(r) => {
-            println!(
-                "serve-bench: {} clients x {} jobs — {} delivered in {:.2}s \
-                 ({:.0} jobs/s, {:.2} Msteps/s, queue peak {})",
-                cfg.clients,
-                cfg.jobs_per_client,
-                r.jobs,
-                r.secs,
-                r.jobs_per_sec,
-                r.agent_steps as f64 / r.secs.max(1e-9) / 1e6,
-                r.queue_peak,
-            );
-            println!(
-                "  every report byte-identical to its sequential CLI run \
-                 [{:.1}s total]",
-                t0.elapsed().as_secs_f64()
-            );
-        }
-        Err(e) => ExitCode::Failure.fail(&format!("serve-bench failed: {e}")),
     }
 }

@@ -85,8 +85,6 @@ pub enum Command {
     CheckMetrics(CheckMetricsRequest),
     /// `repro serve …` — the estimation daemon.
     Serve(ServeRequest),
-    /// `repro serve-bench …` — the daemon load generator.
-    ServeBench(ServeBenchRequest),
     /// `repro serve-submit ADDR SPEC …` — a one-shot protocol client.
     ServeSubmit(ServeSubmitRequest),
 }
@@ -237,17 +235,6 @@ pub struct ServeRequest {
     pub cache: Option<PathBuf>,
 }
 
-/// `repro serve-bench [--full] [--clients N] [--jobs N]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeBenchRequest {
-    /// Full shape (64×32 jobs) instead of quick (16×16).
-    pub full: bool,
-    /// Override the client count.
-    pub clients: Option<usize>,
-    /// Override the jobs-per-client count.
-    pub jobs: Option<usize>,
-}
-
 /// `repro serve-submit ADDR SPEC [--quick] [--seed N] [--out DIR]
 /// [--metrics FILE]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,7 +274,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
         "sweep-worker" => parse_sweep_worker(&args[1..]),
         "check-metrics" => parse_check_metrics(&args[1..]),
         "serve" => parse_serve(&args[1..]),
-        "serve-bench" => parse_serve_bench(&args[1..]),
         "serve-submit" => parse_serve_submit(&args[1..]),
         tok if tok == "all" || tok.starts_with('e') || tok.starts_with('E') => {
             parse_experiments(args)
@@ -578,30 +564,6 @@ fn parse_serve(args: &[String]) -> Result<Command, UsageError> {
     Ok(Command::Serve(req))
 }
 
-fn parse_serve_bench(args: &[String]) -> Result<Command, UsageError> {
-    let mut req = ServeBenchRequest {
-        full: false,
-        clients: None,
-        jobs: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => req.full = false,
-            "--full" => req.full = true,
-            "--clients" => req.clients = Some(num(args, &mut i, "--clients")?),
-            "--jobs" => req.jobs = Some(num(args, &mut i, "--jobs")?),
-            other => {
-                return Err(UsageError(format!(
-                    "`serve-bench` got unknown flag `{other}`"
-                )))
-            }
-        }
-        i += 1;
-    }
-    Ok(Command::ServeBench(req))
-}
-
 fn parse_serve_submit(args: &[String]) -> Result<Command, UsageError> {
     let mut positionals = Vec::new();
     let mut quick = false;
@@ -779,14 +741,9 @@ mod tests {
         );
         assert!(parse(&argv("serve-submit onlyaddr")).is_err());
 
-        let cmd = parse(&argv("serve-bench --full --clients 4 --jobs 2")).unwrap();
         assert_eq!(
-            cmd,
-            Command::ServeBench(ServeBenchRequest {
-                full: true,
-                clients: Some(4),
-                jobs: Some(2),
-            })
+            parse(&argv("serve-bench")),
+            Err(UsageError("unknown command `serve-bench`".to_string()))
         );
     }
 

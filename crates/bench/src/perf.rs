@@ -1,11 +1,13 @@
 //! Machine-readable engine throughput benchmarks: `BENCH_engine.json`.
 //!
-//! This module is the workspace's one benchmark harness and its tracked
-//! perf trajectory. `repro bench` times the engine's stepping paths —
-//! the monomorphized sequential kernel, the worker-pool parallel path
-//! across worker counts, the CSR gather kernel, observer fusion and the
-//! other [`GROUPS`] — and writes one JSON file that CI uploads as an
+//! This module is the workspace's kernel benchmark harness and its
+//! tracked perf trajectory. `repro bench` times the engine's stepping
+//! paths — the monomorphized sequential kernel, the worker-pool parallel
+//! path across worker counts, the CSR gather kernel, observer fusion and
+//! the other [`GROUPS`] — and writes one JSON file that CI uploads as an
 //! artifact, so every change's throughput is comparable to the last.
+//! The daemon, the wire and the shard cache are timed end to end by
+//! `perfbench/` (its `serve_mixed` workload), not here.
 //!
 //! The JSON schema (documented in README.md):
 //!
@@ -144,10 +146,8 @@ pub const GROUPS: &[&str] = &[
     "observer_fusion",
     "telemetry_overhead",
     "dist_sweep",
-    "serve_bench",
     "mega_scale",
     "rng_batch",
-    "cache",
 ];
 
 /// Runs the engine benchmark suite. `Quick` times 1k/16k agents (the CI
@@ -251,17 +251,11 @@ pub fn run_engine_bench_group(
     if want("dist_sweep") {
         bench_dist_sweep(effort, &mut results);
     }
-    if want("serve_bench") {
-        bench_serve(effort, &mut results);
-    }
     if want("mega_scale") {
         bench_mega_scale(effort, &mut results);
     }
     if want("rng_batch") {
         bench_rng_batch(effort, &mut results);
-    }
-    if want("cache") {
-        bench_cache(effort, &mut results);
     }
 
     Ok(EngineBenchReport {
@@ -669,219 +663,6 @@ fn bench_dist_sweep(effort: Effort, results: &mut Vec<EngineBenchResult>) {
     }
 }
 
-/// The service-layer group: the same batch of small sweep jobs executed
-/// two ways — `direct` runs each job's sweep sequentially in process
-/// (the `repro sweep` path, no daemon anywhere), `served` pushes the
-/// whole batch through a fresh `repro serve` daemon over real TCP with
-/// four concurrent clients. Job bytes are identical either way (the
-/// serve determinism suite pins that), so the pair isolates what
-/// admission, queueing, event streaming, and socket framing cost per
-/// delivered agent-step on top of the sweep compute itself.
-fn bench_serve(effort: Effort, results: &mut Vec<EngineBenchResult>) {
-    use antdensity_serve::{Client, ServeConfig, Server, Submit};
-    use antdensity_sweep::{run_sweep, SweepJob, SweepOptions};
-
-    const CLIENTS: usize = 4;
-    let jobs_per_client = effort.trials(2, 6) as usize;
-    let trials = effort.trials(1, 2);
-    let spec_text = format!(
-        "name = bench_serve\nseed = 5\ntrials = {trials}\n\
-         topology = complete:64\ndensity = 0.25\n\
-         rounds = 8, 16\nestimator = alg1\n"
-    );
-    let job_for = |client: usize, j: usize| {
-        let mut job = SweepJob::new(spec_text.clone());
-        job.seed_override = Some(3000 + (client * jobs_per_client + j) as u64);
-        job
-    };
-    let validated = job_for(0, 0).validate().expect("bench serve spec is valid");
-    let per_job_steps: u64 = validated
-        .resolved
-        .cells
-        .iter()
-        .map(|c| c.num_agents as u64 * c.rounds)
-        .sum::<u64>()
-        * validated.resolved.trials;
-    let total_jobs = CLIENTS * jobs_per_client;
-    let delivered_steps = per_job_steps * total_jobs as u64;
-    let agents: usize = validated.resolved.cells.iter().map(|c| c.num_agents).sum();
-
-    let mut push = |implementation: &'static str, ns: f64| {
-        let ns_per_delivered_step = ns / delivered_steps as f64;
-        results.push(EngineBenchResult {
-            group: "serve_bench",
-            implementation,
-            agents,
-            workers: CLIENTS,
-            effective_workers: CLIENTS,
-            ns_per_agent_step: ns_per_delivered_step,
-            msteps_per_sec: 1e3 / ns_per_delivered_step,
-        });
-    };
-
-    let opts = SweepOptions::default();
-    let ns = median_ns_per_round(
-        || {
-            for c in 0..CLIENTS {
-                for j in 0..jobs_per_client {
-                    let v = job_for(c, j).validate().expect("job validates");
-                    std::hint::black_box(run_sweep(&v.spec, &opts).expect("bench sweep runs"));
-                }
-            }
-        },
-        1,
-        SAMPLES,
-    );
-    push("direct", ns);
-
-    let ns = median_ns_per_round(
-        || {
-            let server = Server::bind(
-                "127.0.0.1:0",
-                ServeConfig {
-                    executors: 2,
-                    max_queue: total_jobs + CLIENTS,
-                    ..ServeConfig::default()
-                },
-            )
-            .expect("bench daemon binds");
-            let addr = server.local_addr().to_string();
-            std::thread::scope(|scope| {
-                for c in 0..CLIENTS {
-                    let addr = addr.clone();
-                    let job_for = &job_for;
-                    scope.spawn(move || {
-                        let mut client = Client::connect(&addr).expect("bench client connects");
-                        let batch = (0..jobs_per_client)
-                            .map(|j| Submit {
-                                job: job_for(c, j),
-                                label: None,
-                            })
-                            .collect();
-                        let results = client.run_batch(batch).expect("bench batch runs");
-                        for res in &results {
-                            assert_eq!(res.state, "done", "{}", res.reason);
-                        }
-                        std::hint::black_box(results);
-                    });
-                }
-            });
-            server.shutdown();
-            server.wait();
-        },
-        1,
-        SAMPLES,
-    );
-    push("served", ns);
-}
-
-/// The result-cache group: one small sweep (the `dist_sweep` shape)
-/// executed three ways — `nocache` (the plain in-process runner),
-/// `cold` (a fresh empty cache per invocation: every shard simulates,
-/// then publishes its blob), and `warm` (a pre-populated cache: every
-/// shard is served from disk and simulation is skipped entirely).
-/// Reports are byte-identical across all three rows — the cache
-/// robustness suite pins that — so the figures isolate what publishing
-/// costs cold and what a warm rerun saves. Throughput is counted in
-/// **delivered** agent-steps; the warm row's Msteps/s measures
-/// delivered (not simulated) work per second, so it being far above
-/// the others is the point, not an artifact.
-fn bench_cache(effort: Effort, results: &mut Vec<EngineBenchResult>) {
-    use antdensity_sweep::{run_sweep, ShardCache, SweepOptions, SweepSpec};
-
-    const WORKERS: usize = 4;
-    let trials = effort.trials(2, 6);
-    // Heavy enough per shard that simulating dwarfs the blob
-    // read+parse a warm hit pays; a trivial spec would measure cache
-    // I/O overhead instead of the work the cache saves.
-    let spec_text = format!(
-        "name = bench_cache\nseed = 3\ntrials = {trials}\n\
-         topology = torus2d:32, complete:256\ndensity = 0.1, 0.25\n\
-         rounds = 64\nestimator = alg1\n"
-    );
-    let spec = SweepSpec::parse(&spec_text).expect("bench spec is valid");
-    let resolved = spec.resolve(false).expect("bench spec resolves");
-    let delivered_steps: u64 = resolved
-        .cells
-        .iter()
-        .map(|c| c.num_agents as u64 * c.rounds)
-        .sum::<u64>()
-        * resolved.trials;
-    let agents: usize = resolved.cells.iter().map(|c| c.num_agents).sum();
-
-    let mut push = |implementation: &'static str, ns: f64| {
-        let ns_per_delivered_step = ns / delivered_steps as f64;
-        results.push(EngineBenchResult {
-            group: "cache",
-            implementation,
-            agents,
-            workers: WORKERS,
-            effective_workers: WORKERS,
-            ns_per_agent_step: ns_per_delivered_step,
-            msteps_per_sec: 1e3 / ns_per_delivered_step,
-        });
-    };
-
-    let opts = SweepOptions {
-        workers: WORKERS,
-        ..SweepOptions::default()
-    };
-    let ns = median_ns_per_round(
-        || {
-            std::hint::black_box(run_sweep(&spec, &opts).expect("bench sweep runs"));
-        },
-        1,
-        SAMPLES,
-    );
-    push("nocache", ns);
-
-    let root = std::env::temp_dir().join(format!("antdensity_cache_bench_{}", std::process::id()));
-
-    // Cold: a fresh empty store every invocation, so each timed sample
-    // simulates everything and pays the publish cost.
-    let mut invocation = 0u32;
-    let ns = median_ns_per_round(
-        || {
-            invocation += 1;
-            let dir = root.join(format!("cold{invocation}"));
-            let cache = ShardCache::open(&dir).expect("bench cache opens");
-            let opts = SweepOptions {
-                workers: WORKERS,
-                cache: Some(Arc::new(cache)),
-                ..SweepOptions::default()
-            };
-            std::hint::black_box(run_sweep(&spec, &opts).expect("bench sweep runs"));
-            std::fs::remove_dir_all(&dir).ok();
-        },
-        1,
-        SAMPLES,
-    );
-    push("cold", ns);
-
-    // Warm: one shared store. The warm-up invocation inside
-    // `median_ns_per_round` populates it, so every timed sample is
-    // served entirely from disk.
-    let cache = Arc::new(ShardCache::open(&root.join("warm")).expect("bench cache opens"));
-    let opts = SweepOptions {
-        workers: WORKERS,
-        cache: Some(Arc::clone(&cache)),
-        ..SweepOptions::default()
-    };
-    let ns = median_ns_per_round(
-        || {
-            std::hint::black_box(run_sweep(&spec, &opts).expect("bench sweep runs"));
-        },
-        1,
-        SAMPLES,
-    );
-    push("warm", ns);
-    assert!(
-        cache.stats().hits > 0,
-        "warm cache bench rows must be served from the store"
-    );
-    std::fs::remove_dir_all(&root).ok();
-}
-
 impl EngineBenchReport {
     /// Serializes to the documented JSON schema (no external deps — the
     /// workspace is offline, so the writer is hand-rolled).
@@ -983,12 +764,6 @@ impl EngineBenchReport {
                  {ratio:.2}x\n"
             ));
         }
-        if let Some(ratio) = self.cache_speedup() {
-            out.push_str(&format!(
-                "  => warm result cache vs no cache: {ratio:.2}x delivered \
-                 agent-steps/s\n"
-            ));
-        }
         out
     }
 
@@ -1008,18 +783,6 @@ impl EngineBenchReport {
                 of("agent_level", c.agents).map(|a| (c.agents, c.msteps_per_sec / a.msteps_per_sec))
             })
             .collect()
-    }
-
-    /// Warm-cache over no-cache delivered-throughput ratio of the
-    /// `cache` group — the headline a warm rerun is judged by (every
-    /// shard served from disk versus every shard simulated).
-    pub fn cache_speedup(&self) -> Option<f64> {
-        let of = |imp: &str| {
-            self.results
-                .iter()
-                .find(|r| r.group == "cache" && r.implementation == imp)
-        };
-        Some(of("warm")?.msteps_per_sec / of("nocache")?.msteps_per_sec)
     }
 
     /// Lane-fill throughput of the `rng_batch` group relative to the
@@ -1118,33 +881,20 @@ impl EngineBenchReport {
 }
 
 /// Parses a `BENCH_engine.json` file written by
-/// [`EngineBenchReport::to_json`] (one result object per line — the
-/// schema this module owns, so a hand-rolled reader suffices offline).
+/// [`EngineBenchReport::to_json`]: a typed decoder over the workspace's
+/// JSON value model ([`antdensity_serve::Json`]).
 ///
 /// # Errors
 ///
-/// Returns a message for missing top-level fields or malformed result
-/// lines.
+/// Returns a message for malformed JSON, missing top-level fields, or
+/// a result entry with a missing, mistyped or unknown field or label.
 pub fn parse_json(text: &str) -> Result<EngineBenchReport, String> {
-    fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let tag = format!("\"{key}\": \"");
-        let start = line.find(&tag)? + tag.len();
-        let end = line[start..].find('"')? + start;
-        Some(&line[start..end])
-    }
-    fn num_field(line: &str, key: &str) -> Option<f64> {
-        let tag = format!("\"{key}\": ");
-        let start = line.find(&tag)? + tag.len();
-        let rest = &line[start..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
+    use antdensity_serve::Json;
+
     // Interned &'static labels keep the parsed report type-identical to
     // a freshly measured one.
-    fn intern(s: &str) -> Result<&'static str, String> {
-        for known in [
+    fn intern(s: &str) -> Option<&'static str> {
+        [
             "sequential",
             "parallel_scaling",
             "observer_fusion",
@@ -1164,9 +914,6 @@ pub fn parse_json(text: &str) -> Result<EngineBenchReport, String> {
             "inproc",
             "dist_sim",
             "dist_sim_faulty",
-            "serve_bench",
-            "direct",
-            "served",
             "mega_scale",
             "agent_level",
             "counts",
@@ -1175,39 +922,42 @@ pub fn parse_json(text: &str) -> Result<EngineBenchReport, String> {
             "seq_fill",
             "lane_fill",
             "bulk_u64",
-            "cache",
-            "nocache",
-            "cold",
-            "warm",
-        ] {
-            if s == known {
-                return Ok(known);
-            }
-        }
-        Err(format!("unknown group/impl label `{s}`"))
+        ]
+        .into_iter()
+        .find(|known| *known == s)
+    }
+    fn decode_result(entry: &Json) -> Option<EngineBenchResult> {
+        let label = |key| intern(entry.get(key)?.as_str()?);
+        let count = |key| entry.get(key)?.as_u64().map(|v| v as usize);
+        let num = |key| entry.get(key)?.as_f64();
+        Some(EngineBenchResult {
+            group: label("group")?,
+            implementation: label("impl")?,
+            agents: count("agents")?,
+            workers: count("workers")?,
+            effective_workers: count("effective_workers")?,
+            ns_per_agent_step: num("ns_per_agent_step")?,
+            msteps_per_sec: num("msteps_per_sec")?,
+        })
     }
 
-    let mode = match str_field(text, "mode") {
+    let doc = Json::parse(text)?;
+    let mode = match doc.get("mode").and_then(Json::as_str) {
         Some("quick") => "quick",
         Some("full") => "full",
         other => return Err(format!("missing or unknown mode {other:?}")),
     };
-    let samples = num_field(text, "samples").ok_or("missing samples field")? as usize;
-    let mut results = Vec::new();
-    for line in text.lines().filter(|l| l.contains("\"group\":")) {
-        let parse = || -> Option<EngineBenchResult> {
-            Some(EngineBenchResult {
-                group: intern(str_field(line, "group")?).ok()?,
-                implementation: intern(str_field(line, "impl")?).ok()?,
-                agents: num_field(line, "agents")? as usize,
-                workers: num_field(line, "workers")? as usize,
-                effective_workers: num_field(line, "effective_workers")? as usize,
-                ns_per_agent_step: num_field(line, "ns_per_agent_step")?,
-                msteps_per_sec: num_field(line, "msteps_per_sec")?,
-            })
-        };
-        results.push(parse().ok_or_else(|| format!("malformed result line: {line}"))?);
-    }
+    let samples = doc
+        .get("samples")
+        .and_then(Json::as_u64)
+        .ok_or("missing samples field")? as usize;
+    let Some(Json::Arr(entries)) = doc.get("results") else {
+        return Err("missing results array".into());
+    };
+    let results = entries
+        .iter()
+        .map(|e| decode_result(e).ok_or_else(|| format!("malformed result entry: {}", e.encode())))
+        .collect::<Result<Vec<_>, _>>()?;
     if results.is_empty() {
         return Err("no result entries found".into());
     }
@@ -1578,32 +1328,6 @@ mod tests {
             .results
             .iter()
             .any(|x| x.group == "rng_batch" && x.implementation == "bulk_u64"));
-    }
-
-    #[test]
-    fn cache_speedup_pairs_warm_with_nocache() {
-        let mut r = tiny_report();
-        assert_eq!(r.cache_speedup(), None);
-        for (implementation, msteps) in [("nocache", 100.0f64), ("cold", 90.0), ("warm", 900.0)] {
-            r.results.push(EngineBenchResult {
-                group: "cache",
-                implementation,
-                agents: 4096,
-                workers: 4,
-                effective_workers: 4,
-                ns_per_agent_step: 1e3 / msteps,
-                msteps_per_sec: msteps,
-            });
-        }
-        let speedup = r.cache_speedup().unwrap();
-        assert!((speedup - 9.0).abs() < 1e-9);
-        assert!(r.render().contains("warm result cache vs no cache"));
-        // the cache labels survive the JSON round trip (baseline gating)
-        let parsed = parse_json(&r.to_json()).unwrap();
-        assert!(parsed
-            .results
-            .iter()
-            .any(|x| x.group == "cache" && x.implementation == "warm"));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! A blocking protocol client: connect, submit a batch, demux the
 //! interleaved event stream into per-job results.
 //!
-//! Used by the `repro serve-submit` CLI, the `serve-bench` load
-//! generator, and the service property suite — all three consume the
-//! same [`JobResult`], so "what the client saw" means one thing
-//! everywhere.
+//! Used by the `repro serve-submit` CLI and the service property suite
+//! — both consume the same [`JobResult`], so "what the client saw"
+//! means one thing everywhere.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -6,8 +6,16 @@
 //! insertion order (they are key/value vectors, not maps), so encoding
 //! is byte-deterministic — the property the whole service layer leans
 //! on. The parser is strict where it matters for corruption rejection:
-//! unbalanced structure, trailing garbage, bad escapes, and truncated
-//! input are all errors, never best-effort guesses.
+//! unbalanced structure, trailing garbage, bad escapes, truncated
+//! input, and nesting deeper than 128 levels are all errors, never
+//! best-effort guesses.
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, and its input comes off the wire, so
+/// without a cap one line of `[`s overflows the stack of the thread
+/// parsing it and aborts the whole daemon. Every document the workspace
+/// writes nests fewer than ten levels deep.
+const MAX_DEPTH: usize = 128;
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,17 +130,18 @@ impl Json {
     }
 
     /// Parses exactly one JSON value spanning the whole input
-    /// (surrounding whitespace allowed).
+    /// (surrounding whitespace allowed), nested at most 128 arrays and
+    /// objects deep.
     ///
     /// # Errors
     ///
     /// Returns a one-line description of the first syntax error,
-    /// including truncation and trailing garbage.
+    /// including truncation, trailing garbage and excess nesting.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -190,8 +199,14 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays
+/// and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     match bytes.get(*pos) {
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
@@ -207,7 +222,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -233,7 +248,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
                 skip_ws(bytes, pos);
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -421,6 +436,27 @@ mod tests {
             "{\"a\" 1}",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        let deepest = Json::parse(&nested("[", "]", MAX_DEPTH)).unwrap();
+        assert_eq!(deepest.encode(), nested("[", "]", MAX_DEPTH));
+        assert!(Json::parse(&nested("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        for text in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"k\":", "}", MAX_DEPTH + 1),
+            // an unterminated line of a million opens: rejected at the
+            // cap, long before the stack runs out
+            "[".repeat(1_000_000),
+            "[{\"a\":".repeat(500_000),
+        ] {
+            let err = Json::parse(&text).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "got: {err}");
         }
     }
 

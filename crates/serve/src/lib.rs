@@ -14,11 +14,8 @@
 //!   and lifecycle state machine, executor threads over the shared
 //!   process-global worker pool, optional dispatch onto the
 //!   distributed runtime.
-//! - [`client`] — a blocking client used by `repro serve-submit`, the
-//!   property suite, and the load generator.
-//! - [`mod@bench`] — `repro serve-bench`: concurrent clients against an
-//!   in-process daemon, every delivered report verified byte-for-byte
-//!   against the sequential CLI path.
+//! - [`client`] — a blocking client used by `repro serve-submit` and
+//!   the property suite.
 //! - [`json`] — the hand-rolled JSON value model (the workspace is
 //!   fully offline; nothing external to depend on).
 //!
@@ -31,13 +28,11 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod bench;
 pub mod client;
 pub mod daemon;
 pub mod json;
 pub mod request;
 
-pub use bench::{run_serve_bench, ServeBenchConfig, ServeBenchReport};
 pub use client::{Client, JobResult};
 pub use daemon::{run_stdio, ServeConfig, Server};
 pub use json::Json;

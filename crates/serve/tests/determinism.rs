@@ -10,6 +10,8 @@
 //! streaming, and cancellation machinery on top cannot perturb them.
 
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Mutex;
 use std::thread;
 
@@ -63,27 +65,33 @@ fn server(executors: usize) -> Server {
         "127.0.0.1:0",
         ServeConfig {
             executors,
-            max_queue: 256,
+            // Room for every job of the largest concurrent shape at
+            // once: 16 clients × 16 jobs, plus one slot per client.
+            max_queue: 272,
             ..ServeConfig::default()
         },
     )
     .unwrap()
 }
 
-/// The headline acceptance check: 8 concurrent clients, every
-/// delivered report byte-identical to its sequential CLI run.
-#[test]
-fn eight_concurrent_clients_match_sequential_cli_bytes() {
+/// `clients` concurrent connections each submit one batch of
+/// `jobs_per_client` jobs; every delivered report must be
+/// byte-identical to its sequential CLI run. The queue has room for
+/// every job at once, so a large shape drives the daemon to a deep
+/// backlog.
+fn concurrent_clients_match_sequential_cli_bytes(clients: u64, jobs_per_client: u64) {
     let server = server(3);
     let addr = server.local_addr().to_string();
-    let handles: Vec<_> = (0..8u64)
+    let handles: Vec<_> = (0..clients)
         .map(|c| {
             let addr = addr.clone();
             thread::spawn(move || {
                 let mut client = Client::connect(&addr).unwrap();
-                // Two jobs per client; seeds overlap across clients on
-                // purpose — identical jobs must yield identical bytes.
-                let seeds = [100 + c, 100 + (c + 1) % 8];
+                // Seeds overlap across clients on purpose — identical
+                // jobs must yield identical bytes.
+                let seeds: Vec<u64> = (0..jobs_per_client)
+                    .map(|j| 100 + (c + j) % clients)
+                    .collect();
                 let batch = seeds
                     .iter()
                     .map(|&s| Submit {
@@ -105,6 +113,73 @@ fn eight_concurrent_clients_match_sequential_cli_bytes() {
     for h in handles {
         h.join().unwrap();
     }
+    server.shutdown();
+    server.wait();
+}
+
+/// The headline acceptance check: 8 concurrent clients, every
+/// delivered report byte-identical to its sequential CLI run.
+#[test]
+fn eight_concurrent_clients_match_sequential_cli_bytes() {
+    concurrent_clients_match_sequential_cli_bytes(8, 2);
+}
+
+/// 16 clients × 16 batched jobs: 256 jobs in flight against 3
+/// executors, so the daemon's queue holds a backlog of hundreds.
+#[test]
+fn sixteen_clients_with_sixteen_jobs_each_match_sequential_cli_bytes() {
+    concurrent_clients_match_sequential_cli_bytes(16, 16);
+}
+
+/// A request line nested far past the JSON depth cap gets an `error`
+/// event on its own connection instead of overflowing the stack of the
+/// daemon thread parsing it; the connection keeps serving, and a
+/// concurrent client's report bytes are unchanged.
+#[test]
+fn deeply_nested_request_line_is_an_error_event() {
+    let server = server(2);
+    let addr = server.local_addr().to_string();
+    let honest = {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            let mut client = Client::connect(&addr).unwrap();
+            client
+                .run_batch(vec![Submit {
+                    job: job(60),
+                    label: None,
+                }])
+                .unwrap()
+        })
+    };
+
+    let mut writer = TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let mut next_event = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Event::parse_line(line.trim_end()).unwrap()
+    };
+    assert!(matches!(next_event(), Event::Hello { .. }));
+    let mut deep = "[".repeat(200_000);
+    deep.push('\n');
+    writer.write_all(deep.as_bytes()).unwrap();
+    match next_event() {
+        Event::Error { reason } => assert!(reason.contains("nesting deeper"), "got: {reason}"),
+        other => panic!("expected error, got {}", other.to_line()),
+    }
+    writer
+        .write_all(format!("{}\n", Request::Status { job: 999 }.to_line()).as_bytes())
+        .unwrap();
+    match next_event() {
+        Event::Error { reason } => assert!(reason.contains("unknown job"), "got: {reason}"),
+        other => panic!("expected error, got {}", other.to_line()),
+    }
+
+    let results = honest.join().unwrap();
+    assert_eq!(results[0].state, "done", "{}", results[0].reason);
+    let (want_json, want_csv) = reference(60);
+    assert_eq!(results[0].report_json, want_json);
+    assert_eq!(results[0].report_csv, want_csv);
     server.shutdown();
     server.wait();
 }
