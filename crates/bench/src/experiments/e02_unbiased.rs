@@ -7,29 +7,26 @@
 
 use super::util;
 use crate::report::{Effort, ExperimentReport};
-use antdensity_graphs::{
-    generators, AdjGraph, CompleteGraph, Hypercube, Ring, Topology, Torus2d, TorusKd,
-};
+use antdensity_engine::TopologySpec;
 use antdensity_stats::table::{format_sig, Table};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
-fn check<T: Topology + Sync>(
+fn check(
     name: &str,
-    topo: &T,
+    topology: TopologySpec,
     num_agents: usize,
     rounds: u64,
     runs: u64,
     seed: u64,
     table: &mut Table,
 ) -> bool {
-    let d = (num_agents as f64 - 1.0) / topo.num_nodes() as f64;
-    let (mean, se, _) = util::algorithm1_mean_estimate(topo, num_agents, rounds, runs, seed);
+    let nodes = topology.num_nodes();
+    let d = (num_agents as f64 - 1.0) / nodes as f64;
+    let (mean, se, _) = util::scenario_mean_estimate(topology, num_agents, rounds, runs, seed);
     let ratio = mean / d;
     let ok = (mean - d).abs() <= 5.0 * se + 1e-9;
     table.row_owned(vec![
         name.to_string(),
-        topo.num_nodes().to_string(),
+        nodes.to_string(),
         format_sig(d, 4),
         format_sig(mean, 5),
         format_sig(ratio, 4),
@@ -61,53 +58,38 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     );
 
     let mut all_ok = true;
-    let torus = Torus2d::new(32);
-    all_ok &= check(
-        "torus2d_32",
-        &torus,
-        103,
-        rounds,
-        runs,
-        seed ^ 1,
-        &mut table,
-    );
-    let ring = Ring::new(1024);
-    all_ok &= check("ring_1024", &ring, 103, rounds, runs, seed ^ 2, &mut table);
-    let t3 = TorusKd::new(3, 10);
-    all_ok &= check("torus3d_10", &t3, 101, rounds, runs, seed ^ 3, &mut table);
-    let hyper = Hypercube::new(10);
-    all_ok &= check(
-        "hypercube_10",
-        &hyper,
-        103,
-        rounds,
-        runs,
-        seed ^ 4,
-        &mut table,
-    );
-    let complete = CompleteGraph::new(1024);
-    all_ok &= check(
-        "complete_1024",
-        &complete,
-        103,
-        rounds,
-        runs,
-        seed ^ 5,
-        &mut table,
-    );
-    let expander: AdjGraph = {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 6);
-        generators::random_regular(1024, 8, 500, &mut rng).expect("expander generation")
+    let regular = TopologySpec::CsrRegular {
+        nodes: 1024,
+        degree: 8,
     };
-    all_ok &= check(
-        "regular8_1024",
-        &expander,
-        103,
-        rounds,
-        runs,
-        seed ^ 7,
-        &mut table,
-    );
+    for (name, topology, num_agents, salt) in [
+        ("torus2d_32", TopologySpec::Torus2d { side: 32 }, 103, 1),
+        ("ring_1024", TopologySpec::Ring { nodes: 1024 }, 103, 2),
+        (
+            "torus3d_10",
+            TopologySpec::TorusKd { dims: 3, side: 10 },
+            101,
+            3,
+        ),
+        ("hypercube_10", TopologySpec::Hypercube { dims: 10 }, 103, 4),
+        (
+            "complete_1024",
+            TopologySpec::Complete { nodes: 1024 },
+            103,
+            5,
+        ),
+        ("regular8_1024", regular, 103, 7),
+    ] {
+        all_ok &= check(
+            name,
+            topology,
+            num_agents,
+            rounds,
+            runs,
+            seed ^ salt,
+            &mut table,
+        );
+    }
 
     table.note("paper: ratio = 1 exactly in expectation on every regular graph");
     report.push_table(table);

@@ -8,6 +8,7 @@
 use super::util;
 use crate::report::{Effort, ExperimentReport};
 use antdensity_core::recollision;
+use antdensity_engine::TopologySpec;
 use antdensity_graphs::Ring;
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::table::{format_sig, Table};
@@ -60,7 +61,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
 
     // --- estimation error decay (Theorem 21) ---
     let a_sim = effort.size(2048, 8192);
-    let ring_sim = Ring::new(a_sim);
+    let ring_sim = TopologySpec::Ring { nodes: a_sim };
     let d = 0.05;
     let n_agents = ((d * a_sim as f64).round() as usize).max(2) + 1;
     let runs = effort.trials(4, 12);
@@ -72,8 +73,8 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let mut fq = Vec::new();
     let t_hi = effort.size(1 << 11, 1 << 13);
     for t in util::pow2_sweep(64, t_hi) {
-        let qs = util::algorithm1_error_quantiles(
-            &ring_sim,
+        let qs = util::scenario_error_quantiles(
+            ring_sim,
             n_agents,
             t,
             runs,

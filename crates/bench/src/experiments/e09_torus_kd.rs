@@ -9,7 +9,8 @@
 use super::util;
 use crate::report::{Effort, ExperimentReport};
 use antdensity_core::recollision;
-use antdensity_graphs::{CompleteGraph, Topology, TorusKd};
+use antdensity_engine::TopologySpec;
+use antdensity_graphs::{Topology, TorusKd};
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::table::{format_sig, Table};
 
@@ -64,9 +65,12 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
 
     // --- 3-d torus accuracy vs complete graph ---
     let side3 = effort.size(10, 16);
-    let torus3 = TorusKd::new(3, side3);
+    let torus3 = TopologySpec::TorusKd {
+        dims: 3,
+        side: side3,
+    };
     let a3 = torus3.num_nodes();
-    let complete = CompleteGraph::new(a3);
+    let complete = TopologySpec::Complete { nodes: a3 };
     let d = 0.05;
     let n_agents = ((d * a3 as f64).round() as usize).max(2) + 1;
     let runs = effort.trials(4, 12);
@@ -76,10 +80,9 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     );
     let mut ratios = Vec::new();
     for t in util::pow2_sweep(16, effort.size(1 << 9, 1 << 11)) {
-        let q3 = util::algorithm1_error_quantiles(&torus3, n_agents, t, runs, seed ^ t, &[0.9])[0];
+        let q3 = util::scenario_error_quantiles(torus3, n_agents, t, runs, seed ^ t, &[0.9])[0];
         let qc =
-            util::algorithm1_error_quantiles(&complete, n_agents, t, runs, seed ^ t ^ 0x3D, &[0.9])
-                [0];
+            util::scenario_error_quantiles(complete, n_agents, t, runs, seed ^ t ^ 0x3D, &[0.9])[0];
         let ratio = q3 / qc;
         ratios.push(ratio);
         acc_table.row_owned(vec![

@@ -10,7 +10,8 @@
 use super::util;
 use crate::report::{Effort, ExperimentReport};
 use antdensity_core::recollision;
-use antdensity_graphs::{generators, spectral, AdjGraph, CompleteGraph};
+use antdensity_engine::TopologySpec;
+use antdensity_graphs::{generators, spectral, AdjGraph};
 use antdensity_stats::regression::SemiLogFit;
 use antdensity_stats::table::{format_sig, Table};
 use rand::rngs::SmallRng;
@@ -82,11 +83,11 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     ));
 
     // --- accuracy vs complete graph ---
-    let g: AdjGraph = {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x88);
-        generators::random_regular(a, 8, 500, &mut rng).expect("expander generation")
+    let g = TopologySpec::CsrRegular {
+        nodes: a,
+        degree: 8,
     };
-    let complete = CompleteGraph::new(a);
+    let complete = TopologySpec::Complete { nodes: a };
     let d = 0.05;
     let n_agents = ((d * a as f64).round() as usize).max(2) + 1;
     let runs = effort.trials(4, 12);
@@ -96,10 +97,9 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     );
     let mut max_ratio: f64 = 0.0;
     for t in util::pow2_sweep(16, effort.size(1 << 8, 1 << 10)) {
-        let qe = util::algorithm1_error_quantiles(&g, n_agents, t, runs, seed ^ t, &[0.9])[0];
+        let qe = util::scenario_error_quantiles(g, n_agents, t, runs, seed ^ t, &[0.9])[0];
         let qc =
-            util::algorithm1_error_quantiles(&complete, n_agents, t, runs, seed ^ t ^ 0xE, &[0.9])
-                [0];
+            util::scenario_error_quantiles(complete, n_agents, t, runs, seed ^ t ^ 0xE, &[0.9])[0];
         let ratio = qe / qc;
         max_ratio = max_ratio.max(ratio);
         acc.row_owned(vec![

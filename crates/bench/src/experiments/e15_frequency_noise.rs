@@ -13,13 +13,9 @@
 
 use super::util;
 use crate::report::{Effort, ExperimentReport};
-use antdensity_core::algorithm1::Algorithm1;
-use antdensity_core::frequency::FrequencyEstimation;
-use antdensity_core::noise::CollisionNoise;
-use antdensity_graphs::{Topology, Torus2d};
+use antdensity_engine::{EstimatorSpec, MovementModel, NoiseSpec, Scenario, TopologySpec};
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::table::{format_sig, Table};
-use antdensity_walks::movement::MovementModel;
 
 /// Runs E15.
 pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
@@ -28,7 +24,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         "Section 5.2 + 6.1: relative frequency estimation; noisy detection corrected; biased walks still concentrate",
     );
     let side = effort.size(16, 32);
-    let torus = Torus2d::new(side);
+    let torus = TopologySpec::Torus2d { side };
     let a = torus.num_nodes();
     let num_agents = ((0.1 * a as f64) as usize).max(20) + 1;
     let d = (num_agents as f64 - 1.0) / a as f64;
@@ -46,15 +42,29 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         // swing by ~15% on seed luck alone; average over a few master
         // seeds so the check tests the estimator, not the seed.
         let freq_runs = 3u64;
-        let mut truth = 0.0;
+        let truth = k as f64 / num_agents as f64;
+        // The paper's two-sided band `[(1−ε)/(1+ε)·f, (1+ε)/(1−ε)·f]`
+        // at ε = 0.3; agents with no encounters (f̃ undefined) miss it.
+        let (lo, hi) = (truth * 0.7 / 1.3, truth * 1.3 / 0.7);
+        let spec = Scenario::new(torus, num_agents, rounds)
+            .with_estimator(EstimatorSpec::RelativeFrequency { property_agents: k });
         let mut mean = 0.0;
         let mut band = 0.0;
         for r in 0..freq_runs {
-            let run = FrequencyEstimation::new(num_agents, k, rounds)
-                .run(&torus, seed ^ k as u64 ^ (r << 17));
-            truth = run.true_frequency();
-            mean += run.mean_frequency().unwrap_or(0.0) / freq_runs as f64;
-            band += run.fraction_within(0.3) / freq_runs as f64;
+            let freqs: Vec<f64> = spec
+                .run(seed ^ k as u64 ^ (r << 17))
+                .frequencies()
+                .into_iter()
+                .flatten()
+                .collect();
+            let run_mean = if freqs.is_empty() {
+                0.0
+            } else {
+                freqs.iter().sum::<f64>() / freqs.len() as f64
+            };
+            let in_band = freqs.iter().filter(|&&f| f >= lo && f <= hi).count();
+            mean += run_mean / freq_runs as f64;
+            band += in_band as f64 / num_agents as f64 / freq_runs as f64;
         }
         let rel = (mean - truth).abs() / truth;
         freq_ok &= rel < 0.15;
@@ -87,15 +97,12 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     );
     let mut noise_ok = true;
     for &(p, s) in &[(1.0f64, 0.0f64), (0.7, 0.0), (0.4, 0.0), (0.7, 0.02)] {
-        let noise = CollisionNoise::new(p, s);
-        let alg = Algorithm1::new(num_agents, rounds).with_noise(noise);
+        let noise = NoiseSpec::new(p, s);
+        let spec = Scenario::new(torus, num_agents, rounds).with_noise(noise);
         let mut raw_sum = 0.0;
         for r in 0..runs {
-            raw_sum += alg
-                .run(
-                    &torus,
-                    seed ^ 0xB0 ^ (r << 9) ^ (p.to_bits() >> 40) ^ (s.to_bits() >> 44),
-                )
+            raw_sum += spec
+                .run(seed ^ 0xB0 ^ (r << 9) ^ (p.to_bits() >> 40) ^ (s.to_bits() >> 44))
                 .mean_estimate();
         }
         let raw_mean = raw_sum / runs as f64;
@@ -124,18 +131,13 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let mut ts = Vec::new();
     let mut qb = Vec::new();
     for t in util::pow2_sweep(32, effort.size(1 << 9, 1 << 11)) {
+        let biased = Scenario::new(torus, num_agents, t).with_movement(bias.clone());
         let pooled_biased: Vec<f64> = (0..runs)
-            .flat_map(|r| {
-                Algorithm1::new(num_agents, t)
-                    .with_movement(bias.clone())
-                    .run(&torus, seed ^ 0xB1A5 ^ (r << 11) ^ t)
-                    .relative_errors()
-            })
+            .flat_map(|r| biased.run(seed ^ 0xB1A5 ^ (r << 11) ^ t).relative_errors())
             .collect();
         let q_biased = antdensity_stats::quantile::quantile(&pooled_biased, 0.9);
         let q_pure =
-            util::algorithm1_error_quantiles(&torus, num_agents, t, runs, seed ^ t ^ 0xF, &[0.9])
-                [0];
+            util::scenario_error_quantiles(torus, num_agents, t, runs, seed ^ t ^ 0xF, &[0.9])[0];
         ts.push(t as f64);
         qb.push(q_biased.max(1e-12));
         bias_table.row_owned(vec![

@@ -1,35 +1,12 @@
 //! Shared helpers for experiment modules.
 
-use antdensity_core::algorithm1::Algorithm1;
 use antdensity_engine::{Scenario, TopologySpec};
-use antdensity_graphs::Topology;
 use antdensity_stats::quantile;
 use antdensity_stats::rng::SeedSequence;
 use antdensity_walks::parallel;
 
-/// Pools per-agent relative errors from `runs` independent Algorithm 1
-/// executions and returns the requested error quantiles.
-pub(crate) fn algorithm1_error_quantiles<T: Topology + Sync>(
-    topo: &T,
-    num_agents: usize,
-    rounds: u64,
-    runs: u64,
-    seed: u64,
-    qs: &[f64],
-) -> Vec<f64> {
-    let seq = SeedSequence::new(seed);
-    let threads = parallel::default_threads();
-    let alg = Algorithm1::new(num_agents, rounds);
-    let per_run = parallel::run_trials(runs, threads, seq, |i, _| {
-        alg.run(topo, seq.derive(i ^ 0xE1E1)).relative_errors()
-    });
-    let pooled: Vec<f64> = per_run.into_iter().flatten().collect();
-    quantile::quantiles(&pooled, qs)
-}
-
-/// Scenario-based counterpart of [`algorithm1_error_quantiles`]: pools
-/// per-agent relative errors from `runs` independent executions of an
-/// Algorithm 1 [`Scenario`] on the engine and returns the requested error
+/// Pools per-agent relative errors from `runs` independent executions
+/// of an Algorithm 1 [`Scenario`] and returns the requested error
 /// quantiles. Trials fan out over threads; each trial runs the scenario
 /// single-threaded (the outer fan-out already saturates the cores), and
 /// every trial is a pure function of `(spec, derived seed)`.
@@ -51,10 +28,11 @@ pub(crate) fn scenario_error_quantiles(
     quantile::quantiles(&pooled, qs)
 }
 
-/// Pools per-agent estimates from `runs` executions; returns
-/// `(grand_mean, standard_error_of_mean, sample_count)`.
-pub(crate) fn algorithm1_mean_estimate<T: Topology + Sync>(
-    topo: &T,
+/// Pools per-agent estimates from `runs` executions of an Algorithm 1
+/// [`Scenario`]; returns `(grand_mean, standard_error_of_mean,
+/// sample_count)`.
+pub(crate) fn scenario_mean_estimate(
+    topology: TopologySpec,
     num_agents: usize,
     rounds: u64,
     runs: u64,
@@ -62,11 +40,11 @@ pub(crate) fn algorithm1_mean_estimate<T: Topology + Sync>(
 ) -> (f64, f64, u64) {
     let seq = SeedSequence::new(seed);
     let threads = parallel::default_threads();
-    let alg = Algorithm1::new(num_agents, rounds);
+    let spec = Scenario::new(topology, num_agents, rounds);
     // Per-run means are i.i.d. across runs; agents within a run are
     // correlated, so the standard error is computed over run means.
     let run_means = parallel::run_trials(runs, threads, seq, |i, _| {
-        alg.run(topo, seq.derive(i ^ 0xE2E2)).mean_estimate()
+        spec.run(seq.derive(i ^ 0xE2E2)).mean_estimate()
     });
     let n = run_means.len() as f64;
     let mean = run_means.iter().sum::<f64>() / n;
@@ -93,7 +71,6 @@ pub(crate) fn pow2_sweep(start: u64, end: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antdensity_graphs::Torus2d;
 
     #[test]
     fn pow2_sweep_covers_range() {
@@ -104,10 +81,11 @@ mod tests {
 
     #[test]
     fn error_quantiles_are_ordered() {
-        let topo = Torus2d::new(8);
-        let q = algorithm1_error_quantiles(&topo, 9, 32, 4, 1, &[0.5, 0.9]);
-        assert_eq!(q.len(), 2);
-        assert!(q[0] <= q[1]);
+        let qs = [0.1, 0.5, 0.9, 1.0];
+        let q = scenario_error_quantiles(TopologySpec::Ring { nodes: 64 }, 9, 32, 4, 1, &qs);
+        assert_eq!(q.len(), qs.len());
+        assert!(q[0] >= 0.0);
+        assert!(q.windows(2).all(|w| w[0] <= w[1]), "{q:?}");
     }
 
     #[test]
@@ -127,9 +105,9 @@ mod tests {
 
     #[test]
     fn mean_estimate_near_truth() {
-        let topo = Torus2d::new(8); // A = 64
-        let (mean, se, _) = algorithm1_mean_estimate(&topo, 17, 64, 16, 2);
-        let truth = 16.0 / 64.0;
+        let (mean, se, _) =
+            scenario_mean_estimate(TopologySpec::Torus2d { side: 8 }, 17, 64, 16, 2);
+        let truth = 16.0 / 64.0; // 16 others on A = 64 nodes
         assert!(
             (mean - truth).abs() < 6.0 * se + 0.02,
             "mean {mean} se {se}"

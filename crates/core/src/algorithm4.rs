@@ -1,154 +1,73 @@
-//! Algorithm 4: independent-sampling-based density estimation
-//! (Appendix A of the paper).
-//!
-//! Each agent flips a fair coin: *stationary* agents never move, *walking*
-//! agents take the deterministic step `(0, 1)` every round. A walking
-//! agent therefore visits `t` distinct cells (for `t < √A`) and its
-//! collision count with stationary agents is a sum of independent
-//! Bernoulli(`t/2A`-ish) variables — i.i.d. sampling in disguise, giving
-//! Theorem 32's clean `ε = O(√(log(1/δ)/td))` with no log factor.
-//!
-//! The subtlety the paper handles: two walking agents that *start on the
-//! same cell* move in lockstep and would register `t` spurious collisions
-//! (`w` co-located walkers → `w·t` spurious counts). The `c := c mod t`
-//! step removes exactly those, which is why the estimator returns
-//! `d̃ = 2·(c mod t)/t`.
+//! Paper-level checks of Algorithm 4 (Appendix A: a stationary half, a
+//! drifting half, and `d̃ = 2·(c mod t)/t`), run through the engine.
+//! Test-only: the algorithm itself is the engine's
+//! `EstimatorSpec::Algorithm4`, read out by its `Alg4Observer`.
 
-use crate::algorithm1::DensityRun;
-use antdensity_engine::observer::{Alg4Observer, EncounterTallies, Observer, RoundEvents};
-use antdensity_graphs::{NodeId, Topology, Torus2d};
-use antdensity_stats::rng::SeedSequence;
-use rand::Rng;
+mod tests {
+    use antdensity_engine::{
+        Alg4Observer, EncounterTallies, Engine, EstimatorSpec, MovementModel, Observer,
+        RoundEvents, Scenario, ScenarioOutcome, TopologySpec,
+    };
+    use antdensity_graphs::{NodeId, Torus2d};
+    use antdensity_stats::rng::SeedSequence;
 
-/// Configuration for an Algorithm 4 run on the 2-d torus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Algorithm4 {
-    num_agents: usize,
-    rounds: u64,
-}
-
-impl Algorithm4 {
-    /// Creates a run configuration.
-    ///
-    /// Theorem 32 requires `t < √A`; [`Algorithm4::run`] enforces it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_agents == 0` or `rounds == 0`.
-    pub fn new(num_agents: usize, rounds: u64) -> Self {
-        assert!(num_agents > 0, "need at least one agent");
-        assert!(rounds > 0, "need at least one round");
-        Self { num_agents, rounds }
+    fn algorithm4(side: u64, agents: usize, rounds: u64) -> Scenario {
+        Scenario::new(TopologySpec::Torus2d { side }, agents, rounds)
+            .with_estimator(EstimatorSpec::Algorithm4)
     }
 
-    /// Number of agents `n + 1`.
-    pub fn num_agents(&self) -> usize {
-        self.num_agents
-    }
-
-    /// Number of rounds `t`.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Executes Algorithm 4 with uniform random placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds ≥ √A` (the theorem's precondition: a walking
-    /// agent must visit `t` distinct cells).
-    pub fn run(&self, torus: &Torus2d, seed: u64) -> DensityRun {
-        let seq = SeedSequence::new(seed);
-        let mut rng = seq.rng(0);
-        let positions: Vec<NodeId> = (0..self.num_agents)
-            .map(|_| torus.uniform_node(&mut rng))
-            .collect();
-        let walking: Vec<bool> = (0..self.num_agents).map(|_| rng.gen_bool(0.5)).collect();
-        self.run_explicit(torus, &positions, &walking)
-    }
-
-    /// Executes with explicit starting positions and walking states —
-    /// exposes the adversarial co-located-start case the `c mod t` step
-    /// corrects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths mismatch, a position is out of range, or
-    /// `rounds ≥ √A`.
-    pub fn run_explicit(
-        &self,
-        torus: &Torus2d,
-        positions: &[NodeId],
+    /// Algorithm 4 from explicit starts and walking flags: walkers take
+    /// the paper's fixed (0, 1) drift step (move index 2), the rest stay
+    /// put, and the engine's `Alg4Observer` applies `c mod t`.
+    fn run_explicit(
+        torus: Torus2d,
+        starts: &[NodeId],
         walking: &[bool],
-    ) -> DensityRun {
-        assert_eq!(positions.len(), self.num_agents, "positions length");
-        assert_eq!(walking.len(), self.num_agents, "walking length");
-        assert!(
-            self.rounds < torus.side(),
-            "Theorem 32 requires t < sqrt(A) (= {}); got t = {}",
-            torus.side(),
-            self.rounds
-        );
-        let mut pos = positions.to_vec();
-        for &p in &pos {
-            assert!(p < torus.num_nodes(), "position {p} out of range");
+        rounds: u64,
+    ) -> ScenarioOutcome {
+        let n = starts.len();
+        let mut engine = Engine::new(torus, n);
+        for (a, &w) in walking.iter().enumerate() {
+            let model = if w {
+                MovementModel::Drift { move_index: 2 }
+            } else {
+                MovementModel::Stationary
+            };
+            engine.set_movement(a, model);
         }
-        // The deterministic drift simulation emits per-round encounter
-        // events; the stationary/mobile `c mod t` correction itself is
-        // the shared `Alg4Observer` snapshot.
-        let mut tallies = EncounterTallies::new(self.num_agents, false);
-        let mut round_counts = vec![0u32; self.num_agents];
-        let mut occupancy: std::collections::HashMap<NodeId, u32> =
-            std::collections::HashMap::new();
-        for round in 1..=self.rounds {
-            for (p, &w) in pos.iter_mut().zip(walking) {
-                if w {
-                    *p = torus.offset(*p, 0, 1); // the paper's (0, 1) step
-                }
-            }
-            occupancy.clear();
-            for &p in &pos {
-                *occupancy.entry(p).or_insert(0) += 1;
-            }
-            for (c, &p) in round_counts.iter_mut().zip(&pos) {
-                *c = occupancy[&p] - 1;
+        engine.place_at(starts);
+        // Drift and stationary moves draw nothing from the generator.
+        let mut rng = SeedSequence::new(0).rng(0);
+        let mut tallies = EncounterTallies::new(n, false);
+        let mut counts = vec![0u32; n];
+        for round in 1..=rounds {
+            engine.step_round(&mut rng);
+            for (a, c) in counts.iter_mut().enumerate() {
+                *c = engine.count(a);
             }
             tallies.record(&RoundEvents {
                 round,
-                counts: &round_counts,
-                raw_counts: &round_counts,
+                counts: &counts,
+                raw_counts: &counts,
                 group_counts: None,
             });
         }
-        let observer = Alg4Observer {
+        Alg4Observer {
             walking: walking.to_vec(),
-        };
-        let outcome = observer.snapshot(
-            &tallies,
-            (self.num_agents as f64 - 1.0) / torus.num_nodes() as f64,
-        );
-        DensityRun::from_parts(
-            outcome.estimates,
-            outcome.collision_counts,
-            outcome.rounds,
-            outcome.true_density,
-        )
+        }
+        .snapshot(&tallies, engine.density())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn mean_relative_error(run: &ScenarioOutcome) -> f64 {
+        let e = run.relative_errors();
+        e.iter().sum::<f64>() / e.len() as f64
+    }
 
     #[test]
     fn unbiased_on_torus() {
-        let torus = Torus2d::new(64); // A = 4096
-        let cfg = Algorithm4::new(513, 63); // d = 512/4096 = 0.125
-        let mut grand = 0.0;
+        let spec = algorithm4(64, 513, 63); // d = 512/4096 = 0.125
         let runs = 10;
-        for seed in 0..runs {
-            grand += cfg.run(&torus, seed).mean_estimate();
-        }
+        let grand: f64 = (0..runs).map(|seed| spec.run(seed).mean_estimate()).sum();
         let mean = grand / runs as f64;
         assert!((mean - 0.125).abs() < 0.01, "grand mean {mean}");
     }
@@ -158,21 +77,17 @@ mod tests {
         // Two walking agents on the same start cell, nobody else: they
         // march in lockstep and collide every round. Without mod t each
         // would report c = t (estimate 2.0!); the correction zeroes it.
-        let torus = Torus2d::new(32);
-        let cfg = Algorithm4::new(2, 16);
-        let run = cfg.run_explicit(&torus, &[100, 100], &[true, true]);
-        assert_eq!(run.collision_counts(), &[0, 0]);
-        assert_eq!(run.estimates(), &[0.0, 0.0]);
+        let run = run_explicit(Torus2d::new(32), &[100, 100], &[true, true], 16);
+        assert_eq!(run.collision_counts, vec![0, 0]);
+        assert_eq!(run.estimates, vec![0.0, 0.0]);
     }
 
     #[test]
     fn colocated_stack_of_three_walkers() {
         // w+1 = 3 co-located walkers: each counts 2 per round = 2t total,
         // and 2t mod t = 0. Correction handles any stack size.
-        let torus = Torus2d::new(32);
-        let cfg = Algorithm4::new(3, 10);
-        let run = cfg.run_explicit(&torus, &[5, 5, 5], &[true, true, true]);
-        assert_eq!(run.collision_counts(), &[0, 0, 0]);
+        let run = run_explicit(Torus2d::new(32), &[5, 5, 5], &[true, true, true], 10);
+        assert_eq!(run.collision_counts, vec![0, 0, 0]);
     }
 
     #[test]
@@ -182,12 +97,11 @@ mod tests {
         let torus = Torus2d::new(32);
         let start = torus.node(3, 3);
         let blocker = torus.node(3, 7); // 4 steps up
-        let cfg = Algorithm4::new(2, 16);
-        let run = cfg.run_explicit(&torus, &[start, blocker], &[true, false]);
-        assert_eq!(run.collision_counts()[0], 1);
-        assert_eq!(run.collision_counts()[1], 1);
+        let run = run_explicit(torus, &[start, blocker], &[true, false], 16);
+        assert_eq!(run.collision_counts[0], 1);
+        assert_eq!(run.collision_counts[1], 1);
         // estimate = 2 * 1 / 16 = 0.125
-        assert!((run.estimates()[0] - 0.125).abs() < 1e-12);
+        assert!((run.estimates[0] - 0.125).abs() < 1e-12);
     }
 
     #[test]
@@ -196,10 +110,8 @@ mod tests {
         // collide every round -> c = t -> c mod t = 0. (The paper's
         // analysis only needs the walking-agent estimates; symmetry makes
         // stationary agents behave identically.)
-        let torus = Torus2d::new(32);
-        let cfg = Algorithm4::new(2, 8);
-        let run = cfg.run_explicit(&torus, &[9, 9], &[false, false]);
-        assert_eq!(run.collision_counts(), &[0, 0]);
+        let run = run_explicit(Torus2d::new(32), &[9, 9], &[false, false], 8);
+        assert_eq!(run.collision_counts, vec![0, 0]);
     }
 
     #[test]
@@ -207,17 +119,15 @@ mod tests {
         // Theorem 32 vs Theorem 1: independent sampling saves the log
         // factor. With matched (A, d, t) Algorithm 4's error variance
         // should not exceed Algorithm 1's by much; typically it's smaller.
-        use crate::algorithm1::Algorithm1;
-        let torus = Torus2d::new(128); // A = 16384
         let agents = 2049; // d = 2048/16384 = 0.125
         let rounds = 100;
+        let alg4 = algorithm4(128, agents, rounds);
+        let alg1 = Scenario::new(TopologySpec::Torus2d { side: 128 }, agents, rounds);
         let mut err4 = 0.0;
         let mut err1 = 0.0;
         for seed in 0..5 {
-            let r4 = Algorithm4::new(agents, rounds).run(&torus, seed);
-            let r1 = Algorithm1::new(agents, rounds).run(&torus, seed);
-            err4 += r4.relative_errors().iter().sum::<f64>() / agents as f64;
-            err1 += r1.relative_errors().iter().sum::<f64>() / agents as f64;
+            err4 += mean_relative_error(&alg4.run(seed));
+            err1 += mean_relative_error(&alg1.run(seed));
         }
         // allow generous slack; the key regression guard is that alg4 is
         // in the same ballpark or better, never wildly worse.
@@ -229,15 +139,13 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let torus = Torus2d::new(32);
-        let cfg = Algorithm4::new(65, 16);
-        assert_eq!(cfg.run(&torus, 11), cfg.run(&torus, 11));
+        let spec = algorithm4(32, 65, 16);
+        assert_eq!(spec.run(11), spec.run(11));
     }
 
     #[test]
     #[should_panic(expected = "t < sqrt(A)")]
     fn rejects_t_of_sqrt_a() {
-        let torus = Torus2d::new(16);
-        let _ = Algorithm4::new(4, 16).run(&torus, 0);
+        let _ = algorithm4(16, 4, 16).run(0);
     }
 }

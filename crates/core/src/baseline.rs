@@ -9,9 +9,9 @@
 //! regardless of population size, letting experiments compare the torus
 //! against the idealised baseline at large scale.
 
-use crate::algorithm1::DensityRun;
+use antdensity_engine::sampling::sample_binomial_u64;
+use antdensity_engine::ScenarioOutcome;
 use antdensity_stats::rng::SeedSequence;
-use rand::Rng;
 
 /// The idealised independent-sampling estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +44,8 @@ impl IidBaseline {
     }
 
     /// Draws `num_estimators` independent estimates (each the average of
-    /// `t` i.i.d. `Binomial(n, 1/A)` rounds).
-    pub fn run(&self, num_estimators: usize, seed: u64) -> DensityRun {
+    /// `t` i.i.d. `Binomial(n, 1/A)` rounds), one per outcome slot.
+    pub fn run(&self, num_estimators: usize, seed: u64) -> ScenarioOutcome {
         assert!(num_estimators > 0, "need at least one estimator");
         let seq = SeedSequence::new(seed);
         let mut rng = seq.rng(0);
@@ -58,58 +58,19 @@ impl IidBaseline {
             }
             counts.push(c);
         }
-        let estimates = counts
-            .iter()
-            .map(|&c| c as f64 / self.rounds as f64)
-            .collect();
-        DensityRun::from_parts(estimates, counts, self.rounds, self.density())
-    }
-}
-
-/// Exact Binomial(n, p) sampling by inversion on the CDF — O(np + 1)
-/// expected work, exact for the tiny `np = d ≤ 1` regime this baseline
-/// lives in, and still correct (just slower) elsewhere.
-pub fn sample_binomial_u64(n: u64, p: f64, rng: &mut impl Rng) -> u64 {
-    assert!((0.0..=1.0).contains(&p), "probability must lie in [0,1]");
-    if n == 0 || p == 0.0 {
-        return 0;
-    }
-    if p >= 1.0 {
-        return n;
-    }
-    // Inversion: walk the pmf using the recurrence
-    //   P(k+1) = P(k) * (n-k)/(k+1) * p/(1-p).
-    let q = 1.0 - p;
-    let mut pmf = q.powf(n as f64); // P(0)
-    if pmf == 0.0 {
-        // Too deep in the tail for direct inversion (np huge). Fall back
-        // to a normal approximation, clamped to the support. The baseline
-        // never hits this path with valid model parameters (np = d <= 1).
-        let mean = n as f64 * p;
-        let sd = (n as f64 * p * q).sqrt();
-        let z = sample_standard_normal(rng);
-        let v = (mean + sd * z).round();
-        return v.clamp(0.0, n as f64) as u64;
-    }
-    let mut cdf = pmf;
-    let u: f64 = rng.gen_range(0.0..1.0);
-    let mut k = 0u64;
-    while u > cdf && k < n {
-        pmf *= (n - k) as f64 / (k + 1) as f64 * (p / q);
-        k += 1;
-        cdf += pmf;
-        if pmf < 1e-300 {
-            break;
+        ScenarioOutcome {
+            estimates: counts
+                .iter()
+                .map(|&c| c as f64 / self.rounds as f64)
+                .collect(),
+            collision_counts: counts,
+            property_estimates: None,
+            quorum_decisions: None,
+            walking: None,
+            rounds: self.rounds,
+            true_density: self.density(),
         }
     }
-    k
-}
-
-/// Standard normal via Box–Muller.
-fn sample_standard_normal(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -123,7 +84,7 @@ mod tests {
         let b = IidBaseline::new(128, 1024, 256); // d = 0.125
         let run = b.run(200, 1);
         assert!((run.mean_estimate() - 0.125).abs() < 0.005);
-        assert_eq!(run.true_density(), 0.125);
+        assert_eq!(run.true_density, 0.125);
     }
 
     #[test]
@@ -131,7 +92,7 @@ mod tests {
         let d = 0.125;
         let short = IidBaseline::new(128, 1024, 64).run(400, 2);
         let long = IidBaseline::new(128, 1024, 1024).run(400, 3);
-        let rms = |r: &DensityRun| {
+        let rms = |r: &ScenarioOutcome| {
             let e = r.relative_errors();
             (e.iter().map(|x| x * x).sum::<f64>() / e.len() as f64).sqrt()
         };
@@ -143,6 +104,8 @@ mod tests {
         );
     }
 
+    // `run` draws every round from the engine's exact sampler; these pin
+    // the draws it makes at the baseline's tiny `np` and far beyond it.
     #[test]
     fn binomial_u64_mean_and_edge_cases() {
         let mut rng = SmallRng::seed_from_u64(4);
@@ -160,7 +123,8 @@ mod tests {
     #[test]
     fn binomial_u64_huge_n_normal_path() {
         let mut rng = SmallRng::seed_from_u64(5);
-        // np = 5e5 forces the normal fallback; sanity-check the scale.
+        // np = 5e5, where an inversion sampler would underflow P(0);
+        // sanity-check the scale.
         let trials = 2000;
         let total: u64 = (0..trials)
             .map(|_| sample_binomial_u64(1_000_000, 0.5, &mut rng))

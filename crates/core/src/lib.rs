@@ -1,16 +1,12 @@
-//! The paper's primary contribution: random-walk-based density estimation.
+//! The paper's theory and the estimator extensions that need more than
+//! one simulation pass.
 //!
-//! This crate implements, verbatim, the algorithms of
-//! *Ant-Inspired Density Estimation via Random Walks* (Musco, Su, Lynch;
-//! PODC 2016 / PNAS 2017):
+//! Algorithm 1, Algorithm 4 (Appendix A), the quorum read-out and the
+//! Section 5.2 relative-frequency estimator of *Ant-Inspired Density
+//! Estimation via Random Walks* (Musco, Su, Lynch; PODC 2016 / PNAS 2017)
+//! all run through one simulator: `antdensity_engine::Scenario` over the
+//! engine's streaming observers. This crate holds what sits around it:
 //!
-//! * [`algorithm1`] — **Algorithm 1**: every agent random-walks and
-//!   accumulates `count(position)`; after `t` rounds it returns
-//!   `d̃ = c/t`. Theorem 1 proves `d̃ ∈ (1±ε)d` w.h.p. on the 2-d torus.
-//! * [`algorithm4`] — **Algorithm 4** (Appendix A): the
-//!   independent-sampling variant with stationary/mobile halves, a
-//!   deterministic drift pattern, and the `c mod t` correction for
-//!   co-located starts (Theorem 32).
 //! * [`baseline`] — the complete-graph / i.i.d. Bernoulli baseline of
 //!   Section 1.1 against which "nearly matches independent sampling" is
 //!   measured.
@@ -20,8 +16,6 @@
 //! * [`recollision`] — measurement APIs for re-collision curves and
 //!   collision-count moments (Lemma 11, Corollaries 15/16), both
 //!   Monte-Carlo and exact.
-//! * [`frequency`] — Section 5.2: estimating the relative frequency
-//!   `f_P = d_P/d` of a property (task group, enemy status, …).
 //! * [`quorum`] — density-threshold detection (quorum sensing), the
 //!   Section 6.2 use-case, built as an adaptive stopping rule on top of
 //!   Algorithm 1.
@@ -34,31 +28,36 @@
 //! # Quickstart
 //!
 //! ```
-//! use antdensity_core::algorithm1::Algorithm1;
-//! use antdensity_graphs::Torus2d;
+//! use antdensity_core::theory::TopologyClass;
+//! use antdensity_engine::{Scenario, TopologySpec};
 //!
 //! // 65 agents (n = 64 others) on a 32x32 torus: d = 64/1024 = 0.0625
-//! let run = Algorithm1::new(65, 512).run(&Torus2d::new(32), 42);
-//! assert_eq!(run.estimates().len(), 65);
-//! let mean = run.mean_estimate();
-//! assert!((mean - run.true_density()).abs() < 0.05);
+//! let run = Scenario::new(TopologySpec::Torus2d { side: 32 }, 65, 512).run(42);
+//! assert_eq!(run.estimates.len(), 65);
+//! assert!((run.mean_estimate() - run.true_density).abs() < 0.05);
+//! // Theorem 1's accuracy prediction for the same (A, t, d)
+//! let eps = TopologyClass::Torus2d { nodes: 1024 }.epsilon(512, run.true_density, 0.1);
+//! assert!(eps > 0.0);
 //! ```
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod algorithm1;
-pub mod algorithm4;
 pub mod baseline;
-pub mod frequency;
 pub mod local;
 pub mod noise;
 pub mod quorum;
 pub mod recollision;
 pub mod theory;
 
-pub use algorithm1::{Algorithm1, DensityRun};
-pub use algorithm4::Algorithm4;
+// Paper-level checks of the estimators that run through `Scenario`.
+#[cfg(test)]
+mod algorithm1;
+#[cfg(test)]
+mod algorithm4;
+#[cfg(test)]
+mod frequency;
+
 pub use noise::CollisionNoise;
 pub use quorum::SequentialQuorum;
 pub use theory::TopologyClass;

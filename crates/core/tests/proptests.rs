@@ -1,10 +1,8 @@
 //! Property-based tests for the core estimators.
 
-use antdensity_core::algorithm1::{Algorithm1, DensityRun};
-use antdensity_core::algorithm4::Algorithm4;
 use antdensity_core::noise::{sample_binomial, sample_poisson, CollisionNoise};
 use antdensity_core::theory::TopologyClass;
-use antdensity_graphs::{Topology, Torus2d};
+use antdensity_engine::{EstimatorSpec, Scenario, ScenarioOutcome, TopologySpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -19,28 +17,27 @@ proptest! {
         rounds in 1u64..64,
         seed in any::<u64>(),
     ) {
-        let torus = Torus2d::new(side);
-        let run = Algorithm1::new(agents, rounds).run(&torus, seed);
-        prop_assert_eq!(run.estimates().len(), agents);
+        let run = Scenario::new(TopologySpec::Torus2d { side }, agents, rounds).run(seed);
+        prop_assert_eq!(run.estimates.len(), agents);
         // estimate = count / t exactly
-        for (e, &c) in run.estimates().iter().zip(run.collision_counts()) {
+        for (e, &c) in run.estimates.iter().zip(&run.collision_counts) {
             prop_assert!((e - c as f64 / rounds as f64).abs() < 1e-12);
             prop_assert!(*e >= 0.0);
         }
         // density convention
-        let d = (agents as f64 - 1.0) / torus.num_nodes() as f64;
-        prop_assert!((run.true_density() - d).abs() < 1e-12);
+        let d = (agents as f64 - 1.0) / (side * side) as f64;
+        prop_assert!((run.true_density - d).abs() < 1e-12);
         // total collisions even (each collision counted by both parties
         // every round it persists)
-        let total: u64 = run.collision_counts().iter().sum();
+        let total: u64 = run.collision_counts.iter().sum();
         prop_assert_eq!(total % 2, 0);
     }
 
     #[test]
     fn algorithm1_deterministic(seed in any::<u64>()) {
-        let torus = Torus2d::new(8);
-        let a = Algorithm1::new(6, 20).run(&torus, seed);
-        let b = Algorithm1::new(6, 20).run(&torus, seed);
+        let spec = Scenario::new(TopologySpec::Torus2d { side: 8 }, 6, 20);
+        let a = spec.run(seed);
+        let b = spec.run(seed);
         prop_assert_eq!(a, b);
     }
 
@@ -50,9 +47,10 @@ proptest! {
         rounds in 1u64..15,
         seed in any::<u64>(),
     ) {
-        let torus = Torus2d::new(16);
-        let run = Algorithm4::new(agents, rounds).run(&torus, seed);
-        for e in run.estimates() {
+        let run = Scenario::new(TopologySpec::Torus2d { side: 16 }, agents, rounds)
+            .with_estimator(EstimatorSpec::Algorithm4)
+            .run(seed);
+        for e in &run.estimates {
             // d~ = 2 (c mod t) / t is in [0, 2)
             prop_assert!(*e >= 0.0 && *e < 2.0);
         }
@@ -64,8 +62,15 @@ proptest! {
         eps1 in 0.01..1.0f64,
         eps2 in 0.01..1.0f64,
     ) {
-        let counts = vec![0u64; estimates.len()];
-        let run = DensityRun::from_parts(estimates, counts, 10, 1.0);
+        let run = ScenarioOutcome {
+            collision_counts: vec![0; estimates.len()],
+            estimates,
+            property_estimates: None,
+            quorum_decisions: None,
+            walking: None,
+            rounds: 10,
+            true_density: 1.0,
+        };
         let (lo, hi) = if eps1 <= eps2 { (eps1, eps2) } else { (eps2, eps1) };
         prop_assert!(run.fraction_within(lo) <= run.fraction_within(hi) + 1e-12);
     }

@@ -452,6 +452,48 @@ mod tests {
         assert_eq!(q.quorum_decisions, Some(vec![true, false]));
     }
 
+    /// Algorithm 4 on explicit starts: `walking` agents drift along the
+    /// paper's (0, 1) step on a 32x32 torus, the rest stay put, and the
+    /// engine's per-round counts feed an [`Alg4Observer`].
+    fn alg4_from(starts: &[(u64, u64)], walking: &[bool], rounds: u64) -> ScenarioOutcome {
+        use crate::engine::Engine;
+        use crate::movement::MovementModel;
+        use antdensity_graphs::Torus2d;
+        let torus = Torus2d::new(32);
+        let n = starts.len();
+        let mut engine = Engine::new(torus, n);
+        for (a, &w) in walking.iter().enumerate() {
+            let model = if w {
+                MovementModel::Drift { move_index: 2 }
+            } else {
+                MovementModel::Stationary
+            };
+            engine.set_movement(a, model);
+        }
+        let positions: Vec<_> = starts.iter().map(|&(x, y)| torus.node(x, y)).collect();
+        engine.place_at(&positions);
+        let mut tallies = EncounterTallies::new(n, false);
+        let mut counts = vec![0u32; n];
+        // Drift and stationary moves draw nothing from the generator.
+        let mut rng = antdensity_stats::rng::SeedSequence::new(0).rng(0);
+        for round in 1..=rounds {
+            engine.step_round(&mut rng);
+            for (a, c) in counts.iter_mut().enumerate() {
+                *c = engine.count(a);
+            }
+            tallies.record(&RoundEvents {
+                round,
+                counts: &counts,
+                raw_counts: &counts,
+                group_counts: None,
+            });
+        }
+        Alg4Observer {
+            walking: walking.to_vec(),
+        }
+        .snapshot(&tallies, engine.density())
+    }
+
     #[test]
     fn alg4_mod_t_correction() {
         // totals 5 and 4 over t=4 rounds: 5 % 4 = 1, 4 % 4 = 0
@@ -463,6 +505,23 @@ mod tests {
         assert_eq!(o.collision_counts, vec![1, 0]);
         assert_eq!(o.estimates, vec![0.5, 0.0]);
         assert_eq!(o.walking, Some(vec![true, false]));
+
+        // Stacked walkers march in lockstep: w of them count (w−1)·t,
+        // which mod t cancels for any stack size.
+        let two = alg4_from(&[(4, 3), (4, 3)], &[true, true], 16);
+        assert_eq!(two.collision_counts, vec![0, 0]);
+        assert_eq!(two.estimates, vec![0.0, 0.0]);
+        let three = alg4_from(&[(5, 0); 3], &[true; 3], 10);
+        assert_eq!(three.collision_counts, vec![0, 0, 0]);
+        // A walker passes a stationary blocker 4 cells up exactly once
+        // (side 32 > t): c = 1, d̃ = 2·1/16.
+        let blocker = alg4_from(&[(3, 3), (3, 7)], &[true, false], 16);
+        assert_eq!(blocker.collision_counts, vec![1, 1]);
+        assert_eq!(blocker.estimates[0], 0.125);
+        // Two stationary agents on one cell collide every round: c = t,
+        // and c mod t = 0.
+        let parked = alg4_from(&[(9, 0), (9, 0)], &[false, false], 8);
+        assert_eq!(parked.collision_counts, vec![0, 0]);
     }
 
     #[test]

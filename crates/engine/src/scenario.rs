@@ -983,8 +983,8 @@ impl Scenario {
     /// # Panics
     ///
     /// For `Algorithm4`, panics unless the topology is a 2-d torus with
-    /// `rounds < side` — Theorem 32's precondition. Same check as
-    /// `antdensity_core::Algorithm4`.
+    /// `rounds < side` — Theorem 32's precondition, the same check
+    /// [`Self::try_with_estimator`] reports as an error.
     pub fn run(&self, seed: u64) -> ScenarioOutcome {
         let tap = ObserverTap {
             estimator: self.estimator.clone(),
@@ -1305,13 +1305,63 @@ mod tests {
 
     #[test]
     fn algorithm1_is_roughly_unbiased() {
-        let spec = Scenario::new(TopologySpec::Torus2d { side: 16 }, 33, 128);
-        let mut grand = 0.0;
-        for seed in 0..20 {
-            grand += spec.run(seed).mean_estimate();
+        // (topology, movement, rounds, seeds, tolerance), all at d = 0.125:
+        // the paper's walk on the torus, a lazy walk, which stays
+        // unbiased (Section 6.1), and i.i.d. sampling on the complete
+        // graph, accurate from a single run.
+        let torus = TopologySpec::Torus2d { side: 16 };
+        let complete = TopologySpec::Complete { nodes: 256 };
+        for (topology, movement, rounds, seeds, tol) in [
+            (torus, MovementModel::Pure, 128, 0..20u64, 0.012),
+            (torus, MovementModel::lazy(0.2), 256, 0..10, 0.015),
+            (complete, MovementModel::Pure, 512, 3..4, 0.02),
+        ] {
+            let spec = Scenario::new(topology, 33, rounds).with_movement(movement.clone());
+            let runs = seeds.end - seeds.start;
+            let mut grand = 0.0;
+            for seed in seeds {
+                let out = spec.run(seed);
+                // d̃ = c/t exactly, agent by agent
+                for (&c, &e) in out.collision_counts.iter().zip(&out.estimates) {
+                    assert_eq!(c as f64 / rounds as f64, e);
+                }
+                grand += out.mean_estimate();
+            }
+            let mean = grand / runs as f64;
+            assert!(
+                (mean - 0.125).abs() < tol,
+                "{topology} {movement}: grand mean {mean}"
+            );
         }
-        let mean = grand / 20.0;
-        assert!((mean - 0.125).abs() < 0.012, "grand mean {mean}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn zero_rounds_rejected() {
+        let _ = Scenario::new(TopologySpec::Torus2d { side: 8 }, 5, 0);
+    }
+
+    #[test]
+    fn fraction_within_boundaries() {
+        let out = ScenarioOutcome {
+            estimates: vec![0.9, 1.0, 1.1, 2.0],
+            collision_counts: vec![9, 10, 11, 20],
+            property_estimates: None,
+            quorum_decisions: None,
+            walking: None,
+            rounds: 10,
+            true_density: 1.0,
+        };
+        assert_eq!(out.fraction_within(0.1), 0.75);
+        assert_eq!(out.fraction_within(1.0), 1.0);
+        assert_eq!(out.fraction_within(0.05), 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "relative error undefined")]
+    fn relative_error_at_zero_density_panics() {
+        let out = Scenario::new(TopologySpec::Torus2d { side: 4 }, 1, 4).run(0);
+        let _ = out.relative_errors();
     }
 
     #[test]
@@ -1386,17 +1436,28 @@ mod tests {
 
     #[test]
     fn relative_frequency_tracks_property_share() {
-        let spec = Scenario::new(TopologySpec::Torus2d { side: 16 }, 64, 512).with_estimator(
-            EstimatorSpec::RelativeFrequency {
-                property_agents: 16,
-            },
-        );
-        let out = spec.run(7);
-        let freqs: Vec<f64> = out.frequencies().into_iter().flatten().collect();
-        assert!(!freqs.is_empty());
-        let mean = freqs.iter().sum::<f64>() / freqs.len() as f64;
-        // f_P = 16/64 = 0.25
-        assert!((mean - 0.25).abs() < 0.08, "mean frequency {mean}");
+        // (property agents, tolerance on the mean f̃ around f_P): none
+        // carry the property, a quarter, and all of them. The two ends
+        // are exact: every defined f̃ is 0, resp. 1.
+        for (property_agents, tol) in [(0usize, 0.0), (16, 0.08), (64, 1e-12)] {
+            let spec = Scenario::new(TopologySpec::Torus2d { side: 16 }, 64, 512)
+                .with_estimator(EstimatorSpec::RelativeFrequency { property_agents });
+            let out = spec.run(7);
+            let freqs: Vec<f64> = out.frequencies().into_iter().flatten().collect();
+            assert!(!freqs.is_empty());
+            let truth = property_agents as f64 / 64.0;
+            for f in &freqs {
+                assert!((0.0..=1.0).contains(f), "f = {f}");
+            }
+            if property_agents == 0 {
+                assert!(out.property_estimates.unwrap().iter().all(|&p| p == 0.0));
+            }
+            let mean = freqs.iter().sum::<f64>() / freqs.len() as f64;
+            assert!(
+                (mean - truth).abs() <= tol,
+                "{property_agents} property agents: mean frequency {mean}"
+            );
+        }
     }
 
     #[test]
@@ -1428,6 +1489,12 @@ mod tests {
             assert!(!spec.is_csr());
             let out = Scenario::new(spec, 8, 16).run(1);
             assert_eq!(out.estimates.len(), 8);
+            // Section 2.1: a lone agent sees d = n/A = 0 and never
+            // collides, so it must estimate exactly 0.
+            let lone = Scenario::new(spec, 1, 16).run(1);
+            assert_eq!(lone.true_density, 0.0);
+            assert_eq!(lone.estimates, [0.0]);
+            assert_eq!(lone.fraction_within(0.5), 1.0);
         }
     }
 

@@ -342,6 +342,16 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Msg) -> std::io::Result<()> {
     w.flush()
 }
 
+/// Largest frame body [`read_frame`] accepts. The reader allocates the
+/// declared length before reading a byte, so an unchecked prefix such as
+/// `frame 18446744073709551615 0` would panic (or, for a large but
+/// representable length, abort on allocation failure). The largest
+/// frames are `RESULT` shard blobs: about 8 KiB in the test suites' dist
+/// sweeps and 14 KiB for a quick `alg1_accuracy` sweep. 64 MiB leaves
+/// over three orders of magnitude of headroom for larger grids while
+/// bounding what a corrupt or hostile prefix can make a peer allocate.
+const MAX_FRAME_BYTES: usize = 64 << 20;
+
 /// Reads one frame. `Ok(None)` is a clean EOF at a frame boundary;
 /// any other failure — truncated frame, bad prefix, checksum mismatch,
 /// undecodable body — is an error (the stream may be unrecoverable).
@@ -366,6 +376,11 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<Msg>, String> {
         ),
         _ => return Err(format!("bad frame prefix `{}`", prefix.trim_end())),
     };
+    if len > MAX_FRAME_BYTES {
+        return Err(format!(
+            "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte limit"
+        ));
+    }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)
         .map_err(|e| format!("truncated frame body: {e}"))?;
@@ -459,6 +474,20 @@ mod tests {
         let cut = &frame[..frame.len() - 3];
         let err = read_frame(&mut BufReader::new(cut)).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn oversized_declared_length_is_an_error() {
+        let prefix = b"frame 18446744073709551615 0\n";
+        let err = read_frame(&mut BufReader::new(&prefix[..])).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+    }
+
+    #[test]
+    fn length_one_past_the_cap_is_an_error() {
+        let prefix = format!("frame {} 0\n", MAX_FRAME_BYTES + 1);
+        let err = read_frame(&mut BufReader::new(prefix.as_bytes())).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
     }
 
     #[test]

@@ -32,9 +32,12 @@
 //!   conditions on an agent's walk `W` (Lemmas 4 and 11).
 //! * [`parallel`] — deterministic fan-out of independent trials over
 //!   threads (results are independent of thread count).
-//! * [`asynchronous`] — the Section 6.1 asynchronous-movement variant:
-//!   one random agent activates per tick (Poisson-clock approximation);
-//!   encounter-rate estimation remains unbiased.
+//!
+//! Density estimation itself (Algorithm 1 and its variants) is not run
+//! here: `antdensity_engine::Scenario` drives the engine directly. The
+//! arena stays for the historical-seed contract
+//! (`tests/engine_equivalence.rs`) and for callers that step a world
+//! round by round and inspect it (swarm simulations, drawings).
 //!
 //! # Example
 //!
@@ -57,13 +60,11 @@
 #![deny(missing_debug_implementations)]
 
 pub mod arena;
-pub mod asynchronous;
 pub use antdensity_engine::movement;
 pub mod pairwise;
 pub mod parallel;
 pub mod trajectory;
 
 pub use arena::SyncArena;
-pub use asynchronous::AsyncArena;
 pub use movement::MovementModel;
 pub use trajectory::Trajectory;

@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use antdensity::core::algorithm1::Algorithm1;
 use antdensity::core::theory::TopologyClass;
+use antdensity::engine::{Scenario, TopologySpec};
 use antdensity::graphs::{Topology, Torus2d};
 use antdensity::stats::table::{format_sig, Table};
 use antdensity::walks::arena::SyncArena;
@@ -31,7 +31,7 @@ fn main() {
     }
 
     // ----- Algorithm 1 at realistic scale ---------------------------
-    let torus = Torus2d::new(64); // A = 4096 positions
+    let torus = TopologySpec::Torus2d { side: 64 }; // A = 4096 positions
     let num_agents = 206; // n = 205 others  =>  d = 205/4096 ~ 0.05
     let d = (num_agents as f64 - 1.0) / torus.num_nodes() as f64;
     println!("Algorithm 1 on a 64x64 torus, {num_agents} ants, d = {d:.4}:\n");
@@ -41,7 +41,7 @@ fn main() {
         &["t", "mean_estimate", "q90_rel_err", "theorem1_eps(c1=1)"],
     );
     for t in [64u64, 256, 1024, 4096] {
-        let run = Algorithm1::new(num_agents, t).run(&torus, 42);
+        let run = Scenario::new(torus, num_agents, t).run(42);
         let errs = run.relative_errors();
         let q90 = antdensity::stats::quantile::quantile(&errs, 0.9);
         let bound = TopologyClass::Torus2d {

@@ -2,10 +2,9 @@
 //! estimation (Section 5.1), frequency estimation with noise (Sections
 //! 5.2 and 6.1), and the ring-vs-torus contrast (Section 4).
 
-use antdensity::core::algorithm1::Algorithm1;
-use antdensity::core::frequency::FrequencyEstimation;
 use antdensity::core::noise::CollisionNoise;
-use antdensity::graphs::{generators, spectral, Topology, Torus2d};
+use antdensity::engine::{EstimatorSpec, Scenario, TopologySpec};
+use antdensity::graphs::{generators, spectral, Topology};
 use antdensity::netsize::algorithm2::{Algorithm2, StartMode};
 use antdensity::netsize::{burnin, degree, median, planner};
 use rand::rngs::SmallRng;
@@ -91,17 +90,15 @@ fn netsize_works_across_graph_families() {
 #[test]
 fn frequency_pipeline_with_noise_correction() {
     // Property frequency estimation under a noisy sensor, corrected.
-    let torus = Torus2d::new(16); // A = 256
+    let torus = TopologySpec::Torus2d { side: 16 }; // A = 256
     let num_agents = 65; // d = 0.25
     let d = 64.0 / 256.0;
     let noise = CollisionNoise::new(0.6, 0.0);
     let runs = 8;
     let mut raw = 0.0;
+    let noisy = Scenario::new(torus, num_agents, 512).with_noise(noise);
     for s in 0..runs {
-        raw += Algorithm1::new(num_agents, 512)
-            .with_noise(noise)
-            .run(&torus, s)
-            .mean_estimate();
+        raw += noisy.run(s).mean_estimate();
     }
     let raw_mean = raw / runs as f64;
     // raw concentrates on p*d
@@ -119,13 +116,19 @@ fn frequency_pipeline_with_noise_correction() {
     // frequency ratio is noise-free even WITHOUT correction when both
     // counters share the sensor (the p cancels in the ratio). Verify with
     // the clean estimator as the reference.
-    let freq = FrequencyEstimation::new(num_agents, 16, 1024).run(&torus, 3);
-    let f = freq.mean_frequency().expect("dense enough");
-    assert!(
-        (f - freq.true_frequency()).abs() < 0.06,
-        "frequency {f} vs truth {}",
-        freq.true_frequency()
-    );
+    let freq: Vec<f64> = Scenario::new(torus, num_agents, 1024)
+        .with_estimator(EstimatorSpec::RelativeFrequency {
+            property_agents: 16,
+        })
+        .run(3)
+        .frequencies()
+        .into_iter()
+        .flatten()
+        .collect();
+    assert!(!freq.is_empty(), "dense enough");
+    let f = freq.iter().sum::<f64>() / freq.len() as f64;
+    let truth = 16.0 / num_agents as f64;
+    assert!((f - truth).abs() < 0.06, "frequency {f} vs truth {truth}");
 }
 
 #[test]
@@ -136,22 +139,13 @@ fn ring_needs_quadratically_more_rounds_than_torus() {
     let a = 1024u64;
     let agents = 129;
     let t = 512;
-    let torus = Torus2d::new(32);
-    let ring = antdensity::graphs::Ring::new(a);
-    let pool = |runs: std::ops::Range<u64>, use_ring: bool| -> f64 {
-        let errs: Vec<f64> = runs
-            .flat_map(|s| {
-                if use_ring {
-                    Algorithm1::new(agents, t).run(&ring, s).relative_errors()
-                } else {
-                    Algorithm1::new(agents, t).run(&torus, s).relative_errors()
-                }
-            })
-            .collect();
+    let pool = |runs: std::ops::Range<u64>, topo: TopologySpec| -> f64 {
+        let spec = Scenario::new(topo, agents, t);
+        let errs: Vec<f64> = runs.flat_map(|s| spec.run(s).relative_errors()).collect();
         antdensity::stats::quantile::quantile(&errs, 0.9)
     };
-    let ring_err = pool(0..5, true);
-    let torus_err = pool(0..5, false);
+    let ring_err = pool(0..5, TopologySpec::Ring { nodes: a });
+    let torus_err = pool(0..5, TopologySpec::Torus2d { side: 32 });
     assert!(
         ring_err > 1.5 * torus_err,
         "ring q90 {ring_err} should clearly exceed torus q90 {torus_err}"
