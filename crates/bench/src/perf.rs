@@ -49,6 +49,7 @@ use antdensity_engine::{
 use antdensity_graphs::{generators, CsrGraph, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_stats::table::Table;
+use antdensity_telemetry::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -664,33 +665,28 @@ fn bench_dist_sweep(effort: Effort, results: &mut Vec<EngineBenchResult>) {
 }
 
 impl EngineBenchReport {
-    /// Serializes to the documented JSON schema (no external deps — the
-    /// workspace is offline, so the writer is hand-rolled).
+    /// Serializes to the documented JSON schema; the two figures keep
+    /// three decimals.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"engine\",\n");
-        out.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        out.push_str(&format!("  \"topology\": \"torus2d_{SIDE}\",\n"));
-        out.push_str(&format!("  \"samples\": {},\n", self.samples));
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"group\": \"{}\", \"impl\": \"{}\", \"agents\": {}, \
-                 \"workers\": {}, \"effective_workers\": {}, \
-                 \"ns_per_agent_step\": {:.3}, \
-                 \"msteps_per_sec\": {:.3}}}{}\n",
-                r.group,
-                r.implementation,
-                r.agents,
-                r.workers,
-                r.effective_workers,
-                r.ns_per_agent_step,
-                r.msteps_per_sec,
-                if i + 1 == self.results.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let results = self.results.iter().map(|r| {
+            Json::obj([
+                ("group", r.group.into()),
+                ("impl", r.implementation.into()),
+                ("agents", r.agents.into()),
+                ("workers", r.workers.into()),
+                ("effective_workers", r.effective_workers.into()),
+                ("ns_per_agent_step", Json::rounded(r.ns_per_agent_step, 3)),
+                ("msteps_per_sec", Json::rounded(r.msteps_per_sec, 3)),
+            ])
+        });
+        Json::obj([
+            ("bench", "engine".into()),
+            ("mode", self.mode.into()),
+            ("topology", format!("torus2d_{SIDE}").into()),
+            ("samples", self.samples.into()),
+            ("results", Json::Arr(results.collect())),
+        ])
+        .encode_pretty()
     }
 
     /// Writes `dir/BENCH_engine.json` and returns its path.
@@ -882,15 +878,13 @@ impl EngineBenchReport {
 
 /// Parses a `BENCH_engine.json` file written by
 /// [`EngineBenchReport::to_json`]: a typed decoder over the workspace's
-/// JSON value model ([`antdensity_serve::Json`]).
+/// JSON value model ([`Json`]).
 ///
 /// # Errors
 ///
 /// Returns a message for malformed JSON, missing top-level fields, or
 /// a result entry with a missing, mistyped or unknown field or label.
 pub fn parse_json(text: &str) -> Result<EngineBenchReport, String> {
-    use antdensity_serve::Json;
-
     // Interned &'static labels keep the parsed report type-identical to
     // a freshly measured one.
     fn intern(s: &str) -> Option<&'static str> {
@@ -1349,7 +1343,7 @@ mod tests {
         let json = tiny_report().to_json();
         assert!(json.contains("\"bench\": \"engine\""));
         assert!(json.contains("\"impl\": \"mono\""));
-        assert!(json.contains("\"ns_per_agent_step\": 10.000"));
+        assert!(json.contains("\"ns_per_agent_step\": 10,"));
         // no trailing comma before the closing bracket
         assert!(!json.contains(",\n  ]"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

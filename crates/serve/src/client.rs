@@ -198,7 +198,7 @@ impl Client {
     ///
     /// Transport failures or an unexpected reply. Only valid between
     /// batches — mid-batch the reply would interleave with row events.
-    pub fn metrics(&mut self) -> Result<crate::json::Json, String> {
+    pub fn metrics(&mut self) -> Result<antdensity_telemetry::Json, String> {
         self.send(&Request::Metrics)?;
         match self.read_event()? {
             Event::Metrics(obj) => Ok(obj),

@@ -42,8 +42,8 @@ use antdensity_sweep::{build_report, build_row, SweepJob, ValidatedJob};
 use antdensity_telemetry::registry::LazyCounter;
 use antdensity_telemetry::span::SpanMetric;
 
-use crate::json::Json;
 use crate::request::{Event, Request, Submit, PROTOCOL};
+use antdensity_telemetry::Json;
 
 static JOBS_SUBMITTED: LazyCounter = LazyCounter::new("serve.jobs_submitted");
 static JOBS_REJECTED: LazyCounter = LazyCounter::new("serve.jobs_rejected");
@@ -498,7 +498,7 @@ fn metrics_event(state: &Arc<ServerState>) -> Event {
         }
         (reg.queue.len(), reg.running, reg.queue_peak, by_state)
     };
-    let jobs = Json::Obj(
+    let jobs = Json::obj(
         [
             JobState::Queued,
             JobState::Running,
@@ -507,27 +507,16 @@ fn metrics_event(state: &Arc<ServerState>) -> Event {
             JobState::Cancelled,
         ]
         .iter()
-        .map(|s| {
-            (
-                s.name().to_string(),
-                Json::num(by_state[*s as usize] as f64),
-            )
-        })
-        .collect(),
+        .map(|s| (s.name(), by_state[*s as usize].into())),
     );
     let snap = antdensity_telemetry::registry::snapshot();
-    let counters = Json::Obj(
-        snap.counters
-            .into_iter()
-            .map(|(name, v)| (name, Json::num(v as f64)))
-            .collect(),
-    );
-    Event::Metrics(Json::Obj(vec![
-        ("queue_depth".to_string(), Json::num(depth as f64)),
-        ("running".to_string(), Json::num(running as f64)),
-        ("queue_peak".to_string(), Json::num(peak as f64)),
-        ("jobs".to_string(), jobs),
-        ("counters".to_string(), counters),
+    let counters = Json::obj(snap.counters.into_iter().map(|(name, v)| (name, v.into())));
+    Event::Metrics(Json::obj([
+        ("queue_depth", depth.into()),
+        ("running", running.into()),
+        ("queue_peak", peak.into()),
+        ("jobs", jobs),
+        ("counters", counters),
     ]))
 }
 

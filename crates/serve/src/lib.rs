@@ -16,8 +16,6 @@
 //!   distributed runtime.
 //! - [`client`] — a blocking client used by `repro serve-submit` and
 //!   the property suite.
-//! - [`json`] — the hand-rolled JSON value model (the workspace is
-//!   fully offline; nothing external to depend on).
 //!
 //! Determinism is inherited, not engineered: every shard's RNG stream
 //! derives from its job's resolved spec alone, so any interleaving of
@@ -30,10 +28,8 @@
 
 pub mod client;
 pub mod daemon;
-pub mod json;
 pub mod request;
 
 pub use client::{Client, JobResult};
 pub use daemon::{run_stdio, ServeConfig, Server};
-pub use json::Json;
 pub use request::{Event, Request, Submit, PROTOCOL};

@@ -41,8 +41,8 @@
 //! (corrupt lines are rejected with an `error` event, never guessed
 //! at) — both round-trip-tested in `tests/protocol.rs`.
 
-use crate::json::Json;
 use antdensity_sweep::{schema, SweepJob, SweepRow};
+use antdensity_telemetry::Json;
 
 /// The protocol version announced in the hello handshake
 /// ([`schema::JOB_PROTOCOL`]).
@@ -82,41 +82,36 @@ pub struct Submit {
 }
 
 impl Request {
-    /// Encodes as one protocol line (no trailing newline).
+    /// Encodes as one protocol line (no trailing newline). Every
+    /// integer is exact, so a seed above 2^53 survives the wire.
     pub fn to_line(&self) -> String {
-        let obj = match self {
-            Request::Hello => vec![("op".into(), Json::str("hello"))],
+        let pairs: Vec<(&str, Json)> = match self {
+            Request::Hello => vec![("op", "hello".into())],
             Request::Submit(s) => {
                 let mut pairs = vec![
-                    ("op".into(), Json::str("submit")),
-                    ("spec".into(), Json::str(&s.job.spec_text)),
+                    ("op", "submit".into()),
+                    ("spec", s.job.spec_text.as_str().into()),
                 ];
                 if s.job.quick {
-                    pairs.push(("quick".into(), Json::Bool(true)));
+                    pairs.push(("quick", true.into()));
                 }
                 if !s.job.fuse {
-                    pairs.push(("fuse".into(), Json::Bool(false)));
+                    pairs.push(("fuse", false.into()));
                 }
                 if let Some(seed) = s.job.seed_override {
-                    pairs.push(("seed".into(), Json::num(seed as f64)));
+                    pairs.push(("seed", seed.into()));
                 }
                 if let Some(label) = &s.label {
-                    pairs.push(("label".into(), Json::str(label)));
+                    pairs.push(("label", label.as_str().into()));
                 }
                 pairs
             }
-            Request::Status { job } => vec![
-                ("op".into(), Json::str("status")),
-                ("job".into(), Json::num(*job as f64)),
-            ],
-            Request::Cancel { job } => vec![
-                ("op".into(), Json::str("cancel")),
-                ("job".into(), Json::num(*job as f64)),
-            ],
-            Request::Metrics => vec![("op".into(), Json::str("metrics"))],
-            Request::Shutdown => vec![("op".into(), Json::str("shutdown"))],
+            Request::Status { job } => vec![("op", "status".into()), ("job", (*job).into())],
+            Request::Cancel { job } => vec![("op", "cancel".into()), ("job", (*job).into())],
+            Request::Metrics => vec![("op", "metrics".into())],
+            Request::Shutdown => vec![("op", "shutdown".into())],
         };
-        Json::Obj(obj).encode()
+        Json::obj(pairs).encode()
     }
 
     /// Parses one request line.
@@ -303,13 +298,10 @@ impl Event {
 
     /// Encodes as one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
-        fn opt(v: Option<f64>) -> Json {
-            v.map_or(Json::Null, Json::Num)
-        }
-        let obj = match self {
+        let pairs: Vec<(&str, Json)> = match self {
             Event::Hello { protocol } => vec![
-                ("event".into(), Json::str("hello")),
-                ("protocol".into(), Json::str(protocol)),
+                ("event", "hello".into()),
+                ("protocol", protocol.as_str().into()),
             ],
             Event::Accepted {
                 job,
@@ -317,16 +309,18 @@ impl Event {
                 cells,
                 shards,
             } => vec![
-                ("event".into(), Json::str("accepted")),
-                ("job".into(), Json::num(*job as f64)),
-                ("name".into(), Json::str(name)),
-                ("cells".into(), Json::num(*cells as f64)),
-                ("shards".into(), Json::num(*shards as f64)),
+                ("event", "accepted".into()),
+                ("job", (*job).into()),
+                ("name", name.as_str().into()),
+                ("cells", (*cells).into()),
+                ("shards", (*shards).into()),
             ],
-            Event::Rejected { reason } => vec![
-                ("event".into(), Json::str("rejected")),
-                ("reason".into(), Json::str(reason)),
-            ],
+            Event::Rejected { reason } => {
+                vec![
+                    ("event", "rejected".into()),
+                    ("reason", reason.as_str().into()),
+                ]
+            }
             Event::Row {
                 job,
                 index,
@@ -341,19 +335,19 @@ impl Event {
                 within,
                 bound,
             } => vec![
-                ("event".into(), Json::str("row")),
-                ("job".into(), Json::num(*job as f64)),
-                ("index".into(), Json::num(*index as f64)),
-                ("topology".into(), Json::str(topology)),
-                ("density".into(), Json::Num(*density)),
-                ("agents".into(), Json::num(*agents as f64)),
-                ("rounds".into(), Json::num(*rounds as f64)),
-                ("estimator".into(), Json::str(estimator)),
-                ("est_mean".into(), Json::Num(*est_mean)),
-                ("err_mean".into(), Json::Num(*err_mean)),
-                ("err_q".into(), opt(*err_q)),
-                ("within".into(), Json::Num(*within)),
-                ("bound".into(), opt(*bound)),
+                ("event", "row".into()),
+                ("job", (*job).into()),
+                ("index", (*index).into()),
+                ("topology", topology.as_str().into()),
+                ("density", (*density).into()),
+                ("agents", (*agents).into()),
+                ("rounds", (*rounds).into()),
+                ("estimator", estimator.as_str().into()),
+                ("est_mean", (*est_mean).into()),
+                ("err_mean", (*err_mean).into()),
+                ("err_q", (*err_q).into()),
+                ("within", (*within).into()),
+                ("bound", (*bound).into()),
             ],
             Event::Status {
                 job,
@@ -362,12 +356,12 @@ impl Event {
                 shards_done,
                 shards,
             } => vec![
-                ("event".into(), Json::str("status")),
-                ("job".into(), Json::num(*job as f64)),
-                ("state".into(), Json::str(state)),
-                ("rows".into(), Json::num(*rows as f64)),
-                ("shards_done".into(), Json::num(*shards_done as f64)),
-                ("shards".into(), Json::num(*shards as f64)),
+                ("event", "status".into()),
+                ("job", (*job).into()),
+                ("state", state.as_str().into()),
+                ("rows", (*rows).into()),
+                ("shards_done", (*shards_done).into()),
+                ("shards", (*shards).into()),
             ],
             Event::Done {
                 job,
@@ -375,36 +369,38 @@ impl Event {
                 report_json,
                 report_csv,
             } => vec![
-                ("event".into(), Json::str("done")),
-                ("job".into(), Json::num(*job as f64)),
-                ("complete".into(), Json::Bool(*complete)),
-                ("report_json".into(), Json::str(report_json)),
-                ("report_csv".into(), Json::str(report_csv)),
+                ("event", "done".into()),
+                ("job", (*job).into()),
+                ("complete", (*complete).into()),
+                ("report_json", report_json.as_str().into()),
+                ("report_csv", report_csv.as_str().into()),
             ],
             Event::Failed { job, reason } => vec![
-                ("event".into(), Json::str("failed")),
-                ("job".into(), Json::num(*job as f64)),
-                ("reason".into(), Json::str(reason)),
+                ("event", "failed".into()),
+                ("job", (*job).into()),
+                ("reason", reason.as_str().into()),
             ],
             Event::Cancelled { job, rows } => vec![
-                ("event".into(), Json::str("cancelled")),
-                ("job".into(), Json::num(*job as f64)),
-                ("rows".into(), Json::num(*rows as f64)),
+                ("event", "cancelled".into()),
+                ("job", (*job).into()),
+                ("rows", (*rows).into()),
             ],
             Event::Metrics(obj) => {
-                let mut pairs = vec![("event".into(), Json::str("metrics"))];
+                let mut pairs = vec![("event".into(), "metrics".into())];
                 if let Json::Obj(rest) = obj {
-                    pairs.extend(rest.clone());
+                    pairs.extend(rest.iter().cloned());
                 }
-                pairs
+                return Json::Obj(pairs).encode();
             }
-            Event::Error { reason } => vec![
-                ("event".into(), Json::str("error")),
-                ("reason".into(), Json::str(reason)),
-            ],
-            Event::Bye => vec![("event".into(), Json::str("bye"))],
+            Event::Error { reason } => {
+                vec![
+                    ("event", "error".into()),
+                    ("reason", reason.as_str().into()),
+                ]
+            }
+            Event::Bye => vec![("event", "bye".into())],
         };
-        Json::Obj(obj).encode()
+        Json::obj(pairs).encode()
     }
 
     /// Parses one event line.
@@ -501,9 +497,8 @@ impl Event {
                 let Json::Obj(pairs) = obj else {
                     return Err("metrics event is not an object".to_string());
                 };
-                let rest: Vec<(String, Json)> =
-                    pairs.into_iter().filter(|(k, _)| k != "event").collect();
-                Ok(Event::Metrics(Json::Obj(rest)))
+                let rest = pairs.into_iter().filter(|(k, _)| k != "event");
+                Ok(Event::Metrics(Json::Obj(rest.collect())))
             }
             "error" => Ok(Event::Error {
                 reason: str_field("reason")?,

@@ -2,9 +2,9 @@
 //! round-trips through its line form, and corrupt lines are rejected
 //! with an error — never guessed at.
 
-use antdensity_serve::json::Json;
 use antdensity_serve::request::{Event, Request, Submit, PROTOCOL};
 use antdensity_sweep::SweepJob;
+use antdensity_telemetry::Json;
 
 fn sample_requests() -> Vec<Request> {
     let mut job = SweepJob::new("name = x\nseed = 3\n");
@@ -20,6 +20,22 @@ fn sample_requests() -> Vec<Request> {
         Request::Submit(Submit {
             job,
             label: Some("replica-7".to_string()),
+        }),
+        // `repro sweep --seed` takes any u64, so the wire carries every
+        // one exactly, including those past 2^53 where f64 rounds.
+        Request::Submit(Submit {
+            job: SweepJob {
+                seed_override: Some((1 << 53) + 1),
+                ..SweepJob::new("name = z\n")
+            },
+            label: None,
+        }),
+        Request::Submit(Submit {
+            job: SweepJob {
+                seed_override: Some(u64::MAX),
+                ..SweepJob::new("name = z\n")
+            },
+            label: None,
         }),
         Request::Status { job: 9 },
         Request::Cancel { job: 0 },
@@ -89,10 +105,10 @@ fn sample_events() -> Vec<Event> {
         },
         Event::Cancelled { job: 3, rows: 7 },
         Event::Metrics(Json::Obj(vec![
-            ("queue_depth".to_string(), Json::num(2.0)),
+            ("queue_depth".into(), Json::num(2.0)),
             (
-                "jobs".to_string(),
-                Json::Obj(vec![("done".to_string(), Json::num(5.0))]),
+                "jobs".into(),
+                Json::Obj(vec![("done".into(), Json::num(5.0))]),
             ),
         ])),
         Event::Error {

@@ -75,11 +75,18 @@
 //! `antdensity-metrics v2` (has `dist`, predates `cache`) and
 //! `antdensity-metrics v1` (neither key) — old artifacts keep
 //! validating.
+//!
+//! The file is built as a [`Json`] value and written with
+//! [`Json::encode_pretty`]; [`validate`] parses it back with
+//! [`Json::parse`] and decodes it key by key. The `dist`, `cache` and
+//! histogram members come from one field table each, shared by the
+//! writer and the decoder.
 
 use crate::cache::CacheStats;
 use crate::dist::DistStats;
+use crate::report::{fields_json, Field};
 use crate::runner::SweepOutcome;
-use antdensity_telemetry as telemetry;
+use antdensity_telemetry::{self as telemetry, HistogramSnapshot, Json};
 use std::path::{Path, PathBuf};
 
 /// A sweep invocation's execution metrics, ready to serialize.
@@ -168,110 +175,39 @@ impl SweepMetrics {
         self
     }
 
-    /// Hand-rolled JSON per the schema above (the workspace is
-    /// offline). Deterministic: keys appear in a fixed order, counters
-    /// and histograms sorted by name (the registry already stores them
-    /// that way).
+    /// JSON per the schema above. Deterministic: keys appear in a
+    /// fixed order, counters and histograms sorted by name (the
+    /// registry already stores them that way).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "0".to_string()
-            }
-        }
-        let mut out = format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"sweep\": \"{}\",\n  \"mode\": \"{}\",\n  \
-             \"fused\": {},\n  \"complete\": {},\n  \"wall_s\": {:.3},\n  \"shards\": {},\n  \
-             \"executed\": {},\n  \"resumed\": {},\n  \"cells\": {},\n  \"simulations\": {},\n  \
-             \"simulated_rounds\": {},\n  \"workers_requested\": {},\n  \
-             \"workers_effective\": {},\n",
-            esc(&self.name),
-            self.mode,
-            self.fused,
-            self.complete,
-            self.wall_s,
-            self.shards,
-            self.executed,
-            self.resumed,
-            self.cells,
-            self.simulations,
-            self.simulated_rounds,
-            self.workers_requested,
-            self.workers_effective,
-        );
-        match &self.dist {
-            None => out.push_str("  \"dist\": null,\n"),
-            Some(d) => out.push_str(&format!(
-                "  \"dist\": {{\n    \"workers_seen\": {},\n    \"leases\": {},\n    \
-                 \"reissues\": {},\n    \"respawns\": {},\n    \"duplicates\": {},\n    \
-                 \"deaths\": {},\n    \"nacks\": {},\n    \"bad_frames\": {},\n    \
-                 \"degraded\": {}\n  }},\n",
-                d.workers_seen,
-                d.leases,
-                d.reissues,
-                d.respawns,
-                d.duplicates,
-                d.deaths,
-                d.nacks,
-                d.bad_frames,
-                d.degraded,
-            )),
-        }
-        match &self.cache {
-            None => out.push_str("  \"cache\": null,\n"),
-            Some(c) => out.push_str(&format!(
-                "  \"cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \
-                 \"stores\": {},\n    \"corrupt\": {},\n    \"bytes_read\": {},\n    \
-                 \"bytes_written\": {},\n    \"evictions\": {},\n    \
-                 \"verify_failures\": {}\n  }},\n",
-                c.hits,
-                c.misses,
-                c.stores,
-                c.corrupt,
-                c.bytes_read,
-                c.bytes_written,
-                c.evictions,
-                c.verify_failures,
-            )),
-        }
-        out.push_str("  \"counters\": {\n");
-        for (i, (name, value)) in self.snapshot.counters.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {}{}\n",
-                esc(name),
-                value,
-                if i + 1 == self.snapshot.counters.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  },\n  \"histograms\": {\n");
-        for (i, (name, h)) in self.snapshot.histograms.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"mean_ns\": {}, \
-                 \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}}}{}\n",
-                esc(name),
-                h.count,
-                h.sum_ns,
-                num(h.mean_ns()),
-                num(h.quantile_ns(0.5)),
-                num(h.quantile_ns(0.9)),
-                num(h.quantile_ns(0.99)),
-                if i + 1 == self.snapshot.histograms.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  }\n}\n");
-        out
+        let snap = &self.snapshot;
+        let counters = snap.counters.iter().map(|(k, v)| (k.clone(), (*v).into()));
+        let histograms = snap
+            .histograms
+            .iter()
+            .map(|(k, h)| (k.clone(), fields_json(HISTOGRAM_FIELDS, h)));
+        let dist = self.dist.as_ref().map(|d| fields_json(DIST_FIELDS, d));
+        let cache = self.cache.as_ref().map(|c| fields_json(CACHE_FIELDS, c));
+        Json::obj([
+            ("schema", SCHEMA.into()),
+            ("sweep", self.name.as_str().into()),
+            ("mode", self.mode.into()),
+            ("fused", self.fused.into()),
+            ("complete", self.complete.into()),
+            ("wall_s", Json::rounded(self.wall_s, 3)),
+            ("shards", self.shards.into()),
+            ("executed", self.executed.into()),
+            ("resumed", self.resumed.into()),
+            ("cells", self.cells.into()),
+            ("simulations", self.simulations.into()),
+            ("simulated_rounds", self.simulated_rounds.into()),
+            ("workers_requested", self.workers_requested.into()),
+            ("workers_effective", self.workers_effective.into()),
+            ("dist", dist.into()),
+            ("cache", cache.into()),
+            ("counters", Json::obj(counters)),
+            ("histograms", Json::obj(histograms)),
+        ])
+        .encode_pretty()
     }
 
     /// Writes `dir/METRICS_<name>.json` and returns its path.
@@ -299,48 +235,47 @@ pub const SCHEMA_V2: &str = crate::schema::METRICS_V2;
 /// ([`crate::schema::METRICS_V1`]): predates both sections.
 pub const SCHEMA_V1: &str = crate::schema::METRICS_V1;
 
-/// Keys [`validate`] requires inside a non-null `dist` object.
-const DIST_KEYS: &[&str] = &[
-    "workers_seen",
-    "leases",
-    "reissues",
-    "respawns",
-    "duplicates",
-    "deaths",
-    "nacks",
-    "bad_frames",
-    "degraded",
+/// A figure that has a JSON spelling: non-finite values write as `0`.
+fn finite(v: f64) -> Json {
+    Json::num(if v.is_finite() { v } else { 0.0 })
+}
+
+/// The counters of a non-null `dist` object, which [`validate`]
+/// requires as non-negative integers.
+const DIST_FIELDS: &[Field<DistStats>] = &[
+    ("workers_seen", |d| d.workers_seen.into()),
+    ("leases", |d| d.leases.into()),
+    ("reissues", |d| d.reissues.into()),
+    ("respawns", |d| d.respawns.into()),
+    ("duplicates", |d| d.duplicates.into()),
+    ("deaths", |d| d.deaths.into()),
+    ("nacks", |d| d.nacks.into()),
+    ("bad_frames", |d| d.bad_frames.into()),
+    ("degraded", |d| d.degraded.into()),
 ];
 
-/// Keys [`validate`] requires inside a non-null `cache` object.
-const CACHE_KEYS: &[&str] = &[
-    "hits",
-    "misses",
-    "stores",
-    "corrupt",
-    "bytes_read",
-    "bytes_written",
-    "evictions",
-    "verify_failures",
+/// The counters of a non-null `cache` object, which [`validate`]
+/// requires as non-negative integers.
+const CACHE_FIELDS: &[Field<CacheStats>] = &[
+    ("hits", |c| c.hits.into()),
+    ("misses", |c| c.misses.into()),
+    ("stores", |c| c.stores.into()),
+    ("corrupt", |c| c.corrupt.into()),
+    ("bytes_read", |c| c.bytes_read.into()),
+    ("bytes_written", |c| c.bytes_written.into()),
+    ("evictions", |c| c.evictions.into()),
+    ("verify_failures", |c| c.verify_failures.into()),
 ];
 
-/// Top-level keys [`validate`] requires (besides `schema`).
-const REQUIRED_KEYS: &[&str] = &[
-    "sweep",
-    "mode",
-    "fused",
-    "complete",
-    "wall_s",
-    "shards",
-    "executed",
-    "resumed",
-    "cells",
-    "simulations",
-    "simulated_rounds",
-    "workers_requested",
-    "workers_effective",
-    "counters",
-    "histograms",
+/// The figures of each `histograms` entry, which [`validate`] requires
+/// as numbers.
+const HISTOGRAM_FIELDS: &[Field<HistogramSnapshot>] = &[
+    ("count", |h| h.count.into()),
+    ("sum_ns", |h| h.sum_ns.into()),
+    ("mean_ns", |h| finite(h.mean_ns())),
+    ("p50_ns", |h| finite(h.quantile_ns(0.5))),
+    ("p90_ns", |h| finite(h.quantile_ns(0.9))),
+    ("p99_ns", |h| finite(h.quantile_ns(0.99))),
 ];
 
 /// What [`validate`] extracts from a well-formed metrics file — enough
@@ -366,155 +301,142 @@ pub struct MetricsSummary {
 }
 
 /// Validates a `METRICS_*.json` file's text against the
-/// `antdensity-metrics v3` contract (or the still-accepted v2/v1):
-/// the schema marker, every required top-level key, balanced braces,
-/// and parseable numbers where the CI gate reads them. Under v3 both
-/// the `dist` and `cache` keys must be present — `null` when the
-/// corresponding subsystem was off, an object with every counter
-/// otherwise; v2 has `dist` but must not have `cache`; v1 has
-/// neither. Backs `repro check-metrics`.
-///
-/// This is a structural check over the hand-rolled format, not a full
-/// JSON parser — it rejects the failure modes that matter (truncated
-/// writes, renamed keys, a schema bump nobody propagated).
+/// `antdensity-metrics v3` contract (or the still-accepted v2/v1): it
+/// parses the text as JSON, then decodes the one object it must hold.
+/// That object needs the schema marker, every required top-level key
+/// once, each with its type (strings, booleans, a finite non-negative
+/// `wall_s`, non-negative integer counts), and `counters` and
+/// `histograms` objects of numbers. Under v3 both the `dist` and
+/// `cache` keys must be present — `null` when the corresponding
+/// subsystem was off, an object with every counter otherwise; v2 has
+/// `dist` but must not have `cache`; v1 has neither. Backs
+/// `repro check-metrics`.
 ///
 /// # Errors
 ///
 /// Returns a one-line description of the first violation found.
 pub fn validate(text: &str) -> Result<MetricsSummary, String> {
-    if !text.trim_start().starts_with('{') {
-        return Err("not a JSON object (no leading '{')".to_string());
-    }
-    if text.matches('{').count() != text.matches('}').count() {
-        return Err("unbalanced braces (truncated file?)".to_string());
-    }
-    let schema_version = if text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        3
-    } else if text.contains(&format!("\"schema\": \"{SCHEMA_V2}\"")) {
-        2
-    } else if text.contains(&format!("\"schema\": \"{SCHEMA_V1}\"")) {
-        1
-    } else {
-        return Err(format!(
-            "missing or wrong schema marker (want `{SCHEMA}`, `{SCHEMA_V2}`, or `{SCHEMA_V1}`)"
-        ));
+    let doc = Json::parse(text)
+        .map_err(|e| format!("not a JSON object (truncated file or unbalanced braces?): {e}"))?;
+    let Json::Obj(members) = &doc else {
+        return Err("not a JSON object".to_string());
     };
-    for key in REQUIRED_KEYS {
-        if !text.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing required key `{key}`"));
+    for (i, (key, _)) in members.iter().enumerate() {
+        if members[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("duplicate key `{key}`"));
         }
     }
-    // A versioned optional section: `null` or an object carrying every
-    // listed key, required from `since` on, forbidden before it.
-    let section = |key: &str, keys: &[&str], since: u32| -> Result<bool, String> {
-        if schema_version < since {
-            if text.contains(&format!("\"{key}\":")) {
-                return Err(format!(
-                    "v{schema_version} file carries a `{key}` key (bump the schema marker)"
-                ));
-            }
-            return Ok(false);
-        }
-        if text.contains(&format!("\"{key}\": null")) {
-            Ok(false)
-        } else if text.contains(&format!("\"{key}\": {{")) {
-            for k in keys {
-                if !text.contains(&format!("\"{k}\":")) {
-                    return Err(format!("`{key}` object missing required key `{k}`"));
-                }
-            }
-            Ok(true)
-        } else {
-            Err(format!(
-                "v{schema_version} file needs `{key}`: null or an object"
+    let schema_version = match doc.get("schema").and_then(Json::as_str) {
+        Some(SCHEMA) => 3,
+        Some(SCHEMA_V2) => 2,
+        Some(SCHEMA_V1) => 1,
+        _ => {
+            return Err(format!(
+                "missing or wrong schema marker (want `{SCHEMA}`, `{SCHEMA_V2}`, or `{SCHEMA_V1}`)"
             ))
         }
     };
-    let dist = section("dist", DIST_KEYS, 2)?;
-    let cache = section("cache", CACHE_KEYS, 3)?;
-    let string_after = |key: &str| -> Option<String> {
-        let tag = format!("\"{key}\": \"");
-        let start = text.find(&tag)? + tag.len();
-        let end = text[start..].find('"')? + start;
-        Some(text[start..end].to_string())
+    let field = |key: &str| {
+        doc.get(key)
+            .ok_or_else(|| format!("missing required key `{key}`"))
     };
-    let number_after = |key: &str| -> Result<f64, String> {
-        let tag = format!("\"{key}\":");
-        let start = text
-            .find(&tag)
-            .ok_or_else(|| format!("missing required key `{key}`"))?
-            + tag.len();
-        let rest = text[start..].trim_start();
-        let end = rest
-            .find([',', '\n', '}'])
-            .ok_or_else(|| format!("unterminated value for `{key}`"))?;
-        rest[..end]
-            .trim()
-            .parse::<f64>()
-            .map_err(|_| format!("`{key}` is not a number: `{}`", rest[..end].trim()))
-    };
-    let name = string_after("sweep").ok_or("`sweep` is not a string")?;
-    let wall_s = number_after("wall_s")?;
+    let name = field("sweep")?.as_str().ok_or("`sweep` is not a string")?;
+    field("mode")?.as_str().ok_or("`mode` is not a string")?;
+    for key in ["fused", "complete"] {
+        field(key)?
+            .as_bool()
+            .ok_or(format!("`{key}` is not a boolean"))?;
+    }
+    let wall_s = number(field("wall_s")?, "wall_s")?;
     if !wall_s.is_finite() || wall_s < 0.0 {
         return Err(format!("`wall_s` out of range: {wall_s}"));
     }
-    for key in ["shards", "executed", "resumed", "cells"] {
-        let v = number_after(key)?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(format!("`{key}` is not a non-negative integer: {v}"));
+    for key in [
+        "shards",
+        "executed",
+        "resumed",
+        "cells",
+        "simulations",
+        "simulated_rounds",
+        "workers_requested",
+        "workers_effective",
+    ] {
+        count(field(key)?, key)?;
+    }
+    let dist = section(&doc, schema_version, "dist", DIST_FIELDS, 2)?;
+    let cache = section(&doc, schema_version, "cache", CACHE_FIELDS, 3)?;
+    let entries = |key: &str| match field(key)? {
+        Json::Obj(entries) => Ok(entries),
+        _ => Err(format!("`{key}` is not an object")),
+    };
+    let (counters, histograms) = (entries("counters")?, entries("histograms")?);
+    for (name, v) in counters {
+        count(v, &format!("counters.{name}"))?;
+    }
+    for (name, h) in histograms {
+        for (key, _) in HISTOGRAM_FIELDS {
+            let v = h
+                .get(key)
+                .ok_or_else(|| format!("`histograms.{name}` missing required key `{key}`"))?;
+            number(v, &format!("histograms.{name}.{key}"))?;
         }
     }
-    // Entry counts inside the two maps: count `"name":` lines between
-    // the section opener and its closing brace.
-    let section_entries = |key: &str| -> Result<usize, String> {
-        let tag = format!("\"{key}\": {{");
-        let start = text
-            .find(&tag)
-            .ok_or_else(|| format!("`{key}` is not an object"))?
-            + tag.len();
-        let mut depth = 1usize;
-        let mut entries = 0usize;
-        let mut at_key = true; // next `"` opens a key (not a nested value)
-        let bytes = &text.as_bytes()[start..];
-        let mut i = 0;
-        while i < bytes.len() && depth > 0 {
-            match bytes[i] {
-                b'{' => {
-                    depth += 1;
-                    at_key = false;
-                }
-                b'}' => {
-                    depth -= 1;
-                    at_key = true;
-                }
-                b'"' if depth == 1 && at_key => {
-                    entries += 1;
-                    at_key = false;
-                    // skip to the closing quote of this key
-                    while i + 1 < bytes.len() && bytes[i + 1] != b'"' {
-                        i += 1;
-                    }
-                    i += 1;
-                }
-                b',' if depth == 1 => at_key = true,
-                _ => {}
-            }
-            i += 1;
-        }
-        if depth != 0 {
-            return Err(format!("`{key}` object never closes"));
-        }
-        Ok(entries)
-    };
     Ok(MetricsSummary {
-        name,
+        name: name.to_string(),
         wall_s,
-        counters: section_entries("counters")?,
-        histograms: section_entries("histograms")?,
+        counters: counters.len(),
+        histograms: histograms.len(),
         schema_version,
         dist,
         cache,
     })
+}
+
+/// The value at `path` as a number.
+fn number(v: &Json, path: &str) -> Result<f64, String> {
+    v.as_f64()
+        .ok_or_else(|| format!("`{path}` is not a number: `{}`", v.encode()))
+}
+
+/// Checks that the value at `path` is a non-negative integer.
+fn count(v: &Json, path: &str) -> Result<(), String> {
+    let n = number(v, path)?;
+    match v.as_u64() {
+        Some(_) => Ok(()),
+        None => Err(format!("`{path}` is not a non-negative integer: {n}")),
+    }
+}
+
+/// Decodes the versioned optional section `key`: forbidden before
+/// schema version `since`, required from it on as `null` (`Ok(false)`)
+/// or an object carrying every field as a non-negative integer
+/// (`Ok(true)`).
+fn section<T>(
+    doc: &Json,
+    schema_version: u32,
+    key: &str,
+    fields: &[Field<T>],
+    since: u32,
+) -> Result<bool, String> {
+    match doc.get(key) {
+        None if schema_version < since => Ok(false),
+        Some(_) if schema_version < since => Err(format!(
+            "v{schema_version} file carries a `{key}` key (bump the schema marker)"
+        )),
+        Some(Json::Null) => Ok(false),
+        Some(obj @ Json::Obj(_)) => {
+            for (k, _) in fields {
+                let v = obj
+                    .get(k)
+                    .ok_or_else(|| format!("`{key}` object missing required key `{k}`"))?;
+                count(v, &format!("{key}.{k}"))?;
+            }
+            Ok(true)
+        }
+        _ => Err(format!(
+            "v{schema_version} file needs `{key}`: null or an object"
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -686,6 +608,32 @@ mod tests {
         // a non-numeric count is caught
         let corrupt = good.replace("\"shards\": 1", "\"shards\": one");
         assert!(validate(&corrupt).unwrap_err().contains("not a number"));
+    }
+
+    #[test]
+    fn validate_rejects_what_a_substring_scan_let_through() {
+        let m = demo_metrics();
+        let good = m.to_json();
+        validate(&good).unwrap();
+        let mode = format!("\"mode\": \"{}\"", m.mode);
+        let cases = [
+            (
+                good.replace("\"simulations\": 2,", "\"simulations\": \"many\","),
+                "`simulations` is not a number",
+            ),
+            (good.replace("\"fused\": true", "\"fused\": 3"), "`fused`"),
+            (good.replace(&mode, "\"mode\": 7"), "`mode`"),
+            (format!("{good}trailing text\n"), "trailing garbage"),
+            (
+                good.replacen("  \"sweep\":", "  \"cells\": 2,\n  \"sweep\":", 1),
+                "duplicate key `cells`",
+            ),
+        ];
+        for (text, want) in cases {
+            assert_ne!(text, good, "{want}: the edit did not apply");
+            let err = validate(&text).unwrap_err();
+            assert!(err.contains(want), "want {want:?}, got {err:?}");
+        }
     }
 
     #[test]

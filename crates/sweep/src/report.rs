@@ -13,6 +13,8 @@ use crate::runner::SweepOutcome;
 use crate::spec::SkippedCell;
 use antdensity_core::theory::{theory_bound, uses_measured_gap, warm_measured_lambdas};
 use antdensity_stats::table::{format_sig, Table};
+use antdensity_telemetry::Json;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// One completed cell's report row.
@@ -62,6 +64,39 @@ pub struct SweepRow {
     /// Estimator-specific mean (quorum accuracy / mean `f̃`).
     pub aux_mean: Option<f64>,
 }
+
+/// One member of a document object (a CSV column, for report rows):
+/// its key and how to read it.
+pub(crate) type Field<T> = (&'static str, fn(&T) -> Json);
+
+/// An object with one member per field, in table order.
+pub(crate) fn fields_json<T>(fields: &[Field<T>], value: &T) -> Json {
+    Json::obj(fields.iter().map(|(key, get)| (*key, get(value))))
+}
+
+/// A row's members in `SWEEP_<name>.json` and its columns in
+/// `SWEEP_<name>.csv`, in order.
+const ROW_FIELDS: [Field<SweepRow>; 19] = [
+    ("index", |r| r.index.into()),
+    ("topology", |r| r.topology.as_str().into()),
+    ("density", |r| r.density.into()),
+    ("agents", |r| r.agents.into()),
+    ("rounds", |r| r.rounds.into()),
+    ("estimator", |r| r.estimator.as_str().into()),
+    ("movement", |r| r.movement.as_str().into()),
+    ("noise", |r| r.noise.as_str().into()),
+    ("trials", |r| r.trials.into()),
+    ("samples", |r| r.samples.into()),
+    ("est_mean", |r| r.est_mean.into()),
+    ("est_sd", |r| r.est_sd.into()),
+    ("err_mean", |r| r.err_mean.into()),
+    ("err_median", |r| r.err_median.into()),
+    ("err_q", |r| r.err_q.into()),
+    ("within", |r| r.within.into()),
+    ("bound", |r| r.bound.into()),
+    ("bound_src", |r| r.bound_src.into()),
+    ("aux_mean", |r| r.aux_mean.into()),
+];
 
 /// A rendered-ready sweep report.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,116 +276,58 @@ impl SweepReport {
         out
     }
 
-    /// CSV: one row per completed cell, full float precision. Axis
-    /// tokens containing commas or quotes (e.g. a library-built
-    /// `biased:0.5,0.25` movement) are quoted per RFC 4180 so columns
-    /// never shift.
+    /// CSV: one row per completed cell, one column per
+    /// `ROW_FIELDS` entry, full float precision, blank where JSON has
+    /// `null`. Axis tokens containing commas or quotes (e.g. a
+    /// library-built `biased:0.5,0.25` movement) are quoted per RFC 4180
+    /// so columns never shift.
     pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
+        let mut out = ROW_FIELDS.map(|(key, _)| key).join(",");
+        for r in &self.rows {
+            for (i, (_, get)) in ROW_FIELDS.iter().enumerate() {
+                out.push(if i == 0 { '\n' } else { ',' });
+                match get(r) {
+                    Json::Str(s) if s.contains([',', '"', '\n']) => {
+                        out.push_str(&format!("\"{}\"", s.replace('"', "\"\"")));
+                    }
+                    Json::Str(s) => out.push_str(&s),
+                    Json::Num(x) => {
+                        let _ = write!(out, "{x}");
+                    }
+                    Json::U64(x) => {
+                        let _ = write!(out, "{x}");
+                    }
+                    _ => {}
+                }
             }
         }
-        fn opt(v: Option<f64>) -> String {
-            v.map_or_else(String::new, |x| x.to_string())
-        }
-        let mut out = String::from(
-            "index,topology,density,agents,rounds,estimator,movement,noise,trials,samples,\
-             est_mean,est_sd,err_mean,err_median,err_q,within,bound,bound_src,aux_mean\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                r.index,
-                field(&r.topology),
-                r.density,
-                r.agents,
-                r.rounds,
-                field(&r.estimator),
-                field(&r.movement),
-                field(&r.noise),
-                r.trials,
-                r.samples,
-                r.est_mean,
-                r.est_sd,
-                r.err_mean,
-                opt(r.err_median),
-                opt(r.err_q),
-                r.within,
-                opt(r.bound),
-                r.bound_src,
-                opt(r.aux_mean),
-            ));
-        }
+        out.push('\n');
         out
     }
 
-    /// JSON: sweep metadata, skipped combinations, and the rows.
-    /// Hand-rolled like `BENCH_engine.json` — the workspace is offline.
+    /// JSON: sweep metadata, skipped combinations, and the rows, one
+    /// per line ([`Json::encode_pretty`]).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        fn opt(v: Option<f64>) -> String {
-            v.map_or_else(|| "null".to_string(), |x| x.to_string())
-        }
-        let mut out = format!(
-            "{{\n  \"sweep\": \"{}\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \
-             \"trials\": {},\n  \"band\": {},\n  \"delta\": {},\n  \"complete\": {},\n  \
-             \"cells\": {},\n",
-            esc(&self.name),
-            self.mode,
-            self.seed,
-            self.trials,
-            self.band,
-            self.delta,
-            self.complete,
-            self.total_cells
-        );
-        out.push_str("  \"skipped\": [\n");
-        for (i, s) in self.skipped.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"cell\": \"{}\", \"reason\": \"{}\"}}{}\n",
-                esc(&s.label),
-                esc(&s.reason),
-                if i + 1 == self.skipped.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"index\": {}, \"topology\": \"{}\", \"density\": {}, \
-                 \"agents\": {}, \"rounds\": {}, \"estimator\": \"{}\", \
-                 \"movement\": \"{}\", \"noise\": \"{}\", \"trials\": {}, \
-                 \"samples\": {}, \"est_mean\": {}, \"est_sd\": {}, \"err_mean\": {}, \
-                 \"err_median\": {}, \"err_q\": {}, \"within\": {}, \"bound\": {}, \"bound_src\": \"{}\", \
-                 \"aux_mean\": {}}}{}\n",
-                r.index,
-                esc(&r.topology),
-                r.density,
-                r.agents,
-                r.rounds,
-                esc(&r.estimator),
-                esc(&r.movement),
-                esc(&r.noise),
-                r.trials,
-                r.samples,
-                r.est_mean,
-                r.est_sd,
-                r.err_mean,
-                opt(r.err_median),
-                opt(r.err_q),
-                r.within,
-                opt(r.bound),
-                r.bound_src,
-                opt(r.aux_mean),
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let skipped = self.skipped.iter().map(|s| {
+            Json::obj([
+                ("cell", s.label.as_str().into()),
+                ("reason", s.reason.as_str().into()),
+            ])
+        });
+        let rows = self.rows.iter().map(|r| fields_json(&ROW_FIELDS, r));
+        Json::obj([
+            ("sweep", self.name.as_str().into()),
+            ("mode", self.mode.into()),
+            ("seed", self.seed.into()),
+            ("trials", self.trials.into()),
+            ("band", self.band.into()),
+            ("delta", self.delta.into()),
+            ("complete", self.complete.into()),
+            ("cells", self.total_cells.into()),
+            ("skipped", Json::Arr(skipped.collect())),
+            ("rows", Json::Arr(rows.collect())),
+        ])
+        .encode_pretty()
     }
 
     /// Writes `dir/SWEEP_<name>.json` and `dir/SWEEP_<name>.csv`,

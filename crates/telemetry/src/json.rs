@@ -1,14 +1,19 @@
-//! A minimal JSON value model for the line-delimited job protocol.
+//! The workspace's one JSON value model. Every document it writes or
+//! reads (`SWEEP_<name>.json`, `METRICS_<name>.json`,
+//! `BENCH_engine.json`, the Chrome trace, the serve wire) is built as a
+//! [`Json`] and encoded here, or parsed here and decoded from a
+//! [`Json`].
 //!
-//! The workspace is offline (no serde), so the wire format gets the
-//! same treatment as every other artifact: a hand-rolled, deterministic
+//! The workspace is offline (no serde), so this is a small exact
 //! encoder plus a strict recursive-descent parser. Objects preserve
 //! insertion order (they are key/value vectors, not maps), so encoding
-//! is byte-deterministic — the property the whole service layer leans
-//! on. The parser is strict where it matters for corruption rejection:
-//! unbalanced structure, trailing garbage, bad escapes, truncated
-//! input, and nesting deeper than 128 levels are all errors, never
-//! best-effort guesses.
+//! is byte-deterministic. The parser rejects unbalanced structure,
+//! trailing garbage, bad escapes, numbers outside the RFC 8259 grammar,
+//! truncated input and nesting deeper than 128 levels; it never
+//! guesses.
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level, and its input comes off the wire, so
@@ -17,24 +22,64 @@
 /// writes nests fewer than ten levels deep.
 const MAX_DEPTH: usize = 128;
 
+/// Containers nested fewer than this many levels deep print one member
+/// per line in [`Json::encode_pretty`]; deeper ones print inline.
+const PRETTY_LEVELS: usize = 2;
+
+/// 2^53: every integer up to here is exact in an `f64`.
+const EXACT_F64_INT: f64 = 9_007_199_254_740_992.0;
+
 /// One JSON value.
+///
+/// Each value has one representation, so the derived `PartialEq` is
+/// value equality: integers above 2^53 that fit a `u64` are
+/// [`Json::U64`], every other number is [`Json::Num`]. The
+/// constructors, the `From` conversions and [`Json::parse`] keep to
+/// that rule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number. Stored as `f64`: integers are exact up to 2^53, which
-    /// covers every count the protocol carries (job ids, cell counts,
-    /// row numbers). Seeds ride inside spec *text*, never as JSON
-    /// numbers, so they keep full 64-bit range.
+    /// A number that is not an integer above 2^53. Integers up to 2^53
+    /// are exact here, which covers every count the documents carry.
     Num(f64),
+    /// An integer above 2^53, where `f64` would round (a seed, a
+    /// counter), encoded with every digit.
+    U64(u64),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object: insertion-ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
+    /// An object: insertion-ordered key/value pairs. A key the code
+    /// spells as a literal is borrowed, not copied.
+    Obj(Vec<(Cow<'static, str>, Json)>),
+}
+
+macro_rules! from_impls {
+    ($($t:ty => $make:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                $make(v)
+            }
+        }
+    )*};
+}
+
+from_impls!(
+    bool => Json::Bool,
+    f64 => Json::num,
+    u64 => Json::u64,
+    usize => |v: usize| Json::u64(v as u64),
+    &str => Json::str,
+    String => Json::Str,
+);
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
 }
 
 impl Json {
@@ -43,9 +88,39 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// Builds a number value from anything convertible to `f64`.
+    /// Builds a number value from anything convertible to `f64`. An
+    /// integral value above 2^53 that fits a `u64` becomes
+    /// [`Json::U64`] holding the digits `format!("{v}")` prints, so it
+    /// encodes exactly as that would.
     pub fn num(v: impl Into<f64>) -> Json {
-        Json::Num(v.into())
+        let v = v.into();
+        if v.fract() == 0.0 && v > EXACT_F64_INT && v < 18_446_744_073_709_551_616.0 {
+            if let Ok(n) = v.to_string().parse() {
+                return Json::U64(n);
+            }
+        }
+        Json::Num(v)
+    }
+
+    /// Builds an exact non-negative integer value.
+    pub fn u64(v: u64) -> Json {
+        if v <= 1 << 53 {
+            Json::Num(v as f64)
+        } else {
+            Json::U64(v)
+        }
+    }
+
+    /// Builds `v` rounded to `decimals` places, the value
+    /// `format!("{v:.decimals$}")` prints, which then encodes without
+    /// trailing zeros (`1.5`, not `1.500`).
+    pub fn rounded(v: f64, decimals: usize) -> Json {
+        Json::num(format!("{v:.decimals$}").parse::<f64>().unwrap_or(v))
+    }
+
+    /// Builds an object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<Cow<'static, str>>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Looks up `key` in an object; `None` for missing keys and
@@ -69,6 +144,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
+            Json::U64(v) => Some(*v as f64),
             _ => None,
         }
     }
@@ -77,7 +153,8 @@ impl Json {
     /// fractional part in `u64` range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 9e15 => Some(*v as u64),
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= EXACT_F64_INT => Some(*v as u64),
+            Json::U64(v) => Some(*v),
             _ => None,
         }
     }
@@ -94,37 +171,42 @@ impl Json {
     /// same value, same bytes.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        self.encode_into(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn encode_into(&self, out: &mut String) {
+    /// Encodes for a file a person reads. Arrays and objects nested
+    /// fewer than two levels deep print one member per line, indented
+    /// two spaces per level (an empty one prints its brackets on two
+    /// lines); deeper ones print inline with `", "` and `": "`. Ends
+    /// with a newline. Deterministic like [`Json::encode`].
+    pub fn encode_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// Appends the encoding: compact when `level` is `None`, else the
+    /// pretty layout for a value nested `level` containers deep.
+    fn write(&self, out: &mut String, level: Option<usize>) {
         match self {
-            Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => encode_num(*v, out),
-            Json::Str(s) => encode_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode_into(out);
-                }
-                out.push(']');
+            // Shortest round-trip formatting: no exponent, and no
+            // fraction on an integer (`3`, not `3.0`).
+            Json::Num(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
             }
+            Json::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            // Non-finite numbers have no JSON spelling.
+            Json::Null | Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_str(s, out),
+            Json::Arr(items) => write_members(out, level, "[]", items.iter().map(|v| (None, v))),
             Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_str(k, out);
-                    out.push(':');
-                    v.encode_into(out);
-                }
-                out.push('}');
+                let members = pairs.iter().map(|(k, v)| (Some(k.as_ref()), v));
+                write_members(out, level, "{}", members);
             }
         }
     }
@@ -150,32 +232,67 @@ impl Json {
     }
 }
 
-/// Numbers print as integers when they are one (`3`, not `3.0`) and
-/// otherwise via Rust's shortest-round-trip `f64` formatting. Non-
-/// finite values have no JSON spelling; they encode as `null`.
-fn encode_num(v: f64, out: &mut String) {
-    if !v.is_finite() {
-        out.push_str("null");
-    } else if v.fract() == 0.0 && v.abs() <= 9e15 {
-        out.push_str(&format!("{}", v as i64));
-    } else {
-        out.push_str(&format!("{v}"));
+/// Appends an array's or object's members between the two `brackets`;
+/// object members carry their key.
+fn write_members<'a>(
+    out: &mut String,
+    level: Option<usize>,
+    brackets: &str,
+    members: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let broken = level.filter(|&l| l < PRETTY_LEVELS);
+    let newline = |out: &mut String, l: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', 2 * l));
+    };
+    let (comma, colon) = match (level, broken) {
+        (None, _) => (",", ":"),
+        (Some(_), None) => (", ", ": "),
+        (Some(_), Some(_)) => (",", ": "),
+    };
+    out.push_str(&brackets[..1]);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push_str(comma);
+        }
+        if let Some(l) = broken {
+            newline(out, l + 1);
+        }
+        if let Some(key) = key {
+            write_str(key, out);
+            out.push_str(colon);
+        }
+        value.write(out, level.map(|l| l + 1));
     }
+    if let Some(l) = broken {
+        newline(out, l);
+    }
+    out.push_str(&brackets[1..]);
 }
 
-fn encode_str(s: &str, out: &mut String) {
+fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    // Copy each run of bytes that need no escape in one go; the bytes
+    // that do are ASCII, so every split lands on a char boundary.
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -212,57 +329,45 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
-        Some(b'[') => {
+        Some(&open @ (b'[' | b'{')) => {
+            let (is_obj, close) = (open == b'{', if open == b'{' { b'}' } else { b']' });
+            let (mut items, mut pairs) = (Vec::new(), Vec::new());
             *pos += 1;
-            let mut items = Vec::new();
             skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
+            let mut more = bytes.get(*pos) != Some(&close);
+            while more {
                 skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
+                if is_obj {
+                    let key = parse_str(bytes, pos)?;
+                    skip_ws(bytes, pos);
+                    expect(bytes, pos, b':')?;
+                    skip_ws(bytes, pos);
+                    pairs.push((key.into(), parse_value(bytes, pos, depth + 1)?));
+                } else {
+                    items.push(parse_value(bytes, pos, depth + 1)?);
                 }
+                skip_ws(bytes, pos);
+                more = bytes.get(*pos) == Some(&b',');
+                if !more && bytes.get(*pos) != Some(&close) {
+                    return Err(format!(
+                        "expected `,` or `{}` at byte {}",
+                        close as char, *pos
+                    ));
+                }
+                *pos += usize::from(more);
             }
-        }
-        Some(b'{') => {
             *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_str(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                skip_ws(bytes, pos);
-                let value = parse_value(bytes, pos, depth + 1)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
+            Ok(if is_obj {
+                Json::Obj(pairs)
+            } else {
+                Json::Arr(items)
+            })
         }
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(bytes, pos),
-        Some(c) => Err(format!("unexpected byte `{}` at {}", *c as char, *pos)),
+        Some(c) => Err(format!(
+            "unexpected byte `{}` at {}: not a number, string, literal, array or object",
+            *c as char, *pos
+        )),
     }
 }
 
@@ -275,20 +380,45 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
+/// Parses a number per the RFC 8259 grammar: an optional minus, an
+/// integer part without leading zeros, then an optional fraction and an
+/// optional exponent, each with at least one digit. A non-negative
+/// integer that fits a `u64` parses exactly.
 fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    // Consumes one byte if it is in `set`.
+    let eat = |pos: &mut usize, set: &[u8]| {
+        let hit = bytes.get(*pos).is_some_and(|b| set.contains(b));
+        *pos += usize::from(hit);
+        hit
+    };
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while eat(pos, b"0123456789") {}
+        *pos > from
+    };
+    let negative = eat(pos, b"-");
+    // A leading `0` is the whole integer part; any digit after it is
+    // left over and fails the caller.
+    let mut ok = eat(pos, b"0") || digits(pos);
+    let integral = !matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E'));
+    if eat(pos, b".") {
+        ok &= digits(pos);
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
+    if eat(pos, b"eE") {
+        eat(pos, b"+-");
+        ok &= digits(pos);
     }
+    // The scanned bytes are ASCII, so this cannot fail.
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number `{text}` at byte {start}"))
+    let bad = || format!("bad number `{text}` at byte {start}");
+    if !ok {
+        return Err(bad());
+    }
+    match text.parse::<u64>() {
+        Ok(v) if integral && !negative => Ok(Json::u64(v)),
+        _ => text.parse::<f64>().map(Json::num).map_err(|_| bad()),
+    }
 }
 
 fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -339,12 +469,17 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&c) if c < 0x20 => return Err("raw control byte in string".to_string()),
             Some(_) => {
-                // Copy one UTF-8 scalar (input is &str, so boundaries
-                // are valid).
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().expect("non-empty by match");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote, backslash or
+                // control byte. Those are ASCII and the input is &str,
+                // so the run ends on a UTF-8 boundary.
+                let from = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&c| c >= 0x20 && c != b'"' && c != b'\\')
+                {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[from..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -400,6 +535,48 @@ mod tests {
     }
 
     #[test]
+    fn integers_above_2_pow_53_stay_exact() {
+        for v in [(1u64 << 53) + 1, 18_446_744_073_709_551_615] {
+            let text = Json::u64(v).encode();
+            assert_eq!(text, v.to_string());
+            assert_eq!(Json::parse(&text).unwrap(), Json::U64(v));
+            assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(v));
+        }
+        // one representation per value: small integers stay `Num`
+        assert_eq!(Json::u64(1 << 53), Json::Num(9_007_199_254_740_992.0));
+        assert_eq!(Json::parse("42").unwrap(), Json::Num(42.0));
+        assert_eq!(Json::num(1e17), Json::U64(100_000_000_000_000_000));
+        // integers past u64 and negative ones fall back to `f64`
+        assert_eq!(
+            Json::parse("18446744073709551616").unwrap(),
+            Json::Num(18_446_744_073_709_551_616.0)
+        );
+        assert_eq!(Json::parse("-12").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn pretty_layout_breaks_two_levels_and_inlines_deeper() {
+        let value = Json::obj([
+            ("name", Json::str("s")),
+            ("empty", Json::Arr(vec![])),
+            (
+                "rows",
+                Json::Arr(vec![
+                    Json::obj([("a", Json::num(1.5)), ("b", Json::Arr(vec![Json::Null]))]),
+                    Json::Obj(vec![]),
+                ]),
+            ),
+            ("map", Json::obj([("k", Json::Bool(true))])),
+        ]);
+        assert_eq!(
+            value.encode_pretty(),
+            "{\n  \"name\": \"s\",\n  \"empty\": [\n  ],\n  \"rows\": [\n    \
+             {\"a\": 1.5, \"b\": [null]},\n    {}\n  ],\n  \"map\": {\n    \"k\": true\n  }\n}\n"
+        );
+        assert_eq!(Json::parse(&value.encode_pretty()).unwrap(), value);
+    }
+
+    #[test]
     fn accessors_extract_typed_fields() {
         let obj = Json::parse(r#"{"job": 7, "name": "smoke", "ok": true, "x": null}"#).unwrap();
         assert_eq!(obj.get("job").and_then(Json::as_u64), Some(7));
@@ -434,6 +611,11 @@ mod tests {
             "{\"a\": 1} trailing",
             "1e",
             "{\"a\" 1}",
+            "01",
+            "00",
+            "-.5",
+            "1.",
+            "1.e5",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad}");
         }

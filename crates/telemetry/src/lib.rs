@@ -14,6 +14,9 @@
 //!   [`TraceEvent`] for Chrome/Perfetto export
 //!   ([`chrome_trace_json`]).
 //!
+//! It also holds [`Json`], the one value model every document in the
+//! workspace is written and read through (std-only, so any crate can).
+//!
 //! ## Cost model
 //!
 //! The registry mutex is touched only on first use of a name and on
@@ -34,10 +37,12 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+pub mod json;
 pub mod registry;
 pub mod span;
 pub mod trace;
 
+pub use json::Json;
 pub use registry::{
     counter, duration_histogram, snapshot, Counter, HistogramSnapshot, LazyCounter, Snapshot,
 };

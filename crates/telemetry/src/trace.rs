@@ -12,6 +12,7 @@
 //! metadata), which both `chrome://tracing` and Perfetto load
 //! directly.
 
+use crate::Json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -112,73 +113,38 @@ pub fn take_trace() -> Vec<TraceEvent> {
     events
 }
 
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push('0');
-    }
-}
-
 /// Renders events as Chrome trace event format JSON (object form),
 /// with a `thread_name` metadata record per lane seen so far.
 /// Timestamps and durations are microseconds with nanosecond
-/// precision, as the format expects.
+/// precision, as the format expects; a non-finite figure writes as `0`.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    for (lane, name) in LANE_NAMES.lock().expect("lane names poisoned").iter() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"ph\":\"M\",\"pid\":1,\"tid\":");
-        out.push_str(&lane.to_string());
-        out.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
-        escape(name, &mut out);
-        out.push_str("\"}}");
-    }
-    for ev in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"ph\":\"X\",\"pid\":1,\"tid\":");
-        out.push_str(&ev.lane.to_string());
-        out.push_str(",\"name\":\"");
-        escape(ev.name, &mut out);
-        out.push_str("\",\"ts\":");
-        push_f64(ev.ts_ns as f64 / 1000.0, &mut out);
-        out.push_str(",\"dur\":");
-        push_f64(ev.dur_ns as f64 / 1000.0, &mut out);
+    let num = |v: f64| Json::num(if v.is_finite() { v } else { 0.0 });
+    let lanes = LANE_NAMES.lock().expect("lane names poisoned");
+    let threads = lanes.iter().map(|(lane, name)| {
+        Json::obj([
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("tid", (*lane).into()),
+            ("name", "thread_name".into()),
+            ("args", Json::obj([("name", name.as_str().into())])),
+        ])
+    });
+    let spans = events.iter().map(|ev| {
+        let mut pairs = vec![
+            ("ph", "X".into()),
+            ("pid", 1u64.into()),
+            ("tid", ev.lane.into()),
+            ("name", ev.name.into()),
+            ("ts", num(ev.ts_ns as f64 / 1000.0)),
+            ("dur", num(ev.dur_ns as f64 / 1000.0)),
+        ];
         if !ev.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (i, (k, v)) in ev.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape(k, &mut out);
-                out.push_str("\":");
-                push_f64(*v, &mut out);
-            }
-            out.push('}');
+            pairs.push(("args", Json::obj(ev.args.iter().map(|&(k, v)| (k, num(v))))));
         }
-        out.push('}');
-    }
-    out.push_str("]}\n");
+        Json::obj(pairs)
+    });
+    let mut out = Json::obj([("traceEvents", Json::Arr(threads.chain(spans).collect()))]).encode();
+    out.push('\n');
     out
 }
 
