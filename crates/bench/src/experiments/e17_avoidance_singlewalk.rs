@@ -16,11 +16,10 @@
 //!   same local-mixing story as everywhere else in the paper.
 
 use crate::report::{Effort, ExperimentReport};
-use antdensity_graphs::{generators, Topology, Torus2d};
+use antdensity_engine::{Scenario, TopologySpec};
+use antdensity_graphs::generators;
 use antdensity_netsize::singlewalk::SingleWalk;
-use antdensity_stats::rng::SeedSequence;
 use antdensity_stats::table::{format_sig, Table};
-use antdensity_walks::arena::SyncArena;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -33,34 +32,24 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
 
     // ---------- the two Section 6.1 behavioural variants ----------
     let side = effort.size(24, 32);
-    let torus = Torus2d::new(side);
+    let torus = TopologySpec::Torus2d { side };
     let agents = ((0.15 * torus.num_nodes() as f64) as usize).max(10);
     let d = (agents as f64 - 1.0) / torus.num_nodes() as f64;
     let rounds = effort.size(256, 1024);
     let runs = effort.trials(3, 8);
-    let measure = |avoid: Option<f64>, flee: bool, tag: u64| -> f64 {
-        let mut rate_sum = 0.0;
-        for r in 0..runs {
-            let seq = SeedSequence::new(seed ^ (r << 23) ^ tag);
-            let mut rng = seq.rng(0);
-            let mut arena = SyncArena::new(&torus, agents);
-            arena.set_avoidance(avoid);
-            arena.set_flee(flee);
-            arena.place_uniform(&mut rng);
-            let mut total = 0u64;
-            for _ in 0..rounds {
-                arena.step_round(&mut rng);
-                total += (0..agents).map(|a| arena.count(a) as u64).sum::<u64>();
-            }
-            rate_sum += total as f64 / (agents as f64 * rounds as f64);
-        }
-        rate_sum / runs as f64
+    // Algorithm 1's mean estimate is the population's mean encounter rate.
+    let pure_walk = Scenario::new(torus, agents, rounds);
+    let measure = |scenario: Scenario, tag: u64| -> f64 {
+        (0..runs)
+            .map(|r| scenario.run(seed ^ (r << 23) ^ tag).mean_estimate())
+            .sum::<f64>()
+            / runs as f64
     };
     let mut avoid_table = Table::new(
         "behavioural_variants_encounter_rates",
         &["behaviour", "mean_rate", "rate_over_d"],
     );
-    let pure = measure(None, false, 0);
+    let pure = measure(pure_walk.clone(), 0);
     avoid_table.row_owned(vec![
         "pure walk (paper model)".to_string(),
         format_sig(pure, 4),
@@ -68,7 +57,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     ]);
     let mut freeze_rates = Vec::new();
     for &q in &[0.5f64, 1.0] {
-        let rate = measure(Some(q), false, 100 + q.to_bits());
+        let rate = measure(pure_walk.clone().with_avoidance(q), 100 + q.to_bits());
         freeze_rates.push(rate);
         avoid_table.row_owned(vec![
             format!("freeze-avoid q={q}"),
@@ -76,7 +65,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
             format_sig(rate / d, 3),
         ]);
     }
-    let flee_rate = measure(None, true, 777);
+    let flee_rate = measure(pure_walk.with_flee(), 777);
     avoid_table.row_owned(vec![
         "flee after encounter".to_string(),
         format_sig(flee_rate, 4),

@@ -16,9 +16,9 @@
 //!    its starting position ([`local_density`]), making the
 //!    local-vs-global question quantitative.
 
+use antdensity_engine::Engine;
 use antdensity_graphs::{NodeId, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
 use rand::Rng;
 use rand::RngCore;
 
@@ -93,8 +93,8 @@ impl ClusteredPlacement {
         let a = torus.num_nodes() as f64;
         let patch = (self.cluster_side * self.cluster_side) as f64;
         let f = self.cluster_fraction;
-        // inside the patch: mass f/patch + (1-f)/A per cell; outside:
-        // (1-f)/A. TV = patch * max(0, inside - 1/A)... compute directly:
+        // Per-cell start probability: f/patch + (1-f)/A inside the patch,
+        // (1-f)/A outside. TV = ½·Σ_cells |p(cell) − 1/A|.
         let inside = f / patch + (1.0 - f) / a;
         let outside = (1.0 - f) / a;
         0.5 * (patch * (inside - 1.0 / a).abs() + (a - patch) * (1.0 / a - outside).abs())
@@ -223,13 +223,13 @@ pub fn run_with_placement(
         .collect();
     let seq = SeedSequence::new(seed);
     let mut rng = seq.rng(0);
-    let mut arena = SyncArena::new(torus, n);
-    arena.place_at(positions);
+    let mut engine = Engine::new(torus, n);
+    engine.place_at(positions);
     let mut counts = vec![0u64; n];
     for _ in 0..rounds {
-        arena.step_round(&mut rng);
+        engine.step_round(&mut rng);
         for (a, c) in counts.iter_mut().enumerate() {
-            *c += arena.count(a) as u64;
+            *c += engine.count(a) as u64;
         }
     }
     LocalDensityRun {

@@ -16,10 +16,9 @@
 //! work section anticipates.
 
 use antdensity_engine::observer::{EncounterTallies, Observer, RoundEvents};
-use antdensity_engine::ScenarioOutcome;
+use antdensity_engine::{Engine, ScenarioOutcome};
 use antdensity_graphs::Topology;
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
 
 /// An agent's quorum decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,14 +100,14 @@ impl QuorumSensor {
         assert!(num_agents > 0, "need at least one agent");
         let seq = SeedSequence::new(seed);
         let mut rng = seq.rng(0);
-        let mut arena = SyncArena::new(topo, num_agents);
-        arena.place_uniform(&mut rng);
+        let mut engine = Engine::new(topo, num_agents);
+        engine.place_uniform(&mut rng);
         let mut observer = SequentialQuorum::new(*self, num_agents);
         let mut counts = vec![0u32; num_agents];
         for round in 1..=self.max_rounds {
-            arena.step_round(&mut rng);
+            engine.step_round(&mut rng);
             for (a, slot) in counts.iter_mut().enumerate() {
-                *slot = arena.count(a);
+                *slot = engine.count(a);
             }
             observer.on_round(&RoundEvents {
                 round,
@@ -144,9 +143,11 @@ impl QuorumSensor {
 /// separates them. Feeding the same event stream always produces the
 /// same outcomes — the observer is a pure fold.
 ///
-/// Implements [`Observer`], so it can tap a fused
-/// [`Scenario::run_streamed`](antdensity_engine::Scenario::run_streamed)
-/// pass alongside the batch estimators.
+/// Implements [`Observer`]; [`QuorumSensor::run`] drives it, feeding it
+/// each round's counts from an [`Engine`] and stopping once
+/// [`Self::all_decided`]. (A [`Scenario`](antdensity_engine::Scenario)
+/// tap takes an `EstimatorSpec`, whose `Quorum` read-out is the fixed-round
+/// `d̃ ≥ threshold` verdict, not this early-stopping rule.)
 #[derive(Debug, Clone)]
 pub struct SequentialQuorum {
     sensor: QuorumSensor,

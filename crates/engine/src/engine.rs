@@ -11,8 +11,9 @@
 //! Two stepping modes:
 //!
 //! * [`Engine::step_round`] — draws from a caller-supplied RNG in the
-//!   legacy `SyncArena` order (the arena delegates here, so pre-engine
-//!   seeds reproduce bit-for-bit);
+//!   historical sequential order (agent by agent, so pre-engine seeds
+//!   reproduce bit-for-bit; `walks/tests/engine_equivalence.rs` pins
+//!   this against a replica of the original stepper);
 //! * [`Engine::step_round_parallel`] — agents are partitioned into fixed
 //!   [`STREAM_BLOCK`]-sized blocks and block `b` of round `r` draws from
 //!   an RNG derived from `(seed sequence, round, block index)`. The
@@ -362,8 +363,8 @@ impl<T: Topology> Engine<T> {
         }
     }
 
-    /// Executes one synchronous round drawing from `rng` in the legacy
-    /// `SyncArena` order (sequential over agents), then refreshes the
+    /// Executes one synchronous round drawing from `rng` in the historical
+    /// sequential order (agent by agent), then refreshes the
     /// occupancy index. Generic over the RNG: concrete callers get the
     /// fully monomorphized kernel, `&mut dyn RngCore` callers the same
     /// draws through dynamic dispatch.

@@ -13,10 +13,10 @@
 //!   Appendix A variants (lazy, biased, stationary, drift).
 //! * [`step`] — the round kernels, generic over topology *and* RNG so
 //!   concrete call sites monomorphize with zero per-draw virtual
-//!   dispatch. One code path serves the legacy sequential draw order
-//!   (`antdensity_walks::arena::SyncArena` delegates its inner loop
-//!   here); a batched pure-walk kernel bulk-samples move indices
-//!   chunk-at-a-time while drawing the identical RNG stream.
+//!   dispatch. One code path serves the historical sequential draw
+//!   order of [`Engine::step_round`]; a batched pure-walk kernel
+//!   bulk-samples move indices chunk-at-a-time while drawing the
+//!   identical RNG stream.
 //! * [`engine`] — [`Engine`]: struct-of-arrays agent state with
 //!   deterministic parallel stepping. RNG streams are derived per
 //!   `(seed, round, STREAM_BLOCK-sized block)` via

@@ -4,13 +4,12 @@
 //! the Section 6.1 avoidance/flee variants):
 //!
 //! * [`step_slice`] — sequential over a slice of agents, drawing from one
-//!   caller-supplied RNG **in exactly the order the original
-//!   `SyncArena::step_round` did**, so an arena delegating here is
-//!   bit-identical to the pre-engine implementation for any seed. The
-//!   function is generic over both the topology and the RNG: concrete
-//!   call sites monomorphize the whole draw chain (no per-draw vtable),
-//!   while `&mut dyn RngCore` callers keep working and consume the
-//!   identical bit-stream.
+//!   caller-supplied RNG **in exactly the order the original pre-engine
+//!   stepper did**, so [`Engine::step_round`](crate::Engine::step_round)
+//!   is bit-identical to it for any seed. The function is generic over
+//!   both the topology and the RNG: concrete call sites monomorphize the
+//!   whole draw chain (no per-draw vtable), while `&mut dyn RngCore`
+//!   callers keep working and consume the identical bit-stream.
 //! * [`step_slice_pure_batched`] — the fast path for the paper's exact
 //!   model (pure walks, no interaction variants) on regular topologies:
 //!   move indices are sampled into a stack buffer chunk-at-a-time via

@@ -82,7 +82,7 @@ fn legacy_model_step<T: Topology>(
     }
 }
 
-/// One legacy round: per-agent draws in the historical `SyncArena`
+/// One legacy round: per-agent draws in the historical sequential
 /// order, with the historical *pre-move* stale-collision read (the
 /// modern kernel hoists that read behind the flee flag; since it
 /// consumes no randomness the trajectories must still agree exactly).

@@ -30,7 +30,7 @@
 //! the CI smoke job `cmp` against sequential runs.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -262,28 +262,7 @@ pub fn run_stdio(cfg: ServeConfig) -> Result<(), String> {
         }
         .to_line(),
     );
-    let stdin = std::io::stdin();
-    let mut result = Ok(());
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                result = Err(format!("stdin: {e}"));
-                break;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = handle_line(&state, &line, &tx);
-        let stop = matches!(reply, Some(Event::Bye));
-        if let Some(reply) = reply {
-            let _ = tx.send(reply.to_line());
-        }
-        if stop {
-            break;
-        }
-    }
+    let result = serve_lines(&state, io::stdin().lock(), &tx).map_err(|e| format!("stdin: {e}"));
     begin_shutdown(&state);
     for t in executors {
         let _ = t.join();
@@ -340,26 +319,82 @@ fn handle_conn(state: &Arc<ServerState>, stream: TcpStream) {
         }
         .to_line(),
     );
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = handle_line(state, &line, &tx);
-        let stop = matches!(reply, Some(Event::Bye));
-        if let Some(reply) = reply {
-            let _ = tx.send(reply.to_line());
-        }
-        if stop {
-            break;
-        }
-    }
+    // A read error ends the connection like EOF does.
+    let _ = serve_lines(state, BufReader::new(stream), &tx);
     // The writer drains until every sender is gone: this connection's
     // handle (now) plus any outbox clone held by a still-running job
     // (dropped at its terminal event).
     drop(tx);
     let _ = writer.join();
+}
+
+/// Longest request line the daemon reads, in bytes. The largest spec in
+/// `specs/` submits as a line of about 1.5 KB; a longer line gets an
+/// `error` event, and the rest of it is skipped without being buffered.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The session read loop shared by stdio and TCP: answers each request
+/// line of `reader` on `tx` until EOF or a `shutdown` request.
+///
+/// # Errors
+///
+/// Read failures, and a line that is not UTF-8.
+fn serve_lines<R: BufRead>(
+    state: &Arc<ServerState>,
+    mut reader: R,
+    tx: &mpsc::Sender<String>,
+) -> io::Result<()> {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let n = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if n == 0 {
+            return Ok(());
+        }
+        let reply = if n > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            skip_line(&mut reader)?;
+            Some(Event::Error {
+                reason: format!("request line exceeds the {MAX_LINE_BYTES}-byte limit"),
+            })
+        } else {
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let line = line.strip_suffix('\n').unwrap_or(line);
+            let line = line.strip_suffix('\r').unwrap_or(line);
+            if line.trim().is_empty() {
+                continue;
+            }
+            handle_line(state, line, tx)
+        };
+        let stop = matches!(reply, Some(Event::Bye));
+        if let Some(reply) = reply {
+            let _ = tx.send(reply.to_line());
+        }
+        if stop {
+            return Ok(());
+        }
+    }
+}
+
+/// Consumes `reader` through the next newline (or to EOF), one buffered
+/// chunk at a time.
+fn skip_line<R: BufRead>(reader: &mut R) -> io::Result<()> {
+    loop {
+        let chunk = match reader.fill_buf() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            chunk => chunk?,
+        };
+        let (used, done) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (chunk.len(), chunk.is_empty()),
+        };
+        reader.consume(used);
+        if done {
+            return Ok(());
+        }
+    }
 }
 
 /// Dispatches one request line. `Some(event)` is a direct reply for

@@ -184,6 +184,63 @@ fn deeply_nested_request_line_is_an_error_event() {
     server.wait();
 }
 
+/// A request line longer than the daemon's 1 MiB line cap — here a
+/// valid `status` request padded with trailing spaces — gets an `error`
+/// event naming the cap instead of being buffered whole; the rest of the
+/// line is skipped, the connection keeps serving, and a concurrent
+/// client's report bytes are unchanged.
+#[test]
+fn oversize_request_line_is_an_error_event() {
+    let server = server(2);
+    let addr = server.local_addr().to_string();
+    let honest = {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            let mut client = Client::connect(&addr).unwrap();
+            client
+                .run_batch(vec![Submit {
+                    job: job(61),
+                    label: None,
+                }])
+                .unwrap()
+        })
+    };
+
+    let mut writer = TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let mut next_event = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Event::parse_line(line.trim_end()).unwrap()
+    };
+    assert!(matches!(next_event(), Event::Hello { .. }));
+    let mut padded = Request::Status { job: 999 }.to_line();
+    padded.push_str(&" ".repeat((1 << 20) + 1));
+    padded.push('\n');
+    writer.write_all(padded.as_bytes()).unwrap();
+    match next_event() {
+        Event::Error { reason } => {
+            assert!(reason.contains("1048576-byte limit"), "got: {reason}")
+        }
+        other => panic!("expected error, got {}", other.to_line()),
+    }
+    writer
+        .write_all(format!("{}\n", Request::Status { job: 999 }.to_line()).as_bytes())
+        .unwrap();
+    match next_event() {
+        Event::Error { reason } => assert!(reason.contains("unknown job"), "got: {reason}"),
+        other => panic!("expected error, got {}", other.to_line()),
+    }
+
+    let results = honest.join().unwrap();
+    assert_eq!(results[0].state, "done", "{}", results[0].reason);
+    let (want_json, want_csv) = reference(61);
+    assert_eq!(results[0].report_json, want_json);
+    assert_eq!(results[0].report_csv, want_csv);
+    server.shutdown();
+    server.wait();
+}
+
 #[test]
 fn invalid_specs_and_full_queues_are_rejected_with_cli_error_text() {
     let server = server(1);

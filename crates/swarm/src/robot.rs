@@ -9,10 +9,9 @@
 //! every robot simultaneously estimates the overall density and each
 //! group's density from per-type encounter rates.
 
+use antdensity_engine::{Engine, MovementModel};
 use antdensity_graphs::{Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
-use antdensity_walks::movement::MovementModel;
 
 /// One robot's estimates.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,26 +149,26 @@ impl SwarmConfig {
         let topo = Torus2d::new(self.side);
         let seq = SeedSequence::new(seed);
         let mut rng = seq.rng(0);
-        let mut arena = SyncArena::new(&topo, self.num_robots);
-        arena.set_movement_all(&self.movement);
-        arena.declare_groups(self.group_sizes.len());
+        let mut engine = Engine::new(&topo, self.num_robots);
+        engine.set_movement_all(&self.movement);
+        engine.declare_groups(self.group_sizes.len());
         let mut next = 0usize;
         for (g, &size) in self.group_sizes.iter().enumerate() {
             for _ in 0..size {
-                arena.assign_group(next, g);
+                engine.assign_group(next, g);
                 next += 1;
             }
         }
-        arena.place_uniform(&mut rng);
+        engine.place_uniform(&mut rng);
         let groups = self.group_sizes.len();
         let mut total = vec![0u64; self.num_robots];
         let mut per_group = vec![vec![0u64; groups]; self.num_robots];
         for _ in 0..self.rounds {
-            arena.step_round(&mut rng);
+            engine.step_round(&mut rng);
             for r in 0..self.num_robots {
-                total[r] += arena.count(r) as u64;
+                total[r] += engine.count(r) as u64;
                 for (g, slot) in per_group[r].iter_mut().enumerate() {
-                    *slot += arena.count_in_group(r, g) as u64;
+                    *slot += engine.count_in_group(r, g) as u64;
                 }
             }
         }
@@ -178,7 +177,7 @@ impl SwarmConfig {
             .map(|r| RobotEstimate {
                 density: total[r] as f64 / t,
                 group_densities: per_group[r].iter().map(|&c| c as f64 / t).collect(),
-                group: arena.group_of(r),
+                group: engine.group_of(r),
             })
             .collect();
         SwarmReport {

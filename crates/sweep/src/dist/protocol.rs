@@ -29,7 +29,7 @@
 //! | `SHUTDOWN`  | coord → worker | —                     |
 
 use antdensity_stats::rng::splitmix64;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Message kind, used by the fault filter to address "the m-th RESULT"
 /// and friends.
@@ -352,6 +352,12 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Msg) -> std::io::Result<()> {
 /// bounding what a corrupt or hostile prefix can make a peer allocate.
 const MAX_FRAME_BYTES: usize = 64 << 20;
 
+/// Longest frame prefix line [`read_frame`] reads before giving up. The
+/// longest valid prefix, `frame <20-digit usize> <16 hex digits>\n`, is
+/// 44 bytes; the cap stops a peer that never sends a newline from making
+/// the reader buffer without limit.
+const MAX_PREFIX_BYTES: u64 = 64;
+
 /// Reads one frame. `Ok(None)` is a clean EOF at a frame boundary;
 /// any other failure — truncated frame, bad prefix, checksum mismatch,
 /// undecodable body — is an error (the stream may be unrecoverable).
@@ -362,8 +368,13 @@ const MAX_FRAME_BYTES: usize = 64 << 20;
 /// mention "checksum" so callers can count corruption distinctly.
 pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<Msg>, String> {
     let mut prefix = String::new();
-    match r.read_line(&mut prefix) {
+    match r.take(MAX_PREFIX_BYTES).read_line(&mut prefix) {
         Ok(0) => return Ok(None),
+        Ok(n) if n as u64 == MAX_PREFIX_BYTES && !prefix.ends_with('\n') => {
+            return Err(format!(
+                "frame prefix exceeds the {MAX_PREFIX_BYTES}-byte limit"
+            ))
+        }
         Ok(_) => {}
         Err(e) => return Err(format!("frame read failed: {e}")),
     }
@@ -488,6 +499,18 @@ mod tests {
         let prefix = format!("frame {} 0\n", MAX_FRAME_BYTES + 1);
         let err = read_frame(&mut BufReader::new(prefix.as_bytes())).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
+    }
+
+    #[test]
+    fn newline_free_prefix_is_an_error_after_the_cap() {
+        let mut r = std::io::Cursor::new(vec![b'a'; 1 << 20]);
+        let err = read_frame(&mut r).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+        assert!(
+            r.position() <= MAX_PREFIX_BYTES,
+            "read {} bytes",
+            r.position()
+        );
     }
 
     #[test]

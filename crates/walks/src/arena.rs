@@ -1,262 +1,18 @@
-//! The synchronous multi-agent arena: the paper's model, executable.
-//!
-//! A [`SyncArena`] holds N agents on a topology. Each round every agent
-//! makes one move (per its [`MovementModel`]), after which the arena
-//! refreshes its occupancy index so that `count(position)` — the number of
-//! *other* agents at an agent's node at the end of the round — can be
-//! answered in O(1), exactly as the paper's sensing primitive.
-//!
-//! Agents may carry a **property group** (successful forager, enemy,
-//! task-group member, …); per-group occupancy supports the Section 5.2
-//! relative-frequency application where agents "separately track
-//! encounters" with agents of a given type.
-//!
-//! Since the engine rewrite, `SyncArena` is a thin façade over
-//! [`antdensity_engine::Engine`]: the inner loop runs on dense
-//! touched-list occupancy buffers instead of per-round `HashMap` rebuilds,
-//! while the RNG draw order of [`SyncArena::step_round`] is preserved
-//! bit-for-bit, so any seed reproduces the pre-engine trajectories
-//! exactly.
+//! Unit tests of the paper's synchronous model (Section 2) as
+//! [`antdensity_engine::Engine`] executes it when stepped round by round
+//! from one caller-supplied RNG: occupancy conservation, the
+//! `count(position)` sensing primitive, property groups, movement models
+//! and the Section 6.1 avoidance/flee variants.
 
-use crate::movement::MovementModel;
-use antdensity_engine::Engine;
-use antdensity_graphs::{NodeId, Topology};
-use rand::RngCore;
-
-pub use antdensity_engine::{AgentId, GroupId};
-
-/// The synchronous multi-agent world of Section 2.
-///
-/// # Example
-///
-/// ```
-/// use antdensity_graphs::Torus2d;
-/// use antdensity_walks::arena::SyncArena;
-/// use rand::SeedableRng;
-/// use rand::rngs::SmallRng;
-///
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// let mut arena = SyncArena::new(Torus2d::new(16), 10);
-/// arena.place_uniform(&mut rng);
-/// for _ in 0..5 {
-///     arena.step_round(&mut rng);
-/// }
-/// assert_eq!(arena.round(), 5);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SyncArena<T: Topology> {
-    engine: Engine<T>,
-}
-
-impl<T: Topology> SyncArena<T> {
-    /// Creates an arena with `num_agents` agents, all using the paper's
-    /// pure random walk. Agents are unplaced until [`Self::place_uniform`]
-    /// or [`Self::place_at`] is called.
-    ///
-    /// The dense engine underneath allocates its occupancy index per
-    /// *node* (O(A) memory, vs the old HashMap's O(agents)) — the trade
-    /// that buys hash-free O(1) sensing. For the paper's regimes
-    /// (`d = n/A` bounded below, so `A = O(n)`) this is the same
-    /// asymptotic footprint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_agents == 0`, or if the topology has more than
-    /// `u32::MAX` nodes (positions are stored as dense `u32`; see
-    /// [`antdensity_engine::MAX_NODES`]).
-    pub fn new(topo: T, num_agents: usize) -> Self {
-        Self {
-            engine: Engine::new(topo, num_agents),
-        }
-    }
-
-    /// The underlying batched engine (for parallel stepping and other
-    /// engine-only features).
-    pub fn engine(&self) -> &Engine<T> {
-        &self.engine
-    }
-
-    /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut Engine<T> {
-        &mut self.engine
-    }
-
-    /// The topology agents live on.
-    pub fn topology(&self) -> &T {
-        self.engine.topology()
-    }
-
-    /// Number of agents.
-    pub fn num_agents(&self) -> usize {
-        self.engine.num_agents()
-    }
-
-    /// Rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.engine.round()
-    }
-
-    /// Population density `d = n/A` under the paper's convention
-    /// (Section 2.1): with `n+1` agents present, `d` counts the *other*
-    /// agents, so a lone agent sees density 0.
-    pub fn density(&self) -> f64 {
-        self.engine.density()
-    }
-
-    /// Places every agent at an independent uniformly random node (the
-    /// paper's initial condition) and resets the round counter.
-    pub fn place_uniform(&mut self, rng: &mut dyn RngCore) {
-        self.engine.place_uniform(rng);
-    }
-
-    /// Places agents at explicit positions (adversarial configurations,
-    /// e.g. the co-located starts that Algorithm 4's `c mod t` step
-    /// corrects for) and resets the round counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length differs from the agent count or a
-    /// position is out of range.
-    pub fn place_at(&mut self, positions: &[NodeId]) {
-        self.engine.place_at(positions);
-    }
-
-    /// Sets one agent's movement model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `agent` is out of range.
-    pub fn set_movement(&mut self, agent: AgentId, model: MovementModel) {
-        self.engine.set_movement(agent, model);
-    }
-
-    /// Sets every agent's movement model.
-    pub fn set_movement_all(&mut self, model: &MovementModel) {
-        self.engine.set_movement_all(model);
-    }
-
-    /// Declares that groups `0..count` exist (even if some end up empty),
-    /// so [`Self::count_in_group`] is queryable for all of them.
-    pub fn declare_groups(&mut self, count: usize) {
-        self.engine.declare_groups(count);
-    }
-
-    /// Assigns `agent` to property `group` (replacing any previous group).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `agent` is out of range.
-    pub fn assign_group(&mut self, agent: AgentId, group: GroupId) {
-        self.engine.assign_group(agent, group);
-    }
-
-    /// The group of `agent`, if any.
-    pub fn group_of(&self, agent: AgentId) -> Option<GroupId> {
-        self.engine.group_of(agent)
-    }
-
-    /// Number of agents assigned to `group`.
-    pub fn group_size(&self, group: GroupId) -> usize {
-        self.engine.group_size(group)
-    }
-
-    /// Current position of `agent`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena is unplaced or `agent` out of range.
-    pub fn position(&self, agent: AgentId) -> NodeId {
-        self.engine.position(agent)
-    }
-
-    /// Enables cell avoidance — the first variant the paper sketches in
-    /// Section 6.1 ("agents sense and sometimes avoid collisions"): before
-    /// committing a move whose target cell was occupied at the end of the
-    /// previous round, the agent backs off (stays put) with probability
-    /// `prob`.
-    ///
-    /// Counter-intuitively, this *raises* measured encounter rates: a
-    /// just-collided pair trying to leave gets frozen in place by crowded
-    /// neighborhoods and re-collides repeatedly (stickiness). The E17
-    /// experiment quantifies the effect. Pass `None` to restore the
-    /// paper's exact model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prob` is outside `[0, 1]`.
-    pub fn set_avoidance(&mut self, prob: Option<f64>) {
-        self.engine.set_avoidance(prob);
-    }
-
-    /// Enables post-encounter dispersal — the second Section 6.1 variant
-    /// ("move away from previously encountered ants"): an agent that
-    /// shared its cell with someone at the end of the previous round takes
-    /// *two* walk steps this round.
-    ///
-    /// This suppresses repeat collisions, pushing the encounter rate
-    /// *below* the pure-model prediction — matching the field
-    /// observations the paper cites [GPT93, NTD05].
-    pub fn set_flee(&mut self, flee: bool) {
-        self.engine.set_flee(flee);
-    }
-
-    /// Executes one synchronous round: every agent moves once, then the
-    /// occupancy index is refreshed (the paper's `count` reads positions
-    /// at the *end* of the round).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena is unplaced.
-    pub fn step_round(&mut self, rng: &mut dyn RngCore) {
-        self.engine.step_round(rng);
-    }
-
-    /// The paper's `count(position)`: number of *other* agents at
-    /// `agent`'s node at the end of the current round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena is unplaced or `agent` out of range.
-    pub fn count(&self, agent: AgentId) -> u32 {
-        self.engine.count(agent)
-    }
-
-    /// Number of *other* agents of `group` at `agent`'s node — the
-    /// per-type encounter sensing of Section 5.2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena is unplaced, or `agent`/`group` out of range.
-    pub fn count_in_group(&self, agent: AgentId, group: GroupId) -> u32 {
-        self.engine.count_in_group(agent, group)
-    }
-
-    /// Total agents occupying `node` in the current round.
-    pub fn occupancy(&self, node: NodeId) -> u32 {
-        self.engine.occupancy(node)
-    }
-
-    /// Number of distinct occupied nodes.
-    pub fn occupied_nodes(&self) -> usize {
-        self.engine.occupied_nodes()
-    }
-
-    /// Iterator over `(agent, position)`.
-    pub fn agent_positions(&self) -> impl Iterator<Item = (AgentId, NodeId)> + '_ {
-        self.engine.agent_positions()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use antdensity_graphs::{CompleteGraph, Torus2d};
+    use antdensity_engine::{Engine, MovementModel};
+    use antdensity_graphs::{CompleteGraph, NodeId, Topology, Torus2d};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn small_arena(agents: usize, seed: u64) -> (SyncArena<Torus2d>, SmallRng) {
+    fn small_arena(agents: usize, seed: u64) -> (Engine<Torus2d>, SmallRng) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = SyncArena::new(Torus2d::new(8), agents);
+        let mut arena = Engine::new(Torus2d::new(8), agents);
         arena.place_uniform(&mut rng);
         (arena, rng)
     }
@@ -313,10 +69,10 @@ mod tests {
 
     #[test]
     fn density_uses_paper_convention() {
-        let arena = SyncArena::new(Torus2d::new(10), 11);
+        let arena = Engine::new(Torus2d::new(10), 11);
         // (n+1) = 11 agents on A = 100 nodes: d = n/A = 10/100
         assert!((arena.density() - 0.1).abs() < 1e-12);
-        let lone = SyncArena::new(Torus2d::new(10), 1);
+        let lone = Engine::new(Torus2d::new(10), 1);
         assert_eq!(lone.density(), 0.0);
     }
 
@@ -347,7 +103,7 @@ mod tests {
     #[test]
     fn place_at_and_adversarial_stack() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut arena = SyncArena::new(Torus2d::new(4), 4);
+        let mut arena = Engine::new(Torus2d::new(4), 4);
         arena.place_at(&[5, 5, 5, 2]);
         assert_eq!(arena.count(0), 2);
         assert_eq!(arena.count(3), 0);
@@ -359,7 +115,7 @@ mod tests {
 
     #[test]
     fn groups_count_only_other_members() {
-        let mut arena = SyncArena::new(Torus2d::new(4), 4);
+        let mut arena = Engine::new(Torus2d::new(4), 4);
         arena.assign_group(0, 0);
         arena.assign_group(1, 0);
         arena.assign_group(2, 1);
@@ -378,7 +134,7 @@ mod tests {
     #[test]
     fn uniform_placement_covers_nodes() {
         let mut rng = SmallRng::seed_from_u64(8);
-        let mut arena = SyncArena::new(CompleteGraph::new(16), 4000);
+        let mut arena = Engine::new(CompleteGraph::new(16), 4000);
         arena.place_uniform(&mut rng);
         // with 4000 agents on 16 nodes, each node holds ~250
         for v in 0..16 {
@@ -409,7 +165,7 @@ mod tests {
         // densities near 0.5 the flee effect can invert.)
         let agents = 32;
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = SyncArena::new(Torus2d::new(16), agents);
+        let mut arena = Engine::new(Torus2d::new(16), agents);
         arena.set_avoidance(avoid);
         arena.set_flee(flee);
         arena.place_uniform(&mut rng);
@@ -449,10 +205,10 @@ mod tests {
     #[test]
     fn zero_avoidance_matches_pure_model() {
         let mut r1 = SmallRng::seed_from_u64(50);
-        let mut a1 = SyncArena::new(Torus2d::new(8), 10);
+        let mut a1 = Engine::new(Torus2d::new(8), 10);
         a1.place_uniform(&mut r1);
         let mut r2 = SmallRng::seed_from_u64(50);
-        let mut a2 = SyncArena::new(Torus2d::new(8), 10);
+        let mut a2 = Engine::new(Torus2d::new(8), 10);
         a2.set_avoidance(Some(0.0));
         a2.place_uniform(&mut r2);
         for _ in 0..20 {
@@ -470,7 +226,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "avoidance probability")]
     fn avoidance_probability_validated() {
-        let mut arena = SyncArena::new(Torus2d::new(4), 2);
+        let mut arena = Engine::new(Torus2d::new(4), 2);
         arena.set_avoidance(Some(1.5));
     }
 
@@ -478,20 +234,20 @@ mod tests {
     #[should_panic(expected = "place agents")]
     fn stepping_unplaced_arena_panics() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut arena = SyncArena::new(Torus2d::new(4), 2);
+        let mut arena = Engine::new(Torus2d::new(4), 2);
         arena.step_round(&mut rng);
     }
 
     #[test]
     #[should_panic(expected = "at least one agent")]
     fn empty_arena_panics() {
-        let _ = SyncArena::new(Torus2d::new(4), 0);
+        let _ = Engine::new(Torus2d::new(4), 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn place_at_validates_positions() {
-        let mut arena = SyncArena::new(Torus2d::new(2), 1);
+        let mut arena = Engine::new(Torus2d::new(2), 1);
         arena.place_at(&[100]);
     }
 }

@@ -7,7 +7,7 @@
 //! records one and exposes the per-axis step counters `Mx`, `My` that the
 //! proof of Lemma 9 works with.
 
-use crate::movement::MovementModel;
+use antdensity_engine::MovementModel;
 use antdensity_graphs::{NodeId, Topology, Torus2d};
 use rand::RngCore;
 

@@ -1,29 +1,29 @@
-//! Engine/arena equivalence and parallel-determinism properties.
+//! Engine/reference equivalence and parallel-determinism properties.
 //!
-//! The engine rewrite replaced `SyncArena`'s per-round `HashMap` occupancy
-//! rebuilds with dense touched-list buffers while promising to preserve
-//! the historical RNG draw order bit-for-bit. These tests hold it to that:
+//! The engine replaced the original stepper's per-round `HashMap`
+//! occupancy rebuilds with dense touched-list buffers while promising to
+//! preserve the historical RNG draw order of sequential stepping
+//! bit-for-bit. These tests hold it to that:
 //!
 //! * a **reference stepper** — a verbatim replica of the pre-engine
-//!   `SyncArena::step_round` (HashMap occupancy, same draw order) — must
-//!   produce identical trajectories and occupancy counts as both the
-//!   rewired `SyncArena` and a raw `Engine`, for the same seed, across
-//!   torus / ring / hypercube / complete topologies and across the
-//!   avoidance/flee variants;
+//!   round loop (HashMap occupancy, same draw order) — must produce
+//!   identical trajectories and occupancy counts as `Engine::step_round`
+//!   called both ways it is called: monomorphized over a concrete RNG,
+//!   and through `&mut dyn RngCore`. Both are checked for the same seed
+//!   across torus / ring / hypercube / complete topologies and across
+//!   the avoidance/flee variants;
 //! * the engine's chunked parallel stepping must be bit-identical for
 //!   1 vs N worker threads.
 
-use antdensity_engine::Engine;
+use antdensity_engine::{Engine, MovementModel};
 use antdensity_graphs::{CompleteGraph, Hypercube, NodeId, Ring, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
-use antdensity_walks::movement::MovementModel;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 
-/// The pre-engine `SyncArena` inner loop, kept verbatim as ground truth.
+/// The pre-engine sequential round loop, kept verbatim as ground truth.
 struct ReferenceArena<T: Topology> {
     topo: T,
     positions: Vec<NodeId>,
@@ -86,8 +86,10 @@ impl<T: Topology> ReferenceArena<T> {
     }
 }
 
-/// Steps reference, arena, and engine in lockstep from identical seeds and
-/// asserts identical trajectories and occupancy every round.
+/// Steps the reference and two engines in lockstep from identical seeds
+/// and asserts identical trajectories and occupancy every round. One
+/// engine draws through `&mut dyn RngCore` (the type-erased call shape),
+/// the other monomorphized over `SmallRng`.
 fn assert_equivalent<T: Topology + Clone>(
     topo: T,
     agents: usize,
@@ -102,34 +104,35 @@ fn assert_equivalent<T: Topology + Clone>(
     reference.avoidance = avoidance;
     reference.flee = flee;
 
-    let mut arena = SyncArena::new(topo.clone(), agents);
-    arena.set_movement_all(&movement);
-    arena.set_avoidance(avoidance);
-    arena.set_flee(flee);
-
-    let mut engine = Engine::new(topo.clone(), agents);
-    engine.set_movement_all(&movement);
-    engine.set_avoidance(avoidance);
-    engine.set_flee(flee);
+    let configured = || {
+        let mut engine = Engine::new(topo.clone(), agents);
+        engine.set_movement_all(&movement);
+        engine.set_avoidance(avoidance);
+        engine.set_flee(flee);
+        engine
+    };
+    let mut dyn_engine = configured();
+    let mut engine = configured();
 
     let mut rng_ref = SmallRng::seed_from_u64(seed);
-    let mut rng_arena = SmallRng::seed_from_u64(seed);
+    let mut rng_dyn = SmallRng::seed_from_u64(seed);
+    let rng_dyn: &mut dyn RngCore = &mut rng_dyn;
     let mut rng_engine = SmallRng::seed_from_u64(seed);
     reference.place_uniform(&mut rng_ref);
-    arena.place_uniform(&mut rng_arena);
+    dyn_engine.place_uniform(rng_dyn);
     engine.place_uniform(&mut rng_engine);
 
     for round in 0..=rounds {
         if round > 0 {
             reference.step_round(&mut rng_ref);
-            arena.step_round(&mut rng_arena);
+            dyn_engine.step_round(rng_dyn);
             engine.step_round(&mut rng_engine);
         }
         for a in 0..agents {
             assert_eq!(
                 reference.positions[a],
-                arena.position(a),
-                "arena diverged from reference at round {round}, agent {a}"
+                dyn_engine.position(a),
+                "dyn-RNG engine diverged from reference at round {round}, agent {a}"
             );
             assert_eq!(
                 reference.positions[a],
@@ -139,7 +142,11 @@ fn assert_equivalent<T: Topology + Clone>(
         }
         for v in 0..topo.num_nodes() {
             let expected = reference.occupancy.get(&v).copied().unwrap_or(0);
-            assert_eq!(expected, arena.occupancy(v), "arena occupancy at node {v}");
+            assert_eq!(
+                expected,
+                dyn_engine.occupancy(v),
+                "dyn-RNG engine occupancy at node {v}"
+            );
             assert_eq!(
                 expected,
                 engine.occupancy(v),
@@ -147,7 +154,7 @@ fn assert_equivalent<T: Topology + Clone>(
             );
         }
         let distinct = reference.occupancy.len();
-        assert_eq!(distinct, arena.occupied_nodes());
+        assert_eq!(distinct, dyn_engine.occupied_nodes());
         assert_eq!(distinct, engine.occupied_nodes());
     }
 }

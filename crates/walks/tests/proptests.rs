@@ -1,9 +1,8 @@
 //! Property-based tests for the simulation engine.
 
+use antdensity_engine::{Engine, MovementModel};
 use antdensity_graphs::{NodeId, Ring, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::arena::SyncArena;
-use antdensity_walks::movement::MovementModel;
 use antdensity_walks::parallel::run_trials;
 use antdensity_walks::trajectory::Trajectory;
 use proptest::prelude::*;
@@ -21,7 +20,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = SyncArena::new(Torus2d::new(side), agents);
+        let mut arena = Engine::new(Torus2d::new(side), agents);
         arena.place_uniform(&mut rng);
         for _ in 0..rounds {
             arena.step_round(&mut rng);
@@ -39,7 +38,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = SyncArena::new(Torus2d::new(side), agents);
+        let mut arena = Engine::new(Torus2d::new(side), agents);
         arena.place_uniform(&mut rng);
         arena.step_round(&mut rng);
         for a in 0..agents {
@@ -58,7 +57,7 @@ proptest! {
         // Every agent in exactly one of two groups: group counts must sum
         // to the total count.
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = SyncArena::new(Torus2d::new(4), agents);
+        let mut arena = Engine::new(Torus2d::new(4), agents);
         for a in 0..agents {
             arena.assign_group(a, a % 2);
         }

@@ -8,26 +8,24 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use antdensity::core::theory::TopologyClass;
-use antdensity::engine::{Scenario, TopologySpec};
-use antdensity::graphs::{Topology, Torus2d};
+use antdensity::engine::{Engine, Scenario, TopologySpec};
+use antdensity::graphs::Torus2d;
 use antdensity::stats::table::{format_sig, Table};
-use antdensity::walks::arena::SyncArena;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn main() {
     // ----- Figure 1: a tiny world we can draw -----------------------
     println!("A 8x8 torus with 6 ants (the paper's Figure 1 scenario):\n");
-    let small = Torus2d::new(8);
     let mut rng = SmallRng::seed_from_u64(3);
-    let mut arena = SyncArena::new(small, 6);
-    arena.place_uniform(&mut rng);
+    let mut ants = Engine::new(Torus2d::new(8), 6);
+    ants.place_uniform(&mut rng);
     for round in 0..3 {
         println!("after round {round}:");
-        draw(&arena, small);
-        let collisions: u32 = (0..6).map(|a| arena.count(a)).sum();
+        draw(&ants);
+        let collisions: u32 = (0..6).map(|a| ants.count(a)).sum();
         println!("  total collision sightings this round: {collisions}\n");
-        arena.step_round(&mut rng);
+        ants.step_round(&mut rng);
     }
 
     // ----- Algorithm 1 at realistic scale ---------------------------
@@ -61,12 +59,13 @@ fn main() {
     println!("sqrt(1/t)*log t, exactly as Theorem 1 predicts.");
 }
 
-/// Draws the arena as an ASCII grid (digits = number of ants on a square).
-fn draw<T: Topology>(arena: &SyncArena<T>, torus: Torus2d) {
+/// Draws the torus as an ASCII grid (digits = number of ants on a square).
+fn draw(ants: &Engine<Torus2d>) {
+    let torus = ants.topology();
     for y in (0..torus.side()).rev() {
         print!("  ");
         for x in 0..torus.side() {
-            let occ = arena.occupancy(torus.node(x, y));
+            let occ = ants.occupancy(torus.node(x, y));
             if occ == 0 {
                 print!(" .");
             } else {

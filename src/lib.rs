@@ -11,8 +11,8 @@
 //! |---|---|
 //! | [`stats`] | moments, quantiles, concentration bounds, regression |
 //! | [`graphs`] | tori, rings, hypercubes, expanders, CSR graphs, exact walk distributions |
-//! | [`engine`] | batched deterministic parallel simulation engine: dense occupancy, chunked stepping, and `Scenario`, the one runner of Algorithms 1 and 4, quorum and relative frequency |
-//! | [`walks`] | `SyncArena` (the paper's model, stepped round by round), trajectories, pairwise statistics, trial fan-out |
+//! | [`engine`] | the paper's model as `Engine` (stepped round by round, sequentially or in deterministic parallel over dense occupancy) and `Scenario`, the one runner of Algorithms 1 and 4, quorum and relative frequency |
+//! | [`walks`] | trajectories, pairwise re-collision statistics, trial fan-out |
 //! | [`core`] | theory (accuracy predictions and bounds), the i.i.d. baseline, re-collision measurement, noise, adaptive quorum sensing, non-uniform placement |
 //! | [`netsize`] | Section 5.1: network-size estimation via colliding walks |
 //! | [`swarm`] | Sections 5.2/6.3: robot swarms and sensor-network sampling |

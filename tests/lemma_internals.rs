@@ -9,9 +9,9 @@
 //!   the point probability is (≈) the product of the axis marginals.
 //! * Lemma 12: `P[c_j ≥ 1 | W] ≤ t/A`.
 
+use antdensity::engine::MovementModel;
 use antdensity::graphs::{dist, Topology, Torus2d};
 use antdensity::stats::rng::SeedSequence;
-use antdensity::walks::movement::MovementModel;
 use antdensity::walks::trajectory::Trajectory;
 use antdensity::walks::{pairwise, parallel};
 
