@@ -27,14 +27,19 @@
 //! Both modes route pure-walk populations on regular topologies through
 //! the batched monomorphized kernel
 //! ([`crate::step::step_slice_pure_batched`]), which draws the identical
-//! RNG stream — the fast path is invisible in results.
+//! RNG stream — the fast path is invisible in results. The parallel mode
+//! also routes populations that all share one `lazy:p` model on a
+//! regular power-of-two-span topology through the batched lazy kernel
+//! (`step::step_block_lazy`). That kernel draws words it may not
+//! use, which only a per-block stream can absorb, so `step_round` keeps
+//! the per-agent kernel for them.
 
 use crate::config::{EngineConfig, STREAM_BLOCK};
 use crate::movement::MovementModel;
 use crate::occupancy::{DenseOccupancy, GroupOccupancy, MAX_NODES};
 use crate::pool::WorkerPool;
 use crate::sampling::fill_uniform_indices;
-use crate::step::{step_slice, step_slice_pure_batched, Interaction};
+use crate::step::{step_block_lazy, step_slice, step_slice_pure_batched, Interaction};
 use antdensity_graphs::{MoveScratch, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
@@ -106,6 +111,10 @@ pub struct Engine<T: Topology> {
     /// Number of agents whose movement model is not `Pure`; the batched
     /// kernel engages only at zero.
     impure_movers: usize,
+    /// `Some(p)` while every agent walks `Lazy { stay_prob: p }`: set by
+    /// [`Self::set_movement_all`], cleared by any per-agent change to
+    /// another model. The batched lazy kernel engages only when set.
+    shared_lazy: Option<f64>,
     /// Whole-round move-index buffer for the cache-blocked mega path
     /// (empty until the first blocked round; reused afterwards).
     moves_scratch: Vec<u32>,
@@ -149,6 +158,7 @@ impl<T: Topology> Engine<T> {
             pool: None,
             regular_span,
             impure_movers: 0,
+            shared_lazy: None,
             moves_scratch: Vec::new(),
             tile_scratch: MoveScratch::new(),
         }
@@ -269,6 +279,12 @@ impl<T: Topology> Engine<T> {
             (false, true) => self.impure_movers -= 1,
             _ => {}
         }
+        if self
+            .shared_lazy
+            .is_some_and(|p| model != MovementModel::Lazy { stay_prob: p })
+        {
+            self.shared_lazy = None;
+        }
         self.movement[agent] = model;
     }
 
@@ -278,6 +294,14 @@ impl<T: Topology> Engine<T> {
             0
         } else {
             self.movement.len()
+        };
+        // An out-of-range probability stays on the per-agent kernel,
+        // whose `gen_bool` rejects it.
+        self.shared_lazy = match *model {
+            MovementModel::Lazy { stay_prob } if (0.0..=1.0).contains(&stay_prob) => {
+                Some(stay_prob)
+            }
+            _ => None,
         };
         for m in self.movement.iter_mut() {
             *m = model.clone();
@@ -363,6 +387,25 @@ impl<T: Topology> Engine<T> {
         }
     }
 
+    /// The kernel every stream block of a parallel round takes: the pure
+    /// batched kernel as [`Self::pure_batch_span`] allows; else the lazy
+    /// kernel when every agent shares one `Lazy` model, the
+    /// interaction is pure and the topology is regular with a
+    /// power-of-two span; else the per-agent kernel.
+    fn block_kernel(&self) -> BlockKernel {
+        if let Some(span) = self.pure_batch_span() {
+            return BlockKernel::Pure(span);
+        }
+        match (self.shared_lazy, self.regular_span) {
+            (Some(stay_prob), Some(span))
+                if self.interaction.is_pure() && span.is_power_of_two() =>
+            {
+                BlockKernel::Lazy { span, stay_prob }
+            }
+            _ => BlockKernel::PerAgent,
+        }
+    }
+
     /// Executes one synchronous round drawing from `rng` in the historical
     /// sequential order (agent by agent), then refreshes the
     /// occupancy index. Generic over the RNG: concrete callers get the
@@ -442,6 +485,17 @@ impl<T: Topology> Engine<T> {
     }
 }
 
+/// Which kernel steps each stream block of a parallel round.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum BlockKernel {
+    /// [`step_slice_pure_batched`] with this span.
+    Pure(u64),
+    /// [`step_block_lazy`]: every agent shares this lazy model.
+    Lazy { span: u64, stay_prob: f64 },
+    /// [`step_slice`], agent by agent.
+    PerAgent,
+}
+
 /// Steps one contiguous window of agents, one RNG stream per
 /// [`STREAM_BLOCK`]-sized block: block `first_block + j` draws from
 /// `round_seq.rng(first_block + j)`. This is the unit both the inline
@@ -452,7 +506,8 @@ impl<T: Topology> Engine<T> {
 /// batched fast path runs its bit-identical `TIMED` instantiation; the
 /// returned `(draw_ns, apply_ns)` totals are zero otherwise. The
 /// non-batched kernel interleaves draws and moves per agent, so it has
-/// no phase split to report under any setting.
+/// no phase split to report under any setting; the lazy kernel does not
+/// time its passes either.
 #[allow(clippy::too_many_arguments)]
 fn step_window<T: Topology>(
     topo: &T,
@@ -460,7 +515,7 @@ fn step_window<T: Topology>(
     movement: &[MovementModel],
     occ: &DenseOccupancy,
     interaction: &Interaction,
-    span: Option<u64>,
+    kernel: BlockKernel,
     first_block: usize,
     round_seq: SeedSequence,
     timed: bool,
@@ -472,8 +527,8 @@ fn step_window<T: Topology>(
         .enumerate()
     {
         let mut rng = round_seq.rng((first_block + j) as u64);
-        match span {
-            Some(s) => {
+        match kernel {
+            BlockKernel::Pure(s) => {
                 let (d, a) = if timed {
                     step_slice_pure_batched::<true, _, _>(topo, s, block, &mut rng)
                 } else {
@@ -482,7 +537,10 @@ fn step_window<T: Topology>(
                 totals.0 += d;
                 totals.1 += a;
             }
-            None => step_slice(topo, block, models, occ, interaction, &mut rng),
+            BlockKernel::Lazy { span, stay_prob } => {
+                step_block_lazy(topo, span, stay_prob, block, &mut rng);
+            }
+            BlockKernel::PerAgent => step_slice(topo, block, models, occ, interaction, &mut rng),
         }
     }
     totals
@@ -598,8 +656,8 @@ impl<T: Topology + Sync> Engine<T> {
         let sched = self.config.schedule_chunk;
         let num_chunks = self.positions.len().div_ceil(sched);
         let workers = self.effective_workers(num_chunks);
-        let span = self.pure_batch_span();
-        if let Some(span) = span {
+        let kernel = self.block_kernel();
+        if let BlockKernel::Pure(span) = kernel {
             if self.positions.len() >= self.config.blocked_round_threshold {
                 self.step_round_blocked(span, round_seq, workers, observe, round_start);
                 return;
@@ -613,7 +671,7 @@ impl<T: Topology + Sync> Engine<T> {
                 &self.movement,
                 &self.occ,
                 &self.interaction,
-                span,
+                kernel,
                 0,
                 round_seq,
                 observe,
@@ -650,7 +708,7 @@ impl<T: Topology + Sync> Engine<T> {
                                 models,
                                 occ,
                                 &interaction,
-                                span,
+                                kernel,
                                 first_block,
                                 round_seq,
                                 observe,
@@ -951,10 +1009,117 @@ mod tests {
         assert!(e.pure_batch_span().is_none());
         e.set_movement_all(&MovementModel::Pure);
         assert!(e.pure_batch_span().is_some());
+        assert_eq!(e.block_kernel(), BlockKernel::Pure(4));
+        e.set_movement_all(&MovementModel::lazy(0.25));
+        assert_eq!(
+            e.block_kernel(),
+            BlockKernel::Lazy {
+                span: 4,
+                stay_prob: 0.25
+            }
+        );
+        e.set_movement(2, MovementModel::lazy(0.5));
+        assert_eq!(e.block_kernel(), BlockKernel::PerAgent);
+        e.set_movement_all(&MovementModel::Pure);
         e.set_avoidance(Some(0.3));
         assert!(e.pure_batch_span().is_none());
         e.set_avoidance(None);
         assert!(e.pure_batch_span().is_some());
+    }
+
+    /// Steps a copy of `e`'s state `rounds` parallel rounds through the
+    /// per-agent kernel only: block `b` of round `r` runs `step_slice`
+    /// on `seeds.subsequence(r).rng(b)`, the reference every block
+    /// kernel must reproduce.
+    fn per_agent_rounds<T: Topology>(e: &Engine<T>, rounds: u64) -> Vec<NodeId> {
+        let mut pos = e.positions.clone();
+        let mut occ = DenseOccupancy::new(e.topo.num_nodes());
+        occ.rebuild(&pos);
+        for r in 0..rounds {
+            let seq = e.seeds.subsequence(e.round + r);
+            for (b, (block, models)) in pos
+                .chunks_mut(STREAM_BLOCK)
+                .zip(e.movement.chunks(STREAM_BLOCK))
+                .enumerate()
+            {
+                step_slice(
+                    &e.topo,
+                    block,
+                    models,
+                    &occ,
+                    &e.interaction,
+                    &mut seq.rng(b as u64),
+                );
+            }
+            occ.rebuild(&pos);
+        }
+        pos.into_iter().map(NodeId::from).collect()
+    }
+
+    /// Places a 700-agent lazy population (three blocks, the last
+    /// partial), lets `tweak` adjust it, checks the kernel the engine
+    /// picks, and checks 10 parallel rounds on a two-worker pool against
+    /// [`per_agent_rounds`].
+    fn check_lazy_route<T: Topology + Sync>(
+        topo: T,
+        tweak: impl FnOnce(&mut Engine<T>),
+        lazy_kernel: bool,
+    ) {
+        let mut e = Engine::new(topo, 700)
+            .with_seed_sequence(SeedSequence::new(31))
+            .with_threads(2)
+            .with_worker_pool(Arc::new(WorkerPool::new(2)))
+            .with_config(EngineConfig {
+                min_chunks_per_worker: 1,
+                inline_step_threshold: 0,
+                ..EngineConfig::default()
+            });
+        e.set_movement_all(&MovementModel::lazy(0.3));
+        tweak(&mut e);
+        e.place_uniform(&mut SmallRng::seed_from_u64(8));
+        assert_eq!(
+            matches!(e.block_kernel(), BlockKernel::Lazy { .. }),
+            lazy_kernel,
+            "kernel {:?}",
+            e.block_kernel()
+        );
+        let want = per_agent_rounds(&e, 10);
+        e.run_parallel(10);
+        let got: Vec<NodeId> = (0..700).map(|a| e.position(a)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn lazy_kernel_replays_per_agent_rounds() {
+        check_lazy_route(Torus2d::new(32), |_| {}, true);
+        check_lazy_route(Ring::new(1000), |_| {}, true);
+        check_lazy_route(CompleteGraph::new(64), |_| {}, true);
+        // Re-setting one agent to the shared model keeps the kernel.
+        check_lazy_route(
+            Torus2d::new(32),
+            |e| e.set_movement(5, MovementModel::lazy(0.3)),
+            true,
+        );
+    }
+
+    #[test]
+    fn lazy_kernel_not_taken_for_a_pure_agent() {
+        check_lazy_route(
+            Torus2d::new(32),
+            |e| e.set_movement(5, MovementModel::Pure),
+            false,
+        );
+    }
+
+    #[test]
+    fn lazy_kernel_not_taken_with_avoidance() {
+        check_lazy_route(Torus2d::new(32), |e| e.set_avoidance(Some(0.5)), false);
+    }
+
+    #[test]
+    fn lazy_kernel_not_taken_on_non_power_of_two_span() {
+        check_lazy_route(Hypercube::new(6), |_| {}, false);
+        check_lazy_route(CompleteGraph::new(100), |_| {}, false);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The round-stepping kernels.
 //!
-//! Three kernels share one semantics (the paper's synchronous model with
+//! Four kernels share one semantics (the paper's synchronous model with
 //! the Section 6.1 avoidance/flee variants):
 //!
 //! * [`step_slice`] — sequential over a slice of agents, drawing from one
@@ -16,17 +16,31 @@
 //!   [`crate::sampling::fill_uniform_indices`], then applied. The draws
 //!   it makes are bit-for-bit the draws `step_slice` would make for the
 //!   same agents, so the two kernels are interchangeable per block.
+//! * `step_block_lazy` — the fast path for a block whose agents all
+//!   walk `lazy:p` on a regular topology with a power-of-two span. It
+//!   pre-draws two words per agent, finds each agent's stay coin with a
+//!   branch-free scan, and applies the moves in one batch. Positions
+//!   are the ones `step_slice` computes, but the unused words at the
+//!   end leave the RNG in a different state.
 //! * The batched engine calls one of these once per fixed-size *stream
 //!   block* of agents with a per-`(round, block)` derived RNG stream,
 //!   which makes parallel stepping bit-identical for every worker count
 //!   (the stream an agent draws from depends only on its block, never on
 //!   the scheduler).
 //!
+//! A kernel may draw words it does not use only where the RNG's stream
+//! dies with the block: the per-block streams of
+//! [`Engine::step_round_parallel`](crate::Engine::step_round_parallel).
+//! [`Engine::step_round`](crate::Engine::step_round) threads one
+//! caller-owned RNG through the whole round and on to the caller, so it
+//! never takes `step_block_lazy`.
+//!
 //! Agents sense **stale** occupancy — last round's index — before moving:
 //! in the synchronous model an agent cannot see the simultaneous moves of
 //! others. The stale read happens only on the avoidance/flee paths; the
 //! pure model never touches the occupancy index while stepping.
 
+use crate::config::STREAM_BLOCK;
 use crate::movement::MovementModel;
 use crate::occupancy::DenseOccupancy;
 use crate::sampling::fill_uniform_indices;
@@ -162,10 +176,80 @@ pub fn step_slice_pure_batched<const TIMED: bool, T: Topology, R: RngCore + ?Siz
     (draw_ns, apply_ns)
 }
 
+/// The stay threshold of a lazy coin: `gen_bool(p)` stays when
+/// `(w >> 11) · 2^-53 < p`. Scaling both sides by `2^53` is exact, and
+/// an integer lies below a real exactly when it lies below the real's
+/// ceiling, so the coin is `(w >> 11) < ceil(p · 2^53)` for every
+/// `p ∈ [0, 1]`.
+fn lazy_stay_threshold(stay_prob: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&stay_prob));
+    (stay_prob * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Steps one stream block of at most [`STREAM_BLOCK`] agents that all
+/// walk `MovementModel::Lazy { stay_prob }` on a topology whose every
+/// node has degree `span`, a power of two.
+///
+/// [`step_slice`] draws one coin word per agent and, when the agent
+/// moves, one more word masked to a move index. This kernel draws
+/// `2·n` words up front (enough if every agent moves), then scans for
+/// each agent's coin word with `k += 2 − stay`, so no branch depends on
+/// a coin. Every agent's move index is applied in one
+/// [`Topology::apply_moves`] call, and a mask select puts the stayers
+/// back. The positions equal `step_slice`'s for the same RNG; the RNG
+/// is left further along, so the caller must drop it after the block.
+///
+/// The caller asserts the preconditions: `span == degree(v)` for every
+/// `v`, `span` a power of two, `stay_prob ∈ [0, 1]`, interaction pure.
+///
+/// # Panics
+///
+/// Panics if `positions` holds more than [`STREAM_BLOCK`] agents.
+pub(crate) fn step_block_lazy<T: Topology, R: RngCore + ?Sized>(
+    topo: &T,
+    span: u64,
+    stay_prob: f64,
+    positions: &mut [u32],
+    rng: &mut R,
+) {
+    let n = positions.len();
+    assert!(
+        n <= STREAM_BLOCK,
+        "a lazy block holds at most {STREAM_BLOCK} agents"
+    );
+    debug_assert!(span.is_power_of_two());
+    let mut words = [0u64; 2 * STREAM_BLOCK];
+    let words = &mut words[..2 * n];
+    for w in words.iter_mut() {
+        *w = rng.next_u64();
+    }
+    let threshold = lazy_stay_threshold(stay_prob);
+    let mut stay_word = [0u8; 2 * STREAM_BLOCK];
+    for (s, &w) in stay_word.iter_mut().zip(words.iter()) {
+        *s = u8::from((w >> 11) < threshold);
+    }
+    let mask = span - 1;
+    let mut moves = [0u32; STREAM_BLOCK];
+    let mut keep = [0u32; STREAM_BLOCK];
+    let mut k = 0usize;
+    for (m, kp) in moves[..n].iter_mut().zip(keep[..n].iter_mut()) {
+        let stay = stay_word[k];
+        *m = (words[k + 1] & mask) as u32;
+        *kp = 0u32.wrapping_sub(u32::from(stay));
+        k += 2 - usize::from(stay);
+    }
+    let mut before = [0u32; STREAM_BLOCK];
+    before[..n].copy_from_slice(positions);
+    topo.apply_moves(positions, &moves[..n]);
+    for ((p, &b), &kp) in positions.iter_mut().zip(&before[..n]).zip(&keep[..n]) {
+        *p = (b & kp) | (*p & !kp);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antdensity_graphs::{CompleteGraph, Hypercube, Ring, Torus2d};
+    use antdensity_graphs::{CompleteGraph, Hypercube, Ring, Torus2d, TorusKd};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -306,6 +390,64 @@ mod tests {
             check(Ring::new(77), 2, 130, seed);
             check(CompleteGraph::new(1000), 1000, 500, seed);
         }
+    }
+
+    /// Stay probabilities for the lazy kernel tests: the ends, a value
+    /// whose threshold is 1, two ordinary values, and the largest value
+    /// below 1.
+    const LAZY_PROBS: [f64; 6] = [0.0, 1e-300, 0.3, 0.5, 1.0 - f64::EPSILON / 2.0, 1.0];
+
+    #[test]
+    fn lazy_stay_threshold_is_gen_bool() {
+        let scale = 1.0 / (1u64 << 53) as f64;
+        for p in LAZY_PROBS {
+            let t = lazy_stay_threshold(p);
+            let top = (1u64 << 53) - 1;
+            let probes = [0, 1, 2, t.saturating_sub(1), t, t + 1, top - 1, top];
+            for x in probes.into_iter().filter(|&x| x <= top) {
+                assert_eq!(x < t, (x as f64) * scale < p, "p {p:e} word {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_block_kernel_matches_step_slice() {
+        // Same positions as the per-agent kernel on a fresh block RNG,
+        // for every block size and spans 2, 4, 8 and 16 (the complete
+        // graph's resample walk included).
+        fn check<T: Topology>(topo: &T, span: u64) {
+            let occ = DenseOccupancy::new(topo.num_nodes());
+            for p in LAZY_PROBS {
+                let movement = vec![MovementModel::lazy(p); STREAM_BLOCK];
+                for n in 1..=STREAM_BLOCK {
+                    let start: Vec<u32> = (0..n)
+                        .map(|i| ((i as u64 * 7) % topo.num_nodes()) as u32)
+                        .collect();
+                    let seed = n as u64 ^ p.to_bits();
+                    let mut reference = start.clone();
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let pure = Interaction::pure();
+                    step_slice(topo, &mut reference, &movement[..n], &occ, &pure, &mut rng);
+                    let mut lazy = start;
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    step_block_lazy(topo, span, p, &mut lazy, &mut rng);
+                    assert_eq!(reference, lazy, "span {span} p {p:e} n {n}");
+                }
+            }
+        }
+        check(&Ring::new(77), 2);
+        check(&Torus2d::new(16), 4);
+        check(&TorusKd::new(4, 5), 8);
+        check(&Hypercube::new(16), 16);
+        check(&CompleteGraph::new(16), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn lazy_block_kernel_rejects_oversize_block() {
+        let t = Torus2d::new(4);
+        let mut pos = vec![0u32; STREAM_BLOCK + 1];
+        step_block_lazy(&t, 4, 0.5, &mut pos, &mut SmallRng::seed_from_u64(1));
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! **bit for bit** — any drift in RNG stream layout, noise draw order,
 //! estimator math, or snapshot bookkeeping fails here first.
 //!
+//! A second file, `tests/golden/lazy_outcomes.txt`, pins lazy-walk
+//! (`lazy:p`) trajectories in the same format. It was generated before
+//! the batched lazy kernel existed, so it proves that kernel draws the
+//! same bits as the per-agent `step_slice` path it replaced.
+//!
 //! Regenerate (only when the determinism contract is *deliberately*
 //! changed) with:
 //!
@@ -15,11 +20,20 @@
 //! cargo test -p antdensity-engine --test observer_golden -- --ignored regenerate
 //! ```
 
-use antdensity_engine::{EstimatorSpec, NoiseSpec, Scenario, ScenarioOutcome, TopologySpec};
+use antdensity_engine::{
+    EngineConfig, EstimatorSpec, MovementModel, NoiseSpec, Scenario, ScenarioOutcome, TopologySpec,
+    WorkerPool,
+};
+use std::sync::Arc;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/scenario_outcomes.txt"
+);
+
+const LAZY_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/lazy_outcomes.txt"
 );
 
 const MAGIC: &str = "antdensity-observer-golden v1";
@@ -72,6 +86,55 @@ fn cases() -> Vec<(String, Scenario, u64)> {
         }
     }
     out
+}
+
+/// The pinned lazy-walk grid: power-of-two spans (torus2d, ring,
+/// hypercube:4) and other spans (hypercube:6, complete:100), populations
+/// of 300 and 600 agents (both end in a partial 256-agent stream block),
+/// and stay probabilities 0, 0.3 and 1.
+fn lazy_cases() -> Vec<(String, Scenario, u64)> {
+    let topologies = [
+        TopologySpec::Torus2d { side: 16 },
+        TopologySpec::Ring { nodes: 512 },
+        TopologySpec::Hypercube { dims: 4 },
+        TopologySpec::Hypercube { dims: 6 },
+        TopologySpec::Complete { nodes: 100 },
+    ];
+    let mut out = Vec::new();
+    for topology in topologies {
+        for agents in [300usize, 600] {
+            for stay_prob in [0.0, 0.3, 1.0] {
+                let movement = MovementModel::lazy(stay_prob);
+                let scenario = Scenario::new(topology, agents, 12).with_movement(movement.clone());
+                let label = format!("{topology} agents {agents} rounds 12 {movement} seed 3");
+                out.push((label, scenario, 3));
+            }
+        }
+    }
+    out
+}
+
+/// Runs every lazy case on `threads` workers. With more than one thread
+/// the engine is forced onto a private pool of that size (no inline
+/// fallback), so the per-block streams really are split across workers.
+fn render_lazy(threads: usize) -> String {
+    let mut text = format!("{MAGIC}\n");
+    for (label, scenario, seed) in lazy_cases() {
+        let scenario = if threads > 1 {
+            scenario
+                .with_threads(threads)
+                .with_worker_pool(Arc::new(WorkerPool::new(threads)))
+                .with_engine_config(EngineConfig {
+                    min_chunks_per_worker: 1,
+                    inline_step_threshold: 0,
+                    ..EngineConfig::default()
+                })
+        } else {
+            scenario
+        };
+        text.push_str(&render(&label, &scenario.run(seed)));
+    }
+    text
 }
 
 fn hex(v: f64) -> String {
@@ -153,15 +216,15 @@ fn scenario_outcomes_match_committed_golden_vectors() {
         !antdensity_telemetry::take_trace().is_empty(),
         "trace capture was live during the golden run"
     );
-    // Compare case by case for a readable failure.
-    let split = |t: &str| -> Vec<String> {
-        t.split("case ")
-            .skip(1)
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-    };
-    let golden_cases = split(&golden);
-    let current_cases = split(&current);
+    assert_matches_golden(&golden, &current, "");
+}
+
+/// Compares `current` with `golden` case by case for a readable
+/// failure, then as whole texts. `context` is appended to the drift
+/// message.
+fn assert_matches_golden(golden: &str, current: &str, context: &str) {
+    let golden_cases: Vec<&str> = golden.split("case ").skip(1).collect();
+    let current_cases: Vec<&str> = current.split("case ").skip(1).collect();
     assert_eq!(
         golden_cases.len(),
         current_cases.len(),
@@ -171,14 +234,25 @@ fn scenario_outcomes_match_committed_golden_vectors() {
         assert_eq!(
             g,
             c,
-            "outcome drifted from the pre-refactor golden vector for `case {}`",
+            "outcome drifted from the golden vector for `case {}`{context}",
             g.lines().next().unwrap_or("?")
         );
     }
     assert_eq!(golden, current);
 }
 
-/// Regenerates the golden file from the current implementation. Kept
+#[test]
+fn lazy_outcomes_match_committed_golden_vectors() {
+    let golden = std::fs::read_to_string(LAZY_GOLDEN_PATH).expect(
+        "lazy golden file missing — run the ignored `regenerate` test and commit the output",
+    );
+    for threads in [1, 2] {
+        let current = render_lazy(threads);
+        assert_matches_golden(&golden, &current, &format!(" on {threads} threads"));
+    }
+}
+
+/// Regenerates the golden files from the current implementation. Kept
 /// `#[ignore]`d: running it is a *deliberate* decision to re-pin the
 /// determinism contract.
 #[test]
@@ -187,4 +261,5 @@ fn regenerate() {
     let path = std::path::Path::new(GOLDEN_PATH);
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(path, render_all()).unwrap();
+    std::fs::write(LAZY_GOLDEN_PATH, render_lazy(1)).unwrap();
 }

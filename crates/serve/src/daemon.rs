@@ -109,11 +109,18 @@ impl JobState {
     }
 }
 
+/// The registry keeps at most this many jobs in a terminal state; past
+/// it the oldest terminal job is retired (its id then reads `unknown
+/// job`), so a long-lived daemon's memory does not grow with the jobs
+/// it has served.
+const MAX_TERMINAL_JOBS: usize = 1024;
+
 /// Registry entry for one admitted job.
 #[derive(Debug)]
 struct JobEntry {
-    job: SweepJob,
-    validated: ValidatedJob,
+    /// The submitted spec and its resolved plan, until an executor
+    /// takes them to run; a terminal job holds neither.
+    work: Option<(SweepJob, ValidatedJob)>,
     state: JobState,
     /// Polled by the runner between shards; set by `cancel`.
     cancel: Arc<AtomicBool>,
@@ -136,8 +143,45 @@ struct Registry {
     accepting: bool,
     queue: VecDeque<u64>,
     jobs: BTreeMap<u64, JobEntry>,
+    /// Ids of the jobs in `jobs` that reached a terminal state, oldest
+    /// first.
+    terminal: VecDeque<u64>,
+    /// Jobs retired from `jobs`, counted by their final state, so the
+    /// `metrics` per-state counts stay cumulative.
+    retired: [u64; 5],
     running: usize,
     queue_peak: usize,
+}
+
+impl Registry {
+    /// Moves job `id` to the terminal `state`: drops its spec, plan and
+    /// outbox, then retires the oldest terminal jobs past
+    /// [`MAX_TERMINAL_JOBS`].
+    fn finish(&mut self, id: u64, state: JobState) {
+        let Some(entry) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        entry.state = state;
+        entry.work = None;
+        entry.outbox = None;
+        self.terminal.push_back(id);
+        while self.terminal.len() > MAX_TERMINAL_JOBS {
+            let old = self.terminal.pop_front().expect("over the cap");
+            if let Some(e) = self.jobs.remove(&old) {
+                self.retired[e.state as usize] += 1;
+            }
+        }
+    }
+
+    /// Jobs ever admitted, by state (indexed by `JobState as usize`),
+    /// retired ones included.
+    fn jobs_by_state(&self) -> [u64; 5] {
+        let mut by_state = self.retired;
+        for e in self.jobs.values() {
+            by_state[e.state as usize] += 1;
+        }
+        by_state
+    }
 }
 
 /// Shared between the acceptor, connection threads, and executors.
@@ -452,8 +496,7 @@ fn submit(state: &Arc<ServerState>, sub: &Submit, tx: &mpsc::Sender<String>) {
     reg.jobs.insert(
         id,
         JobEntry {
-            job: sub.job.clone(),
-            validated,
+            work: Some((sub.job.clone(), validated)),
             state: JobState::Queued,
             cancel: Arc::new(AtomicBool::new(false)),
             rows: 0,
@@ -504,10 +547,9 @@ fn cancel(state: &Arc<ServerState>, id: u64) -> Event {
     entry.cancel.store(true, Ordering::SeqCst);
     match entry.state {
         JobState::Queued => {
-            entry.state = JobState::Cancelled;
-            entry.outbox = None;
             let rows = entry.rows;
             reg.queue.retain(|&q| q != id);
+            reg.finish(id, JobState::Cancelled);
             JOBS_CANCELLED.incr();
             Event::Cancelled { job: id, rows }
         }
@@ -527,11 +569,12 @@ fn cancel(state: &Arc<ServerState>, id: u64) -> Event {
 fn metrics_event(state: &Arc<ServerState>) -> Event {
     let (depth, running, peak, by_state) = {
         let reg = state.inner.lock().expect("serve registry poisoned");
-        let mut by_state = [0u64; 5];
-        for e in reg.jobs.values() {
-            by_state[e.state as usize] += 1;
-        }
-        (reg.queue.len(), reg.running, reg.queue_peak, by_state)
+        (
+            reg.queue.len(),
+            reg.running,
+            reg.queue_peak,
+            reg.jobs_by_state(),
+        )
     };
     let jobs = Json::obj(
         [
@@ -586,15 +629,18 @@ fn execute(state: &Arc<ServerState>, id: u64) {
         if entry.state != JobState::Queued {
             return;
         }
+        let Some((job, validated)) = entry.work.take() else {
+            return;
+        };
         entry.state = JobState::Running;
+        let taken = (
+            job,
+            validated,
+            Arc::clone(&entry.cancel),
+            entry.outbox.clone(),
+        );
         reg.running += 1;
-        let e = reg.jobs.get(&id).expect("entry just touched");
-        (
-            e.job.clone(),
-            e.validated.clone(),
-            Arc::clone(&e.cancel),
-            e.outbox.clone(),
-        )
+        taken
     };
     let send = |ev: Event| {
         if let Some(tx) = &outbox {
@@ -648,25 +694,22 @@ fn execute(state: &Arc<ServerState>, id: u64) {
 
     let mut reg = state.inner.lock().expect("serve registry poisoned");
     reg.running -= 1;
-    let Some(entry) = reg.jobs.get_mut(&id) else {
+    let Some(entry) = reg.jobs.get(&id) else {
         return;
     };
-    match result {
+    let rows = entry.rows;
+    let end = match result {
         Err(reason) => {
-            entry.state = JobState::Failed;
             JOBS_FAILED.incr();
             send(Event::Failed { job: id, reason });
+            JobState::Failed
         }
         Ok(outcome) => {
             if !outcome.complete && cancel.load(Ordering::SeqCst) {
-                entry.state = JobState::Cancelled;
                 JOBS_CANCELLED.incr();
-                send(Event::Cancelled {
-                    job: id,
-                    rows: entry.rows,
-                });
+                send(Event::Cancelled { job: id, rows });
+                JobState::Cancelled
             } else {
-                entry.state = JobState::Done;
                 JOBS_COMPLETED.incr();
                 let report = build_report(&outcome);
                 send(Event::Done {
@@ -675,8 +718,104 @@ fn execute(state: &Arc<ServerState>, id: u64) {
                     report_json: report.to_json(),
                     report_csv: report.to_csv(),
                 });
+                JobState::Done
             }
         }
+    };
+    reg.finish(id, end);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn queued_entry() -> JobEntry {
+        JobEntry {
+            work: None,
+            state: JobState::Queued,
+            cancel: Arc::new(AtomicBool::new(false)),
+            rows: 0,
+            shards_done: 0,
+            shards: 1,
+            outbox: None,
+        }
     }
-    entry.outbox = None;
+
+    #[test]
+    fn terminal_jobs_past_the_cap_are_retired_and_still_counted() {
+        let mut reg = Registry::default();
+        let extra = 5u64;
+        let total = MAX_TERMINAL_JOBS as u64 + extra;
+        for id in 0..total {
+            reg.jobs.insert(id, queued_entry());
+            let end = if id % 2 == 0 {
+                JobState::Done
+            } else {
+                JobState::Cancelled
+            };
+            reg.finish(id, end);
+        }
+        // One live job that never finishes is never retired.
+        reg.jobs.insert(total, queued_entry());
+        assert_eq!(reg.jobs.len(), MAX_TERMINAL_JOBS + 1);
+        assert_eq!(reg.terminal.len(), MAX_TERMINAL_JOBS);
+        for id in 0..extra {
+            assert!(!reg.jobs.contains_key(&id), "job {id} not retired");
+        }
+        assert!(reg.jobs.contains_key(&extra));
+        assert!(reg.jobs.contains_key(&total));
+        let by_state = reg.jobs_by_state();
+        assert_eq!(by_state[JobState::Queued as usize], 1);
+        assert_eq!(by_state[JobState::Done as usize], total.div_ceil(2));
+        assert_eq!(by_state[JobState::Cancelled as usize], total / 2);
+        assert_eq!(by_state.iter().sum::<u64>(), total + 1);
+        // Retirement counts the oldest jobs: ids 0, 2, 4 (done) and 1,
+        // 3 (cancelled).
+        assert_eq!(reg.retired[JobState::Done as usize], 3);
+        assert_eq!(reg.retired[JobState::Cancelled as usize], 2);
+    }
+
+    #[test]
+    fn finishing_drops_the_spec_plan_and_outbox() {
+        let job = SweepJob::new(include_str!("../../../specs/smoke.sweep"));
+        let validated = job.validate().expect("valid spec");
+        let (tx, _rx) = mpsc::channel();
+        let mut reg = Registry::default();
+        reg.jobs.insert(
+            7,
+            JobEntry {
+                work: Some((job, validated)),
+                outbox: Some(tx),
+                ..queued_entry()
+            },
+        );
+        reg.finish(7, JobState::Failed);
+        let e = &reg.jobs[&7];
+        assert_eq!(e.state, JobState::Failed);
+        assert!(e.work.is_none() && e.outbox.is_none());
+        assert_eq!(reg.jobs_by_state()[JobState::Failed as usize], 1);
+    }
+
+    #[test]
+    fn status_of_a_retired_job_is_unknown() {
+        let state = Arc::new(ServerState {
+            cfg: ServeConfig::default(),
+            inner: Mutex::new(Registry::default()),
+            work: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            local_addr: None,
+        });
+        {
+            let mut reg = state.inner.lock().unwrap();
+            for id in 0..=MAX_TERMINAL_JOBS as u64 {
+                reg.jobs.insert(id, queued_entry());
+                reg.finish(id, JobState::Done);
+            }
+        }
+        match status(&state, 0) {
+            Event::Error { reason } => assert_eq!(reason, "unknown job 0"),
+            other => panic!("retired job answered {other:?}"),
+        }
+        assert!(matches!(status(&state, 1), Event::Status { .. }));
+    }
 }

@@ -31,3 +31,9 @@ pub use antdensity_stats as stats;
 pub use antdensity_swarm as swarm;
 pub use antdensity_sweep as sweep;
 pub use antdensity_walks as walks;
+
+/// The README's Rust snippets, built and run by `cargo test` as
+/// doctests so they cannot drift from the API unnoticed.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
