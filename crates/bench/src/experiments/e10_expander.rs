@@ -11,7 +11,7 @@ use super::util;
 use crate::report::{Effort, ExperimentReport};
 use antdensity_core::recollision;
 use antdensity_engine::TopologySpec;
-use antdensity_graphs::{generators, spectral, AdjGraph};
+use antdensity_graphs::{generators, spectral, CsrGraph};
 use antdensity_stats::regression::SemiLogFit;
 use antdensity_stats::table::{format_sig, Table};
 use rand::rngs::SmallRng;
@@ -36,7 +36,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     );
     let mut rates_match = true;
     for &deg in &[8usize, 16] {
-        let g: AdjGraph = {
+        let g: CsrGraph = {
             let mut rng = SmallRng::seed_from_u64(seed ^ deg as u64);
             generators::random_regular(a, deg, 500, &mut rng).expect("expander generation")
         };

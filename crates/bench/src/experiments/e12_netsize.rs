@@ -12,7 +12,7 @@
 //! burn-in charged to both methods.
 
 use crate::report::{Effort, ExperimentReport};
-use antdensity_graphs::{generators, spectral, AdjGraph, Topology, TorusKd};
+use antdensity_graphs::{generators, spectral, CsrGraph, Topology, TorusKd};
 use antdensity_netsize::algorithm2::{Algorithm2, StartMode};
 use antdensity_netsize::katzir::Katzir;
 use antdensity_netsize::{burnin, median, planner};
@@ -23,7 +23,7 @@ use rand::SeedableRng;
 
 /// Approximates the graph's re-collision sum `B(t)` by evolving the exact
 /// self-collision series from a handful of stationary starts.
-fn measured_b(graph: &AdjGraph, t: u64, starts: &[u64]) -> f64 {
+fn measured_b(graph: &CsrGraph, t: u64, starts: &[u64]) -> f64 {
     starts
         .iter()
         .map(|&s| {
@@ -57,7 +57,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         ],
     );
     let mut rng = SmallRng::seed_from_u64(seed);
-    let graphs: Vec<(&str, AdjGraph)> = vec![
+    let graphs: Vec<(&str, CsrGraph)> = vec![
         (
             "regular8",
             generators::random_regular(v, 8, 500, &mut rng).expect("regular"),
@@ -128,8 +128,18 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let mut ours_q = Vec::new();
     let mut katzir_q = Vec::new();
     for &side in &sides {
+        // The torus as a simple graph with ascending neighbor lists: each
+        // undirected edge once (odd sides >= 3 have no duplicate moves).
         let torus = TorusKd::new(3, side);
-        let g = AdjGraph::from_topology(&torus).expect("odd-side 3-torus");
+        let edges: Vec<(u64, u64)> = (0..torus.num_nodes())
+            .flat_map(|v| {
+                torus
+                    .neighbors(v)
+                    .filter(move |&u| v < u)
+                    .map(move |u| (v, u))
+            })
+            .collect();
+        let g = CsrGraph::from_edges(torus.num_nodes(), &edges).expect("odd-side 3-torus");
         let vol = g.num_nodes();
         let lambda = {
             let mut r = SmallRng::seed_from_u64(seed ^ side);

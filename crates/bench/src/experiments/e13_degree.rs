@@ -6,7 +6,7 @@
 //! `n = Θ(deḡ/(deg_min·ε²·δ))` delivers `(1±ε)` accuracy w.p. `1−δ`.
 
 use crate::report::{Effort, ExperimentReport};
-use antdensity_graphs::{generators, AdjGraph};
+use antdensity_graphs::{generators, CsrGraph};
 use antdensity_netsize::degree;
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::table::{format_sig, Table};
@@ -21,7 +21,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     );
     let v = effort.size(400, 1000);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let graphs: Vec<(&str, AdjGraph)> = vec![
+    let graphs: Vec<(&str, CsrGraph)> = vec![
         (
             "ba_m3",
             generators::barabasi_albert(v, 3, &mut rng).expect("ba"),

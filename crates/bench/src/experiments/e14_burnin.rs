@@ -7,7 +7,7 @@
 //! which they match stationary-start estimates.
 
 use crate::report::{Effort, ExperimentReport};
-use antdensity_graphs::{generators, spectral, AdjGraph, Topology};
+use antdensity_graphs::{generators, spectral, CsrGraph, Topology};
 use antdensity_netsize::algorithm2::{Algorithm2, StartMode};
 use antdensity_netsize::{burnin, median};
 use antdensity_stats::regression::SemiLogFit;
@@ -23,7 +23,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     );
     let v = effort.size(256, 512);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let graphs: Vec<(&str, AdjGraph)> = vec![
+    let graphs: Vec<(&str, CsrGraph)> = vec![
         (
             "regular8_fast",
             generators::random_regular(v, 8, 500, &mut rng).expect("regular"),

@@ -398,10 +398,9 @@ const CSR_RR_DEGREE: usize = 8;
 fn bench_csr_stepping(effort: Effort, agent_grid: &[usize], results: &mut Vec<EngineBenchResult>) {
     let csr_torus = CsrGraph::from_topology(&Torus2d::new(SIDE));
     let mut build_rng = SmallRng::seed_from_u64(42);
-    let random_regular = CsrGraph::from_adj(
-        &generators::random_regular(CSR_RR_NODES, CSR_RR_DEGREE, 1000, &mut build_rng)
-            .expect("bench graph parameters are valid"),
-    );
+    let random_regular =
+        generators::random_regular(CSR_RR_NODES, CSR_RR_DEGREE, 1000, &mut build_rng)
+            .expect("bench graph parameters are valid");
     for &agents in agent_grid {
         let rounds = rounds_for(agents, effort);
 

@@ -736,19 +736,13 @@ mod tests {
         }
         check("torus", Torus2d::new(48));
         check("ring", Ring::new(2_100));
-        check(
-            "path",
-            CsrGraph::from_adj(&antdensity_graphs::generators::path_graph(2_100)),
-        );
-        check(
-            "star",
-            CsrGraph::from_adj(&antdensity_graphs::generators::star_graph(1_500)),
-        );
+        check("path", antdensity_graphs::generators::path_graph(2_100));
+        check("star", antdensity_graphs::generators::star_graph(1_500));
     }
 
     #[test]
     fn degree_one_nodes_send_every_agent_to_their_neighbor() {
-        let path = CsrGraph::from_adj(&antdensity_graphs::generators::path_graph(3));
+        let path = antdensity_graphs::generators::path_graph(3);
         for c in [1, SMALL_COUNT_MAX, SMALL_COUNT_MAX + 1] {
             let mut e = CountsEngine::new(path.clone(), 0);
             e.set_counts(&[c, 0, c]);

@@ -372,24 +372,21 @@ fn build_csr_graph(spec: &TopologySpec) -> CsrGraph {
             let mut rng = SeedSequence::new(CSR_BUILD_STREAM)
                 .subsequence(nodes)
                 .rng(degree as u64);
-            match generators::random_regular(nodes, degree as usize, 1000, &mut rng) {
-                Ok(adj) => CsrGraph::from_adj(&adj),
-                Err(e) => panic!("{spec}: {e}"),
-            }
+            generators::random_regular(nodes, degree as usize, 1000, &mut rng)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"))
         }
         TopologySpec::CsrGnp { nodes, avg_degree } => {
             let p = avg_degree as f64 / (nodes - 1) as f64;
             let mut rng = SeedSequence::new(CSR_BUILD_STREAM)
                 .subsequence(!nodes)
                 .rng(avg_degree as u64);
-            match generators::erdos_renyi_connected(nodes, p, 200, &mut rng) {
-                Ok(adj) => CsrGraph::from_adj(&adj),
-                Err(e) => panic!(
+            generators::erdos_renyi_connected(nodes, p, 200, &mut rng).unwrap_or_else(|e| {
+                panic!(
                     "{spec}: {e} (connected samples need an average degree around \
                      ln n ≈ {:.1} or above)",
                     (nodes as f64).ln()
-                ),
-            }
+                )
+            })
         }
         TopologySpec::CsrGridHoles {
             side,
@@ -399,18 +396,14 @@ fn build_csr_graph(spec: &TopologySpec) -> CsrGraph {
             let mut rng = SeedSequence::new(CSR_BUILD_STREAM)
                 .subsequence(mask_seed)
                 .rng(side ^ (u64::from(hole_pm) << 32));
-            match generators::grid_with_holes(side, f64::from(hole_pm) / 1000.0, &mut rng) {
-                Ok(adj) => CsrGraph::from_adj(&adj),
-                Err(e) => panic!("{spec}: {e}"),
-            }
+            generators::grid_with_holes(side, f64::from(hole_pm) / 1000.0, &mut rng)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"))
         }
         TopologySpec::CsrCliqueRing {
             cliques,
             clique_size,
-        } => match generators::ring_of_cliques(cliques, clique_size) {
-            Ok(adj) => CsrGraph::from_adj(&adj),
-            Err(e) => panic!("{spec}: {e}"),
-        },
+        } => generators::ring_of_cliques(cliques, clique_size)
+            .unwrap_or_else(|e| panic!("{spec}: {e}")),
         ref structured => panic!("{structured} is not a csr spec"),
     }
 }

@@ -1,12 +1,24 @@
-//! [`CsrGraph`]: the engine-facing compressed-sparse-row topology.
+//! [`CsrGraph`]: the one general-graph type, in compressed-sparse-row
+//! form.
 //!
-//! [`crate::AdjGraph`] already stores general graphs in CSR form, but it
-//! is sized for *analysis* (usize offsets, u64 targets, simple-graph
-//! validation). `CsrGraph` is the **walk-kernel** citizen:
+//! The network-size application (Section 5.1) and the irregular sweep
+//! topologies run the paper's walk on graphs with no closed form. Every
+//! such graph is a `CsrGraph`, whichever place it comes from:
 //!
-//! * `u32` offsets and targets — half the memory traffic of `AdjGraph`,
-//!   sized exactly to the dense engine's packed-position domain
-//!   (`antdensity-engine` caps node ids at `u32`);
+//! * [`CsrGraph::from_edges`] — the validating simple-graph builder
+//!   behind every generator in [`crate::generators`]. It rejects
+//!   self-loops, duplicate edges and isolated nodes, and lists each
+//!   node's neighbors in ascending order;
+//! * [`CsrGraph::from_topology`] — a rebuild of a structured
+//!   [`Topology`] that keeps each node's move list **in order and with
+//!   multiplicity**, so a walk on the rebuild of a torus, ring or
+//!   hypercube draws the identical RNG stream as the native
+//!   implementation (the engine's `csr_equivalence` suite pins this).
+//!
+//! The layout serves the walk kernels:
+//!
+//! * `u32` offsets and targets, sized to the dense engine's
+//!   packed-position domain (`antdensity-engine` caps node ids at `u32`);
 //! * per-node precomputed Lemire rejection zones, so the uniform
 //!   neighbor draw on *irregular* degrees needs no hardware division on
 //!   the hot path (the same multiply-shift idea as [`crate::FastDiv`],
@@ -15,22 +27,70 @@
 //! * a batched [`Topology::apply_moves`] fast path — one offset load,
 //!   one target gather per agent;
 //! * the regular degree cached at construction, so the engine's
-//!   batched-kernel eligibility check is O(1);
-//! * **multiset** neighbor lists, like every structured topology: a
-//!   [`CsrGraph::from_topology`] rebuild preserves each node's move list
-//!   *in order and with multiplicity*, which makes a CSR rebuild of a
-//!   torus/ring/hypercube draw the identical RNG stream as the native
-//!   implementation — the equivalence contract the engine's
-//!   `csr_equivalence` suite pins.
+//!   batched-kernel eligibility check is O(1).
 //!
-//! Graphs come from three places: converting an [`crate::AdjGraph`]
-//! (any generator in [`crate::generators`]), rebuilding a structured
-//! [`Topology`], or an explicit edge list.
+//! It also answers the analysis queries the paper's bounds need: `deḡ`,
+//! `deg_min`, `Σ deg²` (the KLSC14 comparison), connectivity,
+//! bipartiteness, and O(1) stationary sampling.
 
-use crate::adjacency::{AdjGraph, BuildGraphError};
 use crate::fastdiv::lemire_zone;
 use crate::topology::{MoveScratch, NodeId, Topology};
 use rand::RngCore;
+
+/// Errors building a [`CsrGraph`] from an edge list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BuildGraphError {
+    /// The requested node count was zero.
+    NoNodes,
+    /// An edge endpoint referenced a node `>= n`.
+    EndpointOutOfRange {
+        /// The offending endpoint.
+        node: NodeId,
+        /// The node count.
+        n: u64,
+    },
+    /// An edge connected a node to itself.
+    SelfLoop(
+        /// The node with the loop.
+        NodeId,
+    ),
+    /// The same undirected edge appeared more than once.
+    DuplicateEdge(
+        /// One endpoint.
+        NodeId,
+        /// The other endpoint.
+        NodeId,
+    ),
+    /// A node would have degree zero (random walks get stuck).
+    IsolatedNode(
+        /// The isolated node.
+        NodeId,
+    ),
+    /// The `2·|E|` moves do not fit the `u32`-indexed CSR arrays.
+    TooManyEdges {
+        /// The edge count.
+        edges: u64,
+    },
+}
+
+impl std::fmt::Display for BuildGraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NoNodes => write!(f, "graph must have at least one node"),
+            Self::EndpointOutOfRange { node, n } => {
+                write!(f, "edge endpoint {node} out of range for {n} nodes")
+            }
+            Self::SelfLoop(v) => write!(f, "self-loop at node {v}"),
+            Self::DuplicateEdge(u, v) => write!(f, "duplicate edge ({u}, {v})"),
+            Self::IsolatedNode(v) => write!(f, "node {v} has no edges"),
+            Self::TooManyEdges { edges } => {
+                write!(f, "{edges} edges exceed the u32 CSR move domain")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BuildGraphError {}
 
 /// Per-tile CSR data footprint the blocked gather aims for: half of a
 /// conservative 512 KiB L2, leaving the other half for the streamed
@@ -42,8 +102,10 @@ const TILE_FOOTPRINT_BYTES: usize = 256 * 1024;
 const BLOCKED_MIN_AGENTS: usize = 1 << 15;
 
 /// A general undirected graph in compact CSR form, tuned for the walk
-/// kernels. Neighbor lists are multisets (duplicate entries model
-/// duplicate moves, exactly as [`crate::Torus2d`] on side 2).
+/// kernels. Neighbor lists are ascending sets when built by
+/// [`CsrGraph::from_edges`] and move lists in topology order when built
+/// by [`CsrGraph::from_topology`], where duplicate entries model
+/// duplicate moves, exactly as [`crate::Torus2d`] on side 2.
 ///
 /// # Example
 ///
@@ -116,15 +178,6 @@ impl CsrGraph {
         }
     }
 
-    /// Converts an [`AdjGraph`] (keeping its sorted neighbor order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph exceeds the `u32` node/move domain.
-    pub fn from_adj(graph: &AdjGraph) -> Self {
-        Self::from_topology(graph)
-    }
-
     /// Rebuilds any [`Topology`] as an explicit CSR graph, preserving
     /// each node's move list **in order and with multiplicity** — so
     /// `csr.neighbor(v, i) == topo.neighbor(v, i)` for every valid
@@ -155,14 +208,93 @@ impl CsrGraph {
         Self::from_parts(offsets, targets)
     }
 
-    /// Builds a simple graph from an undirected edge list (validated by
-    /// [`AdjGraph::from_edges`], then compacted).
+    /// Builds an undirected simple graph (no self-loops, no parallel
+    /// edges) with `n` nodes from an edge list. Each node lists its
+    /// neighbors in ascending order.
+    ///
+    /// Every check that does not need the graph runs before any O(n)
+    /// allocation, so an absurd `n` is a typed error, not an
+    /// out-of-memory abort.
     ///
     /// # Errors
     ///
-    /// As [`AdjGraph::from_edges`].
+    /// Returns a [`BuildGraphError`] if `n == 0`, the `2·|E|` moves
+    /// exceed `u32`, an endpoint is out of range, an edge is a self-loop
+    /// or duplicated, or any node ends up isolated.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use antdensity_graphs::{CsrGraph, Topology};
+    ///
+    /// // a triangle
+    /// let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
+    /// assert_eq!(g.degree(0), 2);
+    /// assert!(g.is_connected());
+    /// assert!(!g.is_bipartite());
+    /// ```
     pub fn from_edges(n: u64, edges: &[(NodeId, NodeId)]) -> Result<Self, BuildGraphError> {
-        Ok(Self::from_adj(&AdjGraph::from_edges(n, edges)?))
+        if n == 0 {
+            return Err(BuildGraphError::NoNodes);
+        }
+        let moves = move_count(edges.len())?;
+        let mut canon: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.len());
+        for &(u, v) in edges {
+            if u >= n {
+                return Err(BuildGraphError::EndpointOutOfRange { node: u, n });
+            }
+            if v >= n {
+                return Err(BuildGraphError::EndpointOutOfRange { node: v, n });
+            }
+            if u == v {
+                return Err(BuildGraphError::SelfLoop(u));
+            }
+            canon.push((u.min(v), u.max(v)));
+        }
+        canon.sort_unstable();
+        for w in canon.windows(2) {
+            if w[0] == w[1] {
+                return Err(BuildGraphError::DuplicateEdge(w[0].0, w[0].1));
+            }
+        }
+        if n > u64::from(moves) {
+            // More nodes than edge endpoints: one of `0..=moves` is
+            // isolated, and the smallest one is found in O(|E|).
+            let mut mentioned = vec![false; moves as usize + 1];
+            for &(u, v) in &canon {
+                for x in [u, v] {
+                    if x <= u64::from(moves) {
+                        mentioned[x as usize] = true;
+                    }
+                }
+            }
+            let v = mentioned.iter().position(|&m| !m).expect("pigeonhole");
+            return Err(BuildGraphError::IsolatedNode(v as NodeId));
+        }
+        // n <= moves <= u32::MAX from here on.
+        let nu = n as usize;
+        let mut offsets = vec![0u32; nu + 1];
+        for &(u, v) in &canon {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        if let Some(v) = offsets[1..].iter().position(|&d| d == 0) {
+            return Err(BuildGraphError::IsolatedNode(v as NodeId));
+        }
+        for v in 0..nu {
+            offsets[v + 1] += offsets[v];
+        }
+        // Edges are sorted by (min, max), so each node first receives its
+        // smaller neighbors, then its larger ones, both ascending.
+        let mut cursor = offsets[..nu].to_vec();
+        let mut targets = vec![0u32; moves as usize];
+        for &(u, v) in &canon {
+            targets[cursor[u as usize] as usize] = v as u32;
+            cursor[u as usize] += 1;
+            targets[cursor[v as usize] as usize] = u as u32;
+            cursor[v as usize] += 1;
+        }
+        Ok(Self::from_parts(offsets, targets))
     }
 
     /// Slice of the moves at `v` — the cache-friendly access the batched
@@ -184,6 +316,20 @@ impl CsrGraph {
         self.targets.len()
     }
 
+    /// Number of undirected edges `|E|` (half the moves).
+    pub fn num_edges(&self) -> u64 {
+        (self.targets.len() / 2) as u64
+    }
+
+    /// Whether `v` is among the moves at `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        u32::try_from(v).is_ok_and(|v| self.neighbors_slice(u).contains(&v))
+    }
+
     /// Minimum degree over all nodes.
     pub fn min_degree(&self) -> usize {
         (0..self.num_nodes())
@@ -203,6 +349,29 @@ impl CsrGraph {
     /// Average degree `deḡ = Σ deg / |V|`.
     pub fn avg_degree(&self) -> f64 {
         self.targets.len() as f64 / self.num_nodes() as f64
+    }
+
+    /// `Σ_v deg(v)²` — appears in the KLSC14 sample-size requirement that
+    /// Section 5.1.5 compares against.
+    pub fn sum_degree_squared(&self) -> f64 {
+        (0..self.num_nodes())
+            .map(|v| {
+                let d = self.degree(v) as f64;
+                d * d
+            })
+            .sum()
+    }
+
+    /// Samples a node from the stationary distribution of the random walk
+    /// (`π(v) = deg(v)/2|E|`) in O(1): a uniformly random entry of the CSR
+    /// target array mentions node `u` exactly `deg(u)` times.
+    ///
+    /// The network-size application (Section 5.1) idealises walk starts as
+    /// stationary samples before analysing burn-in separately.
+    pub fn sample_stationary(&self, rng: &mut dyn RngCore) -> NodeId {
+        use rand::Rng;
+        let idx = rng.gen_range(0..self.targets.len());
+        NodeId::from(self.targets[idx])
     }
 
     /// The counting-sort core of [`Topology::apply_moves_blocked`]:
@@ -275,6 +444,46 @@ impl CsrGraph {
         }
         count == n
     }
+
+    /// Whether the graph is bipartite (BFS 2-coloring).
+    ///
+    /// Random walks on bipartite graphs never mix to the stationary
+    /// distribution (period 2); Section 5.1 assumes non-bipartite inputs
+    /// and Section 4.5 handles the hypercube case specially.
+    pub fn is_bipartite(&self) -> bool {
+        let n = self.num_nodes() as usize;
+        let mut color = vec![u8::MAX; n];
+        for start in 0..n {
+            if color[start] != u8::MAX {
+                continue;
+            }
+            color[start] = 0;
+            let mut queue = std::collections::VecDeque::new();
+            queue.push_back(start as u32);
+            while let Some(v) = queue.pop_front() {
+                let c = color[v as usize];
+                for &u in self.neighbors_slice(NodeId::from(v)) {
+                    if color[u as usize] == u8::MAX {
+                        color[u as usize] = 1 - c;
+                        queue.push_back(u);
+                    } else if color[u as usize] == c {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
+/// `2·edges` as a `u32` move count: the CSR arrays are `u32`-indexed.
+fn move_count(edges: usize) -> Result<u32, BuildGraphError> {
+    edges
+        .checked_mul(2)
+        .and_then(|m| u32::try_from(m).ok())
+        .ok_or(BuildGraphError::TooManyEdges {
+            edges: edges as u64,
+        })
 }
 
 impl Topology for CsrGraph {
@@ -406,7 +615,7 @@ mod tests {
             CsrGraph::from_topology(&Torus2d::new(6)),   // degree 4
             CsrGraph::from_topology(&Ring::new(9)),      // degree 2
             CsrGraph::from_topology(&Hypercube::new(5)), // degree 5
-            CsrGraph::from_adj(&lollipop(8, 3)),         // degrees 1..=8
+            lollipop(8, 3),                              // degrees 1..=8
             CsrGraph::from_topology(&Hypercube::new(3)), // degree 3
         ];
         for g in &graphs {
@@ -444,10 +653,7 @@ mod tests {
         // Force tiny tiles so the counting-sort path runs on a small
         // graph — regular (torus) and irregular (lollipop) degrees, with
         // ragged tile counts (25 nodes, 8-node tiles).
-        let graphs = [
-            CsrGraph::from_topology(&Torus2d::new(5)),
-            CsrGraph::from_adj(&lollipop(20, 5)),
-        ];
+        let graphs = [CsrGraph::from_topology(&Torus2d::new(5)), lollipop(20, 5)];
         for g in &graphs {
             let n = g.num_nodes();
             for seed in 0..5u64 {
@@ -514,20 +720,144 @@ mod tests {
     #[test]
     fn random_regular_conversion_keeps_regularity() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let adj = random_regular(60, 6, 200, &mut rng).unwrap();
-        let csr = CsrGraph::from_adj(&adj);
-        assert_eq!(csr.regular_degree(), Some(6));
-        assert!(csr.is_connected());
+        let g = random_regular(60, 6, 200, &mut rng).unwrap();
+        assert_eq!(g.regular_degree(), Some(6));
+        assert!(g.is_connected());
         for v in 0..60 {
-            assert_eq!(
-                csr.neighbors_slice(v),
-                adj.neighbors_slice(v)
-                    .iter()
-                    .map(|&u| u as u32)
-                    .collect::<Vec<_>>()
-                    .as_slice()
-            );
+            let ns = g.neighbors_slice(v);
+            assert!(ns.windows(2).all(|w| w[0] < w[1]), "node {v}: {ns:?}");
         }
+    }
+
+    fn square() -> CsrGraph {
+        CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap()
+    }
+
+    #[test]
+    fn builds_and_reports_degrees() {
+        let g = square();
+        assert_eq!(g.num_nodes(), 4);
+        assert_eq!(g.num_edges(), 4);
+        for v in 0..4 {
+            assert_eq!(g.degree(v), 2);
+        }
+        assert_eq!(g.min_degree(), 2);
+        assert_eq!(g.max_degree(), 2);
+        assert_eq!(g.avg_degree(), 2.0);
+        assert_eq!(g.sum_degree_squared(), 16.0);
+    }
+
+    #[test]
+    fn neighbors_sorted_and_edge_lookup() {
+        let g = CsrGraph::from_edges(4, &[(2, 0), (0, 1), (3, 0)]).unwrap();
+        assert_eq!(g.neighbors_slice(0), &[1, 2, 3]);
+        assert!(g.has_edge(0, 2));
+        assert!(g.has_edge(2, 0));
+        assert!(!g.has_edge(1, 2));
+        assert!(!g.has_edge(0, 1 << 32));
+    }
+
+    #[test]
+    fn connectivity_detection() {
+        assert!(square().is_connected());
+        let disconnected = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        assert!(!disconnected.is_connected());
+    }
+
+    #[test]
+    fn bipartiteness_detection() {
+        assert!(square().is_bipartite()); // even cycle
+        let triangle = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
+        assert!(!triangle.is_bipartite()); // odd cycle
+        let odd5 = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
+        assert!(!odd5.is_bipartite());
+    }
+
+    #[test]
+    fn error_cases() {
+        assert_eq!(CsrGraph::from_edges(0, &[]), Err(BuildGraphError::NoNodes));
+        assert_eq!(
+            CsrGraph::from_edges(2, &[(0, 2)]),
+            Err(BuildGraphError::EndpointOutOfRange { node: 2, n: 2 })
+        );
+        assert_eq!(
+            CsrGraph::from_edges(2, &[(1, 1)]),
+            Err(BuildGraphError::SelfLoop(1))
+        );
+        assert_eq!(
+            CsrGraph::from_edges(2, &[(0, 1), (1, 0)]),
+            Err(BuildGraphError::DuplicateEdge(0, 1))
+        );
+        assert_eq!(
+            CsrGraph::from_edges(3, &[(0, 1)]),
+            Err(BuildGraphError::IsolatedNode(2))
+        );
+    }
+
+    #[test]
+    fn huge_node_counts_fail_before_allocating() {
+        // More nodes than edge endpoints: the smallest isolated node is
+        // reported without an O(n) degree array.
+        assert_eq!(
+            CsrGraph::from_edges(u64::MAX, &[(0, 1)]),
+            Err(BuildGraphError::IsolatedNode(2))
+        );
+        assert_eq!(
+            CsrGraph::from_edges(1 << 40, &[(1, 2), (0, 3)]),
+            Err(BuildGraphError::IsolatedNode(4))
+        );
+        assert_eq!(
+            CsrGraph::from_edges(5, &[(0, 1), (3, 4)]),
+            Err(BuildGraphError::IsolatedNode(2))
+        );
+        // Edge validation still comes first.
+        assert_eq!(
+            CsrGraph::from_edges(u64::MAX, &[(7, 7)]),
+            Err(BuildGraphError::SelfLoop(7))
+        );
+    }
+
+    #[test]
+    fn move_count_is_bounded_by_u32() {
+        // `from_edges` checks this before reading the edges; a slice long
+        // enough to fail would need tens of GiB, so the check is tested
+        // directly.
+        let most = (u32::MAX / 2) as usize;
+        assert_eq!(move_count(most), Ok(u32::MAX - 1));
+        assert_eq!(
+            move_count(most + 1),
+            Err(BuildGraphError::TooManyEdges {
+                edges: most as u64 + 1
+            })
+        );
+        assert!(move_count(usize::MAX).is_err());
+        assert!(BuildGraphError::TooManyEdges { edges: 1 << 31 }
+            .to_string()
+            .contains("u32"));
+    }
+
+    #[test]
+    fn error_messages_are_informative() {
+        let e = CsrGraph::from_edges(2, &[(1, 1)]).unwrap_err();
+        assert!(e.to_string().contains("self-loop"));
+    }
+
+    #[test]
+    fn regular_degree_via_default_impl() {
+        assert_eq!(square().regular_degree(), Some(2));
+        let star = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        assert_eq!(star.regular_degree(), None);
+    }
+
+    #[test]
+    fn stationary_samples_follow_degrees() {
+        // star on 4 nodes: the hub holds half of the stationary mass
+        let star = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        let mut rng = SmallRng::seed_from_u64(11);
+        let hub = (0..4000)
+            .filter(|_| star.sample_stationary(&mut rng) == 0)
+            .count();
+        assert!((1800..2200).contains(&hub), "hub drawn {hub} of 4000");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! harness can verify decay shapes with zero Monte-Carlo noise (and the
 //! simulation engine can be cross-validated against ground truth).
 
-use crate::adjacency::AdjGraph;
+use crate::csr::CsrGraph;
 use crate::topology::{NodeId, Topology};
 
 /// A probability distribution over the nodes of a topology.
@@ -69,36 +69,12 @@ impl WalkDistribution {
 
     /// Degree-proportional stationary distribution `π(v) = deg(v)/2|E|`
     /// of an irregular graph (Section 5.1's setting).
-    pub fn stationary(graph: &AdjGraph) -> Self {
+    pub fn stationary(graph: &CsrGraph) -> Self {
         let n = usize::try_from(graph.num_nodes()).expect("node count fits usize");
         let two_e = 2.0 * graph.num_edges() as f64;
         let probs = (0..graph.num_nodes())
             .map(|v| graph.degree(v) as f64 / two_e)
             .collect();
-        Self {
-            probs,
-            scratch: vec![0.0; n],
-        }
-    }
-
-    /// Builds a distribution from explicit probabilities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probs` is empty, has negative entries, or does not sum
-    /// to 1 within 1e-9.
-    pub fn from_probs(probs: Vec<f64>) -> Self {
-        assert!(!probs.is_empty(), "distribution needs at least one node");
-        assert!(
-            probs.iter().all(|&p| p >= 0.0),
-            "probabilities must be non-negative"
-        );
-        let mass: f64 = probs.iter().sum();
-        assert!(
-            (mass - 1.0).abs() < 1e-9,
-            "probabilities must sum to 1 (got {mass})"
-        );
-        let n = probs.len();
         Self {
             probs,
             scratch: vec![0.0; n],
@@ -168,21 +144,6 @@ impl WalkDistribution {
     /// Total mass (should be 1 up to float error; exposed for tests).
     pub fn total_mass(&self) -> f64 {
         self.probs.iter().sum()
-    }
-
-    /// `Σ_v p(v)·q(v)` — the probability that two *independent* walks with
-    /// marginals `p` and `q` occupy the same node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distributions have different lengths.
-    pub fn collision_prob(&self, other: &WalkDistribution) -> f64 {
-        assert_eq!(self.probs.len(), other.probs.len(), "size mismatch");
-        self.probs
-            .iter()
-            .zip(&other.probs)
-            .map(|(p, q)| p * q)
-            .sum()
     }
 
     /// `Σ_v p(v)²` — the collision probability of two i.i.d. copies
@@ -340,10 +301,11 @@ mod tests {
     fn recollision_equals_collision_of_equal_marginals() {
         let t = Torus2d::new(6);
         let mut a = WalkDistribution::point(&t, 7);
-        let mut b = WalkDistribution::point(&t, 7);
         a.evolve(&t, 4);
-        b.evolve(&t, 4);
-        assert!((a.collision_prob(&b) - a.self_collision_prob()).abs() < 1e-15);
+        let b = a.clone();
+        let cross: f64 = a.probs().iter().zip(b.probs()).map(|(p, q)| p * q).sum();
+        assert!((cross - a.self_collision_prob()).abs() < 1e-15);
+        assert!((recollision_series(&t, 7, 4)[4] - cross).abs() < 1e-15);
     }
 
     #[test]
@@ -404,18 +366,6 @@ mod tests {
         assert_eq!(a.tv_distance(&a), 0.0);
         assert_eq!(a.tv_distance(&b), 1.0); // disjoint point masses
         assert_eq!(a.tv_distance(&b), b.tv_distance(&a));
-    }
-
-    #[test]
-    fn from_probs_validates() {
-        let d = WalkDistribution::from_probs(vec![0.25; 4]);
-        assert_eq!(d.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn from_probs_rejects_bad_mass() {
-        let _ = WalkDistribution::from_probs(vec![0.3, 0.3]);
     }
 
     #[test]

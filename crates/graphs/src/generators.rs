@@ -7,11 +7,16 @@
 //! * [`barabasi_albert`] — preferential attachment, the paper's suggested
 //!   "popular graph model … with power-law degree distributions" (§5.1.5),
 //! * [`watts_strogatz`] — small-world graphs with tunable mixing,
-//! * [`erdos_renyi`] — the classical baseline,
+//! * [`erdos_renyi_connected`] — the classical `G(n, p)` baseline,
+//! * [`grid_with_holes`] and [`ring_of_cliques`] — irregular regions and
+//!   bottlenecks at the slow-mixing end,
 //! * plus deterministic small graphs ([`path_graph`], [`cycle_graph`],
 //!   [`star_graph`], [`complete_adj`], [`lollipop`]) for exact tests.
+//!
+//! Every generator returns a [`CsrGraph`] built by
+//! [`CsrGraph::from_edges`], so neighbor lists are ascending.
 
-use crate::adjacency::{AdjGraph, BuildGraphError};
+use crate::csr::{BuildGraphError, CsrGraph};
 use crate::topology::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -67,18 +72,14 @@ impl From<BuildGraphError> for GenerateError {
 /// Erdős–Rényi `G(n, p)` via geometric edge skipping (O(n + |E|)).
 ///
 /// The sample may be disconnected or contain isolated nodes, in which case
-/// graph validation fails; use [`erdos_renyi_connected`] to retry until
+/// graph validation fails; [`erdos_renyi_connected`] retries until
 /// connected.
 ///
 /// # Errors
 ///
 /// Returns [`GenerateError::BadParameters`] if `n < 2` or `p ∉ (0, 1]`,
 /// or [`GenerateError::Build`] if the sample has an isolated node.
-pub fn erdos_renyi<R: Rng + ?Sized>(
-    n: u64,
-    p: f64,
-    rng: &mut R,
-) -> Result<AdjGraph, GenerateError> {
+fn erdos_renyi<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> Result<CsrGraph, GenerateError> {
     if n < 2 {
         return Err(GenerateError::BadParameters(
             "G(n,p) needs n >= 2".to_string(),
@@ -96,7 +97,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
                 edges.push((u, v));
             }
         }
-        return Ok(AdjGraph::from_edges(n, &edges)?);
+        return Ok(CsrGraph::from_edges(n, &edges)?);
     }
     // Iterate over pair index space with geometric skips.
     let total_pairs = n * (n - 1) / 2;
@@ -119,7 +120,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
             break;
         }
     }
-    Ok(AdjGraph::from_edges(n, &edges)?)
+    Ok(CsrGraph::from_edges(n, &edges)?)
 }
 
 /// Maps a linear index over `{(u,v): u<v}` to the pair, ordering pairs by
@@ -143,7 +144,7 @@ fn pair_from_index(idx: u64, n: u64) -> (NodeId, NodeId) {
 ///
 /// # Errors
 ///
-/// [`GenerateError::BadParameters`] as for [`erdos_renyi`];
+/// [`GenerateError::BadParameters`] if `n < 2` or `p ∉ (0, 1]`;
 /// [`GenerateError::RetriesExhausted`] after `max_attempts` disconnected
 /// samples (choose `p ≳ ln n / n` to make success likely).
 pub fn erdos_renyi_connected<R: Rng + ?Sized>(
@@ -151,7 +152,7 @@ pub fn erdos_renyi_connected<R: Rng + ?Sized>(
     p: f64,
     max_attempts: u32,
     rng: &mut R,
-) -> Result<AdjGraph, GenerateError> {
+) -> Result<CsrGraph, GenerateError> {
     for _ in 0..max_attempts {
         match erdos_renyi(n, p, rng) {
             Ok(g) if g.is_connected() => return Ok(g),
@@ -183,7 +184,7 @@ pub fn random_regular<R: Rng + ?Sized>(
     d: usize,
     max_attempts: u32,
     rng: &mut R,
-) -> Result<AdjGraph, GenerateError> {
+) -> Result<CsrGraph, GenerateError> {
     if d == 0 {
         return Err(GenerateError::BadParameters(
             "degree must be positive".to_string(),
@@ -236,7 +237,7 @@ pub fn random_regular<R: Rng + ?Sized>(
         }
         let mut edges: Vec<(NodeId, NodeId)> = edge_set.into_iter().collect();
         edges.sort_unstable();
-        let g = AdjGraph::from_edges(n, &edges)?;
+        let g = CsrGraph::from_edges(n, &edges)?;
         if g.is_connected() {
             return Ok(g);
         }
@@ -259,7 +260,7 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
     n: u64,
     m: usize,
     rng: &mut R,
-) -> Result<AdjGraph, GenerateError> {
+) -> Result<CsrGraph, GenerateError> {
     if m == 0 {
         return Err(GenerateError::BadParameters(
             "attachment count m must be positive".to_string(),
@@ -297,7 +298,7 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
             chances.push(new);
         }
     }
-    Ok(AdjGraph::from_edges(n, &edges)?)
+    Ok(CsrGraph::from_edges(n, &edges)?)
 }
 
 /// Watts–Strogatz small world: ring lattice where each node connects to
@@ -317,7 +318,7 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
     k: usize,
     beta: f64,
     rng: &mut R,
-) -> Result<AdjGraph, GenerateError> {
+) -> Result<CsrGraph, GenerateError> {
     if k == 0 || !k.is_multiple_of(2) {
         return Err(GenerateError::BadParameters(format!(
             "lattice degree k = {k} must be positive and even"
@@ -369,7 +370,7 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
     }
     let mut edges: Vec<(NodeId, NodeId)> = edge_set.into_iter().collect();
     edges.sort_unstable();
-    Ok(AdjGraph::from_edges(n, &edges)?)
+    Ok(CsrGraph::from_edges(n, &edges)?)
 }
 
 /// Barry-style irregular region: a non-wrapping `side × side` grid
@@ -395,7 +396,7 @@ pub fn grid_with_holes<R: Rng + ?Sized>(
     side: u64,
     hole_frac: f64,
     rng: &mut R,
-) -> Result<AdjGraph, GenerateError> {
+) -> Result<CsrGraph, GenerateError> {
     if side < 2 {
         return Err(GenerateError::BadParameters(format!(
             "grid side {side} must be at least 2"
@@ -470,7 +471,7 @@ pub fn grid_with_holes<R: Rng + ?Sized>(
             }
         }
     }
-    Ok(AdjGraph::from_edges(n, &edges)?)
+    Ok(CsrGraph::from_edges(n, &edges)?)
 }
 
 /// The in-bounds 4-neighbors of `(x, y)` on a non-wrapping grid.
@@ -497,7 +498,7 @@ fn grid_neighbors(x: u64, y: u64, side: u64) -> impl Iterator<Item = (u64, u64)>
 /// [`GenerateError::BadParameters`] if `cliques < 2` or
 /// `clique_size < 3` (bridge endpoints must be distinct and each clique
 /// must survive losing a bridge node).
-pub fn ring_of_cliques(cliques: u64, clique_size: u64) -> Result<AdjGraph, GenerateError> {
+pub fn ring_of_cliques(cliques: u64, clique_size: u64) -> Result<CsrGraph, GenerateError> {
     if cliques < 2 {
         return Err(GenerateError::BadParameters(format!(
             "need at least 2 cliques, got {cliques}"
@@ -522,7 +523,7 @@ pub fn ring_of_cliques(cliques: u64, clique_size: u64) -> Result<AdjGraph, Gener
         let next = ((c + 1) % cliques) * clique_size;
         edges.push((base, next + 1));
     }
-    Ok(AdjGraph::from_edges(n, &edges)?)
+    Ok(CsrGraph::from_edges(n, &edges)?)
 }
 
 /// Path graph `0 − 1 − … − (n−1)`.
@@ -530,10 +531,10 @@ pub fn ring_of_cliques(cliques: u64, clique_size: u64) -> Result<AdjGraph, Gener
 /// # Panics
 ///
 /// Panics if `n < 2`.
-pub fn path_graph(n: u64) -> AdjGraph {
+pub fn path_graph(n: u64) -> CsrGraph {
     assert!(n >= 2, "path needs at least two nodes");
     let edges: Vec<_> = (0..n - 1).map(|v| (v, v + 1)).collect();
-    AdjGraph::from_edges(n, &edges).expect("path edges are valid")
+    CsrGraph::from_edges(n, &edges).expect("path edges are valid")
 }
 
 /// Cycle graph on `n` nodes.
@@ -541,11 +542,11 @@ pub fn path_graph(n: u64) -> AdjGraph {
 /// # Panics
 ///
 /// Panics if `n < 3`.
-pub fn cycle_graph(n: u64) -> AdjGraph {
+pub fn cycle_graph(n: u64) -> CsrGraph {
     assert!(n >= 3, "cycle needs at least three nodes");
     let mut edges: Vec<_> = (0..n - 1).map(|v| (v, v + 1)).collect();
     edges.push((n - 1, 0));
-    AdjGraph::from_edges(n, &edges).expect("cycle edges are valid")
+    CsrGraph::from_edges(n, &edges).expect("cycle edges are valid")
 }
 
 /// Star graph: node 0 joined to all others.
@@ -553,19 +554,19 @@ pub fn cycle_graph(n: u64) -> AdjGraph {
 /// # Panics
 ///
 /// Panics if `n < 2`.
-pub fn star_graph(n: u64) -> AdjGraph {
+pub fn star_graph(n: u64) -> CsrGraph {
     assert!(n >= 2, "star needs at least two nodes");
     let edges: Vec<_> = (1..n).map(|v| (0, v)).collect();
-    AdjGraph::from_edges(n, &edges).expect("star edges are valid")
+    CsrGraph::from_edges(n, &edges).expect("star edges are valid")
 }
 
-/// Complete simple graph as an [`AdjGraph`] (no self-loops; contrast with
+/// Complete simple graph as a [`CsrGraph`] (no self-loops; contrast with
 /// [`crate::CompleteGraph`], which models uniform re-sampling).
 ///
 /// # Panics
 ///
 /// Panics if `n < 2`.
-pub fn complete_adj(n: u64) -> AdjGraph {
+pub fn complete_adj(n: u64) -> CsrGraph {
     assert!(n >= 2, "complete graph needs at least two nodes");
     let mut edges = Vec::new();
     for u in 0..n {
@@ -573,7 +574,7 @@ pub fn complete_adj(n: u64) -> AdjGraph {
             edges.push((u, v));
         }
     }
-    AdjGraph::from_edges(n, &edges).expect("complete edges are valid")
+    CsrGraph::from_edges(n, &edges).expect("complete edges are valid")
 }
 
 /// Lollipop graph: a clique on `clique` nodes with a path of `tail` extra
@@ -583,7 +584,7 @@ pub fn complete_adj(n: u64) -> AdjGraph {
 /// # Panics
 ///
 /// Panics if `clique < 3` or `tail == 0`.
-pub fn lollipop(clique: u64, tail: u64) -> AdjGraph {
+pub fn lollipop(clique: u64, tail: u64) -> CsrGraph {
     assert!(clique >= 3, "lollipop clique needs at least three nodes");
     assert!(tail >= 1, "lollipop needs a tail");
     let n = clique + tail;
@@ -597,7 +598,7 @@ pub fn lollipop(clique: u64, tail: u64) -> AdjGraph {
     for i in 0..tail - 1 {
         edges.push((clique + i, clique + i + 1));
     }
-    AdjGraph::from_edges(n, &edges).expect("lollipop edges are valid")
+    CsrGraph::from_edges(n, &edges).expect("lollipop edges are valid")
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@ use crate::topology::{NodeId, Topology};
 /// let h = Hypercube::new(4); // 16 nodes, degree 4
 /// assert_eq!(h.num_nodes(), 16);
 /// assert_eq!(h.neighbor(0b0101, 1), 0b0111);
-/// assert_eq!(h.hamming_distance(0b0000, 0b1011), 3);
+/// let (v, u): (u64, u64) = (0b0000, 0b1011);
+/// assert_eq!((v ^ u).count_ones(), 3); // Hamming distance 3
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Hypercube {
@@ -39,19 +40,6 @@ impl Hypercube {
     /// Number of dimensions k.
     pub fn dims(&self) -> u32 {
         self.dims
-    }
-
-    /// Hamming distance between two vertices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either vertex is out of range.
-    pub fn hamming_distance(&self, a: NodeId, b: NodeId) -> u32 {
-        assert!(
-            a < self.num_nodes() && b < self.num_nodes(),
-            "node out of range"
-        );
-        (a ^ b).count_ones()
     }
 }
 
@@ -115,7 +103,7 @@ mod tests {
         let h = Hypercube::new(5);
         for v in 0..h.num_nodes() {
             for u in h.neighbors(v) {
-                assert_eq!(h.hamming_distance(v, u), 1);
+                assert_eq!((v ^ u).count_ones(), 1);
             }
         }
     }

@@ -12,10 +12,13 @@
 //! * the **complete graph** — the idealised i.i.d. baseline (Section 1.1),
 //! * and arbitrary **irregular graphs** for the network-size application
 //!   (Section 5.1), built here by standard generators (Erdős–Rényi,
-//!   Barabási–Albert, Watts–Strogatz, random regular).
+//!   Barabási–Albert, Watts–Strogatz, random regular, grids with holes,
+//!   rings of cliques).
 //!
 //! Everything implements the [`Topology`] trait (nodes are dense `u64`
 //! ids), so the simulation engine and estimators are topology-generic.
+//! Every general graph is a [`CsrGraph`]: the generators return one, the
+//! engine walks it, and the network-size estimators query it.
 //!
 //! The [`dist`] module evolves walk distributions *exactly* (sparse
 //! matrix–vector products), which lets the experiment harness verify the
@@ -42,7 +45,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod adjacency;
 pub mod complete;
 pub mod csr;
 pub mod dist;
@@ -53,7 +55,6 @@ pub mod spectral;
 pub mod topology;
 pub mod torus;
 
-pub use adjacency::AdjGraph;
 pub use complete::CompleteGraph;
 pub use csr::CsrGraph;
 pub use dist::WalkDistribution;

@@ -6,8 +6,6 @@
 //! `S = D^{−1/2} A D^{−1/2}` (similar to `W`, hence same spectrum) after
 //! deflating its known top eigenvector `φ₁(v) ∝ √deg(v)`.
 
-use crate::adjacency::AdjGraph;
-use crate::dist::WalkDistribution;
 use crate::topology::Topology;
 use rand::Rng;
 
@@ -27,28 +25,13 @@ impl SpectralEstimate {
     pub fn gap(&self) -> f64 {
         (1.0 - self.lambda).max(0.0)
     }
-
-    /// Numeric mixing-time upper bound from the measured eigenvalue:
-    /// `t_mix(eps) ≤ ln(nodes/eps) / (1 − λ)` for a reversible walk
-    /// whose stationary distribution is at least `1/nodes` everywhere
-    /// (regular graphs exactly; near-regular graphs approximately).
-    /// Returns `None` when the measured gap is (numerically) zero —
-    /// bipartite or disconnected graphs never mix.
-    pub fn mixing_time_bound(&self, nodes: u64, eps: f64) -> Option<f64> {
-        assert!(eps > 0.0 && eps < 1.0, "eps must lie in (0,1)");
-        let gap = self.gap();
-        if gap < 1e-9 {
-            return None;
-        }
-        Some((nodes as f64 / eps).ln() / gap)
-    }
 }
 
 /// Estimates `λ = max(|λ₂|, |λ_A|)` of the walk matrix of `graph` by
 /// deflated power iteration.
 ///
-/// Generic over any [`Topology`] — structured tori, [`AdjGraph`], and
-/// [`crate::CsrGraph`] all work, with neighbor multiplicities entering
+/// Generic over any [`Topology`] — structured tori and
+/// [`crate::CsrGraph`] alike, with neighbor multiplicities entering
 /// the walk matrix exactly as they enter the walk itself. This is the
 /// numeric fallback the theory layer uses when a topology has no
 /// closed-form re-collision envelope: measure λ, apply the expander
@@ -287,33 +270,10 @@ fn normalize(x: &mut [f64]) {
     x.iter_mut().for_each(|v| *v /= norm);
 }
 
-/// Measures the number of steps until a walk started at `start` is within
-/// total-variation distance `eps` of the stationary distribution, by exact
-/// distribution evolution. Returns `None` if not reached in `max_steps`
-/// (e.g. bipartite graphs never mix).
-///
-/// # Panics
-///
-/// Panics if `eps ∉ (0, 1)`.
-pub fn mixing_time_from(graph: &AdjGraph, start: u64, eps: f64, max_steps: u64) -> Option<u64> {
-    assert!(eps > 0.0 && eps < 1.0, "eps must lie in (0,1)");
-    let stationary = WalkDistribution::stationary(graph);
-    let mut dist = WalkDistribution::point(graph, start);
-    if dist.tv_distance(&stationary) <= eps {
-        return Some(0);
-    }
-    for m in 1..=max_steps {
-        dist.step(graph);
-        if dist.tv_distance(&stationary) <= eps {
-            return Some(m);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::WalkDistribution;
     use crate::generators::{complete_adj, cycle_graph, random_regular, star_graph};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -373,27 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn mixing_time_fast_on_complete_graph() {
-        let g = complete_adj(20);
-        let t = mixing_time_from(&g, 0, 0.01, 100).expect("must mix");
-        assert!(t <= 5, "complete graph mixes almost instantly, got {t}");
-    }
-
-    #[test]
-    fn mixing_time_none_on_bipartite() {
-        let g = star_graph(6);
-        assert_eq!(mixing_time_from(&g, 1, 0.01, 1000), None);
-    }
-
-    #[test]
-    fn mixing_time_monotone_in_eps() {
-        let g = cycle_graph(15);
-        let loose = mixing_time_from(&g, 0, 0.2, 10_000).unwrap();
-        let tight = mixing_time_from(&g, 0, 0.01, 10_000).unwrap();
-        assert!(tight >= loose);
-    }
-
-    #[test]
     fn lambda_predicts_tv_decay_on_odd_cycle() {
         // TV(m) decays roughly like lambda^m for reversible chains.
         let g = cycle_graph(9);
@@ -414,9 +353,10 @@ mod tests {
 
     #[test]
     fn generic_lambda_agrees_between_adj_and_csr_and_structured() {
-        // same graph, three representations, one spectrum
+        // same graph, three representations, one spectrum: the sorted
+        // simple-graph build, the move-order rebuild, and the ring itself
         let cycle = crate::torus::Ring::new(9);
-        let adj = AdjGraph::from_topology(&cycle).unwrap();
+        let adj = cycle_graph(9);
         let csr = crate::csr::CsrGraph::from_topology(&cycle);
         let l_adj = walk_matrix_lambda(&adj, 3000, &mut SmallRng::seed_from_u64(6)).lambda;
         let l_csr = walk_matrix_lambda(&csr, 3000, &mut SmallRng::seed_from_u64(6)).lambda;
@@ -427,25 +367,6 @@ mod tests {
         // below 1 is |cos(8 pi / 9)| = cos(pi / 9).
         let expect = (std::f64::consts::PI / 9.0).cos();
         assert!((l_adj - expect).abs() < 1e-5, "{l_adj} vs {expect}");
-    }
-
-    #[test]
-    fn mixing_time_bound_tracks_measured_mixing() {
-        let g = cycle_graph(15);
-        let mut rng = SmallRng::seed_from_u64(8);
-        let est = walk_matrix_lambda(&g, 5000, &mut rng);
-        let bound = est.mixing_time_bound(15, 0.01).expect("odd cycle mixes");
-        let measured = mixing_time_from(&g, 0, 0.01, 10_000).expect("must mix") as f64;
-        assert!(bound >= measured, "bound {bound} below measured {measured}");
-        assert!(bound < 40.0 * measured, "bound {bound} uselessly loose");
-    }
-
-    #[test]
-    fn mixing_time_bound_none_without_gap() {
-        let g = star_graph(6); // bipartite: lambda = 1, gap = 0
-        let mut rng = SmallRng::seed_from_u64(9);
-        let est = walk_matrix_lambda(&g, 2000, &mut rng);
-        assert_eq!(est.mixing_time_bound(6, 0.1), None);
     }
 
     #[test]

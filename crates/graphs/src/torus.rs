@@ -351,11 +351,6 @@ impl Ring {
         assert!(from < self.nodes && to < self.nodes, "node out of range");
         signed_wrap(to as i64 - from as i64, self.nodes as i64)
     }
-
-    /// Ring distance (shorter arc).
-    pub fn ring_distance(&self, a: NodeId, b: NodeId) -> u64 {
-        self.displacement(a, b).unsigned_abs()
-    }
 }
 
 impl Topology for Ring {
@@ -543,7 +538,6 @@ mod tests {
         let r = Ring::new(5);
         assert_eq!(r.neighbor(4, 0), 0);
         assert_eq!(r.neighbor(0, 1), 4);
-        assert_eq!(r.ring_distance(0, 3), 2); // shorter arc
         assert_eq!(r.displacement(0, 3), -2);
         assert_eq!(r.displacement(0, 2), 2);
     }

@@ -2,7 +2,7 @@
 
 use antdensity_graphs::dist::WalkDistribution;
 use antdensity_graphs::generators;
-use antdensity_graphs::{AdjGraph, Hypercube, NodeId, Ring, Topology, Torus2d, TorusKd};
+use antdensity_graphs::{CsrGraph, Hypercube, NodeId, Ring, Topology, Torus2d, TorusKd};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -101,7 +101,7 @@ proptest! {
                 idx += 1;
             }
         }
-        let g = AdjGraph::from_edges(n, &edges).unwrap();
+        let g = CsrGraph::from_edges(n, &edges).unwrap();
         prop_assert_eq!(g.num_edges() as usize, edges.len());
         for &(u, v) in &edges {
             prop_assert!(g.has_edge(u, v));
@@ -115,7 +115,6 @@ proptest! {
 
     #[test]
     fn csr_rebuild_preserves_every_move(side in 1u64..10, dims in 1u32..7) {
-        use antdensity_graphs::CsrGraph;
         // structured topologies (multisets included, e.g. side <= 2)
         let torus = Torus2d::new(side);
         let csr = CsrGraph::from_topology(&torus);
@@ -138,7 +137,6 @@ proptest! {
         side in 1u64..10,
         seed in any::<u64>(),
     ) {
-        use antdensity_graphs::CsrGraph;
         use rand::Rng;
         // the CSR zone-hoisted draw is bit-for-bit gen_range(0..d)
         let csr = CsrGraph::from_topology(&Torus2d::new(side));
@@ -162,16 +160,14 @@ proptest! {
         frac_pm in 0u32..600,
         seed in any::<u64>(),
     ) {
-        use antdensity_graphs::CsrGraph;
-        let rc = CsrGraph::from_adj(&generators::ring_of_cliques(cliques, size).unwrap());
+        let rc = generators::ring_of_cliques(cliques, size).unwrap();
         prop_assert_eq!(rc.num_nodes(), cliques * size);
         prop_assert!(rc.is_connected());
         assert_symmetric(&rc);
 
         let mut rng = SmallRng::seed_from_u64(seed);
         match generators::grid_with_holes(gside, f64::from(frac_pm) / 1000.0, &mut rng) {
-            Ok(adj) => {
-                let g = CsrGraph::from_adj(&adj);
+            Ok(g) => {
                 prop_assert!(g.is_connected(), "largest component must be connected");
                 prop_assert!(g.max_degree() <= 4);
                 prop_assert!(g.num_nodes() <= gside * gside);

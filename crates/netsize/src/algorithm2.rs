@@ -19,9 +19,8 @@
 
 use crate::burnin;
 use crate::queries::QueryCount;
-use antdensity_graphs::{AdjGraph, NodeId, Topology};
+use antdensity_graphs::{CsrGraph, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
-use std::collections::HashMap;
 
 /// How walks obtain their starting positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +93,7 @@ impl Algorithm2 {
     /// range.
     pub fn run(
         &self,
-        graph: &AdjGraph,
+        graph: &CsrGraph,
         avg_degree: f64,
         start: StartMode,
         seed: u64,
@@ -118,21 +117,23 @@ impl Algorithm2 {
             }
         };
         let mut weighted: f64 = 0.0;
-        let mut occupancy: HashMap<NodeId, u32> = HashMap::new();
+        let mut sorted: Vec<NodeId> = Vec::with_capacity(self.num_walks);
         for _ in 0..self.rounds {
             for p in positions.iter_mut() {
                 *p = graph.random_neighbor(*p, &mut rng);
             }
             queries.walking += self.num_walks as u64;
-            occupancy.clear();
-            for &p in &positions {
-                *occupancy.entry(p).or_insert(0) += 1;
-            }
-            for (&node, &occ) in occupancy.iter() {
-                if occ >= 2 {
+            // Sum in ascending node order, so the float total is the same
+            // in every process.
+            sorted.clear();
+            sorted.extend_from_slice(&positions);
+            sorted.sort_unstable();
+            for run in sorted.chunk_by(|a, b| a == b) {
+                if run.len() >= 2 {
                     // each of the occ walkers counts (occ-1) others,
                     // weighted by 1/deg(node)
-                    weighted += (occ as f64) * (occ as f64 - 1.0) / graph.degree(node) as f64;
+                    let occ = run.len() as f64;
+                    weighted += occ * (occ - 1.0) / graph.degree(run[0]) as f64;
                 }
             }
         }

@@ -8,13 +8,13 @@
 //! probability `2δ`.
 
 use antdensity_graphs::spectral;
-use antdensity_graphs::{AdjGraph, NodeId, Topology, WalkDistribution};
+use antdensity_graphs::{CsrGraph, NodeId, Topology, WalkDistribution};
 use rand::RngCore;
 
 /// Walks `num_walks` independent walkers from `seed_vertex` for `steps`
 /// rounds; returns their final positions.
 pub fn burn_in(
-    graph: &AdjGraph,
+    graph: &CsrGraph,
     seed_vertex: NodeId,
     steps: u64,
     num_walks: usize,
@@ -42,7 +42,7 @@ pub fn burn_in(
 ///
 /// Panics if `delta ∉ (0,1)` or the measured/supplied λ is ≥ 1 (bipartite
 /// or disconnected graphs never mix — burn-in is undefined there).
-pub fn recommended_burnin(graph: &AdjGraph, delta: f64, lambda: Option<f64>, c: f64) -> u64 {
+pub fn recommended_burnin(graph: &CsrGraph, delta: f64, lambda: Option<f64>, c: f64) -> u64 {
     let lambda = lambda.unwrap_or_else(|| {
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5EED_B112);
@@ -58,7 +58,7 @@ pub fn recommended_burnin(graph: &AdjGraph, delta: f64, lambda: Option<f64>, c: 
 /// Exact total-variation distance to stationarity after each of
 /// `0..=max_steps` steps from `seed_vertex` — the burn-in diagnostic
 /// curve (computed by distribution evolution, no sampling noise).
-pub fn tv_profile(graph: &AdjGraph, seed_vertex: NodeId, max_steps: u64) -> Vec<f64> {
+pub fn tv_profile(graph: &CsrGraph, seed_vertex: NodeId, max_steps: u64) -> Vec<f64> {
     let stationary = WalkDistribution::stationary(graph);
     let mut dist = WalkDistribution::point(graph, seed_vertex);
     let mut out = Vec::with_capacity(max_steps as usize + 1);

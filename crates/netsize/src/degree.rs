@@ -6,7 +6,7 @@
 //! exactly. Theorem 31: `n = Θ(deḡ/(deg_min·ε²·δ))` samples give a
 //! `(1±ε)` estimate w.p. `1−δ`.
 
-use antdensity_graphs::{AdjGraph, NodeId, Topology};
+use antdensity_graphs::{CsrGraph, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 
 /// Result of an average-degree estimation.
@@ -27,7 +27,7 @@ pub struct DegreeEstimate {
 /// # Panics
 ///
 /// Panics if `positions` is empty or contains an out-of-range node.
-pub fn estimate_from_positions(graph: &AdjGraph, positions: &[NodeId]) -> DegreeEstimate {
+pub fn estimate_from_positions(graph: &CsrGraph, positions: &[NodeId]) -> DegreeEstimate {
     assert!(!positions.is_empty(), "need at least one sample");
     let sum: f64 = positions
         .iter()
@@ -46,7 +46,7 @@ pub fn estimate_from_positions(graph: &AdjGraph, positions: &[NodeId]) -> Degree
 /// # Panics
 ///
 /// Panics if `samples == 0`.
-pub fn estimate_avg_degree(graph: &AdjGraph, samples: usize, seed: u64) -> DegreeEstimate {
+pub fn estimate_avg_degree(graph: &CsrGraph, samples: usize, seed: u64) -> DegreeEstimate {
     assert!(samples > 0, "need at least one sample");
     let seq = SeedSequence::new(seed);
     let mut rng = seq.rng(0);
@@ -57,7 +57,7 @@ pub fn estimate_avg_degree(graph: &AdjGraph, samples: usize, seed: u64) -> Degre
 }
 
 /// Theorem 31's sample budget `n = c·deḡ/(deg_min·ε²·δ)`.
-pub fn required_samples(graph: &AdjGraph, eps: f64, delta: f64, c: f64) -> usize {
+pub fn required_samples(graph: &CsrGraph, eps: f64, delta: f64, c: f64) -> usize {
     antdensity_stats::bounds::theorem31_walks(
         graph.avg_degree(),
         graph.min_degree() as f64,

@@ -10,7 +10,7 @@
 //! `n = Θ(|V|·deḡ/(ε²δ·√(Σ deg(v)²)))`.
 
 use crate::algorithm2::{Algorithm2, NetSizeRun, StartMode};
-use antdensity_graphs::{AdjGraph, Topology};
+use antdensity_graphs::{CsrGraph, Topology};
 
 /// The KLSC14 single-round collision estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ impl Katzir {
     /// collision-counting round.
     pub fn run(
         &self,
-        graph: &AdjGraph,
+        graph: &CsrGraph,
         avg_degree: f64,
         start: StartMode,
         seed: u64,
@@ -49,7 +49,7 @@ impl Katzir {
     /// The walk budget KLSC14 needs for a `(1±ε)` estimate w.p. `1−δ`
     /// ("for reasonable node degrees they require
     /// `n = Θ(|V|·deḡ/(ε²δ·√Σdeg²))`", Section 5.1.5).
-    pub fn required_walks(graph: &AdjGraph, eps: f64, delta: f64, c: f64) -> usize {
+    pub fn required_walks(graph: &CsrGraph, eps: f64, delta: f64, c: f64) -> usize {
         assert!(eps > 0.0 && eps < 1.0, "eps must lie in (0,1)");
         assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0,1)");
         let v = graph.num_nodes() as f64;

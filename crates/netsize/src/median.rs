@@ -7,7 +7,7 @@
 
 use crate::algorithm2::{Algorithm2, NetSizeRun, StartMode};
 use crate::queries::QueryCount;
-use antdensity_graphs::AdjGraph;
+use antdensity_graphs::CsrGraph;
 use antdensity_stats::mom;
 
 /// The result of a median-boosted run.
@@ -31,7 +31,7 @@ pub struct BoostedRun {
 /// Panics if `repetitions == 0`.
 pub fn median_boosted(
     alg: Algorithm2,
-    graph: &AdjGraph,
+    graph: &CsrGraph,
     avg_degree: f64,
     start: StartMode,
     repetitions: usize,

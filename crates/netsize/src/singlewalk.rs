@@ -18,7 +18,7 @@
 //! harness.
 
 use crate::queries::QueryCount;
-use antdensity_graphs::{AdjGraph, NodeId, Topology};
+use antdensity_graphs::{CsrGraph, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 
 /// The outcome of a single-walk estimation.
@@ -72,7 +72,7 @@ impl SingleWalk {
     /// Panics if `avg_degree <= 0` or `start` is out of range.
     pub fn run(
         &self,
-        graph: &AdjGraph,
+        graph: &CsrGraph,
         avg_degree: f64,
         start: NodeId,
         seed: u64,
@@ -89,17 +89,16 @@ impl SingleWalk {
             }
             observed.push(v);
         }
-        // weighted collision mass over all pairs: group samples by node.
-        let mut by_node: std::collections::HashMap<NodeId, u32> = std::collections::HashMap::new();
-        for &u in &observed {
-            *by_node.entry(u).or_insert(0) += 1;
-        }
-        let weighted: f64 = by_node
-            .iter()
-            .filter(|(_, &c)| c >= 2)
-            .map(|(&u, &c)| {
-                let cf = c as f64;
-                cf * (cf - 1.0) / 2.0 / graph.degree(u) as f64
+        // weighted collision mass over all pairs: group samples by node,
+        // summed in ascending node order so the float total is the same
+        // in every process.
+        observed.sort_unstable();
+        let weighted: f64 = observed
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() >= 2)
+            .map(|run| {
+                let cf = run.len() as f64;
+                cf * (cf - 1.0) / 2.0 / graph.degree(run[0]) as f64
             })
             .sum();
         let pairs = self.samples as f64 * (self.samples as f64 - 1.0) / 2.0;

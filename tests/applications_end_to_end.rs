@@ -55,7 +55,7 @@ fn full_netsize_pipeline_from_seed_vertex() {
 #[test]
 fn netsize_works_across_graph_families() {
     let mut rng = SmallRng::seed_from_u64(0xFA11);
-    let families: Vec<(&str, antdensity::graphs::AdjGraph)> = vec![
+    let families: Vec<(&str, antdensity::graphs::CsrGraph)> = vec![
         (
             "regular",
             generators::random_regular(600, 6, 500, &mut rng).expect("regular"),
