@@ -315,7 +315,7 @@ fn run_sweep_distributed_cmd(
         None => sweep::Transport::Children {
             workers: req
                 .workers_cmd
-                .unwrap_or_else(antdensity_walks::parallel::default_threads),
+                .unwrap_or_else(antdensity_engine::pool::default_threads),
         },
     };
     let dopts = sweep::DistOptions {
@@ -372,7 +372,7 @@ fn run_sweep_cmd(req: &cli::SweepRequest) {
         fuse: !req.no_fuse,
         workers: req
             .workers
-            .unwrap_or_else(antdensity_walks::parallel::default_threads),
+            .unwrap_or_else(antdensity_engine::pool::default_threads),
         checkpoint: checkpoint.clone(),
         resume: req.resume,
         max_shards: req.max_shards,

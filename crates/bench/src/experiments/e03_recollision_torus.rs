@@ -39,7 +39,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         mc_lags,
         mc_trials,
         seed,
-        antdensity_walks::parallel::default_threads(),
+        antdensity_engine::pool::default_threads(),
     );
 
     let mut table = Table::new(

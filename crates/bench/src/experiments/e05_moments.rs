@@ -12,9 +12,9 @@
 
 use crate::report::{Effort, ExperimentReport};
 use antdensity_core::recollision;
+use antdensity_engine::pool::default_threads;
 use antdensity_graphs::{Topology, Torus2d};
 use antdensity_stats::table::{format_sig, Table};
-use antdensity_walks::parallel;
 
 fn factorial(k: u32) -> f64 {
     (1..=k as u64).map(|i| i as f64).product::<f64>().max(1.0)
@@ -31,7 +31,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let a = torus.num_nodes();
     let trials = effort.trials(30_000, 300_000);
     let max_k = 6u32;
-    let threads = parallel::default_threads();
+    let threads = default_threads();
     let ts = [a / 4, a];
 
     // --- pairwise collision counts (Lemma 11) ---

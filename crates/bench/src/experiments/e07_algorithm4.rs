@@ -5,6 +5,7 @@
 //! cancels the spurious collisions of co-located lock-step walkers.
 
 use crate::report::{Effort, ExperimentReport};
+use antdensity_engine::pool::{default_threads, run_trials};
 use antdensity_engine::{
     Alg4Observer, EncounterTallies, Engine, EstimatorSpec, MovementModel, Observer, RoundEvents,
     Scenario, TopologySpec,
@@ -14,7 +15,6 @@ use antdensity_stats::quantile;
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::rng::SeedSequence;
 use antdensity_stats::table::{format_sig, Table};
-use antdensity_walks::parallel;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -64,7 +64,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let d = 0.02;
     let n_agents = ((d * a as f64).round() as usize).max(2) + 1;
     let runs = effort.trials(4, 10);
-    let threads = parallel::default_threads();
+    let threads = default_threads();
     let seq = SeedSequence::new(seed);
 
     let mut table = Table::new(
@@ -80,7 +80,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     for &t in &ts {
         let spec = Scenario::new(TopologySpec::Torus2d { side }, n_agents, t)
             .with_estimator(EstimatorSpec::Algorithm4);
-        let per_run = parallel::run_trials(runs, threads, seq.subsequence(t), |i, _| {
+        let per_run = run_trials(runs, threads, seq.subsequence(t), |i, _| {
             spec.run(seq.derive(i ^ (t << 16))).relative_errors()
         });
         let pooled: Vec<f64> = per_run.into_iter().flatten().collect();

@@ -1,9 +1,9 @@
 //! Shared helpers for experiment modules.
 
+use antdensity_engine::pool::{default_threads, run_trials};
 use antdensity_engine::{Scenario, TopologySpec};
 use antdensity_stats::quantile;
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::parallel;
 
 /// Pools per-agent relative errors from `runs` independent executions
 /// of an Algorithm 1 [`Scenario`] and returns the requested error
@@ -19,9 +19,9 @@ pub(crate) fn scenario_error_quantiles(
     qs: &[f64],
 ) -> Vec<f64> {
     let seq = SeedSequence::new(seed);
-    let threads = parallel::default_threads();
+    let threads = default_threads();
     let spec = Scenario::new(topology, num_agents, rounds);
-    let per_run = parallel::run_trials(runs, threads, seq, |i, _| {
+    let per_run = run_trials(runs, threads, seq, |i, _| {
         spec.run(seq.derive(i ^ 0xE1E1)).relative_errors()
     });
     let pooled: Vec<f64> = per_run.into_iter().flatten().collect();
@@ -39,11 +39,11 @@ pub(crate) fn scenario_mean_estimate(
     seed: u64,
 ) -> (f64, f64, u64) {
     let seq = SeedSequence::new(seed);
-    let threads = parallel::default_threads();
+    let threads = default_threads();
     let spec = Scenario::new(topology, num_agents, rounds);
     // Per-run means are i.i.d. across runs; agents within a run are
     // correlated, so the standard error is computed over run means.
-    let run_means = parallel::run_trials(runs, threads, seq, |i, _| {
+    let run_means = run_trials(runs, threads, seq, |i, _| {
         spec.run(seq.derive(i ^ 0xE2E2)).mean_estimate()
     });
     let n = run_means.len() as f64;

@@ -57,6 +57,9 @@ mod algorithm1;
 mod algorithm4;
 #[cfg(test)]
 mod frequency;
+// Unit tests of the walk samplers in `recollision`.
+#[cfg(test)]
+mod pairwise;
 
 pub use noise::CollisionNoise;
 pub use quorum::SequentialQuorum;

@@ -48,6 +48,7 @@ pub struct QuorumSensor {
     threshold: f64,
     delta: f64,
     max_rounds: u64,
+    // Theorem 1's `c₁` in the margin: 1.0 (a unit test narrows it).
     margin_constant: f64,
 }
 
@@ -68,14 +69,6 @@ impl QuorumSensor {
             max_rounds,
             margin_constant: 1.0,
         }
-    }
-
-    /// Adjusts the margin constant (the Theorem 1 `c₁`; default 1.0 —
-    /// empirically calibrated constants are fitted by experiment E1).
-    pub fn with_margin_constant(mut self, c: f64) -> Self {
-        assert!(c > 0.0, "margin constant must be positive");
-        self.margin_constant = c;
-        self
     }
 
     /// The decision margin at checkpoint `t`: an absolute band around the
@@ -289,56 +282,6 @@ impl Observer for SequentialQuorum {
     }
 }
 
-/// The colony-level outcome of a cooperative quorum vote.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CooperativeOutcome {
-    /// The majority decision among agents that decided.
-    pub decision: QuorumDecision,
-    /// Votes for Above.
-    pub above: usize,
-    /// Votes for Below.
-    pub below: usize,
-    /// Agents that stayed undecided.
-    pub undecided: usize,
-}
-
-/// Cooperative threshold detection — the paper's Section 6.2 question:
-/// "how multiple agents with different density estimates can cooperate to
-/// learn if a density threshold has been reached, with more accuracy than
-/// if just a single agent were attempting to detect such a threshold."
-///
-/// The simplest cooperation is a majority vote over the per-agent
-/// decisions of a [`QuorumSensor`]. Each agent errs independently-ish
-/// with probability ≤ δ_agent, so the majority over `k` agents errs with
-/// probability `exp(−Θ(k))` — a colony can use a *much looser* (cheaper,
-/// faster) per-agent sensor and still decide reliably. The E-suite's
-/// integration tests quantify the boost.
-///
-/// Returns the majority decision among decided agents (`Undecided` only
-/// when nobody decided or the vote ties).
-pub fn cooperative_vote(outcomes: &[QuorumOutcome]) -> CooperativeOutcome {
-    let above = outcomes
-        .iter()
-        .filter(|o| o.decision == QuorumDecision::Above)
-        .count();
-    let below = outcomes
-        .iter()
-        .filter(|o| o.decision == QuorumDecision::Below)
-        .count();
-    let undecided = outcomes.len() - above - below;
-    let decision = match above.cmp(&below) {
-        std::cmp::Ordering::Greater => QuorumDecision::Above,
-        std::cmp::Ordering::Less => QuorumDecision::Below,
-        std::cmp::Ordering::Equal => QuorumDecision::Undecided,
-    };
-    CooperativeOutcome {
-        decision,
-        above,
-        below,
-        undecided,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,7 +394,8 @@ mod tests {
         // Agent 0 collides twice every round (estimate 2.0 ≫ 0.5),
         // agent 1 never (0.0 ≪ 0.5): both decide at the first
         // checkpoint; agent 2 hugs the threshold and stays undecided.
-        let sensor = QuorumSensor::new(0.5, 0.1, 8).with_margin_constant(0.2);
+        let mut sensor = QuorumSensor::new(0.5, 0.1, 8);
+        sensor.margin_constant = 0.2;
         let mut sq = SequentialQuorum::new(sensor, 3);
         let mut tallies = EncounterTallies::new(3, false);
         for round in 1..=8u64 {
@@ -511,73 +455,5 @@ mod tests {
         assert_eq!(outcomes[0].decision, QuorumDecision::Undecided);
         assert_eq!(outcomes[0].rounds_used, 4);
         assert_eq!(outcomes[0].estimate, 1.0, "4 collisions / 4 rounds");
-    }
-
-    #[test]
-    fn cooperative_vote_majority_rules() {
-        let mk = |d: QuorumDecision| QuorumOutcome {
-            decision: d,
-            rounds_used: 1,
-            estimate: 0.0,
-        };
-        let outcomes = vec![
-            mk(QuorumDecision::Above),
-            mk(QuorumDecision::Above),
-            mk(QuorumDecision::Below),
-            mk(QuorumDecision::Undecided),
-        ];
-        let v = cooperative_vote(&outcomes);
-        assert_eq!(v.decision, QuorumDecision::Above);
-        assert_eq!((v.above, v.below, v.undecided), (2, 1, 1));
-    }
-
-    #[test]
-    fn cooperative_vote_tie_is_undecided() {
-        let mk = |d: QuorumDecision| QuorumOutcome {
-            decision: d,
-            rounds_used: 1,
-            estimate: 0.0,
-        };
-        let v = cooperative_vote(&[mk(QuorumDecision::Above), mk(QuorumDecision::Below)]);
-        assert_eq!(v.decision, QuorumDecision::Undecided);
-        let none = cooperative_vote(&[mk(QuorumDecision::Undecided)]);
-        assert_eq!(none.decision, QuorumDecision::Undecided);
-    }
-
-    #[test]
-    fn colony_vote_beats_loose_individual_sensors() {
-        // Section 6.2's cooperation claim, quantified: give every scout a
-        // deliberately LOOSE sensor (short budget, wide margin constant)
-        // so individuals are unreliable near the threshold; the colony's
-        // majority vote is still consistently right.
-        let topo = CompleteGraph::new(512);
-        // d = 128/512 = 0.25 vs threshold 0.15: above, but not by much
-        let sensor = QuorumSensor::new(0.15, 0.3, 128).with_margin_constant(0.6);
-        let mut colony_correct = 0;
-        let mut individual_correct = 0usize;
-        let mut individual_total = 0usize;
-        let runs = 10;
-        for s in 0..runs {
-            let outcomes = sensor.run(&topo, 129, 100 + s);
-            let vote = cooperative_vote(&outcomes);
-            if vote.decision == QuorumDecision::Above {
-                colony_correct += 1;
-            }
-            individual_correct += outcomes
-                .iter()
-                .filter(|o| o.decision == QuorumDecision::Above)
-                .count();
-            individual_total += outcomes.len();
-        }
-        let individual_rate = individual_correct as f64 / individual_total as f64;
-        assert_eq!(
-            colony_correct, runs,
-            "colony majority must always be right (individual rate {individual_rate})"
-        );
-        // the boost is real only if individuals were genuinely unreliable
-        assert!(
-            individual_rate < 0.95,
-            "sensor should be loose for this test: rate {individual_rate}"
-        );
     }
 }

@@ -7,14 +7,16 @@
 //! * **exact** — computed from the walk-distribution evolution in
 //!   [`antdensity_graphs::dist`] (no sampling noise; preferred for shape
 //!   verification);
-//! * **Monte-Carlo** — sampled with the simulation engine (validates that
-//!   the engine agrees with the exact math, and scales to quantities with
-//!   no closed form, like conditional-on-path moments).
+//! * **Monte-Carlo** — one- and two-walk samplers (at the end of this
+//!   module) fanned out over `antdensity_engine::pool::run_trials`
+//!   (validates sampled walks against the exact math, and scales to
+//!   quantities with no closed form, like conditional-on-path moments).
 
+use antdensity_engine::pool::run_trials;
 use antdensity_graphs::{dist, NodeId, Topology};
 use antdensity_stats::moments::CentralMoments;
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::{pairwise, parallel};
+use rand::RngCore;
 
 /// Exact re-collision probability at each lag `0..=t` for two walks
 /// launched from the same node (Lemma 4's unconditional form).
@@ -46,8 +48,8 @@ pub fn mc_recollision_curve<T: Topology + Sync>(
     threads: usize,
 ) -> Vec<f64> {
     let seq = SeedSequence::new(seed);
-    let per_trial = parallel::run_trials(trials, threads, seq, |_, rng| {
-        pairwise::recollision_series(topo, start, t, rng)
+    let per_trial = run_trials(trials, threads, seq, |_, rng| {
+        recollision_series(topo, start, t, rng)
     });
     let mut counts = vec![0u64; t as usize + 1];
     for series in &per_trial {
@@ -82,8 +84,8 @@ pub fn pair_count_moments<T: Topology + Sync>(
 ) -> CentralMoments {
     let center = t as f64 / topo.num_nodes() as f64;
     let seq = SeedSequence::new(seed);
-    let samples = parallel::run_trials(trials, threads, seq, |_, rng| {
-        pairwise::pair_collision_count(topo, t, rng) as f64
+    let samples = run_trials(trials, threads, seq, |_, rng| {
+        pair_collision_count(topo, t, rng) as f64
     });
     let mut cm = CentralMoments::new(center, max_order);
     samples.iter().for_each(|&x| cm.push(x));
@@ -104,8 +106,8 @@ pub fn visit_count_moments<T: Topology + Sync>(
 ) -> CentralMoments {
     let center = t as f64 / topo.num_nodes() as f64;
     let seq = SeedSequence::new(seed);
-    let samples = parallel::run_trials(trials, threads, seq, |_, rng| {
-        pairwise::visit_count(topo, target, t, rng) as f64
+    let samples = run_trials(trials, threads, seq, |_, rng| {
+        visit_count(topo, target, t, rng) as f64
     });
     let mut cm = CentralMoments::new(center, max_order);
     samples.iter().for_each(|&x| cm.push(x));
@@ -126,29 +128,106 @@ pub fn equalization_moments<T: Topology + Sync>(
 ) -> CentralMoments {
     let center = expected_equalizations(topo, start, t);
     let seq = SeedSequence::new(seed);
-    let samples = parallel::run_trials(trials, threads, seq, |_, rng| {
-        pairwise::equalization_count(topo, start, t, rng) as f64
+    let samples = run_trials(trials, threads, seq, |_, rng| {
+        equalization_count(topo, start, t, rng) as f64
     });
     let mut cm = CentralMoments::new(center, max_order);
     samples.iter().for_each(|&x| cm.push(x));
     cm
 }
 
-/// The Lemma 11 moment *bound* with explicit constant `w`:
-/// `(t/A)·wᵏ·k!·logᵏ(2t)`. Experiments fit `w` and check stability.
-pub fn lemma11_bound(t: u64, a: u64, k: u32, w: f64) -> f64 {
-    let log2t = (2.0 * t as f64).ln();
-    let mut kfact = 1.0;
-    for i in 1..=k as u64 {
-        kfact *= i as f64;
+// Monte-Carlo samplers of one and two walks: the per-trial variables the
+// measurements above average. Each has an exact counterpart in
+// `antdensity_graphs::dist`.
+
+/// Simulates two independent walks from the same start for `t` rounds and
+/// returns the 0/1 re-collision indicator at every lag `0..=t` (Lemma 4's
+/// event: both walks start at one collision node).
+pub(crate) fn recollision_series<T: Topology>(
+    topo: &T,
+    start: NodeId,
+    t: u64,
+    rng: &mut dyn RngCore,
+) -> Vec<bool> {
+    let mut a = start;
+    let mut b = start;
+    let mut out = Vec::with_capacity(t as usize + 1);
+    out.push(true);
+    for _ in 0..t {
+        a = topo.random_neighbor(a, rng);
+        b = topo.random_neighbor(b, rng);
+        out.push(a == b);
     }
-    (t as f64 / a as f64) * w.powi(k as i32) * kfact * log2t.powi(k as i32)
+    out
+}
+
+/// Samples the pairwise collision count `c_j` of Section 3.2: both agents
+/// start at independent uniform nodes, walk `t` rounds, and we count the
+/// rounds (after moving) in which they share a node.
+pub(crate) fn pair_collision_count<T: Topology>(topo: &T, t: u64, rng: &mut dyn RngCore) -> u64 {
+    let mut a = topo.uniform_node(rng);
+    let mut b = topo.uniform_node(rng);
+    let mut c = 0u64;
+    for _ in 0..t {
+        a = topo.random_neighbor(a, rng);
+        b = topo.random_neighbor(b, rng);
+        if a == b {
+            c += 1;
+        }
+    }
+    c
+}
+
+/// Counts equalizations — returns to the starting node — of a single
+/// `t`-step walk (Corollary 16's variable).
+pub fn equalization_count<T: Topology>(
+    topo: &T,
+    start: NodeId,
+    t: u64,
+    rng: &mut dyn RngCore,
+) -> u64 {
+    let mut v = start;
+    let mut c = 0u64;
+    for _ in 0..t {
+        v = topo.random_neighbor(v, rng);
+        if v == start {
+            c += 1;
+        }
+    }
+    c
+}
+
+/// Counts visits to `target` by a `t`-step walk from a uniformly random
+/// start (Corollary 15's variable; the initial position counts as a visit
+/// if it equals `target`, matching the corollary's round-1..t convention
+/// after the first move).
+pub fn visit_count<T: Topology>(topo: &T, target: NodeId, t: u64, rng: &mut dyn RngCore) -> u64 {
+    let mut v = topo.uniform_node(rng);
+    let mut c = 0u64;
+    for _ in 0..t {
+        v = topo.random_neighbor(v, rng);
+        if v == target {
+            c += 1;
+        }
+    }
+    c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use antdensity_graphs::{CompleteGraph, Ring, Torus2d};
+
+    /// The Lemma 11 moment bound with explicit constant `w`:
+    /// `(t/A)·wᵏ·k!·logᵏ(2t)`.
+    fn lemma11_bound(t: u64, a: u64, k: u32, w: f64) -> f64 {
+        let log2t = (2.0 * t as f64).ln();
+        let mut kfact = 1.0;
+        for i in 1..=k as u64 {
+            kfact *= i as f64;
+        }
+        (t as f64 / a as f64) * w.powi(k as i32) * kfact * log2t.powi(k as i32)
+    }
 
     #[test]
     fn exact_and_mc_recollision_agree() {
@@ -265,13 +344,6 @@ mod tests {
             ring_cm.moment(2),
             torus_cm.moment(2)
         );
-    }
-
-    #[test]
-    fn lemma11_bound_monotone_in_k_factorial() {
-        let b2 = lemma11_bound(100, 1000, 2, 1.0);
-        let b4 = lemma11_bound(100, 1000, 4, 1.0);
-        assert!(b4 > b2);
     }
 
     #[test]

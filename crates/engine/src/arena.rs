@@ -1,11 +1,11 @@
 //! Unit tests of the paper's synchronous model (Section 2) as
-//! [`antdensity_engine::Engine`] executes it when stepped round by round
+//! [`crate::Engine`] executes it when stepped round by round
 //! from one caller-supplied RNG: occupancy conservation, the
 //! `count(position)` sensing primitive, property groups, movement models
 //! and the Section 6.1 avoidance/flee variants.
 
 mod tests {
-    use antdensity_engine::{Engine, MovementModel};
+    use crate::{Engine, MovementModel};
     use antdensity_graphs::{CompleteGraph, NodeId, Topology, Torus2d};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

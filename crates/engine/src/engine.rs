@@ -12,7 +12,7 @@
 //!
 //! * [`Engine::step_round`] — draws from a caller-supplied RNG in the
 //!   historical sequential order (agent by agent, so pre-engine seeds
-//!   reproduce bit-for-bit; `walks/tests/engine_equivalence.rs` pins
+//!   reproduce bit-for-bit; `engine/tests/engine_equivalence.rs` pins
 //!   this against a replica of the original stepper);
 //! * [`Engine::step_round_parallel`] — agents are partitioned into fixed
 //!   [`STREAM_BLOCK`]-sized blocks and block `b` of round `r` draws from
@@ -20,7 +20,7 @@
 //!   stream an agent consumes depends only on its block, never on the
 //!   worker that happened to run it, so results are **bit-identical for
 //!   any worker count, chunk size, or scheduling order** — the same
-//!   contract as `antdensity_walks::parallel::run_trials`. Work is
+//!   contract as [`crate::pool::run_trials`]. Work is
 //!   dispatched in [`EngineConfig::schedule_chunk`]-sized units onto a
 //!   persistent [`WorkerPool`] (no per-round thread spawns).
 //!
@@ -37,7 +37,7 @@
 use crate::config::{EngineConfig, STREAM_BLOCK};
 use crate::movement::MovementModel;
 use crate::occupancy::{DenseOccupancy, GroupOccupancy, MAX_NODES};
-use crate::pool::WorkerPool;
+use crate::pool::{default_threads, WorkerPool};
 use crate::sampling::fill_uniform_indices;
 use crate::step::{step_block_lazy, step_slice, step_slice_pure_batched, Interaction};
 use antdensity_graphs::{MoveScratch, NodeId, Topology};
@@ -550,17 +550,6 @@ fn step_window<T: Topology>(
 /// positions window, movement window)`.
 type ChunkWork<'a> = (usize, &'a mut [u32], &'a [MovementModel]);
 
-/// The machine's available parallelism, probed once. The OS query is a
-/// syscall costing ~10µs, too much to pay every round.
-fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 /// Records one finished parallel round's telemetry: the round and
 /// agent-step counters, the round span (tagged with its throughput),
 /// the draw/apply split, and the occupancy-rebuild span that started at
@@ -618,7 +607,7 @@ impl<T: Topology + Sync> Engine<T> {
         }
         let pool_cap = match &self.pool {
             Some(p) => p.threads(),
-            None => available_cores(),
+            None => default_threads(),
         };
         self.threads
             .min(num_chunks / self.config.min_chunks_per_worker)

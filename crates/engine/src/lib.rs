@@ -22,10 +22,12 @@
 //!   `(seed, round, STREAM_BLOCK-sized block)` via
 //!   [`antdensity_stats::rng::SeedSequence`], so results are
 //!   bit-identical for any worker count or scheduling — the same
-//!   contract as `antdensity_walks::parallel::run_trials`.
+//!   contract as [`pool::run_trials`].
 //! * [`pool`] — [`WorkerPool`]: persistent worker threads that parallel
 //!   stepping and trial fan-out dispatch onto, replacing per-round
-//!   `thread::scope` spawns. One process-global pool by default.
+//!   `thread::scope` spawns. One process-global pool by default, and
+//!   [`pool::run_trials`], the deterministic fan-out of independent
+//!   Monte-Carlo trials over it.
 //! * [`config`] — [`EngineConfig`]: wall-clock scheduling knobs
 //!   (schedule chunk size, inline threshold), decoupled from the
 //!   [`STREAM_BLOCK`] determinism granularity so tuning never changes
@@ -66,12 +68,16 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+#[cfg(test)]
+mod arena;
 pub mod config;
 pub mod counts;
 pub mod engine;
 pub mod movement;
 pub mod observer;
 pub mod occupancy;
+#[cfg(test)]
+mod parallel;
 pub mod pool;
 pub mod sampling;
 pub mod scenario;

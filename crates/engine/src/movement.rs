@@ -208,17 +208,6 @@ impl MovementModel {
             }
         }
     }
-
-    /// Whether this model ever moves (used to skip occupancy work for
-    /// all-stationary configurations).
-    pub fn is_stationary(&self) -> bool {
-        match self {
-            Self::Stationary => true,
-            Self::Lazy { stay_prob } => *stay_prob >= 1.0,
-            Self::Biased { move_probs } => move_probs.iter().all(|&p| p == 0.0),
-            _ => false,
-        }
-    }
 }
 
 impl Default for MovementModel {
@@ -272,7 +261,6 @@ mod tests {
         for v in 0..t.num_nodes() {
             assert_eq!(MovementModel::Stationary.step(&t, v, &mut rng), v);
         }
-        assert!(MovementModel::Stationary.is_stationary());
     }
 
     #[test]
@@ -309,12 +297,6 @@ mod tests {
         assert!((cw as f64 / 1e5 - 0.7).abs() < 0.01);
         assert!((ccw as f64 / 1e5 - 0.1).abs() < 0.01);
         assert!((stay as f64 / 1e5 - 0.2).abs() < 0.01);
-    }
-
-    #[test]
-    fn biased_all_zero_is_stationary() {
-        assert!(MovementModel::biased(vec![0.0, 0.0]).is_stationary());
-        assert!(!MovementModel::biased(vec![0.5, 0.5]).is_stationary());
     }
 
     #[test]

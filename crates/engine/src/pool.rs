@@ -29,14 +29,23 @@
 //!   worker happens to run a job.
 //!
 //! One process-wide pool ([`WorkerPool::global`]) serves
-//! `Engine::step_round_parallel` and
-//! `antdensity_walks::parallel::run_trials` by default; tests and
+//! `Engine::step_round_parallel` and [`run_trials`] by default; tests and
 //! embedders can build private pools with explicit sizes.
+//!
+//! [`run_trials`] fans independent Monte-Carlo trials out over the pool.
+//! Every trial gets its own RNG stream derived from `(master seed, trial
+//! index)`, so results are bit-identical regardless of the number of
+//! workers. `threads` tasks claim trials in index order through a shared
+//! atomic cursor, so a worker that finishes early takes the next trial
+//! instead of idling behind a fixed chunk. Each result goes back to its
+//! trial's slot.
 
+use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
+use rand::rngs::SmallRng;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -176,13 +185,7 @@ impl WorkerPool {
     /// dispatch here unless given an explicit pool.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            WorkerPool::new(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            )
-        })
+        GLOBAL.get_or_init(|| WorkerPool::new(default_threads()))
     }
 
     /// Number of worker threads (the submitting thread helps too, so up
@@ -299,6 +302,108 @@ fn worker_loop(shared: &Shared) {
         // execute_job catches task panics; nothing unwinds here.
         execute_job(job, true);
     }
+}
+
+/// Runs `trials` independent trials of `f` split across `threads` units
+/// of pool work.
+///
+/// `f(trial_index, rng)` receives a [`SmallRng`] seeded from
+/// `seeds.derive(trial_index)`. The returned vector is ordered by trial
+/// index and identical for any `threads ≥ 1` — the work units execute on
+/// the global [`WorkerPool`] (plus the calling thread, which helps),
+/// and the stream a trial consumes depends only on its index.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or a trial panics.
+///
+/// # Example
+///
+/// ```
+/// use antdensity_stats::rng::SeedSequence;
+/// use antdensity_engine::pool::run_trials;
+/// use rand::Rng;
+///
+/// let seq = SeedSequence::new(7);
+/// let sequential = run_trials(100, 1, seq, |_, rng| rng.gen::<u32>());
+/// let parallel = run_trials(100, 4, seq, |_, rng| rng.gen::<u32>());
+/// assert_eq!(sequential, parallel);
+/// ```
+pub fn run_trials<T, F>(trials: u64, threads: usize, seeds: SeedSequence, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u64, &mut SmallRng) -> T + Sync,
+{
+    run_trials_on(WorkerPool::global(), trials, threads, seeds, f)
+}
+
+/// [`run_trials`] dispatching onto an explicit pool — for embedders that
+/// isolate workloads and tests that pin a worker count. Results are
+/// identical for every pool and every `threads` value. Trials start in
+/// index order, so a caller that knows their costs puts the costly ones
+/// first (the sweep runner orders each wave that way).
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or a trial panics.
+pub fn run_trials_on<T, F>(
+    pool: &WorkerPool,
+    trials: u64,
+    threads: usize,
+    seeds: SeedSequence,
+    f: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u64, &mut SmallRng) -> T + Sync,
+{
+    assert!(threads > 0, "need at least one worker thread");
+    if trials == 0 {
+        return Vec::new();
+    }
+    let threads = threads.min(trials as usize);
+    if threads == 1 {
+        let mut out = Vec::with_capacity(trials as usize);
+        for i in 0..trials {
+            let mut rng = seeds.rng(i);
+            out.push(f(i, &mut rng));
+        }
+        return out;
+    }
+    let cursor = AtomicU64::new(0);
+    let (f_ref, cursor_ref) = (&f, &cursor);
+    let mut claimed: Vec<Vec<(u64, T)>> = (0..threads).map(|_| Vec::new()).collect();
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = claimed
+        .iter_mut()
+        .map(|slot| {
+            Box::new(move || loop {
+                let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
+                if i >= trials {
+                    break;
+                }
+                let mut rng = seeds.rng(i);
+                slot.push((i, f_ref(i, &mut rng)));
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.run(tasks);
+    let mut out: Vec<(u64, T)> = claimed.into_iter().flatten().collect();
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, result)| result).collect()
+}
+
+/// The machine's available parallelism (1 if the OS cannot say), probed
+/// once: the query is a syscall costing ~10µs, too much to pay every
+/// round. It sizes [`WorkerPool::global`], caps the workers of a parallel
+/// `Engine` round on that pool, and is the default fan-out width of the
+/// experiments and the `repro` CLI.
+pub fn default_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]

@@ -33,8 +33,9 @@ use crate::engine::Engine;
 use crate::movement::MovementModel;
 use crate::observer::{observer_for, EncounterTallies, Observer, RoundEvents, Schedule, SimFamily};
 use crate::pool::WorkerPool;
+use antdensity_graphs::generators::{self, GenerateError};
 use antdensity_graphs::{
-    generators, CompleteGraph, CsrGraph, Hypercube, NodeId, Ring, Topology, Torus2d, TorusKd,
+    CompleteGraph, CsrGraph, Hypercube, NodeId, Ring, Topology, Torus2d, TorusKd,
 };
 use antdensity_stats::rng::SeedSequence;
 use rand::Rng;
@@ -179,25 +180,36 @@ impl std::str::FromStr for TopologySpec {
                     }
                 })
         };
+        // Node ids are u64: sizes that overflow them are rejected here,
+        // not left to panic in `build`.
+        let overflow = || format!("topology `{s}`: node count overflows u64");
         match kind {
-            "torus2d" => Ok(Self::Torus2d {
-                side: num(arg, "side")?,
-            }),
+            "torus2d" => {
+                let side = num(arg, "side")?;
+                side.checked_mul(side).ok_or_else(overflow)?;
+                Ok(Self::Torus2d { side })
+            }
             "toruskd" => {
                 let (d, side) = arg
                     .split_once('x')
                     .ok_or_else(|| format!("topology `{s}`: expected `toruskd:<dims>x<side>`"))?;
-                Ok(Self::TorusKd {
-                    dims: num(d, "dims")? as u32,
-                    side: num(side, "side")?,
-                })
+                let side = num(side, "side")?;
+                let dims = u32::try_from(num(d, "dims")?)
+                    .ok()
+                    .filter(|&dims| side.checked_pow(dims).is_some())
+                    .ok_or_else(overflow)?;
+                Ok(Self::TorusKd { dims, side })
             }
             "ring" => Ok(Self::Ring {
                 nodes: num(arg, "node count")?,
             }),
-            "hypercube" => Ok(Self::Hypercube {
-                dims: num(arg, "dims")? as u32,
-            }),
+            "hypercube" => {
+                let dims = num(arg, "dims")?;
+                if dims >= 64 {
+                    return Err(overflow());
+                }
+                Ok(Self::Hypercube { dims: dims as u32 })
+            }
             "complete" => Ok(Self::Complete {
                 nodes: num(arg, "node count")?,
             }),
@@ -361,32 +373,24 @@ const CSR_BUILD_STREAM: u64 = 0x4353_5247; // "CSRG"
 
 /// Builds the CSR graph a `csr:*` spec describes (uncached).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with the spec token and the generator's reason if the
-/// parameters cannot produce a valid graph (e.g. a `gnp` average degree
-/// too far below the `ln n` connectivity threshold).
-fn build_csr_graph(spec: &TopologySpec) -> CsrGraph {
+/// The generator's error if the parameters cannot produce a valid graph
+/// (e.g. a `grid-holes` mask that leaves no two adjacent open cells).
+fn build_csr_graph(spec: &TopologySpec) -> Result<CsrGraph, GenerateError> {
     match *spec {
         TopologySpec::CsrRegular { nodes, degree } => {
             let mut rng = SeedSequence::new(CSR_BUILD_STREAM)
                 .subsequence(nodes)
                 .rng(degree as u64);
             generators::random_regular(nodes, degree as usize, 1000, &mut rng)
-                .unwrap_or_else(|e| panic!("{spec}: {e}"))
         }
         TopologySpec::CsrGnp { nodes, avg_degree } => {
             let p = avg_degree as f64 / (nodes - 1) as f64;
             let mut rng = SeedSequence::new(CSR_BUILD_STREAM)
                 .subsequence(!nodes)
                 .rng(avg_degree as u64);
-            generators::erdos_renyi_connected(nodes, p, 200, &mut rng).unwrap_or_else(|e| {
-                panic!(
-                    "{spec}: {e} (connected samples need an average degree around \
-                     ln n ≈ {:.1} or above)",
-                    (nodes as f64).ln()
-                )
-            })
+            generators::erdos_renyi_connected(nodes, p, 200, &mut rng)
         }
         TopologySpec::CsrGridHoles {
             side,
@@ -397,13 +401,11 @@ fn build_csr_graph(spec: &TopologySpec) -> CsrGraph {
                 .subsequence(mask_seed)
                 .rng(side ^ (u64::from(hole_pm) << 32));
             generators::grid_with_holes(side, f64::from(hole_pm) / 1000.0, &mut rng)
-                .unwrap_or_else(|e| panic!("{spec}: {e}"))
         }
         TopologySpec::CsrCliqueRing {
             cliques,
             clique_size,
-        } => generators::ring_of_cliques(cliques, clique_size)
-            .unwrap_or_else(|e| panic!("{spec}: {e}")),
+        } => generators::ring_of_cliques(cliques, clique_size),
         ref structured => panic!("{structured} is not a csr spec"),
     }
 }
@@ -411,38 +413,38 @@ fn build_csr_graph(spec: &TopologySpec) -> CsrGraph {
 /// Process-global build cache for `csr:*` specs: the graph is a pure
 /// (deterministic) function of the spec, so every consumer — scenario
 /// runs, sweep shards, node-count queries, theory bounds — shares one
-/// immutable build per spec.
-fn csr_cached(spec: TopologySpec) -> Arc<CsrGraph> {
+/// immutable build per spec. Only successful builds are cached.
+fn csr_cached(spec: TopologySpec) -> Result<Arc<CsrGraph>, GenerateError> {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
     static CACHE: OnceLock<Mutex<HashMap<TopologySpec, Arc<CsrGraph>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(g) = cache.lock().expect("csr cache lock").get(&spec) {
-        return Arc::clone(g);
+        return Ok(Arc::clone(g));
     }
-    // Built outside the lock: a failing generator panics without
-    // poisoning the cache, and slow builds don't serialize distinct
+    // Built outside the lock: slow builds don't serialize distinct
     // specs. A racing duplicate build is wasted work, nothing more.
-    let built = Arc::new(build_csr_graph(&spec));
-    Arc::clone(
+    let built = Arc::new(build_csr_graph(&spec)?);
+    Ok(Arc::clone(
         cache
             .lock()
             .expect("csr cache lock")
             .entry(spec)
             .or_insert(built),
-    )
+    ))
 }
 
 impl TopologySpec {
     /// Instantiates the concrete topology. For `csr:*` specs this
     /// returns a handle to the process-wide cached build.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// For `csr:*` specs whose generator cannot produce a valid graph
-    /// (message names the token and the reason).
-    pub fn build(&self) -> BuiltTopology {
-        match *self {
+    /// For `csr:*` specs whose generator cannot produce a valid graph.
+    /// Spec validation (`SweepSpec::resolve`) calls this, so a sweep or
+    /// serve job that passed it builds every topology infallibly.
+    pub fn try_build(&self) -> Result<BuiltTopology, GenerateError> {
+        Ok(match *self {
             Self::Torus2d { side } => BuiltTopology::Torus2d(Torus2d::new(side)),
             Self::TorusKd { dims, side } => BuiltTopology::TorusKd(TorusKd::new(dims, side)),
             Self::Ring { nodes } => BuiltTopology::Ring(Ring::new(nodes)),
@@ -451,8 +453,19 @@ impl TopologySpec {
             Self::CsrRegular { .. }
             | Self::CsrGnp { .. }
             | Self::CsrGridHoles { .. }
-            | Self::CsrCliqueRing { .. } => BuiltTopology::Csr(csr_cached(*self)),
-        }
+            | Self::CsrCliqueRing { .. } => BuiltTopology::Csr(csr_cached(*self)?),
+        })
+    }
+
+    /// [`Self::try_build`] for specs known to build.
+    ///
+    /// # Panics
+    ///
+    /// For `csr:*` specs whose generator cannot produce a valid graph
+    /// (message names the token and the reason).
+    pub fn build(&self) -> BuiltTopology {
+        self.try_build()
+            .unwrap_or_else(|e| panic!("topology `{self}`: {e}"))
     }
 
     /// Node count of the topology this spec builds. Closed-form for
@@ -470,23 +483,12 @@ impl TopologySpec {
             Self::Hypercube { dims } => 1u64 << dims,
             Self::Complete { nodes } => nodes,
             Self::CsrRegular { nodes, .. } | Self::CsrGnp { nodes, .. } => nodes,
-            Self::CsrGridHoles { .. } => csr_cached(*self).num_nodes(),
+            Self::CsrGridHoles { .. } => self.build().num_nodes(),
             Self::CsrCliqueRing {
                 cliques,
                 clique_size,
             } => cliques * clique_size,
         }
-    }
-
-    /// Whether this is one of the pluggable `csr:*` variants.
-    pub fn is_csr(&self) -> bool {
-        matches!(
-            self,
-            Self::CsrRegular { .. }
-                | Self::CsrGnp { .. }
-                | Self::CsrGridHoles { .. }
-                | Self::CsrCliqueRing { .. }
-        )
     }
 }
 
@@ -1479,7 +1481,6 @@ mod tests {
             let topo = spec.build();
             assert_eq!(topo.num_nodes(), spec.num_nodes());
             assert!(topo.regular_degree().is_some());
-            assert!(!spec.is_csr());
             let out = Scenario::new(spec, 8, 16).run(1);
             assert_eq!(out.estimates.len(), 8);
             // Section 2.1: a lone agent sees d = n/A = 0 and never
@@ -1513,7 +1514,6 @@ mod tests {
             },
         ] {
             let topo = spec.build();
-            assert!(spec.is_csr());
             assert_eq!(topo.num_nodes(), spec.num_nodes());
             let out = Scenario::new(spec, 8, 16).run(1);
             assert_eq!(out.estimates.len(), 8);

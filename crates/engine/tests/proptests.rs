@@ -1,10 +1,9 @@
 //! Property-based tests for the simulation engine.
 
-use antdensity_engine::{Engine, MovementModel};
-use antdensity_graphs::{NodeId, Ring, Topology, Torus2d};
+use antdensity_engine::pool::run_trials;
+use antdensity_engine::Engine;
+use antdensity_graphs::{Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
-use antdensity_walks::parallel::run_trials;
-use antdensity_walks::trajectory::Trajectory;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -72,27 +71,6 @@ proptest! {
     }
 
     #[test]
-    fn trajectory_hops_are_legal(
-        side in 2u64..10,
-        rounds in 0u64..60,
-        seed in any::<u64>(),
-        lazy in prop::bool::ANY,
-    ) {
-        let topo = Torus2d::new(side);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let model = if lazy { MovementModel::lazy(0.3) } else { MovementModel::Pure };
-        let tr = Trajectory::record(&topo, 0, rounds, &model, &mut rng);
-        for w in tr.nodes().windows(2) {
-            prop_assert!(topo.torus_distance(w[0], w[1]) <= 1);
-        }
-        let (mx, my) = tr.axis_step_counts(&topo);
-        prop_assert!(mx + my <= rounds);
-        if !lazy {
-            prop_assert_eq!(mx + my, rounds);
-        }
-    }
-
-    #[test]
     fn parallel_equals_serial(trials in 0u64..60, seed in any::<u64>()) {
         let seq = SeedSequence::new(seed);
         let work = |i: u64, rng: &mut SmallRng| -> u64 {
@@ -102,37 +80,5 @@ proptest! {
         let serial = run_trials(trials, 1, seq, work);
         let parallel = run_trials(trials, 5, seq, work);
         prop_assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn ring_walk_preserves_parity(
-        half_n in 2u64..20,
-        rounds in 0u64..50,
-        seed in any::<u64>(),
-    ) {
-        // On an even ring, position parity after r rounds = (start + r) % 2.
-        let n = half_n * 2;
-        let ring = Ring::new(n);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let tr = Trajectory::record(&ring, 0, rounds, &MovementModel::Pure, &mut rng);
-        for (r, &v) in tr.nodes().iter().enumerate() {
-            prop_assert_eq!(v % 2, (r as NodeId) % 2);
-        }
-    }
-
-    #[test]
-    fn drift_trajectory_is_deterministic(
-        side in 2u64..8,
-        rounds in 0u64..30,
-        seed1 in any::<u64>(),
-        seed2 in any::<u64>(),
-    ) {
-        let topo = Torus2d::new(side);
-        let model = MovementModel::Drift { move_index: 2 };
-        let a = Trajectory::record(
-            &topo, 0, rounds, &model, &mut SmallRng::seed_from_u64(seed1));
-        let b = Trajectory::record(
-            &topo, 0, rounds, &model, &mut SmallRng::seed_from_u64(seed2));
-        prop_assert_eq!(a, b);
     }
 }

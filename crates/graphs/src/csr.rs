@@ -310,12 +310,6 @@ impl CsrGraph {
         &self.targets[self.offsets[vu] as usize..self.offsets[vu + 1] as usize]
     }
 
-    /// Total number of moves `Σ_v deg(v)` (twice the edge count on
-    /// simple graphs; duplicate moves counted with multiplicity).
-    pub fn num_moves(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Number of undirected edges `|E|` (half the moves).
     pub fn num_edges(&self) -> u64 {
         (self.targets.len() / 2) as u64
@@ -583,7 +577,7 @@ mod tests {
         let csr = CsrGraph::from_topology(&torus);
         assert_eq!(csr.num_nodes(), 25);
         assert_eq!(csr.regular_degree(), Some(4));
-        assert_eq!(csr.num_moves(), 100);
+        assert_eq!(csr.num_edges(), 50);
         for v in 0..25 {
             assert_eq!(csr.degree(v), torus.degree(v));
             for i in 0..4 {
@@ -696,7 +690,7 @@ mod tests {
     fn from_edges_and_structure_queries() {
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]).unwrap();
         assert_eq!(g.num_nodes(), 4);
-        assert_eq!(g.num_moves(), 10);
+        assert_eq!(g.num_edges(), 5);
         assert_eq!(g.min_degree(), 2);
         assert_eq!(g.max_degree(), 3);
         assert!((g.avg_degree() - 2.5).abs() < 1e-12);

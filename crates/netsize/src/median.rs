@@ -47,7 +47,7 @@ pub fn median_boosted(
         runs.push(run);
     }
     // median over (possibly infinite) estimates: sort manually since
-    // mom::median rejects NaN but infinities are fine.
+    // quantile::median rejects NaN but infinities are fine.
     let mut ests: Vec<f64> = runs.iter().map(|r| r.estimate).collect();
     ests.sort_by(|a, b| a.partial_cmp(b).expect("estimates are never NaN"));
     let estimate = if ests.len() % 2 == 1 {

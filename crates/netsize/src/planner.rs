@@ -7,8 +7,6 @@
 //! effect (`O(|V|^{(k+1)/2k})` queries for ours vs `Θ(|V|^{2/k+1/2})` for
 //! KLSC14 on the k-dimensional torus).
 
-use crate::queries::QueryCount;
-
 /// A planned configuration for Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetsizePlan {
@@ -20,17 +18,6 @@ pub struct NetsizePlan {
     pub burnin: u64,
     /// Predicted total link queries `n·(M + t)`.
     pub predicted_queries: u64,
-}
-
-impl NetsizePlan {
-    /// Predicted query breakdown.
-    pub fn predicted_query_count(&self) -> QueryCount {
-        QueryCount {
-            burnin: self.walks as u64 * self.burnin,
-            walking: self.walks as u64 * self.rounds,
-            degree_sampling: 0,
-        }
-    }
 }
 
 /// Plans `n` for a *fixed* `t` from Theorem 27:
@@ -150,8 +137,6 @@ mod tests {
     fn predicted_queries_add_up() {
         let p = plan_for_rounds(16, 2.0, 500, 250, 0.3, 0.2, 10, 1.0);
         assert_eq!(p.predicted_queries, p.walks as u64 * (p.burnin + p.rounds));
-        let qc = p.predicted_query_count();
-        assert_eq!(qc.total(), p.predicted_queries);
     }
 
     #[test]

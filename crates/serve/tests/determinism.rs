@@ -241,6 +241,69 @@ fn oversize_request_line_is_an_error_event() {
     server.wait();
 }
 
+/// A spec whose `csr:grid-holes` token parses but cannot be built (the
+/// hole mask leaves no two adjacent open cells) is `rejected` on its
+/// own connection, naming the token, instead of panicking the thread
+/// that validates it; the connection keeps serving, and a concurrent
+/// client's report bytes are unchanged.
+#[test]
+fn unbuildable_topology_is_rejected_and_the_session_continues() {
+    let server = server(2);
+    let addr = server.local_addr().to_string();
+    let honest = {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            let mut client = Client::connect(&addr).unwrap();
+            client
+                .run_batch(vec![Submit {
+                    job: job(62),
+                    label: None,
+                }])
+                .unwrap()
+        })
+    };
+
+    let mut writer = TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let mut next_event = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Event::parse_line(line.trim_end()).unwrap()
+    };
+    assert!(matches!(next_event(), Event::Hello { .. }));
+    for token in ["csr:grid-holes:2:1:0.9", "csr:grid-holes:4:1:0.9"] {
+        let bad = Submit {
+            job: SweepJob::new(SPEC.replace("torus2d:8, complete:64", token)),
+            label: None,
+        };
+        writer
+            .write_all(format!("{}\n", Request::Submit(bad).to_line()).as_bytes())
+            .unwrap();
+        match next_event() {
+            Event::Rejected { reason } => {
+                assert!(reason.contains(token), "got: {reason}");
+                assert!(reason.contains("no connected component"), "got: {reason}");
+            }
+            other => panic!("expected rejected, got {}", other.to_line()),
+        }
+    }
+    writer
+        .write_all(format!("{}\n", Request::Status { job: 999 }.to_line()).as_bytes())
+        .unwrap();
+    match next_event() {
+        Event::Error { reason } => assert!(reason.contains("unknown job"), "got: {reason}"),
+        other => panic!("expected error, got {}", other.to_line()),
+    }
+
+    let results = honest.join().unwrap();
+    assert_eq!(results[0].state, "done", "{}", results[0].reason);
+    let (want_json, want_csv) = reference(62);
+    assert_eq!(results[0].report_json, want_json);
+    assert_eq!(results[0].report_csv, want_csv);
+    server.shutdown();
+    server.wait();
+}
+
 #[test]
 fn invalid_specs_and_full_queues_are_rejected_with_cli_error_text() {
     let server = server(1);

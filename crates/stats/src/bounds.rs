@@ -8,25 +8,11 @@
 //! Paper references:
 //! * Section 1.1 — complete-graph Chernoff baseline.
 //! * Theorem 1 — random-walk estimation on the 2-d torus.
-//! * Lemma 18 — sub-exponential tail (Wainwright, Prop. 2.3).
 //! * Lemma 19 — generic accuracy from a re-collision sum `B(t)`.
 //! * Theorem 21 — ring (Chebyshev-based alternative bound).
 //! * Theorem 27 — network-size estimation sample complexity.
 //! * Theorem 31 — average-degree estimation sample complexity.
 //! * Theorem 32 — independent-sampling variant (Algorithm 4).
-
-/// Two-sided multiplicative Chernoff tail for a Binomial(n, p) mean:
-/// `P[|X − np| ≥ ε·np] ≤ 2·exp(−ε²·np / 3)`, valid for `0 < ε ≤ 1`.
-///
-/// # Panics
-///
-/// Panics if `eps ∉ (0, 1]`, `p ∉ (0, 1]` or `n == 0`.
-pub fn chernoff_tail(eps: f64, n: u64, p: f64) -> f64 {
-    assert!(eps > 0.0 && eps <= 1.0, "eps must lie in (0, 1]");
-    assert!(p > 0.0 && p <= 1.0, "p must lie in (0, 1]");
-    assert!(n > 0, "n must be positive");
-    (2.0f64) * (-eps * eps * (n as f64) * p / 3.0).exp()
-}
 
 /// Rounds needed by the complete-graph (i.i.d. sampling) baseline of
 /// Section 1.1: `t = 3·ln(2/δ) / (d·ε²)`.
@@ -74,19 +60,6 @@ pub fn theorem1_rounds(eps: f64, delta: f64, d: f64, c2: f64) -> f64 {
     c2 * (1.0 / delta).ln() * inner * inner / (d * eps * eps)
 }
 
-/// Lemma 18 (Wainwright Prop. 2.3): tail of a sub-exponential variable with
-/// parameters `(σ², b)`: `P[|X − E X| ≥ Δ] ≤ 2·exp(−Δ² / (2(σ² + bΔ)))`.
-///
-/// # Panics
-///
-/// Panics if `delta_dev < 0`, `sigma2 <= 0`, or `b < 0`.
-pub fn subexponential_tail(delta_dev: f64, sigma2: f64, b: f64) -> f64 {
-    assert!(delta_dev >= 0.0, "deviation must be non-negative");
-    assert!(sigma2 > 0.0, "sigma2 must be positive");
-    assert!(b >= 0.0, "b must be non-negative");
-    2.0 * (-delta_dev * delta_dev / (2.0 * (sigma2 + b * delta_dev))).exp()
-}
-
 /// Lemma 19: accuracy on a general regular graph from the re-collision sum
 /// `B(t) = Σ_{m=0..t} β(m)`: `ε = c · √(ln(1/δ)/(t·d)) · B(t)`.
 ///
@@ -116,19 +89,6 @@ pub fn theorem21_epsilon(t: u64, d: f64, delta: f64, c: f64) -> f64 {
     assert!(d > 0.0 && d <= 1.0, "density must lie in (0,1]");
     assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0,1)");
     c * (1.0 / ((t as f64).sqrt() * d * delta)).sqrt()
-}
-
-/// Theorem 21, rearranged for `t`: `t = c·(1/(d·ε²·δ))²`.
-///
-/// # Panics
-///
-/// Same domains as [`theorem21_epsilon`].
-pub fn theorem21_rounds(eps: f64, delta: f64, d: f64, c: f64) -> f64 {
-    assert!(eps > 0.0 && eps < 1.0, "eps must lie in (0,1)");
-    assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0,1)");
-    assert!(d > 0.0 && d <= 1.0, "density must lie in (0,1]");
-    let x = 1.0 / (d * eps * eps * delta);
-    c * x * x
 }
 
 /// Theorem 32 (Algorithm 4, independent sampling): `ε = c·√(ln(1/δ)/(t·d))`
@@ -192,33 +152,9 @@ pub fn burnin_rounds(lambda: f64, edges: u64, delta: f64, c: f64) -> f64 {
     c * (edges as f64 / delta).ln() / (1.0 - lambda)
 }
 
-/// Inverts Lemma 18 for the deviation achieving tail `δ`:
-/// smallest `Δ` with `2·exp(−Δ²/(2(σ²+bΔ))) ≤ δ`.
-///
-/// Closed form: `Δ = b·L + √(b²L² + 2σ²L)` with `L = ln(2/δ)`.
-///
-/// # Panics
-///
-/// Panics if `sigma2 <= 0`, `b < 0`, or `delta ∉ (0,1)`.
-pub fn subexponential_deviation(sigma2: f64, b: f64, delta: f64) -> f64 {
-    assert!(sigma2 > 0.0, "sigma2 must be positive");
-    assert!(b >= 0.0, "b must be non-negative");
-    assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0,1)");
-    let l = (2.0 / delta).ln();
-    b * l + (b * b * l * l + 2.0 * sigma2 * l).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chernoff_tail_decreases_in_n() {
-        let t1 = chernoff_tail(0.1, 100, 0.5);
-        let t2 = chernoff_tail(0.1, 10_000, 0.5);
-        assert!(t2 < t1);
-        assert!(t2 > 0.0);
-    }
 
     #[test]
     fn chernoff_rounds_scaling() {
@@ -272,38 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn subexponential_tail_behaviour() {
-        // Gaussian regime: small deviations dominated by sigma^2.
-        let g = subexponential_tail(1.0, 1.0, 0.0);
-        assert!((g - 2.0 * (-0.5f64).exp()).abs() < 1e-12);
-        // Tail decreases with deviation.
-        assert!(subexponential_tail(3.0, 1.0, 0.5) < subexponential_tail(1.0, 1.0, 0.5));
-    }
-
-    #[test]
-    fn subexponential_deviation_inverts_tail() {
-        for &(s2, b, delta) in &[(1.0, 0.0, 0.05), (4.0, 2.0, 0.01), (0.5, 0.1, 0.2)] {
-            let dev = subexponential_deviation(s2, b, delta);
-            let tail = subexponential_tail(dev, s2, b);
-            assert!(
-                (tail - delta).abs() < 1e-9,
-                "tail {tail} should equal delta {delta}"
-            );
-        }
-    }
-
-    #[test]
     fn theorem21_quartic_convergence() {
         // eps(t) * t^{1/4} is constant.
         let f = |t: u64| theorem21_epsilon(t, 0.02, 0.1, 1.0) * (t as f64).powf(0.25);
         assert!((f(256) - f(65_536)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn theorem21_rounds_quadratic_in_inverse_delta() {
-        let t1 = theorem21_rounds(0.1, 0.2, 0.02, 1.0);
-        let t2 = theorem21_rounds(0.1, 0.1, 0.02, 1.0);
-        assert!((t2 / t1 - 4.0).abs() < 1e-9, "delta halved => t x4");
     }
 
     #[test]

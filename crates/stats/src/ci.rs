@@ -1,9 +1,8 @@
 //! Confidence intervals for Monte-Carlo outputs.
 //!
-//! Two flavours are needed by the harness: a normal-approximation interval
-//! for sample means (error magnitudes, fitted constants) and a Wilson score
-//! interval for proportions (empirical failure probabilities near 0, where
-//! the normal interval misbehaves).
+//! A Wilson score interval for proportions (empirical failure
+//! probabilities near 0, where the normal-approximation interval
+//! misbehaves), built on the standard-normal quantile.
 
 /// A two-sided confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,11 +19,6 @@ impl ConfidenceInterval {
     /// Whether the interval contains `x`.
     pub fn contains(&self, x: f64) -> bool {
         self.lo <= x && x <= self.hi
-    }
-
-    /// Half-width of the interval.
-    pub fn half_width(&self) -> f64 {
-        (self.hi - self.lo) / 2.0
     }
 }
 
@@ -85,25 +79,6 @@ pub fn normal_quantile(p: f64) -> f64 {
     }
 }
 
-/// Normal-approximation CI for a mean given its standard error.
-///
-/// # Panics
-///
-/// Panics if `confidence ∉ (0, 1)` or `std_error < 0`.
-pub fn mean_ci(mean: f64, std_error: f64, confidence: f64) -> ConfidenceInterval {
-    assert!(
-        confidence > 0.0 && confidence < 1.0,
-        "confidence must lie in (0,1)"
-    );
-    assert!(std_error >= 0.0, "standard error must be non-negative");
-    let z = normal_quantile(0.5 + confidence / 2.0);
-    ConfidenceInterval {
-        estimate: mean,
-        lo: mean - z * std_error,
-        hi: mean + z * std_error,
-    }
-}
-
 /// Wilson score interval for a proportion with `successes` out of `n`.
 ///
 /// Well behaved at the boundaries (p̂ = 0 or 1), unlike the Wald interval —
@@ -155,20 +130,11 @@ mod tests {
     }
 
     #[test]
-    fn mean_ci_width_scales_with_z() {
-        let narrow = mean_ci(0.0, 1.0, 0.68);
-        let wide = mean_ci(0.0, 1.0, 0.99);
-        assert!(wide.half_width() > narrow.half_width());
-        assert!(narrow.contains(0.0));
-        assert!((wide.lo + wide.hi).abs() < 1e-12, "symmetric around mean");
-    }
-
-    #[test]
     fn wilson_interval_contains_true_p_for_fair_coin() {
         // 5000 heads out of 10000 — p = 0.5 clearly inside.
         let ci = wilson_ci(5000, 10_000, 0.95);
         assert!(ci.contains(0.5));
-        assert!(ci.half_width() < 0.02);
+        assert!((ci.hi - ci.lo) / 2.0 < 0.02);
     }
 
     #[test]

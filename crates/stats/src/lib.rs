@@ -12,14 +12,14 @@
 //! * [`quantile`](mod@quantile) / [`histogram`] — empirical error
 //!   distributions.
 //! * [`bounds`] — closed forms of every bound stated in the paper
-//!   (Theorem 1, Lemma 18/19, Theorem 21, Theorem 27, Theorem 32, and the
+//!   (Theorem 1, Lemma 19, Theorem 21, Theorem 27, Theorem 32, and the
 //!   complete-graph Chernoff baseline of Section 1.1).
 //! * [`regression`] — least-squares and log–log slope fitting, used to
 //!   verify decay exponents (−1 on the torus, −1/2 on the ring, −k/2 on
 //!   k-dimensional tori, …).
-//! * [`ci`] — confidence intervals for Monte-Carlo proportions and means.
-//! * [`mom`] — median-of-means boosting (the paper's median-of-estimates
-//!   trick from Section 5.1.2).
+//! * [`ci`] — Wilson confidence intervals for Monte-Carlo proportions.
+//! * [`mom`] — median boosting (the paper's median-of-estimates trick from
+//!   Section 5.1.2).
 //! * [`rng`] — SplitMix64 seed derivation so that every simulation in the
 //!   workspace is reproducible from a single master seed.
 //! * [`schedule`] — checkpoint schedules (the round counts at which a

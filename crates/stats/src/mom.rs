@@ -1,4 +1,4 @@
-//! Median-of-means estimation.
+//! Median boosting.
 //!
 //! Section 5.1.2 of the paper notes that the Chebyshev-based network-size
 //! bound has *linear* dependence on `1/δ`, and that one can "perform
@@ -42,35 +42,6 @@ pub fn median_of_estimates(estimates: &[f64]) -> f64 {
     crate::quantile::median(estimates)
 }
 
-/// Median-of-means over a sample: splits `samples` into `groups` blocks,
-/// averages each block, returns the median of the block means.
-///
-/// Tolerates heavy tails: achieves sub-Gaussian deviation with only a
-/// finite-variance assumption — exactly the situation for ring collision
-/// counts whose higher moments blow up (Theorem 21's setting).
-///
-/// # Panics
-///
-/// Panics if `groups == 0` or `samples.len() < groups`.
-pub fn median_of_means(samples: &[f64], groups: usize) -> f64 {
-    assert!(groups > 0, "need at least one group");
-    assert!(
-        samples.len() >= groups,
-        "need at least one sample per group"
-    );
-    let base = samples.len() / groups;
-    let extra = samples.len() % groups;
-    let mut means = Vec::with_capacity(groups);
-    let mut idx = 0;
-    for g in 0..groups {
-        let len = base + usize::from(g < extra);
-        let block = &samples[idx..idx + len];
-        idx += len;
-        means.push(block.iter().sum::<f64>() / block.len() as f64);
-    }
-    median_of_estimates(&means)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,51 +66,6 @@ mod tests {
         let est = [10.0, 10.2, 9.9, 1000.0, -500.0];
         let m = median_of_estimates(&est);
         assert!((m - 10.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn median_of_means_even_split() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        // groups of 2: means 1.5, 3.5, 5.5 -> median 3.5
-        assert_eq!(median_of_means(&xs, 3), 3.5);
-    }
-
-    #[test]
-    fn median_of_means_uneven_split() {
-        let xs = [1.0, 1.0, 1.0, 1.0, 100.0];
-        // 2 groups: [1,1,1] mean 1, [1,100] mean 50.5 -> median 25.75
-        let m = median_of_means(&xs, 2);
-        assert!((m - 25.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_of_means_single_group_is_mean() {
-        let xs = [2.0, 4.0, 6.0];
-        assert_eq!(median_of_means(&xs, 1), 4.0);
-    }
-
-    #[test]
-    fn median_of_means_resists_heavy_tail() {
-        // 100 samples: 95 are ~1.0, 5 are enormous. Plain mean is ruined;
-        // median of 10 means is not.
-        let mut xs = vec![1.0; 95];
-        xs.extend([1e6; 5]);
-        // interleave the outliers
-        xs.swap(0, 95);
-        xs.swap(20, 96);
-        xs.swap(40, 97);
-        xs.swap(60, 98);
-        xs.swap(80, 99);
-        let plain_mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let mom = median_of_means(&xs, 11);
-        assert!(plain_mean > 1000.0);
-        assert!(mom < plain_mean / 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample per group")]
-    fn too_many_groups_panics() {
-        let _ = median_of_means(&[1.0, 2.0], 3);
     }
 
     #[test]

@@ -184,8 +184,8 @@ impl FromIterator<f64> for StreamingMoments {
 
 /// Descriptive statistics over a retained sample.
 ///
-/// Keeps the (sorted) samples so quantiles and arbitrary-order moments are
-/// exact. Use for trial-level outputs (thousands to millions of values).
+/// Keeps the (sorted) samples so quantiles are exact. Use for trial-level
+/// outputs (thousands to millions of values).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleStats {
     sorted: Vec<f64>,
@@ -281,44 +281,6 @@ impl SampleStats {
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         crate::quantile::quantile_sorted(&self.sorted, q)
-    }
-
-    /// The k-th raw moment `E[xᵏ]`.
-    pub fn raw_moment(&self, k: u32) -> f64 {
-        self.sorted.iter().map(|x| x.powi(k as i32)).sum::<f64>() / self.len() as f64
-    }
-
-    /// The k-th central moment `E[(x − mean)ᵏ]`.
-    pub fn central_moment(&self, k: u32) -> f64 {
-        let m = self.mean;
-        self.sorted
-            .iter()
-            .map(|x| (x - m).powi(k as i32))
-            .sum::<f64>()
-            / self.len() as f64
-    }
-
-    /// The k-th absolute central moment `E[|x − mean|ᵏ]`.
-    ///
-    /// The paper's moment bounds (Lemma 11) are stated for `c̄ᵏ` with even
-    /// and odd k; absolute moments give a sign-free comparison for odd k.
-    pub fn abs_central_moment(&self, k: u32) -> f64 {
-        let m = self.mean;
-        self.sorted
-            .iter()
-            .map(|x| (x - m).abs().powi(k as i32))
-            .sum::<f64>()
-            / self.len() as f64
-    }
-
-    /// View of the sorted samples.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Fraction of samples for which `pred` holds.
-    pub fn fraction_where<F: Fn(f64) -> bool>(&self, pred: F) -> f64 {
-        self.sorted.iter().filter(|&&x| pred(x)).count() as f64 / self.len() as f64
     }
 }
 
@@ -513,7 +475,6 @@ mod tests {
         assert_eq!(s.max(), 4.0);
         assert_eq!(s.mean(), 2.5);
         assert_eq!(s.median(), 2.5);
-        assert_eq!(s.sorted_samples(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -526,21 +487,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn sample_stats_rejects_nan() {
         let _ = SampleStats::from_slice(&[1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn central_moment_second_is_population_variance() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let s = SampleStats::from_slice(&xs);
-        assert!((s.central_moment(2) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_where_counts_correctly() {
-        let s = SampleStats::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(s.fraction_where(|x| x > 2.5), 0.6);
-        assert_eq!(s.fraction_where(|_| true), 1.0);
-        assert_eq!(s.fraction_where(|_| false), 0.0);
     }
 
     #[test]

@@ -79,13 +79,6 @@ impl Table {
         self
     }
 
-    /// Appends a formatted numeric row; floats rendered with `prec`
-    /// significant decimal digits.
-    pub fn row_f64(&mut self, cells: &[f64], prec: usize) -> &mut Self {
-        let formatted: Vec<String> = cells.iter().map(|v| format_sig(*v, prec)).collect();
-        self.row_owned(formatted)
-    }
-
     /// Adds a free-form note line printed under the table.
     pub fn note(&mut self, note: &str) -> &mut Self {
         self.notes.push(note.to_string());
@@ -250,17 +243,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn row_f64_formats() {
-        let mut t = Table::new("x", &["v"]);
-        t.row_f64(&[0.123456], 3);
-        t.row_f64(&[1e-9], 3);
-        t.row_f64(&[42.0], 3);
-        assert_eq!(t.rows()[0][0], "0.123");
-        assert!(t.rows()[1][0].contains('e'));
-        assert_eq!(t.rows()[2][0], "42");
     }
 
     #[test]

@@ -43,7 +43,6 @@ use crate::checkpoint::{self, Checkpoint, CheckpointLock};
 use crate::runner::{load_resume, partition_pending, ShardObserver, SweepOptions, SweepOutcome};
 use crate::spec::{ResolvedSweep, SweepSpec};
 use antdensity_telemetry as telemetry;
-use std::collections::BTreeMap;
 
 // Distributed-layer telemetry: lease/retry/re-issue counters surfaced
 // in METRICS schema v2; the heartbeat-gap histogram is recorded by the
@@ -230,22 +229,6 @@ pub fn parse_blob(
         ));
     }
     Ok(ck.shards.into_iter().collect())
-}
-
-/// Parses a returned blob and merges its cell aggregates into `done`.
-///
-/// # Errors
-///
-/// Exactly [`parse_blob`]'s error conditions.
-pub fn merge_blob(
-    resolved: &ResolvedSweep,
-    blob: &str,
-    done: &mut BTreeMap<usize, CellAggregate>,
-) -> Result<(), String> {
-    for (cell, agg) in parse_blob(resolved, blob)? {
-        done.insert(cell, agg);
-    }
-    Ok(())
 }
 
 /// Sentinel error message the merge sink raises when an observer

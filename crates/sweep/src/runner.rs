@@ -19,7 +19,7 @@
 //! byte-for-byte on reports.
 //!
 //! Shards are dispatched in waves onto the existing [`WorkerPool`] (via
-//! [`antdensity_walks::parallel::run_trials_on`], the workspace's
+//! [`antdensity_engine::pool::run_trials_on`], the workspace's
 //! deterministic fan-out primitive): `workers` tasks claim a wave's
 //! shards through an atomic cursor, costliest first by agent-steps, so
 //! one worker never runs two heavy shards back to back while another
@@ -32,10 +32,10 @@
 use crate::aggregate::CellAggregate;
 use crate::checkpoint::Checkpoint;
 use crate::spec::{FusedShard, ResolvedSweep, SweepSpec};
+use antdensity_engine::pool::{default_threads, run_trials_on};
 use antdensity_engine::{EstimatorSpec, ObserverTap, Scenario, WorkerPool};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
-use antdensity_walks::parallel;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -111,7 +111,7 @@ impl Default for SweepOptions {
         Self {
             quick: false,
             fuse: true,
-            workers: parallel::default_threads(),
+            workers: default_threads(),
             pool: None,
             checkpoint: None,
             resume: false,
@@ -458,7 +458,7 @@ pub fn run_sweep_observed(
         let seq = SeedSequence::new(resolved.seed);
         let cache = opts.cache.as_deref();
         let cache_verify = opts.cache_verify;
-        let claimed = parallel::run_trials_on(pool, wave.len() as u64, workers, seq, |i, _| {
+        let claimed = run_trials_on(pool, wave.len() as u64, workers, seq, |i, _| {
             let shard = wave[claim[i as usize]];
             match cache {
                 Some(cache) => run_shard_cached(&resolved, shard, fuse, cache, cache_verify),

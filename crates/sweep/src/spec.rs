@@ -499,7 +499,9 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns an error if quick filtering empties the rounds axis.
+    /// Returns an error naming the token if a `csr:*` topology's
+    /// generator cannot build it, or if quick filtering empties the
+    /// rounds axis.
     pub fn resolve(&self, quick: bool) -> Result<ResolvedSweep, String> {
         let trials = if quick {
             self.quick_trials
@@ -521,6 +523,9 @@ impl SweepSpec {
         let mut cells = Vec::new();
         let mut skipped = Vec::new();
         for &topology in &self.topologies {
+            topology
+                .try_build()
+                .map_err(|e| format!("topology `{topology}`: {e}"))?;
             let a = topology.num_nodes();
             for &density in &self.densities {
                 let num_agents = ((density * a as f64).round() as usize).max(2) + 1;
@@ -1078,6 +1083,25 @@ mod tests {
             dense.rounds,
             vec![16, 20, 25, 32, 40, 51, 64, 81, 102, 128, 161, 203, 256, 323, 406, 512]
         );
+    }
+
+    #[test]
+    fn unbuildable_csr_topology_is_a_resolve_error() {
+        // Parses, but a 2x2 grid with 90% holes keeps no two adjacent
+        // cells: resolving names the token instead of panicking.
+        let text = "
+            name = x
+            trials = 2
+            topology = torus2d:8, csr:grid-holes:2:1:0.9
+            density = 0.1
+            rounds = 4
+        ";
+        let spec = SweepSpec::parse(text).unwrap();
+        for quick in [false, true] {
+            let err = spec.resolve(quick).unwrap_err();
+            assert!(err.contains("csr:grid-holes:2:1:0.9"), "{err}");
+            assert!(err.contains("no connected component"), "{err}");
+        }
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl Span {
             live.args.push((key, value));
         }
     }
-
-    /// The span's start instant, if it is live (telemetry enabled).
-    pub fn start_instant(&self) -> Option<Instant> {
-        self.live.as_ref().map(|l| l.start)
-    }
 }
 
 impl Drop for Span {
@@ -148,7 +143,6 @@ mod tests {
         {
             let mut s = SPAN.start();
             s.arg("ignored", 1.0);
-            assert!(s.start_instant().is_none());
         }
         let snap = crate::snapshot();
         // Either never registered, or registered with zero records.

@@ -11,9 +11,8 @@
 //! |---|---|
 //! | [`stats`] | moments, quantiles, concentration bounds, regression |
 //! | [`graphs`] | tori, rings, hypercubes, expanders, CSR graphs, exact walk distributions |
-//! | [`engine`] | the paper's model as `Engine` (stepped round by round, sequentially or in deterministic parallel over dense occupancy) and `Scenario`, the one runner of Algorithms 1 and 4, quorum and relative frequency |
-//! | [`walks`] | trajectories, pairwise re-collision statistics, trial fan-out |
-//! | [`core`] | theory (accuracy predictions and bounds), the i.i.d. baseline, re-collision measurement, noise, adaptive quorum sensing, non-uniform placement |
+//! | [`engine`] | the paper's model as `Engine` (stepped round by round, sequentially or in deterministic parallel over dense occupancy), `Scenario`, the one runner of Algorithms 1 and 4, quorum and relative frequency, and the deterministic trial fan-out |
+//! | [`core`] | theory (accuracy predictions and bounds), the i.i.d. baseline, re-collision and collision-moment measurement (exact and Monte-Carlo), noise, adaptive quorum sensing, non-uniform placement |
 //! | [`netsize`] | Section 5.1: network-size estimation via colliding walks |
 //! | [`swarm`] | Sections 5.2/6.3: robot swarms and sensor-network sampling |
 //! | [`sweep`] | declarative parameter-grid sweeps: deterministic shards, checkpoint/resume, streaming aggregates |
@@ -30,7 +29,16 @@ pub use antdensity_serve as serve;
 pub use antdensity_stats as stats;
 pub use antdensity_swarm as swarm;
 pub use antdensity_sweep as sweep;
-pub use antdensity_walks as walks;
+
+// The walk recorder the integration tests share (`tests/support`) keeps
+// its unit tests under the module paths it had as library code.
+#[cfg(test)]
+mod pairwise;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+#[cfg(test)]
+mod trajectory;
 
 /// The README's Rust snippets, built and run by `cargo test` as
 /// doctests so they cannot drift from the API unnoticed.

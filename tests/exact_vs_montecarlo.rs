@@ -3,13 +3,13 @@
 //! independent implementations agree, both are almost certainly right.
 
 use antdensity::core::recollision;
+use antdensity::engine::pool::run_trials;
 use antdensity::graphs::{dist, Hypercube, Ring, Topology, Torus2d, TorusKd};
 use antdensity::stats::rng::SeedSequence;
-use antdensity::walks::{pairwise, parallel};
 
 fn mc_return_curve<T: Topology + Sync>(topo: &T, start: u64, t: u64, trials: u64) -> Vec<f64> {
     let seq = SeedSequence::new(0xC0FFEE);
-    let results = parallel::run_trials(trials, 4, seq, |_, rng| {
+    let results = run_trials(trials, 4, seq, |_, rng| {
         let mut v = start;
         let mut hits = vec![false; t as usize + 1];
         hits[0] = true;
@@ -106,8 +106,8 @@ fn visit_counts_match_expectation_from_distribution() {
     let t = 32u64;
     let seq = SeedSequence::new(0xBEEF);
     let trials = 80_000u64;
-    let total: u64 = parallel::run_trials(trials, 4, seq, |_, rng| {
-        pairwise::visit_count(&topo, 5, t, rng)
+    let total: u64 = run_trials(trials, 4, seq, |_, rng| {
+        recollision::visit_count(&topo, 5, t, rng)
     })
     .into_iter()
     .sum();
@@ -126,8 +126,8 @@ fn equalization_expectation_matches_exact_sum() {
     let exact_mean = recollision::expected_equalizations(&topo, 0, t);
     let seq = SeedSequence::new(0xFACE);
     let trials = 80_000u64;
-    let total: u64 = parallel::run_trials(trials, 4, seq, |_, rng| {
-        pairwise::equalization_count(&topo, 0, t, rng)
+    let total: u64 = run_trials(trials, 4, seq, |_, rng| {
+        recollision::equalization_count(&topo, 0, t, rng)
     })
     .into_iter()
     .sum();

@@ -9,11 +9,13 @@
 //!   the point probability is (≈) the product of the axis marginals.
 //! * Lemma 12: `P[c_j ≥ 1 | W] ≤ t/A`.
 
+mod support;
+
+use antdensity::engine::pool::run_trials;
 use antdensity::engine::MovementModel;
 use antdensity::graphs::{dist, Topology, Torus2d};
 use antdensity::stats::rng::SeedSequence;
-use antdensity::walks::trajectory::Trajectory;
-use antdensity::walks::{pairwise, parallel};
+use support::{collision_count_against_path, Trajectory};
 
 #[test]
 fn lemma9_axis_steps_are_theta_m_whp() {
@@ -22,7 +24,7 @@ fn lemma9_axis_steps_are_theta_m_whp() {
     let m = 400u64;
     let seq = SeedSequence::new(0x1E9);
     let trials = 20_000u64;
-    let bad = parallel::run_trials(trials, 4, seq, |_, rng| {
+    let bad = run_trials(trials, 4, seq, |_, rng| {
         let tr = Trajectory::record(&torus, 0, m, &MovementModel::Pure, rng);
         let (mx, my) = tr.axis_step_counts(&torus);
         mx <= m / 4 || my <= m / 4
@@ -90,8 +92,8 @@ fn lemma12_first_collision_probability() {
         let mut rng = seq.rng(path_seed);
         let path = Trajectory::record(&torus, torus.node(5, 5), t, &MovementModel::Pure, &mut rng);
         let trials = 40_000u64;
-        let hits = parallel::run_trials(trials, 4, seq.subsequence(path_seed), |_, rng| {
-            pairwise::collision_count_against_path(&torus, path.nodes(), rng) >= 1
+        let hits = run_trials(trials, 4, seq.subsequence(path_seed), |_, rng| {
+            collision_count_against_path(&torus, path.nodes(), rng) >= 1
         })
         .into_iter()
         .filter(|&b| b)
