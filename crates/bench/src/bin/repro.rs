@@ -1,75 +1,5 @@
-//! `repro` — regenerate the paper's quantitative claims.
-//!
-//! ```text
-//! repro list                        # show all experiments
-//! repro all [--quick]               # run everything
-//! repro e3 e8 [--full]              # run selected experiments
-//! repro bench                       # engine throughput -> BENCH_engine.json
-//! repro bench --compare [BASE]      # …then gate against a baseline JSON
-//! repro bench --group NAME          # one benchmark family only (e.g. rng_batch)
-//! repro bench --list-groups         # print the known group names, run nothing
-//! repro sweep SPEC [--quick]        # run a declarative parameter sweep
-//! repro sweep SPEC --dry-run        # print the expanded/fused plan, run nothing
-//! repro sweep SPEC --serve-shards   # distribute shards to worker processes
-//! repro sweep-worker --stdio        # worker half (spawned by --serve-shards)
-//! repro sweep-worker --connect ADDR # worker half for a --listen coordinator
-//! repro check-metrics FILE          # validate a METRICS_*.json against its schema
-//! repro serve [--listen ADDR]       # estimation daemon (line-delimited JSON jobs)
-//! repro serve --stdio               # one daemon session over stdin/stdout
-//! repro serve-submit ADDR SPEC      # submit a spec to a daemon, stream results
-//! options:
-//!   --quick           small grids (default for experiments)
-//!   --full            the EXPERIMENTS.md grids
-//!   --seed N          experiments: master seed (default 20160725 — PODC'16 day
-//!                     one); sweep/serve-submit: override the spec's seed (same
-//!                     bytes as editing its `seed =` line)
-//!   --out DIR         CSV/JSON output directory (default results/)
-//!   --tolerance F     bench gate: allowed fractional regression (default 0.25)
-//!   --group NAME      bench: run one family (see `bench --list-groups`); the
-//!                     gate then covers just that family's rows
-//!   --list-groups     bench: print the group names one per line and exit
-//! sweep options:
-//!   --workers N       worker threads for shard fan-out (results never depend on it)
-//!   --resume          continue from DIR/<name>.ckpt if present
-//!   --max-shards K    stop after K newly executed fused shards (checkpoint survives)
-//!   --no-checkpoint   do not write a checkpoint file
-//!   --no-fuse         one simulation per cell instead of per fused shard
-//!                     (bit-identical report, strictly more work — the cross-check)
-//!   --dry-run         print cell/shard/trial counts and the fused-vs-unfused
-//!                     simulation work, then exit without running
-//!   --metrics [FILE]  write the execution-metrics snapshot (schema
-//!                     `antdensity-metrics v3`; default DIR/METRICS_<name>.json)
-//!   --trace FILE      write a Chrome-tracing / Perfetto JSON of the run's spans
-//!   --progress        live stderr line per wave: shards done/total, Msteps/s, ETA
-//!   --cache DIR       consult/publish a content-addressed shard result cache
-//!                     under DIR (`off` disables); warm reruns skip simulation
-//!                     and write byte-identical reports. Shared safely across
-//!                     concurrent processes; spawned dist workers inherit it
-//!   --cache-verify    recompute every cache hit and byte-compare against the
-//!                     stored blob; any mismatch aborts the run (CI distrust)
-//!   --cache-cap BYTES LRU-evict the cache down to BYTES after the run
-//! distributed sweep options:
-//!   --serve-shards    lease fused shards to worker processes instead of
-//!                     running them on the in-process pool; the report stays
-//!                     byte-identical to the in-process run
-//!   --workers-cmd N   spawn N child workers over stdin/stdout pipes
-//!                     (default: the thread default; implies --serve-shards)
-//!   --listen ADDR     accept TCP workers on ADDR instead of spawning children
-//!                     (start them with `repro sweep-worker --connect ADDR`;
-//!                     implies --serve-shards)
-//!   --fault PLAN      deterministic fault injection for testing, e.g.
-//!                     `kill:lease3,drop:RESULT@2` (see DESIGN.md)
-//! serve options (admission knobs):
-//!   --listen ADDR     TCP bind address (default 127.0.0.1:4710, port 0 = ephemeral)
-//!   --stdio           serve a single session over stdin/stdout instead
-//!   --max-queue N     queue slots before submits are rejected (default 64)
-//!   --executors N     concurrent jobs (default 2; all share the worker pool)
-//!   --workers N       worker threads per job (default: the thread default)
-//!   --dist N          run each job's shards on N child worker processes
-//!   --cache DIR       one shard result cache shared by every executor and job
-//! exit codes: 0 ok; 1 perf gate regressed / IO failure; 2 usage; 3 partial sweep;
-//!             4 distributed result mismatch (byte-unequal duplicate shard result)
-//! ```
+//! `repro` — regenerate the paper's quantitative claims. `repro --help`
+//! lists the commands, `repro <cmd> --help` a command's flags.
 //!
 //! This binary is a thin dispatcher: argv parses into the typed
 //! request structs in [`antdensity_bench::cli`] (shared with the
@@ -93,31 +23,14 @@ use antdensity_sweep as sweep;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: repro <list|bench|sweep SPEC|sweep-worker|check-metrics FILE|serve|\
-         serve-submit ADDR SPEC|all|e1..e17...> \
-         [--quick|--full] [--seed N] [--out DIR] [--compare [BASELINE]] [--tolerance F] \
-         [--group NAME] [--list-groups] \
-         [--workers N] [--resume] [--max-shards K] [--no-checkpoint] [--no-fuse] \
-         [--dry-run] [--metrics [FILE]] [--trace FILE] [--progress] \
-         [--serve-shards] [--workers-cmd N] [--listen ADDR] [--fault PLAN] \
-         [--cache DIR|off] [--cache-verify] [--cache-cap BYTES] \
-         [--stdio] [--max-queue N] [--executors N] [--dist N]"
-    );
-    ExitCode::Usage.exit()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = match cli::parse(&args) {
-        Ok(command) => command,
-        Err(e) => {
-            eprintln!("repro: {e}");
-            usage();
-        }
-    };
+    let command = cli::parse(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        ExitCode::Usage.fail(&cli::usage(&args))
+    });
     match command {
+        Command::Help(text) => print!("{text}"),
         Command::List => run_list(),
         Command::Experiments(req) => run_experiments(&req),
         Command::Bench(req) => run_bench(&req),
@@ -144,9 +57,7 @@ fn run_experiments(req: &cli::ExperimentsRequest) {
     println!("# antdensity repro — mode: {mode}, seed: {}\n", req.seed);
     let t_all = Instant::now();
     for id in &req.ids {
-        let Some(def) = experiments::find(id) else {
-            ExitCode::Usage.fail(&format!("unknown experiment id: {id}"));
-        };
+        let def = experiments::find(id).expect("`cli::parse` vets every id");
         let t0 = Instant::now();
         let report = (def.run)(req.effort, req.seed);
         let elapsed = t0.elapsed();

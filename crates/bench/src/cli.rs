@@ -1,10 +1,14 @@
 //! The typed CLI core: argv → per-subcommand request structs → run.
 //!
-//! `repro`'s surface used to be one flat argv scanner feeding a bag of
-//! optionals; every subcommand now parses into its own request struct
+//! Every subcommand parses into its own request struct
 //! ([`SweepRequest`], [`BenchRequest`], [`ServeRequest`], …) so the
 //! binary is a thin `parse` → dispatch pipeline and tests can exercise
 //! parsing without spawning processes.
+//!
+//! Flags are declared once, in [`FLAGS`]: one row per flag with the
+//! commands that take it, its operand and its help line. One scanner
+//! reads argv against those rows, and each command's usage line and
+//! `repro <cmd> --help` are rendered from them.
 //!
 //! The sweep path is deliberately two-layered: [`SweepRequest`] holds
 //! the *invocation* concerns (paths, checkpointing, transport) and
@@ -17,10 +21,12 @@
 //! exported enum, consumed by the binary and by the contract tests —
 //! no magic integers at call sites.
 
+use crate::experiments;
 use crate::report::Effort;
 use antdensity_sweep::SweepJob;
 use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// The `repro` exit-status contract. The numeric values are stable
 /// API — CI scripts and the contract tests match on them.
@@ -58,7 +64,8 @@ impl ExitCode {
 }
 
 /// A structured argv rejection: what was wrong, in one line. The
-/// binary prints it (plus the usage text) and exits [`ExitCode::Usage`].
+/// binary prints it (plus the command's [`usage`] line) and exits
+/// [`ExitCode::Usage`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UsageError(pub String);
 
@@ -71,6 +78,9 @@ impl fmt::Display for UsageError {
 /// One parsed `repro` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
+    /// `repro --help`, `repro help` or `repro <cmd> --help` — print
+    /// this text and exit 0.
+    Help(String),
     /// `repro list` — print the experiment table.
     List,
     /// `repro all | e3 e8 …` — run experiments.
@@ -89,87 +99,82 @@ pub enum Command {
     ServeSubmit(ServeSubmitRequest),
 }
 
-/// `repro all` / `repro e3 e8 --full --seed N --out DIR`.
+// Each request field is named for its flag; what the flag means is
+// its help line in `FLAGS`.
+
+/// `repro all` / `repro e3 e8 …`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentsRequest {
     /// Experiment ids, in argv order (`all` expands to every id).
     pub ids: Vec<String>,
-    /// Grid size.
+    /// `--quick` / `--full`.
     pub effort: Effort,
-    /// Master seed.
+    /// `--seed`.
     pub seed: u64,
-    /// Output directory.
+    /// `--out`.
     pub out: PathBuf,
 }
 
-/// `repro bench [--group NAME] [--compare [BASE]] [--tolerance F]`.
+/// `repro bench …`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRequest {
-    /// Measurement effort.
+    /// `--quick` / `--full`.
     pub effort: Effort,
-    /// Output directory for `BENCH_engine.json`.
+    /// `--out`.
     pub out: PathBuf,
-    /// Baseline to gate against, if any.
+    /// `--compare`.
     pub compare: Option<PathBuf>,
-    /// Allowed fractional regression.
+    /// `--tolerance`.
     pub tolerance: f64,
-    /// Run only this benchmark family (one of [`crate::perf::GROUPS`]);
-    /// `None` runs the whole suite.
+    /// `--group`, one of [`crate::perf::GROUPS`]; `None` runs them all.
     pub group: Option<String>,
-    /// `--list-groups`: print the known group names and exit — run
-    /// nothing.
+    /// `--list-groups`.
     pub list_groups: bool,
 }
 
 /// `repro sweep SPEC …` — invocation-side concerns around a
 /// [`SweepJob`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SweepRequest {
     /// The spec file.
     pub spec_path: PathBuf,
-    /// Quick (CI smoke) grid.
+    /// `--quick` / `--full`.
     pub quick: bool,
-    /// `--no-fuse`: one simulation per cell (bit-identity cross-check).
+    /// `--no-fuse`.
     pub no_fuse: bool,
-    /// `--seed N`: override the spec's master seed — identical to
-    /// editing the spec's `seed =` line, and the CLI twin of a serve
-    /// submit's `seed` field.
+    /// `--seed`: the CLI twin of a serve submit's `seed` field.
     pub seed_override: Option<u64>,
-    /// Worker threads for shard fan-out.
+    /// `--workers`.
     pub workers: Option<usize>,
-    /// Output directory.
+    /// `--out`.
     pub out: PathBuf,
-    /// Resume from `DIR/<name>.ckpt`.
+    /// `--resume`.
     pub resume: bool,
-    /// Stop after K newly executed shards.
+    /// `--max-shards`.
     pub max_shards: Option<usize>,
-    /// Skip the checkpoint file.
+    /// `--no-checkpoint`.
     pub no_checkpoint: bool,
-    /// Print the plan, run nothing.
+    /// `--dry-run`.
     pub dry_run: bool,
-    /// `Some(None)` = `--metrics` to the default path; `Some(Some(p))`
-    /// = explicit file.
+    /// `--metrics`: `Some(None)` writes to the default path.
     pub metrics: Option<Option<PathBuf>>,
-    /// Chrome-trace output file.
+    /// `--trace`.
     pub trace: Option<PathBuf>,
-    /// Live progress line per wave.
+    /// `--progress`.
     pub progress: bool,
-    /// Lease shards to worker processes.
+    /// `--serve-shards`, or implied by `--workers-cmd` / `--listen`.
     pub serve_shards: bool,
-    /// Child workers over pipes (implies `serve_shards`).
+    /// `--workers-cmd`.
     pub workers_cmd: Option<usize>,
-    /// Accept TCP workers (implies `serve_shards`).
+    /// `--listen`.
     pub listen: Option<String>,
-    /// Deterministic fault-injection plan.
+    /// `--fault`.
     pub fault: Option<String>,
-    /// `--cache DIR` — shard result cache directory (`off` / absent
-    /// disables). Shared with spawned dist workers and across
-    /// processes.
+    /// `--cache` (`None` for `off`); spawned dist workers inherit it.
     pub cache: Option<PathBuf>,
-    /// `--cache-verify`: recompute cache hits anyway and byte-compare;
-    /// any mismatch fails the run.
+    /// `--cache-verify`.
     pub cache_verify: bool,
-    /// `--cache-cap BYTES`: LRU-evict down to this size after the run.
+    /// `--cache-cap`.
     pub cache_cap: Option<u64>,
 }
 
@@ -190,20 +195,18 @@ impl SweepRequest {
 /// How a `sweep-worker` reaches its coordinator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerMode {
-    /// Frames over stdin/stdout (spawned child).
+    /// `--stdio`.
     Stdio,
-    /// Dial a `--listen` coordinator.
+    /// `--connect`.
     Connect(String),
 }
 
-/// `repro sweep-worker [--stdio | --connect ADDR] [--cache DIR]`.
+/// `repro sweep-worker …`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepWorkerRequest {
-    /// Transport back to the coordinator.
+    /// `--stdio` / `--connect`.
     pub mode: WorkerMode,
-    /// Worker-local shard result cache directory (`off` / absent
-    /// disables). A coordinator running with `--cache` forwards its
-    /// directory to spawned children automatically.
+    /// `--cache` (`None` for `off`).
     pub cache: Option<PathBuf>,
 }
 
@@ -214,43 +217,248 @@ pub struct CheckMetricsRequest {
     pub path: PathBuf,
 }
 
-/// `repro serve [--listen ADDR | --stdio] [admission knobs…]`.
+/// `repro serve …`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeRequest {
-    /// TCP bind address (default `127.0.0.1:4710`); `None` with
-    /// `stdio` set means a single stdin/stdout session.
+    /// `--listen`.
     pub listen: Option<String>,
-    /// Serve one session over stdin/stdout instead of TCP.
+    /// `--stdio`.
     pub stdio: bool,
-    /// Queue slots before submits are rejected.
+    /// `--max-queue`.
     pub max_queue: usize,
-    /// Concurrent executor threads.
+    /// `--executors`.
     pub executors: usize,
-    /// Worker threads each job asks the shared pool for.
+    /// `--workers`.
     pub job_workers: usize,
-    /// Run jobs on the distributed runtime with N child workers.
+    /// `--dist`.
     pub dist_workers: Option<usize>,
-    /// Shard result cache directory shared by all executors (`off` /
-    /// absent disables).
+    /// `--cache` (`None` for `off`), shared by every executor.
     pub cache: Option<PathBuf>,
 }
 
-/// `repro serve-submit ADDR SPEC [--quick] [--seed N] [--out DIR]
-/// [--metrics FILE]`.
+/// `repro serve-submit ADDR SPEC …`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeSubmitRequest {
     /// Daemon address, e.g. `127.0.0.1:4710`.
     pub addr: String,
     /// Sweep spec file to submit.
     pub spec_path: PathBuf,
-    /// Quick grid.
+    /// `--quick` / `--full`.
     pub quick: bool,
-    /// Seed override for the job.
+    /// `--seed`.
     pub seed: Option<u64>,
-    /// Where the streamed `SWEEP_<name>.{json,csv}` land.
+    /// `--out`.
     pub out: PathBuf,
-    /// Also fetch a daemon metrics snapshot into this file.
+    /// `--metrics`.
     pub metrics: Option<PathBuf>,
+}
+
+/// What a flag takes after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// The next token, whatever it is (`--out DIR`).
+    Required(&'static str),
+    /// The next token unless it starts with `--` (`--metrics [FILE]`).
+    Optional(&'static str),
+}
+
+use Operand::{Optional, Required, Switch};
+
+/// One row of [`FLAGS`].
+#[derive(Debug)]
+pub struct Flag {
+    /// The commands that take it, by their [`COMMANDS`] name.
+    pub commands: &'static [&'static str],
+    /// The flag, e.g. `--out`.
+    pub name: &'static str,
+    /// What it takes after it.
+    pub operand: Operand,
+    /// Its line in `repro <cmd> --help`.
+    pub help: &'static str,
+}
+
+impl Flag {
+    /// The flag with its operand, as usage and help print it.
+    fn spelled(&self) -> String {
+        match self.operand {
+            Switch => self.name.to_string(),
+            Required(op) => format!("{} {op}", self.name),
+            Optional(op) => format!("{} [{op}]", self.name),
+        }
+    }
+}
+
+/// Every `repro` command: its synopsis (the name, then its positional
+/// operands) and what it does. `all` is the experiment runner, which
+/// any experiment id (`repro e3 e8`) also names.
+#[rustfmt::skip]
+pub const COMMANDS: &[(&str, &str)] = &[
+    ("list",                   "print the experiment ids and what each reproduces"),
+    ("all | ID...",            "run every experiment, or the ones named (e1..e17)"),
+    ("bench",                  "time the engine kernels into BENCH_engine.json, optionally gated"),
+    ("sweep SPEC",             "run a declarative parameter sweep (see specs/)"),
+    ("sweep-worker",           "the worker half of a distributed sweep"),
+    ("check-metrics FILE",     "validate a METRICS_*.json against its schema"),
+    ("serve",                  "the estimation daemon: line-delimited JSON jobs"),
+    ("serve-submit ADDR SPEC", "submit a spec to a daemon and write the streamed report"),
+];
+
+/// Every flag of every command, one row each. The scanner, each
+/// command's usage line and `repro <cmd> --help` are all read off it.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    Flag { commands: &["all", "bench", "sweep"],                 name: "--quick",         operand: Switch,            help: "small grids, the CI configuration (default)" },
+    Flag { commands: &["all", "bench", "sweep"],                 name: "--full",          operand: Switch,            help: "the full grids" },
+    Flag { commands: &["serve-submit"],                          name: "--quick",         operand: Switch,            help: "the spec's quick grid" },
+    Flag { commands: &["serve-submit"],                          name: "--full",          operand: Switch,            help: "the spec's full grid (default)" },
+    Flag { commands: &["all"],                                   name: "--seed",          operand: Required("N"),     help: "master seed (default 20160725)" },
+    Flag { commands: &["sweep", "serve-submit"],                 name: "--seed",          operand: Required("N"),     help: "override the spec's seed: the bytes of editing its `seed =` line" },
+    Flag { commands: &["all", "bench", "sweep", "serve-submit"], name: "--out",           operand: Required("DIR"),   help: "output directory (default results)" },
+    Flag { commands: &["bench"],                                 name: "--group",         operand: Required("NAME"),  help: "measure one family (see --list-groups); a gate covers only its rows" },
+    Flag { commands: &["bench"],                                 name: "--list-groups",   operand: Switch,            help: "print the family names, one per line, and run nothing" },
+    Flag { commands: &["bench"],                                 name: "--compare",       operand: Optional("BASE"),  help: "gate against a baseline JSON (default BENCH_baseline.json)" },
+    Flag { commands: &["bench"],                                 name: "--tolerance",     operand: Required("F"),     help: "allowed fractional regression, in [0, 1) (default 0.25)" },
+    Flag { commands: &["sweep"],                                 name: "--no-fuse",       operand: Switch,            help: "one simulation per cell, not per fused shard: same report, more work" },
+    Flag { commands: &["sweep"],                                 name: "--workers",       operand: Required("N"),     help: "worker threads for shard fan-out (results never depend on it)" },
+    Flag { commands: &["sweep"],                                 name: "--resume",        operand: Switch,            help: "continue from DIR/<name>.ckpt if present" },
+    Flag { commands: &["sweep"],                                 name: "--max-shards",    operand: Required("K"),     help: "stop after K newly executed shards; the checkpoint survives (exit 3)" },
+    Flag { commands: &["sweep"],                                 name: "--no-checkpoint", operand: Switch,            help: "write no checkpoint file" },
+    Flag { commands: &["sweep"],                                 name: "--dry-run",       operand: Switch,            help: "print the cells, fused shards and simulation work; run nothing" },
+    Flag { commands: &["sweep"],                                 name: "--metrics",       operand: Optional("FILE"),  help: "write the metrics snapshot (default DIR/METRICS_<name>.json)" },
+    Flag { commands: &["sweep"],                                 name: "--trace",         operand: Required("FILE"),  help: "write a Chrome-trace / Perfetto JSON of the run's spans" },
+    Flag { commands: &["sweep"],                                 name: "--progress",      operand: Switch,            help: "a live stderr line per wave: shards done, Msteps/s, ETA" },
+    Flag { commands: &["sweep"],                                 name: "--serve-shards",  operand: Switch,            help: "lease fused shards to worker processes; the report bytes stay the same" },
+    Flag { commands: &["sweep"],                                 name: "--workers-cmd",   operand: Required("N"),     help: "spawn N child workers over pipes (implies --serve-shards)" },
+    Flag { commands: &["sweep"],                                 name: "--listen",        operand: Required("ADDR"),  help: "accept `sweep-worker --connect ADDR` workers (implies --serve-shards)" },
+    Flag { commands: &["sweep"],                                 name: "--fault",         operand: Required("PLAN"),  help: "deterministic fault injection, e.g. kill:lease3,drop:RESULT@2" },
+    Flag { commands: &["sweep", "sweep-worker", "serve"],        name: "--cache",         operand: Required("DIR"),   help: "content-addressed shard result cache in DIR (`off` disables)" },
+    Flag { commands: &["sweep"],                                 name: "--cache-verify",  operand: Switch,            help: "recompute every cache hit and byte-compare; a mismatch fails the run" },
+    Flag { commands: &["sweep"],                                 name: "--cache-cap",     operand: Required("BYTES"), help: "LRU-evict the cache down to BYTES after the run" },
+    Flag { commands: &["sweep-worker"],                          name: "--stdio",         operand: Switch,            help: "frames over stdin/stdout, as a spawned child (default)" },
+    Flag { commands: &["sweep-worker"],                          name: "--connect",       operand: Required("ADDR"),  help: "dial a `sweep --listen ADDR` coordinator" },
+    Flag { commands: &["serve"],                                 name: "--listen",        operand: Required("ADDR"),  help: "TCP bind address (default 127.0.0.1:4710; port 0 picks one)" },
+    Flag { commands: &["serve"],                                 name: "--stdio",         operand: Switch,            help: "serve one session over stdin/stdout instead" },
+    Flag { commands: &["serve"],                                 name: "--max-queue",     operand: Required("N"),     help: "queue slots before submits are rejected (default 64)" },
+    Flag { commands: &["serve"],                                 name: "--executors",     operand: Required("N"),     help: "jobs run at once, sharing one worker pool (default 2)" },
+    Flag { commands: &["serve"],                                 name: "--workers",       operand: Required("N"),     help: "worker threads per job (default 0: the pool's default)" },
+    Flag { commands: &["serve"],                                 name: "--dist",          operand: Required("N"),     help: "run each job's shards on N child worker processes" },
+    Flag { commands: &["serve-submit"],                          name: "--metrics",       operand: Required("FILE"),  help: "also fetch the daemon's metrics snapshot into FILE" },
+];
+
+/// The rows of [`FLAGS`] that `cmd` takes.
+pub fn flags_of(cmd: &str) -> impl Iterator<Item = &'static Flag> + '_ {
+    FLAGS.iter().filter(move |f| f.commands.contains(&cmd))
+}
+
+/// The [`COMMANDS`] entry named `cmd`, the first word of its synopsis.
+fn entry(cmd: &str) -> Option<(&'static str, &'static str)> {
+    COMMANDS
+        .iter()
+        .copied()
+        .find(|(synopsis, _)| synopsis.split(' ').next() == Some(cmd))
+}
+
+/// The [`COMMANDS`] name `tok` resolves to; an experiment id names `all`.
+fn command(tok: &str) -> Option<&'static str> {
+    let id = experiments::find(tok).is_some();
+    let (synopsis, _) = entry(if id { "all" } else { tok })?;
+    synopsis.split(' ').next()
+}
+
+/// The usage line of the command `args` names, rendered from
+/// [`FLAGS`], or the generic one when no command is recognised.
+pub fn usage(args: &[String]) -> String {
+    let Some(cmd) = args.first().and_then(|tok| command(tok)) else {
+        return "usage: repro COMMAND [flags]   (`repro --help` lists the commands)".to_string();
+    };
+    let flags: String = flags_of(cmd)
+        .map(|f| format!(" [{}]", f.spelled()))
+        .collect();
+    format!("usage: repro {}{flags}", entry(cmd).unwrap_or_default().0)
+}
+
+/// `repro --help` (`cmd` = `None`) or `repro <cmd> --help`.
+fn help(cmd: Option<&str>) -> String {
+    let Some(cmd) = cmd else {
+        let commands: String = COMMANDS
+            .iter()
+            .map(|(s, about)| format!("  {s:<24}{about}\n"))
+            .collect();
+        return format!(
+            "usage: repro COMMAND [flags]   (`repro COMMAND --help` lists its flags)\n\n\
+             {commands}\nexit codes: 0 ok; 1 IO failure or perf gate regressed; 2 usage; \
+             3 partial sweep; 4 distributed result mismatch\n"
+        );
+    };
+    let rows: String = flags_of(cmd)
+        .map(|f| (f.spelled(), f.help))
+        .chain([("--help".to_string(), "print this help")])
+        .map(|(spelled, help)| format!("  {spelled:<17}  {help}\n"))
+        .collect();
+    let (_, about) = entry(cmd).unwrap_or_default();
+    format!("{}\n{about}\n\n{rows}", usage(&[cmd.to_string()]))
+}
+
+type Scan<'a> = Option<(Vec<(&'static str, Option<&'a str>)>, Vec<&'a str>)>;
+
+/// Splits `cmd`'s argv by [`FLAGS`]: each flag with its operand in argv
+/// order (so when a flag repeats, the last one wins), and the
+/// positional operands. `None` when `--help` was asked for.
+fn scan<'a>(cmd: &str, args: &'a [String]) -> Result<Scan<'a>, UsageError> {
+    let (mut flags, mut positionals) = (Vec::new(), Vec::new());
+    let mut tokens = args.iter().peekable();
+    while let Some(tok) = tokens.next() {
+        if !tok.starts_with("--") {
+            positionals.push(tok.as_str());
+            continue;
+        }
+        if tok == "--help" {
+            return Ok(None);
+        }
+        let flag = flags_of(cmd)
+            .find(|f| f.name == tok)
+            .ok_or_else(|| UsageError(format!("`{cmd}` got unknown flag `{tok}`")))?;
+        let missing = || UsageError(format!("`{tok}` needs a value"));
+        let value = match flag.operand {
+            Switch => None,
+            Required(_) => Some(tokens.next().ok_or_else(missing)?),
+            Optional(_) => tokens.next_if(|next| !next.starts_with("--")),
+        };
+        flags.push((flag.name, value.map(String::as_str)));
+    }
+    Ok(Some((flags, positionals)))
+}
+
+/// Exactly the positional operands `cmd`'s synopsis names.
+fn operands<'a, const N: usize>(cmd: &str, got: Vec<&'a str>) -> Result<[&'a str; N], UsageError> {
+    got.try_into().map_err(|got: Vec<&str>| {
+        let (synopsis, _) = entry(cmd).unwrap_or_default();
+        let want = synopsis
+            .split_once(' ')
+            .map_or("no operands", |(_, ops)| ops);
+        UsageError(format!("`{cmd}` takes {want}, got {got:?}"))
+    })
+}
+
+fn num<T: FromStr>(flag: &str, raw: &str) -> Result<T, UsageError> {
+    raw.parse()
+        .map_err(|_| UsageError(format!("`{flag}` got unparseable value `{raw}`")))
+}
+
+fn positive<T: FromStr + Default + PartialEq>(flag: &str, raw: &str) -> Result<T, UsageError> {
+    let n = num(flag, raw)?;
+    if n == T::default() {
+        return Err(UsageError(format!("`{flag}` must be positive")));
+    }
+    Ok(n)
+}
+
+/// `--cache DIR|off` — the literal `off` means "no cache", same as
+/// omitting the flag, so scripts can override an inherited `--cache`.
+fn cache_dir(raw: &str) -> Option<PathBuf> {
+    (raw != "off").then(|| PathBuf::from(raw))
 }
 
 /// Parses one argv (without the program name) into a [`Command`].
@@ -264,342 +472,208 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
     let Some(first) = args.first() else {
         return Err(UsageError("no command given".to_string()));
     };
-    match first.as_str() {
+    if first == "help" || first == "--help" {
+        return Ok(Command::Help(help(None)));
+    }
+    let cmd = command(first).ok_or_else(|| UsageError(format!("unknown command `{first}`")))?;
+    // the experiment ids are `all`'s operands, the first one included
+    let rest = if cmd == "all" { args } else { &args[1..] };
+    let Some((flags, positionals)) = scan(cmd, rest)? else {
+        return Ok(Command::Help(help(Some(cmd))));
+    };
+    let mut out = PathBuf::from("results");
+    match cmd {
         "list" => {
-            expect_no_more("list", &args[1..])?;
+            let [] = operands(cmd, positionals)?;
             Ok(Command::List)
         }
-        "bench" => parse_bench(&args[1..]),
-        "sweep" => parse_sweep(&args[1..]),
-        "sweep-worker" => parse_sweep_worker(&args[1..]),
-        "check-metrics" => parse_check_metrics(&args[1..]),
-        "serve" => parse_serve(&args[1..]),
-        "serve-submit" => parse_serve_submit(&args[1..]),
-        tok if tok == "all" || tok.starts_with('e') || tok.starts_with('E') => {
-            parse_experiments(args)
+        "all" => {
+            let (mut effort, mut seed) = (Effort::Quick, 20_160_725);
+            for (flag, value) in flags {
+                let v = value.unwrap_or_default();
+                match flag {
+                    "--quick" => effort = Effort::Quick,
+                    "--full" => effort = Effort::Full,
+                    "--seed" => seed = num(flag, v)?,
+                    "--out" => out = v.into(),
+                    _ => unreachable!("`all` has no arm for `{flag}`"),
+                }
+            }
+            let mut ids = Vec::new();
+            for id in positionals {
+                match id {
+                    "all" => ids = experiments::all().iter().map(|e| e.id.into()).collect(),
+                    _ if experiments::find(id).is_some() => ids.push(id.to_string()),
+                    _ => return Err(UsageError(format!("unknown experiment id: {id}"))),
+                }
+            }
+            Ok(Command::Experiments(ExperimentsRequest {
+                ids,
+                effort,
+                seed,
+                out,
+            }))
         }
-        other => Err(UsageError(format!("unknown command `{other}`"))),
-    }
-}
-
-fn expect_no_more(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
-    match rest.first() {
-        None => Ok(()),
-        Some(tok) => Err(UsageError(format!("`{cmd}` takes no `{tok}`"))),
-    }
-}
-
-/// Pulls the operand for `flag` out of `args[*i + 1]`, advancing.
-fn operand(args: &[String], i: &mut usize, flag: &str) -> Result<String, UsageError> {
-    *i += 1;
-    args.get(*i)
-        .cloned()
-        .ok_or_else(|| UsageError(format!("`{flag}` needs a value")))
-}
-
-fn num<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str) -> Result<T, UsageError> {
-    let raw = operand(args, i, flag)?;
-    raw.parse()
-        .map_err(|_| UsageError(format!("`{flag}` got unparseable value `{raw}`")))
-}
-
-/// `--cache DIR|off` — the literal `off` means "no cache", same as
-/// omitting the flag, so scripts can override an inherited `--cache`.
-fn cache_operand(args: &[String], i: &mut usize) -> Result<Option<PathBuf>, UsageError> {
-    let raw = operand(args, i, "--cache")?;
-    Ok((raw != "off").then(|| PathBuf::from(raw)))
-}
-
-fn parse_experiments(args: &[String]) -> Result<Command, UsageError> {
-    let mut req = ExperimentsRequest {
-        ids: Vec::new(),
-        effort: Effort::Quick,
-        seed: 20_160_725,
-        out: PathBuf::from("results"),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => req.effort = Effort::Quick,
-            "--full" => req.effort = Effort::Full,
-            "--seed" => req.seed = num(args, &mut i, "--seed")?,
-            "--out" => req.out = PathBuf::from(operand(args, &mut i, "--out")?),
-            "all" => {
-                req.ids = crate::experiments::all()
-                    .iter()
-                    .map(|e| e.id.to_string())
-                    .collect();
+        "bench" => {
+            let [] = operands(cmd, positionals)?;
+            let mut req = BenchRequest {
+                effort: Effort::Quick,
+                out,
+                compare: None,
+                tolerance: 0.25,
+                group: None,
+                list_groups: false,
+            };
+            for (flag, value) in flags {
+                let v = value.unwrap_or_default();
+                match flag {
+                    "--quick" => req.effort = Effort::Quick,
+                    "--full" => req.effort = Effort::Full,
+                    "--out" => req.out = v.into(),
+                    "--group" if !crate::perf::GROUPS.contains(&v) => {
+                        return Err(UsageError(format!(
+                            "`--group` got unknown group `{v}` (known: {}; \
+                             see `bench --list-groups`)",
+                            crate::perf::GROUPS.join(", ")
+                        )))
+                    }
+                    "--group" => req.group = Some(v.to_string()),
+                    "--list-groups" => req.list_groups = true,
+                    "--compare" => {
+                        req.compare = Some(value.unwrap_or("BENCH_baseline.json").into());
+                    }
+                    "--tolerance" => {
+                        req.tolerance = num(flag, v)?;
+                        if !(0.0..1.0).contains(&req.tolerance) {
+                            return Err(UsageError(format!(
+                                "`--tolerance` must be in [0, 1), got {}",
+                                req.tolerance
+                            )));
+                        }
+                    }
+                    _ => unreachable!("`bench` has no arm for `{flag}`"),
+                }
             }
-            tok if tok.starts_with('e') || tok.starts_with('E') => {
-                req.ids.push(tok.to_string());
-            }
-            other => return Err(UsageError(format!("unknown experiment token `{other}`"))),
+            Ok(Command::Bench(req))
         }
-        i += 1;
-    }
-    Ok(Command::Experiments(req))
-}
-
-fn parse_bench(args: &[String]) -> Result<Command, UsageError> {
-    let mut req = BenchRequest {
-        effort: Effort::Quick,
-        out: PathBuf::from("results"),
-        compare: None,
-        tolerance: 0.25,
-        group: None,
-        list_groups: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => req.effort = Effort::Quick,
-            "--full" => req.effort = Effort::Full,
-            "--out" => req.out = PathBuf::from(operand(args, &mut i, "--out")?),
-            "--group" => {
-                let g = operand(args, &mut i, "--group")?;
-                if !crate::perf::GROUPS.contains(&g.as_str()) {
-                    return Err(UsageError(format!(
-                        "`--group` got unknown group `{g}` (known: {}; \
-                         see `bench --list-groups`)",
-                        crate::perf::GROUPS.join(", ")
-                    )));
+        "sweep" => {
+            let [spec] = operands(cmd, positionals)?;
+            let mut req = SweepRequest {
+                spec_path: spec.into(),
+                quick: true,
+                out,
+                ..SweepRequest::default()
+            };
+            for (flag, value) in flags {
+                let v = value.unwrap_or_default();
+                match flag {
+                    "--quick" => req.quick = true,
+                    "--full" => req.quick = false,
+                    "--no-fuse" => req.no_fuse = true,
+                    "--seed" => req.seed_override = Some(num(flag, v)?),
+                    "--workers" => req.workers = Some(positive(flag, v)?),
+                    "--out" => req.out = v.into(),
+                    "--resume" => req.resume = true,
+                    "--max-shards" => req.max_shards = Some(num(flag, v)?),
+                    "--no-checkpoint" => req.no_checkpoint = true,
+                    "--dry-run" => req.dry_run = true,
+                    "--metrics" => req.metrics = Some(value.map(PathBuf::from)),
+                    "--trace" => req.trace = Some(v.into()),
+                    "--progress" => req.progress = true,
+                    "--serve-shards" => req.serve_shards = true,
+                    "--workers-cmd" => {
+                        req.workers_cmd = Some(positive(flag, v)?);
+                        req.serve_shards = true;
+                    }
+                    "--listen" => {
+                        req.listen = Some(v.to_string());
+                        req.serve_shards = true;
+                    }
+                    "--fault" => req.fault = Some(v.to_string()),
+                    "--cache" => req.cache = cache_dir(v),
+                    "--cache-verify" => req.cache_verify = true,
+                    "--cache-cap" => req.cache_cap = Some(positive(flag, v)?),
+                    _ => unreachable!("`sweep` has no arm for `{flag}`"),
                 }
-                req.group = Some(g);
             }
-            "--list-groups" => req.list_groups = true,
-            "--compare" => {
-                // optional operand; defaults to the committed baseline
-                if let Some(next) = args.get(i + 1).filter(|n| !n.starts_with("--")) {
-                    req.compare = Some(PathBuf::from(next));
-                    i += 1;
-                } else {
-                    req.compare = Some(PathBuf::from("BENCH_baseline.json"));
-                }
-            }
-            "--tolerance" => {
-                let t: f64 = num(args, &mut i, "--tolerance")?;
-                if !(0.0..1.0).contains(&t) {
-                    return Err(UsageError(format!(
-                        "`--tolerance` must be in [0, 1), got {t}"
-                    )));
-                }
-                req.tolerance = t;
-            }
-            other => return Err(UsageError(format!("`bench` got unknown flag `{other}`"))),
+            Ok(Command::Sweep(req))
         }
-        i += 1;
-    }
-    Ok(Command::Bench(req))
-}
-
-fn parse_sweep(args: &[String]) -> Result<Command, UsageError> {
-    let mut spec_path = None;
-    let mut req = SweepRequest {
-        spec_path: PathBuf::new(),
-        quick: true,
-        no_fuse: false,
-        seed_override: None,
-        workers: None,
-        out: PathBuf::from("results"),
-        resume: false,
-        max_shards: None,
-        no_checkpoint: false,
-        dry_run: false,
-        metrics: None,
-        trace: None,
-        progress: false,
-        serve_shards: false,
-        workers_cmd: None,
-        listen: None,
-        fault: None,
-        cache: None,
-        cache_verify: false,
-        cache_cap: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => req.quick = true,
-            "--full" => req.quick = false,
-            "--no-fuse" => req.no_fuse = true,
-            "--seed" => req.seed_override = Some(num(args, &mut i, "--seed")?),
-            "--workers" => {
-                let w: usize = num(args, &mut i, "--workers")?;
-                if w == 0 {
-                    return Err(UsageError("`--workers` must be positive".to_string()));
-                }
-                req.workers = Some(w);
-            }
-            "--out" => req.out = PathBuf::from(operand(args, &mut i, "--out")?),
-            "--resume" => req.resume = true,
-            "--max-shards" => req.max_shards = Some(num(args, &mut i, "--max-shards")?),
-            "--no-checkpoint" => req.no_checkpoint = true,
-            "--dry-run" => req.dry_run = true,
-            "--metrics" => {
-                if let Some(next) = args.get(i + 1).filter(|n| !n.starts_with("--")) {
-                    req.metrics = Some(Some(PathBuf::from(next)));
-                    i += 1;
-                } else {
-                    req.metrics = Some(None);
+        "sweep-worker" => {
+            let [] = operands(cmd, positionals)?;
+            let (mut mode, mut cache) = (WorkerMode::Stdio, None);
+            for (flag, value) in flags {
+                let v = value.unwrap_or_default();
+                match flag {
+                    "--stdio" => mode = WorkerMode::Stdio,
+                    "--connect" => mode = WorkerMode::Connect(v.to_string()),
+                    "--cache" => cache = cache_dir(v),
+                    _ => unreachable!("`sweep-worker` has no arm for `{flag}`"),
                 }
             }
-            "--trace" => req.trace = Some(PathBuf::from(operand(args, &mut i, "--trace")?)),
-            "--progress" => req.progress = true,
-            "--serve-shards" => req.serve_shards = true,
-            "--workers-cmd" => {
-                let w: usize = num(args, &mut i, "--workers-cmd")?;
-                if w == 0 {
-                    return Err(UsageError("`--workers-cmd` must be positive".to_string()));
-                }
-                req.workers_cmd = Some(w);
-                req.serve_shards = true;
-            }
-            "--listen" => {
-                req.listen = Some(operand(args, &mut i, "--listen")?);
-                req.serve_shards = true;
-            }
-            "--fault" => req.fault = Some(operand(args, &mut i, "--fault")?),
-            "--cache" => req.cache = cache_operand(args, &mut i)?,
-            "--cache-verify" => req.cache_verify = true,
-            "--cache-cap" => {
-                let cap: u64 = num(args, &mut i, "--cache-cap")?;
-                if cap == 0 {
-                    return Err(UsageError(
-                        "`--cache-cap` must be positive (use `--cache off` to disable)".to_string(),
-                    ));
-                }
-                req.cache_cap = Some(cap);
-            }
-            tok if !tok.starts_with("--") && spec_path.is_none() => {
-                spec_path = Some(PathBuf::from(tok));
-            }
-            other => return Err(UsageError(format!("`sweep` got unknown token `{other}`"))),
+            Ok(Command::SweepWorker(SweepWorkerRequest { mode, cache }))
         }
-        i += 1;
-    }
-    req.spec_path =
-        spec_path.ok_or_else(|| UsageError("`sweep` needs a spec file path".to_string()))?;
-    Ok(Command::Sweep(req))
-}
-
-fn parse_sweep_worker(args: &[String]) -> Result<Command, UsageError> {
-    let mut mode = WorkerMode::Stdio;
-    let mut cache = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--stdio" => mode = WorkerMode::Stdio,
-            "--connect" => {
-                mode =
-                    WorkerMode::Connect(args.get(i + 1).cloned().ok_or_else(|| {
-                        UsageError("`--connect` needs an ADDR operand".to_string())
-                    })?);
-                i += 1;
-            }
-            "--cache" => cache = cache_operand(args, &mut i)?,
-            other => {
-                return Err(UsageError(format!(
-                    "unknown sweep-worker option `{other}` \
-                     (want --stdio, --connect ADDR, or --cache DIR)"
-                )))
-            }
+        "check-metrics" => {
+            let [path] = operands(cmd, positionals)?;
+            Ok(Command::CheckMetrics(CheckMetricsRequest {
+                path: path.into(),
+            }))
         }
-        i += 1;
-    }
-    Ok(Command::SweepWorker(SweepWorkerRequest { mode, cache }))
-}
-
-fn parse_check_metrics(args: &[String]) -> Result<Command, UsageError> {
-    let path = args
-        .first()
-        .filter(|p| !p.starts_with("--"))
-        .ok_or_else(|| UsageError("`check-metrics` needs a metrics JSON file path".to_string()))?;
-    expect_no_more("check-metrics", &args[1..])?;
-    Ok(Command::CheckMetrics(CheckMetricsRequest {
-        path: PathBuf::from(path),
-    }))
-}
-
-fn parse_serve(args: &[String]) -> Result<Command, UsageError> {
-    let mut req = ServeRequest {
-        listen: None,
-        stdio: false,
-        max_queue: 64,
-        executors: 2,
-        job_workers: 0,
-        dist_workers: None,
-        cache: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => req.listen = Some(operand(args, &mut i, "--listen")?),
-            "--stdio" => req.stdio = true,
-            "--max-queue" => req.max_queue = num(args, &mut i, "--max-queue")?,
-            "--executors" => {
-                let e: usize = num(args, &mut i, "--executors")?;
-                if e == 0 {
-                    return Err(UsageError("`--executors` must be positive".to_string()));
+        "serve" => {
+            let [] = operands(cmd, positionals)?;
+            let mut req = ServeRequest {
+                listen: None,
+                stdio: false,
+                max_queue: 64,
+                executors: 2,
+                job_workers: 0,
+                dist_workers: None,
+                cache: None,
+            };
+            for (flag, value) in flags {
+                let v = value.unwrap_or_default();
+                match flag {
+                    "--listen" => req.listen = Some(v.to_string()),
+                    "--stdio" => req.stdio = true,
+                    "--max-queue" => req.max_queue = positive(flag, v)?,
+                    "--executors" => req.executors = positive(flag, v)?,
+                    "--workers" => req.job_workers = num(flag, v)?,
+                    "--dist" => req.dist_workers = Some(positive(flag, v)?),
+                    "--cache" => req.cache = cache_dir(v),
+                    _ => unreachable!("`serve` has no arm for `{flag}`"),
                 }
-                req.executors = e;
             }
-            "--workers" => req.job_workers = num(args, &mut i, "--workers")?,
-            "--dist" => {
-                let w: usize = num(args, &mut i, "--dist")?;
-                if w == 0 {
-                    return Err(UsageError("`--dist` must be positive".to_string()));
+            if req.stdio && req.listen.is_some() {
+                return Err(UsageError(
+                    "`serve` takes `--stdio` or `--listen ADDR`, not both".to_string(),
+                ));
+            }
+            Ok(Command::Serve(req))
+        }
+        "serve-submit" => {
+            let [addr, spec] = operands(cmd, positionals)?;
+            let (mut quick, mut seed, mut metrics) = (false, None, None);
+            for (flag, value) in flags {
+                let v = value.unwrap_or_default();
+                match flag {
+                    "--quick" => quick = true,
+                    "--full" => quick = false,
+                    "--seed" => seed = Some(num(flag, v)?),
+                    "--out" => out = v.into(),
+                    "--metrics" => metrics = Some(v.into()),
+                    _ => unreachable!("`serve-submit` has no arm for `{flag}`"),
                 }
-                req.dist_workers = Some(w);
             }
-            "--cache" => req.cache = cache_operand(args, &mut i)?,
-            other => return Err(UsageError(format!("`serve` got unknown flag `{other}`"))),
+            Ok(Command::ServeSubmit(ServeSubmitRequest {
+                addr: addr.to_string(),
+                spec_path: spec.into(),
+                quick,
+                seed,
+                out,
+                metrics,
+            }))
         }
-        i += 1;
+        _ => unreachable!("`{cmd}` is in COMMANDS but has no parser"),
     }
-    if req.stdio && req.listen.is_some() {
-        return Err(UsageError(
-            "`serve` takes `--stdio` or `--listen ADDR`, not both".to_string(),
-        ));
-    }
-    Ok(Command::Serve(req))
-}
-
-fn parse_serve_submit(args: &[String]) -> Result<Command, UsageError> {
-    let mut positionals = Vec::new();
-    let mut quick = false;
-    let mut seed = None;
-    let mut out = PathBuf::from("results");
-    let mut metrics = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--full" => quick = false,
-            "--seed" => seed = Some(num(args, &mut i, "--seed")?),
-            "--out" => out = PathBuf::from(operand(args, &mut i, "--out")?),
-            "--metrics" => metrics = Some(PathBuf::from(operand(args, &mut i, "--metrics")?)),
-            tok if !tok.starts_with("--") => positionals.push(tok.to_string()),
-            other => {
-                return Err(UsageError(format!(
-                    "`serve-submit` got unknown flag `{other}`"
-                )))
-            }
-        }
-        i += 1;
-    }
-    let [addr, spec] = positionals.as_slice() else {
-        return Err(UsageError(
-            "`serve-submit` needs ADDR and SPEC operands".to_string(),
-        ));
-    };
-    Ok(Command::ServeSubmit(ServeSubmitRequest {
-        addr: addr.clone(),
-        spec_path: PathBuf::from(spec),
-        quick,
-        seed,
-        out,
-        metrics,
-    }))
 }
 
 #[cfg(test)]
@@ -723,6 +797,7 @@ mod tests {
         );
         assert!(parse(&argv("serve --stdio --listen x")).is_err());
         assert!(parse(&argv("serve --executors 0")).is_err());
+        assert!(parse(&argv("serve --max-queue 0")).is_err());
 
         let cmd = parse(&argv(
             "serve-submit 127.0.0.1:4710 specs/smoke.sweep --quick --seed 7 --out d --metrics m",
@@ -796,5 +871,139 @@ mod tests {
         assert!(parse(&argv("check-metrics")).is_err());
         assert!(parse(&argv("--definitely-not-a-flag")).is_err());
         assert!(parse(&[]).is_err());
+    }
+
+    #[test]
+    fn unknown_experiment_ids_are_usage_errors() {
+        assert_eq!(
+            parse(&argv("e3 e99")),
+            Err(UsageError("unknown experiment id: e99".to_string()))
+        );
+        assert!(parse(&argv("echo")).is_err());
+        let Command::Experiments(req) = parse(&argv("E3 e4")).unwrap() else {
+            panic!()
+        };
+        assert_eq!(req.ids, vec!["E3", "e4"]);
+    }
+
+    #[test]
+    fn help_and_usage_are_rendered_from_the_table() {
+        for args in ["--help", "help"] {
+            let Ok(Command::Help(text)) = parse(&argv(args)) else {
+                panic!("{args}")
+            };
+            assert!(COMMANDS.iter().all(|(s, _)| text.contains(s)), "{text}");
+        }
+        let Ok(Command::Help(text)) = parse(&argv("sweep --help")) else {
+            panic!()
+        };
+        assert!(
+            text.starts_with("usage: repro sweep SPEC [--quick] [--full]"),
+            "{text}"
+        );
+        assert!(text.contains("  --metrics [FILE]  "), "{text}");
+        // a required operand takes the next token, `--help` too
+        let Command::Sweep(req) = parse(&argv("sweep a.sweep --out --help")).unwrap() else {
+            panic!()
+        };
+        assert_eq!(req.out, PathBuf::from("--help"));
+        let line = usage(&argv("e3 --bogus"));
+        assert_eq!(
+            line,
+            "usage: repro all | ID... [--quick] [--full] [--seed N] [--out DIR]"
+        );
+        assert!(usage(&argv("nonsense")).contains("`repro --help`"));
+    }
+
+    #[test]
+    fn every_flag_row_reaches_its_command_builder() {
+        // a row without a builder arm hits that builder's `unreachable!`
+        for (synopsis, _) in COMMANDS {
+            let cmd = synopsis.split(' ').next().unwrap();
+            let positionals = match cmd {
+                "sweep" | "check-metrics" => "a",
+                "serve-submit" => "a b",
+                _ => "",
+            };
+            for f in flags_of(cmd) {
+                let value = if f.operand == Switch { "" } else { "1" };
+                let _ = parse(&argv(&format!("{cmd} {positionals} {} {value}", f.name)));
+            }
+        }
+    }
+
+    /// `parse` pinned argv by argv, one `ARGV<TAB>{:?}` line each: every
+    /// `repro` invocation in CI, README and the verify notes, this
+    /// module's argvs, repeated flags (the last wins), the flags that
+    /// imply `--serve-shards`, and `all e3` against `e3 all`.
+    #[test]
+    fn parse_matches_the_golden_argvs() {
+        let mut diffs = Vec::new();
+        for line in include_str!("../tests/golden/cli_parse.tsv").lines() {
+            let (args, want) = line.split_once('\t').expect("ARGV<TAB>RESULT");
+            let got = format!("{:?}", parse(&argv(args)));
+            if got != want {
+                diffs.push(format!("{args}\n  want {want}\n  got  {got}"));
+            }
+        }
+        assert!(diffs.is_empty(), "{}", diffs.join("\n"));
+    }
+
+    /// Markdown code: each fenced line (with `\` continuations joined)
+    /// and each inline code span.
+    fn code_snippets(markdown: &str) -> Vec<String> {
+        let (mut snippets, mut prose, mut fenced) = (Vec::new(), String::new(), false);
+        for line in markdown.replace("\\\n", " ").lines() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+            } else if fenced {
+                snippets.push(line.to_string());
+            } else {
+                prose.push_str(line);
+                prose.push('\n');
+            }
+        }
+        snippets.extend(prose.split('`').skip(1).step_by(2).map(str::to_string));
+        snippets
+    }
+
+    #[test]
+    fn readme_and_verify_notes_give_each_command_only_its_table_flags() {
+        const CARGO_FLAGS: [&str; 5] = ["--", "--release", "--bin", "--example", "--manifest-path"];
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let (mut checked, mut strays) = (0, Vec::new());
+        for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
+            let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+            for snippet in code_snippets(&text) {
+                let snippet = snippet.split(" #").next().unwrap_or_default();
+                for invocation in snippet
+                    .split_whitespace()
+                    .collect::<Vec<_>>()
+                    .split(|t| *t == "repro")
+                    .skip(1)
+                {
+                    let mut tokens = invocation.iter().filter(|t| !CARGO_FLAGS.contains(t));
+                    let Some(cmd) = tokens.next().and_then(|t| command(t)) else {
+                        continue;
+                    };
+                    for tok in tokens.filter(|t| t.starts_with("--")) {
+                        checked += 1;
+                        let tok = tok.trim_end_matches(|c: char| !c.is_ascii_alphanumeric());
+                        if tok != "--help" && flags_of(cmd).all(|f| f.name != tok) {
+                            strays.push(format!("{doc}: `repro {cmd}` given `{tok}`"));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            checked > 40,
+            "only {checked} flags found: the snippet scan broke"
+        );
+        assert!(
+            strays.is_empty(),
+            "flags missing from cli::FLAGS:\n{}",
+            strays.join("\n")
+        );
     }
 }

@@ -14,7 +14,7 @@
 //! Every failure path must also emit one structured, machine-greppable
 //! `repro-sweep: status=…` line on stderr.
 
-use antdensity_bench::cli::ExitCode;
+use antdensity_bench::cli::{self, ExitCode};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -212,8 +212,52 @@ fn usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(ExitCode::Usage.code()));
     let out = repro(&["sweep", "nonexistent.sweep", "--workers-cmd", "0"]);
     assert_eq!(out.status.code(), Some(ExitCode::Usage.code()));
+    // only the failing command's usage line, rendered from the table
+    let err = stderr_of(&out);
+    assert!(err.contains("\nusage: repro sweep SPEC [--quick]"), "{err}");
+    assert!(!err.contains("--max-queue"), "{err}");
     let out = repro(&["--definitely-not-a-flag"]);
     assert_eq!(out.status.code(), Some(ExitCode::Usage.code()));
+}
+
+/// `repro <cmd> --help` exits 0 and prints every row the flag table
+/// gives `<cmd>`; `repro --help` and `repro help` list every command.
+#[test]
+fn every_command_prints_its_flag_rows_on_help() {
+    let commands = [
+        "list",
+        "bench",
+        "sweep",
+        "sweep-worker",
+        "check-metrics",
+        "serve",
+        "serve-submit",
+        "all",
+    ];
+    for cmd in commands {
+        let out = repro(&[cmd, "--help"]);
+        assert_eq!(out.status.code(), Some(ExitCode::Ok.code()), "{cmd}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        for flag in cli::flags_of(cmd) {
+            assert!(
+                text.lines()
+                    .any(|l| l.trim_start().starts_with(flag.name) && l.ends_with(flag.help)),
+                "`{cmd} --help` lacks its `{}` row:\n{text}",
+                flag.name
+            );
+        }
+    }
+    for args in ["--help", "help"] {
+        let out = repro(&[args]);
+        assert_eq!(out.status.code(), Some(ExitCode::Ok.code()), "{args}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        for cmd in commands {
+            assert!(
+                text.contains(&format!("\n  {cmd}")),
+                "{args} lacks {cmd}:\n{text}"
+            );
+        }
+    }
 }
 
 /// The service front end, end to end through the real binary: start a
@@ -298,6 +342,9 @@ fn serve_submit_round_trip_matches_cli_bytes() {
 fn serve_usage_errors_exit_two() {
     // --stdio and --listen are mutually exclusive.
     let out = repro(&["serve", "--stdio", "--listen", "127.0.0.1:0"]);
+    assert_eq!(out.status.code(), Some(ExitCode::Usage.code()));
+    // a zero-slot queue would reject every submit
+    let out = repro(&["serve", "--stdio", "--max-queue", "0"]);
     assert_eq!(out.status.code(), Some(ExitCode::Usage.code()));
     // serve-submit requires ADDR and SPEC operands.
     let out = repro(&["serve-submit", "127.0.0.1:1"]);

@@ -4,7 +4,7 @@
 //! bound has *linear* dependence on `1/δ`, and that one can "perform
 //! log(1/δ) estimates each with failure probability 1/3 and return the
 //! median, which will be correct with probability 1−δ". This module
-//! implements that boosting step.
+//! sizes that boosting step; `quantile::median` takes the median.
 
 /// Number of independent repetitions needed so that the median of
 /// estimates, each failing with probability at most `p_fail < 1/2`, fails
@@ -33,15 +33,6 @@ pub fn repetitions_for(p_fail: f64, delta: f64) -> usize {
     }
 }
 
-/// Median of a set of estimates (the boosting combiner).
-///
-/// # Panics
-///
-/// Panics if `estimates` is empty or contains NaN.
-pub fn median_of_estimates(estimates: &[f64]) -> f64 {
-    crate::quantile::median(estimates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,14 +49,6 @@ mod tests {
     fn repetitions_small_for_weak_targets() {
         // delta = 0.3 with p_fail = 1/3 needs very few repetitions.
         assert!(repetitions_for(1.0 / 3.0, 0.3) <= 45);
-    }
-
-    #[test]
-    fn median_of_estimates_ignores_outlier_minority() {
-        // 2 of 5 estimates are wildly wrong; median is still good.
-        let est = [10.0, 10.2, 9.9, 1000.0, -500.0];
-        let m = median_of_estimates(&est);
-        assert!((m - 10.0).abs() < 0.5);
     }
 
     #[test]
