@@ -2,9 +2,9 @@
 //!
 //! This module is the workspace's kernel benchmark harness and its
 //! tracked perf trajectory. `repro bench` times the engine's stepping
-//! paths — the monomorphized sequential kernel, the worker-pool parallel
-//! path across worker counts, the CSR gather kernel, observer fusion and
-//! the other [`GROUPS`] — and writes one JSON file that CI uploads as an
+//! paths — the monomorphized sequential kernel, the CSR gather kernel,
+//! observer fusion and the other [`GROUPS`] — and writes one JSON file
+//! that CI uploads as an
 //! artifact, so every change's throughput is comparable to the last.
 //! The daemon, the wire and the shard cache are timed end to end by
 //! `perfbench/` (its `serve_mixed` workload), not here.
@@ -19,13 +19,13 @@
 //!   "samples": 5,
 //!   "results": [
 //!     {
-//!       "group": "parallel_scaling",
-//!       "impl": "pool",
-//!       "agents": 16384,
+//!       "group": "dist_sweep",
+//!       "impl": "dist_sim",
+//!       "agents": 48,
 //!       "workers": 4,
 //!       "effective_workers": 4,
-//!       "ns_per_agent_step": 14.21,
-//!       "msteps_per_sec": 70.37
+//!       "ns_per_agent_step": 309.69,
+//!       "msteps_per_sec": 3.229
 //!     }
 //!   ]
 //! }
@@ -33,19 +33,17 @@
 //!
 //! All figures are medians over `samples` timed batches. `workers` is
 //! the *requested* worker count; `effective_workers` is what the
-//! implementation actually ran after its own caps (the pool path caps
-//! at the schedule-chunk supply) — compare rows with matching effective
-//! parallelism. Timings move with the host, so compare ratios between
-//! rows measured on one host, not absolute figures across hosts.
+//! implementation actually ran after its own caps — compare rows with
+//! matching effective parallelism. Timings move with the host, so
+//! compare ratios between rows measured on one host, not absolute
+//! figures across hosts.
 
 use crate::report::Effort;
 use antdensity_engine::sampling::{
     fill_uniform_indices, fill_uniform_indices_lanes, lane_rngs, RNG_LANES,
 };
 use antdensity_engine::step::step_slice_pure_batched;
-use antdensity_engine::{
-    CountsEngine, DenseOccupancy, Engine, EngineConfig, WorkerPool, STREAM_BLOCK,
-};
+use antdensity_engine::{CountsEngine, DenseOccupancy, Engine, STREAM_BLOCK};
 use antdensity_graphs::{generators, CsrGraph, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_stats::table::Table;
@@ -53,15 +51,14 @@ use antdensity_telemetry::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One timed configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineBenchResult {
-    /// Benchmark family (`sequential` or `parallel_scaling`).
+    /// Benchmark family, one of [`GROUPS`].
     pub group: &'static str,
-    /// Implementation under test (`mono`, `pool`, ...).
+    /// Implementation under test (`mono`, `fused`, ...).
     pub implementation: &'static str,
     /// Population size.
     pub agents: usize,
@@ -142,7 +139,6 @@ fn result(
 /// baseline's other families are simply not matched).
 pub const GROUPS: &[&str] = &[
     "sequential",
-    "parallel_scaling",
     "csr_stepping",
     "observer_fusion",
     "telemetry_overhead",
@@ -197,46 +193,6 @@ pub fn run_engine_bench_group(
             engine.place_uniform(&mut rng);
             let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
             results.push(result("sequential", "mono", agents, 1, 1, ns));
-        }
-
-        for workers in [1usize, 2, 4, 8] {
-            if !want("parallel_scaling") {
-                break;
-            }
-            // Persistent-pool path. An explicit pool pins the worker
-            // cap regardless of the host's core count, and
-            // STREAM_BLOCK-sized chunks with min_chunks_per_worker: 1
-            // keep the chunk supply from collapsing the worker count at
-            // small populations. Residual caps still apply (e.g. 1024
-            // agents = 4 chunks can feed at most 4 workers), so the
-            // worker count that actually ran is recorded alongside the
-            // requested one.
-            let mut engine = Engine::new(Torus2d::new(SIDE), agents)
-                .with_seed_sequence(SeedSequence::new(7))
-                .with_threads(workers)
-                .with_worker_pool(Arc::new(WorkerPool::new(workers)))
-                .with_config(EngineConfig {
-                    schedule_chunk: STREAM_BLOCK,
-                    min_chunks_per_worker: 1,
-                    // Measure raw pool scaling even at 1k agents (the
-                    // default threshold would collapse those rows to the
-                    // inline path and hide the hand-off cost the
-                    // baseline tracks).
-                    inline_step_threshold: 0,
-                    blocked_round_threshold: usize::MAX,
-                });
-            let mut rng = SmallRng::seed_from_u64(2);
-            engine.place_uniform(&mut rng);
-            let effective = engine.parallel_workers();
-            let ns = median_ns_per_round(|| engine.step_round_parallel(), rounds, SAMPLES);
-            results.push(result(
-                "parallel_scaling",
-                "pool",
-                agents,
-                workers,
-                effective,
-                ns,
-            ));
         }
     }
 
@@ -509,7 +465,7 @@ fn bench_observer_fusion(effort: Effort, results: &mut Vec<EngineBenchResult>) {
 /// The telemetry cost-model group, proving the `antdensity-telemetry`
 /// budget empirically:
 ///
-/// * `untouched` — a hand-rolled replica of the single-worker
+/// * `untouched` — a hand-rolled replica of the
 ///   [`Engine::step_round_parallel`] round (same per-round
 ///   [`SeedSequence::subsequence`] derivation, same per-`STREAM_BLOCK`
 ///   stream split, same batched kernel, same occupancy rebuild) built
@@ -518,16 +474,13 @@ fn bench_observer_fusion(effort: Effort, results: &mut Vec<EngineBenchResult>) {
 ///   cost with the mono kernel's different RNG regime (one continuous
 ///   stream versus one derived stream per block per round), a path
 ///   difference that predates telemetry;
-/// * `disabled` — the instrumented [`Engine::step_round_parallel`] at
-///   one worker with the global flag off: the per-round cost is exactly
+/// * `disabled` — the instrumented [`Engine::step_round_parallel`]
+///   with the global flag off: the per-round cost is exactly
 ///   one relaxed atomic load, so this row must sit within noise of
 ///   `untouched`;
 /// * `enabled` — the same path with counters, spans, and the draw/apply
 ///   sub-phase clocks live (trace capture off), bounding what
 ///   `repro sweep` pays for always-on collection.
-///
-/// Single worker on purpose: scheduling noise would swamp the
-/// few-nanosecond effect being measured.
 fn bench_telemetry_overhead(
     effort: Effort,
     agent_grid: &[usize],
@@ -568,9 +521,8 @@ fn bench_telemetry_overhead(
 
         for (implementation, on) in [("disabled", false), ("enabled", true)] {
             antdensity_telemetry::set_enabled(on);
-            let mut engine = Engine::new(Torus2d::new(SIDE), agents)
-                .with_seed_sequence(SeedSequence::new(7))
-                .with_threads(1);
+            let mut engine =
+                Engine::new(Torus2d::new(SIDE), agents).with_seed_sequence(SeedSequence::new(7));
             let mut rng = SmallRng::seed_from_u64(5);
             engine.place_uniform(&mut rng);
             let ns = median_ns_per_round(|| engine.step_round_parallel(), rounds, SAMPLES);
@@ -889,11 +841,9 @@ pub fn parse_json(text: &str) -> Result<EngineBenchReport, String> {
     fn intern(s: &str) -> Option<&'static str> {
         [
             "sequential",
-            "parallel_scaling",
             "observer_fusion",
             "csr_stepping",
             "mono",
-            "pool",
             "fused",
             "unfused",
             "torus_native",
@@ -1114,8 +1064,8 @@ mod tests {
             samples: 5,
             results: vec![
                 EngineBenchResult {
-                    group: "parallel_scaling",
-                    implementation: "pool",
+                    group: "dist_sweep",
+                    implementation: "inproc",
                     agents: 1024,
                     workers: 4,
                     effective_workers: 2,
@@ -1350,14 +1300,14 @@ mod tests {
 
     #[test]
     fn render_headline_shows_effective_counts() {
-        // the pool row asked for 4 workers and ran 2: the table shows both
+        // the inproc row asked for 4 workers and ran 2: the table shows both
         let text = tiny_report().render();
-        let pool_row: Vec<&str> = text
+        let inproc_row: Vec<&str> = text
             .lines()
             .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
-            .find(|cells| cells.get(2) == Some(&"pool"))
-            .expect("pool row rendered");
-        assert_eq!(&pool_row[3..6], ["1024", "4", "2"]);
+            .find(|cells| cells.get(2) == Some(&"inproc"))
+            .expect("inproc row rendered");
+        assert_eq!(&inproc_row[3..6], ["1024", "4", "2"]);
     }
 
     #[test]
@@ -1439,11 +1389,11 @@ mod tests {
             samples: 5,
             results: (0..5)
                 .map(|i| EngineBenchResult {
-                    group: "parallel_scaling",
-                    implementation: "pool",
+                    group: "sequential",
+                    implementation: "mono",
                     agents: 1024 << i,
-                    workers: 2,
-                    effective_workers: 2,
+                    workers: 1,
+                    effective_workers: 1,
                     ns_per_agent_step: 10.0,
                     msteps_per_sec: 100.0,
                 })

@@ -206,6 +206,46 @@ fn locked_checkpoint_exits_one_with_structured_stderr() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A damaged checkpoint is a setup failure, not a crash: resuming from
+/// one whose histogram counts no longer add up exits 1 with a message.
+#[test]
+fn corrupt_checkpoint_resume_exits_one() {
+    let dir = tmp_dir("corrupt");
+    let spec = write_spec(&dir);
+    let args = [
+        "sweep",
+        spec.to_str().unwrap(),
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+    ];
+    let out = repro(&[&args[..], &["--max-shards", "1"]].concat());
+    assert_eq!(
+        out.status.code(),
+        Some(ExitCode::Partial.code()),
+        "{}",
+        stderr_of(&out)
+    );
+    let ckpt = dir.join("cli_exit.ckpt");
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let hist = text.lines().find(|l| l.starts_with("hist ")).unwrap();
+    let mut toks: Vec<String> = hist.split(' ').map(String::from).collect();
+    toks[6] = (toks[6].parse::<u64>().unwrap() + 1).to_string();
+    std::fs::write(&ckpt, text.replace(hist, &toks.join(" "))).unwrap();
+
+    let out = repro(&[&args[..], &["--resume"]].concat());
+    assert_eq!(
+        out.status.code(),
+        Some(ExitCode::Failure.code()),
+        "{}",
+        stderr_of(&out)
+    );
+    let err = stderr_of(&out);
+    assert!(err.contains("sweep failed"), "{err}");
+    assert!(err.contains("do not sum"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn usage_errors_exit_two() {
     let out = repro(&["sweep"]);

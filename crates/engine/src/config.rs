@@ -1,151 +1,11 @@
-//! Engine tuning knobs, split from the determinism contract.
+//! The engine's determinism granularity.
 //!
-//! Two sizes govern parallel stepping and they are deliberately
-//! different things:
-//!
-//! * [`STREAM_BLOCK`] — the **determinism granularity**. Agents are
-//!   partitioned into fixed 256-agent blocks; block `b` of round `r`
-//!   always draws from the stream `seeds.subsequence(r).rng(b)`. This is
-//!   part of the engine's reproducibility contract (seeds recorded by
-//!   older runs replay bit-for-bit) and is therefore a constant, not a
-//!   knob.
-//! * [`EngineConfig::schedule_chunk`] — the **scheduling granularity**:
-//!   how many agents one unit of worker-pool work covers. Any multiple
-//!   of [`STREAM_BLOCK`] is valid, and because RNG streams attach to
-//!   stream blocks (never to schedule chunks, workers, or threads),
-//!   tuning it changes wall-clock only — results are bit-identical for
-//!   every setting, which the engine's property tests assert.
+//! [`STREAM_BLOCK`] is part of the engine's reproducibility contract
+//! (seeds recorded by older runs replay bit-for-bit), so it is a
+//! constant, not a knob.
 
 /// Agents per RNG stream block: the fixed determinism granularity of
 /// [`Engine::step_round_parallel`](crate::Engine::step_round_parallel).
-/// Block `b` of round `r` draws from `seeds.subsequence(r).rng(b)`
-/// regardless of chunking, worker count, or scheduling order.
+/// Block `b` of round `r` draws from `seeds.subsequence(r).rng(b)`,
+/// whichever kernel steps the block.
 pub const STREAM_BLOCK: usize = 256;
-
-/// Wall-clock tuning knobs for parallel stepping. **No setting here ever
-/// changes simulation results** — the deterministic chunk→stream mapping
-/// is anchored to [`STREAM_BLOCK`]-sized blocks, not to these sizes.
-///
-/// # Defaults
-///
-/// | knob | default | meaning |
-/// |---|---|---|
-/// | `schedule_chunk` | 256 (= [`STREAM_BLOCK`]) | agents per unit of pool work |
-/// | `min_chunks_per_worker` | 4 | below this, the chunked loop runs inline |
-/// | `inline_step_threshold` | 2048 | populations below this always step inline |
-/// | `blocked_round_threshold` | 262144 (2¹⁸) | pure-walk populations at/above this take the cache-blocked round |
-///
-/// The defaults reproduce the pre-pool engine's worker policy exactly
-/// (one chunk per stream block, at least 4 chunks per worker, so
-/// parallel dispatch engages from ~2048 agents at 2 workers); larger
-/// `schedule_chunk` values trade scheduling granularity for fewer
-/// queue operations on very large populations.
-///
-/// # Example
-///
-/// ```
-/// use antdensity_engine::{EngineConfig, STREAM_BLOCK};
-///
-/// let cfg = EngineConfig {
-///     schedule_chunk: 8 * STREAM_BLOCK,
-///     ..EngineConfig::default()
-/// };
-/// cfg.validate(); // panics on bad values
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Agents per unit of worker-pool work. Must be a positive multiple
-    /// of [`STREAM_BLOCK`]. Larger chunks mean fewer queue operations
-    /// and better per-task locality; smaller chunks balance better.
-    pub schedule_chunk: usize,
-    /// Minimum schedule chunks each worker must receive before parallel
-    /// dispatch engages; below the threshold the chunked loop runs
-    /// inline on the calling thread (same results, no hand-off cost).
-    pub min_chunks_per_worker: usize,
-    /// Populations strictly below this many agents always step inline,
-    /// regardless of worker count: at ~1k agents the pool's hand-off
-    /// latency exceeds the whole round's work (the `parallel_scaling`
-    /// baseline shows 2–8 workers *slower* than 1 there). Results are
-    /// bit-identical either way; set to 0 to force pool dispatch in
-    /// scaling experiments.
-    pub inline_step_threshold: usize,
-    /// Pure-walk populations at or above this many agents take the
-    /// cache-blocked round: draw all move indices into one scratch
-    /// buffer (same per-[`STREAM_BLOCK`] streams, so identical values),
-    /// then apply them through the topology's tiled gather and the
-    /// blocked occupancy rebuild. Bit-identical to the per-block path;
-    /// `usize::MAX` disables it.
-    pub blocked_round_threshold: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            schedule_chunk: STREAM_BLOCK,
-            min_chunks_per_worker: 4,
-            inline_step_threshold: 2048,
-            blocked_round_threshold: 1 << 18,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Checks the invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schedule_chunk` is zero or not a multiple of
-    /// [`STREAM_BLOCK`], or if `min_chunks_per_worker` is zero.
-    pub fn validate(&self) {
-        assert!(
-            self.schedule_chunk > 0 && self.schedule_chunk.is_multiple_of(STREAM_BLOCK),
-            "schedule_chunk must be a positive multiple of {STREAM_BLOCK}, got {}",
-            self.schedule_chunk
-        );
-        assert!(
-            self.min_chunks_per_worker > 0,
-            "min_chunks_per_worker must be at least 1"
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_valid() {
-        EngineConfig::default().validate();
-        assert_eq!(EngineConfig::default().schedule_chunk % STREAM_BLOCK, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of")]
-    fn misaligned_chunk_rejected() {
-        EngineConfig {
-            schedule_chunk: STREAM_BLOCK + 1,
-            ..EngineConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of")]
-    fn zero_chunk_rejected() {
-        EngineConfig {
-            schedule_chunk: 0,
-            ..EngineConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_min_chunks_rejected() {
-        EngineConfig {
-            min_chunks_per_worker: 0,
-            ..EngineConfig::default()
-        }
-        .validate();
-    }
-}

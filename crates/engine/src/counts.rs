@@ -41,19 +41,17 @@
 //! comparison.
 //!
 //! Determinism still holds in the stronger engine sense: RNG streams
-//! are derived per `(seed, round, COUNT_BLOCK-sized node block)`, and
-//! parallel workers (tasks on a persistent [`WorkerPool`]) scatter into
-//! their own reused accumulators, merged by exact `u64` addition — so
-//! results are bit-identical for any thread count.
+//! are derived per `(seed, round, COUNT_BLOCK-sized node block)`, so a
+//! trajectory is a pure function of the seed sequence. A round runs on
+//! the calling thread; parallelism comes from independent trials
+//! ([`crate::pool::run_trials`]).
 
-use crate::pool::WorkerPool;
 use crate::sampling::{
     fill_uniform_indices, fill_uniform_indices_lanes, lane_rngs, sample_multinomial,
 };
 use antdensity_graphs::Topology;
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
-use std::sync::Arc;
 use std::time::Instant;
 
 // Telemetry for the counts round path, mirroring the agent engine's
@@ -64,8 +62,7 @@ static AGENT_STEPS: telemetry::LazyCounter = telemetry::LazyCounter::new("counts
 
 /// Nodes per RNG stream block: block `b` of round `r` draws the stream
 /// `seeds.subsequence(r).rng(b)`, the same `(round, block)` derivation
-/// scheme as the agent engine's [`crate::STREAM_BLOCK`] contract, so
-/// scheduling and worker count never change results.
+/// scheme as the agent engine's [`crate::STREAM_BLOCK`] contract.
 pub const COUNT_BLOCK: u64 = 1024;
 
 /// Largest node count split by per-agent uniform draws; larger counts
@@ -96,7 +93,7 @@ const STAGE_WIDTH: usize = 4;
 /// plus one unconditional write's overhang.
 const STAGE: usize = (COUNT_BLOCK * SMALL_COUNT_MAX) as usize + STAGE_WIDTH;
 
-/// Per-worker split scratch, sized once at construction.
+/// Split scratch, sized once at construction.
 #[derive(Debug, Clone)]
 struct SplitScratch {
     /// Multinomial output, one slot per move of the widest node.
@@ -115,15 +112,6 @@ impl SplitScratch {
             moves: vec![0; STAGE],
         }
     }
-}
-
-/// One parallel worker's reused state: a node-sized accumulator (all
-/// zero between rounds — the merge clears what it reads) and its split
-/// scratch.
-#[derive(Debug, Clone)]
-struct Lane {
-    acc: Vec<u64>,
-    scratch: SplitScratch,
 }
 
 /// The degree facts a split pass reads, hoisted once per engine.
@@ -176,10 +164,9 @@ fn flush<T: Topology, R: rand::RngCore>(
     nodes.iter().map(|&v| bump(acc, v as usize, 1)).sum()
 }
 
-/// Splits the counts of nodes `lo..lo + counts.len()` into `acc`,
-/// zeroing each block once it is read, and returns the pair tally of the
-/// scattered agents ([`bump`]). `lo` is block-aligned, so block `b`
-/// always draws `round_seq.rng(b)` whatever range a worker holds.
+/// Splits every node's count into `acc`, zeroing each block once it is
+/// read, and returns the pair tally of the scattered agents ([`bump`]).
+/// Block `b` draws `round_seq.rng(b)`.
 ///
 /// Within a block, nodes are visited in order: empty nodes draw
 /// nothing, large-count nodes split on the spot, and small-count nodes
@@ -189,12 +176,10 @@ fn split_nodes<T: Topology>(
     topo: &T,
     degrees: &Degrees,
     round_seq: &SeedSequence,
-    lo: u64,
     counts: &mut [u64],
     acc: &mut [u64],
     scratch: &mut SplitScratch,
 ) -> u64 {
-    debug_assert_eq!(lo % COUNT_BLOCK, 0, "worker ranges are block-aligned");
     let SplitScratch {
         split,
         nodes: staged_nodes,
@@ -202,8 +187,8 @@ fn split_nodes<T: Topology>(
     } = scratch;
     let mut pairs = 0u64;
     for (b, block) in counts.chunks_mut(COUNT_BLOCK as usize).enumerate() {
-        let first = lo + b as u64 * COUNT_BLOCK;
-        let mut rng = round_seq.rng(first / COUNT_BLOCK);
+        let first = b as u64 * COUNT_BLOCK;
+        let mut rng = round_seq.rng(b as u64);
         let mut staged = 0usize;
         for (offset, &c) in block.iter().enumerate() {
             let node = first + offset as u64;
@@ -281,14 +266,8 @@ pub struct CountsEngine<T: Topology> {
     round: u64,
     num_agents: u64,
     seeds: SeedSequence,
-    threads: usize,
-    /// Explicit pool for parallel rounds; `None` = the global pool.
-    pool: Option<Arc<WorkerPool>>,
     degrees: Degrees,
-    /// The single-worker split scratch.
     scratch: SplitScratch,
-    /// Parallel workers' reused accumulators, grown on first use.
-    lanes: Vec<Lane>,
 }
 
 impl<T: Topology> CountsEngine<T> {
@@ -318,14 +297,11 @@ impl<T: Topology> CountsEngine<T> {
             round: 0,
             num_agents,
             seeds: SeedSequence::new(0),
-            threads: 1,
-            pool: None,
             degrees: Degrees {
                 regular,
                 ones: vec![1.0; max_degree],
             },
             scratch: SplitScratch::new(max_degree),
-            lanes: Vec::new(),
             topo,
         }
     }
@@ -335,22 +311,6 @@ impl<T: Topology> CountsEngine<T> {
     #[must_use]
     pub fn with_seed_sequence(mut self, seeds: SeedSequence) -> Self {
         self.seeds = seeds;
-        self
-    }
-
-    /// Requests up to `threads` workers for the round splits. Results
-    /// are bit-identical for every value.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Dispatches parallel rounds onto an explicit [`WorkerPool`]
-    /// instead of the process-global one. Results are pool-independent.
-    #[must_use]
-    pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -433,34 +393,22 @@ impl<T: Topology> CountsEngine<T> {
     pub fn round_encounters(&self) -> u128 {
         u128::from(self.pairs)
     }
-}
 
-impl<T: Topology + Sync> CountsEngine<T> {
     /// Advances one synchronous round: every node's count is split
     /// uniformly across its moves, the exact law of `count` independent
-    /// pure-walk steps. Deterministic in `(seed sequence, round)` alone
-    /// — thread count never changes the result, because block streams
-    /// are fixed and workers merge by exact addition.
+    /// pure-walk steps. Deterministic in `(seed sequence, round)` alone.
     pub fn step_round(&mut self) {
         let observe = telemetry::enabled();
         let t0 = observe.then(Instant::now);
-        let nodes = self.topo.num_nodes();
         let round_seq = self.seeds.subsequence(self.round);
-        let num_blocks = nodes.div_ceil(COUNT_BLOCK);
-        let workers = self.threads.min(num_blocks as usize).max(1);
-        self.pairs = if workers <= 1 {
-            split_nodes(
-                &self.topo,
-                &self.degrees,
-                &round_seq,
-                0,
-                &mut self.counts,
-                &mut self.next,
-                &mut self.scratch,
-            )
-        } else {
-            self.split_parallel(&round_seq, workers, num_blocks)
-        };
+        self.pairs = split_nodes(
+            &self.topo,
+            &self.degrees,
+            &round_seq,
+            &mut self.counts,
+            &mut self.next,
+            &mut self.scratch,
+        );
         std::mem::swap(&mut self.counts, &mut self.next);
         self.round += 1;
         debug_assert_eq!(
@@ -488,72 +436,6 @@ impl<T: Topology + Sync> CountsEngine<T> {
                 ],
             );
         }
-    }
-
-    /// The parallel round as two pool batches. Split: worker `w` owns a
-    /// contiguous block-aligned node range and scatters into its own
-    /// accumulator. Merge: each task sums one node range of every
-    /// accumulator into `next`, clearing what it reads, and tallies the
-    /// pairs of the merged counts. Returns that tally.
-    fn split_parallel(&mut self, round_seq: &SeedSequence, workers: usize, num_blocks: u64) -> u64 {
-        let nodes = self.counts.len();
-        let max_degree = self.degrees.ones.len();
-        self.lanes.resize_with(workers, || Lane {
-            acc: vec![0; nodes],
-            scratch: SplitScratch::new(max_degree),
-        });
-        let range = (num_blocks.div_ceil(workers as u64) * COUNT_BLOCK) as usize;
-        let pool = self.pool.as_deref().unwrap_or_else(|| WorkerPool::global());
-        let (topo, degrees) = (&self.topo, &self.degrees);
-        let split: Vec<Box<dyn FnOnce() + Send + '_>> = self
-            .counts
-            .chunks_mut(range)
-            .zip(self.lanes.iter_mut())
-            .enumerate()
-            .map(|(w, (counts, lane))| {
-                Box::new(move || {
-                    let lo = (w * range) as u64;
-                    split_nodes(
-                        topo,
-                        degrees,
-                        round_seq,
-                        lo,
-                        counts,
-                        &mut lane.acc,
-                        &mut lane.scratch,
-                    );
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(split);
-
-        let mut acc_ranges: Vec<_> = self
-            .lanes
-            .iter_mut()
-            .map(|lane| lane.acc.chunks_mut(range))
-            .collect();
-        let mut tallies = vec![0u64; self.next.len().div_ceil(range)];
-        let merge: Vec<Box<dyn FnOnce() + Send + '_>> = self
-            .next
-            .chunks_mut(range)
-            .zip(tallies.iter_mut())
-            .map(|(next, tally)| {
-                let accs: Vec<&mut [u64]> = acc_ranges
-                    .iter_mut()
-                    .map(|it| it.next().expect("one range per accumulator"))
-                    .collect();
-                Box::new(move || {
-                    for acc in accs {
-                        for (slot, k) in next.iter_mut().zip(acc.iter_mut()) {
-                            *slot += std::mem::take(k);
-                        }
-                    }
-                    *tally = pair_count(next);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(merge);
-        tallies.iter().sum()
     }
 
     /// Runs `rounds` rounds.
@@ -620,7 +502,7 @@ mod tests {
 
     #[test]
     fn rounds_conserve_population_on_every_topology() {
-        fn conserve<T: Topology + Sync>(topo: T, n: u64) {
+        fn conserve<T: Topology>(topo: T, n: u64) {
             let mut engine = CountsEngine::new(topo, n).with_seed_sequence(SeedSequence::new(11));
             engine.place_uniform(&SeedSequence::new(5));
             for _ in 0..20 {
@@ -650,45 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_counts() {
-        // 16·16 torus = 256 nodes < COUNT_BLOCK, so also cover a
-        // topology with several blocks. Explicit pools narrower and
-        // wider than the request: split ranges follow `threads`, never
-        // the pool. The per-round pair tallies must agree too.
-        let run = |side: u64, threads: usize, pool: Option<usize>| {
-            let mut e = CountsEngine::new(Torus2d::new(side), 50_000)
-                .with_seed_sequence(SeedSequence::new(7))
-                .with_threads(threads);
-            if let Some(p) = pool {
-                e = e.with_worker_pool(Arc::new(WorkerPool::new(p)));
-            }
-            e.place_uniform(&SeedSequence::new(2));
-            let mut pairs = Vec::new();
-            for _ in 0..8 {
-                e.step_round();
-                pairs.push(e.round_encounters());
-            }
-            (e.counts().to_vec(), pairs)
-        };
-        for side in [16u64, 64] {
-            let reference = run(side, 1, None);
-            for (threads, pool) in [
-                (2usize, None),
-                (3, None),
-                (8, None),
-                (2, Some(1)),
-                (3, Some(4)),
-            ] {
-                assert_eq!(
-                    run(side, threads, pool),
-                    reference,
-                    "side {side} threads {threads} pool {pool:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn splits_conserve_at_the_sampler_boundaries() {
         // Node counts straddling both sampler thresholds — the
         // branch-free stage width and SMALL_COUNT_MAX — on a regular
@@ -701,7 +544,7 @@ mod tests {
                 .map(|&c| u128::from(c) * u128::from(c.saturating_sub(1)))
                 .sum()
         }
-        fn check<T: Topology + Sync + Clone>(label: &str, topo: T) {
+        fn check<T: Topology>(label: &str, topo: T) {
             let pattern = [
                 0,
                 1,
@@ -713,26 +556,19 @@ mod tests {
             ];
             let nodes = topo.num_nodes() as usize;
             let counts: Vec<u64> = (0..nodes).map(|v| pattern[v % pattern.len()]).collect();
-            let mut finals = Vec::new();
-            for threads in [1usize, 3] {
-                let mut e = CountsEngine::new(topo.clone(), 0)
-                    .with_seed_sequence(SeedSequence::new(5))
-                    .with_threads(threads);
-                e.set_counts(&counts);
-                assert_eq!(e.round_encounters(), fresh_pairs(&counts));
-                let n = e.num_agents();
-                for round in 0..8 {
-                    e.step_round();
-                    assert_eq!(e.total_agents(), n, "{label} round {round}");
-                    assert_eq!(
-                        e.round_encounters(),
-                        fresh_pairs(e.counts()),
-                        "{label} round {round}"
-                    );
-                }
-                finals.push(e.counts().to_vec());
+            let mut e = CountsEngine::new(topo, 0).with_seed_sequence(SeedSequence::new(5));
+            e.set_counts(&counts);
+            assert_eq!(e.round_encounters(), fresh_pairs(&counts));
+            let n = e.num_agents();
+            for round in 0..8 {
+                e.step_round();
+                assert_eq!(e.total_agents(), n, "{label} round {round}");
+                assert_eq!(
+                    e.round_encounters(),
+                    fresh_pairs(e.counts()),
+                    "{label} round {round}"
+                );
             }
-            assert_eq!(finals[0], finals[1], "{label}: threads changed the counts");
         }
         check("torus", Torus2d::new(48));
         check("ring", Ring::new(2_100));

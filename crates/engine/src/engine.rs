@@ -1,6 +1,5 @@
 //! The batched simulation engine: struct-of-arrays agent state, dense
-//! occupancy, and deterministic parallel stepping on a persistent
-//! worker pool.
+//! occupancy, and deterministic per-block random streams.
 //!
 //! [`Engine`] holds the whole population as flat arrays (positions,
 //! movement models, group tags) plus [`DenseOccupancy`]/[`GroupOccupancy`]
@@ -8,7 +7,9 @@
 //! scratch — the cost per round is O(agents), independent of the node
 //! count and free of hashing.
 //!
-//! Two stepping modes:
+//! Two stepping modes, both single-threaded (parallelism lives one
+//! level up: independent trials fan out over
+//! [`crate::pool::run_trials`]):
 //!
 //! * [`Engine::step_round`] — draws from a caller-supplied RNG in the
 //!   historical sequential order (agent by agent, so pre-engine seeds
@@ -16,39 +17,34 @@
 //!   this against a replica of the original stepper);
 //! * [`Engine::step_round_parallel`] — agents are partitioned into fixed
 //!   [`STREAM_BLOCK`]-sized blocks and block `b` of round `r` draws from
-//!   an RNG derived from `(seed sequence, round, block index)`. The
-//!   stream an agent consumes depends only on its block, never on the
-//!   worker that happened to run it, so results are **bit-identical for
-//!   any worker count, chunk size, or scheduling order** — the same
-//!   contract as [`crate::pool::run_trials`]. Work is
-//!   dispatched in [`EngineConfig::schedule_chunk`]-sized units onto a
-//!   persistent [`WorkerPool`] (no per-round thread spawns).
+//!   an RNG derived from `(seed sequence, round, block index)`. A
+//!   block's stream depends only on its index, so the result is a pure
+//!   function of `(state, seed sequence, round)`, which lets a kernel
+//!   draw words it may not use and lets a round be stepped in any
+//!   block order. The name predates the single-threaded round.
 //!
 //! Both modes route pure-walk populations on regular topologies through
 //! the batched monomorphized kernel
 //! ([`crate::step::step_slice_pure_batched`]), which draws the identical
-//! RNG stream — the fast path is invisible in results. The parallel mode
-//! also routes populations that all share one `lazy:p` model on a
+//! RNG stream — the fast path is invisible in results. The per-block
+//! mode also routes populations that all share one `lazy:p` model on a
 //! regular power-of-two-span topology through the batched lazy kernel
 //! (`step::step_block_lazy`). That kernel draws words it may not
 //! use, which only a per-block stream can absorb, so `step_round` keeps
 //! the per-agent kernel for them.
 
-use crate::config::{EngineConfig, STREAM_BLOCK};
+use crate::config::STREAM_BLOCK;
 use crate::movement::MovementModel;
-use crate::occupancy::{DenseOccupancy, GroupOccupancy, MAX_NODES};
-use crate::pool::{default_threads, WorkerPool};
+use crate::occupancy::{DenseOccupancy, GroupOccupancy, BLOCKED_ROUND_MIN_AGENTS, MAX_NODES};
 use crate::sampling::fill_uniform_indices;
 use crate::step::{step_block_lazy, step_slice, step_slice_pure_batched, Interaction};
 use antdensity_graphs::{MoveScratch, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
 use rand::RngCore;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-// Telemetry metrics for the parallel round path. `step_round` (the
+// Telemetry metrics for the per-block round path. `step_round` (the
 // legacy sequential kernel) stays deliberately uninstrumented so the
 // `telemetry_overhead` bench has an untouched comparator.
 static ROUND_SPAN: telemetry::SpanMetric = telemetry::SpanMetric::new("engine.round");
@@ -63,12 +59,6 @@ pub type AgentId = usize;
 
 /// Identifier of a property group.
 pub type GroupId = usize;
-
-/// Pre-worker-pool name for the parallel determinism granularity, kept
-/// for callers of the original API. The constant it aliases is
-/// [`STREAM_BLOCK`]; scheduling is configured separately via
-/// [`EngineConfig::schedule_chunk`].
-pub const PARALLEL_CHUNK: usize = STREAM_BLOCK;
 
 /// The synchronous multi-agent world of Section 2, batched.
 ///
@@ -102,9 +92,6 @@ pub struct Engine<T: Topology> {
     interaction: Interaction,
     placed: bool,
     seeds: SeedSequence,
-    threads: usize,
-    config: EngineConfig,
-    pool: Option<Arc<WorkerPool>>,
     /// `regular_degree()` as a sampling span, cached at construction —
     /// `Some` enables the batched pure-walk kernel.
     regular_span: Option<u64>,
@@ -153,9 +140,6 @@ impl<T: Topology> Engine<T> {
             interaction: Interaction::pure(),
             placed: false,
             seeds: SeedSequence::default(),
-            threads: 1,
-            config: EngineConfig::default(),
-            pool: None,
             regular_span,
             impure_movers: 0,
             shared_lazy: None,
@@ -168,45 +152,6 @@ impl<T: Topology> Engine<T> {
     pub fn with_seed_sequence(mut self, seeds: SeedSequence) -> Self {
         self.seeds = seeds;
         self
-    }
-
-    /// Sets the worker count for [`Self::step_round_parallel`]. The
-    /// results never depend on this value — only the wall clock does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        self.threads = threads;
-        self
-    }
-
-    /// Replaces the scheduling configuration. Every setting changes wall
-    /// clock only; results are bit-identical for all valid configs (see
-    /// [`EngineConfig`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config is invalid ([`EngineConfig::validate`]).
-    pub fn with_config(mut self, config: EngineConfig) -> Self {
-        config.validate();
-        self.config = config;
-        self
-    }
-
-    /// Dispatches parallel rounds onto an explicit [`WorkerPool`] instead
-    /// of the process-global one — for embedders that isolate workloads,
-    /// and for tests that pin an exact worker count regardless of the
-    /// machine. Results are unaffected.
-    pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// The active scheduling configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// The topology agents live on.
@@ -387,7 +332,7 @@ impl<T: Topology> Engine<T> {
         }
     }
 
-    /// The kernel every stream block of a parallel round takes: the pure
+    /// The kernel every stream block of a per-block round takes: the pure
     /// batched kernel as [`Self::pure_batch_span`] allows; else the lazy
     /// kernel when every agent shares one `Lazy` model, the
     /// interaction is pure and the topology is regular with a
@@ -432,6 +377,123 @@ impl<T: Topology> Engine<T> {
         }
         self.round += 1;
         self.rebuild_occupancy();
+    }
+
+    /// Executes one synchronous round on per-block streams: agents are
+    /// split into fixed [`STREAM_BLOCK`]-sized blocks and block `b` of
+    /// round `r` draws from `seeds.subsequence(r).rng(b)`, so the output
+    /// is a pure function of `(state, seed sequence, round)`. The round
+    /// runs on the calling thread; callers get parallelism by running
+    /// independent trials on [`crate::pool::run_trials`].
+    ///
+    /// Pure-walk populations of at least `2^18` agents take a
+    /// cache-blocked route that is bit-identical to the per-block one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is unplaced.
+    pub fn step_round_parallel(&mut self) {
+        assert!(self.placed, "place agents before stepping");
+        match self.block_kernel() {
+            BlockKernel::Pure(span) if self.positions.len() >= BLOCKED_ROUND_MIN_AGENTS => {
+                self.step_round_blocked(span);
+            }
+            kernel => self.step_round_per_block(kernel),
+        }
+    }
+
+    /// Steps every stream block through `kernel`, block by block, then
+    /// refreshes the occupancy index.
+    ///
+    /// With telemetry enabled (decided once per round) the batched fast
+    /// path runs its bit-identical `TIMED` instantiation and reports a
+    /// draw/apply split. The per-agent kernel interleaves draws and
+    /// moves, so it has no split to report; the lazy kernel does not
+    /// time its passes either.
+    fn step_round_per_block(&mut self, kernel: BlockKernel) {
+        // The hot path's single telemetry gate: one relaxed load per
+        // round. Everything below branches on the captured bool, so a
+        // disabled run pays nothing else — no clock reads, no counter
+        // RMWs, and the untimed kernels.
+        let observe = telemetry::enabled();
+        let round_start = observe.then(Instant::now);
+        let round_seq = self.seeds.subsequence(self.round);
+        let (mut draw_ns, mut apply_ns) = (0u64, 0u64);
+        for (b, (block, models)) in self
+            .positions
+            .chunks_mut(STREAM_BLOCK)
+            .zip(self.movement.chunks(STREAM_BLOCK))
+            .enumerate()
+        {
+            let mut rng = round_seq.rng(b as u64);
+            match kernel {
+                BlockKernel::Pure(span) => {
+                    let (d, a) = if observe {
+                        step_slice_pure_batched::<true, _, _>(&self.topo, span, block, &mut rng)
+                    } else {
+                        step_slice_pure_batched::<false, _, _>(&self.topo, span, block, &mut rng)
+                    };
+                    draw_ns += d;
+                    apply_ns += a;
+                }
+                BlockKernel::Lazy { span, stay_prob } => {
+                    step_block_lazy(&self.topo, span, stay_prob, block, &mut rng);
+                }
+                BlockKernel::PerAgent => step_slice(
+                    &self.topo,
+                    block,
+                    models,
+                    &self.occ,
+                    &self.interaction,
+                    &mut rng,
+                ),
+            }
+        }
+        self.round += 1;
+        let occ_start = observe.then(Instant::now);
+        self.rebuild_occupancy();
+        if let (Some(t0), Some(occ_t0)) = (round_start, occ_start) {
+            record_round(t0, self.positions.len() as u64, draw_ns, apply_ns, occ_t0);
+        }
+    }
+
+    /// The cache-blocked mega round for large pure-walk populations:
+    /// every move index of the round is drawn into one engine-owned
+    /// buffer first (block `b` still fills from `round_seq.rng(b)`, and
+    /// one wide fill draws bit-for-bit what the per-block kernels'
+    /// 128-wide fills draw), then applied through
+    /// [`Topology::apply_moves_blocked`] so the gathers of a
+    /// memory-bound topology stay within L2-sized node tiles, and
+    /// finally counted by the occupancy rebuild's own blocked path.
+    /// Results are **bit-identical** to [`Self::step_round_per_block`]
+    /// with the pure kernel.
+    fn step_round_blocked(&mut self, span: u64) {
+        let observe = telemetry::enabled();
+        let round_start = observe.then(Instant::now);
+        let round_seq = self.seeds.subsequence(self.round);
+        let n = self.positions.len();
+        self.moves_scratch.clear();
+        self.moves_scratch.resize(n, 0);
+        let draw_start = observe.then(Instant::now);
+        for (b, chunk) in self.moves_scratch.chunks_mut(STREAM_BLOCK).enumerate() {
+            fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
+        }
+        let apply_start = observe.then(Instant::now);
+        self.topo.apply_moves_blocked(
+            &mut self.positions,
+            &self.moves_scratch,
+            &mut self.tile_scratch,
+        );
+        self.round += 1;
+        let occ_start = observe.then(Instant::now);
+        self.rebuild_occupancy();
+        if let (Some(t0), Some(draw_t0), Some(apply_t0), Some(occ_t0)) =
+            (round_start, draw_start, apply_start, occ_start)
+        {
+            let draw_ns = u64::try_from((apply_t0 - draw_t0).as_nanos()).unwrap_or(u64::MAX);
+            let apply_ns = u64::try_from((occ_t0 - apply_t0).as_nanos()).unwrap_or(u64::MAX);
+            record_round(t0, n as u64, draw_ns, apply_ns, occ_t0);
+        }
     }
 
     /// The paper's `count(position)`: number of *other* agents at
@@ -485,7 +547,7 @@ impl<T: Topology> Engine<T> {
     }
 }
 
-/// Which kernel steps each stream block of a parallel round.
+/// Which kernel steps each stream block of a per-block round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum BlockKernel {
     /// [`step_slice_pure_batched`] with this span.
@@ -496,67 +558,13 @@ enum BlockKernel {
     PerAgent,
 }
 
-/// Steps one contiguous window of agents, one RNG stream per
-/// [`STREAM_BLOCK`]-sized block: block `first_block + j` draws from
-/// `round_seq.rng(first_block + j)`. This is the unit both the inline
-/// loop and every pool task execute — scheduling can regroup windows
-/// freely without touching the draw streams.
-///
-/// With `timed` set (telemetry enabled, decided once per round) the
-/// batched fast path runs its bit-identical `TIMED` instantiation; the
-/// returned `(draw_ns, apply_ns)` totals are zero otherwise. The
-/// non-batched kernel interleaves draws and moves per agent, so it has
-/// no phase split to report under any setting; the lazy kernel does not
-/// time its passes either.
-#[allow(clippy::too_many_arguments)]
-fn step_window<T: Topology>(
-    topo: &T,
-    positions: &mut [u32],
-    movement: &[MovementModel],
-    occ: &DenseOccupancy,
-    interaction: &Interaction,
-    kernel: BlockKernel,
-    first_block: usize,
-    round_seq: SeedSequence,
-    timed: bool,
-) -> (u64, u64) {
-    let mut totals = (0u64, 0u64);
-    for (j, (block, models)) in positions
-        .chunks_mut(STREAM_BLOCK)
-        .zip(movement.chunks(STREAM_BLOCK))
-        .enumerate()
-    {
-        let mut rng = round_seq.rng((first_block + j) as u64);
-        match kernel {
-            BlockKernel::Pure(s) => {
-                let (d, a) = if timed {
-                    step_slice_pure_batched::<true, _, _>(topo, s, block, &mut rng)
-                } else {
-                    step_slice_pure_batched::<false, _, _>(topo, s, block, &mut rng)
-                };
-                totals.0 += d;
-                totals.1 += a;
-            }
-            BlockKernel::Lazy { span, stay_prob } => {
-                step_block_lazy(topo, span, stay_prob, block, &mut rng);
-            }
-            BlockKernel::PerAgent => step_slice(topo, block, models, occ, interaction, &mut rng),
-        }
-    }
-    totals
-}
-
-/// One schedule chunk's unit of pool work: `(first stream-block index,
-/// positions window, movement window)`.
-type ChunkWork<'a> = (usize, &'a mut [u32], &'a [MovementModel]);
-
-/// Records one finished parallel round's telemetry: the round and
+/// Records one finished per-block round's telemetry: the round and
 /// agent-step counters, the round span (tagged with its throughput),
 /// the draw/apply split, and the occupancy-rebuild span that started at
-/// `occ_t0` and ends now. The draw/apply totals may be accumulated
-/// across workers, so in the trace they are laid end to end from the
+/// `occ_t0` and ends now. The draw/apply totals are summed over the
+/// round's blocks, so in the trace they are laid end to end from the
 /// round start: a *time split*, not two wall-clock intervals. Rounds
-/// with no split to report (the non-batched kernel) emit neither span.
+/// with no split to report (the non-batched kernels) emit neither span.
 fn record_round(t0: Instant, agents: u64, draw_ns: u64, apply_ns: u64, occ_t0: Instant) {
     let occ_ns = u64::try_from(occ_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let total_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -583,230 +591,6 @@ fn record_round(t0: Instant, agents: u64, draw_ns: u64, apply_ns: u64, occ_t0: I
     OCC_SPAN.record_interval_at(occ_t0, 0, occ_ns, &[]);
 }
 
-impl<T: Topology + Sync> Engine<T> {
-    /// Worker-task count the next [`Self::step_round_parallel`] call
-    /// will use: the configured thread count, capped so each worker
-    /// gets at least [`EngineConfig::min_chunks_per_worker`] schedule
-    /// chunks and no more workers than the executing pool has threads
-    /// (the machine's available parallelism when dispatching to the
-    /// global pool). `1` means the chunked loop runs inline. Wall
-    /// clock only — results never depend on it; benches record it so
-    /// measurements are labeled with the parallelism that actually ran.
-    pub fn parallel_workers(&self) -> usize {
-        let num_chunks = self.positions.len().div_ceil(self.config.schedule_chunk);
-        self.effective_workers(num_chunks)
-    }
-
-    fn effective_workers(&self, num_chunks: usize) -> usize {
-        // Small populations never pay the pool hand-off: at ~1k agents a
-        // whole round is cheaper than waking the workers (the
-        // `parallel_scaling` baseline measures 2–8 workers slower than
-        // inline there). Results are identical either way.
-        if self.positions.len() < self.config.inline_step_threshold {
-            return 1;
-        }
-        let pool_cap = match &self.pool {
-            Some(p) => p.threads(),
-            None => default_threads(),
-        };
-        self.threads
-            .min(num_chunks / self.config.min_chunks_per_worker)
-            .min(pool_cap)
-            .max(1)
-    }
-
-    /// Executes one synchronous round with deterministic parallelism:
-    /// agents are split into fixed [`STREAM_BLOCK`]-sized blocks, block
-    /// `b` of round `r` draws from the stream
-    /// `seeds.subsequence(r).rng(b)`, and blocks are grouped into
-    /// [`EngineConfig::schedule_chunk`]-sized work units distributed
-    /// round-robin over tasks on a persistent [`WorkerPool`] (the
-    /// process-global pool unless [`Self::with_worker_pool`] installed
-    /// one). Output is a pure function of `(state, seed sequence,
-    /// round)` — worker count, pool, and chunking are invisible.
-    ///
-    /// Small populations (fewer than
-    /// `min_chunks_per_worker × schedule_chunk` agents per worker) run
-    /// the chunked loop inline instead of paying the dispatch hand-off;
-    /// the cap changes wall clock only, never results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is unplaced.
-    pub fn step_round_parallel(&mut self) {
-        assert!(self.placed, "place agents before stepping");
-        // The hot path's single telemetry gate: one relaxed load per
-        // round. Everything below branches on the captured bool, so a
-        // disabled run pays nothing else — no clock reads, no counter
-        // RMWs, and the untimed kernels.
-        let observe = telemetry::enabled();
-        let round_start = observe.then(Instant::now);
-        let round_seq = self.seeds.subsequence(self.round);
-        let sched = self.config.schedule_chunk;
-        let num_chunks = self.positions.len().div_ceil(sched);
-        let workers = self.effective_workers(num_chunks);
-        let kernel = self.block_kernel();
-        if let BlockKernel::Pure(span) = kernel {
-            if self.positions.len() >= self.config.blocked_round_threshold {
-                self.step_round_blocked(span, round_seq, workers, observe, round_start);
-                return;
-            }
-        }
-        let (draw_ns, apply_ns);
-        if workers == 1 {
-            (draw_ns, apply_ns) = step_window(
-                &self.topo,
-                &mut self.positions,
-                &self.movement,
-                &self.occ,
-                &self.interaction,
-                kernel,
-                0,
-                round_seq,
-                observe,
-            );
-        } else {
-            let topo = &self.topo;
-            let occ = &self.occ;
-            let interaction = self.interaction;
-            let blocks_per_chunk = sched / STREAM_BLOCK;
-            let mut per_worker: Vec<Vec<ChunkWork<'_>>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (ci, (chunk, models)) in self
-                .positions
-                .chunks_mut(sched)
-                .zip(self.movement.chunks(sched))
-                .enumerate()
-            {
-                per_worker[ci % workers].push((ci * blocks_per_chunk, chunk, models));
-            }
-            // Sub-phase totals shared by the tasks; each task
-            // accumulates locally and lands two relaxed adds at the
-            // end, so the per-agent loops never touch them.
-            let subphase = (AtomicU64::new(0), AtomicU64::new(0));
-            let subphase_ref = &subphase;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = per_worker
-                .into_iter()
-                .map(|work| {
-                    Box::new(move || {
-                        let (mut d, mut a) = (0u64, 0u64);
-                        for (first_block, chunk, models) in work {
-                            let t = step_window(
-                                topo,
-                                chunk,
-                                models,
-                                occ,
-                                &interaction,
-                                kernel,
-                                first_block,
-                                round_seq,
-                                observe,
-                            );
-                            d += t.0;
-                            a += t.1;
-                        }
-                        if observe {
-                            subphase_ref.0.fetch_add(d, Ordering::Relaxed);
-                            subphase_ref.1.fetch_add(a, Ordering::Relaxed);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            match &self.pool {
-                Some(pool) => pool.run(tasks),
-                None => WorkerPool::global().run(tasks),
-            }
-            draw_ns = subphase.0.load(Ordering::Relaxed);
-            apply_ns = subphase.1.load(Ordering::Relaxed);
-        }
-        self.round += 1;
-        let occ_start = observe.then(Instant::now);
-        self.rebuild_occupancy();
-        if let (Some(t0), Some(occ_t0)) = (round_start, occ_start) {
-            record_round(t0, self.positions.len() as u64, draw_ns, apply_ns, occ_t0);
-        }
-    }
-
-    /// The cache-blocked mega round for pure-walk populations at or
-    /// above [`EngineConfig::blocked_round_threshold`]: every move index
-    /// of the round is drawn into one engine-owned buffer first (block
-    /// `b` still fills from `round_seq.rng(b)`, and one wide fill draws
-    /// bit-for-bit what the per-block kernels' 128-wide fills draw), then
-    /// applied through [`Topology::apply_moves_blocked`] so the gathers
-    /// of a memory-bound topology stay within L2-sized node tiles, and
-    /// finally counted by the occupancy rebuild's own blocked path.
-    /// Results are **bit-identical** to the per-block path — this is a
-    /// wall-clock route, selected automatically.
-    fn step_round_blocked(
-        &mut self,
-        span: u64,
-        round_seq: SeedSequence,
-        workers: usize,
-        observe: bool,
-        round_start: Option<Instant>,
-    ) {
-        let n = self.positions.len();
-        self.moves_scratch.clear();
-        self.moves_scratch.resize(n, 0);
-        let draw_start = observe.then(Instant::now);
-        if workers <= 1 {
-            for (b, chunk) in self.moves_scratch.chunks_mut(STREAM_BLOCK).enumerate() {
-                fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
-            }
-        } else {
-            // Contiguous whole-block ranges per worker: the chunk→stream
-            // mapping stays (block index → rng(block)), so the split is
-            // invisible in results.
-            let num_blocks = n.div_ceil(STREAM_BLOCK);
-            let blocks_per_worker = num_blocks.div_ceil(workers);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-                .moves_scratch
-                .chunks_mut(blocks_per_worker * STREAM_BLOCK)
-                .enumerate()
-                .map(|(wi, range)| {
-                    Box::new(move || {
-                        for (j, chunk) in range.chunks_mut(STREAM_BLOCK).enumerate() {
-                            let block = wi * blocks_per_worker + j;
-                            fill_uniform_indices(span, chunk, &mut round_seq.rng(block as u64));
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            match &self.pool {
-                Some(pool) => pool.run(tasks),
-                None => WorkerPool::global().run(tasks),
-            }
-        }
-        let apply_start = observe.then(Instant::now);
-        self.topo.apply_moves_blocked(
-            &mut self.positions,
-            &self.moves_scratch,
-            &mut self.tile_scratch,
-        );
-        self.round += 1;
-        let occ_start = observe.then(Instant::now);
-        self.rebuild_occupancy();
-        if let (Some(t0), Some(draw_t0), Some(apply_t0), Some(occ_t0)) =
-            (round_start, draw_start, apply_start, occ_start)
-        {
-            let draw_ns = u64::try_from((apply_t0 - draw_t0).as_nanos()).unwrap_or(u64::MAX);
-            let apply_ns = u64::try_from((occ_t0 - apply_t0).as_nanos()).unwrap_or(u64::MAX);
-            record_round(t0, n as u64, draw_ns, apply_ns, occ_t0);
-        }
-    }
-
-    /// Runs `rounds` parallel rounds back to back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is unplaced.
-    pub fn run_parallel(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step_round_parallel();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,127 +613,47 @@ mod tests {
 
     #[test]
     fn parallel_round_conserves_agents() {
-        let mut e = Engine::new(Torus2d::new(16), 1000)
-            .with_seed_sequence(SeedSequence::new(5))
-            .with_threads(4);
+        let mut e = Engine::new(Torus2d::new(16), 1000).with_seed_sequence(SeedSequence::new(5));
         let mut rng = SmallRng::seed_from_u64(2);
         e.place_uniform(&mut rng);
-        e.run_parallel(8);
+        for _ in 0..8 {
+            e.step_round_parallel();
+        }
         assert_eq!(e.round(), 8);
         let total: u32 = (0..e.topology().num_nodes()).map(|v| e.occupancy(v)).sum();
         assert_eq!(total, 1000);
     }
 
     #[test]
-    fn parallel_is_thread_count_invariant() {
-        let mk = |threads: usize| {
-            let mut e = Engine::new(Hypercube::new(10), 700)
-                .with_seed_sequence(SeedSequence::new(77))
-                .with_threads(threads)
-                .with_worker_pool(Arc::new(WorkerPool::new(threads)))
-                .with_config(EngineConfig {
-                    min_chunks_per_worker: 1,
-                    inline_step_threshold: 0,
-                    ..EngineConfig::default()
-                });
-            let mut rng = SmallRng::seed_from_u64(3);
-            e.place_uniform(&mut rng);
-            e.run_parallel(12);
-            (0..700).map(|a| e.position(a)).collect::<Vec<_>>()
-        };
-        let one = mk(1);
-        assert_eq!(one, mk(2));
-        assert_eq!(one, mk(8));
-    }
-
-    #[test]
-    fn parallel_avoidance_flee_thread_invariant() {
-        let mk = |threads: usize| {
-            let mut e = Engine::new(Ring::new(4096), 600)
-                .with_seed_sequence(SeedSequence::new(9))
-                .with_threads(threads)
-                .with_worker_pool(Arc::new(WorkerPool::new(threads)))
-                .with_config(EngineConfig {
-                    schedule_chunk: STREAM_BLOCK,
-                    min_chunks_per_worker: 1,
-                    inline_step_threshold: 0,
-                    blocked_round_threshold: usize::MAX,
-                });
-            e.set_avoidance(Some(0.5));
-            e.set_flee(true);
-            let mut rng = SmallRng::seed_from_u64(4);
-            e.place_uniform(&mut rng);
-            e.run_parallel(10);
-            (0..600).map(|a| e.position(a)).collect::<Vec<_>>()
-        };
-        assert_eq!(mk(1), mk(7));
-    }
-
-    #[test]
-    fn inline_fallback_is_bit_identical_to_pool_dispatch() {
-        // Satellite regression: the small-population inline fallback
-        // (threshold above the population) must produce exactly the
-        // positions the pool path (threshold 0) produces.
-        let run = |inline_threshold: usize| {
-            let mut e = Engine::new(Torus2d::new(32), 1024)
-                .with_seed_sequence(SeedSequence::new(41))
-                .with_threads(4)
-                .with_worker_pool(Arc::new(WorkerPool::new(4)))
-                .with_config(EngineConfig {
-                    min_chunks_per_worker: 1,
-                    inline_step_threshold: inline_threshold,
-                    ..EngineConfig::default()
-                });
-            let mut rng = SmallRng::seed_from_u64(5);
-            e.place_uniform(&mut rng);
-            assert_eq!(
-                e.parallel_workers(),
-                if inline_threshold == 0 { 4 } else { 1 }
-            );
-            e.run_parallel(15);
-            (0..1024).map(|a| e.position(a)).collect::<Vec<_>>()
-        };
-        assert_eq!(run(0), run(usize::MAX));
-    }
-
-    #[test]
     fn blocked_round_is_bit_identical_to_per_block_path() {
-        // The cache-blocked mega round (threshold forced to 0, both
-        // native and CSR topologies, 1 and 4 workers) must replay the
-        // per-block path exactly.
+        // The cache-blocked mega round must replay the per-block pure
+        // kernel exactly, on a native and a CSR topology. Both private
+        // paths run on the same 3000 agents (12 blocks, the last
+        // partial), far below the population that selects the blocked
+        // path on its own.
         use antdensity_graphs::CsrGraph;
-        fn run<T: Topology + Sync + Clone>(
-            topo: T,
-            blocked_threshold: usize,
-            threads: usize,
-        ) -> Vec<NodeId> {
-            let mut e = Engine::new(topo, 3000)
-                .with_seed_sequence(SeedSequence::new(55))
-                .with_threads(threads)
-                .with_worker_pool(Arc::new(WorkerPool::new(threads)))
-                .with_config(EngineConfig {
-                    min_chunks_per_worker: 1,
-                    inline_step_threshold: 0,
-                    blocked_round_threshold: blocked_threshold,
-                    ..EngineConfig::default()
-                });
-            let mut rng = SmallRng::seed_from_u64(6);
-            e.place_uniform(&mut rng);
-            e.run_parallel(12);
+        fn run<T: Topology + Clone>(topo: T, blocked: bool) -> Vec<NodeId> {
+            let mut e = Engine::new(topo, 3000).with_seed_sequence(SeedSequence::new(55));
+            e.place_uniform(&mut SmallRng::seed_from_u64(6));
+            let span = e.pure_batch_span().expect("regular pure walk");
+            for _ in 0..12 {
+                if blocked {
+                    e.step_round_blocked(span);
+                } else {
+                    e.step_round_per_block(BlockKernel::Pure(span));
+                }
+            }
             let occupancy_total: u32 = (0..e.topology().num_nodes()).map(|v| e.occupancy(v)).sum();
-            assert_eq!(occupancy_total, 3000, "blocked rebuild lost agents");
+            assert_eq!(occupancy_total, 3000, "rebuild lost agents");
             (0..3000).map(|a| e.position(a)).collect()
         }
         let torus = Torus2d::new(64);
-        let reference = run(torus, usize::MAX, 1);
-        assert_eq!(reference, run(torus, 0, 1));
-        assert_eq!(reference, run(torus, 0, 4));
+        let reference = run(torus, false);
+        assert_eq!(reference, run(torus, true));
         let csr = CsrGraph::from_topology(&torus);
-        let csr_reference = run(csr.clone(), usize::MAX, 1);
-        assert_eq!(csr_reference, run(csr.clone(), 0, 1));
-        assert_eq!(csr_reference, run(csr, 0, 4));
+        assert_eq!(reference, run(csr.clone(), false));
         // Same walk on the CSR rebuild consumes the identical streams.
-        assert_eq!(reference, csr_reference);
+        assert_eq!(reference, run(csr, true));
     }
 
     #[test]
@@ -1016,7 +720,7 @@ mod tests {
         assert!(e.pure_batch_span().is_some());
     }
 
-    /// Steps a copy of `e`'s state `rounds` parallel rounds through the
+    /// Steps a copy of `e`'s state `rounds` per-block rounds through the
     /// per-agent kernel only: block `b` of round `r` runs `step_slice`
     /// on `seeds.subsequence(r).rng(b)`, the reference every block
     /// kernel must reproduce.
@@ -1047,22 +751,14 @@ mod tests {
 
     /// Places a 700-agent lazy population (three blocks, the last
     /// partial), lets `tweak` adjust it, checks the kernel the engine
-    /// picks, and checks 10 parallel rounds on a two-worker pool against
+    /// picks, and checks 10 per-block rounds against
     /// [`per_agent_rounds`].
-    fn check_lazy_route<T: Topology + Sync>(
+    fn check_lazy_route<T: Topology>(
         topo: T,
         tweak: impl FnOnce(&mut Engine<T>),
         lazy_kernel: bool,
     ) {
-        let mut e = Engine::new(topo, 700)
-            .with_seed_sequence(SeedSequence::new(31))
-            .with_threads(2)
-            .with_worker_pool(Arc::new(WorkerPool::new(2)))
-            .with_config(EngineConfig {
-                min_chunks_per_worker: 1,
-                inline_step_threshold: 0,
-                ..EngineConfig::default()
-            });
+        let mut e = Engine::new(topo, 700).with_seed_sequence(SeedSequence::new(31));
         e.set_movement_all(&MovementModel::lazy(0.3));
         tweak(&mut e);
         e.place_uniform(&mut SmallRng::seed_from_u64(8));
@@ -1073,7 +769,9 @@ mod tests {
             e.block_kernel()
         );
         let want = per_agent_rounds(&e, 10);
-        e.run_parallel(10);
+        for _ in 0..10 {
+            e.step_round_parallel();
+        }
         let got: Vec<NodeId> = (0..700).map(|a| e.position(a)).collect();
         assert_eq!(got, want);
     }
@@ -1122,20 +820,5 @@ mod tests {
     #[should_panic(expected = "at least one agent")]
     fn empty_engine_panics() {
         let _ = Engine::new(Torus2d::new(4), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_threads_rejected() {
-        let _ = Engine::new(Torus2d::new(4), 2).with_threads(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of")]
-    fn bad_config_rejected() {
-        let _ = Engine::new(Torus2d::new(4), 2).with_config(EngineConfig {
-            schedule_chunk: 100,
-            ..EngineConfig::default()
-        });
     }
 }

@@ -18,20 +18,17 @@
 //!   bulk-samples move indices chunk-at-a-time while drawing the
 //!   identical RNG stream.
 //! * [`engine`] — [`Engine`]: struct-of-arrays agent state with
-//!   deterministic parallel stepping. RNG streams are derived per
+//!   deterministic per-block stepping. RNG streams are derived per
 //!   `(seed, round, STREAM_BLOCK-sized block)` via
-//!   [`antdensity_stats::rng::SeedSequence`], so results are
-//!   bit-identical for any worker count or scheduling — the same
-//!   contract as [`pool::run_trials`].
-//! * [`pool`] — [`WorkerPool`]: persistent worker threads that parallel
-//!   stepping and trial fan-out dispatch onto, replacing per-round
-//!   `thread::scope` spawns. One process-global pool by default, and
-//!   [`pool::run_trials`], the deterministic fan-out of independent
-//!   Monte-Carlo trials over it.
-//! * [`config`] — [`EngineConfig`]: wall-clock scheduling knobs
-//!   (schedule chunk size, inline threshold), decoupled from the
-//!   [`STREAM_BLOCK`] determinism granularity so tuning never changes
-//!   results.
+//!   [`antdensity_stats::rng::SeedSequence`], so a round is a pure
+//!   function of the state, the seed sequence and the round index.
+//!   Rounds run on the calling thread.
+//! * [`pool`] — [`WorkerPool`]: persistent worker threads, one
+//!   process-global pool by default, and [`pool::run_trials`], the
+//!   deterministic fan-out of independent Monte-Carlo trials over it:
+//!   the crate's one level of parallelism, bit-identical for any worker
+//!   count.
+//! * [`config`] — [`STREAM_BLOCK`], the determinism granularity.
 //! * [`scenario`] — [`Scenario`]: a spec/builder composing topology ×
 //!   movement × estimator (Algorithm 1, Algorithm 4, quorum, relative
 //!   frequency) × noise into one runnable, seedable description.
@@ -48,21 +45,17 @@
 //!   memoryless pure walks — one `u64` count per node, one multinomial
 //!   split per node per round, `O(nodes)` instead of `O(agents)`.
 //!   Distributionally equivalent to the agent-level engine, and
-//!   bit-deterministic across thread counts.
+//!   bit-deterministic in its seed.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use antdensity_engine::scenario::{Scenario, TopologySpec};
 //!
-//! let outcome = Scenario::new(TopologySpec::Torus2d { side: 32 }, 65, 256)
-//!     .with_threads(4)
-//!     .run(42);
-//! // bit-identical for any thread count:
-//! assert_eq!(
-//!     outcome,
-//!     Scenario::new(TopologySpec::Torus2d { side: 32 }, 65, 256).run(42)
-//! );
+//! let spec = Scenario::new(TopologySpec::Torus2d { side: 32 }, 65, 256);
+//! let outcome = spec.run(42);
+//! // a pure function of (spec, seed):
+//! assert_eq!(outcome, spec.run(42));
 //! ```
 
 #![deny(missing_docs)]
@@ -83,9 +76,9 @@ pub mod sampling;
 pub mod scenario;
 pub mod step;
 
-pub use config::{EngineConfig, STREAM_BLOCK};
+pub use config::STREAM_BLOCK;
 pub use counts::{CountsEngine, CountsOutcome, COUNTS_SAMPLER_VERSION, COUNT_BLOCK};
-pub use engine::{AgentId, Engine, GroupId, PARALLEL_CHUNK};
+pub use engine::{AgentId, Engine, GroupId};
 pub use movement::MovementModel;
 pub use observer::{
     Alg1Observer, Alg4Observer, EncounterTallies, Observer, QuorumObserver, RecordingObserver,

@@ -21,6 +21,12 @@ pub const MAX_NODES: u64 = u32::MAX as u64;
 /// partition passes cost more than the scattered increments they avoid.
 const BLOCKED_REBUILD_MIN_AGENTS: usize = 1 << 18;
 
+/// Agent-count floor for the engine's cache-blocked pure-walk round
+/// (whole-round move buffer, tiled gather, then this module's blocked
+/// rebuild). It is bit-identical to the per-block round, so the floor
+/// moves wall clock only.
+pub(crate) const BLOCKED_ROUND_MIN_AGENTS: usize = 1 << 18;
+
 /// Node-count floor for the tile-blocked rebuild: below this the counts
 /// array is L2-resident and scattered increments are already cheap.
 const BLOCKED_REBUILD_MIN_NODES: usize = 1 << 17;

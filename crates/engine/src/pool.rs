@@ -1,36 +1,32 @@
 //! A persistent worker pool for deterministic fan-out.
 //!
-//! The engine's first parallel implementation opened a fresh
-//! `std::thread::scope` — and therefore spawned fresh OS threads — every
-//! round. At swarm scale (hundreds of thousands of rounds, each a few
-//! hundred microseconds of work) the spawn cost dominates. A
-//! [`WorkerPool`] spawns its threads **once** and hands them borrowed
-//! work per call, replacing per-round spawns with a queue push and a
-//! wake-up.
+//! A [`WorkerPool`] spawns its threads **once** and hands them borrowed
+//! work per call, so a sweep that fans out many small batches of trials
+//! pays a queue push and a wake-up per batch instead of fresh OS
+//! threads from a `std::thread::scope`.
 //!
 //! Design notes:
 //!
 //! * **Borrowed jobs, scoped lifetime.** [`WorkerPool::run`] accepts
-//!   closures borrowing the caller's stack (position windows, topology
-//!   references) and does not return until every closure has finished —
+//!   closures borrowing the caller's stack (trial closures, result
+//!   slots) and does not return until every closure has finished —
 //!   the same guarantee `thread::scope` gives, without the spawns.
 //! * **Caller helps.** While waiting, the submitting thread executes
 //!   queued jobs itself. This keeps the last core busy and makes nested
 //!   submissions deadlock-free: a pool worker that submits follow-up work
-//!   from inside a job (e.g. a Monte-Carlo trial that itself steps a
-//!   parallel engine) drains that work on its own thread instead of
-//!   waiting for an occupied sibling.
+//!   from inside a job (e.g. a sweep shard that itself fans out trials)
+//!   drains that work on its own thread instead of waiting for an
+//!   occupied sibling.
 //! * **Panic-safe.** A panicking job is caught, the pool survives, and
 //!   the panic is re-raised in the submitting thread once the batch has
 //!   settled — mirroring `thread::scope`'s join behaviour.
 //! * **Scheduling-independent results.** The pool never influences
-//!   simulation output: RNG streams attach to stream blocks
-//!   ([`crate::STREAM_BLOCK`]) and trial indices, never to whichever
-//!   worker happens to run a job.
+//!   simulation output: RNG streams attach to trial indices, never to
+//!   whichever worker happens to run a job.
 //!
-//! One process-wide pool ([`WorkerPool::global`]) serves
-//! `Engine::step_round_parallel` and [`run_trials`] by default; tests and
-//! embedders can build private pools with explicit sizes.
+//! One process-wide pool ([`WorkerPool::global`]) serves [`run_trials`]
+//! by default; tests and embedders can build private pools with
+//! explicit sizes.
 //!
 //! [`run_trials`] fans independent Monte-Carlo trials out over the pool.
 //! Every trial gets its own RNG stream derived from `(master seed, trial
@@ -393,10 +389,8 @@ where
 }
 
 /// The machine's available parallelism (1 if the OS cannot say), probed
-/// once: the query is a syscall costing ~10µs, too much to pay every
-/// round. It sizes [`WorkerPool::global`], caps the workers of a parallel
-/// `Engine` round on that pool, and is the default fan-out width of the
-/// experiments and the `repro` CLI.
+/// once and cached. It sizes [`WorkerPool::global`] and is the default
+/// trial fan-out width of the experiments and the `repro` CLI.
 pub fn default_threads() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {

@@ -6,9 +6,10 @@
 //! avoidance/flee variants), what is estimated (Algorithm 1, Algorithm 4,
 //! quorum read-out, Section 5.2 relative frequency), and how noisy the
 //! collision sensor is — into a plain-data spec. `run(seed)` builds the
-//! topology, drives the batched [`Engine`] with deterministic chunked
-//! parallelism, and returns a [`ScenarioOutcome`]; the result is a pure
-//! function of `(spec, seed)` for any thread count.
+//! topology, drives the batched [`Engine`] on per-block random streams,
+//! and returns a [`ScenarioOutcome`]; the result is a pure function of
+//! `(spec, seed)`. Independent runs fan out over
+//! [`crate::pool::run_trials`].
 //!
 //! Estimation itself is the streaming observer pipeline of
 //! [`crate::observer`]: the driver emits each round's encounter events
@@ -28,11 +29,9 @@
 //! assert!((outcome.mean_estimate() - outcome.true_density).abs() < 0.05);
 //! ```
 
-use crate::config::EngineConfig;
 use crate::engine::Engine;
 use crate::movement::MovementModel;
 use crate::observer::{observer_for, EncounterTallies, Observer, RoundEvents, Schedule, SimFamily};
-use crate::pool::WorkerPool;
 use antdensity_graphs::generators::{self, GenerateError};
 use antdensity_graphs::{
     CompleteGraph, CsrGraph, Hypercube, NodeId, Ring, Topology, Torus2d, TorusKd,
@@ -667,7 +666,7 @@ impl std::str::FromStr for EstimatorSpec {
 }
 
 /// A runnable, seedable simulation description.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     topology: TopologySpec,
     num_agents: usize,
@@ -677,39 +676,11 @@ pub struct Scenario {
     flee: bool,
     noise: Option<NoiseSpec>,
     estimator: EstimatorSpec,
-    threads: usize,
-    engine_config: EngineConfig,
-    pool: Option<std::sync::Arc<WorkerPool>>,
-}
-
-/// Spec equality: the pool is execution infrastructure, not part of the
-/// description (outcomes are pool-independent by contract), so it is
-/// compared by identity — two specs sharing a pool, or both using the
-/// global one, are equal when their parameters are.
-impl PartialEq for Scenario {
-    fn eq(&self, other: &Self) -> bool {
-        let pools_match = match (&self.pool, &other.pool) {
-            (None, None) => true,
-            (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        pools_match
-            && self.topology == other.topology
-            && self.num_agents == other.num_agents
-            && self.rounds == other.rounds
-            && self.movement == other.movement
-            && self.avoidance == other.avoidance
-            && self.flee == other.flee
-            && self.noise == other.noise
-            && self.estimator == other.estimator
-            && self.threads == other.threads
-            && self.engine_config == other.engine_config
-    }
 }
 
 impl Scenario {
     /// A scenario with the paper's defaults: pure random walk, perfect
-    /// sensing, Algorithm 1, single worker.
+    /// sensing, Algorithm 1.
     ///
     /// # Panics
     ///
@@ -726,9 +697,6 @@ impl Scenario {
             flee: false,
             noise: None,
             estimator: EstimatorSpec::Algorithm1,
-            threads: 1,
-            engine_config: EngineConfig::default(),
-            pool: None,
         }
     }
 
@@ -820,40 +788,6 @@ impl Scenario {
         }
     }
 
-    /// Sets the worker count for round stepping. Results never depend on
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        self.threads = threads;
-        self
-    }
-
-    /// Replaces the engine scheduling configuration. Wall clock only —
-    /// outcomes are bit-identical for every valid config (see
-    /// [`EngineConfig`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config is invalid ([`EngineConfig::validate`]).
-    pub fn with_engine_config(mut self, config: EngineConfig) -> Self {
-        config.validate();
-        self.engine_config = config;
-        self
-    }
-
-    /// Steps rounds on an explicit [`WorkerPool`] instead of the
-    /// process-global one — for embedders that isolate workloads, and
-    /// for tests that pin a real worker count regardless of the host's
-    /// core count. Outcomes are unaffected.
-    pub fn with_worker_pool(mut self, pool: std::sync::Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// The topology spec.
     pub fn topology(&self) -> TopologySpec {
         self.topology
@@ -896,14 +830,13 @@ impl Scenario {
     /// ([`crate::CountsEngine`]): `O(nodes)` per round instead of
     /// `O(agents)`, the mega-scale fast path.
     ///
-    /// The outcome is a pure function of `(self, seed)` and
-    /// bit-identical across thread counts, but **distributionally** —
-    /// not bitwise — equivalent to [`Self::run`]: the counts path draws
-    /// different RNG streams, so for one seed the numbers differ while
-    /// every statistic of the process agrees
-    /// (`tests/counts_equivalence.rs`). Only the population-mean
-    /// estimate exists in this representation; per-agent estimate
-    /// vectors do not.
+    /// The outcome is a pure function of `(self, seed)`, but
+    /// **distributionally** — not bitwise — equivalent to
+    /// [`Self::run`]: the counts path draws different RNG streams, so
+    /// for one seed the numbers differ while every statistic of the
+    /// process agrees (`tests/counts_equivalence.rs`). Only the
+    /// population-mean estimate exists in this representation;
+    /// per-agent estimate vectors do not.
     ///
     /// # Panics
     ///
@@ -941,11 +874,7 @@ impl Scenario {
         let topo = self.topology.build();
         let nodes = topo.num_nodes();
         let mut engine = crate::CountsEngine::new(topo, self.num_agents as u64)
-            .with_seed_sequence(seq.subsequence(COUNTS_STEP_STREAM))
-            .with_threads(self.threads);
-        if let Some(pool) = &self.pool {
-            engine = engine.with_worker_pool(std::sync::Arc::clone(pool));
-        }
+            .with_seed_sequence(seq.subsequence(COUNTS_STEP_STREAM));
         engine.place_uniform(&seq.subsequence(COUNTS_PLACEMENT_STREAM));
         let mut total_encounters: u128 = 0;
         let mut outcomes = Vec::with_capacity(checkpoints.len());
@@ -970,7 +899,7 @@ impl Scenario {
     }
 
     /// Executes the scenario. The outcome is a pure function of
-    /// `(self, seed)` — thread count and scheduling are invisible.
+    /// `(self, seed)`.
     ///
     /// A thin driver over [`Self::run_streamed`]: one tap, one
     /// checkpoint at `rounds`.
@@ -1001,8 +930,8 @@ impl Scenario {
     /// one; the golden-vector and replay suites pin this contract).
     ///
     /// The scenario's own `estimator` and `rounds` are superseded by the
-    /// taps; topology, movement, interaction variants, noise, and
-    /// threading still come from `self`. The pass runs to the largest
+    /// taps; topology, movement, interaction variants and noise still
+    /// come from `self`. The pass runs to the largest
     /// checkpoint of any tap.
     ///
     /// # Panics
@@ -1069,13 +998,8 @@ impl Scenario {
 
         let seq = SeedSequence::new(seed);
         let topo = self.topology.build();
-        let mut engine = Engine::new(topo, self.num_agents)
-            .with_seed_sequence(seq.subsequence(STEP_STREAM))
-            .with_threads(self.threads)
-            .with_config(self.engine_config);
-        if let Some(pool) = &self.pool {
-            engine = engine.with_worker_pool(std::sync::Arc::clone(pool));
-        }
+        let mut engine =
+            Engine::new(topo, self.num_agents).with_seed_sequence(seq.subsequence(STEP_STREAM));
         engine.set_movement_all(&self.movement);
         engine.set_avoidance(self.avoidance);
         engine.set_flee(self.flee);
@@ -1357,48 +1281,6 @@ mod tests {
     fn relative_error_at_zero_density_panics() {
         let out = Scenario::new(TopologySpec::Torus2d { side: 4 }, 1, 4).run(0);
         let _ = out.relative_errors();
-    }
-
-    #[test]
-    fn outcome_is_thread_count_invariant() {
-        let base = Scenario::new(TopologySpec::Torus2d { side: 32 }, 500, 64);
-        let one = base.clone().with_threads(1).run(9);
-        let many = base.with_threads(8).run(9);
-        assert_eq!(one, many);
-    }
-
-    #[test]
-    fn outcome_is_engine_config_invariant() {
-        use crate::config::{EngineConfig, STREAM_BLOCK};
-        let base = Scenario::new(TopologySpec::Torus2d { side: 32 }, 1500, 24);
-        let reference = base.clone().run(9);
-        // An explicit pool pins real multi-worker dispatch even on
-        // single-core CI hosts (the global pool would cap at the core
-        // count and collapse every tuned run to the inline path).
-        let pool = std::sync::Arc::new(crate::pool::WorkerPool::new(4));
-        for blocks_per_chunk in [1usize, 2, 8] {
-            for min_chunks in [1usize, 4] {
-                // Exercise both mega-path extremes too: every round
-                // blocked (threshold 0) and never blocked (MAX).
-                for blocked in [0usize, usize::MAX] {
-                    let tuned = base
-                        .clone()
-                        .with_threads(4)
-                        .with_worker_pool(std::sync::Arc::clone(&pool))
-                        .with_engine_config(EngineConfig {
-                            schedule_chunk: blocks_per_chunk * STREAM_BLOCK,
-                            min_chunks_per_worker: min_chunks,
-                            inline_step_threshold: 0,
-                            blocked_round_threshold: blocked,
-                        })
-                        .run(9);
-                    assert_eq!(
-                        reference, tuned,
-                        "config {blocks_per_chunk}x{STREAM_BLOCK}/{min_chunks}/{blocked} changed results"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! contract the same way `csr_equivalence.rs` pins the CSR chain
 //! against the native one: statistically, across unrelated seeds.
 //!
-//! Determinism, by contrast, is still exact: for a fixed seed the
-//! counts trajectory is bit-identical across thread counts and
-//! schedules, and pinned by a golden table.
+//! Determinism, by contrast, is still exact: the counts trajectory is
+//! a pure function of the seed, pinned by a golden table.
 
 use antdensity_engine::counts::SMALL_COUNT_MAX;
 use antdensity_engine::{CountsEngine, Engine, EstimatorSpec, NoiseSpec, Scenario, TopologySpec};
@@ -23,7 +22,7 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Time-averaged per-node visit distribution of a counts run.
-fn counts_visit_distribution<T: Topology + Sync>(topo: T, agents: u64, seed: u64) -> Vec<f64> {
+fn counts_visit_distribution<T: Topology>(topo: T, agents: u64, seed: u64) -> Vec<f64> {
     let nodes = topo.num_nodes() as usize;
     let rounds = 1500u64;
     let mut engine = CountsEngine::new(topo, agents).with_seed_sequence(SeedSequence::new(seed));
@@ -114,17 +113,15 @@ fn counts_mean_estimate_matches_agent_path_distributionally() {
 }
 
 /// For one seed the counts outcome is exact: identical across repeats
-/// and across thread counts (block streams are fixed per round; workers
-/// merge by exact addition).
+/// (block streams are fixed per round).
 #[test]
-fn counts_outcome_is_deterministic_and_thread_invariant() {
+fn counts_outcome_is_deterministic() {
     let spec = Scenario::new(TopologySpec::Torus2d { side: 64 }, 40_000, 24);
-    let reference = spec.run_counts(7);
-    assert_eq!(spec.run_counts(7), reference, "same seed must repeat");
-    for threads in [2usize, 3, 8] {
-        let outcome = spec.clone().with_threads(threads).run_counts(7);
-        assert_eq!(outcome, reference, "threads {threads} changed the outcome");
-    }
+    assert_eq!(
+        spec.run_counts(7),
+        spec.run_counts(7),
+        "same seed must repeat"
+    );
 }
 
 /// Scheduled snapshots are prefixes of one trajectory: the checkpoint at
@@ -316,8 +313,8 @@ fn counts_estimates_match_agent_estimates_in_law() {
 /// `COUNTS_SAMPLER_VERSION`: cumulative encounter tallies at each
 /// checkpoint, on a regular torus, a ring and an irregular CSR graph,
 /// at densities that use the staged sampler, the multinomial one, or
-/// both; each graph spans two stream blocks, so two threads take the
-/// parallel path. A change that moves these bits must bump the version
+/// both; each graph spans two stream blocks. A change that moves these
+/// bits must bump the version
 /// (it orphans sweep checkpoints and cached shards) and re-pin here.
 #[test]
 fn counts_scheduled_outcomes_are_pinned() {
@@ -331,21 +328,12 @@ fn counts_scheduled_outcomes_are_pinned() {
     let checkpoints = [1u64, 8, 40];
     for (topology, agents, expected) in cases {
         let topology: TopologySpec = topology.parse().unwrap();
-        let spec = Scenario::new(topology, agents, 40);
-        for threads in [1usize, 2] {
-            let outcomes = spec
-                .clone()
-                .with_threads(threads)
-                .run_counts_scheduled(2016, &checkpoints);
-            let got: Vec<u128> = outcomes.iter().map(|o| o.total_encounters).collect();
-            assert_eq!(
-                got, expected,
-                "{topology} agents {agents} threads {threads}"
-            );
-            for (o, &t) in outcomes.iter().zip(&checkpoints) {
-                assert_eq!(o.rounds, t);
-                assert_eq!(o.num_agents, agents as u64);
-            }
+        let outcomes = Scenario::new(topology, agents, 40).run_counts_scheduled(2016, &checkpoints);
+        let got: Vec<u128> = outcomes.iter().map(|o| o.total_encounters).collect();
+        assert_eq!(got, expected, "{topology} agents {agents}");
+        for (o, &t) in outcomes.iter().zip(&checkpoints) {
+            assert_eq!(o.rounds, t);
+            assert_eq!(o.num_agents, agents as u64);
         }
     }
 }

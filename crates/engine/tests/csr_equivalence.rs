@@ -4,17 +4,16 @@
 //! node's move list in order and with multiplicity, so a walk on the
 //! rebuild consumes the **identical RNG stream** as on the native
 //! implementation — positions match bit for bit, for every stepping
-//! path (sequential, batched pure-walk kernel, deterministic parallel,
+//! path (sequential, batched pure-walk kernel, per-block streams,
 //! interaction variants). On top of the bitwise contract, distributional
 //! tests check the *semantic* one: with unrelated seeds, CSR and native
 //! walks visit nodes with the same stationary statistics.
 
-use antdensity_engine::{Engine, EngineConfig, MovementModel, WorkerPool, STREAM_BLOCK};
+use antdensity_engine::{Engine, MovementModel};
 use antdensity_graphs::{CsrGraph, Hypercube, NodeId, Ring, Topology, Torus2d, TorusKd};
 use antdensity_stats::rng::SeedSequence;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Runs `rounds` sequential rounds on `topo` from a fresh engine and
 /// returns the positions.
@@ -39,27 +38,14 @@ fn run_sequential<T: Topology>(
     (0..agents).map(|a| engine.position(a)).collect()
 }
 
-/// Runs `rounds` deterministic-parallel rounds and returns positions.
-fn run_parallel<T: Topology + Sync>(
-    topo: T,
-    agents: usize,
-    rounds: u64,
-    seed: u64,
-    workers: usize,
-) -> Vec<NodeId> {
-    let mut engine = Engine::new(topo, agents)
-        .with_seed_sequence(SeedSequence::new(seed))
-        .with_threads(workers)
-        .with_worker_pool(Arc::new(WorkerPool::new(workers)))
-        .with_config(EngineConfig {
-            schedule_chunk: STREAM_BLOCK,
-            min_chunks_per_worker: 1,
-            inline_step_threshold: 0,
-            blocked_round_threshold: usize::MAX,
-        });
+/// Runs `rounds` per-block rounds and returns positions.
+fn run_parallel<T: Topology>(topo: T, agents: usize, rounds: u64, seed: u64) -> Vec<NodeId> {
+    let mut engine = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(seed));
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37);
     engine.place_uniform(&mut rng);
-    engine.run_parallel(rounds);
+    for _ in 0..rounds {
+        engine.step_round_parallel();
+    }
     (0..agents).map(|a| engine.position(a)).collect()
 }
 
@@ -98,34 +84,19 @@ fn csr_rebuild_is_bit_identical_sequential() {
     }
 }
 
-/// The deterministic parallel path (which routes pure walks through the
-/// batched kernel and [`Topology::apply_moves`]) agrees too — CSR's
-/// gather-based `apply_moves` against the native branchless kernels,
-/// across worker counts.
+/// The per-block path (which routes pure walks through the batched
+/// kernel and [`Topology::apply_moves`]) agrees too — CSR's
+/// gather-based `apply_moves` against the native branchless kernels.
 #[test]
 fn csr_rebuild_is_bit_identical_parallel() {
-    for workers in [1usize, 4] {
-        for seed in 0..3u64 {
-            let native = run_parallel(Torus2d::new(16), 700, 8, seed, workers);
-            let csr = run_parallel(
-                CsrGraph::from_topology(&Torus2d::new(16)),
-                700,
-                8,
-                seed,
-                workers,
-            );
-            assert_eq!(native, csr, "torus2d parallel workers={workers}");
+    for seed in 0..3u64 {
+        let native = run_parallel(Torus2d::new(16), 700, 8, seed);
+        let csr = run_parallel(CsrGraph::from_topology(&Torus2d::new(16)), 700, 8, seed);
+        assert_eq!(native, csr, "torus2d parallel");
 
-            let native = run_parallel(Hypercube::new(7), 600, 8, seed, workers);
-            let csr = run_parallel(
-                CsrGraph::from_topology(&Hypercube::new(7)),
-                600,
-                8,
-                seed,
-                workers,
-            );
-            assert_eq!(native, csr, "hypercube parallel workers={workers}");
-        }
+        let native = run_parallel(Hypercube::new(7), 600, 8, seed);
+        let csr = run_parallel(CsrGraph::from_topology(&Hypercube::new(7)), 600, 8, seed);
+        assert_eq!(native, csr, "hypercube parallel");
     }
 }
 

@@ -2,10 +2,11 @@
 //!
 //! Three promises are pinned here:
 //!
-//! 1. **Pool-based parallel stepping is bit-identical to the inline
-//!    chunked loop** — for torus, ring, hypercube, and complete
-//!    topologies, across 1/2/4/8 workers, explicit pools, a per-block
-//!    `step_slice` reference, and every valid [`EngineConfig`].
+//! 1. **Per-block rounds replay the stream contract** — on torus, ring,
+//!    hypercube, and complete topologies, with and without the
+//!    Section 6.1 interaction variants, `Engine::step_round_parallel`
+//!    matches a per-block `step_slice` reference bit for bit, whichever
+//!    batched kernel the engine picks.
 //! 2. **The monomorphized kernels reproduce the legacy `dyn` draw
 //!    order** — an explicit replica of the pre-monomorphization kernel
 //!    (per-agent dyn-dispatched `gen_range` draws, the historical
@@ -17,16 +18,13 @@
 //!    stream mapping or the draw algorithms breaks these.
 
 use antdensity_engine::step::{step_slice, Interaction};
-use antdensity_engine::{
-    DenseOccupancy, Engine, EngineConfig, MovementModel, WorkerPool, STREAM_BLOCK,
-};
+use antdensity_engine::{DenseOccupancy, Engine, MovementModel, STREAM_BLOCK};
 use antdensity_graphs::{CompleteGraph, Hypercube, NodeId, Ring, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Legacy kernel replica: the pre-monomorphization draw chain, verbatim.
@@ -121,15 +119,17 @@ fn legacy_step_round<T: Topology>(
 /// The stream contract spelled out: round `r` steps every
 /// [`STREAM_BLOCK`]-sized block of pure walkers through `step_slice`,
 /// block `b` drawing from `seeds.subsequence(r).rng(b)`, one block after
-/// another on the calling thread.
+/// another, every block reading the occupancy of the previous round.
 fn per_block_reference<T: Topology>(
     topo: &T,
     positions: &mut [u32],
     seeds: SeedSequence,
     rounds: u64,
+    interaction: &Interaction,
 ) {
     let movement = vec![MovementModel::Pure; positions.len()];
-    let occ = DenseOccupancy::new(topo.num_nodes());
+    let mut occ = DenseOccupancy::new(topo.num_nodes());
+    occ.rebuild(positions);
     for round in 0..rounds {
         let round_seq = seeds.subsequence(round);
         for (block, (chunk, models)) in positions
@@ -138,8 +138,38 @@ fn per_block_reference<T: Topology>(
             .enumerate()
         {
             let mut rng = round_seq.rng(block as u64);
-            step_slice(topo, chunk, models, &occ, &Interaction::pure(), &mut rng);
+            step_slice(topo, chunk, models, &occ, interaction, &mut rng);
         }
+        occ.rebuild(positions);
+    }
+}
+
+/// Places `agents` pure walkers, steps them `rounds` per-block rounds,
+/// and checks every final position against [`per_block_reference`].
+fn assert_matches_per_block_reference<T: Topology>(
+    topo: T,
+    agents: usize,
+    rounds: u64,
+    master: u64,
+    interaction: Interaction,
+) {
+    let mut engine = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(master));
+    engine.set_avoidance(interaction.avoidance);
+    engine.set_flee(interaction.flee);
+    engine.place_uniform(&mut SmallRng::seed_from_u64(master ^ 3));
+    let mut reference: Vec<u32> = (0..agents).map(|a| engine.position(a) as u32).collect();
+    for _ in 0..rounds {
+        engine.step_round_parallel();
+    }
+    per_block_reference(
+        engine.topology(),
+        &mut reference,
+        SeedSequence::new(master),
+        rounds,
+        &interaction,
+    );
+    for (a, &expected) in reference.iter().enumerate() {
+        assert_eq!(engine.position(a), expected as NodeId, "agent {a}");
     }
 }
 
@@ -165,94 +195,16 @@ fn mixed_movement<T: Topology>(topo: &T, agents: usize, variant: u8) -> Vec<Move
 }
 
 // ---------------------------------------------------------------------
-// Generic drivers.
-// ---------------------------------------------------------------------
-
-/// Runs `rounds` parallel rounds and returns final positions.
-/// `workers = None` forces the inline chunked loop (threads = 1);
-/// `Some(w)` dispatches onto an explicit `w`-thread pool with chunking
-/// configured so the pool path genuinely engages.
-#[allow(clippy::too_many_arguments)]
-fn parallel_positions<T: Topology + Sync>(
-    topo: T,
-    agents: usize,
-    rounds: u64,
-    master: u64,
-    place_seed: u64,
-    workers: Option<usize>,
-    config: EngineConfig,
-    avoidance: Option<f64>,
-    flee: bool,
-) -> Vec<NodeId> {
-    let mut engine = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(master));
-    engine = match workers {
-        None => engine.with_threads(1),
-        Some(w) => engine
-            .with_threads(w)
-            .with_worker_pool(Arc::new(WorkerPool::new(w))),
-    };
-    engine = engine.with_config(config);
-    engine.set_avoidance(avoidance);
-    engine.set_flee(flee);
-    let mut rng = SmallRng::seed_from_u64(place_seed);
-    engine.place_uniform(&mut rng);
-    engine.run_parallel(rounds);
-    (0..agents).map(|a| engine.position(a)).collect()
-}
-
-/// Pool-vs-inline bit-identity over one topology, all worker counts.
-fn assert_pool_matches_inline<T: Topology + Sync + Clone>(
-    topo: T,
-    agents: usize,
-    rounds: u64,
-    master: u64,
-    avoidance: Option<f64>,
-    flee: bool,
-) {
-    let engaged = EngineConfig {
-        schedule_chunk: STREAM_BLOCK,
-        min_chunks_per_worker: 1,
-        inline_step_threshold: 0,
-        blocked_round_threshold: usize::MAX,
-    };
-    let inline = parallel_positions(
-        topo.clone(),
-        agents,
-        rounds,
-        master,
-        master ^ 1,
-        None,
-        EngineConfig::default(),
-        avoidance,
-        flee,
-    );
-    for workers in [1usize, 2, 4, 8] {
-        let pooled = parallel_positions(
-            topo.clone(),
-            agents,
-            rounds,
-            master,
-            master ^ 1,
-            Some(workers),
-            engaged,
-            avoidance,
-            flee,
-        );
-        assert_eq!(inline, pooled, "workers {workers}");
-    }
-}
-
-// ---------------------------------------------------------------------
 // Golden trajectories recorded from the pre-worker-pool engine (PR 1).
 // ---------------------------------------------------------------------
 
-fn golden_parallel<T: Topology + Sync>(topo: T, agents: usize) -> Vec<NodeId> {
-    let mut e = Engine::new(topo, agents)
-        .with_seed_sequence(SeedSequence::new(42))
-        .with_threads(4);
+fn golden_parallel<T: Topology>(topo: T, agents: usize) -> Vec<NodeId> {
+    let mut e = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(42));
     let mut rng = SmallRng::seed_from_u64(7);
     e.place_uniform(&mut rng);
-    e.run_parallel(3);
+    for _ in 0..3 {
+        e.step_round_parallel();
+    }
     (0..agents).map(|a| e.position(a)).collect()
 }
 
@@ -310,92 +262,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn pool_matches_inline_chunked_loop(
-        agents in 1usize..2000,
+    fn parallel_rounds_match_per_block_reference(
+        agents in 1usize..3000,
         rounds in 1u64..6,
         master in any::<u64>(),
         variant in 0u8..3,
     ) {
-        let (avoidance, flee) = match variant {
-            0 => (None, false),
-            1 => (Some(0.5), false),
-            _ => (Some(0.25), true),
+        let interaction = match variant {
+            0 => Interaction::pure(),
+            1 => Interaction { avoidance: Some(0.5), flee: false },
+            _ => Interaction { avoidance: Some(0.25), flee: true },
         };
-        assert_pool_matches_inline(Torus2d::new(32), agents, rounds, master, avoidance, flee);
-        assert_pool_matches_inline(Ring::new(511), agents, rounds, master, avoidance, flee);
-        assert_pool_matches_inline(Hypercube::new(9), agents, rounds, master, avoidance, flee);
-        assert_pool_matches_inline(
+        assert_matches_per_block_reference(Torus2d::new(32), agents, rounds, master, interaction);
+        assert_matches_per_block_reference(Ring::new(511), agents, rounds, master, interaction);
+        assert_matches_per_block_reference(Hypercube::new(9), agents, rounds, master, interaction);
+        assert_matches_per_block_reference(
             CompleteGraph::new(777),
             agents,
             rounds,
             master,
-            avoidance,
-            flee,
+            interaction,
         );
-    }
-
-    #[test]
-    fn schedule_config_never_changes_results(
-        agents in 1usize..4000,
-        master in any::<u64>(),
-        blocks_per_chunk in 1usize..6,
-        min_chunks in 1usize..5,
-        blocked in any::<bool>(),
-    ) {
-        let reference = parallel_positions(
-            Torus2d::new(64),
-            agents,
-            4,
-            master,
-            master ^ 2,
-            None,
-            EngineConfig::default(),
-            None,
-            false,
-        );
-        let tuned = parallel_positions(
-            Torus2d::new(64),
-            agents,
-            4,
-            master,
-            master ^ 2,
-            Some(4),
-            EngineConfig {
-                schedule_chunk: blocks_per_chunk * STREAM_BLOCK,
-                min_chunks_per_worker: min_chunks,
-                inline_step_threshold: 0,
-                blocked_round_threshold: if blocked { 0 } else { usize::MAX },
-            },
-            None,
-            false,
-        );
-        prop_assert_eq!(reference, tuned);
-    }
-
-    #[test]
-    fn pool_matches_per_round_spawn_baseline(
-        agents in 1usize..3000,
-        rounds in 1u64..5,
-        master in any::<u64>(),
-    ) {
-        let mut pooled = Engine::new(Torus2d::new(64), agents)
-            .with_seed_sequence(SeedSequence::new(master))
-            .with_threads(4)
-            .with_worker_pool(Arc::new(WorkerPool::new(4)))
-            .with_config(EngineConfig {
-                schedule_chunk: STREAM_BLOCK,
-                min_chunks_per_worker: 1,
-                inline_step_threshold: 0,
-                blocked_round_threshold: usize::MAX,
-            });
-        let mut rng = SmallRng::seed_from_u64(master ^ 3);
-        pooled.place_uniform(&mut rng);
-        let mut reference: Vec<u32> = (0..agents).map(|a| pooled.position(a) as u32).collect();
-        pooled.run_parallel(rounds);
-        per_block_reference(&Torus2d::new(64), &mut reference, SeedSequence::new(master), rounds);
-        for (a, &expected) in reference.iter().enumerate() {
-            prop_assert_eq!(pooled.position(a), expected as NodeId);
-        }
     }
 
     #[test]

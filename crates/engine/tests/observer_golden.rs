@@ -21,10 +21,8 @@
 //! ```
 
 use antdensity_engine::{
-    EngineConfig, EstimatorSpec, MovementModel, NoiseSpec, Scenario, ScenarioOutcome, TopologySpec,
-    WorkerPool,
+    EstimatorSpec, MovementModel, NoiseSpec, Scenario, ScenarioOutcome, TopologySpec,
 };
-use std::sync::Arc;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -114,24 +112,9 @@ fn lazy_cases() -> Vec<(String, Scenario, u64)> {
     out
 }
 
-/// Runs every lazy case on `threads` workers. With more than one thread
-/// the engine is forced onto a private pool of that size (no inline
-/// fallback), so the per-block streams really are split across workers.
-fn render_lazy(threads: usize) -> String {
+fn render_lazy() -> String {
     let mut text = format!("{MAGIC}\n");
     for (label, scenario, seed) in lazy_cases() {
-        let scenario = if threads > 1 {
-            scenario
-                .with_threads(threads)
-                .with_worker_pool(Arc::new(WorkerPool::new(threads)))
-                .with_engine_config(EngineConfig {
-                    min_chunks_per_worker: 1,
-                    inline_step_threshold: 0,
-                    ..EngineConfig::default()
-                })
-        } else {
-            scenario
-        };
         text.push_str(&render(&label, &scenario.run(seed)));
     }
     text
@@ -216,13 +199,12 @@ fn scenario_outcomes_match_committed_golden_vectors() {
         !antdensity_telemetry::take_trace().is_empty(),
         "trace capture was live during the golden run"
     );
-    assert_matches_golden(&golden, &current, "");
+    assert_matches_golden(&golden, &current);
 }
 
 /// Compares `current` with `golden` case by case for a readable
-/// failure, then as whole texts. `context` is appended to the drift
-/// message.
-fn assert_matches_golden(golden: &str, current: &str, context: &str) {
+/// failure, then as whole texts.
+fn assert_matches_golden(golden: &str, current: &str) {
     let golden_cases: Vec<&str> = golden.split("case ").skip(1).collect();
     let current_cases: Vec<&str> = current.split("case ").skip(1).collect();
     assert_eq!(
@@ -234,7 +216,7 @@ fn assert_matches_golden(golden: &str, current: &str, context: &str) {
         assert_eq!(
             g,
             c,
-            "outcome drifted from the golden vector for `case {}`{context}",
+            "outcome drifted from the golden vector for `case {}`",
             g.lines().next().unwrap_or("?")
         );
     }
@@ -246,10 +228,7 @@ fn lazy_outcomes_match_committed_golden_vectors() {
     let golden = std::fs::read_to_string(LAZY_GOLDEN_PATH).expect(
         "lazy golden file missing — run the ignored `regenerate` test and commit the output",
     );
-    for threads in [1, 2] {
-        let current = render_lazy(threads);
-        assert_matches_golden(&golden, &current, &format!(" on {threads} threads"));
-    }
+    assert_matches_golden(&golden, &render_lazy());
 }
 
 /// Regenerates the golden files from the current implementation. Kept
@@ -261,5 +240,5 @@ fn regenerate() {
     let path = std::path::Path::new(GOLDEN_PATH);
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(path, render_all()).unwrap();
-    std::fs::write(LAZY_GOLDEN_PATH, render_lazy(1)).unwrap();
+    std::fs::write(LAZY_GOLDEN_PATH, render_lazy()).unwrap();
 }

@@ -174,10 +174,10 @@ impl Histogram {
 
     /// Reconstructs a histogram from [`Histogram::raw_parts`] output.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an empty bin vector, non-finite bounds, `lo >= hi`, or
-    /// a total count smaller than the sum of the recorded counts.
+    /// Returns a message on an empty bin vector, non-finite bounds,
+    /// `lo >= hi`, or recorded counts that do not sum to the total.
     pub fn from_parts(
         lo: f64,
         hi: f64,
@@ -185,10 +185,15 @@ impl Histogram {
         underflow: u64,
         overflow: u64,
         count: u64,
-    ) -> Self {
-        assert!(!bins.is_empty(), "histogram needs at least one bin");
-        assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
-        assert!(lo < hi, "lo must be strictly below hi");
+    ) -> Result<Self, String> {
+        if bins.is_empty() {
+            return Err("histogram needs at least one bin".into());
+        }
+        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+            return Err(format!(
+                "histogram bounds [{lo}, {hi}) are not a finite range"
+            ));
+        }
         // Checked arithmetic: an overflowing sum is a mismatch, not UB
         // (counts near u64::MAX are legal after a saturating merge).
         let total = bins
@@ -196,18 +201,19 @@ impl Histogram {
             .try_fold(0u64, |acc, &c| acc.checked_add(c))
             .and_then(|b| b.checked_add(underflow))
             .and_then(|b| b.checked_add(overflow));
-        assert!(
-            total == Some(count),
-            "recorded counts do not sum to the total"
-        );
-        Self {
+        if total != Some(count) {
+            return Err(format!(
+                "histogram counts do not sum to the recorded total {count}"
+            ));
+        }
+        Ok(Self {
             lo,
             hi,
             bins,
             underflow,
             overflow,
             count,
-        }
+        })
     }
 
     /// The bin densities normalised so the histogram integrates to 1
@@ -464,8 +470,8 @@ mod tests {
     #[test]
     fn merge_saturates_instead_of_overflowing() {
         let near_max = u64::MAX - 1;
-        let mut a = Histogram::from_parts(0.0, 1.0, vec![near_max], 0, 0, near_max);
-        let b = Histogram::from_parts(0.0, 1.0, vec![u64::MAX - 2], 1, 1, u64::MAX);
+        let mut a = Histogram::from_parts(0.0, 1.0, vec![near_max], 0, 0, near_max).unwrap();
+        let b = Histogram::from_parts(0.0, 1.0, vec![u64::MAX - 2], 1, 1, u64::MAX).unwrap();
         a.merge(&b);
         assert_eq!(a.bin_count(0), u64::MAX);
         assert_eq!(a.count(), u64::MAX);
@@ -522,14 +528,22 @@ mod tests {
             h.push(i as f64 * 0.05 - 1.2);
         }
         let (lo, hi, bins, under, over, count) = h.raw_parts();
-        let rebuilt = Histogram::from_parts(lo, hi, bins.to_vec(), under, over, count);
+        let rebuilt = Histogram::from_parts(lo, hi, bins.to_vec(), under, over, count).unwrap();
         assert_eq!(rebuilt, h);
     }
 
     #[test]
     #[should_panic(expected = "do not sum")]
     fn from_parts_checks_totals() {
-        let _ = Histogram::from_parts(0.0, 1.0, vec![1, 2], 0, 0, 5);
+        Histogram::from_parts(0.0, 1.0, vec![1, 2], 0, 0, 5).unwrap();
+    }
+
+    #[test]
+    fn from_parts_rejects_empty_bins_and_bad_bounds() {
+        assert!(Histogram::from_parts(0.0, 1.0, vec![], 0, 0, 0).is_err());
+        assert!(Histogram::from_parts(1.0, 1.0, vec![1], 0, 0, 1).is_err());
+        assert!(Histogram::from_parts(0.0, f64::NAN, vec![1], 0, 0, 1).is_err());
+        assert!(Histogram::from_parts(f64::NEG_INFINITY, 1.0, vec![1], 0, 0, 1).is_err());
     }
 
     #[test]

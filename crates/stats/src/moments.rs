@@ -151,18 +151,20 @@ impl StreamingMoments {
     /// output. The caller is responsible for passing state produced by a
     /// real accumulator; no invariants beyond NaN-freeness are checked.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `mean` or `m2` is NaN.
-    pub fn from_raw(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        assert!(!mean.is_nan() && !m2.is_nan(), "NaN in serialized state");
-        Self {
+    /// Returns a message if `mean` or `m2` is NaN.
+    pub fn from_raw(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Result<Self, String> {
+        if mean.is_nan() || m2.is_nan() {
+            return Err("NaN mean or m2 in serialized moments".into());
+        }
+        Ok(Self {
             count,
             mean,
             m2,
             min,
             max,
-        }
+        })
     }
 }
 
@@ -457,7 +459,7 @@ mod tests {
             m.push((i as f64).sin() * 3.0 + 0.1);
         }
         let (count, mean, m2, min, max) = m.raw_parts();
-        let rebuilt = StreamingMoments::from_raw(count, mean, m2, min, max);
+        let rebuilt = StreamingMoments::from_raw(count, mean, m2, min, max).unwrap();
         assert_eq!(rebuilt, m);
         // continuing both accumulators stays bit-identical
         let mut a = m;

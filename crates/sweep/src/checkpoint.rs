@@ -192,13 +192,14 @@ fn parse_moments(label: &str, line: &str) -> Result<StreamingMoments, String> {
     if toks.len() != 6 || toks[0] != label {
         return Err(format!("expected `{label} …` line, got `{line}`"));
     }
-    Ok(StreamingMoments::from_raw(
+    StreamingMoments::from_raw(
         parse_int(toks[1])?,
         parse_f64(toks[2])?,
         parse_f64(toks[3])?,
         parse_f64(toks[4])?,
         parse_f64(toks[5])?,
-    ))
+    )
+    .map_err(|e| format!("`{label}` line: {e}"))
 }
 
 /// Renders the checkpoint text for a borrowed shard map — the runner
@@ -284,7 +285,8 @@ impl Checkpoint {
     ///
     /// Returns a message describing the first structural problem (bad
     /// magic, malformed line, truncated shard block, duplicate or
-    /// out-of-range shard index).
+    /// out-of-range shard index, or accumulator state no real aggregate
+    /// can hold: NaN moments, histogram counts that do not add up).
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         if lines.next() != Some(MAGIC) {
@@ -328,7 +330,7 @@ impl Checkpoint {
             let aux = parse_moments("aux", lines.next().ok_or("truncated shard block")?)?;
             let hist_line = lines.next().ok_or("truncated shard block")?;
             let toks: Vec<&str> = hist_line.split_whitespace().collect();
-            if toks.len() != 6 + hist_bins || toks[0] != "hist" {
+            if Some(toks.len()) != hist_bins.checked_add(6) || toks[0] != "hist" {
                 return Err(format!(
                     "expected `hist` line with {hist_bins} bins, got `{hist_line}`"
                 ));
@@ -342,7 +344,8 @@ impl Checkpoint {
                 .iter()
                 .map(|t| parse_int(t))
                 .collect::<Result<_, _>>()?;
-            let err_hist = Histogram::from_parts(lo, hi, bins, under, over, count);
+            let err_hist = Histogram::from_parts(lo, hi, bins, under, over, count)
+                .map_err(|e| format!("shard {idx}: {e}"))?;
             if lines.next() != Some("end") {
                 return Err(format!("shard {idx}: missing `end` terminator"));
             }
@@ -438,6 +441,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `text` with the tokens of its first line that starts with
+    /// `label` rewritten by `edit`.
+    fn edit_line(text: &str, label: &str, edit: impl Fn(&mut Vec<String>)) -> String {
+        let mut done = false;
+        let mut out = String::new();
+        for line in text.lines() {
+            let mut toks: Vec<String> = line.split_whitespace().map(String::from).collect();
+            if !done && toks.first().map(String::as_str) == Some(label) {
+                edit(&mut toks);
+                done = true;
+                out.push_str(&toks.join(" "));
+            } else {
+                out.push_str(line);
+            }
+            out.push('\n');
+        }
+        assert!(done, "no `{label}` line");
+        out
+    }
+
     #[test]
     fn rejects_corrupt_inputs() {
         let mut ck = Checkpoint::new(1, 4);
@@ -448,6 +471,24 @@ mod tests {
             (good.replace("shard 1", "shard 9"), "out of range"),
             (good.replace("est ", "wat "), "expected `est"),
             (good.replace("\nend\n", "\n"), "end"),
+            (
+                edit_line(&good, "hist", |t| {
+                    t[6] = (t[6].parse::<u64>().unwrap() + 1).to_string();
+                }),
+                "do not sum",
+            ),
+            (
+                edit_line(&good, "est", |t| t[2] = "7ff8000000000000".into()),
+                "NaN",
+            ),
+            (
+                edit_line(
+                    &edit_line(&good, "cells", |t| t[3] = usize::MAX.to_string()),
+                    "hist",
+                    |t| t.truncate(5),
+                ),
+                "expected `hist` line",
+            ),
         ] {
             let err = Checkpoint::parse(&mutation).unwrap_err();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
