@@ -23,7 +23,6 @@
 //!       "impl": "dist_sim",
 //!       "agents": 48,
 //!       "workers": 4,
-//!       "effective_workers": 4,
 //!       "ns_per_agent_step": 309.69,
 //!       "msteps_per_sec": 3.229
 //!     }
@@ -32,11 +31,11 @@
 //! ```
 //!
 //! All figures are medians over `samples` timed batches. `workers` is
-//! the *requested* worker count; `effective_workers` is what the
-//! implementation actually ran after its own caps — compare rows with
-//! matching effective parallelism. Timings move with the host, so
-//! compare ratios between rows measured on one host, not absolute
-//! figures across hosts.
+//! the worker count a row ran with (1 everywhere but `dist_sweep`).
+//! Timings move with the host, so compare ratios between rows measured
+//! on one host, not absolute figures across hosts. The decoder ignores
+//! keys it does not know, so files that still carry the retired
+//! `effective_workers` key load unchanged.
 
 use crate::report::Effort;
 use antdensity_engine::sampling::{
@@ -62,10 +61,8 @@ pub struct EngineBenchResult {
     pub implementation: &'static str,
     /// Population size.
     pub agents: usize,
-    /// Requested worker count (1 for the sequential group).
+    /// Worker count (1 for every group but `dist_sweep`).
     pub workers: usize,
-    /// Worker count the implementation actually used after its caps.
-    pub effective_workers: usize,
     /// Median wall-clock per agent-step, nanoseconds.
     pub ns_per_agent_step: f64,
     /// Throughput in millions of agent-steps per second.
@@ -118,7 +115,6 @@ fn result(
     implementation: &'static str,
     agents: usize,
     workers: usize,
-    effective_workers: usize,
     ns_per_round: f64,
 ) -> EngineBenchResult {
     let ns_per_agent_step = ns_per_round / agents as f64;
@@ -127,7 +123,6 @@ fn result(
         implementation,
         agents,
         workers,
-        effective_workers,
         ns_per_agent_step,
         msteps_per_sec: 1e3 / ns_per_agent_step,
     }
@@ -192,7 +187,7 @@ pub fn run_engine_bench_group(
             let mut rng = SmallRng::seed_from_u64(1);
             engine.place_uniform(&mut rng);
             let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
-            results.push(result("sequential", "mono", agents, 1, 1, ns));
+            results.push(result("sequential", "mono", agents, 1, ns));
         }
     }
 
@@ -252,13 +247,13 @@ fn bench_mega_scale(effort: Effort, results: &mut Vec<EngineBenchResult>) {
         let mut rng = SmallRng::seed_from_u64(9);
         engine.place_uniform(&mut rng);
         let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
-        results.push(result("mega_scale", "agent_level", agents, 1, 1, ns));
+        results.push(result("mega_scale", "agent_level", agents, 1, ns));
 
         let mut engine = CountsEngine::new(Torus2d::new(MEGA_SIDE), agents as u64)
             .with_seed_sequence(SeedSequence::new(9));
         engine.place_uniform(&SeedSequence::new(10));
         let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
-        results.push(result("mega_scale", "counts", agents, 1, 1, ns));
+        results.push(result("mega_scale", "counts", agents, 1, ns));
     }
 }
 
@@ -298,7 +293,7 @@ fn bench_rng_batch(effort: Effort, results: &mut Vec<EngineBenchResult>) {
         rounds,
         SAMPLES,
     );
-    results.push(result("rng_batch", "scalar_draws", RNG_BATCH_LEN, 1, 1, ns));
+    results.push(result("rng_batch", "scalar_draws", RNG_BATCH_LEN, 1, ns));
 
     let mut rng = SmallRng::seed_from_u64(11);
     let ns = median_ns_per_round(
@@ -309,7 +304,7 @@ fn bench_rng_batch(effort: Effort, results: &mut Vec<EngineBenchResult>) {
         rounds,
         SAMPLES,
     );
-    results.push(result("rng_batch", "seq_fill", RNG_BATCH_LEN, 1, 1, ns));
+    results.push(result("rng_batch", "seq_fill", RNG_BATCH_LEN, 1, ns));
 
     let mut lanes = lane_rngs(&SeedSequence::new(11), 0);
     debug_assert_eq!(lanes.len(), RNG_LANES);
@@ -321,7 +316,7 @@ fn bench_rng_batch(effort: Effort, results: &mut Vec<EngineBenchResult>) {
         rounds,
         SAMPLES,
     );
-    results.push(result("rng_batch", "lane_fill", RNG_BATCH_LEN, 1, 1, ns));
+    results.push(result("rng_batch", "lane_fill", RNG_BATCH_LEN, 1, ns));
 
     let mut words = vec![0u64; RNG_BATCH_LEN];
     let mut rng = SmallRng::seed_from_u64(12);
@@ -333,7 +328,7 @@ fn bench_rng_batch(effort: Effort, results: &mut Vec<EngineBenchResult>) {
         rounds,
         SAMPLES,
     );
-    results.push(result("rng_batch", "bulk_u64", RNG_BATCH_LEN, 1, 1, ns));
+    results.push(result("rng_batch", "bulk_u64", RNG_BATCH_LEN, 1, ns));
 }
 
 /// Node count of the random-regular CSR bench graph. Modest on purpose:
@@ -364,26 +359,19 @@ fn bench_csr_stepping(effort: Effort, agent_grid: &[usize], results: &mut Vec<En
         let mut rng = SmallRng::seed_from_u64(3);
         engine.place_uniform(&mut rng);
         let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
-        results.push(result("csr_stepping", "torus_native", agents, 1, 1, ns));
+        results.push(result("csr_stepping", "torus_native", agents, 1, ns));
 
         let mut engine = Engine::new(csr_torus.clone(), agents);
         let mut rng = SmallRng::seed_from_u64(3);
         engine.place_uniform(&mut rng);
         let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
-        results.push(result("csr_stepping", "torus_csr", agents, 1, 1, ns));
+        results.push(result("csr_stepping", "torus_csr", agents, 1, ns));
 
         let mut engine = Engine::new(random_regular.clone(), agents);
         let mut rng = SmallRng::seed_from_u64(3);
         engine.place_uniform(&mut rng);
         let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
-        results.push(result(
-            "csr_stepping",
-            "random_regular_csr",
-            agents,
-            1,
-            1,
-            ns,
-        ));
+        results.push(result("csr_stepping", "random_regular_csr", agents, 1, ns));
     }
 }
 
@@ -454,7 +442,6 @@ fn bench_observer_fusion(effort: Effort, results: &mut Vec<EngineBenchResult>) {
                 implementation,
                 agents,
                 workers: 1,
-                effective_workers: 1,
                 ns_per_agent_step: ns_per_delivered_step,
                 msteps_per_sec: 1e3 / ns_per_delivered_step,
             });
@@ -465,29 +452,35 @@ fn bench_observer_fusion(effort: Effort, results: &mut Vec<EngineBenchResult>) {
 /// The telemetry cost-model group, proving the `antdensity-telemetry`
 /// budget empirically:
 ///
-/// * `untouched` — a hand-rolled replica of the
-///   [`Engine::step_round_parallel`] round (same per-round
-///   [`SeedSequence::subsequence`] derivation, same per-`STREAM_BLOCK`
-///   stream split, same batched kernel, same occupancy rebuild) built
-///   directly on the public kernel with **no** telemetry call sites at
-///   all. Using [`Engine::step_round`] here would conflate the gate
-///   cost with the mono kernel's different RNG regime (one continuous
-///   stream versus one derived stream per block per round), a path
-///   difference that predates telemetry;
+/// * `untouched` — a hand-rolled per-block round with the same per-round
+///   [`SeedSequence::subsequence`] derivation, per-`STREAM_BLOCK`
+///   streams and occupancy rebuild as [`Engine::step_round_parallel`],
+///   each block stepped by the public [`step_slice_pure_batched`]
+///   kernel (the same draws and positions as the engine's whole-round
+///   draw then apply), with **no** telemetry call sites at all. Using
+///   [`Engine::step_round`] here would conflate the gate cost with the
+///   mono kernel's different RNG regime (one continuous stream versus
+///   one derived stream per block per round), a path difference that
+///   predates telemetry;
 /// * `disabled` — the instrumented [`Engine::step_round_parallel`]
-///   with the global flag off: the per-round cost is exactly
-///   one relaxed atomic load, so this row must sit within noise of
+///   with the global flag off: the per-round cost is exactly one
+///   relaxed atomic load, so this row must sit within noise of
 ///   `untouched`;
-/// * `enabled` — the same path with counters, spans, and the draw/apply
-///   sub-phase clocks live (trace capture off), bounding what
-///   `repro sweep` pays for always-on collection.
+/// * `enabled` — the same path with telemetry live (trace capture
+///   off): four clock reads per round and plain adds into the engine's
+///   own tally, merged into the registry when the engine drops. This
+///   bounds what `repro sweep` pays for always-on collection.
+///
+/// The 128-agent point is the small-population regime of the paper's
+/// accuracy table, where a round takes about a microsecond and any
+/// fixed per-round cost shows.
 fn bench_telemetry_overhead(
     effort: Effort,
     agent_grid: &[usize],
     results: &mut Vec<EngineBenchResult>,
 ) {
     let was_enabled = antdensity_telemetry::enabled();
-    for &agents in agent_grid {
+    for &agents in std::iter::once(&128).chain(agent_grid) {
         let rounds = rounds_for(agents, effort);
 
         let topo = Torus2d::new(SIDE);
@@ -509,7 +502,7 @@ fn bench_telemetry_overhead(
                 let round_seq = seeds.subsequence(round);
                 for (j, block) in positions.chunks_mut(STREAM_BLOCK).enumerate() {
                     let mut rng = round_seq.rng(j as u64);
-                    step_slice_pure_batched::<false, _, _>(&topo, span, block, &mut rng);
+                    step_slice_pure_batched(&topo, span, block, &mut rng);
                 }
                 occ.rebuild(&positions);
                 round += 1;
@@ -517,7 +510,7 @@ fn bench_telemetry_overhead(
             rounds,
             SAMPLES,
         );
-        results.push(result("telemetry_overhead", "untouched", agents, 1, 1, ns));
+        results.push(result("telemetry_overhead", "untouched", agents, 1, ns));
 
         for (implementation, on) in [("disabled", false), ("enabled", true)] {
             antdensity_telemetry::set_enabled(on);
@@ -527,14 +520,7 @@ fn bench_telemetry_overhead(
             engine.place_uniform(&mut rng);
             let ns = median_ns_per_round(|| engine.step_round_parallel(), rounds, SAMPLES);
             antdensity_telemetry::set_enabled(false);
-            results.push(result(
-                "telemetry_overhead",
-                implementation,
-                agents,
-                1,
-                1,
-                ns,
-            ));
+            results.push(result("telemetry_overhead", implementation, agents, 1, ns));
         }
     }
     antdensity_telemetry::set_enabled(was_enabled);
@@ -583,7 +569,6 @@ fn bench_dist_sweep(effort: Effort, results: &mut Vec<EngineBenchResult>) {
             implementation,
             agents,
             workers: DIST_WORKERS,
-            effective_workers: DIST_WORKERS,
             ns_per_agent_step: ns_per_delivered_step,
             msteps_per_sec: 1e3 / ns_per_delivered_step,
         });
@@ -625,7 +610,6 @@ impl EngineBenchReport {
                 ("impl", r.implementation.into()),
                 ("agents", r.agents.into()),
                 ("workers", r.workers.into()),
-                ("effective_workers", r.effective_workers.into()),
                 ("ns_per_agent_step", Json::rounded(r.ns_per_agent_step, 3)),
                 ("msteps_per_sec", Json::rounded(r.msteps_per_sec, 3)),
             ])
@@ -656,9 +640,7 @@ impl EngineBenchReport {
     pub fn render(&self) -> String {
         let mut t = Table::new(
             "engine throughput",
-            &[
-                "group", "impl", "agents", "workers", "eff", "ns/step", "Msteps/s",
-            ],
+            &["group", "impl", "agents", "workers", "ns/step", "Msteps/s"],
         );
         for r in &self.results {
             t.row_owned(vec![
@@ -666,7 +648,6 @@ impl EngineBenchReport {
                 r.implementation.to_string(),
                 r.agents.to_string(),
                 r.workers.to_string(),
-                r.effective_workers.to_string(),
                 format!("{:.2}", r.ns_per_agent_step),
                 format!("{:.2}", r.msteps_per_sec),
             ]);
@@ -878,7 +859,6 @@ pub fn parse_json(text: &str) -> Result<EngineBenchReport, String> {
             implementation: label("impl")?,
             agents: count("agents")?,
             workers: count("workers")?,
-            effective_workers: count("effective_workers")?,
             ns_per_agent_step: num("ns_per_agent_step")?,
             msteps_per_sec: num("msteps_per_sec")?,
         })
@@ -1068,7 +1048,6 @@ mod tests {
                     implementation: "inproc",
                     agents: 1024,
                     workers: 4,
-                    effective_workers: 2,
                     ns_per_agent_step: 10.0,
                     msteps_per_sec: 100.0,
                 },
@@ -1077,7 +1056,6 @@ mod tests {
                     implementation: "mono",
                     agents: 1024,
                     workers: 1,
-                    effective_workers: 1,
                     ns_per_agent_step: 25.0,
                     msteps_per_sec: 40.0,
                 },
@@ -1093,7 +1071,6 @@ mod tests {
             implementation: "fused",
             agents: 1024,
             workers: 1,
-            effective_workers: 1,
             ns_per_agent_step: 2.0,
             msteps_per_sec: 500.0,
         });
@@ -1102,7 +1079,6 @@ mod tests {
             implementation: "unfused",
             agents: 1024,
             workers: 1,
-            effective_workers: 1,
             ns_per_agent_step: 9.0,
             msteps_per_sec: 111.1,
         });
@@ -1132,7 +1108,6 @@ mod tests {
                 implementation,
                 agents: 1024,
                 workers: 1,
-                effective_workers: 1,
                 ns_per_agent_step: 1e3 / msteps,
                 msteps_per_sec: msteps,
             });
@@ -1163,7 +1138,6 @@ mod tests {
                 implementation,
                 agents: 1024,
                 workers: 1,
-                effective_workers: 1,
                 ns_per_agent_step: ns,
                 msteps_per_sec: 1e3 / ns,
             });
@@ -1196,7 +1170,6 @@ mod tests {
                 implementation,
                 agents: 4096,
                 workers: 4,
-                effective_workers: 4,
                 ns_per_agent_step: 1e3 / msteps,
                 msteps_per_sec: msteps,
             });
@@ -1225,7 +1198,6 @@ mod tests {
                 implementation,
                 agents: 1 << 20,
                 workers: 1,
-                effective_workers: 1,
                 ns_per_agent_step: 1e3 / msteps,
                 msteps_per_sec: msteps,
             });
@@ -1258,7 +1230,6 @@ mod tests {
                 implementation,
                 agents: 1 << 16,
                 workers: 1,
-                effective_workers: 1,
                 ns_per_agent_step: 1e3 / msteps,
                 msteps_per_sec: msteps,
             });
@@ -1299,15 +1270,26 @@ mod tests {
     }
 
     #[test]
-    fn render_headline_shows_effective_counts() {
-        // the inproc row asked for 4 workers and ran 2: the table shows both
+    fn render_headline_shows_worker_counts() {
+        // the inproc row ran 4 workers: the table shows the count after
+        // the population, then the timings
         let text = tiny_report().render();
         let inproc_row: Vec<&str> = text
             .lines()
             .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
             .find(|cells| cells.get(2) == Some(&"inproc"))
             .expect("inproc row rendered");
-        assert_eq!(&inproc_row[3..6], ["1024", "4", "2"]);
+        assert_eq!(&inproc_row[3..6], ["1024", "4", "10.00"]);
+    }
+
+    #[test]
+    fn parser_ignores_the_retired_effective_workers_key() {
+        let old = tiny_report().to_json().replace(
+            "\"workers\": 4,",
+            "\"workers\": 4, \"effective_workers\": 2,",
+        );
+        assert!(old.contains("effective_workers"));
+        assert_eq!(parse_json(&old).unwrap(), tiny_report());
     }
 
     #[test]
@@ -1333,10 +1315,7 @@ mod tests {
         for (a, b) in parsed.results.iter().zip(&report.results) {
             assert_eq!(a.group, b.group);
             assert_eq!(a.implementation, b.implementation);
-            assert_eq!(
-                (a.agents, a.workers, a.effective_workers),
-                (b.agents, b.workers, b.effective_workers)
-            );
+            assert_eq!((a.agents, a.workers), (b.agents, b.workers));
             assert!((a.msteps_per_sec - b.msteps_per_sec).abs() < 1e-3);
         }
     }
@@ -1393,7 +1372,6 @@ mod tests {
                     implementation: "mono",
                     agents: 1024 << i,
                     workers: 1,
-                    effective_workers: 1,
                     ns_per_agent_step: 10.0,
                     msteps_per_sec: 100.0,
                 })

@@ -206,11 +206,11 @@ fn locked_checkpoint_exits_one_with_structured_stderr() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A damaged checkpoint is a setup failure, not a crash: resuming from
-/// one whose histogram counts no longer add up exits 1 with a message.
-#[test]
-fn corrupt_checkpoint_resume_exits_one() {
-    let dir = tmp_dir("corrupt");
+/// Runs one shard of the spec (exit 3), rewrites the first checkpoint
+/// line starting with `label` through `edit`, then resumes: the run must
+/// exit 1 with `sweep failed` on stderr. Returns that stderr.
+fn resume_after_edit(tag: &str, label: &str, edit: impl Fn(&mut Vec<String>)) -> String {
+    let dir = tmp_dir(tag);
     let spec = write_spec(&dir);
     let args = [
         "sweep",
@@ -228,10 +228,10 @@ fn corrupt_checkpoint_resume_exits_one() {
     );
     let ckpt = dir.join("cli_exit.ckpt");
     let text = std::fs::read_to_string(&ckpt).unwrap();
-    let hist = text.lines().find(|l| l.starts_with("hist ")).unwrap();
-    let mut toks: Vec<String> = hist.split(' ').map(String::from).collect();
-    toks[6] = (toks[6].parse::<u64>().unwrap() + 1).to_string();
-    std::fs::write(&ckpt, text.replace(hist, &toks.join(" "))).unwrap();
+    let line = text.lines().find(|l| l.starts_with(label)).unwrap();
+    let mut toks: Vec<String> = line.split(' ').map(String::from).collect();
+    edit(&mut toks);
+    std::fs::write(&ckpt, text.replace(line, &toks.join(" "))).unwrap();
 
     let out = repro(&[&args[..], &["--resume"]].concat());
     assert_eq!(
@@ -242,8 +242,28 @@ fn corrupt_checkpoint_resume_exits_one() {
     );
     let err = stderr_of(&out);
     assert!(err.contains("sweep failed"), "{err}");
-    assert!(err.contains("do not sum"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
+    err
+}
+
+/// A damaged checkpoint is a setup failure, not a crash: resuming from
+/// one whose histogram counts no longer add up exits 1 with a message.
+#[test]
+fn corrupt_checkpoint_resume_exits_one() {
+    let err = resume_after_edit("corrupt", "hist ", |toks| {
+        toks[6] = (toks[6].parse::<u64>().unwrap() + 1).to_string();
+    });
+    assert!(err.contains("do not sum"), "{err}");
+}
+
+/// A shard claiming more in-band errors than it has error samples would
+/// resume into a coverage fraction above 1; it is refused instead.
+#[test]
+fn inflated_within_resume_exits_one() {
+    let err = resume_after_edit("within", "shard ", |toks| {
+        toks[5] = "999999".into();
+    });
+    assert!(err.contains("exceeds its"), "{err}");
 }
 
 #[test]

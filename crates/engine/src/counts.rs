@@ -49,16 +49,22 @@
 use crate::sampling::{
     fill_uniform_indices, fill_uniform_indices_lanes, lane_rngs, sample_multinomial,
 };
+use crate::tally::{msteps_per_sec, ns_between, RoundMetrics, RoundTally};
 use antdensity_graphs::Topology;
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
 use std::time::Instant;
 
 // Telemetry for the counts round path, mirroring the agent engine's
-// `engine.round` span so traces of mixed runs line up.
-static ROUND_SPAN: telemetry::SpanMetric = telemetry::SpanMetric::new("counts.round");
-static ROUNDS_COUNTER: telemetry::LazyCounter = telemetry::LazyCounter::new("counts.rounds");
-static AGENT_STEPS: telemetry::LazyCounter = telemetry::LazyCounter::new("counts.agent_steps");
+// `engine.round` span so traces of mixed runs line up. Rounds are
+// tallied per engine and merged when it drops.
+static ROUND_METRICS: RoundMetrics<1> = RoundMetrics {
+    rounds: telemetry::LazyCounter::new("counts.rounds"),
+    agent_steps: telemetry::LazyCounter::new("counts.agent_steps"),
+    spans: [telemetry::SpanMetric::new("counts.round")],
+};
+/// Index of the `counts.round` span in [`ROUND_METRICS`].
+const ROUND: usize = 0;
 
 /// Nodes per RNG stream block: block `b` of round `r` draws the stream
 /// `seeds.subsequence(r).rng(b)`, the same `(round, block)` derivation
@@ -268,6 +274,8 @@ pub struct CountsEngine<T: Topology> {
     seeds: SeedSequence,
     degrees: Degrees,
     scratch: SplitScratch,
+    /// This engine's round telemetry, merged into the registry on drop.
+    tally: RoundTally<1>,
 }
 
 impl<T: Topology> CountsEngine<T> {
@@ -302,6 +310,7 @@ impl<T: Topology> CountsEngine<T> {
                 ones: vec![1.0; max_degree],
             },
             scratch: SplitScratch::new(max_degree),
+            tally: RoundTally::new(&ROUND_METRICS),
             topo,
         }
     }
@@ -418,23 +427,17 @@ impl<T: Topology> CountsEngine<T> {
         );
         debug_assert!(self.next.iter().all(|&c| c == 0), "scatter target cleared");
         if let Some(t0) = t0 {
-            let total_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            ROUNDS_COUNTER.add(1);
-            AGENT_STEPS.add(self.num_agents);
-            let msteps_per_sec = if total_ns > 0 {
-                self.num_agents as f64 * 1e3 / total_ns as f64
-            } else {
-                0.0
-            };
-            ROUND_SPAN.record_interval_at(
-                t0,
-                0,
-                total_ns,
-                &[
-                    ("agents", self.num_agents as f64),
-                    ("msteps_per_sec", msteps_per_sec),
-                ],
-            );
+            let total_ns = ns_between(t0, Instant::now());
+            let agents = self.num_agents;
+            self.tally.count_round(agents);
+            self.tally.record_ns(ROUND, total_ns);
+            if telemetry::tracing() {
+                let args = [
+                    ("agents", agents as f64),
+                    ("msteps_per_sec", msteps_per_sec(agents, total_ns)),
+                ];
+                self.tally.span(ROUND).trace_at(t0, 0, total_ns, &args);
+            }
         }
     }
 

@@ -23,21 +23,27 @@
 //!   draw words it may not use and lets a round be stepped in any
 //!   block order. The name predates the single-threaded round.
 //!
-//! Both modes route pure-walk populations on regular topologies through
-//! the batched monomorphized kernel
-//! ([`crate::step::step_slice_pure_batched`]), which draws the identical
-//! RNG stream — the fast path is invisible in results. The per-block
-//! mode also routes populations that all share one `lazy:p` model on a
-//! regular power-of-two-span topology through the batched lazy kernel
-//! (`step::step_block_lazy`). That kernel draws words it may not
-//! use, which only a per-block stream can absorb, so `step_round` keeps
-//! the per-agent kernel for them.
+//! Both modes take a batched path for pure-walk populations on regular
+//! topologies, drawing the identical RNG stream — the fast path is
+//! invisible in results: `step_round` runs
+//! [`crate::step::step_slice_pure_batched`], and a per-block round draws
+//! every block's move indices into one buffer before applying them all.
+//! The per-block mode also routes populations that all share one
+//! `lazy:p` model on a regular power-of-two-span topology through the
+//! batched lazy kernel (`step::step_block_lazy`). That kernel draws
+//! words it may not use, which only a per-block stream can absorb, so
+//! `step_round` keeps the per-agent kernel for them.
+//!
+//! Per-block rounds are instrumented: with telemetry on, each round
+//! records its phase times into the engine's own round tally, which
+//! merges into the registry when the engine drops.
 
 use crate::config::STREAM_BLOCK;
 use crate::movement::MovementModel;
 use crate::occupancy::{DenseOccupancy, GroupOccupancy, BLOCKED_ROUND_MIN_AGENTS, MAX_NODES};
 use crate::sampling::fill_uniform_indices;
 use crate::step::{step_block_lazy, step_slice, step_slice_pure_batched, Interaction};
+use crate::tally::{msteps_per_sec, ns_between, RoundMetrics, RoundTally};
 use antdensity_graphs::{MoveScratch, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
@@ -45,14 +51,22 @@ use rand::RngCore;
 use std::time::Instant;
 
 // Telemetry metrics for the per-block round path. `step_round` (the
-// legacy sequential kernel) stays deliberately uninstrumented so the
-// `telemetry_overhead` bench has an untouched comparator.
-static ROUND_SPAN: telemetry::SpanMetric = telemetry::SpanMetric::new("engine.round");
-static DRAW_SPAN: telemetry::SpanMetric = telemetry::SpanMetric::new("engine.rng_draw");
-static APPLY_SPAN: telemetry::SpanMetric = telemetry::SpanMetric::new("engine.apply_moves");
-static OCC_SPAN: telemetry::SpanMetric = telemetry::SpanMetric::new("engine.occupancy_rebuild");
-static ROUNDS_COUNTER: telemetry::LazyCounter = telemetry::LazyCounter::new("engine.rounds");
-static AGENT_STEPS: telemetry::LazyCounter = telemetry::LazyCounter::new("engine.agent_steps");
+// legacy sequential kernel) stays deliberately uninstrumented.
+static ROUND_METRICS: RoundMetrics<4> = RoundMetrics {
+    rounds: telemetry::LazyCounter::new("engine.rounds"),
+    agent_steps: telemetry::LazyCounter::new("engine.agent_steps"),
+    spans: [
+        telemetry::SpanMetric::new("engine.round"),
+        telemetry::SpanMetric::new("engine.rng_draw"),
+        telemetry::SpanMetric::new("engine.apply_moves"),
+        telemetry::SpanMetric::new("engine.occupancy_rebuild"),
+    ],
+};
+/// Indices into [`ROUND_METRICS`]`.spans`.
+const ROUND: usize = 0;
+const DRAW: usize = 1;
+const APPLY: usize = 2;
+const OCCUPANCY: usize = 3;
 
 /// Identifier of an agent within an engine: `0 .. num_agents`.
 pub type AgentId = usize;
@@ -102,11 +116,13 @@ pub struct Engine<T: Topology> {
     /// [`Self::set_movement_all`], cleared by any per-agent change to
     /// another model. The batched lazy kernel engages only when set.
     shared_lazy: Option<f64>,
-    /// Whole-round move-index buffer for the cache-blocked mega path
-    /// (empty until the first blocked round; reused afterwards).
+    /// Whole-round move-index buffer of the pure per-block round
+    /// (empty until the first such round; reused afterwards).
     moves_scratch: Vec<u32>,
     /// Tile-partition buffers for the blocked gather, likewise reused.
     tile_scratch: MoveScratch,
+    /// This engine's round telemetry, merged into the registry on drop.
+    tally: RoundTally<4>,
 }
 
 impl<T: Topology> Engine<T> {
@@ -145,6 +161,7 @@ impl<T: Topology> Engine<T> {
             shared_lazy: None,
             moves_scratch: Vec::new(),
             tile_scratch: MoveScratch::new(),
+            tally: RoundTally::new(&ROUND_METRICS),
         }
     }
 
@@ -332,8 +349,8 @@ impl<T: Topology> Engine<T> {
         }
     }
 
-    /// The kernel every stream block of a per-block round takes: the pure
-    /// batched kernel as [`Self::pure_batch_span`] allows; else the lazy
+    /// The kernel a per-block round takes: the whole-round pure draw
+    /// and apply as [`Self::pure_batch_span`] allows; else the lazy
     /// kernel when every agent shares one `Lazy` model, the
     /// interaction is pure and the topology is regular with a
     /// power-of-two span; else the per-agent kernel.
@@ -364,7 +381,7 @@ impl<T: Topology> Engine<T> {
         assert!(self.placed, "place agents before stepping");
         match self.pure_batch_span() {
             Some(span) => {
-                step_slice_pure_batched::<false, _, _>(&self.topo, span, &mut self.positions, rng);
+                step_slice_pure_batched(&self.topo, span, &mut self.positions, rng);
             }
             None => step_slice(
                 &self.topo,
@@ -386,39 +403,75 @@ impl<T: Topology> Engine<T> {
     /// runs on the calling thread; callers get parallelism by running
     /// independent trials on [`crate::pool::run_trials`].
     ///
-    /// Pure-walk populations of at least `2^18` agents take a
-    /// cache-blocked route that is bit-identical to the per-block one.
+    /// A pure-walk round on a regular topology draws every block's move
+    /// indices into one engine-owned buffer first (block `b` fills its
+    /// slice from `round_seq.rng(b)`; one wide fill draws bit-for-bit
+    /// what [`step_slice_pure_batched`]'s 128-wide fills draw), then
+    /// applies them in one call: [`Topology::apply_moves`], or from
+    /// `2^18` agents [`Topology::apply_moves_blocked`], whose gathers
+    /// stay within L2-sized node tiles. Other populations step block by
+    /// block through the lazy or the per-agent kernel.
+    ///
+    /// With telemetry on (checked once per round) the round reads the
+    /// clock four times on the pure path (start, draws done, moves
+    /// applied, occupancy rebuilt) and three times on the others, which
+    /// have no draw/apply split, and records the phases into the
+    /// engine's tally.
     ///
     /// # Panics
     ///
     /// Panics if the engine is unplaced.
     pub fn step_round_parallel(&mut self) {
         assert!(self.placed, "place agents before stepping");
-        match self.block_kernel() {
-            BlockKernel::Pure(span) if self.positions.len() >= BLOCKED_ROUND_MIN_AGENTS => {
-                self.step_round_blocked(span);
+        let blocked = self.positions.len() >= BLOCKED_ROUND_MIN_AGENTS;
+        self.step_round_with(self.block_kernel(), blocked);
+    }
+
+    /// [`Self::step_round_parallel`] through `kernel`, applying pure
+    /// moves with the tiled gather when `blocked` is set.
+    fn step_round_with(&mut self, kernel: BlockKernel, blocked: bool) {
+        // The hot path's single telemetry gate: one relaxed load per
+        // round. A disabled run reads no clock and records nothing.
+        let observe = telemetry::enabled();
+        let start = observe.then(Instant::now);
+        let round_seq = self.seeds.subsequence(self.round);
+        let drawn = match kernel {
+            BlockKernel::Pure(span) => {
+                let n = self.positions.len();
+                self.moves_scratch.resize(n, 0);
+                for (b, chunk) in self.moves_scratch.chunks_mut(STREAM_BLOCK).enumerate() {
+                    fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
+                }
+                let drawn = observe.then(Instant::now);
+                if blocked {
+                    self.topo.apply_moves_blocked(
+                        &mut self.positions,
+                        &self.moves_scratch,
+                        &mut self.tile_scratch,
+                    );
+                } else {
+                    self.topo
+                        .apply_moves(&mut self.positions, &self.moves_scratch);
+                }
+                drawn
             }
-            kernel => self.step_round_per_block(kernel),
+            kernel => {
+                self.step_blocks(kernel, &round_seq);
+                None
+            }
+        };
+        let moved = observe.then(Instant::now);
+        self.round += 1;
+        self.rebuild_occupancy();
+        if let (Some(start), Some(moved)) = (start, moved) {
+            self.tally_round(start, drawn, moved, Instant::now());
         }
     }
 
-    /// Steps every stream block through `kernel`, block by block, then
-    /// refreshes the occupancy index.
-    ///
-    /// With telemetry enabled (decided once per round) the batched fast
-    /// path runs its bit-identical `TIMED` instantiation and reports a
-    /// draw/apply split. The per-agent kernel interleaves draws and
-    /// moves, so it has no split to report; the lazy kernel does not
-    /// time its passes either.
-    fn step_round_per_block(&mut self, kernel: BlockKernel) {
-        // The hot path's single telemetry gate: one relaxed load per
-        // round. Everything below branches on the captured bool, so a
-        // disabled run pays nothing else — no clock reads, no counter
-        // RMWs, and the untimed kernels.
-        let observe = telemetry::enabled();
-        let round_start = observe.then(Instant::now);
-        let round_seq = self.seeds.subsequence(self.round);
-        let (mut draw_ns, mut apply_ns) = (0u64, 0u64);
+    /// Steps every stream block through the lazy kernel, or through the
+    /// per-agent kernel for any other `kernel` (which draws what the
+    /// pure path draws for pure agents).
+    fn step_blocks(&mut self, kernel: BlockKernel, round_seq: &SeedSequence) {
         for (b, (block, models)) in self
             .positions
             .chunks_mut(STREAM_BLOCK)
@@ -427,19 +480,10 @@ impl<T: Topology> Engine<T> {
         {
             let mut rng = round_seq.rng(b as u64);
             match kernel {
-                BlockKernel::Pure(span) => {
-                    let (d, a) = if observe {
-                        step_slice_pure_batched::<true, _, _>(&self.topo, span, block, &mut rng)
-                    } else {
-                        step_slice_pure_batched::<false, _, _>(&self.topo, span, block, &mut rng)
-                    };
-                    draw_ns += d;
-                    apply_ns += a;
-                }
                 BlockKernel::Lazy { span, stay_prob } => {
                     step_block_lazy(&self.topo, span, stay_prob, block, &mut rng);
                 }
-                BlockKernel::PerAgent => step_slice(
+                _ => step_slice(
                     &self.topo,
                     block,
                     models,
@@ -449,50 +493,44 @@ impl<T: Topology> Engine<T> {
                 ),
             }
         }
-        self.round += 1;
-        let occ_start = observe.then(Instant::now);
-        self.rebuild_occupancy();
-        if let (Some(t0), Some(occ_t0)) = (round_start, occ_start) {
-            record_round(t0, self.positions.len() as u64, draw_ns, apply_ns, occ_t0);
-        }
     }
 
-    /// The cache-blocked mega round for large pure-walk populations:
-    /// every move index of the round is drawn into one engine-owned
-    /// buffer first (block `b` still fills from `round_seq.rng(b)`, and
-    /// one wide fill draws bit-for-bit what the per-block kernels'
-    /// 128-wide fills draw), then applied through
-    /// [`Topology::apply_moves_blocked`] so the gathers of a
-    /// memory-bound topology stay within L2-sized node tiles, and
-    /// finally counted by the occupancy rebuild's own blocked path.
-    /// Results are **bit-identical** to [`Self::step_round_per_block`]
-    /// with the pure kernel.
-    fn step_round_blocked(&mut self, span: u64) {
-        let observe = telemetry::enabled();
-        let round_start = observe.then(Instant::now);
-        let round_seq = self.seeds.subsequence(self.round);
-        let n = self.positions.len();
-        self.moves_scratch.clear();
-        self.moves_scratch.resize(n, 0);
-        let draw_start = observe.then(Instant::now);
-        for (b, chunk) in self.moves_scratch.chunks_mut(STREAM_BLOCK).enumerate() {
-            fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
+    /// Records one finished round into the tally: the round and
+    /// agent-step counts, the round span (`start` to `end`), the
+    /// draw/apply split when the round had one (`start` to `drawn` to
+    /// `moved`), and the occupancy rebuild (`moved` to `end`). With
+    /// trace capture on it also pushes the same spans as trace events,
+    /// the round tagged with its throughput.
+    fn tally_round(
+        &mut self,
+        start: Instant,
+        drawn: Option<Instant>,
+        moved: Instant,
+        end: Instant,
+    ) {
+        let agents = self.positions.len() as u64;
+        let round_ns = ns_between(start, end);
+        let occ_ns = ns_between(moved, end);
+        let split = drawn.map(|drawn| (ns_between(start, drawn), ns_between(drawn, moved)));
+        let t = &mut self.tally;
+        t.count_round(agents);
+        t.record_ns(ROUND, round_ns);
+        if let Some((draw_ns, apply_ns)) = split {
+            t.record_ns(DRAW, draw_ns);
+            t.record_ns(APPLY, apply_ns);
         }
-        let apply_start = observe.then(Instant::now);
-        self.topo.apply_moves_blocked(
-            &mut self.positions,
-            &self.moves_scratch,
-            &mut self.tile_scratch,
-        );
-        self.round += 1;
-        let occ_start = observe.then(Instant::now);
-        self.rebuild_occupancy();
-        if let (Some(t0), Some(draw_t0), Some(apply_t0), Some(occ_t0)) =
-            (round_start, draw_start, apply_start, occ_start)
-        {
-            let draw_ns = u64::try_from((apply_t0 - draw_t0).as_nanos()).unwrap_or(u64::MAX);
-            let apply_ns = u64::try_from((occ_t0 - apply_t0).as_nanos()).unwrap_or(u64::MAX);
-            record_round(t0, n as u64, draw_ns, apply_ns, occ_t0);
+        t.record_ns(OCCUPANCY, occ_ns);
+        if telemetry::tracing() {
+            let args = [
+                ("agents", agents as f64),
+                ("msteps_per_sec", msteps_per_sec(agents, round_ns)),
+            ];
+            t.span(ROUND).trace_at(start, 0, round_ns, &args);
+            if let Some((draw_ns, apply_ns)) = split {
+                t.span(DRAW).trace_at(start, 0, draw_ns, &[]);
+                t.span(APPLY).trace_at(start, draw_ns, apply_ns, &[]);
+            }
+            t.span(OCCUPANCY).trace_at(moved, 0, occ_ns, &[]);
         }
     }
 
@@ -547,48 +585,15 @@ impl<T: Topology> Engine<T> {
     }
 }
 
-/// Which kernel steps each stream block of a per-block round.
+/// Which kernel steps a per-block round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum BlockKernel {
-    /// [`step_slice_pure_batched`] with this span.
+    /// Whole-round draw then apply, with this span.
     Pure(u64),
     /// [`step_block_lazy`]: every agent shares this lazy model.
     Lazy { span: u64, stay_prob: f64 },
     /// [`step_slice`], agent by agent.
     PerAgent,
-}
-
-/// Records one finished per-block round's telemetry: the round and
-/// agent-step counters, the round span (tagged with its throughput),
-/// the draw/apply split, and the occupancy-rebuild span that started at
-/// `occ_t0` and ends now. The draw/apply totals are summed over the
-/// round's blocks, so in the trace they are laid end to end from the
-/// round start: a *time split*, not two wall-clock intervals. Rounds
-/// with no split to report (the non-batched kernels) emit neither span.
-fn record_round(t0: Instant, agents: u64, draw_ns: u64, apply_ns: u64, occ_t0: Instant) {
-    let occ_ns = u64::try_from(occ_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let total_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    ROUNDS_COUNTER.add(1);
-    AGENT_STEPS.add(agents);
-    let msteps_per_sec = if total_ns > 0 {
-        agents as f64 * 1e3 / total_ns as f64
-    } else {
-        0.0
-    };
-    ROUND_SPAN.record_interval_at(
-        t0,
-        0,
-        total_ns,
-        &[
-            ("agents", agents as f64),
-            ("msteps_per_sec", msteps_per_sec),
-        ],
-    );
-    if draw_ns + apply_ns > 0 {
-        DRAW_SPAN.record_interval_at(t0, 0, draw_ns, &[]);
-        APPLY_SPAN.record_interval_at(t0, draw_ns, apply_ns, &[]);
-    }
-    OCC_SPAN.record_interval_at(occ_t0, 0, occ_ns, &[]);
 }
 
 #[cfg(test)]
@@ -626,22 +631,17 @@ mod tests {
 
     #[test]
     fn blocked_round_is_bit_identical_to_per_block_path() {
-        // The cache-blocked mega round must replay the per-block pure
-        // kernel exactly, on a native and a CSR topology. Both private
-        // paths run on the same 3000 agents (12 blocks, the last
-        // partial), far below the population that selects the blocked
-        // path on its own.
+        // The tiled gather must replay the plain pure round exactly, on
+        // a native and a CSR topology. Both paths run on the same 3000
+        // agents (12 blocks, the last partial), far below the population
+        // that selects the blocked path on its own.
         use antdensity_graphs::CsrGraph;
         fn run<T: Topology + Clone>(topo: T, blocked: bool) -> Vec<NodeId> {
             let mut e = Engine::new(topo, 3000).with_seed_sequence(SeedSequence::new(55));
             e.place_uniform(&mut SmallRng::seed_from_u64(6));
             let span = e.pure_batch_span().expect("regular pure walk");
             for _ in 0..12 {
-                if blocked {
-                    e.step_round_blocked(span);
-                } else {
-                    e.step_round_per_block(BlockKernel::Pure(span));
-                }
+                e.step_round_with(BlockKernel::Pure(span), blocked);
             }
             let occupancy_total: u32 = (0..e.topology().num_nodes()).map(|v| e.occupancy(v)).sum();
             assert_eq!(occupancy_total, 3000, "rebuild lost agents");
@@ -654,6 +654,36 @@ mod tests {
         assert_eq!(reference, run(csr.clone(), false));
         // Same walk on the CSR rebuild consumes the identical streams.
         assert_eq!(reference, run(csr, true));
+    }
+
+    #[test]
+    fn pure_round_matches_per_block_kernel() {
+        // The whole-round draw-then-apply must equal stepping each
+        // stream block through `step_slice_pure_batched` on its own
+        // stream, for partial and exact blocks and both sides of the
+        // kernel's 128-wide fill, whether telemetry times the round or
+        // not. The hypercube's span 10 takes the rejection sampler.
+        fn check<T: Topology>(topo: T, agents: usize) {
+            let mut e = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(17));
+            e.place_uniform(&mut SmallRng::seed_from_u64(agents as u64));
+            let span = e.pure_batch_span().expect("regular pure walk");
+            let mut want = e.positions.clone();
+            for round in 0..6 {
+                let seq = e.seeds.subsequence(round);
+                for (b, block) in want.chunks_mut(STREAM_BLOCK).enumerate() {
+                    step_slice_pure_batched(&e.topo, span, block, &mut seq.rng(b as u64));
+                }
+                // Alternate the gate so timed and untimed rounds mix.
+                telemetry::set_enabled(round % 2 == 0);
+                e.step_round_parallel();
+                telemetry::set_enabled(false);
+                assert_eq!(e.positions, want, "{agents} agents, round {round}");
+            }
+        }
+        for agents in [1, 128, 129, 257, 3000] {
+            check(Torus2d::new(64), agents);
+            check(Hypercube::new(10), agents);
+        }
     }
 
     #[test]

@@ -75,6 +75,7 @@ pub mod pool;
 pub mod sampling;
 pub mod scenario;
 pub mod step;
+mod tally;
 
 pub use config::STREAM_BLOCK;
 pub use counts::{CountsEngine, CountsOutcome, COUNTS_SAMPLER_VERSION, COUNT_BLOCK};

@@ -22,11 +22,12 @@
 //!   branch-free scan, and applies the moves in one batch. Positions
 //!   are the ones `step_slice` computes, but the unused words at the
 //!   end leave the RNG in a different state.
-//! * The batched engine calls one of these once per fixed-size *stream
-//!   block* of agents with a per-`(round, block)` derived RNG stream,
-//!   which makes parallel stepping bit-identical for every worker count
-//!   (the stream an agent draws from depends only on its block, never on
-//!   the scheduler).
+//! * The batched engine steps each fixed-size *stream block* of agents
+//!   with a per-`(round, block)` derived RNG stream, so a round's result
+//!   depends only on its state, seed sequence and index (the stream an
+//!   agent draws from depends only on its block). Its pure-walk round
+//!   fills every block's move indices from the block's stream, exactly
+//!   the words `step_slice_pure_batched` draws, before applying them.
 //!
 //! A kernel may draw words it does not use only where the RNG's stream
 //! dies with the block: the per-block streams of
@@ -140,40 +141,20 @@ const SAMPLE_BATCH: usize = 128;
 /// over all `A` nodes, `span = degree = A` consumes the same bits as its
 /// `uniform_node` override.)
 ///
-/// With `TIMED` set the kernel also measures the RNG-draw vs
-/// `apply_moves` split and returns accumulated `(draw_ns, apply_ns)`
-/// over the slice; otherwise it returns `(0, 0)` and reads no clock.
-/// Draws, destinations, and residual RNG state are identical either way
-/// — the only difference is clock reads bracketing the two phase calls
-/// per `SAMPLE_BATCH`-sized buffer fill, never inside the per-agent
-/// loops. The engine picks `TIMED` with one telemetry check per *round*.
-///
 /// The caller asserts the preconditions: `span == degree(v)` for every
 /// `v`, all agents `MovementModel::Pure`, interaction pure.
-pub fn step_slice_pure_batched<const TIMED: bool, T: Topology, R: RngCore + ?Sized>(
+pub fn step_slice_pure_batched<T: Topology, R: RngCore + ?Sized>(
     topo: &T,
     span: u64,
     positions: &mut [u32],
     rng: &mut R,
-) -> (u64, u64) {
+) {
     let mut idx = [0u32; SAMPLE_BATCH];
-    let (mut draw_ns, mut apply_ns) = (0u64, 0u64);
     for block in positions.chunks_mut(SAMPLE_BATCH) {
         let buf = &mut idx[..block.len()];
-        if TIMED {
-            let t0 = std::time::Instant::now();
-            fill_uniform_indices(span, buf, rng);
-            let t1 = std::time::Instant::now();
-            topo.apply_moves(block, buf);
-            let t2 = std::time::Instant::now();
-            draw_ns += u64::try_from((t1 - t0).as_nanos()).unwrap_or(u64::MAX);
-            apply_ns += u64::try_from((t2 - t1).as_nanos()).unwrap_or(u64::MAX);
-        } else {
-            fill_uniform_indices(span, buf, rng);
-            topo.apply_moves(block, buf);
-        }
+        fill_uniform_indices(span, buf, rng);
+        topo.apply_moves(block, buf);
     }
-    (draw_ns, apply_ns)
 }
 
 /// The stay threshold of a lazy coin: `gen_bool(p)` stays when
@@ -380,7 +361,7 @@ mod tests {
             );
             let after_ref = rng.next_u64();
             let mut rng = SmallRng::seed_from_u64(seed);
-            step_slice_pure_batched::<false, _, _>(&topo, span, &mut batched, &mut rng);
+            step_slice_pure_batched(&topo, span, &mut batched, &mut rng);
             assert_eq!(reference, batched);
             assert_eq!(after_ref, rng.next_u64(), "residual RNG state differs");
         }
@@ -448,35 +429,6 @@ mod tests {
         let t = Torus2d::new(4);
         let mut pos = vec![0u32; STREAM_BLOCK + 1];
         step_block_lazy(&t, 4, 0.5, &mut pos, &mut SmallRng::seed_from_u64(1));
-    }
-
-    #[test]
-    fn timed_batched_kernel_is_bit_identical_to_untimed() {
-        fn check<T: Topology>(topo: T, span: u64, n: usize, seed: u64) {
-            let mut plain: Vec<u32> = (0..n)
-                .map(|i| (i as u64 % topo.num_nodes()) as u32)
-                .collect();
-            let mut timed = plain.clone();
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let untimed = step_slice_pure_batched::<false, _, _>(&topo, span, &mut plain, &mut rng);
-            assert_eq!(untimed, (0, 0), "the untimed kernel reads no clock");
-            let after_plain = rng.next_u64();
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let (draw_ns, apply_ns) =
-                step_slice_pure_batched::<true, _, _>(&topo, span, &mut timed, &mut rng);
-            assert_eq!(plain, timed);
-            assert_eq!(after_plain, rng.next_u64(), "residual RNG state differs");
-            // Sanity: both phases ran (clock may be coarse, so only
-            // require the totals not to be simultaneously zero for a
-            // non-trivial slice).
-            assert!(draw_ns > 0 || apply_ns > 0 || n < SAMPLE_BATCH);
-        }
-        for seed in 0..4 {
-            check(Torus2d::new(16), 4, 1000, seed);
-            check(Hypercube::new(5), 5, 321, seed);
-            check(Ring::new(77), 2, 130, seed);
-            check(CompleteGraph::new(1000), 1000, 500, seed);
-        }
     }
 
     #[test]

@@ -286,7 +286,8 @@ impl Checkpoint {
     /// Returns a message describing the first structural problem (bad
     /// magic, malformed line, truncated shard block, duplicate or
     /// out-of-range shard index, or accumulator state no real aggregate
-    /// can hold: NaN moments, histogram counts that do not add up).
+    /// can hold: NaN moments, histogram counts that do not add up, more
+    /// in-band errors than error samples).
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         if lines.next() != Some(MAGIC) {
@@ -327,6 +328,12 @@ impl Checkpoint {
             }
             let est = parse_moments("est", lines.next().ok_or("truncated shard block")?)?;
             let err = parse_moments("err", lines.next().ok_or("truncated shard block")?)?;
+            if within > err.count() {
+                return Err(format!(
+                    "shard {idx}: within {within} exceeds its {} error samples",
+                    err.count()
+                ));
+            }
             let aux = parse_moments("aux", lines.next().ok_or("truncated shard block")?)?;
             let hist_line = lines.next().ok_or("truncated shard block")?;
             let toks: Vec<&str> = hist_line.split_whitespace().collect();
@@ -480,6 +487,10 @@ mod tests {
             (
                 edit_line(&good, "est", |t| t[2] = "7ff8000000000000".into()),
                 "NaN",
+            ),
+            (
+                edit_line(&good, "shard", |t| t[5] = "41".into()),
+                "exceeds its 40 error samples",
             ),
             (
                 edit_line(

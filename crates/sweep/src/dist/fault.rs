@@ -266,7 +266,7 @@ impl FaultFilter {
 }
 
 /// Tampers a RESULT blob while keeping it well-formed: the first
-/// cell's `within` count is bumped, so the blob parses and merges
+/// cell's `trials` count is bumped, so the blob parses and merges
 /// cleanly but is byte-unequal to the honest one — exactly what the
 /// first-valid-result-wins duplicate check must catch. Non-RESULT
 /// messages pass unchanged.
@@ -276,7 +276,7 @@ fn tamper(msg: Msg) -> Msg {
             let blob = match Checkpoint::parse(&blob) {
                 Ok(mut ck) => {
                     if let Some(agg) = ck.shards.values_mut().next() {
-                        agg.within += 1;
+                        agg.trials += 1;
                     }
                     ck.to_text()
                 }

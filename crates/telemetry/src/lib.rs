@@ -8,7 +8,9 @@
 //!   bumped with one relaxed `fetch_add`.
 //! * **Duration histograms** — 64 log₂-spaced nanosecond buckets per
 //!   metric, each an `AtomicU64`; recording is three relaxed RMWs and
-//!   never locks.
+//!   never locks. A [`HistogramTally`] is the same histogram held by
+//!   one owner with plain adds, merged in with one RMW per non-empty
+//!   bucket ([`SpanMetric::merge`]).
 //! * **Spans** ([`SpanMetric`], [`Span`]) — RAII timers that feed the
 //!   same-named histogram on drop and, when tracing is on, push a
 //!   [`TraceEvent`] for Chrome/Perfetto export
@@ -24,7 +26,10 @@
 //! telemetry is **disabled** (the default) every entry point degrades
 //! to a single `Relaxed` load of one global flag — instrumented code
 //! is expected to hoist that check to coarse granularity (the engine
-//! checks once per *round*, never inside the per-agent loop).
+//! checks once per *round*, never inside the per-agent loop). Code that
+//! records many times a second keeps a [`HistogramTally`] and merges it
+//! at a coarse boundary: the engine tallies its rounds per engine and
+//! merges once, when the engine drops.
 //!
 //! ## Determinism guarantee
 //!
@@ -44,7 +49,8 @@ pub mod trace;
 
 pub use json::Json;
 pub use registry::{
-    counter, duration_histogram, snapshot, Counter, HistogramSnapshot, LazyCounter, Snapshot,
+    counter, duration_histogram, snapshot, Counter, HistogramSnapshot, HistogramTally, LazyCounter,
+    Snapshot,
 };
 pub use span::{Span, SpanMetric};
 pub use trace::{chrome_trace_json, set_tracing, take_trace, tracing, TraceEvent};

@@ -9,7 +9,7 @@
 //! When telemetry is disabled `start` costs one relaxed load and the
 //! guard is inert (no `Instant::now`, no drop work).
 
-use crate::registry::{duration_histogram, DurationHistogram};
+use crate::registry::{duration_histogram, DurationHistogram, HistogramTally};
 use crate::trace;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -36,7 +36,9 @@ impl SpanMetric {
         self.name
     }
 
-    fn histogram(&self) -> DurationHistogram {
+    /// The registry-backed histogram, registering the name on first
+    /// use.
+    pub fn handle(&self) -> DurationHistogram {
         *self.histo.get_or_init(|| duration_histogram(self.name))
     }
 
@@ -64,30 +66,34 @@ impl SpanMetric {
     /// is disabled.
     pub fn record_duration_ns(&'static self, ns: u64) {
         if crate::enabled() {
-            self.histogram().record_ns(ns);
+            self.handle().record_ns(ns);
         }
     }
 
-    /// Records an externally measured interval: `dur_ns` into the
-    /// histogram and, when tracing, a trace event laid `offset_ns`
-    /// after `anchor` with the given viewer arguments. Used for
-    /// accumulated sub-phase totals (e.g. RNG-draw vs `apply_moves`
-    /// time within one round) that are not single contiguous
-    /// intervals, and for spans whose arguments are only known at the
-    /// end. No-op when telemetry is disabled.
-    pub fn record_interval_at(
+    /// Pushes a trace event laid `offset_ns` after `anchor`, with the
+    /// given viewer arguments, when tracing is active; records nothing
+    /// into the histogram. For call sites that measure their own
+    /// intervals, keep the durations in a [`HistogramTally`] and
+    /// [`Self::merge`] it later.
+    pub fn trace_at(
         &'static self,
         anchor: Instant,
         offset_ns: u64,
         dur_ns: u64,
         args: &[(&'static str, f64)],
     ) {
-        if !crate::enabled() {
-            return;
-        }
-        self.histogram().record_ns(dur_ns);
         if trace::tracing() {
             trace::push_event(self.name, anchor, offset_ns, dur_ns, args);
+        }
+    }
+
+    /// Folds a [`HistogramTally`] into this span's histogram (one relaxed
+    /// RMW per non-empty bucket, plus count and sum). An empty tally
+    /// registers nothing. Does not check the enable flag: a tally holds
+    /// only what its owner chose to record.
+    pub fn merge(&'static self, tally: &HistogramTally) {
+        if tally.count() > 0 {
+            self.handle().merge(tally);
         }
     }
 }
@@ -122,7 +128,7 @@ impl Drop for Span {
             return;
         };
         let ns = u64::try_from(live.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        live.metric.histogram().record_ns(ns);
+        live.metric.handle().record_ns(ns);
         if trace::tracing() {
             trace::push_event(live.metric.name, live.start, 0, ns, &live.args);
         }
@@ -159,7 +165,11 @@ mod tests {
         crate::set_enabled(true);
         static SPAN: SpanMetric = SpanMetric::new("test.span.accum");
         SPAN.record_duration_ns(1234);
-        SPAN.record_interval_at(Instant::now(), 10, 56, &[("k", 1.0)]);
+        let mut tally = HistogramTally::new();
+        tally.record_ns(56);
+        SPAN.merge(&tally);
+        // A trace event alone leaves the histogram as it is.
+        SPAN.trace_at(Instant::now(), 10, 56, &[("k", 1.0)]);
         let snap = crate::snapshot();
         let h = snap.histogram("test.span.accum").unwrap();
         assert_eq!(h.count, 2);
