@@ -15,8 +15,6 @@ use antdensity_stats::quantile;
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::rng::SeedSequence;
 use antdensity_stats::table::{format_sig, Table};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Corrected Algorithm 4 counts of `w` walkers stacked on one cell: a
 /// short engine loop drifts them in lockstep for `t` rounds and the
@@ -28,13 +26,10 @@ fn stacked_walker_counts(torus: Torus2d, w: usize, t: u64) -> Vec<u64> {
     // Move index 2 is the paper's (0, 1) drift step on the 2-d torus.
     engine.set_movement_all(&MovementModel::Drift { move_index: 2 });
     engine.place_at(&vec![start; w]);
-    // Drifting agents draw no randomness; the generator only fills the
-    // stepping signature.
-    let mut rng = SmallRng::seed_from_u64(0);
     let mut tallies = EncounterTallies::new(w, false);
     let mut counts = vec![0u32; w];
     for round in 1..=t {
-        engine.step_round(&mut rng);
+        engine.step_round();
         for (a, c) in counts.iter_mut().enumerate() {
             *c = engine.count(a);
         }

@@ -29,7 +29,7 @@
 //!
 //! Run everything with `cargo run -p antdensity-bench --bin repro --release -- all`.
 //!
-//! `repro bench` times the engine's stepping paths and writes the
+//! `repro bench` times the engine's round and writes the
 //! machine-readable `BENCH_engine.json` ([`perf`]), the perf trajectory
 //! CI tracks from PR to PR; `repro bench --compare` gates the result
 //! against the committed `BENCH_baseline.json` (median-of-ratios, 25%

@@ -1,9 +1,9 @@
 //! Machine-readable engine throughput benchmarks: `BENCH_engine.json`.
 //!
 //! This module is the workspace's kernel benchmark harness and its
-//! tracked perf trajectory. `repro bench` times the engine's stepping
-//! paths — the monomorphized sequential kernel, the CSR gather kernel,
-//! observer fusion and the other [`GROUPS`] — and writes one JSON file
+//! tracked perf trajectory. `repro bench` times the engine's round on
+//! native and CSR topologies, its telemetry gate, observer fusion and
+//! the other [`GROUPS`] — and writes one JSON file
 //! that CI uploads as an
 //! artifact, so every change's throughput is comparable to the last.
 //! The daemon, the wire and the shard cache are timed end to end by
@@ -41,7 +41,6 @@ use crate::report::Effort;
 use antdensity_engine::sampling::{
     fill_uniform_indices, fill_uniform_indices_lanes, lane_rngs, RNG_LANES,
 };
-use antdensity_engine::step::step_slice_pure_batched;
 use antdensity_engine::{CountsEngine, DenseOccupancy, Engine, STREAM_BLOCK};
 use antdensity_graphs::{generators, CsrGraph, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
@@ -100,6 +99,14 @@ fn median_ns_per_round<F: FnMut()>(mut round: F, rounds: u64, samples: usize) ->
     times[times.len() / 2] as f64 / rounds as f64
 }
 
+/// A pure-walk engine on `topo` that places from `seed` and steps on
+/// `SeedSequence::new(seed)`.
+fn seeded_engine<T: Topology>(topo: T, agents: usize, seed: u64) -> Engine<T> {
+    let mut engine = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(seed));
+    engine.place_uniform(&mut SmallRng::seed_from_u64(seed));
+    engine
+}
+
 /// Rounds per timed batch: aim for a fixed number of agent-steps so
 /// every configuration gets comparable measurement mass.
 fn rounds_for(agents: usize, effort: Effort) -> u64 {
@@ -133,7 +140,6 @@ fn result(
 /// that family, and a `--compare` gate evaluates just its rows (the
 /// baseline's other families are simply not matched).
 pub const GROUPS: &[&str] = &[
-    "sequential",
     "csr_stepping",
     "observer_fusion",
     "telemetry_overhead",
@@ -176,21 +182,6 @@ pub fn run_engine_bench_group(
         Effort::Full => &[1024, 16_384, 262_144],
     };
     let mut results = Vec::new();
-
-    for &agents in agent_grid {
-        let rounds = rounds_for(agents, effort);
-
-        if want("sequential") {
-            // Sequential legacy-order path (monomorphized + batched
-            // kernel).
-            let mut engine = Engine::new(Torus2d::new(SIDE), agents);
-            let mut rng = SmallRng::seed_from_u64(1);
-            engine.place_uniform(&mut rng);
-            let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
-            results.push(result("sequential", "mono", agents, 1, ns));
-        }
-    }
-
     if want("csr_stepping") {
         bench_csr_stepping(effort, agent_grid, &mut results);
     }
@@ -243,10 +234,8 @@ fn bench_mega_scale(effort: Effort, results: &mut Vec<EngineBenchResult>) {
         // the slow side and bounds the suite's wall clock.
         let rounds = 4;
 
-        let mut engine = Engine::new(Torus2d::new(MEGA_SIDE), agents);
-        let mut rng = SmallRng::seed_from_u64(9);
-        engine.place_uniform(&mut rng);
-        let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
+        let mut engine = seeded_engine(Torus2d::new(MEGA_SIDE), agents, 9);
+        let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
         results.push(result("mega_scale", "agent_level", agents, 1, ns));
 
         let mut engine = CountsEngine::new(Torus2d::new(MEGA_SIDE), agents as u64)
@@ -344,8 +333,9 @@ const CSR_RR_DEGREE: usize = 8;
 /// stream; the native path applies moves with branchless wrap
 /// arithmetic, the CSR path with an offset load plus a target gather),
 /// and a random `8`-regular CSR graph — the "bring your own graph"
-/// workload with no structured fast path at all. Sequential stepping:
-/// the group isolates the per-agent topology cost, not scheduling.
+/// workload with no structured fast path at all. Rounds step on the
+/// calling thread: the group isolates the per-agent topology cost, not
+/// scheduling.
 fn bench_csr_stepping(effort: Effort, agent_grid: &[usize], results: &mut Vec<EngineBenchResult>) {
     let csr_torus = CsrGraph::from_topology(&Torus2d::new(SIDE));
     let mut build_rng = SmallRng::seed_from_u64(42);
@@ -355,22 +345,16 @@ fn bench_csr_stepping(effort: Effort, agent_grid: &[usize], results: &mut Vec<En
     for &agents in agent_grid {
         let rounds = rounds_for(agents, effort);
 
-        let mut engine = Engine::new(Torus2d::new(SIDE), agents);
-        let mut rng = SmallRng::seed_from_u64(3);
-        engine.place_uniform(&mut rng);
-        let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
+        let mut engine = seeded_engine(Torus2d::new(SIDE), agents, 3);
+        let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
         results.push(result("csr_stepping", "torus_native", agents, 1, ns));
 
-        let mut engine = Engine::new(csr_torus.clone(), agents);
-        let mut rng = SmallRng::seed_from_u64(3);
-        engine.place_uniform(&mut rng);
-        let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
+        let mut engine = seeded_engine(csr_torus.clone(), agents, 3);
+        let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
         results.push(result("csr_stepping", "torus_csr", agents, 1, ns));
 
-        let mut engine = Engine::new(random_regular.clone(), agents);
-        let mut rng = SmallRng::seed_from_u64(3);
-        engine.place_uniform(&mut rng);
-        let ns = median_ns_per_round(|| engine.step_round(&mut rng), rounds, SAMPLES);
+        let mut engine = seeded_engine(random_regular.clone(), agents, 3);
+        let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
         results.push(result("csr_stepping", "random_regular_csr", agents, 1, ns));
     }
 }
@@ -452,17 +436,15 @@ fn bench_observer_fusion(effort: Effort, results: &mut Vec<EngineBenchResult>) {
 /// The telemetry cost-model group, proving the `antdensity-telemetry`
 /// budget empirically:
 ///
-/// * `untouched` — a hand-rolled per-block round with the same per-round
-///   [`SeedSequence::subsequence`] derivation, per-`STREAM_BLOCK`
-///   streams and occupancy rebuild as [`Engine::step_round_parallel`],
-///   each block stepped by the public [`step_slice_pure_batched`]
-///   kernel (the same draws and positions as the engine's whole-round
-///   draw then apply), with **no** telemetry call sites at all. Using
-///   [`Engine::step_round`] here would conflate the gate cost with the
-///   mono kernel's different RNG regime (one continuous stream versus
-///   one derived stream per block per round), a path difference that
-///   predates telemetry;
-/// * `disabled` — the instrumented [`Engine::step_round_parallel`]
+/// * `untouched` — the engine's pure round minus the gate, hand-rolled:
+///   the same per-round [`SeedSequence::subsequence`] derivation, each
+///   `STREAM_BLOCK` block's move indices filled by
+///   [`fill_uniform_indices`] from its own stream into one buffer, one
+///   [`Topology::apply_moves`] and the occupancy rebuild, with **no**
+///   telemetry call sites at all. (From `2^18` agents, a size only the
+///   full run reaches, the engine applies with the tiled gather
+///   instead);
+/// * `disabled` — the instrumented [`Engine::step_round`]
 ///   with the global flag off: the per-round cost is exactly one
 ///   relaxed atomic load, so this row must sit within noise of
 ///   `untouched`;
@@ -489,6 +471,7 @@ fn bench_telemetry_overhead(
             .map(|d| d as u64)
             .expect("the 2-d torus is regular");
         let mut positions = vec![0u32; agents];
+        let mut moves = vec![0u32; agents];
         let mut occ = DenseOccupancy::new(topo.num_nodes());
         let mut rng = SmallRng::seed_from_u64(5);
         for p in positions.iter_mut() {
@@ -500,10 +483,10 @@ fn bench_telemetry_overhead(
         let ns = median_ns_per_round(
             || {
                 let round_seq = seeds.subsequence(round);
-                for (j, block) in positions.chunks_mut(STREAM_BLOCK).enumerate() {
-                    let mut rng = round_seq.rng(j as u64);
-                    step_slice_pure_batched(&topo, span, block, &mut rng);
+                for (b, chunk) in moves.chunks_mut(STREAM_BLOCK).enumerate() {
+                    fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
                 }
+                topo.apply_moves(&mut positions, &moves);
                 occ.rebuild(&positions);
                 round += 1;
             },
@@ -518,7 +501,7 @@ fn bench_telemetry_overhead(
                 Engine::new(Torus2d::new(SIDE), agents).with_seed_sequence(SeedSequence::new(7));
             let mut rng = SmallRng::seed_from_u64(5);
             engine.place_uniform(&mut rng);
-            let ns = median_ns_per_round(|| engine.step_round_parallel(), rounds, SAMPLES);
+            let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
             antdensity_telemetry::set_enabled(false);
             results.push(result("telemetry_overhead", implementation, agents, 1, ns));
         }
@@ -744,8 +727,8 @@ impl EngineBenchReport {
             .collect()
     }
 
-    /// Telemetry cost relative to the untouched sequential kernel, by
-    /// agent count: `disabled_ratio`/`enabled_ratio` are
+    /// Telemetry cost relative to the engine's round without the gate,
+    /// by agent count: `disabled_ratio`/`enabled_ratio` are
     /// time-per-agent-step ratios against the `untouched` row (1.0 =
     /// free; the disabled row's budget is "within noise").
     pub fn telemetry_overheads(&self) -> Vec<TelemetryOverhead> {
@@ -821,10 +804,8 @@ pub fn parse_json(text: &str) -> Result<EngineBenchReport, String> {
     // a freshly measured one.
     fn intern(s: &str) -> Option<&'static str> {
         [
-            "sequential",
             "observer_fusion",
             "csr_stepping",
-            "mono",
             "fused",
             "unfused",
             "torus_native",
@@ -978,22 +959,45 @@ impl BenchComparison {
 ///
 /// # Errors
 ///
-/// Returns an error if no configuration matches between the two
-/// reports (nothing to gate on).
+/// Returns an error naming them if a baseline configuration of a group
+/// the current run measured has no current counterpart (a deleted or
+/// renamed row would otherwise shrink the gate unnoticed), or if no
+/// configuration matches between the two reports (nothing to gate on).
 pub fn compare(
     current: &EngineBenchReport,
     baseline: &EngineBenchReport,
     tolerance: f64,
 ) -> Result<BenchComparison, String> {
+    fn same_config(a: &EngineBenchResult, b: &EngineBenchResult) -> bool {
+        a.group == b.group
+            && a.implementation == b.implementation
+            && a.agents == b.agents
+            && a.workers == b.workers
+    }
+    let missing: Vec<String> = baseline
+        .results
+        .iter()
+        .filter(|b| current.results.iter().any(|c| c.group == b.group))
+        .filter(|b| !current.results.iter().any(|c| same_config(c, b)))
+        .map(|b| {
+            format!(
+                "{}/{}/{}/{}",
+                b.group, b.implementation, b.agents, b.workers
+            )
+        })
+        .collect();
+    if !missing.is_empty() {
+        return Err(format!(
+            "{} baseline config(s) of measured groups missing from this run \
+             (group/impl/agents/workers): {}",
+            missing.len(),
+            missing.join(", ")
+        ));
+    }
     let mut rows = Vec::new();
     let mut unmatched = 0usize;
     for cur in &current.results {
-        match baseline.results.iter().find(|b| {
-            b.group == cur.group
-                && b.implementation == cur.implementation
-                && b.agents == cur.agents
-                && b.workers == cur.workers
-        }) {
+        match baseline.results.iter().find(|b| same_config(b, cur)) {
             Some(base) => rows.push(CompareRow {
                 group: cur.group,
                 implementation: cur.implementation,
@@ -1021,8 +1025,8 @@ pub fn compare(
     })
 }
 
-/// Telemetry cost at one population size, relative to the untouched
-/// sequential kernel (time ratios; 1.0 = free).
+/// Telemetry cost at one population size, relative to the engine's
+/// round without the gate (time ratios; 1.0 = free).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryOverhead {
     /// Population size.
@@ -1052,8 +1056,8 @@ mod tests {
                     msteps_per_sec: 100.0,
                 },
                 EngineBenchResult {
-                    group: "sequential",
-                    implementation: "mono",
+                    group: "rng_batch",
+                    implementation: "seq_fill",
                     agents: 1024,
                     workers: 1,
                     ns_per_agent_step: 25.0,
@@ -1262,7 +1266,7 @@ mod tests {
     fn json_is_well_formed_and_complete() {
         let json = tiny_report().to_json();
         assert!(json.contains("\"bench\": \"engine\""));
-        assert!(json.contains("\"impl\": \"mono\""));
+        assert!(json.contains("\"impl\": \"seq_fill\""));
         assert!(json.contains("\"ns_per_agent_step\": 10,"));
         // no trailing comma before the closing bracket
         assert!(!json.contains(",\n  ]"));
@@ -1368,8 +1372,8 @@ mod tests {
             samples: 5,
             results: (0..5)
                 .map(|i| EngineBenchResult {
-                    group: "sequential",
-                    implementation: "mono",
+                    group: "csr_stepping",
+                    implementation: "torus_native",
                     agents: 1024 << i,
                     workers: 1,
                     ns_per_agent_step: 10.0,
@@ -1382,6 +1386,28 @@ mod tests {
         let cmp = compare(&current, &base, 0.25).unwrap();
         assert_eq!(cmp.rows.len(), 5);
         assert!(!cmp.regressed(), "median ratio {}", cmp.median_ratio);
+    }
+
+    #[test]
+    fn compare_fails_on_a_vanished_baseline_row() {
+        let mut base = tiny_report();
+        base.results.push(EngineBenchResult {
+            group: "rng_batch",
+            implementation: "lane_fill",
+            agents: 1024,
+            workers: 1,
+            ns_per_agent_step: 20.0,
+            msteps_per_sec: 50.0,
+        });
+        // The run measured `rng_batch` but has no `lane_fill` row.
+        let err = compare(&tiny_report(), &base, 0.25).unwrap_err();
+        assert!(err.starts_with("1 baseline config(s)"), "{err}");
+        assert!(err.contains("rng_batch/lane_fill/1024/1"), "{err}");
+        // A run of one group (`--group dist_sweep`) expects only its rows.
+        let mut one_group = tiny_report();
+        one_group.results.retain(|r| r.group == "dist_sweep");
+        let cmp = compare(&one_group, &base, 0.25).unwrap();
+        assert_eq!((cmp.rows.len(), cmp.unmatched), (1, 0));
     }
 
     #[test]

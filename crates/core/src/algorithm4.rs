@@ -9,7 +9,6 @@ mod tests {
         RoundEvents, Scenario, ScenarioOutcome, TopologySpec,
     };
     use antdensity_graphs::{NodeId, Torus2d};
-    use antdensity_stats::rng::SeedSequence;
 
     fn algorithm4(side: u64, agents: usize, rounds: u64) -> Scenario {
         Scenario::new(TopologySpec::Torus2d { side }, agents, rounds)
@@ -36,12 +35,10 @@ mod tests {
             engine.set_movement(a, model);
         }
         engine.place_at(starts);
-        // Drift and stationary moves draw nothing from the generator.
-        let mut rng = SeedSequence::new(0).rng(0);
         let mut tallies = EncounterTallies::new(n, false);
         let mut counts = vec![0u32; n];
         for round in 1..=rounds {
-            engine.step_round(&mut rng);
+            engine.step_round();
             for (a, c) in counts.iter_mut().enumerate() {
                 *c = engine.count(a);
             }

@@ -222,12 +222,11 @@ pub fn run_with_placement(
         .map(|i| local_density(torus, positions, positions[i], Some(i), local_radius))
         .collect();
     let seq = SeedSequence::new(seed);
-    let mut rng = seq.rng(0);
-    let mut engine = Engine::new(torus, n);
+    let mut engine = Engine::new(torus, n).with_seed_sequence(seq.subsequence(1));
     engine.place_at(positions);
     let mut counts = vec![0u64; n];
     for _ in 0..rounds {
-        engine.step_round(&mut rng);
+        engine.step_round();
         for (a, c) in counts.iter_mut().enumerate() {
             *c += engine.count(a) as u64;
         }
@@ -362,6 +361,16 @@ mod tests {
             "uniform placement: mean {mean_est} vs global {}",
             run.global_truth
         );
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        // Placement is fixed, so only the walk can tell seeds apart.
+        let t = Torus2d::new(16);
+        let pos: Vec<NodeId> = (0..40).map(|i| (i * 7) % 256).collect();
+        let run = |seed| run_with_placement(&t, &pos, 64, 2, seed);
+        assert_eq!(run(3), run(3));
+        assert_ne!(run(3), run(4));
     }
 
     #[test]

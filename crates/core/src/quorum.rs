@@ -92,13 +92,12 @@ impl QuorumSensor {
     pub fn run<T: Topology>(&self, topo: &T, num_agents: usize, seed: u64) -> Vec<QuorumOutcome> {
         assert!(num_agents > 0, "need at least one agent");
         let seq = SeedSequence::new(seed);
-        let mut rng = seq.rng(0);
-        let mut engine = Engine::new(topo, num_agents);
-        engine.place_uniform(&mut rng);
+        let mut engine = Engine::new(topo, num_agents).with_seed_sequence(seq.subsequence(1));
+        engine.place_uniform(&mut seq.rng(0));
         let mut observer = SequentialQuorum::new(*self, num_agents);
         let mut counts = vec![0u32; num_agents];
         for round in 1..=self.max_rounds {
-            engine.step_round(&mut rng);
+            engine.step_round();
             for (a, slot) in counts.iter_mut().enumerate() {
                 *slot = engine.count(a);
             }
@@ -380,6 +379,7 @@ mod tests {
         let topo = Torus2d::new(16);
         let sensor = QuorumSensor::new(0.2, 0.1, 128);
         assert_eq!(sensor.run(&topo, 20, 7), sensor.run(&topo, 20, 7));
+        assert_ne!(sensor.run(&topo, 20, 7), sensor.run(&topo, 20, 8));
     }
 
     #[test]

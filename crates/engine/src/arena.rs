@@ -1,27 +1,33 @@
 //! Unit tests of the paper's synchronous model (Section 2) as
-//! [`crate::Engine`] executes it when stepped round by round
-//! from one caller-supplied RNG: occupancy conservation, the
-//! `count(position)` sensing primitive, property groups, movement models
-//! and the Section 6.1 avoidance/flee variants.
+//! [`crate::Engine`] executes it round by round: occupancy conservation,
+//! the `count(position)` sensing primitive, property groups, movement
+//! models and the Section 6.1 avoidance/flee variants.
 
 mod tests {
     use crate::{Engine, MovementModel};
     use antdensity_graphs::{CompleteGraph, NodeId, Topology, Torus2d};
+    use antdensity_stats::rng::SeedSequence;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn small_arena(agents: usize, seed: u64) -> (Engine<Torus2d>, SmallRng) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = Engine::new(Torus2d::new(8), agents);
-        arena.place_uniform(&mut rng);
-        (arena, rng)
+    /// An unplaced engine on `topo` that steps on
+    /// `SeedSequence::new(seed)`.
+    fn seeded<T: Topology>(topo: T, agents: usize, seed: u64) -> Engine<T> {
+        Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(seed))
+    }
+
+    /// [`seeded`] on an 8x8 torus, placed from `seed`.
+    fn small_arena(agents: usize, seed: u64) -> Engine<Torus2d> {
+        let mut arena = seeded(Torus2d::new(8), agents, seed);
+        arena.place_uniform(&mut SmallRng::seed_from_u64(seed));
+        arena
     }
 
     #[test]
     fn occupancy_sums_to_agent_count() {
-        let (mut arena, mut rng) = small_arena(20, 1);
+        let mut arena = small_arena(20, 1);
         for _ in 0..10 {
-            arena.step_round(&mut rng);
+            arena.step_round();
             let total: u32 = (0..arena.topology().num_nodes())
                 .map(|v| arena.occupancy(v))
                 .sum();
@@ -32,9 +38,9 @@ mod tests {
     #[test]
     fn count_is_symmetric_pairwise() {
         // if i and j share a node, both counts include each other
-        let (mut arena, mut rng) = small_arena(30, 2);
+        let mut arena = small_arena(30, 2);
         for _ in 0..20 {
-            arena.step_round(&mut rng);
+            arena.step_round();
             for i in 0..30 {
                 for j in (i + 1)..30 {
                     let together = arena.position(i) == arena.position(j);
@@ -49,8 +55,8 @@ mod tests {
 
     #[test]
     fn count_matches_occupancy_minus_one() {
-        let (mut arena, mut rng) = small_arena(25, 3);
-        arena.step_round(&mut rng);
+        let mut arena = small_arena(25, 3);
+        arena.step_round();
         for a in 0..25 {
             assert_eq!(arena.count(a), arena.occupancy(arena.position(a)) - 1);
         }
@@ -59,9 +65,9 @@ mod tests {
     #[test]
     fn total_collision_count_is_even() {
         // Sum over agents of count() double-counts each colliding pair.
-        let (mut arena, mut rng) = small_arena(40, 4);
+        let mut arena = small_arena(40, 4);
         for _ in 0..10 {
-            arena.step_round(&mut rng);
+            arena.step_round();
             let total: u32 = (0..40).map(|a| arena.count(a)).sum();
             assert_eq!(total % 2, 0);
         }
@@ -78,11 +84,11 @@ mod tests {
 
     #[test]
     fn stationary_agents_do_not_move() {
-        let (mut arena, mut rng) = small_arena(5, 5);
+        let mut arena = small_arena(5, 5);
         arena.set_movement_all(&MovementModel::Stationary);
         let before: Vec<NodeId> = (0..5).map(|a| arena.position(a)).collect();
         for _ in 0..10 {
-            arena.step_round(&mut rng);
+            arena.step_round();
         }
         let after: Vec<NodeId> = (0..5).map(|a| arena.position(a)).collect();
         assert_eq!(before, after);
@@ -90,26 +96,25 @@ mod tests {
 
     #[test]
     fn mixed_movement_models() {
-        let (mut arena, mut rng) = small_arena(3, 6);
+        let mut arena = small_arena(3, 6);
         arena.set_movement(0, MovementModel::Stationary);
         arena.set_movement(1, MovementModel::Drift { move_index: 2 });
         let p0 = arena.position(0);
         let p1 = arena.position(1);
-        arena.step_round(&mut rng);
+        arena.step_round();
         assert_eq!(arena.position(0), p0);
         assert_eq!(arena.position(1), arena.topology().offset(p1, 0, 1));
     }
 
     #[test]
     fn place_at_and_adversarial_stack() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut arena = Engine::new(Torus2d::new(4), 4);
+        let mut arena = seeded(Torus2d::new(4), 4, 7);
         arena.place_at(&[5, 5, 5, 2]);
         assert_eq!(arena.count(0), 2);
         assert_eq!(arena.count(3), 0);
         assert_eq!(arena.occupancy(5), 3);
         assert_eq!(arena.occupied_nodes(), 2);
-        arena.step_round(&mut rng);
+        arena.step_round();
         assert_eq!(arena.round(), 1);
     }
 
@@ -148,11 +153,11 @@ mod tests {
 
     #[test]
     fn reproducible_given_seed() {
-        let (mut a1, mut r1) = small_arena(10, 99);
-        let (mut a2, mut r2) = small_arena(10, 99);
+        let mut a1 = small_arena(10, 99);
+        let mut a2 = small_arena(10, 99);
         for _ in 0..20 {
-            a1.step_round(&mut r1);
-            a2.step_round(&mut r2);
+            a1.step_round();
+            a2.step_round();
         }
         let p1: Vec<NodeId> = (0..10).map(|a| a1.position(a)).collect();
         let p2: Vec<NodeId> = (0..10).map(|a| a2.position(a)).collect();
@@ -164,14 +169,13 @@ mod tests {
         // behavioural variants have their documented sign. (At extreme
         // densities near 0.5 the flee effect can invert.)
         let agents = 32;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = Engine::new(Torus2d::new(16), agents);
+        let mut arena = seeded(Torus2d::new(16), agents, seed);
         arena.set_avoidance(avoid);
         arena.set_flee(flee);
-        arena.place_uniform(&mut rng);
+        arena.place_uniform(&mut SmallRng::seed_from_u64(seed));
         let mut total = 0u64;
         for _ in 0..600 {
-            arena.step_round(&mut rng);
+            arena.step_round();
             total += (0..agents).map(|a| arena.count(a) as u64).sum::<u64>();
         }
         total
@@ -204,18 +208,15 @@ mod tests {
 
     #[test]
     fn zero_avoidance_matches_pure_model() {
-        let mut r1 = SmallRng::seed_from_u64(50);
-        let mut a1 = Engine::new(Torus2d::new(8), 10);
-        a1.place_uniform(&mut r1);
-        let mut r2 = SmallRng::seed_from_u64(50);
-        let mut a2 = Engine::new(Torus2d::new(8), 10);
+        let mut a1 = small_arena(10, 50);
+        let mut a2 = seeded(Torus2d::new(8), 10, 50);
         a2.set_avoidance(Some(0.0));
-        a2.place_uniform(&mut r2);
+        a2.place_uniform(&mut SmallRng::seed_from_u64(50));
         for _ in 0..20 {
-            a1.step_round(&mut r1);
-            a2.step_round(&mut r2);
+            a1.step_round();
+            a2.step_round();
         }
-        // rng consumption differs (gen_bool draws), so compare statistics
+        // stream consumption differs (gen_bool draws), so compare statistics
         // not trajectories: both must conserve occupancy and stay placed.
         let t1: u32 = (0..10).map(|a| a1.count(a)).sum();
         let t2: u32 = (0..10).map(|a| a2.count(a)).sum();
@@ -233,9 +234,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "place agents")]
     fn stepping_unplaced_arena_panics() {
-        let mut rng = SmallRng::seed_from_u64(1);
         let mut arena = Engine::new(Torus2d::new(4), 2);
-        arena.step_round(&mut rng);
+        arena.step_round();
     }
 
     #[test]

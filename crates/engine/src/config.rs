@@ -5,7 +5,7 @@
 //! constant, not a knob.
 
 /// Agents per RNG stream block: the fixed determinism granularity of
-/// [`Engine::step_round_parallel`](crate::Engine::step_round_parallel).
+/// [`Engine::step_round`](crate::Engine::step_round).
 /// Block `b` of round `r` draws from `seeds.subsequence(r).rng(b)`,
 /// whichever kernel steps the block.
 pub const STREAM_BLOCK: usize = 256;

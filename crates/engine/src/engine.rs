@@ -7,42 +7,33 @@
 //! scratch — the cost per round is O(agents), independent of the node
 //! count and free of hashing.
 //!
-//! Two stepping modes, both single-threaded (parallelism lives one
-//! level up: independent trials fan out over
-//! [`crate::pool::run_trials`]):
+//! [`Engine::step_round`] is the one way to step it. Agents are
+//! partitioned into fixed [`STREAM_BLOCK`]-sized blocks and block `b` of
+//! round `r` draws from an RNG derived from `(seed sequence, round,
+//! block index)`. A block's stream depends only on its index, so the
+//! result is a pure function of `(state, seed sequence, round)`, which
+//! lets a kernel draw words it may not use and lets a round be stepped
+//! in any block order. The round runs on the calling thread; parallelism
+//! lives one level up, where independent trials fan out over
+//! [`crate::pool::run_trials`].
 //!
-//! * [`Engine::step_round`] — draws from a caller-supplied RNG in the
-//!   historical sequential order (agent by agent, so pre-engine seeds
-//!   reproduce bit-for-bit; `engine/tests/engine_equivalence.rs` pins
-//!   this against a replica of the original stepper);
-//! * [`Engine::step_round_parallel`] — agents are partitioned into fixed
-//!   [`STREAM_BLOCK`]-sized blocks and block `b` of round `r` draws from
-//!   an RNG derived from `(seed sequence, round, block index)`. A
-//!   block's stream depends only on its index, so the result is a pure
-//!   function of `(state, seed sequence, round)`, which lets a kernel
-//!   draw words it may not use and lets a round be stepped in any
-//!   block order. The name predates the single-threaded round.
+//! Pure-walk populations on regular topologies draw every block's move
+//! indices into one buffer before applying them all; populations that
+//! all share one `lazy:p` model on a regular power-of-two-span topology
+//! take the batched lazy kernel (`step::step_block_lazy`); every other
+//! population steps agent by agent through [`crate::step::step_slice`].
+//! All three draw what `step_slice` would draw from each block's
+//! stream, so the kernel choice is invisible in results.
 //!
-//! Both modes take a batched path for pure-walk populations on regular
-//! topologies, drawing the identical RNG stream — the fast path is
-//! invisible in results: `step_round` runs
-//! [`crate::step::step_slice_pure_batched`], and a per-block round draws
-//! every block's move indices into one buffer before applying them all.
-//! The per-block mode also routes populations that all share one
-//! `lazy:p` model on a regular power-of-two-span topology through the
-//! batched lazy kernel (`step::step_block_lazy`). That kernel draws
-//! words it may not use, which only a per-block stream can absorb, so
-//! `step_round` keeps the per-agent kernel for them.
-//!
-//! Per-block rounds are instrumented: with telemetry on, each round
-//! records its phase times into the engine's own round tally, which
-//! merges into the registry when the engine drops.
+//! Rounds are instrumented: with telemetry on, each round records its
+//! phase times into the engine's own round tally, which merges into the
+//! registry when the engine drops.
 
 use crate::config::STREAM_BLOCK;
 use crate::movement::MovementModel;
 use crate::occupancy::{DenseOccupancy, GroupOccupancy, BLOCKED_ROUND_MIN_AGENTS, MAX_NODES};
 use crate::sampling::fill_uniform_indices;
-use crate::step::{step_block_lazy, step_slice, step_slice_pure_batched, Interaction};
+use crate::step::{step_block_lazy, step_slice, Interaction};
 use crate::tally::{msteps_per_sec, ns_between, RoundMetrics, RoundTally};
 use antdensity_graphs::{MoveScratch, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
@@ -50,8 +41,7 @@ use antdensity_telemetry as telemetry;
 use rand::RngCore;
 use std::time::Instant;
 
-// Telemetry metrics for the per-block round path. `step_round` (the
-// legacy sequential kernel) stays deliberately uninstrumented.
+// Telemetry metrics of the round.
 static ROUND_METRICS: RoundMetrics<4> = RoundMetrics {
     rounds: telemetry::LazyCounter::new("engine.rounds"),
     agent_steps: telemetry::LazyCounter::new("engine.agent_steps"),
@@ -81,14 +71,13 @@ pub type GroupId = usize;
 /// ```
 /// use antdensity_engine::Engine;
 /// use antdensity_graphs::Torus2d;
-/// use rand::SeedableRng;
-/// use rand::rngs::SmallRng;
+/// use antdensity_stats::rng::SeedSequence;
 ///
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// let mut engine = Engine::new(Torus2d::new(16), 10);
-/// engine.place_uniform(&mut rng);
+/// let seq = SeedSequence::new(1);
+/// let mut engine = Engine::new(Torus2d::new(16), 10).with_seed_sequence(seq.subsequence(1));
+/// engine.place_uniform(&mut seq.rng(0));
 /// for _ in 0..5 {
-///     engine.step_round(&mut rng);
+///     engine.step_round();
 /// }
 /// assert_eq!(engine.round(), 5);
 /// let total: u32 = (0..10).map(|a| engine.count(a)).sum();
@@ -165,7 +154,7 @@ impl<T: Topology> Engine<T> {
         }
     }
 
-    /// Sets the seed sequence that drives [`Self::step_round_parallel`].
+    /// Sets the seed sequence that drives [`Self::step_round`].
     pub fn with_seed_sequence(mut self, seeds: SeedSequence) -> Self {
         self.seeds = seeds;
         self
@@ -368,34 +357,6 @@ impl<T: Topology> Engine<T> {
         }
     }
 
-    /// Executes one synchronous round drawing from `rng` in the historical
-    /// sequential order (agent by agent), then refreshes the
-    /// occupancy index. Generic over the RNG: concrete callers get the
-    /// fully monomorphized kernel, `&mut dyn RngCore` callers the same
-    /// draws through dynamic dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is unplaced.
-    pub fn step_round<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
-        assert!(self.placed, "place agents before stepping");
-        match self.pure_batch_span() {
-            Some(span) => {
-                step_slice_pure_batched(&self.topo, span, &mut self.positions, rng);
-            }
-            None => step_slice(
-                &self.topo,
-                &mut self.positions,
-                &self.movement,
-                &self.occ,
-                &self.interaction,
-                rng,
-            ),
-        }
-        self.round += 1;
-        self.rebuild_occupancy();
-    }
-
     /// Executes one synchronous round on per-block streams: agents are
     /// split into fixed [`STREAM_BLOCK`]-sized blocks and block `b` of
     /// round `r` draws from `seeds.subsequence(r).rng(b)`, so the output
@@ -405,9 +366,9 @@ impl<T: Topology> Engine<T> {
     ///
     /// A pure-walk round on a regular topology draws every block's move
     /// indices into one engine-owned buffer first (block `b` fills its
-    /// slice from `round_seq.rng(b)`; one wide fill draws bit-for-bit
-    /// what [`step_slice_pure_batched`]'s 128-wide fills draw), then
-    /// applies them in one call: [`Topology::apply_moves`], or from
+    /// slice from `round_seq.rng(b)`, drawing bit-for-bit what
+    /// [`step_slice`] draws for pure agents), then applies them in one
+    /// call: [`Topology::apply_moves`], or from
     /// `2^18` agents [`Topology::apply_moves_blocked`], whose gathers
     /// stay within L2-sized node tiles. Other populations step block by
     /// block through the lazy or the per-agent kernel.
@@ -421,13 +382,13 @@ impl<T: Topology> Engine<T> {
     /// # Panics
     ///
     /// Panics if the engine is unplaced.
-    pub fn step_round_parallel(&mut self) {
+    pub fn step_round(&mut self) {
         assert!(self.placed, "place agents before stepping");
         let blocked = self.positions.len() >= BLOCKED_ROUND_MIN_AGENTS;
         self.step_round_with(self.block_kernel(), blocked);
     }
 
-    /// [`Self::step_round_parallel`] through `kernel`, applying pure
+    /// [`Self::step_round`] through `kernel`, applying pure
     /// moves with the tiled gather when `blocked` is set.
     fn step_round_with(&mut self, kernel: BlockKernel, blocked: bool) {
         // The hot path's single telemetry gate: one relaxed load per
@@ -605,11 +566,10 @@ mod tests {
 
     #[test]
     fn occupancy_conserves_agents() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut e = Engine::new(Torus2d::new(8), 20);
-        e.place_uniform(&mut rng);
+        let mut e = Engine::new(Torus2d::new(8), 20).with_seed_sequence(SeedSequence::new(1));
+        e.place_uniform(&mut SmallRng::seed_from_u64(1));
         for _ in 0..10 {
-            e.step_round(&mut rng);
+            e.step_round();
             let total: u32 = (0..e.topology().num_nodes()).map(|v| e.occupancy(v)).sum();
             assert_eq!(total, 20);
             assert!(e.occupied_nodes() <= 20);
@@ -622,7 +582,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         e.place_uniform(&mut rng);
         for _ in 0..8 {
-            e.step_round_parallel();
+            e.step_round();
         }
         assert_eq!(e.round(), 8);
         let total: u32 = (0..e.topology().num_nodes()).map(|v| e.occupancy(v)).sum();
@@ -659,25 +619,21 @@ mod tests {
     #[test]
     fn pure_round_matches_per_block_kernel() {
         // The whole-round draw-then-apply must equal stepping each
-        // stream block through `step_slice_pure_batched` on its own
-        // stream, for partial and exact blocks and both sides of the
-        // kernel's 128-wide fill, whether telemetry times the round or
-        // not. The hypercube's span 10 takes the rejection sampler.
+        // stream block through `step_slice` on its own stream, for
+        // partial and exact blocks, whether telemetry times the round
+        // or not. The hypercube's span 10 takes the rejection sampler.
         fn check<T: Topology>(topo: T, agents: usize) {
             let mut e = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(17));
             e.place_uniform(&mut SmallRng::seed_from_u64(agents as u64));
-            let span = e.pure_batch_span().expect("regular pure walk");
-            let mut want = e.positions.clone();
+            assert!(e.pure_batch_span().is_some(), "regular pure walk");
             for round in 0..6 {
-                let seq = e.seeds.subsequence(round);
-                for (b, block) in want.chunks_mut(STREAM_BLOCK).enumerate() {
-                    step_slice_pure_batched(&e.topo, span, block, &mut seq.rng(b as u64));
-                }
+                let want = per_agent_rounds(&e, 1);
                 // Alternate the gate so timed and untimed rounds mix.
                 telemetry::set_enabled(round % 2 == 0);
-                e.step_round_parallel();
+                e.step_round();
                 telemetry::set_enabled(false);
-                assert_eq!(e.positions, want, "{agents} agents, round {round}");
+                let got: Vec<NodeId> = e.agent_positions().map(|(_, p)| p).collect();
+                assert_eq!(got, want, "{agents} agents, round {round}");
             }
         }
         for agents in [1, 128, 129, 257, 3000] {
@@ -703,10 +659,9 @@ mod tests {
 
     #[test]
     fn count_matches_occupancy_minus_one() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let mut e = Engine::new(Torus2d::new(8), 25);
-        e.place_uniform(&mut rng);
-        e.step_round(&mut rng);
+        let mut e = Engine::new(Torus2d::new(8), 25).with_seed_sequence(SeedSequence::new(6));
+        e.place_uniform(&mut SmallRng::seed_from_u64(6));
+        e.step_round();
         for a in 0..25 {
             assert_eq!(e.count(a), e.occupancy(e.position(a)) - 1);
         }
@@ -800,7 +755,7 @@ mod tests {
         );
         let want = per_agent_rounds(&e, 10);
         for _ in 0..10 {
-            e.step_round_parallel();
+            e.step_round();
         }
         let got: Vec<NodeId> = (0..700).map(|a| e.position(a)).collect();
         assert_eq!(got, want);
@@ -843,7 +798,7 @@ mod tests {
     #[should_panic(expected = "place agents")]
     fn unplaced_parallel_step_panics() {
         let mut e = Engine::new(Torus2d::new(4), 2);
-        e.step_round_parallel();
+        e.step_round();
     }
 
     #[test]

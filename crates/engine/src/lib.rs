@@ -11,15 +11,12 @@
 //!   per-group occupancy as one flat `groups × nodes` buffer.
 //! * [`movement`] — the paper's pure random walk and the Section 6.1 /
 //!   Appendix A variants (lazy, biased, stationary, drift).
-//! * [`step`] — the round kernels, generic over topology *and* RNG so
-//!   concrete call sites monomorphize with zero per-draw virtual
-//!   dispatch. One code path serves the historical sequential draw
-//!   order of [`Engine::step_round`]; a batched pure-walk kernel
-//!   bulk-samples move indices chunk-at-a-time while drawing the
-//!   identical RNG stream.
-//! * [`engine`] — [`Engine`]: struct-of-arrays agent state with
-//!   deterministic per-block stepping. RNG streams are derived per
-//!   `(seed, round, STREAM_BLOCK-sized block)` via
+//! * [`step`] — the per-agent round kernel, generic over topology *and*
+//!   RNG so concrete call sites monomorphize with zero per-draw virtual
+//!   dispatch, and the batched lazy-walk kernel that reproduces it.
+//! * [`engine`] — [`Engine`]: struct-of-arrays agent state with one
+//!   stepping method, [`Engine::step_round`]. RNG streams are derived
+//!   per `(seed, round, STREAM_BLOCK-sized block)` via
 //!   [`antdensity_stats::rng::SeedSequence`], so a round is a pure
 //!   function of the state, the seed sequence and the round index.
 //!   Rounds run on the calling thread.

@@ -474,10 +474,8 @@ mod tests {
         engine.place_at(&positions);
         let mut tallies = EncounterTallies::new(n, false);
         let mut counts = vec![0u32; n];
-        // Drift and stationary moves draw nothing from the generator.
-        let mut rng = antdensity_stats::rng::SeedSequence::new(0).rng(0);
         for round in 1..=rounds {
-            engine.step_round(&mut rng);
+            engine.step_round();
             for (a, c) in counts.iter_mut().enumerate() {
                 *c = engine.count(a);
             }

@@ -1061,7 +1061,7 @@ impl Scenario {
         let true_density = engine.density();
 
         for round in 1..=max_rounds {
-            engine.step_round_parallel();
+            engine.step_round();
             for (a, slot) in raw.iter_mut().enumerate() {
                 *slot = engine.count(a);
             }

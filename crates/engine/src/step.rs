@@ -1,40 +1,28 @@
 //! The round-stepping kernels.
 //!
-//! Four kernels share one semantics (the paper's synchronous model with
-//! the Section 6.1 avoidance/flee variants):
+//! [`Engine::step_round`](crate::Engine::step_round) splits the agents
+//! into fixed [`STREAM_BLOCK`]-sized stream blocks, block `b` of round
+//! `r` drawing from `seeds.subsequence(r).rng(b)`, and steps the blocks
+//! through one of three kernels that share one semantics (the paper's
+//! synchronous model with the Section 6.1 avoidance/flee variants):
 //!
-//! * [`step_slice`] — sequential over a slice of agents, drawing from one
-//!   caller-supplied RNG **in exactly the order the original pre-engine
-//!   stepper did**, so [`Engine::step_round`](crate::Engine::step_round)
-//!   is bit-identical to it for any seed. The function is generic over
-//!   both the topology and the RNG: concrete call sites monomorphize the
-//!   whole draw chain (no per-draw vtable), while `&mut dyn RngCore`
-//!   callers keep working and consume the identical bit-stream.
-//! * [`step_slice_pure_batched`] — the fast path for the paper's exact
-//!   model (pure walks, no interaction variants) on regular topologies:
-//!   move indices are sampled into a stack buffer chunk-at-a-time via
-//!   [`crate::sampling::fill_uniform_indices`], then applied. The draws
-//!   it makes are bit-for-bit the draws `step_slice` would make for the
-//!   same agents, so the two kernels are interchangeable per block.
+//! * [`step_slice`] — agent by agent over a slice, drawing from one RNG.
+//!   It is the reference the other two reproduce and the kernel for
+//!   mixed populations and interaction variants. It is generic over
+//!   both the topology and the RNG, so call sites monomorphize the
+//!   whole draw chain (no per-draw vtable).
+//! * The engine's pure-walk round — for the paper's exact model (pure
+//!   walks, no interaction variants) on regular topologies. Each
+//!   block's move indices are filled from its stream by
+//!   [`crate::sampling::fill_uniform_indices`], bit-for-bit the draws
+//!   `step_slice` makes for pure agents, and then applied in one batch.
 //! * `step_block_lazy` — the fast path for a block whose agents all
 //!   walk `lazy:p` on a regular topology with a power-of-two span. It
 //!   pre-draws two words per agent, finds each agent's stay coin with a
 //!   branch-free scan, and applies the moves in one batch. Positions
-//!   are the ones `step_slice` computes, but the unused words at the
-//!   end leave the RNG in a different state.
-//! * The batched engine steps each fixed-size *stream block* of agents
-//!   with a per-`(round, block)` derived RNG stream, so a round's result
-//!   depends only on its state, seed sequence and index (the stream an
-//!   agent draws from depends only on its block). Its pure-walk round
-//!   fills every block's move indices from the block's stream, exactly
-//!   the words `step_slice_pure_batched` draws, before applying them.
-//!
-//! A kernel may draw words it does not use only where the RNG's stream
-//! dies with the block: the per-block streams of
-//! [`Engine::step_round_parallel`](crate::Engine::step_round_parallel).
-//! [`Engine::step_round`](crate::Engine::step_round) threads one
-//! caller-owned RNG through the whole round and on to the caller, so it
-//! never takes `step_block_lazy`.
+//!   are the ones `step_slice` computes; the unused words at the end
+//!   leave the RNG in a different state, which only a per-block stream
+//!   can absorb, since it dies with the block.
 //!
 //! Agents sense **stale** occupancy — last round's index — before moving:
 //! in the synchronous model an agent cannot see the simultaneous moves of
@@ -44,7 +32,6 @@
 use crate::config::STREAM_BLOCK;
 use crate::movement::MovementModel;
 use crate::occupancy::DenseOccupancy;
-use crate::sampling::fill_uniform_indices;
 use antdensity_graphs::{NodeId, Topology};
 use rand::Rng;
 use rand::RngCore;
@@ -84,7 +71,8 @@ impl Interaction {
 }
 
 /// Moves every agent in `positions` one round, reading stale occupancy
-/// from `occ` and drawing from `rng` in the legacy arena's exact order.
+/// from `occ` and drawing from `rng` agent by agent: the move, then the
+/// avoidance coin, then the flee step.
 ///
 /// `positions` and `movement` are parallel slices (one entry per agent in
 /// this batch). `occ` must hold the *previous* round's counts over the
@@ -121,39 +109,6 @@ pub fn step_slice<T: Topology, R: RngCore + ?Sized>(
             next = model.step(topo, next, rng);
         }
         *pos = next as u32;
-    }
-}
-
-/// Stack-buffer size of the batched kernel: big enough to amortize the
-/// per-fill span classification, small enough to stay in L1.
-const SAMPLE_BATCH: usize = 128;
-
-/// The pure-model fast path: every agent walks to a uniformly random
-/// move on a topology whose every node has degree `span`. Move indices
-/// are bulk-sampled into a stack buffer ([`fill_uniform_indices`]) and
-/// then applied in a second tight loop.
-///
-/// Draws are bit-for-bit the draws [`step_slice`] makes for
-/// `MovementModel::Pure` agents under [`Interaction::pure`] — one
-/// uniform `[0, span)` sample per agent in agent order — so callers may
-/// switch between the kernels per block without changing results. (On
-/// [`antdensity_graphs::CompleteGraph`], whose walk resamples uniformly
-/// over all `A` nodes, `span = degree = A` consumes the same bits as its
-/// `uniform_node` override.)
-///
-/// The caller asserts the preconditions: `span == degree(v)` for every
-/// `v`, all agents `MovementModel::Pure`, interaction pure.
-pub fn step_slice_pure_batched<T: Topology, R: RngCore + ?Sized>(
-    topo: &T,
-    span: u64,
-    positions: &mut [u32],
-    rng: &mut R,
-) {
-    let mut idx = [0u32; SAMPLE_BATCH];
-    for block in positions.chunks_mut(SAMPLE_BATCH) {
-        let buf = &mut idx[..block.len()];
-        fill_uniform_indices(span, buf, rng);
-        topo.apply_moves(block, buf);
     }
 }
 
@@ -334,42 +289,6 @@ mod tests {
                 step_slice(&t, &mut dyn_pos, &movement, &occ, &interaction, dyn_rng);
                 assert_eq!(mono_pos, dyn_pos, "{interaction:?} seed {seed}");
             }
-        }
-    }
-
-    #[test]
-    fn batched_pure_kernel_matches_step_slice() {
-        // Same draws, same destinations, same residual RNG state — on a
-        // power-of-two degree (torus), a non-power-of-two degree
-        // (hypercube dims=5), degree 2 (ring), and the complete graph's
-        // uniform-resample walk.
-        fn check<T: Topology>(topo: T, span: u64, n: usize, seed: u64) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut reference: Vec<u32> = (0..n)
-                .map(|i| (i as u64 % topo.num_nodes()) as u32)
-                .collect();
-            let mut batched = reference.clone();
-            let movement = vec![MovementModel::Pure; n];
-            let occ = DenseOccupancy::new(topo.num_nodes());
-            step_slice(
-                &topo,
-                &mut reference,
-                &movement,
-                &occ,
-                &Interaction::pure(),
-                &mut rng,
-            );
-            let after_ref = rng.next_u64();
-            let mut rng = SmallRng::seed_from_u64(seed);
-            step_slice_pure_batched(&topo, span, &mut batched, &mut rng);
-            assert_eq!(reference, batched);
-            assert_eq!(after_ref, rng.next_u64(), "residual RNG state differs");
-        }
-        for seed in 0..6 {
-            check(Torus2d::new(16), 4, 1000, seed);
-            check(Hypercube::new(5), 5, 321, seed);
-            check(Ring::new(77), 2, 130, seed);
-            check(CompleteGraph::new(1000), 1000, 500, seed);
         }
     }
 

@@ -42,12 +42,11 @@ fn counts_visit_distribution<T: Topology>(topo: T, agents: u64, seed: u64) -> Ve
 fn agent_visit_distribution<T: Topology>(topo: T, agents: usize, seed: u64) -> Vec<f64> {
     let nodes = topo.num_nodes() as usize;
     let rounds = 1500u64;
-    let mut engine = Engine::new(topo, agents);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    engine.place_uniform(&mut rng);
+    let mut engine = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(seed));
+    engine.place_uniform(&mut SmallRng::seed_from_u64(seed));
     let mut visits = vec![0u64; nodes];
     for _ in 0..rounds {
-        engine.step_round(&mut rng);
+        engine.step_round();
         for (_, p) in engine.agent_positions() {
             visits[p as usize] += 1;
         }

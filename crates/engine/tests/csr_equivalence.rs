@@ -3,11 +3,11 @@
 //! A [`CsrGraph`] rebuild of a structured topology preserves every
 //! node's move list in order and with multiplicity, so a walk on the
 //! rebuild consumes the **identical RNG stream** as on the native
-//! implementation — positions match bit for bit, for every stepping
-//! path (sequential, batched pure-walk kernel, per-block streams,
-//! interaction variants). On top of the bitwise contract, distributional
-//! tests check the *semantic* one: with unrelated seeds, CSR and native
-//! walks visit nodes with the same stationary statistics.
+//! implementation — positions match bit for bit, for every kernel a
+//! round takes (per-agent, batched pure-walk, batched lazy, interaction
+//! variants). On top of the bitwise contract, distributional tests
+//! check the *semantic* one: with unrelated seeds, CSR and native walks
+//! visit nodes with the same stationary statistics.
 
 use antdensity_engine::{Engine, MovementModel};
 use antdensity_graphs::{CsrGraph, Hypercube, NodeId, Ring, Topology, Torus2d, TorusKd};
@@ -15,9 +15,9 @@ use antdensity_stats::rng::SeedSequence;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Runs `rounds` sequential rounds on `topo` from a fresh engine and
-/// returns the positions.
-fn run_sequential<T: Topology>(
+/// Runs `rounds` rounds on `topo` from a fresh engine stepping on
+/// `SeedSequence::new(seed)` and returns the positions.
+fn run<T: Topology>(
     topo: T,
     agents: usize,
     rounds: u64,
@@ -26,25 +26,13 @@ fn run_sequential<T: Topology>(
     avoidance: Option<f64>,
     flee: bool,
 ) -> Vec<NodeId> {
-    let mut engine = Engine::new(topo, agents);
+    let mut engine = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(seed));
     engine.set_movement_all(movement);
     engine.set_avoidance(avoidance);
     engine.set_flee(flee);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    engine.place_uniform(&mut rng);
+    engine.place_uniform(&mut SmallRng::seed_from_u64(seed ^ 0x9e37));
     for _ in 0..rounds {
-        engine.step_round(&mut rng);
-    }
-    (0..agents).map(|a| engine.position(a)).collect()
-}
-
-/// Runs `rounds` per-block rounds and returns positions.
-fn run_parallel<T: Topology>(topo: T, agents: usize, rounds: u64, seed: u64) -> Vec<NodeId> {
-    let mut engine = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(seed));
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37);
-    engine.place_uniform(&mut rng);
-    for _ in 0..rounds {
-        engine.step_round_parallel();
+        engine.step_round();
     }
     (0..agents).map(|a| engine.position(a)).collect()
 }
@@ -67,8 +55,8 @@ fn csr_rebuild_is_bit_identical_sequential() {
                 ($topo:expr, $agents:expr, $label:expr) => {{
                     let native = $topo;
                     let csr = CsrGraph::from_topology(&native);
-                    let a = run_sequential(native, $agents, 12, seed, movement, *avoidance, *flee);
-                    let b = run_sequential(csr, $agents, 12, seed, movement, *avoidance, *flee);
+                    let a = run(native, $agents, 12, seed, movement, *avoidance, *flee);
+                    let b = run(csr, $agents, 12, seed, movement, *avoidance, *flee);
                     assert_eq!(
                         a, b,
                         "{} diverged ({movement}, {avoidance:?}, {flee})",
@@ -84,18 +72,35 @@ fn csr_rebuild_is_bit_identical_sequential() {
     }
 }
 
-/// The per-block path (which routes pure walks through the batched
-/// kernel and [`Topology::apply_moves`]) agrees too — CSR's
-/// gather-based `apply_moves` against the native branchless kernels.
+/// Pure walks over several stream blocks (the batched kernel and
+/// [`Topology::apply_moves`]) agree too — CSR's gather-based
+/// `apply_moves` against the native branchless kernels.
 #[test]
 fn csr_rebuild_is_bit_identical_parallel() {
+    let pure = MovementModel::Pure;
     for seed in 0..3u64 {
-        let native = run_parallel(Torus2d::new(16), 700, 8, seed);
-        let csr = run_parallel(CsrGraph::from_topology(&Torus2d::new(16)), 700, 8, seed);
+        let native = run(Torus2d::new(16), 700, 8, seed, &pure, None, false);
+        let csr = run(
+            CsrGraph::from_topology(&Torus2d::new(16)),
+            700,
+            8,
+            seed,
+            &pure,
+            None,
+            false,
+        );
         assert_eq!(native, csr, "torus2d parallel");
 
-        let native = run_parallel(Hypercube::new(7), 600, 8, seed);
-        let csr = run_parallel(CsrGraph::from_topology(&Hypercube::new(7)), 600, 8, seed);
+        let native = run(Hypercube::new(7), 600, 8, seed, &pure, None, false);
+        let csr = run(
+            CsrGraph::from_topology(&Hypercube::new(7)),
+            600,
+            8,
+            seed,
+            &pure,
+            None,
+            false,
+        );
         assert_eq!(native, csr, "hypercube parallel");
     }
 }
@@ -112,12 +117,11 @@ fn csr_rebuild_matches_native_stationary_occupancy() {
         let nodes = topo.num_nodes();
         let agents = 64usize;
         let rounds = 1500u64;
-        let mut engine = Engine::new(topo, agents);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        engine.place_uniform(&mut rng);
+        let mut engine = Engine::new(topo, agents).with_seed_sequence(SeedSequence::new(seed));
+        engine.place_uniform(&mut SmallRng::seed_from_u64(seed));
         let mut visits = vec![0u64; nodes as usize];
         for _ in 0..rounds {
-            engine.step_round(&mut rng);
+            engine.step_round();
             for (_, p) in engine.agent_positions() {
                 visits[p as usize] += 1;
             }
@@ -147,27 +151,4 @@ fn csr_rebuild_matches_native_stationary_occupancy() {
     let csr = visit_distribution(CsrGraph::from_topology(&Torus2d::new(6)), 4);
     let l1: f64 = native.iter().zip(&csr).map(|(a, b)| (a - b).abs()).sum();
     assert!(l1 < 0.10, "torus visit distributions differ: L1 = {l1}");
-}
-
-/// Residual RNG state matches after stepping — the CSR draw consumes
-/// exactly as many generator words as the native one, so downstream
-/// consumers (noise, placement of later streams) stay aligned.
-#[test]
-fn csr_rebuild_leaves_identical_rng_state() {
-    use rand::RngCore;
-    for seed in 0..8u64 {
-        let mut a_rng = SmallRng::seed_from_u64(seed);
-        let mut b_rng = SmallRng::seed_from_u64(seed);
-        let native = Hypercube::new(5); // degree 5: the rejection-loop path
-        let csr = CsrGraph::from_topology(&native);
-        let mut ea = Engine::new(native, 33);
-        let mut eb = Engine::new(csr, 33);
-        ea.place_uniform(&mut a_rng);
-        eb.place_uniform(&mut b_rng);
-        for _ in 0..9 {
-            ea.step_round(&mut a_rng);
-            eb.step_round(&mut b_rng);
-        }
-        assert_eq!(a_rng.next_u64(), b_rng.next_u64(), "seed {seed}");
-    }
 }

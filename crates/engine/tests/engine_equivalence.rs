@@ -1,22 +1,20 @@
 //! Engine/reference equivalence properties.
 //!
 //! The engine replaced the original stepper's per-round `HashMap`
-//! occupancy rebuilds with dense touched-list buffers while promising to
-//! preserve the historical RNG draw order of sequential stepping
-//! bit-for-bit. These tests hold it to that:
-//!
-//! * a **reference stepper** — a verbatim replica of the pre-engine
-//!   round loop (HashMap occupancy, same draw order) — must produce
-//!   identical trajectories and occupancy counts as `Engine::step_round`
-//!   called both ways it is called: monomorphized over a concrete RNG,
-//!   and through `&mut dyn RngCore`. Both are checked for the same seed
-//!   across torus / ring / hypercube / complete topologies and across
-//!   the avoidance/flee variants;
-//! * the per-block stepping of `Engine::step_round_parallel` draws a
-//!   different stream but conserves occupancy and pairs collisions, as
-//!   sequential stepping does.
+//! occupancy rebuilds with dense touched-list buffers and batched
+//! kernels. A **reference stepper** holds it to the same trajectories:
+//! the pre-engine round loop (HashMap occupancy taken once per round,
+//! per-agent `gen_range`/`gen_bool` draws through `&mut dyn RngCore`,
+//! none of the engine's kernels or movement code), drawing block `b` of
+//! round `r` from `seeds.subsequence(r).rng(b)` as the engine's stream
+//! contract says. `Engine::step_round` must match it in every position,
+//! every node's occupancy and the occupied-node count after every round,
+//! across torus / ring / hypercube / complete topologies, for a mixed
+//! population covering every `MovementModel` variant as well as all-pure
+//! and all-lazy populations (which take the engine's batched kernels),
+//! under each of none / avoidance / avoidance + flee / flee.
 
-use antdensity_engine::{Engine, MovementModel};
+use antdensity_engine::{Engine, MovementModel, STREAM_BLOCK};
 use antdensity_graphs::{CompleteGraph, Hypercube, NodeId, Ring, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
 use proptest::prelude::*;
@@ -24,58 +22,81 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 
-/// The pre-engine sequential round loop, kept verbatim as ground truth.
+/// The pre-engine round loop on the engine's per-block streams.
 struct ReferenceArena<T: Topology> {
     topo: T,
+    /// The complete graph's walk resamples uniformly over all nodes.
+    uniform_resample: bool,
     positions: Vec<NodeId>,
     movement: Vec<MovementModel>,
     occupancy: HashMap<NodeId, u32>,
     avoidance: Option<f64>,
     flee: bool,
+    seeds: SeedSequence,
+    round: u64,
 }
 
 impl<T: Topology> ReferenceArena<T> {
-    fn new(topo: T, num_agents: usize) -> Self {
-        Self {
-            topo,
-            positions: vec![0; num_agents],
-            movement: vec![MovementModel::Pure; num_agents],
-            occupancy: HashMap::new(),
-            avoidance: None,
-            flee: false,
-        }
-    }
-
-    fn place_uniform(&mut self, rng: &mut dyn RngCore) {
-        for p in self.positions.iter_mut() {
-            *p = self.topo.uniform_node(rng);
-        }
-        self.rebuild_occupancy();
-    }
-
-    fn step_round(&mut self, rng: &mut dyn RngCore) {
-        if self.avoidance.is_none() && !self.flee {
-            for (pos, model) in self.positions.iter_mut().zip(&self.movement) {
-                *pos = model.step(&self.topo, *pos, rng);
-            }
+    fn random_neighbor(&self, v: NodeId, rng: &mut dyn RngCore) -> NodeId {
+        if self.uniform_resample {
+            rng.gen_range(0..self.topo.num_nodes())
         } else {
-            for i in 0..self.positions.len() {
-                let cur = self.positions[i];
-                let collided = self.occupancy.get(&cur).copied().unwrap_or(0) >= 2;
-                let mut next = self.movement[i].step(&self.topo, cur, rng);
-                if let Some(p) = self.avoidance {
-                    let target_busy =
-                        next != cur && self.occupancy.get(&next).copied().unwrap_or(0) >= 1;
-                    if target_busy && rng.gen_bool(p) {
-                        next = cur;
+            self.topo.neighbor(v, rng.gen_range(0..self.topo.degree(v)))
+        }
+    }
+
+    fn model_step(&self, model: &MovementModel, v: NodeId, rng: &mut dyn RngCore) -> NodeId {
+        match model {
+            MovementModel::Pure => self.random_neighbor(v, rng),
+            MovementModel::Lazy { stay_prob } => {
+                if rng.gen_bool(*stay_prob) {
+                    v
+                } else {
+                    self.random_neighbor(v, rng)
+                }
+            }
+            MovementModel::Stationary => v,
+            MovementModel::Drift { move_index } => self.topo.neighbor(v, *move_index),
+            MovementModel::Biased { move_probs } => {
+                let u: f64 = rng.gen_range(0.0..1.0);
+                let mut acc = 0.0;
+                for (i, &p) in move_probs.iter().enumerate() {
+                    acc += p;
+                    if u < acc {
+                        return self.topo.neighbor(v, i);
                     }
                 }
-                if self.flee && collided {
-                    next = self.movement[i].step(&self.topo, next, rng);
-                }
-                self.positions[i] = next;
+                v
             }
         }
+    }
+
+    fn count(&self, v: NodeId) -> u32 {
+        self.occupancy.get(&v).copied().unwrap_or(0)
+    }
+
+    fn step_round(&mut self) {
+        let round_seq = self.seeds.subsequence(self.round);
+        let mut rng = round_seq.rng(0);
+        for i in 0..self.positions.len() {
+            if i > 0 && i % STREAM_BLOCK == 0 {
+                rng = round_seq.rng((i / STREAM_BLOCK) as u64);
+            }
+            let cur = self.positions[i];
+            let collided = self.count(cur) >= 2;
+            let mut next = self.model_step(&self.movement[i], cur, &mut rng);
+            if let Some(p) = self.avoidance {
+                let target_busy = next != cur && self.count(next) >= 1;
+                if target_busy && rng.gen_bool(p) {
+                    next = cur;
+                }
+            }
+            if self.flee && collided {
+                next = self.model_step(&self.movement[i], next, &mut rng);
+            }
+            self.positions[i] = next;
+        }
+        self.round += 1;
         self.rebuild_occupancy();
     }
 
@@ -87,54 +108,111 @@ impl<T: Topology> ReferenceArena<T> {
     }
 }
 
-/// Steps the reference and two engines in lockstep from identical seeds
-/// and asserts identical trajectories and occupancy every round. One
-/// engine draws through `&mut dyn RngCore` (the type-erased call shape),
-/// the other monomorphized over `SmallRng`.
+/// The population a case steps.
+#[derive(Debug, Clone, Copy)]
+enum Population {
+    /// Every movement model, assigned round-robin from `offset`.
+    Mixed(u8),
+    /// All pure walkers: the engine's whole-round draw-then-apply.
+    Pure,
+    /// All `lazy:0.25`: the batched lazy kernel on power-of-two spans.
+    Lazy,
+}
+
+/// Population `kind` of a case: `0..5` mixed from that offset, `5`
+/// pure, `6` lazy.
+fn population(kind: u8) -> Population {
+    match kind {
+        0..=4 => Population::Mixed(kind),
+        5 => Population::Pure,
+        _ => Population::Lazy,
+    }
+}
+
+/// A heterogeneous movement population covering every model variant.
+fn mixed_movement<T: Topology>(topo: &T, agents: usize, offset: u8) -> Vec<MovementModel> {
+    let degree = topo.regular_degree().expect("regular test topologies");
+    (0..agents)
+        .map(|a| match (a + offset as usize) % 5 {
+            0 => MovementModel::Pure,
+            1 => MovementModel::lazy(0.25),
+            2 => MovementModel::Stationary,
+            3 => MovementModel::Drift {
+                move_index: a % degree,
+            },
+            _ => {
+                let mut probs = vec![0.0; degree];
+                probs[a % degree] = 0.5;
+                probs[(a + 1) % degree] = 0.25;
+                MovementModel::biased(probs)
+            }
+        })
+        .collect()
+}
+
+/// The interaction variants: none, avoidance, avoidance + flee, flee.
+fn interaction(variant: u8) -> (Option<f64>, bool) {
+    match variant {
+        0 => (None, false),
+        1 => (Some(0.5), false),
+        2 => (Some(0.25), true),
+        _ => (None, true),
+    }
+}
+
+/// Steps the reference and the engine in lockstep on the same seed
+/// sequence and asserts identical trajectories and occupancy every
+/// round.
+#[allow(clippy::too_many_arguments)]
 fn assert_equivalent<T: Topology + Clone>(
     topo: T,
+    uniform_resample: bool,
     agents: usize,
     rounds: u64,
     seed: u64,
-    movement: MovementModel,
+    population: Population,
     avoidance: Option<f64>,
     flee: bool,
 ) {
-    let mut reference = ReferenceArena::new(topo.clone(), agents);
-    reference.movement = vec![movement.clone(); agents];
-    reference.avoidance = avoidance;
-    reference.flee = flee;
-
-    let configured = || {
-        let mut engine = Engine::new(topo.clone(), agents);
-        engine.set_movement_all(&movement);
-        engine.set_avoidance(avoidance);
-        engine.set_flee(flee);
-        engine
+    let seeds = SeedSequence::new(seed);
+    let mut engine = Engine::new(topo.clone(), agents).with_seed_sequence(seeds);
+    let movement = match population {
+        Population::Mixed(offset) => {
+            let movement = mixed_movement(&topo, agents, offset);
+            for (a, m) in movement.iter().enumerate() {
+                engine.set_movement(a, m.clone());
+            }
+            movement
+        }
+        Population::Pure => vec![MovementModel::Pure; agents],
+        Population::Lazy => {
+            engine.set_movement_all(&MovementModel::lazy(0.25));
+            vec![MovementModel::lazy(0.25); agents]
+        }
     };
-    let mut dyn_engine = configured();
-    let mut engine = configured();
+    engine.set_avoidance(avoidance);
+    engine.set_flee(flee);
+    engine.place_uniform(&mut SmallRng::seed_from_u64(seed ^ 5));
 
-    let mut rng_ref = SmallRng::seed_from_u64(seed);
-    let mut rng_dyn = SmallRng::seed_from_u64(seed);
-    let rng_dyn: &mut dyn RngCore = &mut rng_dyn;
-    let mut rng_engine = SmallRng::seed_from_u64(seed);
-    reference.place_uniform(&mut rng_ref);
-    dyn_engine.place_uniform(rng_dyn);
-    engine.place_uniform(&mut rng_engine);
+    let mut reference = ReferenceArena {
+        topo: topo.clone(),
+        uniform_resample,
+        positions: engine.agent_positions().map(|(_, p)| p).collect(),
+        movement,
+        occupancy: HashMap::new(),
+        avoidance,
+        flee,
+        seeds,
+        round: 0,
+    };
+    reference.rebuild_occupancy();
 
     for round in 0..=rounds {
         if round > 0 {
-            reference.step_round(&mut rng_ref);
-            dyn_engine.step_round(rng_dyn);
-            engine.step_round(&mut rng_engine);
+            reference.step_round();
+            engine.step_round();
         }
         for a in 0..agents {
-            assert_eq!(
-                reference.positions[a],
-                dyn_engine.position(a),
-                "dyn-RNG engine diverged from reference at round {round}, agent {a}"
-            );
             assert_eq!(
                 reference.positions[a],
                 engine.position(a),
@@ -142,29 +220,13 @@ fn assert_equivalent<T: Topology + Clone>(
             );
         }
         for v in 0..topo.num_nodes() {
-            let expected = reference.occupancy.get(&v).copied().unwrap_or(0);
             assert_eq!(
-                expected,
-                dyn_engine.occupancy(v),
-                "dyn-RNG engine occupancy at node {v}"
-            );
-            assert_eq!(
-                expected,
+                reference.count(v),
                 engine.occupancy(v),
-                "engine occupancy at node {v}"
+                "engine occupancy at node {v}, round {round}"
             );
         }
-        let distinct = reference.occupancy.len();
-        assert_eq!(distinct, dyn_engine.occupied_nodes());
-        assert_eq!(distinct, engine.occupied_nodes());
-    }
-}
-
-fn movement_for(kind: usize) -> MovementModel {
-    match kind {
-        0 => MovementModel::Pure,
-        1 => MovementModel::lazy(0.25),
-        _ => MovementModel::Stationary,
+        assert_eq!(reference.occupancy.len(), engine.occupied_nodes());
     }
 }
 
@@ -173,83 +235,71 @@ proptest! {
 
     #[test]
     fn torus_trajectories_identical(
-        agents in 1usize..40,
-        rounds in 0u64..25,
-        kind in 0usize..3,
+        agents in 1usize..700,
+        rounds in 0u64..8,
+        kind in 0u8..7,
+        variant in 0u8..4,
         seed in any::<u64>(),
     ) {
-        assert_equivalent(Torus2d::new(8), agents, rounds, seed, movement_for(kind), None, false);
+        let (avoidance, flee) = interaction(variant);
+        assert_equivalent(
+            Torus2d::new(16), false, agents, rounds, seed, population(kind), avoidance, flee,
+        );
     }
 
     #[test]
     fn ring_trajectories_identical(
-        agents in 1usize..40,
-        rounds in 0u64..25,
+        agents in 1usize..700,
+        rounds in 0u64..8,
+        kind in 0u8..7,
+        variant in 0u8..4,
         seed in any::<u64>(),
     ) {
-        assert_equivalent(Ring::new(31), agents, rounds, seed, MovementModel::Pure, None, false);
+        let (avoidance, flee) = interaction(variant);
+        assert_equivalent(Ring::new(99), false, agents, rounds, seed, population(kind), avoidance, flee);
     }
 
     #[test]
     fn hypercube_trajectories_identical(
-        agents in 1usize..40,
-        rounds in 0u64..25,
+        agents in 1usize..700,
+        rounds in 0u64..8,
+        kind in 0u8..7,
+        variant in 0u8..4,
         seed in any::<u64>(),
     ) {
-        assert_equivalent(Hypercube::new(5), agents, rounds, seed, MovementModel::Pure, None, false);
+        let (avoidance, flee) = interaction(variant);
+        assert_equivalent(
+            Hypercube::new(7), false, agents, rounds, seed, population(kind), avoidance, flee,
+        );
     }
 
     #[test]
     fn complete_trajectories_identical(
-        agents in 1usize..40,
-        rounds in 0u64..25,
+        agents in 1usize..700,
+        rounds in 0u64..8,
+        kind in 0u8..7,
+        variant in 0u8..4,
         seed in any::<u64>(),
     ) {
+        let (avoidance, flee) = interaction(variant);
         assert_equivalent(
-            CompleteGraph::new(24), agents, rounds, seed, MovementModel::Pure, None, false,
+            CompleteGraph::new(123), true, agents, rounds, seed, population(kind), avoidance, flee,
         );
     }
 
     #[test]
     fn avoidance_and_flee_paths_identical(
-        agents in 2usize..32,
+        agents in 2usize..600,
         rounds in 1u64..20,
         avoidance in 0.0..=1.0f64,
         flee in prop::bool::ANY,
+        kind in 0u8..7,
         seed in any::<u64>(),
     ) {
+        // A crowded 36-node torus, so stale-occupancy reads decide most
+        // moves, at any avoidance probability.
         assert_equivalent(
-            Torus2d::new(6), agents, rounds, seed,
-            MovementModel::Pure, Some(avoidance), flee,
+            Torus2d::new(6), false, agents, rounds, seed, population(kind), Some(avoidance), flee,
         );
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree_statistically(
-        agents in 2usize..200,
-        seed in any::<u64>(),
-    ) {
-        // Different draw orders, same model: occupancy must always be
-        // conserved and counts symmetric in both modes.
-        let mut seq_engine = Engine::new(Torus2d::new(12), agents);
-        seq_engine.place_uniform(&mut SmallRng::seed_from_u64(seed));
-        let mut rng = SmallRng::seed_from_u64(seed ^ 1);
-        for _ in 0..5 {
-            seq_engine.step_round(&mut rng);
-        }
-        let mut par_engine =
-            Engine::new(Torus2d::new(12), agents).with_seed_sequence(SeedSequence::new(seed));
-        par_engine.place_uniform(&mut SmallRng::seed_from_u64(seed));
-        for _ in 0..5 {
-            par_engine.step_round_parallel();
-        }
-        for engine in [&seq_engine, &par_engine] {
-            let total: u32 = (0..engine.topology().num_nodes())
-                .map(|v| engine.occupancy(v))
-                .sum();
-            prop_assert_eq!(total as usize, agents);
-            let collisions: u32 = (0..agents).map(|a| engine.count(a)).sum();
-            prop_assert_eq!(collisions % 2, 0);
-        }
     }
 }

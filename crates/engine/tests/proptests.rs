@@ -18,11 +18,11 @@ proptest! {
         rounds in 0u64..20,
         seed in any::<u64>(),
     ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = Engine::new(Torus2d::new(side), agents);
-        arena.place_uniform(&mut rng);
+        let mut arena =
+            Engine::new(Torus2d::new(side), agents).with_seed_sequence(SeedSequence::new(seed));
+        arena.place_uniform(&mut SmallRng::seed_from_u64(seed));
         for _ in 0..rounds {
-            arena.step_round(&mut rng);
+            arena.step_round();
         }
         let total: u32 = (0..arena.topology().num_nodes())
             .map(|v| arena.occupancy(v))
@@ -36,10 +36,10 @@ proptest! {
         agents in 2usize..30,
         seed in any::<u64>(),
     ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = Engine::new(Torus2d::new(side), agents);
-        arena.place_uniform(&mut rng);
-        arena.step_round(&mut rng);
+        let mut arena =
+            Engine::new(Torus2d::new(side), agents).with_seed_sequence(SeedSequence::new(seed));
+        arena.place_uniform(&mut SmallRng::seed_from_u64(seed));
+        arena.step_round();
         for a in 0..agents {
             let manual = (0..agents)
                 .filter(|&b| b != a && arena.position(b) == arena.position(a))
@@ -55,13 +55,13 @@ proptest! {
     ) {
         // Every agent in exactly one of two groups: group counts must sum
         // to the total count.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut arena = Engine::new(Torus2d::new(4), agents);
+        let mut arena =
+            Engine::new(Torus2d::new(4), agents).with_seed_sequence(SeedSequence::new(seed));
         for a in 0..agents {
             arena.assign_group(a, a % 2);
         }
-        arena.place_uniform(&mut rng);
-        arena.step_round(&mut rng);
+        arena.place_uniform(&mut SmallRng::seed_from_u64(seed));
+        arena.step_round();
         for a in 0..agents {
             let total = arena.count(a);
             let g0 = arena.count_in_group(a, 0);

@@ -131,11 +131,11 @@ fn a_cloned_engine_counts_only_its_own_rounds() {
             .with_seed_sequence(SeedSequence::new(7));
         engine.place_uniform(&mut SmallRng::seed_from_u64(8));
         for _ in 0..10 {
-            engine.step_round_parallel();
+            engine.step_round();
         }
         let mut copy = engine.clone();
         for _ in 0..4 {
-            copy.step_round_parallel();
+            copy.step_round();
         }
         drop(engine);
         drop(copy);

@@ -148,8 +148,7 @@ impl SwarmConfig {
     pub fn run(&self, seed: u64) -> SwarmReport {
         let topo = Torus2d::new(self.side);
         let seq = SeedSequence::new(seed);
-        let mut rng = seq.rng(0);
-        let mut engine = Engine::new(&topo, self.num_robots);
+        let mut engine = Engine::new(&topo, self.num_robots).with_seed_sequence(seq.subsequence(1));
         engine.set_movement_all(&self.movement);
         engine.declare_groups(self.group_sizes.len());
         let mut next = 0usize;
@@ -159,12 +158,12 @@ impl SwarmConfig {
                 next += 1;
             }
         }
-        engine.place_uniform(&mut rng);
+        engine.place_uniform(&mut seq.rng(0));
         let groups = self.group_sizes.len();
         let mut total = vec![0u64; self.num_robots];
         let mut per_group = vec![vec![0u64; groups]; self.num_robots];
         for _ in 0..self.rounds {
-            engine.step_round(&mut rng);
+            engine.step_round();
             for r in 0..self.num_robots {
                 total[r] += engine.count(r) as u64;
                 for (g, slot) in per_group[r].iter_mut().enumerate() {
@@ -257,6 +256,7 @@ mod tests {
     fn deterministic_given_seed() {
         let cfg = SwarmConfig::new(8, 12, 32).with_groups(&[4]);
         assert_eq!(cfg.run(9), cfg.run(9));
+        assert_ne!(cfg.run(9), cfg.run(10));
     }
 
     #[test]

@@ -286,7 +286,8 @@ impl Checkpoint {
     /// Returns a message describing the first structural problem (bad
     /// magic, malformed line, truncated shard block, duplicate or
     /// out-of-range shard index, or accumulator state no real aggregate
-    /// can hold: NaN moments, histogram counts that do not add up, more
+    /// can hold: NaN moments, histogram counts that do not add up, a
+    /// histogram total that differs from the error sample count, more
     /// in-band errors than error samples).
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
@@ -353,6 +354,13 @@ impl Checkpoint {
                 .collect::<Result<_, _>>()?;
             let err_hist = Histogram::from_parts(lo, hi, bins, under, over, count)
                 .map_err(|e| format!("shard {idx}: {e}"))?;
+            // Every error sample lands in both accumulators.
+            if count != err.count() {
+                return Err(format!(
+                    "shard {idx}: histogram total {count} differs from its {} error samples",
+                    err.count()
+                ));
+            }
             if lines.next() != Some("end") {
                 return Err(format!("shard {idx}: missing `end` terminator"));
             }
@@ -491,6 +499,14 @@ mod tests {
             (
                 edit_line(&good, "shard", |t| t[5] = "41".into()),
                 "exceeds its 40 error samples",
+            ),
+            (
+                edit_line(&good, "hist", |t| {
+                    for i in [5, 6] {
+                        t[i] = (t[i].parse::<u64>().unwrap() + 1).to_string();
+                    }
+                }),
+                "shard 1: histogram total 41 differs from its 40 error samples",
             ),
             (
                 edit_line(

@@ -3,6 +3,8 @@
 //! so it must turn any damaged text into an `Err`, never a panic.
 //!
 //! * `parse(to_text(x)) == x` for random multi-shard checkpoints;
+//! * a shard whose histogram total differs from its error sample count
+//!   is an `Err` naming that shard;
 //! * every single-token replacement, every dropped line and every
 //!   truncation of a valid multi-shard checkpoint parses to `Ok` or
 //!   `Err` without panicking.
@@ -93,6 +95,32 @@ proptest! {
     ) {
         let ck = checkpoint(fingerprint, bins, stride, &shards);
         prop_assert_eq!(Checkpoint::parse(&ck.to_text()), Ok(ck));
+    }
+
+    #[test]
+    fn histogram_total_must_match_error_samples(
+        fingerprint in any::<u64>(),
+        bins in 1usize..12,
+        shards in shard_inputs(),
+        which in 0usize..5,
+        extra_in_hist in prop::bool::ANY,
+    ) {
+        // One extra sample in only one of the two accumulators; the
+        // histogram's bins, under- and overflow still sum to its total.
+        let mut ck = checkpoint(fingerprint, bins, 1, &shards);
+        let idx = which % shards.len();
+        let agg = ck.shards.get_mut(&idx).expect("shard present");
+        if extra_in_hist {
+            agg.err_hist.push(1.0);
+        } else {
+            agg.err.push(1.0);
+        }
+        let err = Checkpoint::parse(&ck.to_text()).expect_err("mismatched totals must not parse");
+        prop_assert!(
+            err.contains(&format!("shard {idx}: histogram total")),
+            "unexpected error: {}",
+            err
+        );
     }
 
     #[test]

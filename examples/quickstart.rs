@@ -10,22 +10,21 @@
 use antdensity::core::theory::TopologyClass;
 use antdensity::engine::{Engine, Scenario, TopologySpec};
 use antdensity::graphs::Torus2d;
+use antdensity::stats::rng::SeedSequence;
 use antdensity::stats::table::{format_sig, Table};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     // ----- Figure 1: a tiny world we can draw -----------------------
     println!("A 8x8 torus with 6 ants (the paper's Figure 1 scenario):\n");
-    let mut rng = SmallRng::seed_from_u64(3);
-    let mut ants = Engine::new(Torus2d::new(8), 6);
-    ants.place_uniform(&mut rng);
+    let seq = SeedSequence::new(3);
+    let mut ants = Engine::new(Torus2d::new(8), 6).with_seed_sequence(seq.subsequence(1));
+    ants.place_uniform(&mut seq.rng(0));
     for round in 0..3 {
         println!("after round {round}:");
         draw(&ants);
         let collisions: u32 = (0..6).map(|a| ants.count(a)).sum();
         println!("  total collision sightings this round: {collisions}\n");
-        ants.step_round(&mut rng);
+        ants.step_round();
     }
 
     // ----- Algorithm 1 at realistic scale ---------------------------

@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`stats`] | moments, quantiles, concentration bounds, regression |
 //! | [`graphs`] | tori, rings, hypercubes, expanders, CSR graphs, exact walk distributions |
-//! | [`engine`] | the paper's model as `Engine` (stepped round by round, sequentially or in deterministic parallel over dense occupancy), `Scenario`, the one runner of Algorithms 1 and 4, quorum and relative frequency, and the deterministic trial fan-out |
+//! | [`engine`] | the paper's model as `Engine` (stepped round by round on deterministic per-block streams over dense occupancy), `Scenario`, the one runner of Algorithms 1 and 4, quorum and relative frequency, and the deterministic trial fan-out |
 //! | [`core`] | theory (accuracy predictions and bounds), the i.i.d. baseline, re-collision and collision-moment measurement (exact and Monte-Carlo), noise, adaptive quorum sensing, non-uniform placement |
 //! | [`netsize`] | Section 5.1: network-size estimation via colliding walks |
 //! | [`swarm`] | Sections 5.2/6.3: robot swarms and sensor-network sampling |
