@@ -280,7 +280,6 @@ fn run_sweep_cmd(req: &cli::SweepRequest) {
     let cache = open_cache(req.cache.as_deref());
     let opts = sweep::SweepOptions {
         quick: req.quick,
-        fuse: !req.no_fuse,
         workers: req
             .workers
             .unwrap_or_else(antdensity_engine::pool::default_threads),
@@ -320,8 +319,7 @@ fn run_sweep_cmd(req: &cli::SweepRequest) {
     }
     let snapshot = antdensity_telemetry::snapshot();
     if let Some(metrics_path) = &req.metrics {
-        let mut metrics =
-            sweep::SweepMetrics::from_outcome(&outcome, opts.fuse, wall_s, snapshot.clone());
+        let mut metrics = sweep::SweepMetrics::from_outcome(&outcome, wall_s, snapshot.clone());
         if let Some(stats) = &dist_stats {
             metrics = metrics.with_dist(stats.clone());
         }
@@ -393,7 +391,7 @@ fn run_sweep_cmd(req: &cli::SweepRequest) {
         );
     }
     println!(
-        "  [sweep {} ran {} shard{} (+{} resumed), {} simulation{} / {} rounds{}, in {wall_s:.1}s]",
+        "  [sweep {} ran {} shard{} (+{} resumed), {} simulation{} / {} rounds, in {wall_s:.1}s]",
         report.name,
         outcome.executed,
         if outcome.executed == 1 { "" } else { "s" },
@@ -401,7 +399,6 @@ fn run_sweep_cmd(req: &cli::SweepRequest) {
         outcome.simulations,
         if outcome.simulations == 1 { "" } else { "s" },
         outcome.simulated_rounds,
-        if opts.fuse { "" } else { " (unfused)" },
     );
     if outcome.complete {
         if let Some(ck) = &checkpoint {

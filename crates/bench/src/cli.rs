@@ -140,8 +140,6 @@ pub struct SweepRequest {
     pub spec_path: PathBuf,
     /// `--quick` / `--full`.
     pub quick: bool,
-    /// `--no-fuse`.
-    pub no_fuse: bool,
     /// `--seed`: the CLI twin of a serve submit's `seed` field.
     pub seed_override: Option<u64>,
     /// `--workers`.
@@ -186,7 +184,6 @@ impl SweepRequest {
         SweepJob {
             spec_text: spec_text.into(),
             quick: self.quick,
-            fuse: !self.no_fuse,
             seed_override: self.seed_override,
         }
     }
@@ -320,7 +317,6 @@ pub const FLAGS: &[Flag] = &[
     Flag { commands: &["bench"],                                 name: "--list-groups",   operand: Switch,            help: "print the family names, one per line, and run nothing" },
     Flag { commands: &["bench"],                                 name: "--compare",       operand: Optional("BASE"),  help: "gate against a baseline JSON (default BENCH_baseline.json)" },
     Flag { commands: &["bench"],                                 name: "--tolerance",     operand: Required("F"),     help: "allowed fractional regression, in [0, 1) (default 0.25)" },
-    Flag { commands: &["sweep"],                                 name: "--no-fuse",       operand: Switch,            help: "one simulation per cell, not per fused shard: same report, more work" },
     Flag { commands: &["sweep"],                                 name: "--workers",       operand: Required("N"),     help: "worker threads for shard fan-out (results never depend on it)" },
     Flag { commands: &["sweep"],                                 name: "--resume",        operand: Switch,            help: "continue from DIR/<name>.ckpt if present" },
     Flag { commands: &["sweep"],                                 name: "--max-shards",    operand: Required("K"),     help: "stop after K newly executed shards; the checkpoint survives (exit 3)" },
@@ -569,7 +565,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 match flag {
                     "--quick" => req.quick = true,
                     "--full" => req.quick = false,
-                    "--no-fuse" => req.no_fuse = true,
                     "--seed" => req.seed_override = Some(num(flag, v)?),
                     "--workers" => req.workers = Some(positive(flag, v)?),
                     "--out" => req.out = v.into(),
@@ -697,7 +692,7 @@ mod tests {
     fn sweep_parses_into_a_typed_request() {
         let cmd = parse(&argv(
             "sweep specs/smoke.sweep --full --seed 9 --workers 4 --out o \
-             --max-shards 3 --no-fuse --metrics m.json --serve-shards",
+             --max-shards 3 --metrics m.json --serve-shards",
         ))
         .unwrap();
         let Command::Sweep(req) = cmd else {
@@ -705,7 +700,6 @@ mod tests {
         };
         assert_eq!(req.spec_path, PathBuf::from("specs/smoke.sweep"));
         assert!(!req.quick);
-        assert!(req.no_fuse);
         assert_eq!(req.seed_override, Some(9));
         assert_eq!(req.workers, Some(4));
         assert_eq!(req.max_shards, Some(3));
@@ -720,7 +714,6 @@ mod tests {
             SweepJob {
                 spec_text: "name = x\n".to_string(),
                 quick: false,
-                fuse: false,
                 seed_override: Some(9),
             }
         );

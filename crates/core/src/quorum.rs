@@ -382,6 +382,40 @@ mod tests {
         assert_ne!(sensor.run(&topo, 20, 7), sensor.run(&topo, 20, 8));
     }
 
+    /// `run` places from `seq.rng(0)` and steps on `seq.subsequence(1)`.
+    /// Seed-distinctness cannot show the stepping half, since placement
+    /// already differs by seed: a hand-built engine on those streams
+    /// must reproduce `run`, and one stepping on the default streams
+    /// must not.
+    #[test]
+    fn run_steps_on_the_seeds_stepping_stream() {
+        let topo = Torus2d::new(16);
+        let sensor = QuorumSensor::new(0.2, 0.1, 128);
+        let seq = SeedSequence::new(7);
+        let replay = |stepping: SeedSequence| {
+            let mut engine = Engine::new(&topo, 20).with_seed_sequence(stepping);
+            engine.place_uniform(&mut seq.rng(0));
+            let mut observer = SequentialQuorum::new(sensor, 20);
+            for round in 1..=sensor.max_rounds {
+                engine.step_round();
+                let counts: Vec<u32> = (0..20).map(|a| engine.count(a)).collect();
+                observer.on_round(&RoundEvents {
+                    round,
+                    counts: &counts,
+                    raw_counts: &counts,
+                    group_counts: None,
+                });
+                if observer.all_decided() {
+                    break;
+                }
+            }
+            observer.outcomes()
+        };
+        let run = sensor.run(&topo, 20, 7);
+        assert_eq!(run, replay(seq.subsequence(1)));
+        assert_ne!(run, replay(SeedSequence::default()));
+    }
+
     #[test]
     #[should_panic(expected = "threshold must be positive")]
     fn rejects_zero_threshold() {

@@ -157,22 +157,16 @@ impl MovementModel {
 
     /// Executes one round of movement from `v` on `topo`.
     ///
-    /// Generic over both the topology and the RNG: with concrete types
-    /// the entire draw (walk step, lazy coin, biased scan) monomorphizes
-    /// with zero virtual dispatch, while `&mut dyn RngCore` callers keep
-    /// working (`R = dyn RngCore`) and consume the identical bit-stream.
+    /// Generic over both the topology and the RNG, so the entire draw
+    /// (walk step, lazy coin, biased scan) monomorphizes with zero
+    /// virtual dispatch.
     ///
     /// # Panics
     ///
     /// Panics if a `Drift` index is out of range for `v`'s degree, or a
     /// `Biased` probability vector length differs from `v`'s degree.
     #[inline]
-    pub fn step<T: Topology, R: RngCore + ?Sized>(
-        &self,
-        topo: &T,
-        v: NodeId,
-        rng: &mut R,
-    ) -> NodeId {
+    pub fn step<T: Topology, R: RngCore>(&self, topo: &T, v: NodeId, rng: &mut R) -> NodeId {
         match self {
             Self::Pure => topo.random_neighbor(v, rng),
             Self::Lazy { stay_prob } => {

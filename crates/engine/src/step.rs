@@ -77,7 +77,7 @@ impl Interaction {
 /// `positions` and `movement` are parallel slices (one entry per agent in
 /// this batch). `occ` must hold the *previous* round's counts over the
 /// whole population (it is only read on the avoidance/flee path).
-pub fn step_slice<T: Topology, R: RngCore + ?Sized>(
+pub fn step_slice<T: Topology, R: RngCore>(
     topo: &T,
     positions: &mut [u32],
     movement: &[MovementModel],
@@ -141,7 +141,7 @@ fn lazy_stay_threshold(stay_prob: f64) -> u64 {
 /// # Panics
 ///
 /// Panics if `positions` holds more than [`STREAM_BLOCK`] agents.
-pub(crate) fn step_block_lazy<T: Topology, R: RngCore + ?Sized>(
+pub(crate) fn step_block_lazy<T: Topology, R: RngCore>(
     topo: &T,
     span: u64,
     stay_prob: f64,
@@ -246,50 +246,6 @@ mod tests {
         step_slice(&t, &mut pos, &movement, &occ, &interaction, &mut rng);
         // deterministic drift: colliding agents moved two (0,1) hops
         assert_eq!(pos, vec![t.offset(5, 0, 2) as u32; 2]);
-    }
-
-    #[test]
-    fn dyn_rng_draw_order_matches_monomorphized() {
-        // The generic kernel with R = SmallRng must reproduce the legacy
-        // dyn-erased draws exactly, for every interaction variant.
-        let t = Torus2d::new(16);
-        let mut occ = DenseOccupancy::new(t.num_nodes());
-        occ.rebuild(&[3, 3, 40, 41, 90, 200, 200, 200]);
-        let movement = vec![MovementModel::Pure; 8];
-        for interaction in [
-            Interaction::pure(),
-            Interaction {
-                avoidance: Some(0.5),
-                flee: false,
-            },
-            Interaction {
-                avoidance: Some(0.25),
-                flee: true,
-            },
-            Interaction {
-                avoidance: None,
-                flee: true,
-            },
-        ] {
-            for seed in 0..20 {
-                let start = [3u32, 3, 40, 41, 90, 200, 200, 200];
-                let mut mono_pos = start;
-                let mut mono_rng = SmallRng::seed_from_u64(seed);
-                step_slice(
-                    &t,
-                    &mut mono_pos,
-                    &movement,
-                    &occ,
-                    &interaction,
-                    &mut mono_rng,
-                );
-                let mut dyn_pos = start;
-                let mut base = SmallRng::seed_from_u64(seed);
-                let dyn_rng: &mut dyn RngCore = &mut base;
-                step_slice(&t, &mut dyn_pos, &movement, &occ, &interaction, dyn_rng);
-                assert_eq!(mono_pos, dyn_pos, "{interaction:?} seed {seed}");
-            }
-        }
     }
 
     /// Stay probabilities for the lazy kernel tests: the ends, a value

@@ -673,7 +673,6 @@ fn execute(state: &Arc<ServerState>, id: u64) {
         Some(workers) if workers > 0 => {
             let opts = SweepOptions {
                 quick: job.quick,
-                fuse: job.fuse,
                 workers: state.cfg.job_workers,
                 checkpoint_every: 1,
                 cache,

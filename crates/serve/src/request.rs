@@ -13,7 +13,7 @@
 //! client → server
 //!   {"op":"hello"}
 //!   {"op":"submit","spec":"<spec file text>"
-//!        [,"quick":bool][,"fuse":bool][,"seed":N][,"label":"..."]}
+//!        [,"quick":bool][,"seed":N][,"label":"..."]}
 //!   {"op":"status","job":N}
 //!   {"op":"cancel","job":N}
 //!   {"op":"metrics"}
@@ -39,7 +39,9 @@
 //!
 //! Encoding is deterministic (fixed key order), parsing is strict
 //! (corrupt lines are rejected with an `error` event, never guessed
-//! at) — both round-trip-tested in `tests/protocol.rs`.
+//! at) — both round-trip-tested in `tests/protocol.rs`. Keys a request
+//! does not define are ignored, so a submit from an older client that
+//! still sends the retired `fuse` flag runs the same job.
 
 use antdensity_sweep::{schema, SweepJob, SweepRow};
 use antdensity_telemetry::Json;
@@ -95,9 +97,6 @@ impl Request {
                 if s.job.quick {
                     pairs.push(("quick", true.into()));
                 }
-                if !s.job.fuse {
-                    pairs.push(("fuse", false.into()));
-                }
                 if let Some(seed) = s.job.seed_override {
                     pairs.push(("seed", seed.into()));
                 }
@@ -138,11 +137,9 @@ impl Request {
                     .get("spec")
                     .and_then(Json::as_str)
                     .ok_or("submit needs a string field `spec`")?;
-                let flag = |key: &str, default: bool| -> Result<bool, String> {
-                    match obj.get(key) {
-                        None => Ok(default),
-                        Some(v) => v.as_bool().ok_or(format!("`{key}` must be a boolean")),
-                    }
+                let quick = match obj.get("quick") {
+                    None => false,
+                    Some(v) => v.as_bool().ok_or("`quick` must be a boolean")?,
                 };
                 let seed_override = match obj.get("seed") {
                     None | Some(Json::Null) => None,
@@ -155,8 +152,7 @@ impl Request {
                 Ok(Request::Submit(Submit {
                     job: SweepJob {
                         spec_text: spec.to_string(),
-                        quick: flag("quick", false)?,
-                        fuse: flag("fuse", true)?,
+                        quick,
                         seed_override,
                     },
                     label,

@@ -9,7 +9,6 @@ use antdensity_telemetry::Json;
 fn sample_requests() -> Vec<Request> {
     let mut job = SweepJob::new("name = x\nseed = 3\n");
     job.quick = true;
-    job.fuse = false;
     job.seed_override = Some(42);
     vec![
         Request::Hello,
@@ -202,12 +201,30 @@ fn corrupt_event_lines_are_rejected() {
 
 #[test]
 fn submit_defaults_mirror_the_cli() {
-    // A bare submit means exactly `repro sweep SPEC`: full mode,
-    // fused, the spec's own seed.
+    // A bare submit means exactly `repro sweep SPEC`: full mode, the
+    // spec's own seed.
     let req = Request::parse_line("{\"op\":\"submit\",\"spec\":\"name = z\"}").unwrap();
     let Request::Submit(sub) = req else {
         panic!("not a submit")
     };
     assert_eq!(sub.job, SweepJob::new("name = z"));
     assert_eq!(sub.label, None);
+}
+
+#[test]
+fn retired_fuse_key_parses_to_the_same_job() {
+    // Every sweep runs fused, so the submit's old `fuse` flag is an
+    // unknown key: ignored like any other, the job (and so its bytes)
+    // unchanged.
+    let plain = "{\"op\":\"submit\",\"spec\":\"name = z\",\"quick\":true}";
+    let flagged = "{\"op\":\"submit\",\"spec\":\"name = z\",\"quick\":true,\"fuse\":false}";
+    let (Request::Submit(a), Request::Submit(b)) = (
+        Request::parse_line(plain).unwrap(),
+        Request::parse_line(flagged).unwrap(),
+    ) else {
+        panic!("not submits")
+    };
+    assert_eq!(a.job, b.job);
+    assert!(b.job.quick);
+    assert_eq!(Request::Submit(b).to_line(), plain);
 }

@@ -259,6 +259,37 @@ mod tests {
         assert_ne!(cfg.run(9), cfg.run(10));
     }
 
+    /// `run` places from `seq.rng(0)` and steps on `seq.subsequence(1)`.
+    /// Seed-distinctness cannot show the stepping half, since placement
+    /// already differs by seed: a hand-built engine on those streams
+    /// must reproduce the report's densities, and one stepping on the
+    /// default streams must not.
+    #[test]
+    fn run_steps_on_the_seeds_stepping_stream() {
+        let cfg = SwarmConfig::new(8, 12, 32);
+        let seq = SeedSequence::new(9);
+        let densities = |stepping: SeedSequence| -> Vec<f64> {
+            let topo = Torus2d::new(cfg.side);
+            let mut engine = Engine::new(&topo, cfg.num_robots).with_seed_sequence(stepping);
+            engine.set_movement_all(&cfg.movement);
+            engine.place_uniform(&mut seq.rng(0));
+            let mut total = vec![0u64; cfg.num_robots];
+            for _ in 0..cfg.rounds {
+                engine.step_round();
+                for (r, t) in total.iter_mut().enumerate() {
+                    *t += engine.count(r) as u64;
+                }
+            }
+            total
+                .iter()
+                .map(|&c| c as f64 / cfg.rounds as f64)
+                .collect()
+        };
+        let report: Vec<f64> = cfg.run(9).estimates.iter().map(|e| e.density).collect();
+        assert_eq!(report, densities(seq.subsequence(1)));
+        assert_ne!(report, densities(SeedSequence::default()));
+    }
+
     #[test]
     #[should_panic(expected = "exceed swarm size")]
     fn oversized_groups_rejected() {

@@ -241,7 +241,7 @@ mod tests {
         let cache = ShardCache::open(&root).unwrap();
         let r = resolved();
         assert_eq!(cache.blob_get(&r, 0), None);
-        let blob = dist::shard_blob(&r, 0, true);
+        let blob = dist::shard_blob(&r, 0);
         cache.blob_put(&r, 0, &blob);
         assert_eq!(cache.blob_get(&r, 0).as_deref(), Some(blob.as_str()));
         let stats = cache.stats();
@@ -269,7 +269,7 @@ mod tests {
         // writing the other spec's blob through the raw store.
         let store = cas::Store::open(&root, SHARD_CACHE_V1).unwrap();
         let key = format!("{:016x}/shard0", r.fingerprint);
-        store.put(&key, &dist::shard_blob(&other, 0, true)).unwrap();
+        store.put(&key, &dist::shard_blob(&other, 0)).unwrap();
         assert_eq!(cache.blob_get(&r, 0), None);
         assert_eq!(cache.stats().corrupt, 1);
         std::fs::remove_dir_all(&root).unwrap();

@@ -168,37 +168,41 @@ impl std::fmt::Display for DistError {
 /// checkpoint-text blob covering exactly the shard's member cells —
 /// the unit workers return over the wire. Byte-deterministic: every
 /// worker (or re-execution) produces the identical blob.
-pub fn shard_blob(resolved: &ResolvedSweep, index: usize, fuse: bool) -> String {
-    let cells = if fuse {
-        crate::runner::run_shard(resolved, index)
-    } else {
-        crate::runner::run_shard_unfused(resolved, index)
-    };
-    let ck = Checkpoint {
+pub fn shard_blob(resolved: &ResolvedSweep, index: usize) -> String {
+    render_blob(resolved, &crate::runner::run_shard(resolved, index))
+}
+
+/// Renders one shard's `(cell index, aggregate)` pairs as the
+/// checkpoint-text blob [`shard_blob`] returns and the cache stores.
+pub(crate) fn render_blob(resolved: &ResolvedSweep, cells: &[(usize, CellAggregate)]) -> String {
+    Checkpoint {
         fingerprint: resolved.fingerprint,
         cells: resolved.cells.len(),
-        shards: cells.into_iter().collect(),
-    };
-    ck.to_text()
+        shards: cells.iter().cloned().collect(),
+    }
+    .to_text()
 }
 
 /// [`shard_blob`] through the shard result cache: a verified hit is
 /// returned as-is (cached blobs *are* the bytes [`shard_blob`] would
 /// produce — the cache publishes only computed blobs and verifies
 /// checksum, fingerprint, and cell count on read); a miss computes and
-/// publishes. Workers holding a local cache serve leases through this,
-/// and the coordinator cannot tell the difference: first-valid-wins
-/// and the byzantine-mismatch abort compare the same bytes either way.
+/// publishes; with no cache it is [`shard_blob`]. Workers serve leases
+/// through this, and the coordinator cannot tell a cached blob from a
+/// computed one: first-valid-wins and the byzantine-mismatch abort
+/// compare the same bytes either way.
 pub fn shard_blob_cached(
     resolved: &ResolvedSweep,
     index: usize,
-    fuse: bool,
-    cache: &crate::cache::ShardCache,
+    cache: Option<&crate::cache::ShardCache>,
 ) -> String {
+    let Some(cache) = cache else {
+        return shard_blob(resolved, index);
+    };
     if let Some(blob) = cache.blob_get(resolved, index) {
         return blob;
     }
-    let blob = shard_blob(resolved, index, fuse);
+    let blob = shard_blob(resolved, index);
     cache.blob_put(resolved, index, &blob);
     blob
 }
@@ -321,7 +325,6 @@ pub fn run_sweep_distributed_observed(
                 Transport::Sim { workers } => sim::run_sim(
                     &resolved,
                     &pending,
-                    opts.fuse,
                     *workers,
                     &dopts.plan,
                     &dopts.config,
@@ -357,14 +360,8 @@ pub fn run_sweep_distributed_observed(
     let mut simulations = 0u64;
     let mut simulated_rounds = 0u64;
     for &i in &executed_shards {
-        let shard = &resolved.fused[i];
-        if opts.fuse {
-            simulations += resolved.trials;
-            simulated_rounds += shard.max_rounds() * resolved.trials;
-        } else {
-            simulations += resolved.trials * shard.cells.len() as u64;
-            simulated_rounds += shard.unfused_rounds() * resolved.trials;
-        }
+        simulations += resolved.trials;
+        simulated_rounds += resolved.fused[i].max_rounds() * resolved.trials;
     }
     let executed = executed_shards.len();
     let workers_requested = match &dopts.transport {

@@ -95,7 +95,7 @@ impl Verb {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
     /// First frame the coordinator sends on a fresh connection: the
-    /// worker's identity, effort mode, fusion setting, heartbeat
+    /// worker's identity, effort mode, heartbeat
     /// interval, the fault plan (workers apply their own `kill:`
     /// entries), and the sweep spec text to resolve.
     Spec {
@@ -103,8 +103,6 @@ pub enum Msg {
         worker: u64,
         /// Resolve the spec in quick (CI smoke) mode.
         quick: bool,
-        /// Execute shards fused (the default path).
-        fuse: bool,
         /// Heartbeat interval while computing, milliseconds.
         hb_ms: u64,
         /// Fault plan text ([`super::fault::FaultPlan`] grammar).
@@ -176,16 +174,14 @@ impl Msg {
             Msg::Spec {
                 worker,
                 quick,
-                fuse,
                 hb_ms,
                 plan,
                 spec,
             } => {
                 out.extend_from_slice(
                     format!(
-                        "SPEC worker={worker} quick={} fuse={} hb={hb_ms} plan={} spec={}\n",
+                        "SPEC worker={worker} quick={} hb={hb_ms} plan={} spec={}\n",
                         u8::from(*quick),
-                        u8::from(*fuse),
                         plan.len(),
                         spec.len()
                     )
@@ -270,7 +266,6 @@ impl Msg {
                 Ok(Msg::Spec {
                     worker: int("worker")?,
                     quick: int("quick")? != 0,
-                    fuse: int("fuse")? != 0,
                     hb_ms: int("hb")?,
                     plan: text(&payload[..plan_len])?,
                     spec: text(&payload[plan_len..])?,
@@ -414,7 +409,6 @@ mod tests {
             Msg::Spec {
                 worker: 3,
                 quick: true,
-                fuse: false,
                 hb_ms: 200,
                 plan: "kill:w0@lease1".into(),
                 spec: "name = x\ntrials = 1\n".into(),

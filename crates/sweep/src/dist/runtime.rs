@@ -15,7 +15,7 @@
 use super::coordinator::{Cmd, Coordinator, Event};
 use super::fault::{Delivery, FaultFilter, FaultPlan};
 use super::protocol::{read_frame, write_frame, Msg};
-use super::{shard_blob, shard_blob_cached, DistError, DistOptions, DistStats, Transport};
+use super::{shard_blob_cached, DistError, DistOptions, DistStats, Transport};
 use crate::cache::ShardCache;
 use crate::runner::SweepOptions;
 use crate::spec::{ResolvedSweep, SweepSpec};
@@ -108,11 +108,9 @@ pub(crate) fn run_real(
     let plan_text = dopts.plan.to_text();
     let hb_ms = cfg.heartbeat_interval_ms;
     let quick = opts.quick;
-    let fuse = opts.fuse;
     let spec_msg = |worker: u64| Msg::Spec {
         worker,
         quick,
-        fuse,
         hb_ms,
         plan: plan_text.clone(),
         spec: spec_text.clone(),
@@ -351,10 +349,7 @@ pub(crate) fn run_real(
     let mut stats = coord.stats.clone();
     if let Some(shards) = degraded {
         for shard in shards {
-            let blob = match opts.cache.as_deref() {
-                Some(cache) => shard_blob_cached(resolved, shard as usize, fuse, cache),
-                None => shard_blob(resolved, shard as usize, fuse),
-            };
+            let blob = shard_blob_cached(resolved, shard as usize, opts.cache.as_deref());
             sink(shard, &blob).map_err(fail)?;
             stats.degraded += 1;
         }
@@ -439,7 +434,6 @@ pub fn worker_loop<R: std::io::BufRead>(
     let Msg::Spec {
         worker,
         quick,
-        fuse,
         hb_ms,
         plan,
         spec,
@@ -480,9 +474,8 @@ pub fn worker_loop<R: std::io::BufRead>(
                     )?;
                     continue;
                 }
-                let blob = compute_with_heartbeats(
-                    &w, &resolved, worker, lease, shard, fuse, hb_ms, cache,
-                );
+                let blob =
+                    compute_with_heartbeats(&w, &resolved, worker, lease, shard, hb_ms, cache);
                 send(&w, &Msg::Result { lease, shard, blob })?;
             }
             Ok(Some(other)) => return Err(format!("unexpected {} frame", first_verb(&other))),
@@ -500,14 +493,12 @@ fn send(w: &Arc<Mutex<Box<dyn Write + Send>>>, msg: &Msg) -> Result<(), String> 
     write_frame(&mut *guard, msg).map_err(|e| format!("send failed: {e}"))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn compute_with_heartbeats(
     w: &Arc<Mutex<Box<dyn Write + Send>>>,
     resolved: &ResolvedSweep,
     worker: u64,
     lease: u64,
     shard: u64,
-    fuse: bool,
     hb_ms: u64,
     cache: Option<&ShardCache>,
 ) -> String {
@@ -534,10 +525,7 @@ fn compute_with_heartbeats(
             }
         })
     };
-    let blob = match cache {
-        Some(cache) => shard_blob_cached(resolved, shard as usize, fuse, cache),
-        None => shard_blob(resolved, shard as usize, fuse),
-    };
+    let blob = shard_blob_cached(resolved, shard as usize, cache);
     stop.store(true, Ordering::Relaxed);
     let _ = pump.join();
     blob

@@ -99,7 +99,6 @@ impl EventQueue {
 pub fn run_sim(
     resolved: &ResolvedSweep,
     pending: &[usize],
-    fuse: bool,
     workers: usize,
     plan: &FaultPlan,
     cfg: &DistConfig,
@@ -122,7 +121,7 @@ pub fn run_sim(
     let mut blob_for = |shard: u64| -> String {
         blob_cache
             .entry(shard)
-            .or_insert_with(|| shard_blob(resolved, shard as usize, fuse))
+            .or_insert_with(|| shard_blob(resolved, shard as usize))
             .clone()
     };
     let mut degraded: Option<Vec<u64>> = None;

@@ -14,7 +14,9 @@ use crate::runner::{run_sweep_observed, ShardObserver, SweepOptions, SweepOutcom
 use crate::spec::{ResolvedSweep, SweepSpec};
 
 /// A density-estimation job: everything that determines the result
-/// bytes, nothing that doesn't. Transport- and invocation-agnostic —
+/// bytes (spec text, effort mode, seed), nothing that doesn't. Every
+/// job runs fused; there is no execution-mode knob, because fused and
+/// per-cell runs write the same bytes. Transport- and invocation-agnostic —
 /// the CLI wraps one in a `SweepRequest` (adding output paths and
 /// checkpoint policy), the serve daemon deserializes one straight off
 /// the wire.
@@ -25,9 +27,6 @@ pub struct SweepJob {
     /// Resolve the quick (CI smoke) grid instead of the full one. Part
     /// of the fingerprint.
     pub quick: bool,
-    /// Fused shard execution (default). `false` is the bit-identity
-    /// cross-check path — strictly more work, same bytes.
-    pub fuse: bool,
     /// Replace the spec's master seed. The equivalent CLI run is the
     /// same spec file with its `seed =` line edited, which is how a
     /// serve client launches independent replicas of one committed
@@ -36,13 +35,11 @@ pub struct SweepJob {
 }
 
 impl SweepJob {
-    /// A job for `spec_text` with CLI-default execution flags (full
-    /// mode, fused, the spec's own seed).
+    /// A job for `spec_text` in full mode with the spec's own seed.
     pub fn new(spec_text: impl Into<String>) -> Self {
         Self {
             spec_text: spec_text.into(),
             quick: false,
-            fuse: true,
             seed_override: None,
         }
     }
@@ -144,7 +141,6 @@ impl ValidatedJob {
     ) -> Result<SweepOutcome, String> {
         let opts = SweepOptions {
             quick: job.quick,
-            fuse: job.fuse,
             workers,
             // One shard per wave: cancellation and row streaming both
             // act at shard granularity.

@@ -28,9 +28,9 @@
 //!    combination. Shard `i` is a pure function of `(resolved spec, i)`:
 //!    its trials derive RNG streams from `(sweep seed, shard index,
 //!    trial index)`, so results are bit-identical for any worker count,
-//!    scheduling, interruption pattern — or fusion setting (`--no-fuse`
-//!    re-simulates per cell from the same streams and lands on the same
-//!    bits).
+//!    scheduling or interruption pattern. Every sweep runs fused;
+//!    [`run_shard_unfused`], which re-simulates each cell from the same
+//!    streams and lands on the same bits, is the tests' reference.
 //! 3. [`aggregate`] streams per-agent metrics into O(1)-memory
 //!    accumulators (`antdensity_stats` moments + histogram) — no
 //!    per-trial vectors are retained.

@@ -3,8 +3,8 @@
 //! `repro sweep --metrics`.
 //!
 //! This file **supersedes** the PR-4 `SWEEP_<name>.timing.json`: every
-//! field that file carried (`wall_s`, shard/cell/simulation counts,
-//! fused flag) is here, joined by the telemetry registry's counters and
+//! field that file carried (`wall_s`, shard/cell/simulation counts)
+//! is here except its fused flag (every sweep runs fused), joined by the telemetry registry's counters and
 //! duration histograms so CI and humans read one artifact instead of
 //! two.
 //!
@@ -15,14 +15,13 @@
 //!   "schema": "antdensity-metrics v3",
 //!   "sweep": "alg1_accuracy",          // spec name
 //!   "mode": "quick",                   // quick | full
-//!   "fused": true,                     // fused shards vs --no-fuse
 //!   "complete": true,                  // every shard finished
 //!   "wall_s": 1.234,                   // wall clock of this invocation
 //!   "shards": 8,                       // fused shards in the plan
 //!   "executed": 8,                     // shards run by this invocation
 //!   "resumed": 0,                      // shards restored from checkpoint
 //!   "cells": 24,                       // grid cells served
-//!   "simulations": 16,                 // simulation passes run
+//!   "simulations": 16,                 // fused passes run (trials × shards)
 //!   "simulated_rounds": 4096,          // rounds summed over passes
 //!   "workers_requested": 8,            // --workers (or default)
 //!   "workers_effective": 8,            // clamped to the pool size
@@ -74,7 +73,9 @@
 //! `"cache": null`. [`validate`] also accepts the previous markers:
 //! `antdensity-metrics v2` (has `dist`, predates `cache`) and
 //! `antdensity-metrics v1` (neither key) — old artifacts keep
-//! validating.
+//! validating. Files written before every sweep ran fused carry a
+//! boolean `fused` key; like any top-level key outside the contract
+//! it is ignored.
 //!
 //! The file is built as a [`Json`] value and written with
 //! [`Json::encode_pretty`]; [`validate`] parses it back with
@@ -96,9 +97,6 @@ pub struct SweepMetrics {
     pub name: String,
     /// `quick` or `full`.
     pub mode: &'static str,
-    /// Whether shards ran fused (`repro sweep` default) or per-cell
-    /// (`--no-fuse`).
-    pub fused: bool,
     /// Whether every shard completed.
     pub complete: bool,
     /// Wall-clock seconds of this invocation.
@@ -135,14 +133,12 @@ impl SweepMetrics {
     /// right after the sweep returns).
     pub fn from_outcome(
         outcome: &SweepOutcome,
-        fused: bool,
         wall_s: f64,
         snapshot: telemetry::Snapshot,
     ) -> Self {
         Self {
             name: outcome.resolved.name.clone(),
             mode: outcome.resolved.mode,
-            fused,
             complete: outcome.complete,
             wall_s,
             shards: outcome.resolved.fused.len(),
@@ -191,7 +187,6 @@ impl SweepMetrics {
             ("schema", SCHEMA.into()),
             ("sweep", self.name.as_str().into()),
             ("mode", self.mode.into()),
-            ("fused", self.fused.into()),
             ("complete", self.complete.into()),
             ("wall_s", Json::rounded(self.wall_s, 3)),
             ("shards", self.shards.into()),
@@ -304,7 +299,7 @@ pub struct MetricsSummary {
 /// `antdensity-metrics v3` contract (or the still-accepted v2/v1): it
 /// parses the text as JSON, then decodes the one object it must hold.
 /// That object needs the schema marker, every required top-level key
-/// once, each with its type (strings, booleans, a finite non-negative
+/// once, each with its type (strings, a boolean, a finite non-negative
 /// `wall_s`, non-negative integer counts), and `counters` and
 /// `histograms` objects of numbers. Under v3 both the `dist` and
 /// `cache` keys must be present — `null` when the corresponding
@@ -342,11 +337,9 @@ pub fn validate(text: &str) -> Result<MetricsSummary, String> {
     };
     let name = field("sweep")?.as_str().ok_or("`sweep` is not a string")?;
     field("mode")?.as_str().ok_or("`mode` is not a string")?;
-    for key in ["fused", "complete"] {
-        field(key)?
-            .as_bool()
-            .ok_or(format!("`{key}` is not a boolean"))?;
-    }
+    field("complete")?
+        .as_bool()
+        .ok_or("`complete` is not a boolean")?;
     let wall_s = number(field("wall_s")?, "wall_s")?;
     if !wall_s.is_finite() || wall_s < 0.0 {
         return Err(format!("`wall_s` out of range: {wall_s}"));
@@ -458,7 +451,7 @@ mod tests {
         )
         .unwrap();
         let outcome = run_sweep(&spec, &SweepOptions::default()).unwrap();
-        SweepMetrics::from_outcome(&outcome, true, 0.125, antdensity_telemetry::snapshot())
+        SweepMetrics::from_outcome(&outcome, 0.125, antdensity_telemetry::snapshot())
     }
 
     #[test]
@@ -474,7 +467,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"antdensity-metrics v3\""));
         assert!(json.contains("\"dist\": null"));
         assert!(json.contains("\"cache\": null"));
-        assert!(json.contains("\"fused\": true"));
+        assert!(!json.contains("\"fused\""));
         assert!(json.contains("\"wall_s\": 0.125"));
         assert!(json.contains("\"simulated_rounds\": 16"));
         // telemetry was live: the sweep-layer counters are in the file
@@ -591,6 +584,36 @@ mod tests {
         assert!(validate(&dropped).unwrap_err().contains("dist"));
     }
 
+    /// Files from before every sweep ran fused carry a boolean `fused`
+    /// key; it is no longer required, and a file with it (`true` or
+    /// `false`, under any schema marker) still validates, to the same
+    /// summary as one without.
+    #[test]
+    fn files_with_and_without_the_retired_fused_key_validate() {
+        let m = demo_metrics();
+        let without = m.to_json();
+        let flagged = |fused: &str| {
+            without.replacen(
+                "  \"complete\":",
+                &format!("  \"fused\": {fused},\n  \"complete\":"),
+                1,
+            )
+        };
+        let summary = validate(&without).unwrap();
+        for fused in ["true", "false"] {
+            let old = flagged(fused);
+            assert_ne!(old, without, "the edit did not apply");
+            assert_eq!(validate(&old).unwrap(), summary);
+            for (schema, strip) in [(SCHEMA_V2, "cache"), (SCHEMA_V1, "dist")] {
+                let mut older = old.replace(SCHEMA, schema);
+                for key in ["cache", strip] {
+                    older = older.replace(&format!("  \"{key}\": null,\n"), "");
+                }
+                validate(&older).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn validate_rejects_broken_files() {
         let m = demo_metrics();
@@ -621,7 +644,10 @@ mod tests {
                 good.replace("\"simulations\": 2,", "\"simulations\": \"many\","),
                 "`simulations` is not a number",
             ),
-            (good.replace("\"fused\": true", "\"fused\": 3"), "`fused`"),
+            (
+                good.replace("\"complete\": true", "\"complete\": 3"),
+                "`complete`",
+            ),
             (good.replace(&mode, "\"mode\": 7"), "`mode`"),
             (format!("{good}trailing text\n"), "trailing garbage"),
             (

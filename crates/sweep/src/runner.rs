@@ -10,13 +10,13 @@
 //! draw from
 //! `SeedSequence::new(seed).subsequence(SHARD_STREAM ^ i).derive(trial)`
 //! — so any subset of shards can run anywhere, in any order, on any
-//! worker count, and the aggregates come out bit-identical. The unfused
-//! path ([`SweepOptions::fuse`] `= false`, `repro sweep --no-fuse`)
-//! runs each member cell as its own simulation from the *same* streams;
-//! because a `t`-round run draws a strict prefix of a `t' > t`-round
-//! run, fused and unfused aggregates are **bit-identical** — the
-//! property `tests/determinism.rs` pins and CI cross-checks
-//! byte-for-byte on reports.
+//! worker count, and the aggregates come out bit-identical. Every sweep
+//! runs shards fused; [`run_shard_unfused`] is the test reference that
+//! runs each member cell as its own simulation from the *same* streams.
+//! Because a `t`-round run draws a strict prefix of a `t' > t`-round
+//! run, the two are **bit-identical** — the property
+//! `tests/determinism.rs` pins and `tests/fusion_gate.rs` checks on
+//! report bytes, with fusion's speedup.
 //!
 //! Shards are dispatched in waves onto the existing [`WorkerPool`] (via
 //! [`antdensity_engine::pool::run_trials_on`], the workspace's
@@ -65,11 +65,6 @@ pub struct SweepOptions {
     /// Quick (CI smoke) or full effort; part of the resolved spec and
     /// its fingerprint.
     pub quick: bool,
-    /// Run each shard as one fused simulation pass (default). `false`
-    /// re-simulates every member cell separately — same RNG streams,
-    /// bit-identical aggregates, strictly more work; kept as the
-    /// cross-check path (`repro sweep --no-fuse`).
-    pub fuse: bool,
     /// Worker threads for shard fan-out (results never depend on it).
     pub workers: usize,
     /// Explicit pool (tests pin real worker counts); `None` = the
@@ -110,7 +105,6 @@ impl Default for SweepOptions {
     fn default() -> Self {
         Self {
             quick: false,
-            fuse: true,
             workers: default_threads(),
             pool: None,
             checkpoint: None,
@@ -140,8 +134,8 @@ pub struct SweepOutcome {
     pub executed: usize,
     /// Fused shards restored from the checkpoint.
     pub resumed: usize,
-    /// Simulation passes this invocation ran (`trials` per fused shard,
-    /// `trials × member cells` unfused).
+    /// Simulation passes this invocation ran: `trials` per executed
+    /// fused shard (cache hits run none).
     pub simulations: u64,
     /// Rounds this invocation simulated, summed over those passes.
     pub simulated_rounds: u64,
@@ -247,7 +241,8 @@ pub fn run_shard(resolved: &ResolvedSweep, index: usize) -> Vec<(usize, CellAggr
 
 /// Executes shard `index` without fusion: every member cell is its own
 /// full simulation, drawing the same per-(shard, trial) streams as
-/// [`run_shard`] — the bit-identity cross-check path.
+/// [`run_shard`]. No sweep runs it; it is the reference the tests and
+/// the benchmark's output check compare [`run_shard`] against.
 ///
 /// # Panics
 ///
@@ -301,13 +296,12 @@ pub fn run_shard_unfused(resolved: &ResolvedSweep, index: usize) -> Vec<(usize, 
 fn run_shard_cached(
     resolved: &ResolvedSweep,
     index: usize,
-    fuse: bool,
     cache: &crate::cache::ShardCache,
     verify: bool,
 ) -> Result<(Vec<(usize, CellAggregate)>, bool), String> {
     if let Some(blob) = cache.blob_get(resolved, index) {
         if verify {
-            let fresh = crate::dist::shard_blob(resolved, index, fuse);
+            let fresh = crate::dist::shard_blob(resolved, index);
             if fresh != blob {
                 cache.note_verify_failure();
                 let at = fresh
@@ -329,18 +323,8 @@ fn run_shard_cached(
             crate::dist::parse_blob(resolved, &blob).expect("blob_get already verified the blob");
         return Ok((cells, false));
     }
-    let cells = if fuse {
-        run_shard(resolved, index)
-    } else {
-        run_shard_unfused(resolved, index)
-    };
-    let blob = Checkpoint {
-        fingerprint: resolved.fingerprint,
-        cells: resolved.cells.len(),
-        shards: cells.iter().cloned().collect(),
-    }
-    .to_text();
-    cache.blob_put(resolved, index, &blob);
+    let cells = run_shard(resolved, index);
+    cache.blob_put(resolved, index, &crate::dist::render_blob(resolved, &cells));
     Ok((cells, true))
 }
 
@@ -395,7 +379,6 @@ pub fn run_sweep_observed(
     let workers = opts.workers.max(1);
     let wave_size = opts.checkpoint_every.max(1);
     let pool: &WorkerPool = opts.pool.as_deref().unwrap_or_else(|| WorkerPool::global());
-    let fuse = opts.fuse;
 
     // Effective-vs-requested parallelism: the pool (sized to the
     // machine's available parallelism unless the caller pinned one)
@@ -419,14 +402,7 @@ pub fn run_sweep_observed(
     // simulation work each pending shard represents, and the agent
     // steps behind it, so the stderr line can show a defensible ETA
     // and an aggregate Msteps/s.
-    let shard_rounds = |s: &FusedShard| {
-        let r = if fuse {
-            s.max_rounds()
-        } else {
-            s.unfused_rounds()
-        };
-        r * resolved.trials
-    };
+    let shard_rounds = |s: &FusedShard| s.max_rounds() * resolved.trials;
     let shard_agent_steps =
         |s: &FusedShard| shard_rounds(s) * resolved.cells[s.cells[0]].num_agents as u64;
     let pending_rounds: u64 = pending
@@ -461,15 +437,8 @@ pub fn run_sweep_observed(
         let claimed = run_trials_on(pool, wave.len() as u64, workers, seq, |i, _| {
             let shard = wave[claim[i as usize]];
             match cache {
-                Some(cache) => run_shard_cached(&resolved, shard, fuse, cache, cache_verify),
-                None => Ok((
-                    if fuse {
-                        run_shard(&resolved, shard)
-                    } else {
-                        run_shard_unfused(&resolved, shard)
-                    },
-                    true,
-                )),
+                Some(cache) => run_shard_cached(&resolved, shard, cache, cache_verify),
+                None => Ok((run_shard(&resolved, shard), true)),
             }
         });
         let mut results: Vec<_> = claim.into_iter().zip(claimed).collect();
@@ -478,13 +447,8 @@ pub fn run_sweep_observed(
             let (cell_aggs, simulated) = result?;
             let shard = &resolved.fused[shard_idx];
             if simulated {
-                if fuse {
-                    simulations += resolved.trials;
-                    simulated_rounds += shard.max_rounds() * resolved.trials;
-                } else {
-                    simulations += resolved.trials * shard.cells.len() as u64;
-                    simulated_rounds += shard.unfused_rounds() * resolved.trials;
-                }
+                simulations += resolved.trials;
+                simulated_rounds += shard_rounds(shard);
             }
             progress_rounds += shard_rounds(shard);
             progress_agent_steps += shard_agent_steps(shard);
@@ -747,21 +711,22 @@ mod tests {
     }
 
     #[test]
-    fn no_fuse_runs_more_simulations_same_aggregates() {
-        let spec = tiny_spec();
-        let fused = run_sweep(&spec, &SweepOptions::default()).unwrap();
-        let unfused = run_sweep(
-            &spec,
-            &SweepOptions {
-                fuse: false,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fused.aggregates, unfused.aggregates);
-        assert_eq!(unfused.simulations, 4 * 2);
-        assert_eq!(unfused.simulated_rounds, 2 * (8 + 16) * 2);
-        assert!(unfused.simulated_rounds > fused.simulated_rounds);
+    fn unfused_reference_runs_more_simulations_same_aggregates() {
+        let fused = run_sweep(&tiny_spec(), &SweepOptions::default()).unwrap();
+        let resolved = &fused.resolved;
+        let mut unfused = vec![None; resolved.cells.len()];
+        for shard in 0..resolved.fused.len() {
+            for (cell, agg) in run_shard_unfused(resolved, shard) {
+                unfused[cell] = Some(agg);
+            }
+        }
+        assert_eq!(fused.aggregates, unfused);
+        // the sweep ran the plan's fused side; per-cell runs cost more
+        assert_eq!(resolved.simulation_counts(), (fused.simulations, 4 * 2));
+        assert_eq!(
+            resolved.simulated_round_counts(),
+            (fused.simulated_rounds, 2 * (8 + 16) * 2)
+        );
     }
 
     #[test]

@@ -226,7 +226,8 @@ impl ShardTap {
 /// rounds and share one simulation family
 /// ([`antdensity_engine::SimFamily`]), so each trial is **one**
 /// simulation pass of `max_rounds` rounds snapshotted at every member's
-/// checkpoint; the unfused path (`--no-fuse`) runs each member cell
+/// checkpoint; the per-cell test reference
+/// ([`crate::runner::run_shard_unfused`]) runs each member cell
 /// separately from the *same* per-(shard, trial) RNG stream and lands on
 /// bit-identical aggregates.
 #[derive(Debug, Clone, PartialEq)]

@@ -4,17 +4,17 @@
 //!    **bit-identical** aggregates and byte-identical reports, for every
 //!    kill point and every worker count (checkpoints never change
 //!    science);
-//! 2. fused execution (one simulation pass per shard feeding every
-//!    estimator and rounds-checkpoint) and unfused execution (one pass
-//!    per cell) produce **bit-identical** aggregates and byte-identical
-//!    reports (fusion never changes science either — it only deletes
-//!    redundant work).
+//! 2. a sweep (one fused simulation pass per shard feeding every
+//!    estimator and rounds-checkpoint) and the per-cell reference
+//!    [`run_shard_unfused`] (one pass per cell) produce
+//!    **bit-identical** aggregates and byte-identical reports (fusion
+//!    never changes science either — it only deletes redundant work).
 
 use antdensity_engine::WorkerPool;
 use antdensity_sweep::dist::{DistOptions, FaultPlan};
 use antdensity_sweep::{
-    build_report, run_sweep, run_sweep_distributed, CheckpointLock, DistError, SweepOptions,
-    SweepSpec,
+    build_report, run_shard_unfused, run_sweep, run_sweep_distributed, CheckpointLock, DistError,
+    SweepOptions, SweepOutcome, SweepSpec,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -45,6 +45,20 @@ fn spec() -> SweepSpec {
         ",
     )
     .unwrap()
+}
+
+/// `fused` with its aggregates recomputed shard by shard through the
+/// per-cell reference, which runs every member cell as its own
+/// simulation from the same streams.
+fn unfused_twin(fused: &SweepOutcome) -> SweepOutcome {
+    let mut out = fused.clone();
+    out.aggregates = vec![None; out.resolved.cells.len()];
+    for shard in 0..out.resolved.fused.len() {
+        for (cell, agg) in run_shard_unfused(&out.resolved, shard) {
+            out.aggregates[cell] = Some(agg);
+        }
+    }
+    out
 }
 
 fn tmp_ckpt(tag: &str) -> PathBuf {
@@ -176,61 +190,25 @@ fn checkpoint_every_and_pool_choice_never_change_results() {
     }
 }
 
-/// The fusion determinism contract, end to end: fused and unfused
-/// execution agree bit-for-bit on aggregates and byte-for-byte on
-/// reports — across worker counts, and mixed freely with kill/resume
-/// (a sweep may even be *started* fused and *finished* unfused).
+/// The fusion determinism contract, end to end: a sweep's fused
+/// shards and the per-cell reference agree bit-for-bit on aggregates
+/// and byte-for-byte on reports, while the sweep simulates fewer rounds.
 #[test]
 fn fused_equals_unfused_bit_for_bit() {
     let spec = spec();
     let fused = run_sweep(&spec, &SweepOptions::default()).unwrap();
-    let unfused = run_sweep(
-        &spec,
-        &SweepOptions {
-            fuse: false,
-            ..SweepOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(fused.complete && unfused.complete);
+    assert!(fused.complete);
+    let unfused = unfused_twin(&fused);
     assert_eq!(fused.aggregates, unfused.aggregates);
+    let (fused_rounds, unfused_rounds) = fused.resolved.simulated_round_counts();
+    assert_eq!(fused.simulated_rounds, fused_rounds);
     assert!(
-        unfused.simulated_rounds > fused.simulated_rounds,
-        "fusion must delete simulation work: {} vs {}",
-        fused.simulated_rounds,
-        unfused.simulated_rounds
+        unfused_rounds > fused_rounds,
+        "fusion must delete simulation work: {fused_rounds} vs {unfused_rounds}"
     );
     let (f, u) = (build_report(&fused), build_report(&unfused));
     assert_eq!(f.to_json(), u.to_json());
     assert_eq!(f.to_csv(), u.to_csv());
-
-    // kill fused, resume unfused: still identical
-    let ckpt = tmp_ckpt("fuse_mix");
-    let _ = std::fs::remove_file(&ckpt);
-    let partial = run_sweep(
-        &spec,
-        &SweepOptions {
-            checkpoint: Some(ckpt.clone()),
-            max_shards: Some(2),
-            checkpoint_every: 1,
-            ..SweepOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(!partial.complete);
-    let resumed = run_sweep(
-        &spec,
-        &SweepOptions {
-            checkpoint: Some(ckpt.clone()),
-            resume: true,
-            fuse: false,
-            ..SweepOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(resumed.complete);
-    assert_eq!(resumed.aggregates, fused.aggregates);
-    let _ = std::fs::remove_file(&ckpt);
 }
 
 /// Two coordinators must never interleave writes on one checkpoint:
@@ -377,14 +355,10 @@ fn csr_shards_kill_resume_bit_for_bit() {
         let _ = std::fs::remove_file(&ckpt);
     }
 
-    // fused == unfused over CSR topologies too
-    let unfused = run_sweep(
-        &spec,
-        &SweepOptions {
-            fuse: false,
-            ..SweepOptions::default()
-        },
-    )
-    .unwrap();
+    // fused == the per-cell reference over CSR topologies too
+    let unfused = unfused_twin(&reference);
     assert_eq!(unfused.aggregates, reference.aggregates);
+    let report = build_report(&unfused);
+    assert_eq!(report.to_json(), ref_report.to_json());
+    assert_eq!(report.to_csv(), ref_report.to_csv());
 }

@@ -173,7 +173,7 @@ fn same_plan_same_seed_same_schedule() {
     let mut runs = Vec::new();
     for _ in 0..2 {
         let mut blobs: Vec<(u64, String)> = Vec::new();
-        let out = dist::sim::run_sim(&resolved, &pending, true, 3, &plan, &cfg, &mut |s, b| {
+        let out = dist::sim::run_sim(&resolved, &pending, 3, &plan, &cfg, &mut |s, b| {
             blobs.push((s, b.to_string()));
             Ok(())
         })

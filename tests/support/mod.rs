@@ -23,12 +23,12 @@ pub struct Trajectory {
 
 impl Trajectory {
     /// Records a `t`-round walk from `start` under `model`.
-    pub fn record<T: Topology>(
+    pub fn record<T: Topology, R: RngCore>(
         topo: &T,
         start: NodeId,
         t: u64,
         model: &MovementModel,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
     ) -> Self {
         let mut nodes = Vec::with_capacity(t as usize + 1);
         let mut v = start;
