@@ -205,17 +205,12 @@ fn sweep_failure(e: &str, spec_path: &Path, checkpoint: &Option<PathBuf>) -> ! {
     ExitCode::Failure.fail(&format!("sweep failed: {e}"))
 }
 
-/// The `--serve-shards` / `--listen` execution path: build the
-/// distributed options from the request, run, and map
-/// [`sweep::DistError`] to the exit-code contract
-/// ([`ExitCode::Mismatch`] = byte-unequal duplicate results).
-fn run_sweep_distributed_cmd(
-    req: &cli::SweepRequest,
-    spec: &sweep::SweepSpec,
-    spec_text: &str,
-    opts: &sweep::SweepOptions,
-    checkpoint: &Option<PathBuf>,
-) -> (sweep::SweepOutcome, sweep::DistStats) {
+/// The distributed transport `--serve-shards` / `--workers-cmd` /
+/// `--listen` ask for; `None` runs in-process.
+fn dist_options(req: &cli::SweepRequest, job: &sweep::SweepJob) -> Option<sweep::DistOptions> {
+    if !req.serve_shards {
+        return None;
+    }
     let plan = match &req.fault {
         Some(p) => sweep::FaultPlan::parse(p)
             .unwrap_or_else(|e| ExitCode::Usage.fail(&format!("--fault plan: {e}"))),
@@ -229,24 +224,13 @@ fn run_sweep_distributed_cmd(
                 .unwrap_or_else(antdensity_engine::pool::default_threads),
         },
     };
-    let dopts = sweep::DistOptions {
+    Some(sweep::DistOptions {
         transport,
         plan,
         config: sweep::dist::DistConfig::default(),
-        spec_text: Some(spec_text.to_string()),
+        spec_text: Some(job.effective_spec_text()),
         worker_argv: None,
-    };
-    match sweep::run_sweep_distributed(spec, opts, &dopts) {
-        Ok(pair) => pair,
-        Err(sweep::DistError::Mismatch { shard, report }) => {
-            eprintln!("repro-sweep: status=error reason=result-mismatch {report}");
-            ExitCode::Mismatch.fail(&format!(
-                "sweep aborted: workers returned byte-unequal results for shard {shard} \
-                 (determinism violated — do not trust partial output)"
-            ));
-        }
-        Err(sweep::DistError::Failed(e)) => sweep_failure(&e, &req.spec_path, checkpoint),
-    }
+    })
 }
 
 fn run_sweep_cmd(req: &cli::SweepRequest) {
@@ -290,22 +274,22 @@ fn run_sweep_cmd(req: &cli::SweepRequest) {
         cache: cache.clone(),
         cache_verify: req.cache_verify,
         cache_cap: req.cache_cap,
+        dist: dist_options(req, &job),
         ..sweep::SweepOptions::default()
     };
     let t0 = Instant::now();
-    let (outcome, dist_stats) = if req.serve_shards {
-        let (outcome, stats) = run_sweep_distributed_cmd(
-            req,
-            &validated.spec,
-            &job.effective_spec_text(),
-            &opts,
-            &checkpoint,
-        );
-        (outcome, Some(stats))
-    } else {
-        let outcome = sweep::run_sweep(&validated.spec, &opts)
-            .unwrap_or_else(|e| sweep_failure(&e, &req.spec_path, &checkpoint));
-        (outcome, None)
+    let outcome = match sweep::run_resolved(&validated.resolved, &opts, &mut |_, _, _| true) {
+        Ok(outcome) => outcome,
+        // Exit-code contract: byte-unequal duplicate results are
+        // their own failure class.
+        Err(sweep::SweepError::Mismatch { shard, report }) => {
+            eprintln!("repro-sweep: status=error reason=result-mismatch {report}");
+            ExitCode::Mismatch.fail(&format!(
+                "sweep aborted: workers returned byte-unequal results for shard {shard} \
+                 (determinism violated — do not trust partial output)"
+            ));
+        }
+        Err(sweep::SweepError::Failed(e)) => sweep_failure(&e, &req.spec_path, &checkpoint),
     };
     let wall_s = t0.elapsed().as_secs_f64();
     let report = sweep::build_report(&outcome);
@@ -320,9 +304,6 @@ fn run_sweep_cmd(req: &cli::SweepRequest) {
     let snapshot = antdensity_telemetry::snapshot();
     if let Some(metrics_path) = &req.metrics {
         let mut metrics = sweep::SweepMetrics::from_outcome(&outcome, wall_s, snapshot.clone());
-        if let Some(stats) = &dist_stats {
-            metrics = metrics.with_dist(stats.clone());
-        }
         if let Some(cache) = &cache {
             metrics = metrics.with_cache(cache.stats());
         }
@@ -352,7 +333,7 @@ fn run_sweep_cmd(req: &cli::SweepRequest) {
             Err(e) => ExitCode::Failure.fail(&format!("  trace write failed: {e}")),
         }
     }
-    if let Some(stats) = &dist_stats {
+    if let Some(stats) = &outcome.dist {
         println!(
             "  dist: {} worker{} served {} lease{} ({} reissued, {} respawn{}, \
              {} duplicate{}, {} degraded)",

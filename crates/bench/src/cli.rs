@@ -330,7 +330,7 @@ pub const FLAGS: &[Flag] = &[
     Flag { commands: &["sweep"],                                 name: "--listen",        operand: Required("ADDR"),  help: "accept `sweep-worker --connect ADDR` workers (implies --serve-shards)" },
     Flag { commands: &["sweep"],                                 name: "--fault",         operand: Required("PLAN"),  help: "deterministic fault injection, e.g. kill:lease3,drop:RESULT@2" },
     Flag { commands: &["sweep", "sweep-worker", "serve"],        name: "--cache",         operand: Required("DIR"),   help: "content-addressed shard result cache in DIR (`off` disables)" },
-    Flag { commands: &["sweep"],                                 name: "--cache-verify",  operand: Switch,            help: "recompute every cache hit and byte-compare; a mismatch fails the run" },
+    Flag { commands: &["sweep"],                                 name: "--cache-verify",  operand: Switch,            help: "recompute every cache hit and byte-compare; a mismatch fails the run (in-process runs only)" },
     Flag { commands: &["sweep"],                                 name: "--cache-cap",     operand: Required("BYTES"), help: "LRU-evict the cache down to BYTES after the run" },
     Flag { commands: &["sweep-worker"],                          name: "--stdio",         operand: Switch,            help: "frames over stdin/stdout, as a spawned child (default)" },
     Flag { commands: &["sweep-worker"],                          name: "--connect",       operand: Required("ADDR"),  help: "dial a `sweep --listen ADDR` coordinator" },
@@ -590,6 +590,15 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                     "--cache-cap" => req.cache_cap = Some(positive(flag, v)?),
                     _ => unreachable!("`sweep` has no arm for `{flag}`"),
                 }
+            }
+            // Workers answer leases from their own cache lookups, so a
+            // coordinator cannot tell which blobs to recompute.
+            if req.cache_verify && req.serve_shards {
+                return Err(UsageError(
+                    "`--cache-verify` runs in-process only; drop `--serve-shards`, \
+                     `--workers-cmd` and `--listen`"
+                        .to_string(),
+                ));
             }
             Ok(Command::Sweep(req))
         }

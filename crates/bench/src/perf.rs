@@ -522,7 +522,7 @@ fn bench_telemetry_overhead(
 /// trials`), the same work under every implementation.
 fn bench_dist_sweep(effort: Effort, results: &mut Vec<EngineBenchResult>) {
     use antdensity_sweep::dist::{DistOptions, FaultPlan};
-    use antdensity_sweep::{run_sweep, run_sweep_distributed, SweepOptions, SweepSpec};
+    use antdensity_sweep::{run_sweep, SweepOptions, SweepSpec};
 
     const DIST_WORKERS: usize = 4;
     let trials = effort.trials(2, 6);
@@ -568,12 +568,14 @@ fn bench_dist_sweep(effort: Effort, results: &mut Vec<EngineBenchResult>) {
 
     let faulty = FaultPlan::parse("kill:lease2,drop:result@1").expect("bench fault plan parses");
     for (implementation, plan) in [("dist_sim", FaultPlan::none()), ("dist_sim_faulty", faulty)] {
-        let dopts = DistOptions::sim(DIST_WORKERS, plan);
+        let opts = SweepOptions {
+            dist: Some(DistOptions::sim(DIST_WORKERS, plan)),
+            ..opts.clone()
+        };
         let ns = median_ns_per_round(
             || {
                 std::hint::black_box(
-                    run_sweep_distributed(&spec, &opts, &dopts)
-                        .expect("bench distributed sweep runs"),
+                    run_sweep(&spec, &opts).expect("bench distributed sweep runs"),
                 );
             },
             1,

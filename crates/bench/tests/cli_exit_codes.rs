@@ -414,6 +414,43 @@ fn serve_usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(ExitCode::Failure.code()));
 }
 
+/// Workers answer leases from their own cache lookups, so a
+/// coordinator cannot tell which blobs were hits: `--cache-verify`
+/// with any distributed flag is refused before anything runs.
+#[test]
+fn cache_verify_with_a_distributed_flag_exits_two() {
+    let dir = tmp_dir("verify_dist");
+    let spec = write_spec(&dir);
+    let cache = dir.join("cas");
+    for dist in [
+        &["--serve-shards"][..],
+        &["--workers-cmd", "2"],
+        &["--listen", "127.0.0.1:0"],
+    ] {
+        let mut args = vec![
+            "sweep",
+            spec.to_str().unwrap(),
+            "--quick",
+            "--out",
+            dir.to_str().unwrap(),
+            "--cache",
+            cache.to_str().unwrap(),
+            "--cache-verify",
+        ];
+        args.extend_from_slice(dist);
+        let out = repro(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(ExitCode::Usage.code()),
+            "{dist:?}: {}",
+            stderr_of(&out)
+        );
+        assert!(stderr_of(&out).contains("`--cache-verify` runs in-process only"));
+        assert!(!cache.exists(), "{dist:?}: nothing ran");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_fault_plan_exits_two() {
     let dir = tmp_dir("badplan");

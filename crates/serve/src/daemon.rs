@@ -36,9 +36,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 
-use antdensity_sweep::dist::{run_sweep_distributed_observed, DistOptions, Transport};
+use antdensity_sweep::dist::{DistOptions, FaultPlan, Transport};
 use antdensity_sweep::runner::SweepOptions;
-use antdensity_sweep::{build_report, build_row, SweepJob, ValidatedJob};
+use antdensity_sweep::{build_report, build_row, run_resolved, SweepJob, ValidatedJob};
 use antdensity_telemetry::registry::LazyCounter;
 use antdensity_telemetry::span::SpanMetric;
 
@@ -668,27 +668,27 @@ fn execute(state: &Arc<ServerState>, id: u64) {
         !cancel.load(Ordering::SeqCst)
     };
 
-    let cache = state.cfg.cache.clone();
-    let result = match state.cfg.dist_workers {
-        Some(workers) if workers > 0 => {
-            let opts = SweepOptions {
-                quick: job.quick,
-                workers: state.cfg.job_workers,
-                checkpoint_every: 1,
-                cache,
-                ..SweepOptions::default()
-            };
-            let dopts = DistOptions {
+    // Ephemeral by construction: no checkpoint, no resume — a job that
+    // dies is simply resubmitted, and its bytes are guaranteed by
+    // purity (and the shared cache), not by disk state.
+    let opts = SweepOptions {
+        workers: state.cfg.job_workers,
+        // One shard per wave: cancellation and row streaming both act
+        // at shard granularity.
+        checkpoint_every: 1,
+        cache: state.cfg.cache.clone(),
+        dist: state
+            .cfg
+            .dist_workers
+            .filter(|&workers| workers > 0)
+            .map(|workers| DistOptions {
                 transport: Transport::Children { workers },
                 spec_text: Some(job.effective_spec_text()),
-                ..DistOptions::sim(workers, antdensity_sweep::dist::FaultPlan::none())
-            };
-            run_sweep_distributed_observed(&validated.spec, &opts, &dopts, &mut on_shard)
-                .map(|(outcome, _stats)| outcome)
-                .map_err(|e| e.to_string())
-        }
-        _ => validated.run_streaming_with(&job, state.cfg.job_workers, cache, &mut on_shard),
+                ..DistOptions::sim(workers, FaultPlan::none())
+            }),
+        ..SweepOptions::default()
     };
+    let result = run_resolved(&validated.resolved, &opts, &mut on_shard).map_err(|e| e.to_string());
     drop(span);
 
     let mut reg = state.inner.lock().expect("serve registry poisoned");

@@ -3,14 +3,23 @@
 //! A coordinator/worker split over the already-deterministic,
 //! bit-exactly-checkpointed fused shards: the coordinator leases shard
 //! ids to workers (child processes over stdin/stdout pipes, TCP peers,
-//! or the in-process simulator), workers return aggregate blobs in the
-//! checkpoint text format, and the coordinator merges them through the
-//! same cell-keyed path the in-process runner uses. Because shard `i`
-//! is a pure function of `(resolved spec, i)` and blobs carry raw
-//! f64 bit patterns, the final report is **byte-identical regardless
-//! of worker count, topology, failure schedule, or re-issue order** —
-//! the property `tests/dist_determinism.rs` pins across seeded
-//! [`FaultPlan`]s.
+//! or the in-process simulator), and workers return aggregate blobs in
+//! the checkpoint text format. Because shard `i` is a pure function of
+//! `(resolved spec, i)` and blobs carry raw f64 bit patterns, the final
+//! report is **byte-identical regardless of worker count, topology,
+//! failure schedule, or re-issue order** — the property
+//! `tests/dist_determinism.rs` pins across seeded [`FaultPlan`]s.
+//!
+//! This module is an executor, not a second sweep driver. Setting
+//! [`SweepOptions::dist`](crate::SweepOptions::dist) makes the one
+//! driver, [`crate::run_resolved`], hand its pending shards to the
+//! chosen [`Transport`] instead of the pool. The driver keeps
+//! everything else: checkpoint lock, resume, `max_shards`, merge,
+//! observer, checkpoint and `--progress` cadence, cache cap, and the
+//! [`SweepOutcome`](crate::SweepOutcome), which carries this run's
+//! [`DistStats`]. A transport hands back the shards it could not
+//! finish once every worker is lost, and the driver runs those on the
+//! pool.
 //!
 //! Layering:
 //!
@@ -19,13 +28,10 @@
 //! - [`fault`] — the deterministic fault-injection grammar and filter.
 //! - [`coordinator`] — the clock-agnostic policy state machine
 //!   (leases, expiry, re-issue, respawn backoff, degradation, abort).
-//! - [`sim`] — the discrete-event driver under a virtual clock (the
+//! - [`sim`] — the discrete-event transport under a virtual clock (the
 //!   property suite's workhorse).
-//! - [`runtime`] — the real driver: spawned children or TCP peers,
+//! - [`runtime`] — the real transports: spawned children or TCP peers,
 //!   plus the worker side of the protocol.
-//!
-//! Entry point: [`run_sweep_distributed`], the distributed sibling of
-//! [`crate::run_sweep`].
 
 pub mod coordinator;
 pub mod fault;
@@ -39,10 +45,12 @@ pub use protocol::{Msg, Verb};
 pub use sim::SimOutcome;
 
 use crate::aggregate::CellAggregate;
-use crate::checkpoint::{self, Checkpoint, CheckpointLock};
-use crate::runner::{load_resume, partition_pending, ShardObserver, SweepOptions, SweepOutcome};
-use crate::spec::{ResolvedSweep, SweepSpec};
+use crate::cache::ShardCache;
+use crate::checkpoint::Checkpoint;
+use crate::runner::SweepError;
+use crate::spec::ResolvedSweep;
 use antdensity_telemetry as telemetry;
+use std::ops::ControlFlow;
 
 // Distributed-layer telemetry: lease/retry/re-issue counters surfaced
 // in METRICS schema v2; the heartbeat-gap histogram is recorded by the
@@ -77,7 +85,8 @@ pub struct DistStats {
     /// Frames that failed checksum/decode (includes injected
     /// corruption).
     pub bad_frames: u64,
-    /// Shards executed in-process after degradation.
+    /// Shards handed back to the in-process executor after every
+    /// worker slot was lost.
     pub degraded: u64,
 }
 
@@ -104,8 +113,8 @@ pub enum Transport {
     },
 }
 
-/// Options for [`run_sweep_distributed`] beyond the shared
-/// [`SweepOptions`].
+/// How a sweep runs on a distributed transport: the
+/// [`SweepOptions::dist`](crate::SweepOptions::dist) field.
 #[derive(Debug, Clone)]
 pub struct DistOptions {
     /// How workers are reached.
@@ -133,33 +142,6 @@ impl DistOptions {
             config: DistConfig::default(),
             spec_text: None,
             worker_argv: None,
-        }
-    }
-}
-
-/// Why a distributed run failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DistError {
-    /// Setup, I/O, spec, or merge failure.
-    Failed(String),
-    /// A duplicate result disagreed byte-for-byte — the structured
-    /// report names the shard and the first differing byte. Maps to
-    /// exit code 4 in the CLI.
-    Mismatch {
-        /// The disputed shard.
-        shard: u64,
-        /// `key=value` mismatch report.
-        report: String,
-    },
-}
-
-impl std::fmt::Display for DistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DistError::Failed(msg) => write!(f, "{msg}"),
-            DistError::Mismatch { shard, report } => {
-                write!(f, "result mismatch on shard {shard}: {report}")
-            }
         }
     }
 }
@@ -194,7 +176,7 @@ pub(crate) fn render_blob(resolved: &ResolvedSweep, cells: &[(usize, CellAggrega
 pub fn shard_blob_cached(
     resolved: &ResolvedSweep,
     index: usize,
-    cache: Option<&crate::cache::ShardCache>,
+    cache: Option<&ShardCache>,
 ) -> String {
     let Some(cache) = cache else {
         return shard_blob(resolved, index);
@@ -235,152 +217,55 @@ pub fn parse_blob(
     Ok(ck.shards.into_iter().collect())
 }
 
-/// Sentinel error message the merge sink raises when an observer
-/// cancels a distributed run; [`run_sweep_distributed_observed`]
-/// intercepts it and returns the partial outcome instead of an error.
-const CANCELLED_SENTINEL: &str = "sweep cancelled by observer";
+/// Where a transport sends each accepted result: the shard index and
+/// its blob. The sink parses and merges it, and breaks when the sweep
+/// should stop; the transport then tears down and returns.
+pub type BlobSink<'a> = dyn FnMut(u64, &str) -> Result<ControlFlow<()>, String> + 'a;
 
-/// The distributed sibling of [`crate::run_sweep`]: resolves `spec`,
-/// hands pending fused shards to workers over the chosen transport,
-/// merges returned blobs through the cell-keyed checkpoint path, and
-/// assembles the same [`SweepOutcome`] the in-process runner would —
-/// bit-identical aggregates included. Resume, `max_shards` budgets,
-/// and checkpoint cadence behave exactly as in [`crate::run_sweep`].
+/// The distributed executor behind [`crate::run_resolved`]: hands
+/// `pending` to workers over `dopts.transport`, feeding each accepted
+/// blob through `sink` until every shard is in or the sink breaks.
+/// Returns the run's counters and the shards no worker could finish
+/// (after every worker slot was lost), which the driver runs
+/// in-process.
 ///
 /// # Errors
 ///
-/// [`DistError::Mismatch`] when two workers returned byte-unequal
-/// blobs for one shard; [`DistError::Failed`] for everything else
-/// (spec, checkpoint, lock, transport, or merge failures).
-pub fn run_sweep_distributed(
-    spec: &SweepSpec,
-    opts: &SweepOptions,
+/// [`SweepError::Mismatch`] when two workers returned byte-unequal
+/// blobs for one shard; [`SweepError::Failed`] for transport or sink
+/// failures.
+pub(crate) fn run_transport(
+    resolved: &ResolvedSweep,
+    pending: &[usize],
+    cache: Option<&ShardCache>,
     dopts: &DistOptions,
-) -> Result<(SweepOutcome, DistStats), DistError> {
-    run_sweep_distributed_observed(spec, opts, dopts, &mut |_, _, _| true)
-}
-
-/// [`run_sweep_distributed`] with a per-shard observer, the distributed
-/// sibling of [`crate::runner::run_sweep_observed`]: each accepted
-/// result blob is parsed once, observed as `(cell index, aggregate)`
-/// pairs, then merged. Returning `false` cancels the run — the
-/// transport is torn down (children see EOF and exit) and the partial
-/// outcome comes back `Ok` with `complete == false`. Stats from a
-/// cancelled run are the default (the coordinator aborted before its
-/// final accounting).
-///
-/// # Errors
-///
-/// Exactly [`run_sweep_distributed`]'s error conditions.
-pub fn run_sweep_distributed_observed(
-    spec: &SweepSpec,
-    opts: &SweepOptions,
-    dopts: &DistOptions,
-    on_shard: &mut ShardObserver<'_>,
-) -> Result<(SweepOutcome, DistStats), DistError> {
-    let resolved = spec.resolve(opts.quick).map_err(DistError::Failed)?;
-    let _lock = match &opts.checkpoint {
-        Some(path) => Some(CheckpointLock::acquire(path).map_err(DistError::Failed)?),
-        None => None,
+    sink: &mut BlobSink<'_>,
+) -> Result<(DistStats, Vec<usize>), SweepError> {
+    if pending.is_empty() {
+        return Ok((DistStats::default(), Vec::new()));
+    }
+    let (stats, undone) = match &dopts.transport {
+        Transport::Sim { workers } => {
+            let out = sim::run_sim(
+                resolved,
+                pending,
+                *workers,
+                &dopts.plan,
+                &dopts.config,
+                cache,
+                sink,
+            )?;
+            (out.stats, out.undone)
+        }
+        Transport::Children { .. } | Transport::Listen { .. } => {
+            runtime::run_real(resolved, pending, cache, dopts, sink)?
+        }
     };
-    let mut done = load_resume(&resolved, opts.checkpoint.as_deref(), opts.resume)
-        .map_err(DistError::Failed)?;
-    let (resumed, mut pending) = partition_pending(&resolved, &done);
-    if let Some(budget) = opts.max_shards {
-        pending.truncate(budget);
-    }
-
-    let mut executed_shards: Vec<usize> = Vec::new();
-    let mut stats = DistStats::default();
-    if !pending.is_empty() {
-        let ckpt = opts.checkpoint.clone();
-        let every = opts.checkpoint_every.max(1);
-        let fingerprint = resolved.fingerprint;
-        let cells_len = resolved.cells.len();
-        {
-            let resolved_ref = &resolved;
-            let done_ref = &mut done;
-            let executed_ref = &mut executed_shards;
-            let observer = &mut *on_shard;
-            let mut sink = move |shard: u64, blob: &str| -> Result<(), String> {
-                let cells = parse_blob(resolved_ref, blob)?;
-                let go = observer(resolved_ref, shard as usize, &cells);
-                for (cell, agg) in cells {
-                    done_ref.insert(cell, agg);
-                }
-                executed_ref.push(shard as usize);
-                if let Some(path) = &ckpt {
-                    if executed_ref.len().is_multiple_of(every) {
-                        checkpoint::save_shards(path, fingerprint, cells_len, done_ref)
-                            .map_err(|e| format!("checkpoint write failed: {e}"))?;
-                    }
-                }
-                if go {
-                    Ok(())
-                } else {
-                    Err(CANCELLED_SENTINEL.to_string())
-                }
-            };
-            let run = match &dopts.transport {
-                Transport::Sim { workers } => sim::run_sim(
-                    &resolved,
-                    &pending,
-                    *workers,
-                    &dopts.plan,
-                    &dopts.config,
-                    &mut sink,
-                )
-                .map(|outcome| outcome.stats),
-                Transport::Children { .. } | Transport::Listen { .. } => {
-                    runtime::run_real(&resolved, &pending, opts, dopts, &mut sink)
-                }
-            };
-            match run {
-                Ok(s) => stats = s,
-                // A cancel is a clean early stop, not a failure: keep
-                // what was merged, fall through to assemble the
-                // partial outcome.
-                Err(DistError::Failed(msg)) if msg.contains(CANCELLED_SENTINEL) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(path) = &opts.checkpoint {
-            checkpoint::save_shards(path, resolved.fingerprint, resolved.cells.len(), &done)
-                .map_err(|e| DistError::Failed(format!("checkpoint write failed: {e}")))?;
-        }
-    }
-
     TM_LEASES.add(stats.leases);
     TM_REISSUES.add(stats.reissues);
     TM_RESPAWNS.add(stats.respawns);
     TM_DUPLICATES.add(stats.duplicates);
     TM_DEATHS.add(stats.deaths);
     TM_DEGRADED.add(stats.degraded);
-
-    let mut simulations = 0u64;
-    let mut simulated_rounds = 0u64;
-    for &i in &executed_shards {
-        simulations += resolved.trials;
-        simulated_rounds += resolved.fused[i].max_rounds() * resolved.trials;
-    }
-    let executed = executed_shards.len();
-    let workers_requested = match &dopts.transport {
-        Transport::Sim { workers } | Transport::Children { workers } => *workers,
-        Transport::Listen { .. } => stats.workers_seen as usize,
-    };
-    let aggregates: Vec<Option<CellAggregate>> =
-        (0..resolved.cells.len()).map(|i| done.remove(&i)).collect();
-    let complete = aggregates.iter().all(Option::is_some);
-    let outcome = SweepOutcome {
-        resolved,
-        aggregates,
-        complete,
-        executed,
-        resumed,
-        simulations,
-        simulated_rounds,
-        workers_requested,
-        workers_effective: stats.workers_seen as usize,
-    };
-    Ok((outcome, stats))
+    Ok((stats, undone.into_iter().map(|s| s as usize).collect()))
 }

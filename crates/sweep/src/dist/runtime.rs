@@ -15,9 +15,9 @@
 use super::coordinator::{Cmd, Coordinator, Event};
 use super::fault::{Delivery, FaultFilter, FaultPlan};
 use super::protocol::{read_frame, write_frame, Msg};
-use super::{shard_blob_cached, DistError, DistOptions, DistStats, Transport};
+use super::{shard_blob_cached, BlobSink, DistOptions, DistStats, Transport};
 use crate::cache::ShardCache;
-use crate::runner::SweepOptions;
+use crate::runner::SweepError;
 use crate::spec::{ResolvedSweep, SweepSpec};
 use antdensity_telemetry as telemetry;
 use std::collections::BTreeMap;
@@ -54,7 +54,7 @@ fn default_worker_argv(cache: Option<&ShardCache>) -> Result<Vec<String>, String
         "--stdio".into(),
     ];
     // Spawned children inherit the coordinator's cache directory so
-    // every worker (and the coordinator's degraded path) shares one
+    // every worker (and the driver's in-process fallback) shares one
     // store. An explicit worker_argv is the caller's responsibility.
     if let Some(cache) = cache {
         argv.push("--cache".into());
@@ -89,17 +89,18 @@ fn spawn_reader<R: std::io::Read + Send + 'static>(id: u64, r: R, tx: mpsc::Send
     });
 }
 
-/// Drives `pending` to completion over child processes or TCP peers,
-/// feeding each completed shard's blob through `sink` exactly once.
-/// Returns the run's counters (degraded shards already executed).
+/// Drives `pending` over child processes or TCP peers, feeding each
+/// completed shard's blob through `sink` exactly once until every
+/// shard is in, every worker slot is lost, or the sink breaks. Returns
+/// the run's counters and the shards no worker finished.
 pub(crate) fn run_real(
     resolved: &ResolvedSweep,
     pending: &[usize],
-    opts: &SweepOptions,
+    cache: Option<&ShardCache>,
     dopts: &DistOptions,
-    sink: &mut dyn FnMut(u64, &str) -> Result<(), String>,
-) -> Result<DistStats, DistError> {
-    let fail = DistError::Failed;
+    sink: &mut BlobSink<'_>,
+) -> Result<(DistStats, Vec<u64>), SweepError> {
+    let fail = SweepError::Failed;
     let spec_text = dopts.spec_text.clone().ok_or_else(|| {
         fail("distributed transports need the spec text (DistOptions::spec_text)".into())
     })?;
@@ -107,7 +108,7 @@ pub(crate) fn run_real(
     cfg.can_respawn = matches!(dopts.transport, Transport::Children { .. });
     let plan_text = dopts.plan.to_text();
     let hb_ms = cfg.heartbeat_interval_ms;
-    let quick = opts.quick;
+    let quick = resolved.mode == "quick";
     let spec_msg = |worker: u64| Msg::Spec {
         worker,
         quick,
@@ -126,14 +127,15 @@ pub(crate) fn run_real(
     let mut delayed: BTreeMap<(u64, u64), (u64, Msg)> = BTreeMap::new();
     let mut delayed_seq = 0u64;
     let mut respawn_at: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut degraded: Option<Vec<u64>> = None;
+    let mut undone = Vec::new();
+    let mut stopped = false;
     let mut abort: Option<(u64, String)> = None;
     let hb_gap = telemetry::duration_histogram("sweep.dist.heartbeat_gap");
     let mut last_hb: BTreeMap<u64, Instant> = BTreeMap::new();
 
     let argv = match &dopts.worker_argv {
         Some(argv) if !argv.is_empty() => argv.clone(),
-        _ => default_worker_argv(opts.cache.as_deref()).map_err(fail)?,
+        _ => default_worker_argv(cache).map_err(fail)?,
     };
     let spawn_child =
         |id: u64, links: &mut BTreeMap<u64, Link>, tx: &mpsc::Sender<Wire>| -> Result<(), String> {
@@ -216,13 +218,18 @@ pub(crate) fn run_real(
                 Cmd::Respawn { worker, at_ms } => {
                     respawn_at.entry(at_ms).or_default().push(worker);
                 }
-                Cmd::Completed { shard, blob } => sink(shard, &blob).map_err(fail)?,
-                Cmd::Degrade { shards } => degraded = Some(shards),
+                Cmd::Completed { shard, blob } => {
+                    if sink(shard, &blob)?.is_break() {
+                        stopped = true;
+                        break;
+                    }
+                }
+                Cmd::Degrade { shards } => undone = shards,
                 Cmd::Abort { shard, report } => abort = Some((shard, report)),
                 Cmd::AllDone => {}
             }
         }
-        if coord.finished().is_some() {
+        if stopped || coord.finished().is_some() {
             break;
         }
 
@@ -344,17 +351,11 @@ pub(crate) fn run_real(
     drop(tx);
 
     if let Some((shard, report)) = abort {
-        return Err(DistError::Mismatch { shard, report });
+        return Err(SweepError::Mismatch { shard, report });
     }
     let mut stats = coord.stats.clone();
-    if let Some(shards) = degraded {
-        for shard in shards {
-            let blob = shard_blob_cached(resolved, shard as usize, opts.cache.as_deref());
-            sink(shard, &blob).map_err(fail)?;
-            stats.degraded += 1;
-        }
-    }
-    Ok(stats)
+    stats.degraded = undone.len() as u64;
+    Ok((stats, undone))
 }
 
 /// Maps one delivered message to a coordinator event, recording

@@ -13,10 +13,12 @@
 //! a shard computes for 500 virtual ms, and the coordinator ticks
 //! every 100 virtual ms.
 
-use super::coordinator::{Cmd, Coordinator, DistConfig, Event, FinishKind};
+use super::coordinator::{Cmd, Coordinator, DistConfig, Event};
 use super::fault::{Delivery, FaultFilter, FaultPlan};
 use super::protocol::Msg;
-use super::{shard_blob, DistError, DistStats};
+use super::{shard_blob_cached, BlobSink, DistStats};
+use crate::cache::ShardCache;
+use crate::runner::SweepError;
 use crate::spec::ResolvedSweep;
 use std::collections::BTreeMap;
 
@@ -65,8 +67,11 @@ struct SimWorker {
 pub struct SimOutcome {
     /// The coordinator's deterministic event log.
     pub log: Vec<String>,
-    /// Run counters (including shards degraded to in-process).
+    /// Run counters (including shards handed back as `undone`).
     pub stats: DistStats,
+    /// Shards no virtual worker finished because every slot was lost;
+    /// the caller runs them in-process.
+    pub undone: Vec<u64>,
 }
 
 #[derive(Debug, Default)]
@@ -87,23 +92,26 @@ impl EventQueue {
     }
 }
 
-/// Runs `pending` (fused-shard indices) to completion under the given
-/// worker count, fault plan, and timing config, feeding each shard's
-/// blob through `sink` exactly once, in completion order.
+/// Runs `pending` (fused-shard indices) under the given worker count,
+/// fault plan, and timing config, feeding each shard's blob through
+/// `sink` exactly once, in completion order, until every shard is in,
+/// every worker slot is lost, or the sink breaks. Virtual workers
+/// share `cache`, as spawned children share the coordinator's.
 ///
 /// # Errors
 ///
-/// [`DistError::Mismatch`] when a duplicate result disagrees
-/// byte-for-byte; [`DistError::Failed`] for sink failures or a stalled
-/// schedule.
+/// [`SweepError::Mismatch`] when a duplicate result disagrees
+/// byte-for-byte; [`SweepError::Failed`] for sink failures or a
+/// stalled schedule.
 pub fn run_sim(
     resolved: &ResolvedSweep,
     pending: &[usize],
     workers: usize,
     plan: &FaultPlan,
     cfg: &DistConfig,
-    sink: &mut dyn FnMut(u64, &str) -> Result<(), String>,
-) -> Result<SimOutcome, DistError> {
+    cache: Option<&ShardCache>,
+    sink: &mut BlobSink<'_>,
+) -> Result<SimOutcome, SweepError> {
     let shards: Vec<u64> = pending.iter().map(|&i| i as u64).collect();
     let mut coord = Coordinator::new(cfg.clone(), resolved.fingerprint, &shards);
     let hb_every = cfg.heartbeat_interval_ms.max(1);
@@ -121,19 +129,19 @@ pub fn run_sim(
     let mut blob_for = |shard: u64| -> String {
         blob_cache
             .entry(shard)
-            .or_insert_with(|| shard_blob(resolved, shard as usize))
+            .or_insert_with(|| shard_blob_cached(resolved, shard as usize, cache))
             .clone()
     };
-    let mut degraded: Option<Vec<u64>> = None;
+    let mut undone = Vec::new();
 
     for w in 0..workers as u64 {
         q.push(0, SimEv::Spawn(w));
     }
     q.push(0, SimEv::Tick);
 
-    while let Some((t, ev)) = q.pop() {
+    'run: while let Some((t, ev)) = q.pop() {
         if t > MAX_VIRTUAL_MS {
-            return Err(DistError::Failed(
+            return Err(SweepError::Failed(
                 "simulated schedule stalled (virtual-time guard tripped)".into(),
             ));
         }
@@ -261,11 +269,13 @@ pub fn run_sim(
                     q.push(at_ms.max(t + 1), SimEv::Spawn(worker));
                 }
                 Cmd::Completed { shard, blob } => {
-                    sink(shard, &blob).map_err(DistError::Failed)?;
+                    if sink(shard, &blob)?.is_break() {
+                        break 'run;
+                    }
                 }
-                Cmd::Degrade { shards } => degraded = Some(shards),
+                Cmd::Degrade { shards } => undone = shards,
                 Cmd::Abort { shard, report } => {
-                    return Err(DistError::Mismatch { shard, report });
+                    return Err(SweepError::Mismatch { shard, report });
                 }
                 Cmd::AllDone => {}
             }
@@ -276,17 +286,11 @@ pub fn run_sim(
     }
 
     let mut stats = coord.stats.clone();
-    if let Some(shards) = degraded {
-        debug_assert_eq!(coord.finished(), Some(FinishKind::Degraded));
-        for shard in shards {
-            let blob = blob_for(shard);
-            sink(shard, &blob).map_err(DistError::Failed)?;
-            stats.degraded += 1;
-        }
-    }
+    stats.degraded = undone.len() as u64;
     Ok(SimOutcome {
         log: coord.log.clone(),
         stats,
+        undone,
     })
 }
 

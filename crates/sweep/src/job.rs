@@ -7,10 +7,12 @@
 //! resolved spec carries its own seed and shard streams) the same
 //! result bytes. [`SweepJob`] is that shared meaning: both front ends
 //! build one, call [`SweepJob::validate`], and hand the
-//! [`ValidatedJob`] to a runner. Neither layer re-implements spec
-//! handling, so they cannot drift.
+//! [`ValidatedJob`]'s resolved grid to the one sweep driver,
+//! [`crate::run_resolved`] — in-process or on a distributed transport,
+//! as their [`SweepOptions`](crate::SweepOptions) say. Neither layer
+//! re-implements spec handling or resolves twice, so they cannot
+//! drift.
 
-use crate::runner::{run_sweep_observed, ShardObserver, SweepOptions, SweepOutcome};
 use crate::spec::{ResolvedSweep, SweepSpec};
 
 /// A density-estimation job: everything that determines the result
@@ -93,63 +95,14 @@ impl SweepJob {
 }
 
 /// A job that passed admission: the parsed spec plus its resolved grid
-/// (cell list, fused shards, fingerprint). Running it is now
-/// infallible up to I/O.
+/// (cell list, fused shards, fingerprint), ready for
+/// [`crate::run_resolved`]. Running it is now infallible up to I/O.
 #[derive(Debug, Clone)]
 pub struct ValidatedJob {
     /// The parsed spec (seed override already applied).
     pub spec: SweepSpec,
     /// The resolved grid the job will execute.
     pub resolved: ResolvedSweep,
-}
-
-impl ValidatedJob {
-    /// Executes the job in-process on `opts`' pool, streaming each
-    /// completed shard's cell aggregates through `on_shard` (return
-    /// `false` to cancel between shards). Ephemeral by construction:
-    /// no checkpoint, no resume — a serve job that dies is simply
-    /// resubmitted, and its bytes are guaranteed by purity, not by
-    /// disk state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runner failures as displayable messages.
-    pub fn run_streaming(
-        &self,
-        job: &SweepJob,
-        workers: usize,
-        on_shard: &mut ShardObserver<'_>,
-    ) -> Result<SweepOutcome, String> {
-        self.run_streaming_with(job, workers, None, on_shard)
-    }
-
-    /// [`ValidatedJob::run_streaming`] with a shard result cache: the
-    /// daemon threads its process-wide cache through here so every
-    /// executor (and repeated or grid-overlapping client specs) shares
-    /// one store. Checkpoint and resume stay off — the cache is the
-    /// ephemeral-job replacement for both.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runner failures as displayable messages.
-    pub fn run_streaming_with(
-        &self,
-        job: &SweepJob,
-        workers: usize,
-        cache: Option<std::sync::Arc<crate::cache::ShardCache>>,
-        on_shard: &mut ShardObserver<'_>,
-    ) -> Result<SweepOutcome, String> {
-        let opts = SweepOptions {
-            quick: job.quick,
-            workers,
-            // One shard per wave: cancellation and row streaming both
-            // act at shard granularity.
-            checkpoint_every: 1,
-            cache,
-            ..SweepOptions::default()
-        };
-        run_sweep_observed(&self.spec, &opts, on_shard)
-    }
 }
 
 /// Why a job was refused at admission. One error vocabulary for both
@@ -175,7 +128,7 @@ impl std::fmt::Display for JobError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_sweep;
+    use crate::runner::{run_resolved, run_sweep, SweepOptions};
 
     const SPEC: &str = "
         name = job_test
@@ -216,21 +169,25 @@ mod tests {
     fn streaming_run_matches_run_sweep_and_cancels() {
         let job = SweepJob::new(SPEC);
         let validated = job.validate().unwrap();
+        // The serve daemon's options: one shard per wave, so row
+        // streaming and cancellation act at shard granularity.
+        let opts = SweepOptions {
+            workers: 2,
+            checkpoint_every: 1,
+            ..SweepOptions::default()
+        };
         let mut shards_seen = Vec::new();
-        let full = validated
-            .run_streaming(&job, 2, &mut |_, idx, cells| {
-                shards_seen.push((idx, cells.len()));
-                true
-            })
-            .unwrap();
+        let full = run_resolved(&validated.resolved, &opts, &mut |_, idx, cells| {
+            shards_seen.push((idx, cells.len()));
+            true
+        })
+        .unwrap();
         assert!(full.complete);
         assert_eq!(shards_seen.len(), 2);
         let reference = run_sweep(&validated.spec, &SweepOptions::default()).unwrap();
         assert_eq!(full.aggregates, reference.aggregates);
         // cancelling after the first shard leaves a partial outcome
-        let partial = validated
-            .run_streaming(&job, 2, &mut |_, _, _| false)
-            .unwrap();
+        let partial = run_resolved(&validated.resolved, &opts, &mut |_, _, _| false).unwrap();
         assert!(!partial.complete);
         assert_eq!(partial.executed, 1);
     }

@@ -20,8 +20,14 @@
 //!    list of cells, and **fuses** cells that differ only on estimator
 //!    and rounds into shards ([`FusedShard`]) sharing one simulation
 //!    family.
-//! 2. [`runner`] executes shards on the workspace's persistent
-//!    [`WorkerPool`](antdensity_engine::WorkerPool): each trial is one
+//! 2. [`runner`] holds the one sweep driver, [`run_resolved`]: it
+//!    locks the checkpoint, resumes, merges and observes each finished
+//!    shard, checkpoints on one cadence, and builds the
+//!    [`SweepOutcome`]. Only the executor varies: the workspace's
+//!    persistent [`WorkerPool`](antdensity_engine::WorkerPool), or a
+//!    [`dist`] transport picked by [`SweepOptions::dist`] (the
+//!    simulator, child processes, or TCP peers), whose unfinished
+//!    shards fall back to the pool. Each trial is one
 //!    streaming pass
 //!    ([`Scenario::run_streamed`](antdensity_engine::Scenario::run_streamed))
 //!    whose observers snapshot every member cell's `(estimator, rounds)`
@@ -62,15 +68,12 @@ pub mod spec;
 pub use aggregate::CellAggregate;
 pub use cache::{CacheStats, ShardCache};
 pub use checkpoint::{Checkpoint, CheckpointLock};
-pub use dist::{
-    run_sweep_distributed, run_sweep_distributed_observed, DistError, DistOptions, DistStats,
-    FaultPlan, Transport,
-};
+pub use dist::{DistOptions, DistStats, FaultPlan, Transport};
 pub use job::{JobError, SweepJob, ValidatedJob};
 pub use metrics::{MetricsSummary, SweepMetrics};
 pub use report::{build_report, build_row, SweepReport, SweepRow};
 pub use runner::{
-    run_shard, run_shard_unfused, run_sweep, run_sweep_observed, ShardObserver, SweepOptions,
+    run_resolved, run_shard, run_shard_unfused, run_sweep, ShardObserver, SweepError, SweepOptions,
     SweepOutcome,
 };
 pub use spec::{
@@ -78,7 +81,7 @@ pub use spec::{
 };
 
 /// Parses a spec file's text, runs the sweep, and builds the report —
-/// the whole pipeline behind `repro sweep`.
+/// the whole pipeline behind `repro sweep`, as one call.
 ///
 /// # Errors
 ///

@@ -128,8 +128,9 @@ pub struct SweepMetrics {
 }
 
 impl SweepMetrics {
-    /// Assembles metrics from a sweep outcome, the measured wall clock,
-    /// and a telemetry snapshot (normally `telemetry::snapshot()` taken
+    /// Assembles metrics from a sweep outcome (its distributed-run
+    /// counters included), the measured wall clock, and a telemetry
+    /// snapshot (normally `telemetry::snapshot()` taken
     /// right after the sweep returns).
     pub fn from_outcome(
         outcome: &SweepOutcome,
@@ -149,18 +150,10 @@ impl SweepMetrics {
             simulated_rounds: outcome.simulated_rounds,
             workers_requested: outcome.workers_requested,
             workers_effective: outcome.workers_effective,
-            dist: None,
+            dist: outcome.dist.clone(),
             cache: None,
             snapshot,
         }
-    }
-
-    /// Attaches distributed-run counters, marking the file as coming
-    /// from a `--serve-shards` invocation.
-    #[must_use]
-    pub fn with_dist(mut self, stats: DistStats) -> Self {
-        self.dist = Some(stats);
-        self
     }
 
     /// Attaches shard-cache counters, marking the file as coming from
@@ -502,7 +495,8 @@ mod tests {
             bad_frames: 0,
             degraded: 0,
         };
-        let m = demo_metrics().with_dist(stats);
+        let mut m = demo_metrics();
+        m.dist = Some(stats);
         let json = m.to_json();
         assert!(json.contains("\"dist\": {"));
         assert!(json.contains("\"workers_seen\": 4"));

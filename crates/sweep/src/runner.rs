@@ -18,19 +18,25 @@
 //! `tests/determinism.rs` pins and `tests/fusion_gate.rs` checks on
 //! report bytes, with fusion's speedup.
 //!
-//! Shards are dispatched in waves onto the existing [`WorkerPool`] (via
-//! [`antdensity_engine::pool::run_trials_on`], the workspace's
-//! deterministic fan-out primitive): `workers` tasks claim a wave's
-//! shards through an atomic cursor, costliest first by agent-steps, so
-//! one worker never runs two heavy shards back to back while another
-//! idles. Each result goes back to its wave slot, so merges, `on_shard`
-//! observations and checkpoints keep wave order. After each wave the
-//! full completed state is checkpointed. Killing a sweep loses at most
-//! one wave of work, and [`run_sweep`] with `resume` picks up from the
-//! checkpoint.
+//! [`run_resolved`] is the one sweep driver. It locks, resumes,
+//! merges, observes, and checkpoints; only the executor varies. The
+//! in-process executor dispatches shards in waves onto the existing
+//! [`WorkerPool`] (via [`antdensity_engine::pool::run_trials_on`], the
+//! workspace's deterministic fan-out primitive): `workers` tasks claim
+//! a wave's shards through an atomic cursor, costliest first by
+//! agent-steps, so one worker never runs two heavy shards back to back
+//! while another idles. Each result goes back to its wave slot, so
+//! merges, `on_shard` observations and checkpoints keep wave order. A
+//! [`SweepOptions::dist`] transport instead feeds shards in completion
+//! order and hands back the ones it could not finish, which run in
+//! waves here. Every `checkpoint_every` merged shards the full
+//! completed state is checkpointed. Killing a sweep loses at most that
+//! many shards of work, and [`run_sweep`] with `resume` picks up from
+//! the checkpoint.
 
 use crate::aggregate::CellAggregate;
 use crate::checkpoint::Checkpoint;
+use crate::dist::{DistOptions, DistStats, Transport};
 use crate::spec::{FusedShard, ResolvedSweep, SweepSpec};
 use antdensity_engine::pool::{default_threads, run_trials_on};
 use antdensity_engine::{EstimatorSpec, ObserverTap, Scenario, WorkerPool};
@@ -38,6 +44,7 @@ use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -62,8 +69,9 @@ static ROUNDS_SAVED: telemetry::LazyCounter =
 /// Execution options for [`run_sweep`].
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Quick (CI smoke) or full effort; part of the resolved spec and
-    /// its fingerprint.
+    /// Quick (CI smoke) or full effort: the grid [`run_sweep`]
+    /// resolves, part of its fingerprint. [`run_resolved`] takes an
+    /// already-resolved sweep and does not read it.
     pub quick: bool,
     /// Worker threads for shard fan-out (results never depend on it).
     pub workers: usize,
@@ -99,6 +107,11 @@ pub struct SweepOptions {
     /// publishes its shards, an LRU eviction pass shrinks the cache to
     /// this size. `None` = unbounded.
     pub cache_cap: Option<u64>,
+    /// Run the shards on a distributed transport (`repro sweep
+    /// --serve-shards`, `--workers-cmd`, `--listen`) instead of the
+    /// pool; `None` (default) runs in-process. Results never depend on
+    /// it.
+    pub dist: Option<DistOptions>,
 }
 
 impl Default for SweepOptions {
@@ -115,6 +128,7 @@ impl Default for SweepOptions {
             cache: None,
             cache_verify: false,
             cache_cap: None,
+            dist: None,
         }
     }
 }
@@ -144,7 +158,46 @@ pub struct SweepOutcome {
     /// Worker threads actually usable: the request clamped to the
     /// executing pool's size (the machine's available parallelism for
     /// the global pool). Wall clock only — results never depend on it.
+    /// A distributed run reports its transport's worker slots and the
+    /// workers that said HELLO instead.
     pub workers_effective: usize,
+    /// The distributed transport's counters (`None` for in-process
+    /// runs).
+    pub dist: Option<DistStats>,
+}
+
+/// Why a sweep failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SweepError {
+    /// Spec, checkpoint, lock, cache-verify, transport, or merge
+    /// failure.
+    Failed(String),
+    /// Two distributed workers returned byte-unequal blobs for one
+    /// shard — the structured report names the shard and the first
+    /// differing byte. Maps to exit code 4 in the CLI.
+    Mismatch {
+        /// The disputed shard.
+        shard: u64,
+        /// `key=value` mismatch report.
+        report: String,
+    },
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SweepError::Failed(msg) => write!(f, "{msg}"),
+            SweepError::Mismatch { shard, report } => {
+                write!(f, "result mismatch on shard {shard}: {report}")
+            }
+        }
+    }
+}
+
+impl From<String> for SweepError {
+    fn from(msg: String) -> Self {
+        SweepError::Failed(msg)
+    }
 }
 
 /// Builds the base scenario a shard's cells share (everything but
@@ -328,17 +381,16 @@ fn run_shard_cached(
     Ok((cells, true))
 }
 
-/// Resolves `spec` under `opts` and executes its fused shards,
-/// checkpointing each wave and resuming from a prior checkpoint when
-/// asked.
+/// Resolves `spec` under `opts` and runs it through [`run_resolved`]
+/// with no observer.
 ///
 /// # Errors
 ///
-/// Returns an error if the spec fails to resolve, a resume checkpoint
-/// is unreadable/malformed, or the checkpoint's fingerprint or cell
-/// count does not match the resolved spec.
+/// Returns an error if the spec fails to resolve, or any
+/// [`run_resolved`] failure as its message.
 pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, String> {
-    run_sweep_observed(spec, opts, &mut |_, _, _| true)
+    let resolved = spec.resolve(opts.quick)?;
+    run_resolved(&resolved, opts, &mut |_, _, _| true).map_err(|e| e.to_string())
 }
 
 /// A per-shard observer: receives the resolved spec, the completed
@@ -347,37 +399,45 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
 pub type ShardObserver<'a> =
     dyn FnMut(&ResolvedSweep, usize, &[(usize, CellAggregate)]) -> bool + 'a;
 
-/// [`run_sweep`] with a per-shard observer: after each completed shard
-/// is merged, `on_shard` receives the resolved spec, the shard index,
-/// and the shard's `(cell index, aggregate)` pairs — the hook the
-/// serve daemon streams row events from. Returning `false` stops the
-/// sweep after the current wave (a cooperative cancel; the outcome
-/// comes back with `complete == false`, like a `max_shards` stop).
+/// The one sweep driver, behind every in-process, simulated, and
+/// distributed run. It locks the checkpoint, restores finished shards
+/// when `resume` is set, keeps the first `max_shards` pending ones, and
+/// hands them to an executor: the pool, in waves of
+/// `checkpoint_every`, or [`SweepOptions::dist`]'s transport, whose
+/// unfinished shards then run on the pool. Each finished shard is
+/// observed and merged here; every `checkpoint_every` merged shards the
+/// checkpoint is written and the `--progress` line printed; at the end
+/// the cache is shrunk to `cache_cap`.
 ///
-/// The observer sees results, it never influences them: shard `i`
-/// stays a pure function of `(resolved spec, i)`, so an observed run's
-/// aggregates are identical to an unobserved one's.
+/// `on_shard` gets each shard's `(cell index, aggregate)` pairs — the
+/// hook the serve daemon streams rows from. Returning `false` stops
+/// the sweep (after the current wave in-process; the transport is torn
+/// down) with `complete == false`, like a `max_shards` stop. The
+/// observer never influences results: shard `i` stays a pure function
+/// of `(resolved spec, i)` on every executor.
 ///
 /// # Errors
 ///
-/// Exactly [`run_sweep`]'s error conditions.
-pub fn run_sweep_observed(
-    spec: &SweepSpec,
+/// [`SweepError::Mismatch`] when two distributed workers returned
+/// byte-unequal blobs for one shard; [`SweepError::Failed`] when the
+/// checkpoint is locked, unreadable, or belongs to a different sweep,
+/// a write fails, `cache_verify` finds a cached blob that differs from
+/// its recomputation, or the transport fails.
+pub fn run_resolved(
+    resolved: &ResolvedSweep,
     opts: &SweepOptions,
     on_shard: &mut ShardObserver<'_>,
-) -> Result<SweepOutcome, String> {
-    let resolved = spec.resolve(opts.quick)?;
+) -> Result<SweepOutcome, SweepError> {
     // Exclusive writer: a second coordinator on the same checkpoint
     // must fail loudly rather than interleave tmp+rename writes.
     let _lock = match &opts.checkpoint {
         Some(path) => Some(crate::checkpoint::CheckpointLock::acquire(path)?),
         None => None,
     };
-    let mut done = load_resume(&resolved, opts.checkpoint.as_deref(), opts.resume)?;
-    let (resumed, pending) = partition_pending(&resolved, &done);
-    let budget = opts.max_shards.unwrap_or(usize::MAX);
+    let done = load_resume(resolved, opts.checkpoint.as_deref(), opts.resume)?;
+    let (resumed, mut pending) = partition_pending(resolved, &done);
+    pending.truncate(opts.max_shards.unwrap_or(usize::MAX));
     let workers = opts.workers.max(1);
-    let wave_size = opts.checkpoint_every.max(1);
     let pool: &WorkerPool = opts.pool.as_deref().unwrap_or_else(|| WorkerPool::global());
 
     // Effective-vs-requested parallelism: the pool (sized to the
@@ -398,93 +458,43 @@ pub fn run_sweep_observed(
         });
     }
 
-    // Rounds-weighted progress bookkeeping (`--progress`): how much
-    // simulation work each pending shard represents, and the agent
-    // steps behind it, so the stderr line can show a defensible ETA
-    // and an aggregate Msteps/s.
-    let shard_rounds = |s: &FusedShard| s.max_rounds() * resolved.trials;
-    let shard_agent_steps =
-        |s: &FusedShard| shard_rounds(s) * resolved.cells[s.cells[0]].num_agents as u64;
-    let pending_rounds: u64 = pending
-        .iter()
-        .map(|&i| shard_rounds(&resolved.fused[i]))
-        .sum();
-    let started = Instant::now();
-    let mut progress_rounds = 0u64;
-    let mut progress_agent_steps = 0u64;
-    let total_shards = resolved.fused.len();
-
-    let mut executed = 0usize;
-    let mut simulations = 0u64;
-    let mut simulated_rounds = 0u64;
-    let mut cancelled = false;
-    for wave in pending.chunks(wave_size) {
-        if executed >= budget || cancelled {
-            break;
+    let mut run = SweepRun {
+        resolved,
+        opts,
+        pool,
+        workers,
+        on_shard,
+        done,
+        every: opts.checkpoint_every.max(1),
+        executed: 0,
+        simulations: 0,
+        simulated_rounds: 0,
+        stopped: false,
+        resumed,
+        pending_rounds: pending.iter().map(|&i| shard_rounds(resolved, i)).sum(),
+        progress_rounds: 0,
+        progress_agent_steps: 0,
+        started: Instant::now(),
+    };
+    let dist = match &opts.dist {
+        None => {
+            run.waves(&pending)?;
+            None
         }
-        let wave = &wave[..wave.len().min(budget - executed)];
-        let mut wave_span = WAVE_SPAN.start();
-        wave_span.arg("shards", wave.len() as f64);
-        // Claim order: costliest shard first (stable, so ties keep wave
-        // order). Results are put back in wave order below.
-        let mut claim: Vec<usize> = (0..wave.len()).collect();
-        claim.sort_by_key(|&k| std::cmp::Reverse(shard_agent_steps(&resolved.fused[wave[k]])));
-        // Unused per-trial RNG (shards derive their own streams), but
-        // run_trials_on is the workspace's deterministic pool fan-out.
-        let seq = SeedSequence::new(resolved.seed);
-        let cache = opts.cache.as_deref();
-        let cache_verify = opts.cache_verify;
-        let claimed = run_trials_on(pool, wave.len() as u64, workers, seq, |i, _| {
-            let shard = wave[claim[i as usize]];
-            match cache {
-                Some(cache) => run_shard_cached(&resolved, shard, cache, cache_verify),
-                None => Ok((run_shard(&resolved, shard), true)),
-            }
-        });
-        let mut results: Vec<_> = claim.into_iter().zip(claimed).collect();
-        results.sort_unstable_by_key(|&(k, _)| k);
-        for (&shard_idx, (_, result)) in wave.iter().zip(results) {
-            let (cell_aggs, simulated) = result?;
-            let shard = &resolved.fused[shard_idx];
-            if simulated {
-                simulations += resolved.trials;
-                simulated_rounds += shard_rounds(shard);
-            }
-            progress_rounds += shard_rounds(shard);
-            progress_agent_steps += shard_agent_steps(shard);
-            // Observe before the aggregates are consumed by the merge;
-            // once the observer cancels, the rest of the wave (already
-            // computed) is still merged — work is never thrown away —
-            // but no further observations are delivered.
-            if !cancelled && !on_shard(&resolved, shard_idx, &cell_aggs) {
-                cancelled = true;
-            }
-            for (cell_idx, agg) in cell_aggs {
-                done.insert(cell_idx, agg);
-            }
+        Some(dopts) => {
+            let cache = opts.cache.as_deref();
+            let (stats, undone) = crate::dist::run_transport(
+                resolved,
+                &pending,
+                cache,
+                dopts,
+                &mut |shard, blob| run.blob(shard, blob),
+            )?;
+            run.waves(&undone)?;
+            Some(stats)
         }
-        executed += wave.len();
-        if let Some(path) = &opts.checkpoint {
-            crate::checkpoint::save_shards(path, resolved.fingerprint, resolved.cells.len(), &done)
-                .map_err(|e| format!("checkpoint write failed: {e}"))?;
-        }
-        drop(wave_span);
-        if opts.progress {
-            print_progress(
-                &resolved.name,
-                resumed + executed,
-                total_shards,
-                resumed,
-                progress_rounds,
-                pending_rounds,
-                progress_agent_steps,
-                started,
-            );
-        }
-    }
-    if opts.progress && executed > 0 {
-        eprintln!();
-    }
+    };
+    run.finish()?;
 
     // Housekeeping after publishing this run's shards: shrink the
     // cache to its cap, evicting least-recently-used entries first
@@ -493,32 +503,205 @@ pub fn run_sweep_observed(
         cache.evict_to(cap);
     }
 
-    let aggregates: Vec<Option<CellAggregate>> =
-        (0..resolved.cells.len()).map(|i| done.remove(&i)).collect();
+    let (workers_requested, workers_effective) = match (&opts.dist, &dist) {
+        (Some(dopts), Some(stats)) => match dopts.transport {
+            Transport::Sim { workers } | Transport::Children { workers } => {
+                (workers, stats.workers_seen as usize)
+            }
+            Transport::Listen { .. } => (stats.workers_seen as usize, stats.workers_seen as usize),
+        },
+        _ => (workers, workers_effective),
+    };
+    let aggregates: Vec<Option<CellAggregate>> = (0..resolved.cells.len())
+        .map(|i| run.done.remove(&i))
+        .collect();
     let complete = aggregates.iter().all(Option::is_some);
     Ok(SweepOutcome {
-        resolved,
+        resolved: resolved.clone(),
         aggregates,
         complete,
-        executed,
+        executed: run.executed,
         resumed,
-        simulations,
-        simulated_rounds,
-        workers_requested: workers,
+        simulations: run.simulations,
+        simulated_rounds: run.simulated_rounds,
+        workers_requested,
         workers_effective,
+        dist,
     })
 }
 
+/// Rounds fused shard `i` simulates over all its trials.
+fn shard_rounds(resolved: &ResolvedSweep, i: usize) -> u64 {
+    resolved.fused[i].max_rounds() * resolved.trials
+}
+
+/// Agent steps behind fused shard `i` — its cost for claim order and
+/// the `--progress` throughput.
+fn shard_agent_steps(resolved: &ResolvedSweep, i: usize) -> u64 {
+    shard_rounds(resolved, i) * resolved.cells[resolved.fused[i].cells[0]].num_agents as u64
+}
+
+/// One driver invocation's state, shared by every executor: the
+/// observer, the cell-keyed merge, work accounting, and the checkpoint
+/// and `--progress` cadence.
+struct SweepRun<'a, 'o> {
+    resolved: &'a ResolvedSweep,
+    opts: &'a SweepOptions,
+    pool: &'a WorkerPool,
+    workers: usize,
+    on_shard: &'a mut ShardObserver<'o>,
+    done: BTreeMap<usize, CellAggregate>,
+    /// Merged shards per checkpoint write (`checkpoint_every`).
+    every: usize,
+    executed: usize,
+    simulations: u64,
+    simulated_rounds: u64,
+    /// The observer asked to stop.
+    stopped: bool,
+    resumed: usize,
+    pending_rounds: u64,
+    progress_rounds: u64,
+    progress_agent_steps: u64,
+    started: Instant,
+}
+
+impl SweepRun<'_, '_> {
+    /// The in-process executor: runs `shards` on the pool in waves of
+    /// `checkpoint_every`. Within a wave `workers` tasks claim shards
+    /// through an atomic cursor, costliest first by agent-steps
+    /// (stable, so ties keep wave order), and each result goes back to
+    /// its wave slot before it is merged. Stops after the wave in which
+    /// the observer stopped the sweep.
+    fn waves(&mut self, shards: &[usize]) -> Result<(), String> {
+        let resolved = self.resolved;
+        for wave in shards.chunks(self.every) {
+            if self.stopped {
+                break;
+            }
+            let mut wave_span = WAVE_SPAN.start();
+            wave_span.arg("shards", wave.len() as f64);
+            let mut claim: Vec<usize> = (0..wave.len()).collect();
+            claim.sort_by_key(|&k| std::cmp::Reverse(shard_agent_steps(resolved, wave[k])));
+            // Unused per-trial RNG (shards derive their own streams), but
+            // run_trials_on is the workspace's deterministic pool fan-out.
+            let seq = SeedSequence::new(resolved.seed);
+            let (cache, verify) = (self.opts.cache.as_deref(), self.opts.cache_verify);
+            let claimed = run_trials_on(self.pool, wave.len() as u64, self.workers, seq, |i, _| {
+                let shard = wave[claim[i as usize]];
+                match cache {
+                    Some(cache) => run_shard_cached(resolved, shard, cache, verify),
+                    None => Ok((run_shard(resolved, shard), true)),
+                }
+            });
+            let mut results: Vec<_> = claim.into_iter().zip(claimed).collect();
+            results.sort_unstable_by_key(|&(k, _)| k);
+            for (&shard, (_, result)) in wave.iter().zip(results) {
+                let (cells, simulated) = result?;
+                self.shard(shard, cells, simulated)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes one finished shard. `simulated` is false for a cache hit,
+    /// which counts toward progress but not toward simulation work.
+    fn shard(
+        &mut self,
+        index: usize,
+        cells: Vec<(usize, CellAggregate)>,
+        simulated: bool,
+    ) -> Result<(), String> {
+        let rounds = shard_rounds(self.resolved, index);
+        if simulated {
+            self.simulations += self.resolved.trials;
+            self.simulated_rounds += rounds;
+        }
+        self.progress_rounds += rounds;
+        self.progress_agent_steps += shard_agent_steps(self.resolved, index);
+        // Observe before the aggregates are consumed by the merge; once
+        // the observer stops the sweep, shards already computed are
+        // still merged — work is never thrown away — but no further
+        // observations are delivered.
+        if !self.stopped && !(self.on_shard)(self.resolved, index, &cells) {
+            self.stopped = true;
+        }
+        self.done.extend(cells);
+        self.executed += 1;
+        if self.executed.is_multiple_of(self.every) {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Takes one shard's result blob from a distributed transport;
+    /// breaks once the observer has stopped the sweep.
+    fn blob(&mut self, shard: u64, blob: &str) -> Result<ControlFlow<()>, String> {
+        let cells = crate::dist::parse_blob(self.resolved, blob)?;
+        self.shard(shard as usize, cells, true)?;
+        Ok(if self.stopped {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        })
+    }
+
+    /// Writes the checkpoint and the `--progress` line.
+    fn flush(&mut self) -> Result<(), String> {
+        if let Some(path) = &self.opts.checkpoint {
+            let (fingerprint, cells) = (self.resolved.fingerprint, self.resolved.cells.len());
+            crate::checkpoint::save_shards(path, fingerprint, cells, &self.done)
+                .map_err(|e| format!("checkpoint write failed: {e}"))?;
+        }
+        if self.opts.progress {
+            self.print_progress();
+        }
+        Ok(())
+    }
+
+    /// Flushes shards merged since the last write and ends the
+    /// `--progress` line.
+    fn finish(&mut self) -> Result<(), String> {
+        if !self.executed.is_multiple_of(self.every) {
+            self.flush()?;
+        }
+        if self.opts.progress && self.executed > 0 {
+            eprintln!();
+        }
+        Ok(())
+    }
+
+    /// Renders the `--progress` stderr line: shard counts, aggregate
+    /// simulation throughput, and a rounds-weighted ETA over the work
+    /// still pending. Carriage-return updates in place on a TTY; in a
+    /// log file each write is one line.
+    fn print_progress(&self) {
+        let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
+        let msteps = self.progress_agent_steps as f64 / elapsed / 1e6;
+        let rate = self.progress_rounds.max(1) as f64 / elapsed;
+        let eta = self.pending_rounds.saturating_sub(self.progress_rounds) as f64 / rate;
+        let resumed_note = if self.resumed > 0 {
+            format!(" ({} resumed)", self.resumed)
+        } else {
+            String::new()
+        };
+        eprint!(
+            "\rsweep {}: shards {}/{}{resumed_note} | {msteps:.1} Msteps/s | ETA {eta:.0}s   ",
+            self.resolved.name,
+            self.resumed + self.executed,
+            self.resolved.fused.len(),
+        );
+        let _ = std::io::stderr().flush();
+    }
+}
+
 /// Loads resumable cell aggregates: the checkpoint's cell map when
-/// `resume` is set and a checkpoint exists, empty otherwise. Shared by
-/// the in-process runner and the distributed coordinator so both
-/// reject a foreign checkpoint with the same errors.
+/// `resume` is set and a checkpoint exists, empty otherwise.
 ///
 /// # Errors
 ///
 /// Returns checkpoint load/parse failures, a fingerprint mismatch
 /// ("different sweep configuration"), or a cell-count mismatch.
-pub(crate) fn load_resume(
+fn load_resume(
     resolved: &ResolvedSweep,
     checkpoint: Option<&std::path::Path>,
     resume: bool,
@@ -555,7 +738,7 @@ pub(crate) fn load_resume(
 /// given restored cell aggregates. A shard is complete iff every
 /// member cell's aggregate is present (checkpoints are keyed by cell,
 /// so partial waves restore cleanly).
-pub(crate) fn partition_pending(
+fn partition_pending(
     resolved: &ResolvedSweep,
     done: &BTreeMap<usize, CellAggregate>,
 ) -> (usize, Vec<usize>) {
@@ -568,42 +751,6 @@ pub(crate) fn partition_pending(
         .map(|s| s.index)
         .collect();
     (resumed, pending)
-}
-
-/// Renders the `--progress` stderr line after a wave: shard counts,
-/// aggregate simulation throughput, and a rounds-weighted ETA over the
-/// work still pending. Carriage-return updates in place on a TTY; in a
-/// log file each wave is one line.
-#[allow(clippy::too_many_arguments)]
-fn print_progress(
-    name: &str,
-    done_shards: usize,
-    total_shards: usize,
-    resumed: usize,
-    done_rounds: u64,
-    pending_rounds: u64,
-    agent_steps: u64,
-    started: Instant,
-) {
-    let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-    let msteps = agent_steps as f64 / elapsed / 1e6;
-    let eta = if done_rounds > 0 {
-        let rate = done_rounds as f64 / elapsed;
-        let remaining = pending_rounds.saturating_sub(done_rounds) as f64;
-        format!("{:.0}s", remaining / rate)
-    } else {
-        "--".to_string()
-    };
-    let resumed_note = if resumed > 0 {
-        format!(" ({resumed} resumed)")
-    } else {
-        String::new()
-    };
-    eprint!(
-        "\rsweep {name}: shards {done_shards}/{total_shards}{resumed_note} | \
-         {msteps:.1} Msteps/s | ETA {eta}   "
-    );
-    let _ = std::io::stderr().flush();
 }
 
 #[cfg(test)]

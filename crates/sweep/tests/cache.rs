@@ -10,7 +10,9 @@
 //! key — and asserts the sweep still produces bytes identical to a
 //! cache-off run.
 
-use antdensity_sweep::{build_report, run_sweep, ShardCache, SweepOptions, SweepSpec};
+use antdensity_sweep::{
+    build_report, run_sweep, DistOptions, FaultPlan, ShardCache, SweepOptions, SweepSpec,
+};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -284,4 +286,39 @@ fn cache_verify_aborts_on_a_forged_consistent_entry() {
     assert!(err.contains("cache-verify"), "{err}");
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `cache_cap` is the driver's, so it holds on every executor: a
+/// 1-byte cap evicts every entry the run published, whether the pool
+/// or the simulated transport's virtual workers (which share the
+/// coordinator's cache, as spawned children do) ran the shards.
+#[test]
+fn one_byte_cap_evicts_on_the_sim_transport_as_in_process() {
+    let spec = SweepSpec::parse(SPEC).expect("spec parses");
+    let reference = reference_bytes(&spec);
+    let shards = spec.resolve(false).unwrap().fused.len() as u64;
+    let mut runs = Vec::new();
+    for (tag, dist) in [
+        ("cap_inproc", None),
+        ("cap_sim", Some(DistOptions::sim(2, FaultPlan::none()))),
+    ] {
+        let root = tmp_root(tag);
+        let cache = Arc::new(ShardCache::open(&root).expect("cache opens"));
+        let opts = SweepOptions {
+            cache: Some(Arc::clone(&cache)),
+            cache_cap: Some(1),
+            dist,
+            ..SweepOptions::default()
+        };
+        let outcome = run_sweep(&spec, &opts).expect("capped sweep runs");
+        let report = build_report(&outcome);
+        assert_eq!((report.to_json(), report.to_csv()), reference, "{tag}");
+        let stats = cache.stats();
+        assert_eq!(stats.stores, shards, "{tag}: every shard published");
+        assert_eq!(stats.evictions, shards, "{tag}: the cap evicts them all");
+        assert_eq!(cache.total_bytes(), 0, "{tag}");
+        runs.push(stats);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    assert_eq!(runs[0], runs[1]);
 }

@@ -13,7 +13,7 @@
 use antdensity_engine::WorkerPool;
 use antdensity_sweep::dist::{DistOptions, FaultPlan};
 use antdensity_sweep::{
-    build_report, run_shard_unfused, run_sweep, run_sweep_distributed, CheckpointLock, DistError,
+    build_report, run_resolved, run_shard_unfused, run_sweep, CheckpointLock, SweepError,
     SweepOptions, SweepOutcome, SweepSpec,
 };
 use std::path::PathBuf;
@@ -228,11 +228,14 @@ fn concurrent_coordinators_on_one_checkpoint_fail_loudly() {
     let err = run_sweep(&spec, &opts).unwrap_err();
     assert!(err.contains("locked by running process"), "{err}");
 
-    let err =
-        run_sweep_distributed(&spec, &opts, &DistOptions::sim(2, FaultPlan::none())).unwrap_err();
+    let dist = SweepOptions {
+        dist: Some(DistOptions::sim(2, FaultPlan::none())),
+        ..opts.clone()
+    };
+    let err = run_resolved(&spec.resolve(false).unwrap(), &dist, &mut |_, _, _| true).unwrap_err();
     match err {
-        DistError::Failed(e) => assert!(e.contains("locked by running process"), "{e}"),
-        DistError::Mismatch { .. } => panic!("lock contention is not a mismatch"),
+        SweepError::Failed(e) => assert!(e.contains("locked by running process"), "{e}"),
+        SweepError::Mismatch { .. } => panic!("lock contention is not a mismatch"),
     }
 
     // Releasing the lock unblocks the next coordinator.

@@ -12,8 +12,10 @@
 
 use antdensity_sweep::dist::{self, DistConfig, DistOptions, FaultPlan, Transport};
 use antdensity_sweep::{
-    build_report, run_sweep, run_sweep_distributed, DistError, SweepOptions, SweepSpec,
+    build_report, run_resolved, run_sweep, Checkpoint, SweepError, SweepOptions, SweepOutcome,
+    SweepSpec,
 };
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 fn spec() -> SweepSpec {
@@ -42,6 +44,20 @@ fn tmp_ckpt(tag: &str) -> PathBuf {
     ))
 }
 
+/// Runs `spec` through the sweep driver on `dopts`' transport.
+fn run_dist(
+    spec: &SweepSpec,
+    opts: SweepOptions,
+    dopts: DistOptions,
+) -> Result<SweepOutcome, SweepError> {
+    let resolved = spec.resolve(opts.quick).unwrap();
+    let opts = SweepOptions {
+        dist: Some(dopts),
+        ..opts
+    };
+    run_resolved(&resolved, &opts, &mut |_, _, _| true)
+}
+
 /// Runs the sweep distributed over the simulator and asserts the
 /// outcome is byte-identical to `reference`'s report.
 fn assert_sim_matches(
@@ -52,10 +68,10 @@ fn assert_sim_matches(
     label: &str,
 ) -> dist::DistStats {
     let plan = FaultPlan::parse(plan).unwrap();
-    let (outcome, stats) = run_sweep_distributed(
+    let outcome = run_dist(
         spec,
-        &SweepOptions::default(),
-        &DistOptions::sim(workers, plan),
+        SweepOptions::default(),
+        DistOptions::sim(workers, plan),
     )
     .unwrap_or_else(|e| panic!("{label}: distributed run failed: {e}"));
     assert!(outcome.complete, "{label}");
@@ -63,7 +79,9 @@ fn assert_sim_matches(
     let (r, d) = (build_report(reference), build_report(&outcome));
     assert_eq!(r.to_json(), d.to_json(), "{label}");
     assert_eq!(r.to_csv(), d.to_csv(), "{label}");
-    stats
+    outcome
+        .dist
+        .expect("a distributed outcome carries its counters")
 }
 
 #[test]
@@ -173,9 +191,9 @@ fn same_plan_same_seed_same_schedule() {
     let mut runs = Vec::new();
     for _ in 0..2 {
         let mut blobs: Vec<(u64, String)> = Vec::new();
-        let out = dist::sim::run_sim(&resolved, &pending, 3, &plan, &cfg, &mut |s, b| {
+        let out = dist::sim::run_sim(&resolved, &pending, 3, &plan, &cfg, None, &mut |s, b| {
             blobs.push((s, b.to_string()));
-            Ok(())
+            Ok(ControlFlow::Continue(()))
         })
         .unwrap();
         runs.push((out.log, out.stats, blobs));
@@ -200,14 +218,13 @@ fn byzantine_duplicate_aborts_with_mismatch_report() {
     // and the first differing byte — never silently merge either blob.
     let spec = spec();
     let plan = FaultPlan::parse("dup:RESULT@1,lie:RESULT@2").unwrap();
-    let err = run_sweep_distributed(&spec, &SweepOptions::default(), &DistOptions::sim(2, plan))
-        .unwrap_err();
+    let err = run_dist(&spec, SweepOptions::default(), DistOptions::sim(2, plan)).unwrap_err();
     match err {
-        DistError::Mismatch { report, .. } => {
+        SweepError::Mismatch { report, .. } => {
             assert!(report.contains("first_diff_at="), "report: {report}");
             assert!(report.contains("first_len="), "report: {report}");
         }
-        DistError::Failed(e) => panic!("wanted Mismatch, got Failed: {e}"),
+        SweepError::Failed(e) => panic!("wanted Mismatch, got Failed: {e}"),
     }
 }
 
@@ -228,10 +245,10 @@ fn kill_coordinator_and_resume_matches_either_way() {
         checkpoint_every: 1,
         ..SweepOptions::default()
     };
-    let (partial, _) = run_sweep_distributed(
+    let partial = run_dist(
         &spec,
-        &opts_partial,
-        &DistOptions::sim(2, FaultPlan::parse("kill:lease2").unwrap()),
+        opts_partial,
+        DistOptions::sim(2, FaultPlan::parse("kill:lease2").unwrap()),
     )
     .unwrap();
     assert!(!partial.complete);
@@ -270,12 +287,13 @@ fn kill_coordinator_and_resume_matches_either_way() {
         resume: true,
         ..SweepOptions::default()
     };
-    let (resumed, stats) = run_sweep_distributed(
+    let resumed = run_dist(
         &spec,
-        &opts_resume,
-        &DistOptions::sim(3, FaultPlan::parse("drop:RESULT@1").unwrap()),
+        opts_resume,
+        DistOptions::sim(3, FaultPlan::parse("drop:RESULT@1").unwrap()),
     )
     .unwrap();
+    let stats = resumed.dist.clone().unwrap();
     assert!(resumed.complete);
     assert_eq!(resumed.resumed, 1);
     assert_eq!(resumed.executed, n - 1);
@@ -336,7 +354,8 @@ fn tcp_loopback_real_runtime_matches_in_process() {
         spec_text: Some(spec_text.to_string()),
         worker_argv: None,
     };
-    let (outcome, stats) = run_sweep_distributed(&spec, &SweepOptions::default(), &dopts).unwrap();
+    let outcome = run_dist(&spec, SweepOptions::default(), dopts).unwrap();
+    let stats = outcome.dist.clone().unwrap();
     for w in workers {
         w.join().unwrap().unwrap();
     }
@@ -346,4 +365,68 @@ fn tcp_loopback_real_runtime_matches_in_process() {
     let (r, d) = (build_report(&reference), build_report(&outcome));
     assert_eq!(r.to_json(), d.to_json());
     assert_eq!(r.to_csv(), d.to_csv());
+}
+
+/// An observer that stops a simulated run after `k` shards: the
+/// transport is torn down, the outcome is partial, the checkpoint
+/// keeps exactly the merged shards, and resuming in-process finishes
+/// with the in-process report bytes.
+#[test]
+fn observer_stop_on_sim_transport_keeps_merged_shards_and_resumes_in_process() {
+    let spec = spec();
+    let reference = run_sweep(&spec, &SweepOptions::default()).unwrap();
+    let resolved = &reference.resolved;
+    let n = resolved.fused.len();
+    let k = 2;
+    assert!(n > k);
+    let ckpt = tmp_ckpt("observer_stop");
+    let _ = std::fs::remove_file(&ckpt);
+    let opts = SweepOptions {
+        checkpoint: Some(ckpt.clone()),
+        dist: Some(DistOptions::sim(3, FaultPlan::none())),
+        ..SweepOptions::default()
+    };
+    let mut seen = Vec::new();
+    let partial = run_resolved(resolved, &opts, &mut |_, shard, _| {
+        seen.push(shard);
+        seen.len() < k
+    })
+    .unwrap();
+    assert!(!partial.complete);
+    assert_eq!(seen.len(), k, "no observation after the stop");
+    assert_eq!(partial.executed, k, "the transport stops at the stop");
+    let stats = partial.dist.clone().unwrap();
+    assert!(stats.leases as usize >= k);
+    assert_eq!(stats.degraded, 0);
+
+    let merged: Vec<usize> = seen
+        .iter()
+        .flat_map(|&s| resolved.fused[s].cells.clone())
+        .collect();
+    let ck = Checkpoint::load(&ckpt).unwrap();
+    assert_eq!(ck.shards.keys().copied().collect::<Vec<_>>(), {
+        let mut cells = merged.clone();
+        cells.sort_unstable();
+        cells
+    });
+    for cell in merged {
+        assert_eq!(Some(&ck.shards[&cell]), reference.aggregates[cell].as_ref());
+    }
+
+    let resumed = run_sweep(
+        &spec,
+        &SweepOptions {
+            checkpoint: Some(ckpt.clone()),
+            resume: true,
+            ..SweepOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(resumed.complete);
+    assert_eq!(resumed.resumed, k);
+    assert_eq!(resumed.executed, n - k);
+    let (r, d) = (build_report(&reference), build_report(&resumed));
+    assert_eq!(r.to_json(), d.to_json());
+    assert_eq!(r.to_csv(), d.to_csv());
+    let _ = std::fs::remove_file(&ckpt);
 }

@@ -9,7 +9,7 @@
 
 use antdensity_core::theory::{measure_lambda, TopologyClass};
 use antdensity_engine::WorkerPool;
-use antdensity_sweep::{build_report, run_sweep, run_sweep_observed, SweepOptions, SweepSpec};
+use antdensity_sweep::{build_report, run_resolved, run_sweep, SweepOptions, SweepSpec};
 use std::sync::Arc;
 
 #[test]
@@ -97,7 +97,8 @@ fn uneven_counts_waves_are_byte_identical_across_worker_counts() {
             ..SweepOptions::default()
         };
         let mut observed = Vec::new();
-        let outcome = run_sweep_observed(&spec, &options, &mut |resolved, shard, cells| {
+        let resolved = spec.resolve(options.quick).unwrap();
+        let outcome = run_resolved(&resolved, &options, &mut |resolved, shard, cells| {
             let members: Vec<usize> = cells.iter().map(|&(cell, _)| cell).collect();
             assert_eq!(
                 members, resolved.fused[shard].cells,
