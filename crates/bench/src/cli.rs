@@ -338,7 +338,7 @@ pub const FLAGS: &[Flag] = &[
     Flag { commands: &["serve"],                                 name: "--stdio",         operand: Switch,            help: "serve one session over stdin/stdout instead" },
     Flag { commands: &["serve"],                                 name: "--max-queue",     operand: Required("N"),     help: "queue slots before submits are rejected (default 64)" },
     Flag { commands: &["serve"],                                 name: "--executors",     operand: Required("N"),     help: "jobs run at once, sharing one worker pool (default 2)" },
-    Flag { commands: &["serve"],                                 name: "--workers",       operand: Required("N"),     help: "worker threads per job (default 0: the pool's default)" },
+    Flag { commands: &["serve"],                                 name: "--workers",       operand: Required("N"),     help: "worker threads per job (default 0 runs as 1: shards one at a time)" },
     Flag { commands: &["serve"],                                 name: "--dist",          operand: Required("N"),     help: "run each job's shards on N child worker processes" },
     Flag { commands: &["serve-submit"],                          name: "--metrics",       operand: Required("FILE"),  help: "also fetch the daemon's metrics snapshot into FILE" },
 ];

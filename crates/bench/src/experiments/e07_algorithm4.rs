@@ -7,8 +7,7 @@
 use crate::report::{Effort, ExperimentReport};
 use antdensity_engine::pool::{default_threads, run_trials};
 use antdensity_engine::{
-    Alg4Observer, EncounterTallies, Engine, EstimatorSpec, MovementModel, Observer, RoundEvents,
-    Scenario, TopologySpec,
+    Alg1Observer, Alg4Observer, EstimatorSpec, MovementModel, Observer, Scenario, TopologySpec,
 };
 use antdensity_graphs::{Topology, Torus2d};
 use antdensity_stats::quantile;
@@ -17,33 +16,19 @@ use antdensity_stats::rng::SeedSequence;
 use antdensity_stats::table::{format_sig, Table};
 
 /// Corrected Algorithm 4 counts of `w` walkers stacked on one cell: a
-/// short engine loop drifts them in lockstep for `t` rounds and the
-/// engine's [`Alg4Observer`] reads their tallies, so the `c mod t` under
-/// test is the one every Algorithm 4 scenario uses.
+/// scenario drifts them in lockstep from one start for `t` rounds and
+/// the engine's [`Alg4Observer`] reads its tallies, so the `c mod t`
+/// under test is the one every Algorithm 4 scenario uses.
 fn stacked_walker_counts(torus: Torus2d, w: usize, t: u64) -> Vec<u64> {
-    let start = torus.node(1, 1);
-    let mut engine = Engine::new(torus, w);
     // Move index 2 is the paper's (0, 1) drift step on the 2-d torus.
-    engine.set_movement_all(&MovementModel::Drift { move_index: 2 });
-    engine.place_at(&vec![start; w]);
-    let mut tallies = EncounterTallies::new(w, false);
-    let mut counts = vec![0u32; w];
-    for round in 1..=t {
-        engine.step_round();
-        for (a, c) in counts.iter_mut().enumerate() {
-            *c = engine.count(a);
-        }
-        tallies.record(&RoundEvents {
-            round,
-            counts: &counts,
-            raw_counts: &counts,
-            group_counts: None,
-        });
-    }
+    let scenario = Scenario::new(TopologySpec::Torus2d { side: torus.side() }, w, t)
+        .with_movement(MovementModel::Drift { move_index: 2 })
+        .with_positions(vec![torus.node(1, 1); w]);
+    let tallies = scenario.run_observed(0, &mut Alg1Observer);
     Alg4Observer {
         walking: vec![true; w],
     }
-    .snapshot(&tallies, engine.density())
+    .snapshot(&tallies, scenario.true_density())
     .collision_counts
 }
 

@@ -35,7 +35,7 @@ mod tests {
             engine.set_movement(a, model);
         }
         engine.place_at(starts);
-        let mut tallies = EncounterTallies::new(n, false);
+        let mut tallies = EncounterTallies::new(n, 0);
         let mut counts = vec![0u32; n];
         for round in 1..=rounds {
             engine.step_round();

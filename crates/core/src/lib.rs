@@ -5,7 +5,9 @@
 //! Section 5.2 relative-frequency estimator of *Ant-Inspired Density
 //! Estimation via Random Walks* (Musco, Su, Lynch; PODC 2016 / PNAS 2017)
 //! all run through one simulator: `antdensity_engine::Scenario` over the
-//! engine's streaming observers. This crate holds what sits around it:
+//! engine's streaming observers. So do this crate's quorum sensing (an
+//! observer that stops the run early) and non-uniform placement
+//! (explicit start positions). This crate holds what sits around it:
 //!
 //! * [`baseline`] — the complete-graph / i.i.d. Bernoulli baseline of
 //!   Section 1.1 against which "nearly matches independent sampling" is
@@ -17,12 +19,14 @@
 //!   collision-count moments (Lemma 11, Corollaries 15/16), both
 //!   Monte-Carlo and exact.
 //! * [`quorum`] — density-threshold detection (quorum sensing), the
-//!   Section 6.2 use-case, built as an adaptive stopping rule on top of
-//!   Algorithm 1.
+//!   Section 6.2 use-case: an adaptive stopping rule on top of
+//!   Algorithm 1, run as a `Scenario` observer that ends the run once
+//!   every agent has decided.
 //! * [`noise`] — Section 6.1's noisy collision detection (missed and
 //!   spurious detections) with unbiasing corrections.
 //! * [`local`] — Sections 2.1.1 / 6.1 future work, implemented:
-//!   non-uniform (clustered) placement, exact local densities, and the
+//!   non-uniform (clustered) placement, sampled as explicit `Scenario`
+//!   start positions, exact local densities around them, and the
 //!   local-vs-global accounting of what encounter rates estimate then.
 //!
 //! # Quickstart

@@ -16,9 +16,8 @@
 //!    its starting position ([`local_density`]), making the
 //!    local-vs-global question quantitative.
 
-use antdensity_engine::Engine;
+use antdensity_engine::{Scenario, TopologySpec};
 use antdensity_graphs::{NodeId, Topology, Torus2d};
-use antdensity_stats::rng::SeedSequence;
 use rand::Rng;
 use rand::RngCore;
 
@@ -202,8 +201,9 @@ fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
     cov / (vx * vy).sqrt()
 }
 
-/// Runs Algorithm 1 from explicit starting positions and records local
-/// ground truth at radius `local_radius` around each start.
+/// Runs Algorithm 1 from explicit starting positions (a
+/// [`Scenario::with_positions`] run) and records local ground truth at
+/// radius `local_radius` around each start.
 ///
 /// # Panics
 ///
@@ -215,26 +215,17 @@ pub fn run_with_placement(
     local_radius: u64,
     seed: u64,
 ) -> LocalDensityRun {
-    assert!(!positions.is_empty(), "need at least one agent");
-    assert!(rounds > 0, "need at least one round");
     let n = positions.len();
     let local_truths: Vec<f64> = (0..n)
         .map(|i| local_density(torus, positions, positions[i], Some(i), local_radius))
         .collect();
-    let seq = SeedSequence::new(seed);
-    let mut engine = Engine::new(torus, n).with_seed_sequence(seq.subsequence(1));
-    engine.place_at(positions);
-    let mut counts = vec![0u64; n];
-    for _ in 0..rounds {
-        engine.step_round();
-        for (a, c) in counts.iter_mut().enumerate() {
-            *c += engine.count(a) as u64;
-        }
-    }
+    let run = Scenario::new(TopologySpec::Torus2d { side: torus.side() }, n, rounds)
+        .with_positions(positions.to_vec())
+        .run(seed);
     LocalDensityRun {
-        estimates: counts.iter().map(|&c| c as f64 / rounds as f64).collect(),
+        estimates: run.estimates,
         local_truths,
-        global_truth: (n as f64 - 1.0) / torus.num_nodes() as f64,
+        global_truth: run.true_density,
         local_radius,
         rounds,
     }

@@ -16,9 +16,7 @@
 //! work section anticipates.
 
 use antdensity_engine::observer::{EncounterTallies, Observer, RoundEvents};
-use antdensity_engine::{Engine, ScenarioOutcome};
-use antdensity_graphs::Topology;
-use antdensity_stats::rng::SeedSequence;
+use antdensity_engine::{Scenario, ScenarioOutcome, TopologySpec};
 
 /// An agent's quorum decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,47 +79,18 @@ impl QuorumSensor {
     }
 
     /// Runs the sensor for a whole population: `num_agents` agents walk on
-    /// `topo`; each decides independently at the first checkpoint where
-    /// its running estimate clears the margin. The round loop only
-    /// emits encounter events — the stopping rule itself is the
-    /// incremental [`SequentialQuorum`] observer.
+    /// `topology`; each decides independently at the first checkpoint
+    /// where its running estimate clears the margin. The walk is
+    /// [`Scenario::run_observed`] of `max_rounds` rounds, which stops as
+    /// soon as the [`SequentialQuorum`] observer is done.
     ///
     /// # Panics
     ///
     /// Panics if `num_agents == 0`.
-    pub fn run<T: Topology>(&self, topo: &T, num_agents: usize, seed: u64) -> Vec<QuorumOutcome> {
-        assert!(num_agents > 0, "need at least one agent");
-        let seq = SeedSequence::new(seed);
-        let mut engine = Engine::new(topo, num_agents).with_seed_sequence(seq.subsequence(1));
-        engine.place_uniform(&mut seq.rng(0));
+    pub fn run(&self, topology: TopologySpec, num_agents: usize, seed: u64) -> Vec<QuorumOutcome> {
         let mut observer = SequentialQuorum::new(*self, num_agents);
-        let mut counts = vec![0u32; num_agents];
-        for round in 1..=self.max_rounds {
-            engine.step_round();
-            for (a, slot) in counts.iter_mut().enumerate() {
-                *slot = engine.count(a);
-            }
-            observer.on_round(&RoundEvents {
-                round,
-                counts: &counts,
-                raw_counts: &counts,
-                group_counts: None,
-            });
-            if observer.all_decided() {
-                break;
-            }
-        }
+        Scenario::new(topology, num_agents, self.max_rounds).run_observed(seed, &mut observer);
         observer.outcomes()
-    }
-
-    /// The threshold being tested.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// The failure-probability target.
-    pub fn delta(&self) -> f64 {
-        self.delta
     }
 }
 
@@ -135,11 +104,11 @@ impl QuorumSensor {
 /// separates them. Feeding the same event stream always produces the
 /// same outcomes — the observer is a pure fold.
 ///
-/// Implements [`Observer`]; [`QuorumSensor::run`] drives it, feeding it
-/// each round's counts from an [`Engine`] and stopping once
-/// [`Self::all_decided`]. (A [`Scenario`](antdensity_engine::Scenario)
-/// tap takes an `EstimatorSpec`, whose `Quorum` read-out is the fixed-round
-/// `d̃ ≥ threshold` verdict, not this early-stopping rule.)
+/// Implements [`Observer`], with [`Observer::done`] true once every
+/// agent has decided: [`QuorumSensor::run`] hands it to
+/// [`Scenario::run_observed`], which stops stepping there. (The
+/// `EstimatorSpec::Quorum` tap of a fixed-round run is the plain
+/// `d̃ ≥ threshold` read-out, not this early-stopping rule.)
 #[derive(Debug, Clone)]
 pub struct SequentialQuorum {
     sensor: QuorumSensor,
@@ -169,17 +138,6 @@ impl SequentialQuorum {
         }
     }
 
-    /// Whether every agent has frozen a decision (the driver may stop
-    /// stepping).
-    pub fn all_decided(&self) -> bool {
-        self.undecided == 0
-    }
-
-    /// Rounds consumed so far.
-    pub fn rounds_seen(&self) -> u64 {
-        self.rounds_seen
-    }
-
     /// Final per-agent outcomes: frozen decisions as recorded, agents
     /// still undecided report `Undecided` with their running estimate
     /// over the rounds actually observed (the full budget when the
@@ -202,6 +160,12 @@ impl SequentialQuorum {
 }
 
 impl Observer for SequentialQuorum {
+    /// Every agent has frozen a decision: no later round can change the
+    /// outcomes.
+    fn done(&self) -> bool {
+        self.undecided == 0
+    }
+
     fn on_round(&mut self, ev: &RoundEvents<'_>) {
         assert_eq!(ev.counts.len(), self.counts.len(), "agent count mismatch");
         if self.rounds_seen >= self.sensor.max_rounds {
@@ -284,7 +248,6 @@ impl Observer for SequentialQuorum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antdensity_graphs::{CompleteGraph, Torus2d};
 
     fn decisions(outcomes: &[QuorumOutcome]) -> (usize, usize, usize) {
         let above = outcomes
@@ -303,9 +266,9 @@ mod tests {
     fn detects_density_well_above_threshold() {
         // d = 255/512 ~ 0.5 against threshold 0.1: everyone should say
         // Above quickly.
-        let topo = CompleteGraph::new(512);
+        let topo = TopologySpec::Complete { nodes: 512 };
         let sensor = QuorumSensor::new(0.1, 0.05, 1 << 12);
-        let outcomes = sensor.run(&topo, 256, 1);
+        let outcomes = sensor.run(topo, 256, 1);
         let (above, below, _) = decisions(&outcomes);
         assert_eq!(below, 0, "no agent may vote Below");
         assert!(above >= 250, "above = {above}/256");
@@ -317,9 +280,9 @@ mod tests {
     #[test]
     fn detects_density_well_below_threshold() {
         // d = 15/512 ~ 0.03 against threshold 0.3.
-        let topo = CompleteGraph::new(512);
+        let topo = TopologySpec::Complete { nodes: 512 };
         let sensor = QuorumSensor::new(0.3, 0.05, 1 << 12);
-        let outcomes = sensor.run(&topo, 16, 2);
+        let outcomes = sensor.run(topo, 16, 2);
         let (above, below, _) = decisions(&outcomes);
         assert_eq!(above, 0);
         assert!(below >= 15, "below = {below}/16");
@@ -328,9 +291,9 @@ mod tests {
     #[test]
     fn works_on_the_torus() {
         // d = 128/1024 = 0.125 against threshold 0.5 (far below).
-        let topo = Torus2d::new(32);
+        let topo = TopologySpec::Torus2d { side: 32 };
         let sensor = QuorumSensor::new(0.5, 0.05, 1 << 13);
-        let outcomes = sensor.run(&topo, 129, 3);
+        let outcomes = sensor.run(topo, 129, 3);
         let (above, below, undecided) = decisions(&outcomes);
         assert_eq!(above, 0);
         assert!(below > 120, "below {below}, undecided {undecided}");
@@ -340,19 +303,19 @@ mod tests {
     fn near_threshold_density_tends_to_undecided_on_short_budget() {
         // d = 0.25 against threshold 0.25 with a tiny budget: margins
         // cannot separate.
-        let topo = CompleteGraph::new(512);
+        let topo = TopologySpec::Complete { nodes: 512 };
         let sensor = QuorumSensor::new(0.25, 0.05, 64);
-        let outcomes = sensor.run(&topo, 129, 4);
+        let outcomes = sensor.run(topo, 129, 4);
         let (_, _, undecided) = decisions(&outcomes);
         assert!(undecided > 64, "undecided = {undecided}/129");
     }
 
     #[test]
     fn far_threshold_decides_faster_than_near() {
-        let topo = CompleteGraph::new(512);
+        let topo = TopologySpec::Complete { nodes: 512 };
         let budget = 1 << 12;
-        let far = QuorumSensor::new(0.02, 0.05, budget).run(&topo, 256, 5);
-        let near = QuorumSensor::new(0.35, 0.05, budget).run(&topo, 256, 5);
+        let far = QuorumSensor::new(0.02, 0.05, budget).run(topo, 256, 5);
+        let near = QuorumSensor::new(0.35, 0.05, budget).run(topo, 256, 5);
         let mean = |o: &[QuorumOutcome]| {
             o.iter().map(|x| x.rounds_used as f64).sum::<f64>() / o.len() as f64
         };
@@ -366,9 +329,9 @@ mod tests {
 
     #[test]
     fn outcome_estimates_are_reported() {
-        let topo = CompleteGraph::new(128);
+        let topo = TopologySpec::Complete { nodes: 128 };
         let sensor = QuorumSensor::new(0.1, 0.1, 256);
-        for o in sensor.run(&topo, 65, 6) {
+        for o in sensor.run(topo, 65, 6) {
             assert!(o.estimate >= 0.0);
             assert!(o.rounds_used >= 1 && o.rounds_used <= 256);
         }
@@ -376,44 +339,42 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let topo = Torus2d::new(16);
+        let topo = TopologySpec::Torus2d { side: 16 };
         let sensor = QuorumSensor::new(0.2, 0.1, 128);
-        assert_eq!(sensor.run(&topo, 20, 7), sensor.run(&topo, 20, 7));
-        assert_ne!(sensor.run(&topo, 20, 7), sensor.run(&topo, 20, 8));
+        assert_eq!(sensor.run(topo, 20, 7), sensor.run(topo, 20, 7));
+        assert_ne!(sensor.run(topo, 20, 7), sensor.run(topo, 20, 8));
     }
 
-    /// `run` places from `seq.rng(0)` and steps on `seq.subsequence(1)`.
-    /// Seed-distinctness cannot show the stepping half, since placement
-    /// already differs by seed: a hand-built engine on those streams
-    /// must reproduce `run`, and one stepping on the default streams
-    /// must not.
+    /// `run` walks on `Scenario::run`'s streams: the event stream a
+    /// fixed-round scenario of the same seed records, folded into a
+    /// fresh observer up to its stop, reproduces `run`, and the stream
+    /// of another seed does not.
     #[test]
     fn run_steps_on_the_seeds_stepping_stream() {
-        let topo = Torus2d::new(16);
+        use antdensity_engine::{EstimatorSpec, ObserverTap};
+        let topo = TopologySpec::Torus2d { side: 16 };
         let sensor = QuorumSensor::new(0.2, 0.1, 128);
-        let seq = SeedSequence::new(7);
-        let replay = |stepping: SeedSequence| {
-            let mut engine = Engine::new(&topo, 20).with_seed_sequence(stepping);
-            engine.place_uniform(&mut seq.rng(0));
+        let replay = |seed: u64| {
+            let tap = ObserverTap::single(EstimatorSpec::Algorithm1, sensor.max_rounds);
+            let (_, recording) =
+                Scenario::new(topo, 20, sensor.max_rounds).run_recorded(seed, &[tap]);
             let mut observer = SequentialQuorum::new(sensor, 20);
-            for round in 1..=sensor.max_rounds {
-                engine.step_round();
-                let counts: Vec<u32> = (0..20).map(|a| engine.count(a)).collect();
+            for r in &recording.rounds {
                 observer.on_round(&RoundEvents {
-                    round,
-                    counts: &counts,
-                    raw_counts: &counts,
+                    round: r.round,
+                    counts: &r.counts,
+                    raw_counts: &r.raw_counts,
                     group_counts: None,
                 });
-                if observer.all_decided() {
+                if observer.done() {
                     break;
                 }
             }
             observer.outcomes()
         };
-        let run = sensor.run(&topo, 20, 7);
-        assert_eq!(run, replay(seq.subsequence(1)));
-        assert_ne!(run, replay(SeedSequence::default()));
+        let run = sensor.run(topo, 20, 7);
+        assert_eq!(run, replay(7));
+        assert_ne!(run, replay(8));
     }
 
     #[test]
@@ -431,7 +392,7 @@ mod tests {
         let mut sensor = QuorumSensor::new(0.5, 0.1, 8);
         sensor.margin_constant = 0.2;
         let mut sq = SequentialQuorum::new(sensor, 3);
-        let mut tallies = EncounterTallies::new(3, false);
+        let mut tallies = EncounterTallies::new(3, 0);
         for round in 1..=8u64 {
             let row = [2u32, 0, u32::from(round % 2 == 0)];
             let ev = RoundEvents {
@@ -443,7 +404,7 @@ mod tests {
             tallies.record(&ev);
             sq.on_round(&ev);
         }
-        assert_eq!(sq.rounds_seen(), 8);
+        assert_eq!(sq.rounds_seen, 8);
         let outcomes = sq.outcomes();
         assert_eq!(outcomes[0].decision, QuorumDecision::Above);
         assert_eq!(outcomes[1].decision, QuorumDecision::Below);
@@ -465,7 +426,7 @@ mod tests {
             raw_counts: &row,
             group_counts: None,
         });
-        assert_eq!(sq.rounds_seen(), 8);
+        assert_eq!(sq.rounds_seen, 8);
     }
 
     #[test]

@@ -131,9 +131,6 @@ mod tests {
         // agent 3 (no group) sees both group-0 members
         assert_eq!(arena.count_in_group(3, 0), 2);
         assert_eq!(arena.count(3), 3);
-        assert_eq!(arena.group_size(0), 2);
-        assert_eq!(arena.group_size(1), 1);
-        assert_eq!(arena.group_of(3), None);
     }
 
     #[test]

@@ -278,21 +278,6 @@ impl<T: Topology> Engine<T> {
         }
     }
 
-    /// The group of `agent`, if any.
-    pub fn group_of(&self, agent: AgentId) -> Option<GroupId> {
-        self.groups[agent]
-    }
-
-    /// Number of agents assigned to `group`.
-    pub fn group_size(&self, group: GroupId) -> usize {
-        self.groups.iter().filter(|g| **g == Some(group)).count()
-    }
-
-    /// Number of declared groups.
-    pub fn num_groups(&self) -> usize {
-        self.group_occ.num_groups()
-    }
-
     /// Current position of `agent`.
     ///
     /// # Panics
@@ -320,11 +305,6 @@ impl<T: Topology> Engine<T> {
     /// walk steps this round.
     pub fn set_flee(&mut self, flee: bool) {
         self.interaction.flee = flee;
-    }
-
-    /// The active interaction variant.
-    pub fn interaction(&self) -> &Interaction {
-        &self.interaction
     }
 
     /// The batched-kernel span, when the fast path applies this round:
@@ -653,8 +633,6 @@ mod tests {
         assert_eq!(e.count_in_group(0, 1), 1);
         assert_eq!(e.count_in_group(3, 0), 2);
         assert_eq!(e.count(3), 3);
-        assert_eq!(e.group_size(0), 2);
-        assert_eq!(e.num_groups(), 2);
     }
 
     #[test]

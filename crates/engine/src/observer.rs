@@ -39,8 +39,10 @@ pub struct RoundEvents<'a> {
     /// Per-agent *true* collision counts this round (pre-noise;
     /// identical slice to `counts` under perfect sensing).
     pub raw_counts: &'a [u32],
-    /// Per-agent property-group encounter counts (Section 5.2), when the
-    /// simulation tracks a property group.
+    /// Per-agent encounter counts with each of `K` disjoint groups
+    /// (Section 5.2), when the simulation tracks groups: group-major,
+    /// `K · agents` entries, agent `a`'s count with group `g` at
+    /// `g · agents + a` (so with one group it is one per-agent slice).
     pub group_counts: Option<&'a [u32]>,
 }
 
@@ -55,13 +57,13 @@ pub struct EncounterTallies {
 }
 
 impl EncounterTallies {
-    /// Empty tallies for `num_agents` agents, optionally tracking a
-    /// property group.
-    pub fn new(num_agents: usize, track_groups: bool) -> Self {
+    /// Empty tallies for `num_agents` agents, tracking encounters with
+    /// each of `groups` disjoint groups (none at `0`).
+    pub fn new(num_agents: usize, groups: usize) -> Self {
         Self {
             rounds: 0,
             totals: vec![0; num_agents],
-            group_totals: track_groups.then(|| vec![0; num_agents]),
+            group_totals: (groups > 0).then(|| vec![0; groups * num_agents]),
         }
     }
 
@@ -69,9 +71,8 @@ impl EncounterTallies {
     ///
     /// # Panics
     ///
-    /// Panics if the event's agent count differs from the tallies', if
-    /// rounds arrive out of order, or if group tracking is on but the
-    /// event carries no group counts.
+    /// Panics if the event's agent or group count differs from the
+    /// tallies', or if rounds arrive out of order.
     pub fn record(&mut self, ev: &RoundEvents<'_>) {
         assert_eq!(ev.counts.len(), self.totals.len(), "agent count mismatch");
         assert_eq!(ev.round, self.rounds + 1, "rounds must arrive in order");
@@ -82,6 +83,7 @@ impl EncounterTallies {
             let gc = ev
                 .group_counts
                 .expect("group tracking enabled but event has no group counts");
+            assert_eq!(gc.len(), gt.len(), "group count mismatch");
             for (t, &c) in gt.iter_mut().zip(gc) {
                 *t += u64::from(c);
             }
@@ -99,7 +101,8 @@ impl EncounterTallies {
         &self.totals
     }
 
-    /// Cumulative per-agent property-group counts, when tracked.
+    /// Cumulative per-agent group counts, when tracked, in the
+    /// group-major layout of [`RoundEvents::group_counts`].
     pub fn group_totals(&self) -> Option<&[u64]> {
         self.group_totals.as_deref()
     }
@@ -127,6 +130,15 @@ pub trait Observer {
     /// Consumes one round of encounter events (default: nothing — the
     /// shared tallies already accumulated them).
     fn on_round(&mut self, _ev: &RoundEvents<'_>) {}
+
+    /// Whether the observer has seen enough: an early-stopping rule
+    /// (the Section 6.2 quorum test) returns `true` once every agent
+    /// has decided, and
+    /// [`Scenario::run_observed`](crate::scenario::Scenario::run_observed)
+    /// steps no further round. Default: never.
+    fn done(&self) -> bool {
+        false
+    }
 
     /// Reads the estimator's outcome off the shared tallies at a
     /// checkpoint. Must equal the outcome of a dedicated
@@ -276,7 +288,7 @@ pub struct RecordedRound {
     pub counts: Vec<u32>,
     /// True per-agent counts (pre-noise).
     pub raw_counts: Vec<u32>,
-    /// Property-group counts, when tracked.
+    /// Group counts (group-major), when tracked.
     pub group_counts: Option<Vec<u32>>,
 }
 
@@ -289,7 +301,12 @@ impl RecordingObserver {
     /// Panics if the recording is empty.
     pub fn replay(&self, observer: &mut dyn Observer, true_density: f64) -> ScenarioOutcome {
         let first = self.rounds.first().expect("empty recording");
-        let mut tallies = EncounterTallies::new(first.counts.len(), first.group_counts.is_some());
+        let agents = first.counts.len();
+        let groups = first
+            .group_counts
+            .as_ref()
+            .map_or(0, |gc| gc.len() / agents);
+        let mut tallies = EncounterTallies::new(agents, groups);
         for r in &self.rounds {
             let ev = RoundEvents {
                 round: r.round,
@@ -407,7 +424,7 @@ mod tests {
     use super::*;
 
     fn tallies_of(rows: &[&[u32]], groups: Option<&[&[u32]]>) -> EncounterTallies {
-        let mut t = EncounterTallies::new(rows[0].len(), groups.is_some());
+        let mut t = EncounterTallies::new(rows[0].len(), usize::from(groups.is_some()));
         for (i, row) in rows.iter().enumerate() {
             let g = groups.map(|g| g[i]);
             t.record(&RoundEvents {
@@ -432,7 +449,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "in order")]
     fn tallies_reject_round_gaps() {
-        let mut t = EncounterTallies::new(1, false);
+        let mut t = EncounterTallies::new(1, 0);
         t.record(&RoundEvents {
             round: 2,
             counts: &[1],
@@ -472,7 +489,7 @@ mod tests {
         }
         let positions: Vec<_> = starts.iter().map(|&(x, y)| torus.node(x, y)).collect();
         engine.place_at(&positions);
-        let mut tallies = EncounterTallies::new(n, false);
+        let mut tallies = EncounterTallies::new(n, 0);
         let mut counts = vec![0u32; n];
         for round in 1..=rounds {
             engine.step_round();

@@ -9,7 +9,10 @@
 //! topology, drives the batched [`Engine`] on per-block random streams,
 //! and returns a [`ScenarioOutcome`]; the result is a pure function of
 //! `(spec, seed)`. Independent runs fan out over
-//! [`crate::pool::run_trials`].
+//! [`crate::pool::run_trials`]. Explicit start positions, disjoint
+//! agent groups and an observer that ends the run early
+//! ([`Scenario::run_observed`]) carry the applications: quorum sensing,
+//! non-uniform placement and robot swarms run through the same loop.
 //!
 //! Estimation itself is the streaming observer pipeline of
 //! [`crate::observer`]: the driver emits each round's encounter events
@@ -676,6 +679,8 @@ pub struct Scenario {
     flee: bool,
     noise: Option<NoiseSpec>,
     estimator: EstimatorSpec,
+    positions: Option<Vec<NodeId>>,
+    groups: Vec<usize>,
 }
 
 impl Scenario {
@@ -697,6 +702,8 @@ impl Scenario {
             flee: false,
             noise: None,
             estimator: EstimatorSpec::Algorithm1,
+            positions: None,
+            groups: Vec::new(),
         }
     }
 
@@ -730,6 +737,32 @@ impl Scenario {
     /// Adds collision-detection noise.
     pub fn with_noise(mut self, noise: NoiseSpec) -> Self {
         self.noise = Some(noise);
+        self
+    }
+
+    /// Starts agent `a` at `positions[a]`, stacks allowed and nothing
+    /// drawn, instead of at a uniform node (the paper's default). A run
+    /// panics as [`Engine::place_at`] on a wrong count or node.
+    pub fn with_positions(mut self, positions: Vec<NodeId>) -> Self {
+        self.positions = Some(positions);
+        self
+    }
+
+    /// Splits the agents, in order, into disjoint groups of `sizes` (the
+    /// rest belong to none) and tallies every agent's encounters with
+    /// each, Section 5.2's per-type sensing, into
+    /// [`EncounterTallies::group_totals`]. `RelativeFrequency
+    /// { property_agents: p }` runs the one-group case `&[p]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sizes sum past the agent count.
+    pub fn with_groups(mut self, sizes: &[usize]) -> Self {
+        assert!(
+            sizes.iter().sum::<usize>() <= self.num_agents,
+            "group sizes exceed the agent count"
+        );
+        self.groups = sizes.to_vec();
         self
     }
 
@@ -813,7 +846,8 @@ impl Scenario {
     /// by per-node occupancy counts, which holds exactly when agents
     /// carry no state of their own — pure movement (memoryless), no
     /// avoidance or flee (those read occupancy per agent), no sensing
-    /// noise (per-agent perturbations), and the Algorithm 1 estimator
+    /// noise (per-agent perturbations), uniform starts and no groups
+    /// (counts carry no agent identity), and the Algorithm 1 estimator
     /// (whose *mean* estimate is a pure function of occupancy). The
     /// complete graph is excluded on cost grounds: its per-node
     /// multinomial has `A − 1` bins, making a counts round `O(A²)`.
@@ -822,6 +856,8 @@ impl Scenario {
             && self.avoidance.is_none()
             && !self.flee
             && self.noise.is_none()
+            && self.positions.is_none()
+            && self.groups.is_empty()
             && matches!(self.estimator, EstimatorSpec::Algorithm1)
             && !matches!(self.topology, TopologySpec::Complete { .. })
     }
@@ -941,7 +977,20 @@ impl Scenario {
     /// `Algorithm4` tap violates Theorem 32's precondition (non-torus
     /// topology, or a checkpoint at `rounds ≥ side`).
     pub fn run_streamed(&self, seed: u64, taps: &[ObserverTap]) -> Vec<Vec<ScenarioOutcome>> {
-        self.drive(seed, taps, None)
+        self.drive(seed, taps, None).0
+    }
+
+    /// Executes the scenario with `observer` reading every round's
+    /// events until it is [`Observer::done`], and returns the tallies:
+    /// those of the same scenario run for the rounds actually stepped.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::run`].
+    pub fn run_observed(&self, seed: u64, observer: &mut dyn Observer) -> EncounterTallies {
+        let tap = ObserverTap::single(self.estimator.clone(), self.rounds);
+        self.drive(seed, std::slice::from_ref(&tap), Some(observer))
+            .1
     }
 
     /// [`Self::run_streamed`], additionally recording the raw per-round
@@ -960,16 +1009,18 @@ impl Scenario {
         crate::observer::RecordingObserver,
     ) {
         let mut recorder = crate::observer::RecordingObserver::default();
-        let results = self.drive(seed, taps, Some(&mut recorder));
+        let (results, _) = self.drive(seed, taps, Some(&mut recorder));
         (results, recorder)
     }
 
+    /// The one round loop: feeds each round's events to the tallies, the
+    /// taps and `external`, and stops early once `external` is done.
     fn drive(
         &self,
         seed: u64,
         taps: &[ObserverTap],
-        mut recorder: Option<&mut crate::observer::RecordingObserver>,
-    ) -> Vec<Vec<ScenarioOutcome>> {
+        mut external: Option<&mut dyn Observer>,
+    ) -> (Vec<Vec<ScenarioOutcome>>, EncounterTallies) {
         assert!(!taps.is_empty(), "need at least one observer tap");
         let family = taps[0].estimator.sim_family();
         let family = taps.iter().skip(1).fold(family, |f, tap| {
@@ -1006,50 +1057,50 @@ impl Scenario {
 
         // Family-specific agent configuration (identical RNG consumption
         // to the per-estimator runs being fused).
-        let mut walking: Option<Vec<bool>> = None;
-        match family {
-            SimFamily::Alg4 => {
-                let mut coin = seq.rng(ROLE_STREAM);
-                // Move index 2 is the paper's (0, 1) drift step on Torus2d
-                // (the only topology the precondition check lets through).
-                let drift = 2;
-                let w: Vec<bool> = (0..self.num_agents).map(|_| coin.gen_bool(0.5)).collect();
-                for (a, &is_walking) in w.iter().enumerate() {
-                    engine.set_movement(
-                        a,
-                        if is_walking {
-                            MovementModel::Drift { move_index: drift }
-                        } else {
-                            MovementModel::Stationary
-                        },
-                    );
-                }
-                walking = Some(w);
-            }
+        let groups: &[usize] = match &family {
             SimFamily::Standard {
-                property_agents: Some(property_agents),
+                property_agents: Some(p),
             } => {
-                engine.declare_groups(1);
-                for a in 0..property_agents {
-                    engine.assign_group(a, 0);
-                }
+                let clash = !self.groups.is_empty() && self.groups != [*p];
+                assert!(!clash, "relfreq:{p} clashes with groups {:?}", self.groups);
+                std::slice::from_ref(p)
             }
-            SimFamily::Standard {
-                property_agents: None,
-            } => {}
+            _ => &self.groups,
+        };
+        engine.declare_groups(groups.len());
+        let members = groups.iter().enumerate();
+        let members = members.flat_map(|(g, &size)| std::iter::repeat_n(g, size));
+        for (agent, g) in members.enumerate() {
+            engine.assign_group(agent, g);
+        }
+        let walking: Option<Vec<bool>> = matches!(family, SimFamily::Alg4).then(|| {
+            let mut coin = seq.rng(ROLE_STREAM);
+            // Move index 2 is the paper's (0, 1) drift step on Torus2d
+            // (the only topology the precondition check lets through).
+            let drift = 2;
+            let w: Vec<bool> = (0..self.num_agents).map(|_| coin.gen_bool(0.5)).collect();
+            for (a, &is_walking) in w.iter().enumerate() {
+                engine.set_movement(
+                    a,
+                    if is_walking {
+                        MovementModel::Drift { move_index: drift }
+                    } else {
+                        MovementModel::Stationary
+                    },
+                );
+            }
+            w
+        });
+
+        match &self.positions {
+            Some(positions) => engine.place_at(positions),
+            None => engine.place_uniform(&mut seq.rng(PLACEMENT_STREAM)),
         }
 
-        engine.place_uniform(&mut seq.rng(PLACEMENT_STREAM));
-
-        let track_groups = matches!(
-            family,
-            SimFamily::Standard {
-                property_agents: Some(_)
-            }
-        );
         let n = self.num_agents;
+        let k = groups.len();
         let mut noise_rng = seq.rng(NOISE_STREAM);
-        let mut tallies = EncounterTallies::new(n, track_groups);
+        let mut tallies = EncounterTallies::new(n, k);
         let mut observers: Vec<Box<dyn Observer>> = taps
             .iter()
             .map(|t| observer_for(&t.estimator, walking.as_deref()))
@@ -1057,7 +1108,7 @@ impl Scenario {
         let mut results: Vec<Vec<ScenarioOutcome>> = taps.iter().map(|_| Vec::new()).collect();
         let mut raw = vec![0u32; n];
         let mut seen = vec![0u32; n];
-        let mut group_buf: Option<Vec<u32>> = track_groups.then(|| vec![0u32; n]);
+        let mut group_buf: Option<Vec<u32>> = (k > 0).then(|| vec![0u32; k * n]);
         let true_density = engine.density();
 
         for round in 1..=max_rounds {
@@ -1076,8 +1127,10 @@ impl Scenario {
                 }
             }
             if let Some(gb) = &mut group_buf {
-                for (a, slot) in gb.iter_mut().enumerate() {
-                    *slot = engine.count_in_group(a, 0);
+                for (g, row) in gb.chunks_exact_mut(n).enumerate() {
+                    for (a, slot) in row.iter_mut().enumerate() {
+                        *slot = engine.count_in_group(a, g);
+                    }
                 }
             }
             let ev = RoundEvents {
@@ -1087,8 +1140,10 @@ impl Scenario {
                 group_counts: group_buf.as_deref(),
             };
             tallies.record(&ev);
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.on_round(&ev);
+            let mut stop = false;
+            if let Some(ext) = external.as_deref_mut() {
+                ext.on_round(&ev);
+                stop = ext.done();
             }
             for obs in &mut observers {
                 obs.on_round(&ev);
@@ -1098,8 +1153,11 @@ impl Scenario {
                     out.push(obs.snapshot(&tallies, true_density));
                 }
             }
+            if stop {
+                break;
+            }
         }
-        results
+        (results, tallies)
     }
 }
 

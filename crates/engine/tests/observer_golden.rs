@@ -13,6 +13,12 @@
 //! the batched lazy kernel existed, so it proves that kernel draws the
 //! same bits as the per-agent `step_slice` path it replaced.
 //!
+//! A third file, `tests/golden/input_outcomes.txt`, pins the scenario
+//! inputs beyond the spec grammar: explicit start positions (spread and
+//! stacked), two disjoint groups, and a run stopped early by its
+//! observer. Group and early-stop cases render the returned
+//! [`EncounterTallies`] (`group g` lines are encounters with group `g`).
+//!
 //! Regenerate (only when the determinism contract is *deliberately*
 //! changed) with:
 //!
@@ -21,7 +27,8 @@
 //! ```
 
 use antdensity_engine::{
-    EstimatorSpec, MovementModel, NoiseSpec, Scenario, ScenarioOutcome, TopologySpec,
+    Alg1Observer, EncounterTallies, EstimatorSpec, MovementModel, NoiseSpec, Observer, RoundEvents,
+    Scenario, ScenarioOutcome, TopologySpec,
 };
 
 const GOLDEN_PATH: &str = concat!(
@@ -32,6 +39,11 @@ const GOLDEN_PATH: &str = concat!(
 const LAZY_GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/lazy_outcomes.txt"
+);
+
+const INPUT_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/input_outcomes.txt"
 );
 
 const MAGIC: &str = "antdensity-observer-golden v1";
@@ -117,6 +129,101 @@ fn render_lazy() -> String {
     for (label, scenario, seed) in lazy_cases() {
         text.push_str(&render(&label, &scenario.run(seed)));
     }
+    text
+}
+
+/// Stops the run at the first round after which some agent has met
+/// others `at_least` times in total.
+struct StopAtTotal {
+    at_least: u64,
+    totals: Vec<u64>,
+}
+
+impl Observer for StopAtTotal {
+    fn on_round(&mut self, ev: &RoundEvents<'_>) {
+        self.totals.resize(ev.counts.len(), 0);
+        for (t, &c) in self.totals.iter_mut().zip(ev.counts) {
+            *t += u64::from(c);
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.totals.iter().any(|&t| t >= self.at_least)
+    }
+
+    fn snapshot(&self, tallies: &EncounterTallies, true_density: f64) -> ScenarioOutcome {
+        Alg1Observer.snapshot(tallies, true_density)
+    }
+}
+
+fn render_tallies(label: &str, tallies: &EncounterTallies) -> String {
+    let join = |vs: &[u64]| vs.iter().map(u64::to_string).collect::<Vec<_>>().join(" ");
+    let mut s = format!("case {label}\n");
+    s.push_str(&format!("rounds {}\n", tallies.rounds()));
+    s.push_str(&format!("counts {}\n", join(tallies.totals())));
+    let n = tallies.totals().len();
+    for (g, row) in tallies
+        .group_totals()
+        .unwrap_or_default()
+        .chunks_exact(n)
+        .enumerate()
+    {
+        s.push_str(&format!("group {g} {}\n", join(row)));
+    }
+    s.push_str("end\n");
+    s
+}
+
+/// The pinned input grid: spread and stacked explicit starts (the
+/// stacked drifters meet each other every round), two groups with and
+/// without noise, and an early stop.
+fn render_inputs() -> String {
+    let torus = TopologySpec::Torus2d { side: 8 };
+    let spread: Vec<u64> = (0..12).map(|a| a * 5 % 64).collect();
+    let mut text = format!("{MAGIC}\n");
+    for (label, scenario) in [
+        (
+            "torus2d:8 agents 12 rounds 16 alg1 positions a*5%64 seed 1",
+            Scenario::new(torus, 12, 16).with_positions(spread),
+        ),
+        (
+            "torus2d:8 agents 6 rounds 6 drift:2 positions stacked@9 seed 1",
+            Scenario::new(torus, 6, 6)
+                .with_movement(MovementModel::Drift { move_index: 2 })
+                .with_positions(vec![9; 6]),
+        ),
+        (
+            "ring:64 agents 8 rounds 16 alg1 positions stacked@0 seed 1",
+            Scenario::new(TopologySpec::Ring { nodes: 64 }, 8, 16).with_positions(vec![0; 8]),
+        ),
+    ] {
+        text.push_str(&render(label, &scenario.run(1)));
+    }
+    let groups = Scenario::new(torus, 12, 16).with_groups(&[3, 4]);
+    for (label, scenario) in [
+        (
+            "torus2d:8 agents 12 rounds 16 groups 3,4 seed 1",
+            groups.clone(),
+        ),
+        (
+            "torus2d:8 agents 12 rounds 16 groups 3,4 noise sense:0.8:0.1 seed 1",
+            groups.with_noise(NoiseSpec::new(0.8, 0.1)),
+        ),
+    ] {
+        text.push_str(&render_tallies(
+            label,
+            &scenario.run_observed(1, &mut Alg1Observer),
+        ));
+    }
+    let mut stop = StopAtTotal {
+        at_least: 3,
+        totals: Vec::new(),
+    };
+    let stopped = Scenario::new(torus, 12, 16).run_observed(1, &mut stop);
+    text.push_str(&render_tallies(
+        "torus2d:8 agents 12 rounds 16 stop-at-total 3 seed 1",
+        &stopped,
+    ));
     text
 }
 
@@ -231,6 +338,14 @@ fn lazy_outcomes_match_committed_golden_vectors() {
     assert_matches_golden(&golden, &render_lazy());
 }
 
+#[test]
+fn input_outcomes_match_committed_golden_vectors() {
+    let golden = std::fs::read_to_string(INPUT_GOLDEN_PATH).expect(
+        "input golden file missing — run the ignored `regenerate` test and commit the output",
+    );
+    assert_matches_golden(&golden, &render_inputs());
+}
+
 /// Regenerates the golden files from the current implementation. Kept
 /// `#[ignore]`d: running it is a *deliberate* decision to re-pin the
 /// determinism contract.
@@ -241,4 +356,5 @@ fn regenerate() {
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(path, render_all()).unwrap();
     std::fs::write(LAZY_GOLDEN_PATH, render_lazy()).unwrap();
+    std::fs::write(INPUT_GOLDEN_PATH, render_inputs()).unwrap();
 }

@@ -1,7 +1,10 @@
 //! Property-based tests for the simulation engine.
 
 use antdensity_engine::pool::run_trials;
-use antdensity_engine::Engine;
+use antdensity_engine::{
+    Alg1Observer, EncounterTallies, Engine, EstimatorSpec, NoiseSpec, Observer, RoundEvents,
+    Scenario, ScenarioOutcome, TopologySpec,
+};
 use antdensity_graphs::{Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
 use proptest::prelude::*;
@@ -80,5 +83,76 @@ proptest! {
         let serial = run_trials(trials, 1, seq, work);
         let parallel = run_trials(trials, 5, seq, work);
         prop_assert_eq!(serial, parallel);
+    }
+
+    /// `with_groups(&[p])` is the relative-frequency estimator's group:
+    /// its tallies equal the `relfreq:p` run's bit for bit, and the
+    /// group stream is the one that run's property estimates read.
+    #[test]
+    fn one_group_tallies_equal_relfreq_group_stream(
+        side in 2u64..8,
+        agents in 1usize..30,
+        property in 0usize..30,
+        rounds in 1u64..24,
+        noisy in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let p = property.min(agents);
+        let mut base = Scenario::new(TopologySpec::Torus2d { side }, agents, rounds);
+        if noisy {
+            base = base.with_noise(NoiseSpec::new(0.8, 0.1));
+        }
+        let grouped = base.clone().with_groups(&[p]).run_observed(seed, &mut Alg1Observer);
+        let relfreq = base.with_estimator(EstimatorSpec::RelativeFrequency { property_agents: p });
+        prop_assert_eq!(&grouped, &relfreq.run_observed(seed, &mut Alg1Observer));
+        let t = rounds as f64;
+        let from_groups: Vec<f64> = grouped
+            .group_totals()
+            .expect("one group tracked")
+            .iter()
+            .map(|&c| c as f64 / t)
+            .collect();
+        prop_assert_eq!(Some(from_groups), relfreq.run(seed).property_estimates);
+    }
+
+    /// A run its observer stops at round `r` returns the tallies of the
+    /// same scenario run for exactly `r` rounds.
+    #[test]
+    fn early_stopped_tallies_equal_truncated_full_run(
+        side in 2u64..8,
+        agents in 1usize..30,
+        rounds in 1u64..24,
+        stop in 1u64..30,
+        seed in any::<u64>(),
+    ) {
+        let scenario = |rounds| {
+            Scenario::new(TopologySpec::Torus2d { side }, agents, rounds)
+                .with_noise(NoiseSpec::new(0.8, 0.1))
+                .with_groups(&[agents / 3, agents / 4])
+        };
+        let stopped = scenario(rounds).run_observed(seed, &mut StopAt { stop, seen: 0 });
+        let r = stop.min(rounds);
+        prop_assert_eq!(stopped.rounds(), r);
+        prop_assert_eq!(stopped, scenario(r).run_observed(seed, &mut Alg1Observer));
+    }
+}
+
+/// Stops a run after round `stop`.
+struct StopAt {
+    stop: u64,
+    seen: u64,
+}
+
+impl Observer for StopAt {
+    fn on_round(&mut self, ev: &RoundEvents<'_>) {
+        self.seen = ev.round;
+    }
+
+    fn done(&self) -> bool {
+        self.seen >= self.stop
+    }
+
+    fn snapshot(&self, tallies: &EncounterTallies, true_density: f64) -> ScenarioOutcome {
+        Alg1Observer.snapshot(tallies, true_density)
     }
 }

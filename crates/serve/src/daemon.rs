@@ -63,7 +63,9 @@ pub struct ServeConfig {
     /// Executor threads — jobs running concurrently. They share the
     /// process-global worker pool.
     pub executors: usize,
-    /// Worker threads each job asks the shared pool for.
+    /// Worker threads each job asks the shared pool for. The sweep
+    /// driver runs at least one, so `0` (the default) runs each job's
+    /// shards one at a time.
     pub job_workers: usize,
     /// When set, run each job's shards on the distributed runtime with
     /// this many child-process workers instead of in-process.
@@ -80,7 +82,7 @@ impl Default for ServeConfig {
         Self {
             max_queue: 64,
             executors: 2,
-            job_workers: 0, // 0 = the pool's own default
+            job_workers: 0, // runs as 1: shards one at a time
             dist_workers: None,
             cache: None,
         }

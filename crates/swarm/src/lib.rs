@@ -3,7 +3,8 @@
 //!
 //! * [`robot`] — Section 5.2: a robot swarm on a 2-d grid estimates both
 //!   overall density and per-task-group densities by tracking encounter
-//!   rates, yielding relative-frequency estimates `f̃_P = d̃_P/d̃`.
+//!   rates, yielding relative-frequency estimates `f̃_P = d̃_P/d̃`. The
+//!   swarm is an engine `Scenario` with one agent group per task group.
 //! * [`sensor`] — Section 6.3.1: random-walk ("token") sampling of a
 //!   sensor network. A query token is relayed between sensors on a grid
 //!   communication network, aggregating an answer as it walks — no

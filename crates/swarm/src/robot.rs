@@ -9,9 +9,7 @@
 //! every robot simultaneously estimates the overall density and each
 //! group's density from per-type encounter rates.
 
-use antdensity_engine::{Engine, MovementModel};
-use antdensity_graphs::{Topology, Torus2d};
-use antdensity_stats::rng::SeedSequence;
+use antdensity_engine::{Alg1Observer, MovementModel, Scenario, TopologySpec};
 
 /// One robot's estimates.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +41,6 @@ pub struct SwarmReport {
     group_sizes: Vec<usize>,
     num_robots: usize,
     nodes: u64,
-    rounds: u64,
 }
 
 impl SwarmReport {
@@ -84,11 +81,6 @@ impl SwarmReport {
     /// Mean overall density estimate.
     pub fn mean_density(&self) -> f64 {
         self.estimates.iter().map(|e| e.density).sum::<f64>() / self.estimates.len() as f64
-    }
-
-    /// Rounds executed.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
     }
 }
 
@@ -144,47 +136,41 @@ impl SwarmConfig {
         self
     }
 
-    /// Runs the swarm.
+    /// Runs the swarm: a [`Scenario`] of its robots, movement and task
+    /// groups on the `side × side` torus.
     pub fn run(&self, seed: u64) -> SwarmReport {
-        let topo = Torus2d::new(self.side);
-        let seq = SeedSequence::new(seed);
-        let mut engine = Engine::new(&topo, self.num_robots).with_seed_sequence(seq.subsequence(1));
-        engine.set_movement_all(&self.movement);
-        engine.declare_groups(self.group_sizes.len());
-        let mut next = 0usize;
-        for (g, &size) in self.group_sizes.iter().enumerate() {
-            for _ in 0..size {
-                engine.assign_group(next, g);
-                next += 1;
-            }
-        }
-        engine.place_uniform(&mut seq.rng(0));
-        let groups = self.group_sizes.len();
-        let mut total = vec![0u64; self.num_robots];
-        let mut per_group = vec![vec![0u64; groups]; self.num_robots];
-        for _ in 0..self.rounds {
-            engine.step_round();
-            for r in 0..self.num_robots {
-                total[r] += engine.count(r) as u64;
-                for (g, slot) in per_group[r].iter_mut().enumerate() {
-                    *slot += engine.count_in_group(r, g) as u64;
-                }
-            }
-        }
+        let tallies = Scenario::new(
+            TopologySpec::Torus2d { side: self.side },
+            self.num_robots,
+            self.rounds,
+        )
+        .with_movement(self.movement.clone())
+        .with_groups(&self.group_sizes)
+        .run_observed(seed, &mut Alg1Observer);
+        let n = self.num_robots;
         let t = self.rounds as f64;
-        let estimates = (0..self.num_robots)
+        let per_group = tallies.group_totals().unwrap_or_default();
+        let mut group = vec![None; n];
+        let mut next = 0;
+        for (g, &size) in self.group_sizes.iter().enumerate() {
+            group[next..next + size].fill(Some(g));
+            next += size;
+        }
+        let estimates = (0..n)
             .map(|r| RobotEstimate {
-                density: total[r] as f64 / t,
-                group_densities: per_group[r].iter().map(|&c| c as f64 / t).collect(),
-                group: engine.group_of(r),
+                density: tallies.totals()[r] as f64 / t,
+                group_densities: per_group
+                    .chunks_exact(n)
+                    .map(|row| row[r] as f64 / t)
+                    .collect(),
+                group: group[r],
             })
             .collect();
         SwarmReport {
             estimates,
             group_sizes: self.group_sizes.clone(),
-            num_robots: self.num_robots,
-            nodes: topo.num_nodes(),
-            rounds: self.rounds,
+            num_robots: n,
+            nodes: self.side * self.side,
         }
     }
 }
@@ -259,35 +245,30 @@ mod tests {
         assert_ne!(cfg.run(9), cfg.run(10));
     }
 
-    /// `run` places from `seq.rng(0)` and steps on `seq.subsequence(1)`.
-    /// Seed-distinctness cannot show the stepping half, since placement
-    /// already differs by seed: a hand-built engine on those streams
-    /// must reproduce the report's densities, and one stepping on the
-    /// default streams must not.
+    /// `run` walks on `Scenario::run`'s streams: the robots' overall
+    /// densities are the Algorithm 1 estimates, and their group-0
+    /// densities the relative-frequency property estimates, of the
+    /// same scenario and seed; another seed's are not.
     #[test]
     fn run_steps_on_the_seeds_stepping_stream() {
-        let cfg = SwarmConfig::new(8, 12, 32);
-        let seq = SeedSequence::new(9);
-        let densities = |stepping: SeedSequence| -> Vec<f64> {
-            let topo = Torus2d::new(cfg.side);
-            let mut engine = Engine::new(&topo, cfg.num_robots).with_seed_sequence(stepping);
-            engine.set_movement_all(&cfg.movement);
-            engine.place_uniform(&mut seq.rng(0));
-            let mut total = vec![0u64; cfg.num_robots];
-            for _ in 0..cfg.rounds {
-                engine.step_round();
-                for (r, t) in total.iter_mut().enumerate() {
-                    *t += engine.count(r) as u64;
-                }
-            }
-            total
-                .iter()
-                .map(|&c| c as f64 / cfg.rounds as f64)
-                .collect()
+        use antdensity_engine::EstimatorSpec;
+        let cfg = SwarmConfig::new(8, 12, 32).with_groups(&[4]);
+        let report = cfg.run(9);
+        let densities: Vec<f64> = report.estimates.iter().map(|e| e.density).collect();
+        let group0: Vec<f64> = report
+            .estimates
+            .iter()
+            .map(|e| e.group_densities[0])
+            .collect();
+        let relfreq = |seed| {
+            Scenario::new(TopologySpec::Torus2d { side: 8 }, 12, 32)
+                .with_estimator(EstimatorSpec::RelativeFrequency { property_agents: 4 })
+                .run(seed)
         };
-        let report: Vec<f64> = cfg.run(9).estimates.iter().map(|e| e.density).collect();
-        assert_eq!(report, densities(seq.subsequence(1)));
-        assert_ne!(report, densities(SeedSequence::default()));
+        let same = relfreq(9);
+        assert_eq!(densities, same.estimates);
+        assert_eq!(Some(group0), same.property_estimates);
+        assert_ne!(densities, relfreq(10).estimates);
     }
 
     #[test]

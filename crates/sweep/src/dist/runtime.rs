@@ -129,6 +129,9 @@ pub(crate) fn run_real(
     let mut respawn_at: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     let mut undone = Vec::new();
     let mut stopped = false;
+    // A failed sink (checkpoint write, unparseable blob) stops the run
+    // like a break, and is returned once the transport is torn down.
+    let mut sink_error: Option<String> = None;
     let mut abort: Option<(u64, String)> = None;
     let hb_gap = telemetry::duration_histogram("sweep.dist.heartbeat_gap");
     let mut last_hb: BTreeMap<u64, Instant> = BTreeMap::new();
@@ -218,12 +221,14 @@ pub(crate) fn run_real(
                 Cmd::Respawn { worker, at_ms } => {
                     respawn_at.entry(at_ms).or_default().push(worker);
                 }
-                Cmd::Completed { shard, blob } => {
-                    if sink(shard, &blob)?.is_break() {
+                Cmd::Completed { shard, blob } => match sink(shard, &blob) {
+                    Ok(flow) if flow.is_continue() => {}
+                    result => {
+                        sink_error = result.err();
                         stopped = true;
                         break;
                     }
-                }
+                },
                 Cmd::Degrade { shards } => undone = shards,
                 Cmd::Abort { shard, report } => abort = Some((shard, report)),
                 Cmd::AllDone => {}
@@ -350,6 +355,9 @@ pub(crate) fn run_real(
     }
     drop(tx);
 
+    if let Some(e) = sink_error {
+        return Err(e.into());
+    }
     if let Some((shard, report)) = abort {
         return Err(SweepError::Mismatch { shard, report });
     }

@@ -9,11 +9,11 @@
 //! Run with: `cargo run --release --example ant_colony_quorum`
 
 use antdensity::core::quorum::{QuorumDecision, QuorumSensor};
-use antdensity::graphs::{Topology, Torus2d};
+use antdensity::engine::TopologySpec;
 
 fn main() {
     // Both nests are 24x24 cavities; quorum is density 0.08.
-    let nest = Torus2d::new(24); // A = 576 cells
+    let nest = TopologySpec::Torus2d { side: 24 }; // A = 576 cells
     let threshold = 0.08;
     let sensor = QuorumSensor::new(threshold, 0.05, 1 << 15);
 
@@ -21,7 +21,7 @@ fn main() {
     // Site B: 13 scouts  (d ~ 0.021, under quorum).
     for (site, scouts) in [("A (busy)", 104usize), ("B (quiet)", 13)] {
         let d = (scouts as f64 - 1.0) / nest.num_nodes() as f64;
-        let outcomes = sensor.run(&nest, scouts, 0xA17);
+        let outcomes = sensor.run(nest, scouts, 0xA17);
         let above = outcomes
             .iter()
             .filter(|o| o.decision == QuorumDecision::Above)

@@ -3,7 +3,6 @@
 
 use antdensity::core::quorum::{QuorumDecision, QuorumSensor};
 use antdensity::engine::{EstimatorSpec, Scenario, TopologySpec};
-use antdensity::graphs::Torus2d;
 use antdensity::stats::quantile;
 
 /// Algorithm 1 with `agents` agents for `t` rounds on a `side`² torus.
@@ -66,9 +65,10 @@ fn algorithm4_beats_algorithm1_variance_at_matched_t() {
 
 #[test]
 fn quorum_sensing_correct_on_both_sides() {
-    let torus = Torus2d::new(24); // A = 576
-                                  // above: d ~ 0.178 vs threshold 0.08
-    let above = QuorumSensor::new(0.08, 0.05, 1 << 15).run(&torus, 104, 1);
+    let torus = TopologySpec::Torus2d { side: 24 }; // A = 576
+
+    // above: d ~ 0.178 vs threshold 0.08
+    let above = QuorumSensor::new(0.08, 0.05, 1 << 15).run(torus, 104, 1);
     let wrong_above = above
         .iter()
         .filter(|o| o.decision == QuorumDecision::Below)
@@ -81,7 +81,7 @@ fn quorum_sensing_correct_on_both_sides() {
     assert!(decided_above * 10 >= above.len() * 9);
 
     // below: d ~ 0.021 vs threshold 0.08
-    let below = QuorumSensor::new(0.08, 0.05, 1 << 15).run(&torus, 13, 2);
+    let below = QuorumSensor::new(0.08, 0.05, 1 << 15).run(torus, 13, 2);
     let wrong_below = below
         .iter()
         .filter(|o| o.decision == QuorumDecision::Above)
@@ -91,15 +91,15 @@ fn quorum_sensing_correct_on_both_sides() {
 
 #[test]
 fn whole_stack_is_deterministic() {
-    let torus = Torus2d::new(16);
+    let torus = TopologySpec::Torus2d { side: 16 };
     let r1 = alg1(16, 33, 128).run(777);
     let r2 = alg1(16, 33, 128).run(777);
     assert_eq!(r1, r2);
     let a1 = alg4(16, 33, 15).run(777);
     let a2 = alg4(16, 33, 15).run(777);
     assert_eq!(a1, a2);
-    let q1 = QuorumSensor::new(0.1, 0.1, 256).run(&torus, 9, 777);
-    let q2 = QuorumSensor::new(0.1, 0.1, 256).run(&torus, 9, 777);
+    let q1 = QuorumSensor::new(0.1, 0.1, 256).run(torus, 9, 777);
+    let q2 = QuorumSensor::new(0.1, 0.1, 256).run(torus, 9, 777);
     assert_eq!(q1, q2);
 }
 
