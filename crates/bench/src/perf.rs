@@ -449,9 +449,10 @@ fn bench_observer_fusion(effort: Effort, results: &mut Vec<EngineBenchResult>) {
 ///   relaxed atomic load, so this row must sit within noise of
 ///   `untouched`;
 /// * `enabled` — the same path with telemetry live (trace capture
-///   off): four clock reads per round and plain adds into the engine's
-///   own tally, merged into the registry when the engine drops. This
-///   bounds what `repro sweep` pays for always-on collection.
+///   off): plain adds into the engine's own tally every round, four
+///   clock reads on one round in 16, merged into the registry when the
+///   engine drops. This bounds what `repro sweep` pays for always-on
+///   collection.
 ///
 /// The 128-agent point is the small-population regime of the paper's
 /// accuracy table, where a round takes about a microsecond and any

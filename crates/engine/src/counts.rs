@@ -408,7 +408,7 @@ impl<T: Topology> CountsEngine<T> {
     /// pure-walk steps. Deterministic in `(seed sequence, round)` alone.
     pub fn step_round(&mut self) {
         let observe = telemetry::enabled();
-        let t0 = observe.then(Instant::now);
+        let t0 = (observe && self.tally.times_next(1 << ROUND)).then(Instant::now);
         let round_seq = self.seeds.subsequence(self.round);
         self.pairs = split_nodes(
             &self.topo,
@@ -429,8 +429,7 @@ impl<T: Topology> CountsEngine<T> {
         if let Some(t0) = t0 {
             let total_ns = ns_between(t0, Instant::now());
             let agents = self.num_agents;
-            self.tally.count_round(agents);
-            self.tally.record_ns(ROUND, total_ns);
+            self.tally.record_round(agents, 1 << ROUND, [total_ns]);
             if telemetry::tracing() {
                 let args = [
                     ("agents", agents as f64),
@@ -438,6 +437,8 @@ impl<T: Topology> CountsEngine<T> {
                 ];
                 self.tally.span(ROUND).trace_at(t0, 0, total_ns, &args);
             }
+        } else if observe {
+            self.tally.count_round(self.num_agents);
         }
     }
 

@@ -25,9 +25,9 @@
 //! All three draw what `step_slice` would draw from each block's
 //! stream, so the kernel choice is invisible in results.
 //!
-//! Rounds are instrumented: with telemetry on, each round records its
-//! phase times into the engine's own round tally, which merges into the
-//! registry when the engine drops.
+//! Rounds are instrumented: with telemetry on, each round is counted in
+//! the engine's own round tally, which times one round in 16 and merges
+//! into the registry when the engine drops.
 
 use crate::config::STREAM_BLOCK;
 use crate::movement::MovementModel;
@@ -57,6 +57,10 @@ const ROUND: usize = 0;
 const DRAW: usize = 1;
 const APPLY: usize = 2;
 const OCCUPANCY: usize = 3;
+/// The spans a round records: all four on the pure path, which splits
+/// draws from moves, and the round and rebuild on the others.
+const SPLIT_PHASES: u32 = 1 << ROUND | 1 << DRAW | 1 << APPLY | 1 << OCCUPANCY;
+const BLOCK_PHASES: u32 = 1 << ROUND | 1 << OCCUPANCY;
 
 /// Identifier of an agent within an engine: `0 .. num_agents`.
 pub type AgentId = usize;
@@ -353,11 +357,14 @@ impl<T: Topology> Engine<T> {
     /// stay within L2-sized node tiles. Other populations step block by
     /// block through the lazy or the per-agent kernel.
     ///
-    /// With telemetry on (checked once per round) the round reads the
-    /// clock four times on the pure path (start, draws done, moves
-    /// applied, occupancy rebuilt) and three times on the others, which
-    /// have no draw/apply split, and records the phases into the
-    /// engine's tally.
+    /// With telemetry on (checked once per round) every round is
+    /// counted, exactly, in the engine's tally. The first round, then
+    /// one in 16 from the second, are timed (every round while trace
+    /// capture is on): such a round reads the clock four times on the
+    /// pure path (start, draws done, moves applied, occupancy rebuilt)
+    /// and three times on the others, which have no draw/apply split.
+    /// Its phase times are recorded weighted by the rounds they stand
+    /// for, so span counts stay exact and span sums are estimates.
     ///
     /// # Panics
     ///
@@ -372,9 +379,15 @@ impl<T: Topology> Engine<T> {
     /// moves with the tiled gather when `blocked` is set.
     fn step_round_with(&mut self, kernel: BlockKernel, blocked: bool) {
         // The hot path's single telemetry gate: one relaxed load per
-        // round. A disabled run reads no clock and records nothing.
+        // round. A disabled run reads no clock and records nothing; an
+        // enabled one reads it only on rounds the tally times.
         let observe = telemetry::enabled();
-        let start = observe.then(Instant::now);
+        let phases = match kernel {
+            BlockKernel::Pure(_) => SPLIT_PHASES,
+            _ => BLOCK_PHASES,
+        };
+        let timed = observe && self.tally.times_next(phases);
+        let start = timed.then(Instant::now);
         let round_seq = self.seeds.subsequence(self.round);
         let drawn = match kernel {
             BlockKernel::Pure(span) => {
@@ -383,7 +396,7 @@ impl<T: Topology> Engine<T> {
                 for (b, chunk) in self.moves_scratch.chunks_mut(STREAM_BLOCK).enumerate() {
                     fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
                 }
-                let drawn = observe.then(Instant::now);
+                let drawn = timed.then(Instant::now);
                 if blocked {
                     self.topo.apply_moves_blocked(
                         &mut self.positions,
@@ -401,11 +414,13 @@ impl<T: Topology> Engine<T> {
                 None
             }
         };
-        let moved = observe.then(Instant::now);
+        let moved = timed.then(Instant::now);
         self.round += 1;
         self.rebuild_occupancy();
         if let (Some(start), Some(moved)) = (start, moved) {
-            self.tally_round(start, drawn, moved, Instant::now());
+            self.tally_round(phases, start, drawn, moved, Instant::now());
+        } else if observe {
+            self.tally.count_round(self.positions.len() as u64);
         }
     }
 
@@ -436,14 +451,15 @@ impl<T: Topology> Engine<T> {
         }
     }
 
-    /// Records one finished round into the tally: the round and
-    /// agent-step counts, the round span (`start` to `end`), the
-    /// draw/apply split when the round had one (`start` to `drawn` to
-    /// `moved`), and the occupancy rebuild (`moved` to `end`). With
-    /// trace capture on it also pushes the same spans as trace events,
-    /// the round tagged with its throughput.
+    /// Records one finished timed round, with phases `phases`, into the
+    /// tally: the round span (`start` to `end`), the draw/apply split
+    /// when the round had one (`start` to `drawn` to `moved`), and the
+    /// occupancy rebuild (`moved` to `end`). With trace capture on it
+    /// also pushes the same spans as trace events, the round tagged with
+    /// its throughput.
     fn tally_round(
         &mut self,
+        phases: u32,
         start: Instant,
         drawn: Option<Instant>,
         moved: Instant,
@@ -453,14 +469,9 @@ impl<T: Topology> Engine<T> {
         let round_ns = ns_between(start, end);
         let occ_ns = ns_between(moved, end);
         let split = drawn.map(|drawn| (ns_between(start, drawn), ns_between(drawn, moved)));
+        let (draw_ns, apply_ns) = split.unwrap_or_default();
         let t = &mut self.tally;
-        t.count_round(agents);
-        t.record_ns(ROUND, round_ns);
-        if let Some((draw_ns, apply_ns)) = split {
-            t.record_ns(DRAW, draw_ns);
-            t.record_ns(APPLY, apply_ns);
-        }
-        t.record_ns(OCCUPANCY, occ_ns);
+        t.record_round(agents, phases, [round_ns, draw_ns, apply_ns, occ_ns]);
         if telemetry::tracing() {
             let args = [
                 ("agents", agents as f64),
@@ -484,6 +495,21 @@ impl<T: Topology> Engine<T> {
     pub fn count(&self, agent: AgentId) -> u32 {
         assert!(self.placed, "arena not placed yet");
         self.occ.count(self.positions[agent] as NodeId) - 1
+    }
+
+    /// Writes every agent's [`Self::count`] into `out`, in agent order,
+    /// in one pass over the positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is unplaced or `out` does not hold one slot
+    /// per agent.
+    pub(crate) fn counts_into(&self, out: &mut [u32]) {
+        assert!(self.placed, "arena not placed yet");
+        assert_eq!(out.len(), self.positions.len(), "one slot per agent");
+        for (slot, &p) in out.iter_mut().zip(&self.positions) {
+            *slot = self.occ.count(p as NodeId) - 1;
+        }
     }
 
     /// Number of *other* agents of `group` at `agent`'s node — the

@@ -1107,25 +1107,25 @@ impl Scenario {
             .collect();
         let mut results: Vec<Vec<ScenarioOutcome>> = taps.iter().map(|_| Vec::new()).collect();
         let mut raw = vec![0u32; n];
-        let mut seen = vec![0u32; n];
+        // Noisy sensing reads its own buffer; a noiseless run reads `raw`.
+        let mut seen = vec![0u32; if self.noise.is_some() { n } else { 0 }];
         let mut group_buf: Option<Vec<u32>> = (k > 0).then(|| vec![0u32; k * n]);
         let true_density = engine.density();
 
         for round in 1..=max_rounds {
             engine.step_round();
-            for (a, slot) in raw.iter_mut().enumerate() {
-                *slot = engine.count(a);
-            }
+            engine.counts_into(&mut raw);
             // Noise draws happen once, in agent order — exactly the
             // stream a dedicated per-estimator run would consume.
-            match &self.noise {
-                None => seen.copy_from_slice(&raw),
+            let counts = match &self.noise {
+                None => &raw,
                 Some(noise) => {
                     for (slot, &c) in seen.iter_mut().zip(&raw) {
                         *slot = noise.observe(c, &mut noise_rng);
                     }
+                    &seen
                 }
-            }
+            };
             if let Some(gb) = &mut group_buf {
                 for (g, row) in gb.chunks_exact_mut(n).enumerate() {
                     for (a, slot) in row.iter_mut().enumerate() {
@@ -1135,7 +1135,7 @@ impl Scenario {
             }
             let ev = RoundEvents {
                 round,
-                counts: &seen,
+                counts,
                 raw_counts: &raw,
                 group_counts: group_buf.as_deref(),
             };

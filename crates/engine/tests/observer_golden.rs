@@ -285,8 +285,13 @@ fn render_all() -> String {
     text
 }
 
+/// The tests that switch the process-global telemetry flags hold this,
+/// so one does not switch them under the other.
+static TELEMETRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn scenario_outcomes_match_committed_golden_vectors() {
+    let _g = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Run the whole grid with telemetry AND trace capture fully on:
     // the golden match below proves instrumentation observes without
     // influencing a single bit (the determinism guarantee of
@@ -305,6 +310,25 @@ fn scenario_outcomes_match_committed_golden_vectors() {
     assert!(
         !antdensity_telemetry::take_trace().is_empty(),
         "trace capture was live during the golden run"
+    );
+    assert_matches_golden(&golden, &current);
+}
+
+#[test]
+fn scenario_outcomes_match_golden_vectors_with_sampled_round_timing() {
+    let _g = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Telemetry on and trace capture off: the engines time only one
+    // round in 16 and count the others, a path the traced run above
+    // never takes. It too must leave every bit as it is.
+    let golden = std::fs::read_to_string(GOLDEN_PATH)
+        .expect("golden file missing — run the ignored `regenerate` test and commit the output");
+    let rounds_before = antdensity_telemetry::snapshot().counter("engine.rounds");
+    antdensity_telemetry::set_enabled(true);
+    let current = render_all();
+    antdensity_telemetry::set_enabled(false);
+    assert!(
+        antdensity_telemetry::snapshot().counter("engine.rounds") > rounds_before,
+        "telemetry was live during the golden run"
     );
     assert_matches_golden(&golden, &current);
 }

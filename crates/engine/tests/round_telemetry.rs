@@ -176,3 +176,68 @@ fn trace_capture_emits_one_event_per_round_and_phase() {
         .expect("a round event");
     assert_eq!(round.args[0], ("agents", AGENTS as f64));
 }
+
+/// Sums (ns) of the named histograms.
+fn sums(spans: &[&str]) -> Vec<u64> {
+    let snap = telemetry::snapshot();
+    spans
+        .iter()
+        .map(|s| snap.histogram(s).map_or(0, |h| h.sum_ns))
+        .collect()
+}
+
+/// With trace capture off only one round in 16 is timed, yet every span
+/// still counts every round, and each span's weighted sum is positive.
+#[test]
+fn sampled_timing_keeps_every_span_count_exact() {
+    let _g = live();
+    for rounds in [1, 15, 16, 17, 512] {
+        let before = sums(&ENGINE_SPANS);
+        let delta = engine_delta(|| {
+            Scenario::new(TopologySpec::Torus2d { side: 32 }, AGENTS, rounds).run(11);
+        });
+        let after = sums(&ENGINE_SPANS);
+        assert_eq!(delta, with_split(rounds), "{rounds} rounds");
+        for ((name, a), b) in ENGINE_SPANS.iter().zip(&after).zip(&before) {
+            assert!(a > b, "{name} sum_ns did not grow over {rounds} rounds");
+        }
+
+        let counters = ["counts.rounds", "counts.agent_steps"];
+        let before = totals(&counters, &["counts.round"]);
+        let sum_before = sums(&["counts.round"]);
+        Scenario::new(TopologySpec::Torus2d { side: 32 }, AGENTS, rounds).run_counts(12);
+        let after = totals(&counters, &["counts.round"]);
+        let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(
+            delta,
+            [rounds, rounds * AGENTS as u64, rounds],
+            "{rounds} counts rounds"
+        );
+        assert!(
+            sums(&["counts.round"])[0] > sum_before[0],
+            "{rounds} counts rounds"
+        );
+    }
+    telemetry::set_enabled(false);
+}
+
+/// A kernel switch between timed rounds is itself timed, so the pure
+/// rounds' draw/apply spans count exactly the pure rounds.
+#[test]
+fn a_kernel_switch_keeps_split_counts_exact() {
+    let _g = live();
+    let delta = engine_delta(|| {
+        let mut engine = Engine::new(antdensity_graphs::Torus2d::new(32), AGENTS)
+            .with_seed_sequence(SeedSequence::new(9));
+        engine.place_uniform(&mut SmallRng::seed_from_u64(10));
+        for _ in 0..10 {
+            engine.step_round();
+        }
+        engine.set_movement_all(&MovementModel::lazy(0.3));
+        for _ in 0..10 {
+            engine.step_round();
+        }
+    });
+    telemetry::set_enabled(false);
+    assert_eq!(delta, [20, 20 * AGENTS as u64, 20, 10, 10, 20]);
+}

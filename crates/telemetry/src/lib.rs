@@ -29,7 +29,9 @@
 //! checks once per *round*, never inside the per-agent loop). Code that
 //! records many times a second keeps a [`HistogramTally`] and merges it
 //! at a coarse boundary: the engine tallies its rounds per engine and
-//! merges once, when the engine drops.
+//! merges once, when the engine drops. It also times only one round in
+//! 16 and records it with [`HistogramTally::record_weighted_ns`], so
+//! counts stay exact while a clock read is paid once per 16 rounds.
 //!
 //! ## Determinism guarantee
 //!

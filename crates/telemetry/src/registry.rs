@@ -198,14 +198,28 @@ impl HistogramTally {
     /// Records one duration of `ns` nanoseconds.
     #[inline]
     pub fn record_ns(&mut self, ns: u64) {
-        self.buckets[bucket_index(ns)] += 1;
-        self.count += 1;
-        self.sum_ns = self.sum_ns.wrapping_add(ns);
+        self.record_weighted_ns(ns, 1);
+    }
+
+    /// Records a duration of `ns` nanoseconds that stands for `weight`
+    /// durations: a sampled measurement that represents the unmeasured
+    /// intervals beside it. Adds `weight` to the count and to `ns`'s
+    /// bucket, and `ns · weight` to the sum.
+    #[inline]
+    pub fn record_weighted_ns(&mut self, ns: u64, weight: u64) {
+        self.buckets[bucket_index(ns)] += weight;
+        self.count += weight;
+        self.sum_ns = self.sum_ns.wrapping_add(ns.wrapping_mul(weight));
     }
 
     /// Durations recorded so far.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Sum of the durations recorded so far, nanoseconds.
+    pub fn sum_ns(&self) -> u64 {
+        self.sum_ns
     }
 }
 
@@ -398,6 +412,29 @@ mod tests {
         let (a, b) = (
             snap.histogram("test.registry.direct").unwrap(),
             snap.histogram("test.registry.merged").unwrap(),
+        );
+        assert_eq!((a.count, a.sum_ns), (b.count, b.sum_ns));
+        assert_eq!(a.buckets, b.buckets);
+    }
+
+    #[test]
+    fn weighted_record_equals_repeated_records() {
+        let repeated = duration_histogram("test.registry.repeated");
+        let weighted = duration_histogram("test.registry.weighted");
+        let mut tally = HistogramTally::new();
+        for (ns, weight) in [(700u64, 16u64), (3, 1), (1 << 40, 8)] {
+            for _ in 0..weight {
+                repeated.record_ns(ns);
+            }
+            tally.record_weighted_ns(ns, weight);
+        }
+        assert_eq!(tally.count(), 25);
+        assert_eq!(tally.sum_ns(), 700 * 16 + 3 + (1 << 40) * 8);
+        weighted.merge(&tally);
+        let snap = snapshot();
+        let (a, b) = (
+            snap.histogram("test.registry.repeated").unwrap(),
+            snap.histogram("test.registry.weighted").unwrap(),
         );
         assert_eq!((a.count, a.sum_ns), (b.count, b.sum_ns));
         assert_eq!(a.buckets, b.buckets);
