@@ -108,29 +108,19 @@ fn run_bench(req: &cli::BenchRequest) {
     }
     println!("  [bench finished in {:.1}s]", t0.elapsed().as_secs_f64());
 
-    if let Some(baseline_path) = &req.compare {
-        let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            ExitCode::Failure.fail(&format!(
-                "cannot read baseline {}: {e}",
-                baseline_path.display()
-            ))
-        });
-        let baseline = perf::parse_json(&text).unwrap_or_else(|e| {
-            ExitCode::Failure.fail(&format!(
-                "baseline {} is malformed: {e}",
-                baseline_path.display()
-            ))
-        });
-        let cmp = perf::compare(&report, &baseline, req.tolerance)
-            .unwrap_or_else(|e| ExitCode::Failure.fail(&format!("comparison failed: {e}")));
-        print!("{}", cmp.render());
-        if cmp.regressed() {
-            ExitCode::Failure.fail(&format!(
-                "perf gate FAILED: median throughput ratio {:.3} below {:.2}",
-                cmp.median_ratio,
-                1.0 - req.tolerance
-            ));
-        }
+    let failed: Vec<String> = report
+        .claim_checks()
+        .into_iter()
+        .filter(|c| !c.passed())
+        .map(|c| {
+            format!(
+                "{}/{} at {} agents",
+                c.claim.numerator, c.claim.denominator, c.agents
+            )
+        })
+        .collect();
+    if !failed.is_empty() {
+        ExitCode::Failure.fail(&format!("bench claims FAILED: {}", failed.join(", ")));
     }
 }
 

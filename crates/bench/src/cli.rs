@@ -34,7 +34,7 @@ use std::str::FromStr;
 pub enum ExitCode {
     /// Complete, gates passed.
     Ok = 0,
-    /// IO / lock / setup failure, or a perf-gate regression.
+    /// IO / lock / setup failure, or a failed `repro bench` claim.
     Failure = 1,
     /// Usage error: bad argv, bad spec, bad fault plan.
     Usage = 2,
@@ -85,7 +85,7 @@ pub enum Command {
     List,
     /// `repro all | e3 e8 …` — run experiments.
     Experiments(ExperimentsRequest),
-    /// `repro bench [--compare …]`.
+    /// `repro bench …`.
     Bench(BenchRequest),
     /// `repro sweep SPEC …`.
     Sweep(SweepRequest),
@@ -122,10 +122,6 @@ pub struct BenchRequest {
     pub effort: Effort,
     /// `--out`.
     pub out: PathBuf,
-    /// `--compare`.
-    pub compare: Option<PathBuf>,
-    /// `--tolerance`.
-    pub tolerance: f64,
     /// `--group`, one of [`crate::perf::GROUPS`]; `None` runs them all.
     pub group: Option<String>,
     /// `--list-groups`.
@@ -294,7 +290,7 @@ impl Flag {
 pub const COMMANDS: &[(&str, &str)] = &[
     ("list",                   "print the experiment ids and what each reproduces"),
     ("all | ID...",            "run every experiment, or the ones named (e1..e17)"),
-    ("bench",                  "time the engine kernels into BENCH_engine.json, optionally gated"),
+    ("bench",                  "time the engine kernels into BENCH_engine.json; exit 1 if a claim bound fails"),
     ("sweep SPEC",             "run a declarative parameter sweep (see specs/)"),
     ("sweep-worker",           "the worker half of a distributed sweep"),
     ("check-metrics FILE",     "validate a METRICS_*.json against its schema"),
@@ -313,10 +309,8 @@ pub const FLAGS: &[Flag] = &[
     Flag { commands: &["all"],                                   name: "--seed",          operand: Required("N"),     help: "master seed (default 20160725)" },
     Flag { commands: &["sweep", "serve-submit"],                 name: "--seed",          operand: Required("N"),     help: "override the spec's seed: the bytes of editing its `seed =` line" },
     Flag { commands: &["all", "bench", "sweep", "serve-submit"], name: "--out",           operand: Required("DIR"),   help: "output directory (default results)" },
-    Flag { commands: &["bench"],                                 name: "--group",         operand: Required("NAME"),  help: "measure one family (see --list-groups); a gate covers only its rows" },
+    Flag { commands: &["bench"],                                 name: "--group",         operand: Required("NAME"),  help: "measure one family (see --list-groups) and check only its claims" },
     Flag { commands: &["bench"],                                 name: "--list-groups",   operand: Switch,            help: "print the family names, one per line, and run nothing" },
-    Flag { commands: &["bench"],                                 name: "--compare",       operand: Optional("BASE"),  help: "gate against a baseline JSON (default BENCH_baseline.json)" },
-    Flag { commands: &["bench"],                                 name: "--tolerance",     operand: Required("F"),     help: "allowed fractional regression, in [0, 1) (default 0.25)" },
     Flag { commands: &["sweep"],                                 name: "--workers",       operand: Required("N"),     help: "worker threads for shard fan-out (results never depend on it)" },
     Flag { commands: &["sweep"],                                 name: "--resume",        operand: Switch,            help: "continue from DIR/<name>.ckpt if present" },
     Flag { commands: &["sweep"],                                 name: "--max-shards",    operand: Required("K"),     help: "stop after K newly executed shards; the checkpoint survives (exit 3)" },
@@ -515,8 +509,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             let mut req = BenchRequest {
                 effort: Effort::Quick,
                 out,
-                compare: None,
-                tolerance: 0.25,
                 group: None,
                 list_groups: false,
             };
@@ -535,18 +527,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                     }
                     "--group" => req.group = Some(v.to_string()),
                     "--list-groups" => req.list_groups = true,
-                    "--compare" => {
-                        req.compare = Some(value.unwrap_or("BENCH_baseline.json").into());
-                    }
-                    "--tolerance" => {
-                        req.tolerance = num(flag, v)?;
-                        if !(0.0..1.0).contains(&req.tolerance) {
-                            return Err(UsageError(format!(
-                                "`--tolerance` must be in [0, 1), got {}",
-                                req.tolerance
-                            )));
-                        }
-                    }
                     _ => unreachable!("`bench` has no arm for `{flag}`"),
                 }
             }
@@ -838,13 +818,11 @@ mod tests {
         };
         assert!(!req.ids.is_empty());
 
-        let Command::Bench(req) = parse(&argv("bench --compare --tolerance 0.1")).unwrap() else {
+        let Command::Bench(req) = parse(&argv("bench --full")).unwrap() else {
             panic!()
         };
-        assert_eq!(req.compare, Some(PathBuf::from("BENCH_baseline.json")));
-        assert!((req.tolerance - 0.1).abs() < 1e-12);
+        assert_eq!(req.effort, Effort::Full);
         assert_eq!(req.group, None);
-        assert!(parse(&argv("bench --tolerance 2.0")).is_err());
 
         let Command::Bench(req) = parse(&argv("bench --group mega_scale")).unwrap() else {
             panic!()

@@ -31,9 +31,9 @@
 //!
 //! `repro bench` times the engine's round and writes the
 //! machine-readable `BENCH_engine.json` ([`perf`]), the perf trajectory
-//! CI tracks from PR to PR; `repro bench --compare` gates the result
-//! against the committed `BENCH_baseline.json` (median-of-ratios, 25%
-//! tolerance — [`perf::compare`]).
+//! CI tracks from PR to PR, and exits 1 when a bound of the
+//! [`perf::CLAIMS`] table fails: each is the median of per-batch time
+//! ratios between two implementations timed in turn in the same run.
 //!
 //! `repro sweep SPEC` runs a declarative parameter-grid sweep
 //! (`antdensity-sweep`): committed specs under `specs/` replace
@@ -48,5 +48,5 @@ pub mod experiments;
 pub mod perf;
 pub mod report;
 
-pub use perf::{BenchComparison, CompareRow, EngineBenchReport, EngineBenchResult};
+pub use perf::{EngineBenchReport, EngineBenchResult};
 pub use report::{Effort, ExperimentReport};

@@ -1,13 +1,19 @@
-//! Machine-readable engine throughput benchmarks: `BENCH_engine.json`.
+//! Engine kernel benchmarks and the claims they check:
+//! `BENCH_engine.json`.
 //!
-//! This module is the workspace's kernel benchmark harness and its
-//! tracked perf trajectory. `repro bench` times the engine's round on
-//! native and CSR topologies, its telemetry gate, observer fusion and
-//! the other [`GROUPS`] — and writes one JSON file
-//! that CI uploads as an
-//! artifact, so every change's throughput is comparable to the last.
-//! The daemon, the wire and the shard cache are timed end to end by
-//! `perfbench/` (its `serve_mixed` workload), not here.
+//! `repro bench` times the engine's round on native and CSR
+//! topologies, its telemetry gate, the count-based engine and the other
+//! [`GROUPS`], writes one JSON file that CI uploads as an artifact, and
+//! checks the [`CLAIMS`] table inside the same run. The daemon, the
+//! wire and the shard cache are timed end to end by `perfbench/` (its
+//! `serve_mixed` workload), not here.
+//!
+//! The implementations of one group at one population are timed in
+//! turn, one batch each per cycle (A B C, then C B A, …), so sample `i`
+//! of every row they produce was measured within the same few
+//! milliseconds. A claim's ratio is the median over `i` of the
+//! numerator's sample over the denominator's: host speed and drift
+//! divide out, which is what lets a bound hold on any host.
 //!
 //! The JSON schema (documented in README.md):
 //!
@@ -16,7 +22,7 @@
 //!   "bench": "engine",
 //!   "mode": "quick",
 //!   "topology": "torus2d_512",
-//!   "samples": 5,
+//!   "samples": 41,
 //!   "results": [
 //!     {
 //!       "group": "dist_sweep",
@@ -33,16 +39,17 @@
 //! All figures are medians over `samples` timed batches. `workers` is
 //! the worker count a row ran with (1 everywhere but `dist_sweep`).
 //! Timings move with the host, so compare ratios between rows measured
-//! on one host, not absolute figures across hosts. The decoder ignores
-//! keys it does not know, so files that still carry the retired
-//! `effective_workers` key load unchanged.
+//! in one run, not absolute figures across hosts.
 
 use crate::report::Effort;
 use antdensity_engine::sampling::{
     fill_uniform_indices, fill_uniform_indices_lanes, lane_rngs, RNG_LANES,
 };
-use antdensity_engine::{CountsEngine, DenseOccupancy, Engine, STREAM_BLOCK};
-use antdensity_graphs::{generators, CsrGraph, Topology, Torus2d};
+use antdensity_engine::{
+    CountsEngine, DenseOccupancy, Engine, BLOCKED_ROUND_MIN_AGENTS, STREAM_BLOCK,
+};
+use antdensity_graphs::{generators, CsrGraph, MoveScratch, Topology, Torus2d};
+use antdensity_stats::quantile::median;
 use antdensity_stats::rng::SeedSequence;
 use antdensity_stats::table::Table;
 use antdensity_telemetry::Json;
@@ -56,7 +63,7 @@ use std::time::Instant;
 pub struct EngineBenchResult {
     /// Benchmark family, one of [`GROUPS`].
     pub group: &'static str,
-    /// Implementation under test (`mono`, `fused`, ...).
+    /// Implementation under test (`torus_native`, `counts`, ...).
     pub implementation: &'static str,
     /// Population size.
     pub agents: usize,
@@ -66,6 +73,36 @@ pub struct EngineBenchResult {
     pub ns_per_agent_step: f64,
     /// Throughput in millions of agent-steps per second.
     pub msteps_per_sec: f64,
+    /// Each timed batch's nanoseconds per agent-step, in timing order.
+    /// Sample `i` of every row of one group and population comes from
+    /// the same cycle, so two such rows pair sample by sample.
+    pub samples_ns: Vec<f64>,
+}
+
+impl EngineBenchResult {
+    /// A row whose figures are the median of `samples_ns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples_ns` is empty.
+    pub fn from_samples(
+        group: &'static str,
+        implementation: &'static str,
+        agents: usize,
+        workers: usize,
+        samples_ns: Vec<f64>,
+    ) -> Self {
+        let ns_per_agent_step = median(&samples_ns);
+        Self {
+            group,
+            implementation,
+            agents,
+            workers,
+            ns_per_agent_step,
+            msteps_per_sec: 1e3 / ns_per_agent_step,
+            samples_ns,
+        }
+    }
 }
 
 /// The whole `BENCH_engine.json` payload.
@@ -73,30 +110,65 @@ pub struct EngineBenchResult {
 pub struct EngineBenchReport {
     /// `quick` or `full`.
     pub mode: &'static str,
-    /// Median samples per configuration.
+    /// Timed batches per configuration.
     pub samples: usize,
     /// All timed configurations.
     pub results: Vec<EngineBenchResult>,
 }
 
-/// Times `rounds` invocations of `round`, `samples` times, and returns
-/// the median nanoseconds per invocation.
-fn median_ns_per_round<F: FnMut()>(mut round: F, rounds: u64, samples: usize) -> f64 {
-    // warm-up: one batch
-    for _ in 0..rounds {
-        round();
-    }
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
+/// One implementation of a group at one population: its label and a
+/// closure that runs one timed batch.
+type Batch<'a> = (&'static str, Box<dyn FnMut() + 'a>);
+
+/// A batch of `rounds` calls to `round`.
+fn rounds_of<'a>(rounds: u64, mut round: impl FnMut() + 'a) -> Box<dyn FnMut() + 'a> {
+    Box::new(move || {
+        for _ in 0..rounds {
+            round();
+        }
+    })
+}
+
+/// Times `impls` in turn, forwards on even cycles and backwards on odd
+/// ones (A B C C B A …): one warm-up cycle, then [`SAMPLES`] timed
+/// ones. Each turn runs its batch twice and times the second run, which
+/// delivers `steps` agent-steps. Pushes one row per implementation, in
+/// `impls` order.
+fn time_interleaved(
+    results: &mut Vec<EngineBenchResult>,
+    group: &'static str,
+    agents: usize,
+    workers: usize,
+    steps: u64,
+    mut impls: Vec<Batch<'_>>,
+) {
+    let mut samples = vec![Vec::with_capacity(SAMPLES); impls.len()];
+    for cycle in 0..=SAMPLES {
+        let mut order: Vec<usize> = (0..impls.len()).collect();
+        if cycle % 2 == 1 {
+            order.reverse();
+        }
+        for i in order {
+            // Untimed first: the previous batch evicted this one's
+            // working set.
+            (impls[i].1)();
             let t = Instant::now();
-            for _ in 0..rounds {
-                round();
+            (impls[i].1)();
+            let ns = t.elapsed().as_nanos() as f64 / steps as f64;
+            if cycle > 0 {
+                samples[i].push(ns);
             }
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2] as f64 / rounds as f64
+        }
+    }
+    for ((implementation, _), samples_ns) in impls.into_iter().zip(samples) {
+        results.push(EngineBenchResult::from_samples(
+            group,
+            implementation,
+            agents,
+            workers,
+            samples_ns,
+        ));
+    }
 }
 
 /// A pure-walk engine on `topo` that places from `seed` and steps on
@@ -110,43 +182,175 @@ fn seeded_engine<T: Topology>(topo: T, agents: usize, seed: u64) -> Engine<T> {
 /// Rounds per timed batch: aim for a fixed number of agent-steps so
 /// every configuration gets comparable measurement mass.
 fn rounds_for(agents: usize, effort: Effort) -> u64 {
-    let target_steps = effort.trials(2_000_000, 8_000_000);
+    let target_steps = effort.trials(250_000, 1_000_000);
     (target_steps / agents as u64).clamp(4, 4096)
 }
 
 const SIDE: u64 = 512;
-const SAMPLES: usize = 5;
-
-fn result(
-    group: &'static str,
-    implementation: &'static str,
-    agents: usize,
-    workers: usize,
-    ns_per_round: f64,
-) -> EngineBenchResult {
-    let ns_per_agent_step = ns_per_round / agents as f64;
-    EngineBenchResult {
-        group,
-        implementation,
-        agents,
-        workers,
-        ns_per_agent_step,
-        msteps_per_sec: 1e3 / ns_per_agent_step,
-    }
-}
+/// Timed batches per implementation (after one warm-up batch).
+const SAMPLES: usize = 41;
 
 /// Every benchmark family `repro bench` can run. `--group NAME`
 /// restricts a run to one entry; the JSON written then carries only
-/// that family, and a `--compare` gate evaluates just its rows (the
-/// baseline's other families are simply not matched).
+/// that family, and only its [`CLAIMS`] are checked.
 pub const GROUPS: &[&str] = &[
     "csr_stepping",
-    "observer_fusion",
     "telemetry_overhead",
     "dist_sweep",
     "mega_scale",
     "rng_batch",
 ];
+
+/// What a claim's ratio must satisfy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The ratio must not exceed this.
+    AtMost(f64),
+    /// The ratio must reach at least this.
+    AtLeast(f64),
+    /// Printed, never gated.
+    Informational,
+}
+
+impl Bound {
+    /// Whether `ratio` satisfies the bound.
+    pub fn holds(self, ratio: f64) -> bool {
+        match self {
+            Bound::AtMost(b) => ratio <= b,
+            Bound::AtLeast(b) => ratio >= b,
+            Bound::Informational => true,
+        }
+    }
+}
+
+/// One ratio `repro bench` reports: the time per agent-step of
+/// `numerator` over that of `denominator`, both of `group`, at every
+/// population the group measured.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Claim {
+    /// Benchmark family, one of [`GROUPS`].
+    pub group: &'static str,
+    /// Implementation whose time is on top.
+    pub numerator: &'static str,
+    /// Implementation whose time is below.
+    pub denominator: &'static str,
+    /// What the ratio must satisfy.
+    pub bound: Bound,
+    /// What the ratio prices, for the rendered line.
+    pub what: &'static str,
+}
+
+/// Every ratio `repro bench` prints, and the three it gates:
+///
+/// * telemetry switched off costs one relaxed load per round, so the
+///   instrumented round sits within 5% of the hand-rolled round with
+///   no gate (`disabled`/`untouched` ≤ 1.05);
+/// * enabled collection costs at most 10% (`enabled`/`untouched` ≤
+///   1.10);
+/// * count-based stepping is at least 4x faster than agent-level
+///   stepping at `mega_scale`, gated at `agent_level`/`counts` ≥ 5:
+///   unchanged trees read 7.3–8.6 on a 2-vCPU host, where a planted
+///   2x slowdown of [`CountsEngine::step_round`] read 3.77–4.41 and
+///   passed a gate at 4 in 4 of 10 runs.
+///
+/// The fused observer pass's ≥ 3x has its own gate,
+/// `crates/sweep/tests/fusion_gate.rs`.
+pub const CLAIMS: &[Claim] = &[
+    Claim {
+        group: "csr_stepping",
+        numerator: "torus_csr",
+        denominator: "torus_native",
+        bound: Bound::Informational,
+        what: "CSR torus vs native torus",
+    },
+    Claim {
+        group: "telemetry_overhead",
+        numerator: "disabled",
+        denominator: "untouched",
+        bound: Bound::AtMost(1.05),
+        what: "telemetry off vs the round without the gate",
+    },
+    Claim {
+        group: "telemetry_overhead",
+        numerator: "enabled",
+        denominator: "untouched",
+        bound: Bound::AtMost(1.10),
+        what: "telemetry on vs the round without the gate",
+    },
+    Claim {
+        group: "dist_sweep",
+        numerator: "dist_sim",
+        denominator: "inproc",
+        bound: Bound::Informational,
+        what: "distributed sweep vs the in-process runner",
+    },
+    Claim {
+        group: "dist_sweep",
+        numerator: "dist_sim_faulty",
+        denominator: "inproc",
+        bound: Bound::Informational,
+        what: "distributed sweep with a kill and a drop vs the in-process runner",
+    },
+    Claim {
+        group: "mega_scale",
+        numerator: "agent_level",
+        denominator: "counts",
+        bound: Bound::AtLeast(5.0),
+        what: "agent-level vs count-based stepping",
+    },
+    Claim {
+        group: "rng_batch",
+        numerator: "scalar_draws",
+        denominator: "lane_fill",
+        bound: Bound::Informational,
+        what: "per-draw scalar sampling vs the batched lane fill (span 6)",
+    },
+];
+
+/// One [`Claim`] at one population.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClaimCheck {
+    /// The claim.
+    pub claim: Claim,
+    /// Population size.
+    pub agents: usize,
+    /// Median of the per-sample time ratios, or why there is none.
+    pub ratio: Result<f64, String>,
+}
+
+impl ClaimCheck {
+    /// Whether the ratio exists and meets the claim's bound. A claim
+    /// whose rows are missing fails, so a renamed implementation cannot
+    /// drop a gate.
+    pub fn passed(&self) -> bool {
+        self.ratio
+            .as_ref()
+            .is_ok_and(|&r| self.claim.bound.holds(r))
+    }
+
+    /// One `=>` line: the ratio, its bound and the verdict.
+    pub fn render(&self) -> String {
+        let c = &self.claim;
+        let bound = match c.bound {
+            Bound::AtMost(b) => format!("bound <= {b:.2}"),
+            Bound::AtLeast(b) => format!("bound >= {b:.2}"),
+            Bound::Informational => "informational".to_string(),
+        };
+        let value = match &self.ratio {
+            Ok(r) => format!("{r:.3}x"),
+            Err(e) => e.clone(),
+        };
+        let verdict = match (self.passed(), c.bound) {
+            (false, _) => ": FAILED",
+            (true, Bound::Informational) => "",
+            (true, _) => ": ok",
+        };
+        format!(
+            "  => {} at {} agents: {}/{} = {value} ({bound}){verdict}\n",
+            c.what, self.agents, c.numerator, c.denominator
+        )
+    }
+}
 
 /// Runs the engine benchmark suite. `Quick` times 1k/16k agents (the CI
 /// smoke configuration); `Full` adds 256k agents and more steps per
@@ -184,9 +388,6 @@ pub fn run_engine_bench_group(
     let mut results = Vec::new();
     if want("csr_stepping") {
         bench_csr_stepping(effort, agent_grid, &mut results);
-    }
-    if want("observer_fusion") {
-        bench_observer_fusion(effort, &mut results);
     }
     if want("telemetry_overhead") {
         bench_telemetry_overhead(effort, agent_grid, &mut results);
@@ -230,19 +431,29 @@ fn bench_mega_scale(effort: Effort, results: &mut Vec<EngineBenchResult>) {
         Effort::Full => &[1 << 20, 1 << 22],
     };
     for &agents in agent_grid {
-        // Few rounds per batch: the agent-level row at 2^20+ agents is
+        // One round per batch: the agent-level row at 2^20+ agents is
         // the slow side and bounds the suite's wall clock.
-        let rounds = 4;
+        let rounds = 1;
 
         let mut engine = seeded_engine(Torus2d::new(MEGA_SIDE), agents, 9);
-        let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
-        results.push(result("mega_scale", "agent_level", agents, 1, ns));
-
-        let mut engine = CountsEngine::new(Torus2d::new(MEGA_SIDE), agents as u64)
+        let mut counts = CountsEngine::new(Torus2d::new(MEGA_SIDE), agents as u64)
             .with_seed_sequence(SeedSequence::new(9));
-        engine.place_uniform(&SeedSequence::new(10));
-        let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
-        results.push(result("mega_scale", "counts", agents, 1, ns));
+        counts.place_uniform(&SeedSequence::new(10));
+        let impls: Vec<Batch> = vec![
+            (
+                "agent_level",
+                rounds_of(rounds, move || engine.step_round()),
+            ),
+            ("counts", rounds_of(rounds, move || counts.step_round())),
+        ];
+        time_interleaved(
+            results,
+            "mega_scale",
+            agents,
+            1,
+            agents as u64 * rounds,
+            impls,
+        );
     }
 }
 
@@ -269,55 +480,49 @@ const RNG_BATCH_LEN: usize = 1 << 16;
 fn bench_rng_batch(effort: Effort, results: &mut Vec<EngineBenchResult>) {
     let rounds = rounds_for(RNG_BATCH_LEN, effort);
     let span = 6u64;
-    let mut buf = vec![0u32; RNG_BATCH_LEN];
-
-    let mut rng = SmallRng::seed_from_u64(11);
-    let ns = median_ns_per_round(
-        || {
-            for slot in buf.iter_mut() {
-                *slot = rng.gen_range(0..span) as u32;
-            }
-            std::hint::black_box(&mut buf);
-        },
-        rounds,
-        SAMPLES,
+    let mut scalar = (vec![0u32; RNG_BATCH_LEN], SmallRng::seed_from_u64(11));
+    let mut seq = (vec![0u32; RNG_BATCH_LEN], SmallRng::seed_from_u64(11));
+    let mut lanes = (
+        vec![0u32; RNG_BATCH_LEN],
+        lane_rngs(&SeedSequence::new(11), 0),
     );
-    results.push(result("rng_batch", "scalar_draws", RNG_BATCH_LEN, 1, ns));
-
-    let mut rng = SmallRng::seed_from_u64(11);
-    let ns = median_ns_per_round(
-        || {
-            fill_uniform_indices(span, &mut buf, &mut rng);
-            std::hint::black_box(&mut buf);
-        },
-        rounds,
-        SAMPLES,
-    );
-    results.push(result("rng_batch", "seq_fill", RNG_BATCH_LEN, 1, ns));
-
-    let mut lanes = lane_rngs(&SeedSequence::new(11), 0);
-    debug_assert_eq!(lanes.len(), RNG_LANES);
-    let ns = median_ns_per_round(
-        || {
-            fill_uniform_indices_lanes(span, &mut buf, &mut lanes);
-            std::hint::black_box(&mut buf);
-        },
-        rounds,
-        SAMPLES,
-    );
-    results.push(result("rng_batch", "lane_fill", RNG_BATCH_LEN, 1, ns));
-
-    let mut words = vec![0u64; RNG_BATCH_LEN];
-    let mut rng = SmallRng::seed_from_u64(12);
-    let ns = median_ns_per_round(
-        || {
-            rng.fill_u64(&mut words);
-            std::hint::black_box(&mut words);
-        },
-        rounds,
-        SAMPLES,
-    );
-    results.push(result("rng_batch", "bulk_u64", RNG_BATCH_LEN, 1, ns));
+    debug_assert_eq!(lanes.1.len(), RNG_LANES);
+    let mut words = (vec![0u64; RNG_BATCH_LEN], SmallRng::seed_from_u64(12));
+    let impls: Vec<Batch> = vec![
+        (
+            "scalar_draws",
+            rounds_of(rounds, move || {
+                let (buf, rng) = &mut scalar;
+                for slot in buf.iter_mut() {
+                    *slot = rng.gen_range(0..span) as u32;
+                }
+                std::hint::black_box(buf);
+            }),
+        ),
+        (
+            "seq_fill",
+            rounds_of(rounds, move || {
+                fill_uniform_indices(span, &mut seq.0, &mut seq.1);
+                std::hint::black_box(&mut seq.0);
+            }),
+        ),
+        (
+            "lane_fill",
+            rounds_of(rounds, move || {
+                fill_uniform_indices_lanes(span, &mut lanes.0, &mut lanes.1);
+                std::hint::black_box(&mut lanes.0);
+            }),
+        ),
+        (
+            "bulk_u64",
+            rounds_of(rounds, move || {
+                words.1.fill_u64(&mut words.0);
+                std::hint::black_box(&mut words.0);
+            }),
+        ),
+    ];
+    let steps = RNG_BATCH_LEN as u64 * rounds;
+    time_interleaved(results, "rng_batch", RNG_BATCH_LEN, 1, steps, impls);
 }
 
 /// Node count of the random-regular CSR bench graph. Modest on purpose:
@@ -344,92 +549,22 @@ fn bench_csr_stepping(effort: Effort, agent_grid: &[usize], results: &mut Vec<En
             .expect("bench graph parameters are valid");
     for &agents in agent_grid {
         let rounds = rounds_for(agents, effort);
-
-        let mut engine = seeded_engine(Torus2d::new(SIDE), agents, 3);
-        let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
-        results.push(result("csr_stepping", "torus_native", agents, 1, ns));
-
-        let mut engine = seeded_engine(csr_torus.clone(), agents, 3);
-        let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
-        results.push(result("csr_stepping", "torus_csr", agents, 1, ns));
-
-        let mut engine = seeded_engine(random_regular.clone(), agents, 3);
-        let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
-        results.push(result("csr_stepping", "random_regular_csr", agents, 1, ns));
-    }
-}
-
-/// The multi-estimator single-pass group: one fused
-/// [`Scenario::run_streamed`] pass (Algorithm 1 + quorum + relative
-/// frequency taps, each on a 4-checkpoint rounds schedule) against the
-/// twelve dedicated `Scenario::run` invocations it replaces. Both
-/// implementations deliver the identical set of outcomes, so throughput
-/// is counted in **delivered** agent-steps — the rounds the unfused
-/// path must simulate — making the fused rows' higher Msteps/s exactly
-/// the observer-pipeline win.
-fn bench_observer_fusion(effort: Effort, results: &mut Vec<EngineBenchResult>) {
-    use antdensity_engine::{EstimatorSpec, ObserverTap, Scenario, Schedule, TopologySpec};
-
-    let agent_grid: &[usize] = match effort {
-        Effort::Quick => &[1024],
-        Effort::Full => &[1024, 4096],
-    };
-    let checkpoints: [u64; 4] = [16, 32, 64, 128];
-    for &agents in agent_grid {
-        let topology = TopologySpec::Torus2d { side: 256 };
-        let estimators = [
-            EstimatorSpec::Algorithm1,
-            EstimatorSpec::Quorum { threshold: 0.1 },
-            EstimatorSpec::RelativeFrequency {
-                property_agents: agents / 4,
-            },
+        let mut native = seeded_engine(Torus2d::new(SIDE), agents, 3);
+        let mut csr = seeded_engine(csr_torus.clone(), agents, 3);
+        let mut regular = seeded_engine(random_regular.clone(), agents, 3);
+        let impls: Vec<Batch> = vec![
+            (
+                "torus_native",
+                rounds_of(rounds, move || native.step_round()),
+            ),
+            ("torus_csr", rounds_of(rounds, move || csr.step_round())),
+            (
+                "random_regular_csr",
+                rounds_of(rounds, move || regular.step_round()),
+            ),
         ];
-        let delivered_steps: u64 =
-            agents as u64 * checkpoints.iter().sum::<u64>() * estimators.len() as u64;
-        let base = Scenario::new(topology, agents, *checkpoints.last().expect("non-empty"));
-        let taps: Vec<ObserverTap> = estimators
-            .iter()
-            .map(|e| ObserverTap {
-                estimator: e.clone(),
-                schedule: Schedule::new(checkpoints.to_vec()).expect("static schedule"),
-            })
-            .collect();
-
-        let mut seed = 0u64;
-        let fused_ns = median_ns_per_round(
-            || {
-                seed += 1;
-                std::hint::black_box(base.run_streamed(seed, &taps));
-            },
-            1,
-            SAMPLES,
-        );
-        let mut seed = 0u64;
-        let unfused_ns = median_ns_per_round(
-            || {
-                seed += 1;
-                for estimator in &estimators {
-                    for &rounds in &checkpoints {
-                        let scenario = Scenario::new(topology, agents, rounds)
-                            .with_estimator(estimator.clone());
-                        std::hint::black_box(scenario.run(seed));
-                    }
-                }
-            },
-            1,
-            SAMPLES,
-        );
-        for (implementation, ns) in [("fused", fused_ns), ("unfused", unfused_ns)] {
-            let ns_per_delivered_step = ns / delivered_steps as f64;
-            results.push(EngineBenchResult {
-                group: "observer_fusion",
-                implementation,
-                agents,
-                workers: 1,
-                ns_per_agent_step: ns_per_delivered_step,
-                msteps_per_sec: 1e3 / ns_per_delivered_step,
-            });
-        }
+        let steps = agents as u64 * rounds;
+        time_interleaved(results, "csr_stepping", agents, 1, steps, impls);
     }
 }
 
@@ -439,11 +574,12 @@ fn bench_observer_fusion(effort: Effort, results: &mut Vec<EngineBenchResult>) {
 /// * `untouched` — the engine's pure round minus the gate, hand-rolled:
 ///   the same per-round [`SeedSequence::subsequence`] derivation, each
 ///   `STREAM_BLOCK` block's move indices filled by
-///   [`fill_uniform_indices`] from its own stream into one buffer, one
-///   [`Topology::apply_moves`] and the occupancy rebuild, with **no**
-///   telemetry call sites at all. (From `2^18` agents, a size only the
-///   full run reaches, the engine applies with the tiled gather
-///   instead);
+///   [`fill_uniform_indices`] from its own stream into one buffer, the
+///   same apply ([`Topology::apply_moves`], or from
+///   [`BLOCKED_ROUND_MIN_AGENTS`] the tiled
+///   [`Topology::apply_moves_blocked`], as [`Engine::step_round`]
+///   chooses) and the occupancy rebuild, with **no** telemetry call
+///   sites at all;
 /// * `disabled` — the instrumented [`Engine::step_round`]
 ///   with the global flag off: the per-round cost is exactly one
 ///   relaxed atomic load, so this row must sit within noise of
@@ -454,7 +590,8 @@ fn bench_observer_fusion(effort: Effort, results: &mut Vec<EngineBenchResult>) {
 ///   engine drops. This bounds what `repro sweep` pays for always-on
 ///   collection.
 ///
-/// The 128-agent point is the small-population regime of the paper's
+/// Each instrumented batch sets the global flag before it starts. The
+/// 128-agent point is the small-population regime of the paper's
 /// accuracy table, where a round takes about a microsecond and any
 /// fixed per-round cost shows.
 fn bench_telemetry_overhead(
@@ -474,6 +611,8 @@ fn bench_telemetry_overhead(
         let mut positions = vec![0u32; agents];
         let mut moves = vec![0u32; agents];
         let mut occ = DenseOccupancy::new(topo.num_nodes());
+        let mut scratch = MoveScratch::new();
+        let blocked = agents >= BLOCKED_ROUND_MIN_AGENTS;
         let mut rng = SmallRng::seed_from_u64(5);
         for p in positions.iter_mut() {
             *p = topo.uniform_node(&mut rng) as u32;
@@ -481,31 +620,39 @@ fn bench_telemetry_overhead(
         occ.rebuild(&positions);
         let seeds = SeedSequence::new(7);
         let mut round = 0u64;
-        let ns = median_ns_per_round(
-            || {
-                let round_seq = seeds.subsequence(round);
-                for (b, chunk) in moves.chunks_mut(STREAM_BLOCK).enumerate() {
-                    fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
-                }
+        let untouched = move || {
+            let round_seq = seeds.subsequence(round);
+            for (b, chunk) in moves.chunks_mut(STREAM_BLOCK).enumerate() {
+                fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
+            }
+            if blocked {
+                topo.apply_moves_blocked(&mut positions, &moves, &mut scratch);
+            } else {
                 topo.apply_moves(&mut positions, &moves);
-                occ.rebuild(&positions);
-                round += 1;
-            },
-            rounds,
-            SAMPLES,
-        );
-        results.push(result("telemetry_overhead", "untouched", agents, 1, ns));
+            }
+            occ.rebuild(&positions);
+            round += 1;
+        };
 
-        for (implementation, on) in [("disabled", false), ("enabled", true)] {
-            antdensity_telemetry::set_enabled(on);
+        let instrumented = |on: bool| {
             let mut engine =
                 Engine::new(Torus2d::new(SIDE), agents).with_seed_sequence(SeedSequence::new(7));
-            let mut rng = SmallRng::seed_from_u64(5);
-            engine.place_uniform(&mut rng);
-            let ns = median_ns_per_round(|| engine.step_round(), rounds, SAMPLES);
-            antdensity_telemetry::set_enabled(false);
-            results.push(result("telemetry_overhead", implementation, agents, 1, ns));
-        }
+            engine.place_uniform(&mut SmallRng::seed_from_u64(5));
+            Box::new(move || {
+                antdensity_telemetry::set_enabled(on);
+                for _ in 0..rounds {
+                    engine.step_round();
+                }
+            }) as Box<dyn FnMut()>
+        };
+        let impls: Vec<Batch> = vec![
+            ("untouched", rounds_of(rounds, untouched)),
+            ("disabled", instrumented(false)),
+            ("enabled", instrumented(true)),
+        ];
+        let steps = agents as u64 * rounds;
+        time_interleaved(results, "telemetry_overhead", agents, 1, steps, impls);
+        antdensity_telemetry::set_enabled(false);
     }
     antdensity_telemetry::set_enabled(was_enabled);
 }
@@ -541,49 +688,34 @@ fn bench_dist_sweep(effort: Effort, results: &mut Vec<EngineBenchResult>) {
         .sum::<u64>()
         * resolved.trials;
     let agents: usize = resolved.cells.iter().map(|c| c.num_agents).sum();
-    let opts = SweepOptions {
+    let inproc = SweepOptions {
         workers: DIST_WORKERS,
         ..SweepOptions::default()
     };
-
-    let mut push = |implementation: &'static str, ns: f64| {
-        let ns_per_delivered_step = ns / delivered_steps as f64;
-        results.push(EngineBenchResult {
-            group: "dist_sweep",
-            implementation,
-            agents,
-            workers: DIST_WORKERS,
-            ns_per_agent_step: ns_per_delivered_step,
-            msteps_per_sec: 1e3 / ns_per_delivered_step,
-        });
+    let sim = |plan| SweepOptions {
+        dist: Some(DistOptions::sim(DIST_WORKERS, plan)),
+        ..inproc.clone()
     };
-
-    let ns = median_ns_per_round(
-        || {
-            std::hint::black_box(run_sweep(&spec, &opts).expect("bench sweep runs"));
-        },
-        1,
-        SAMPLES,
-    );
-    push("inproc", ns);
-
     let faulty = FaultPlan::parse("kill:lease2,drop:result@1").expect("bench fault plan parses");
-    for (implementation, plan) in [("dist_sim", FaultPlan::none()), ("dist_sim_faulty", faulty)] {
-        let opts = SweepOptions {
-            dist: Some(DistOptions::sim(DIST_WORKERS, plan)),
-            ..opts.clone()
-        };
-        let ns = median_ns_per_round(
-            || {
-                std::hint::black_box(
-                    run_sweep(&spec, &opts).expect("bench distributed sweep runs"),
-                );
-            },
-            1,
-            SAMPLES,
-        );
-        push(implementation, ns);
-    }
+    let spec = &spec;
+    let sweep = move |opts: SweepOptions| {
+        Box::new(move || {
+            std::hint::black_box(run_sweep(spec, &opts).expect("bench sweep runs"));
+        }) as Box<dyn FnMut()>
+    };
+    let impls: Vec<Batch> = vec![
+        ("inproc", sweep(inproc.clone())),
+        ("dist_sim", sweep(sim(FaultPlan::none()))),
+        ("dist_sim_faulty", sweep(sim(faulty))),
+    ];
+    time_interleaved(
+        results,
+        "dist_sweep",
+        agents,
+        DIST_WORKERS,
+        delivered_steps,
+        impls,
+    );
 }
 
 impl EngineBenchReport {
@@ -622,7 +754,7 @@ impl EngineBenchReport {
         Ok(path)
     }
 
-    /// Human-readable summary table plus each group's headline ratio.
+    /// Human-readable summary table plus one line per claim check.
     pub fn render(&self) -> String {
         let mut t = Table::new(
             "engine throughput",
@@ -638,617 +770,312 @@ impl EngineBenchReport {
                 format!("{:.2}", r.msteps_per_sec),
             ]);
         }
+        t.note("claim ratios: median of per-batch time ratios, numerator/denominator");
         let mut out = t.render();
-        for (agents, ratio) in self.fusion_speedups() {
-            out.push_str(&format!(
-                "  => fused observer pass vs dedicated per-(estimator, rounds) runs \
-                 at {agents} agents: {ratio:.2}x\n"
-            ));
-        }
-        for (agents, ratio) in self.csr_torus_ratios() {
-            out.push_str(&format!(
-                "  => CSR torus vs native torus at {agents} agents: {ratio:.2}x \
-                 native throughput\n"
-            ));
-        }
-        for t in self.telemetry_overheads() {
-            out.push_str(&format!(
-                "  => telemetry at {} agents: disabled {:.1}% / enabled {:.1}% \
-                 overhead vs the untouched kernel\n",
-                t.agents,
-                (t.disabled_ratio - 1.0) * 100.0,
-                (t.enabled_ratio - 1.0) * 100.0,
-            ));
-        }
-        for (implementation, ratio) in self.dist_sweep_ratios() {
-            out.push_str(&format!(
-                "  => distributed sweep ({implementation}) vs in-process shard \
-                 runner: {ratio:.2}x throughput\n"
-            ));
-        }
-        for (agents, ratio) in self.mega_scale_speedups() {
-            out.push_str(&format!(
-                "  => count-based stepping vs agent-level at {agents} agents: \
-                 {ratio:.2}x delivered agent-steps/s\n"
-            ));
-        }
-        if let Some(ratio) = self.rng_batch_speedup() {
-            out.push_str(&format!(
-                "  => batched lane fill vs per-draw scalar sampling (span 6): \
-                 {ratio:.2}x\n"
-            ));
+        for check in self.claim_checks() {
+            out.push_str(&check.render());
         }
         out
     }
 
-    /// Counts-over-agent-level delivered-throughput ratios of the
-    /// `mega_scale` group, by population — the headline the
-    /// occupancy-count representation is judged by.
-    pub fn mega_scale_speedups(&self) -> Vec<(usize, f64)> {
-        let of = |imp: &str, agents: usize| {
-            self.results
-                .iter()
-                .find(|r| r.group == "mega_scale" && r.implementation == imp && r.agents == agents)
-        };
-        self.results
-            .iter()
-            .filter(|r| r.group == "mega_scale" && r.implementation == "counts")
-            .filter_map(|c| {
-                of("agent_level", c.agents).map(|a| (c.agents, c.msteps_per_sec / a.msteps_per_sec))
-            })
-            .collect()
-    }
-
-    /// Lane-fill throughput of the `rng_batch` group relative to the
-    /// agent-level kernel's per-draw scalar sampler (above 1 = the
-    /// batched lanes beat per-call `gen_range`).
-    pub fn rng_batch_speedup(&self) -> Option<f64> {
-        let of = |imp: &str| {
-            self.results
-                .iter()
-                .find(|r| r.group == "rng_batch" && r.implementation == imp)
-        };
-        Some(of("lane_fill")?.msteps_per_sec / of("scalar_draws")?.msteps_per_sec)
-    }
-
-    /// Coordinator/simulator throughput relative to the in-process
-    /// shard runner for the `dist_sweep` group (1.0 = the coordination
-    /// layer is free; the faulty row additionally absorbs one respawn
-    /// and one lease re-issue).
-    pub fn dist_sweep_ratios(&self) -> Vec<(&'static str, f64)> {
-        let inproc = self
-            .results
-            .iter()
-            .find(|r| r.group == "dist_sweep" && r.implementation == "inproc");
-        let Some(inproc) = inproc else {
-            return Vec::new();
-        };
-        self.results
-            .iter()
-            .filter(|r| r.group == "dist_sweep" && r.implementation != "inproc")
-            .map(|r| (r.implementation, r.msteps_per_sec / inproc.msteps_per_sec))
-            .collect()
-    }
-
-    /// Telemetry cost relative to the engine's round without the gate,
-    /// by agent count: `disabled_ratio`/`enabled_ratio` are
-    /// time-per-agent-step ratios against the `untouched` row (1.0 =
-    /// free; the disabled row's budget is "within noise").
-    pub fn telemetry_overheads(&self) -> Vec<TelemetryOverhead> {
-        let of = |imp: &str, agents: usize| {
-            self.results.iter().find(|r| {
-                r.group == "telemetry_overhead" && r.implementation == imp && r.agents == agents
-            })
-        };
-        self.results
-            .iter()
-            .filter(|r| r.group == "telemetry_overhead" && r.implementation == "untouched")
-            .filter_map(|u| {
-                let disabled = of("disabled", u.agents)?;
-                let enabled = of("enabled", u.agents)?;
-                Some(TelemetryOverhead {
-                    agents: u.agents,
-                    disabled_ratio: disabled.ns_per_agent_step / u.ns_per_agent_step,
-                    enabled_ratio: enabled.ns_per_agent_step / u.ns_per_agent_step,
-                })
-            })
-            .collect()
-    }
-
-    /// CSR-rebuild-over-native throughput ratios of the `csr_stepping`
-    /// group by agent count (1.0 = the gather-based CSR kernel keeps up
-    /// with the branchless native torus arithmetic).
-    pub fn csr_torus_ratios(&self) -> Vec<(usize, f64)> {
-        self.results
-            .iter()
-            .filter(|r| r.group == "csr_stepping" && r.implementation == "torus_csr")
-            .filter_map(|c| {
-                self.results
-                    .iter()
-                    .find(|r| {
-                        r.group == "csr_stepping"
-                            && r.implementation == "torus_native"
-                            && r.agents == c.agents
-                    })
-                    .map(|n| (c.agents, c.msteps_per_sec / n.msteps_per_sec))
-            })
-            .collect()
-    }
-
-    /// Fused-over-unfused delivered-throughput ratios of the
-    /// `observer_fusion` group, by agent count.
-    pub fn fusion_speedups(&self) -> Vec<(usize, f64)> {
-        let of = |imp: &str, agents: usize| {
-            self.results.iter().find(|r| {
-                r.group == "observer_fusion" && r.implementation == imp && r.agents == agents
-            })
-        };
-        self.results
-            .iter()
-            .filter(|r| r.group == "observer_fusion" && r.implementation == "fused")
-            .filter_map(|f| {
-                of("unfused", f.agents)
-                    .map(|u| (f.agents, u.ns_per_agent_step / f.ns_per_agent_step))
-            })
-            .collect()
-    }
-}
-
-/// Parses a `BENCH_engine.json` file written by
-/// [`EngineBenchReport::to_json`]: a typed decoder over the workspace's
-/// JSON value model ([`Json`]).
-///
-/// # Errors
-///
-/// Returns a message for malformed JSON, missing top-level fields, or
-/// a result entry with a missing, mistyped or unknown field or label.
-pub fn parse_json(text: &str) -> Result<EngineBenchReport, String> {
-    // Interned &'static labels keep the parsed report type-identical to
-    // a freshly measured one.
-    fn intern(s: &str) -> Option<&'static str> {
-        [
-            "observer_fusion",
-            "csr_stepping",
-            "fused",
-            "unfused",
-            "torus_native",
-            "torus_csr",
-            "random_regular_csr",
-            "telemetry_overhead",
-            "untouched",
-            "disabled",
-            "enabled",
-            "dist_sweep",
-            "inproc",
-            "dist_sim",
-            "dist_sim_faulty",
-            "mega_scale",
-            "agent_level",
-            "counts",
-            "rng_batch",
-            "scalar_draws",
-            "seq_fill",
-            "lane_fill",
-            "bulk_u64",
-        ]
-        .into_iter()
-        .find(|known| *known == s)
-    }
-    fn decode_result(entry: &Json) -> Option<EngineBenchResult> {
-        let label = |key| intern(entry.get(key)?.as_str()?);
-        let count = |key| entry.get(key)?.as_u64().map(|v| v as usize);
-        let num = |key| entry.get(key)?.as_f64();
-        Some(EngineBenchResult {
-            group: label("group")?,
-            implementation: label("impl")?,
-            agents: count("agents")?,
-            workers: count("workers")?,
-            ns_per_agent_step: num("ns_per_agent_step")?,
-            msteps_per_sec: num("msteps_per_sec")?,
-        })
-    }
-
-    let doc = Json::parse(text)?;
-    let mode = match doc.get("mode").and_then(Json::as_str) {
-        Some("quick") => "quick",
-        Some("full") => "full",
-        other => return Err(format!("missing or unknown mode {other:?}")),
-    };
-    let samples = doc
-        .get("samples")
-        .and_then(Json::as_u64)
-        .ok_or("missing samples field")? as usize;
-    let Some(Json::Arr(entries)) = doc.get("results") else {
-        return Err("missing results array".into());
-    };
-    let results = entries
-        .iter()
-        .map(|e| decode_result(e).ok_or_else(|| format!("malformed result entry: {}", e.encode())))
-        .collect::<Result<Vec<_>, _>>()?;
-    if results.is_empty() {
-        return Err("no result entries found".into());
-    }
-    Ok(EngineBenchReport {
-        mode,
-        samples,
-        results,
-    })
-}
-
-/// One matched configuration in a baseline comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareRow {
-    /// Benchmark family.
-    pub group: &'static str,
-    /// Implementation under test.
-    pub implementation: &'static str,
-    /// Population size.
-    pub agents: usize,
-    /// Requested workers.
-    pub workers: usize,
-    /// Baseline throughput (Msteps/s, median over samples).
-    pub baseline_msteps: f64,
-    /// Current throughput.
-    pub current_msteps: f64,
-    /// `current / baseline` (above 1 = faster than baseline).
-    pub ratio: f64,
-}
-
-/// The CI perf-regression gate: current run vs a committed baseline.
-///
-/// Configs are matched on `(group, impl, agents, workers)`. The gate
-/// statistic is the **median** of the per-config throughput ratios —
-/// per-config figures are already medians over timed batches, and the
-/// median-of-ratios ignores a few noisy outlier configs (CI neighbours,
-/// cache state) while still catching a real slowdown, which drags most
-/// configs down together.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchComparison {
-    /// Matched configurations.
-    pub rows: Vec<CompareRow>,
-    /// Current-run configs absent from the baseline (ignored by the gate).
-    pub unmatched: usize,
-    /// Median of the per-config ratios.
-    pub median_ratio: f64,
-    /// Allowed fractional regression (0.25 = fail below 0.75×).
-    pub tolerance: f64,
-}
-
-impl BenchComparison {
-    /// Whether the gate fails: the median config lost more than
-    /// `tolerance` of its baseline throughput.
-    pub fn regressed(&self) -> bool {
-        self.median_ratio < 1.0 - self.tolerance
-    }
-
-    /// Comparison table plus the gate verdict.
-    pub fn render(&self) -> String {
-        let mut t = Table::new(
-            "perf vs baseline",
-            &["group", "impl", "agents", "workers", "base", "now", "ratio"],
-        );
-        for r in &self.rows {
-            t.row_owned(vec![
-                r.group.to_string(),
-                r.implementation.to_string(),
-                r.agents.to_string(),
-                r.workers.to_string(),
-                format!("{:.2}", r.baseline_msteps),
-                format!("{:.2}", r.current_msteps),
-                format!("{:.3}", r.ratio),
-            ]);
+    /// Every [`CLAIMS`] entry of a group this report measured, at each
+    /// population the group measured. A claim whose numerator or
+    /// denominator row is missing there yields an error ratio, which
+    /// fails.
+    pub fn claim_checks(&self) -> Vec<ClaimCheck> {
+        let mut checks = Vec::new();
+        for claim in CLAIMS {
+            let rows = || self.results.iter().filter(|r| r.group == claim.group);
+            let mut populations: Vec<usize> = rows().map(|r| r.agents).collect();
+            populations.sort_unstable();
+            populations.dedup();
+            for agents in populations {
+                let row = |implementation: &str| {
+                    rows()
+                        .find(|r| r.implementation == implementation && r.agents == agents)
+                        .ok_or_else(|| format!("no `{implementation}` row"))
+                };
+                let ratio = row(claim.numerator)
+                    .and_then(|num| Ok((num, row(claim.denominator)?)))
+                    .and_then(|(num, den)| paired_ratio(num, den));
+                checks.push(ClaimCheck {
+                    claim: *claim,
+                    agents,
+                    ratio,
+                });
+            }
         }
-        t.note("base/now in Msteps/s (medians); ratio = now/base, higher is faster");
-        let mut out = t.render();
-        out.push_str(&format!(
-            "  => median throughput ratio {:.3} over {} matched configs \
-             ({} unmatched), gate at {:.2}: {}\n",
-            self.median_ratio,
-            self.rows.len(),
-            self.unmatched,
-            1.0 - self.tolerance,
-            if self.regressed() { "REGRESSED" } else { "ok" }
+        checks
+    }
+}
+
+/// Median over `i` of `num.samples_ns[i] / den.samples_ns[i]`.
+fn paired_ratio(num: &EngineBenchResult, den: &EngineBenchResult) -> Result<f64, String> {
+    if num.samples_ns.is_empty() || num.samples_ns.len() != den.samples_ns.len() {
+        return Err(format!(
+            "{} and {} samples do not pair",
+            num.samples_ns.len(),
+            den.samples_ns.len()
         ));
-        out.push_str(
-            "  => note: baselines are host-specific; a uniform shift across every \
-             config usually means a different machine, not a regression\n",
-        );
-        out
     }
-}
-
-/// Compares `current` against `baseline` with the given fractional
-/// tolerance.
-///
-/// # Errors
-///
-/// Returns an error naming them if a baseline configuration of a group
-/// the current run measured has no current counterpart (a deleted or
-/// renamed row would otherwise shrink the gate unnoticed), or if no
-/// configuration matches between the two reports (nothing to gate on).
-pub fn compare(
-    current: &EngineBenchReport,
-    baseline: &EngineBenchReport,
-    tolerance: f64,
-) -> Result<BenchComparison, String> {
-    fn same_config(a: &EngineBenchResult, b: &EngineBenchResult) -> bool {
-        a.group == b.group
-            && a.implementation == b.implementation
-            && a.agents == b.agents
-            && a.workers == b.workers
-    }
-    let missing: Vec<String> = baseline
-        .results
+    let ratios: Vec<f64> = num
+        .samples_ns
         .iter()
-        .filter(|b| current.results.iter().any(|c| c.group == b.group))
-        .filter(|b| !current.results.iter().any(|c| same_config(c, b)))
-        .map(|b| {
-            format!(
-                "{}/{}/{}/{}",
-                b.group, b.implementation, b.agents, b.workers
-            )
-        })
+        .zip(&den.samples_ns)
+        .map(|(n, d)| n / d)
         .collect();
-    if !missing.is_empty() {
-        return Err(format!(
-            "{} baseline config(s) of measured groups missing from this run \
-             (group/impl/agents/workers): {}",
-            missing.len(),
-            missing.join(", ")
-        ));
-    }
-    let mut rows = Vec::new();
-    let mut unmatched = 0usize;
-    for cur in &current.results {
-        match baseline.results.iter().find(|b| same_config(b, cur)) {
-            Some(base) => rows.push(CompareRow {
-                group: cur.group,
-                implementation: cur.implementation,
-                agents: cur.agents,
-                workers: cur.workers,
-                baseline_msteps: base.msteps_per_sec,
-                current_msteps: cur.msteps_per_sec,
-                ratio: cur.msteps_per_sec / base.msteps_per_sec,
-            }),
-            None => unmatched += 1,
-        }
-    }
-    if rows.is_empty() {
-        return Err(format!(
-            "no configurations match the baseline (baseline mode `{}`, current `{}`)",
-            baseline.mode, current.mode
-        ));
-    }
-    let ratios: Vec<f64> = rows.iter().map(|r| r.ratio).collect();
-    Ok(BenchComparison {
-        median_ratio: antdensity_stats::quantile::median(&ratios),
-        rows,
-        unmatched,
-        tolerance,
-    })
-}
-
-/// Telemetry cost at one population size, relative to the engine's
-/// round without the gate (time ratios; 1.0 = free).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryOverhead {
-    /// Population size.
-    pub agents: usize,
-    /// Instrumented path with the flag off vs `untouched` — the
-    /// one-relaxed-load budget; must sit within noise of 1.0.
-    pub disabled_ratio: f64,
-    /// Instrumented path with counters and spans live vs `untouched`.
-    pub enabled_ratio: f64,
+    Ok(median(&ratios))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_report() -> EngineBenchReport {
+    /// A row of `group` whose batches took `samples` ns per agent-step.
+    fn row(
+        group: &'static str,
+        implementation: &'static str,
+        agents: usize,
+        samples: &[f64],
+    ) -> EngineBenchResult {
+        EngineBenchResult::from_samples(group, implementation, agents, 1, samples.to_vec())
+    }
+
+    fn report(results: Vec<EngineBenchResult>) -> EngineBenchReport {
         EngineBenchReport {
             mode: "quick",
             samples: 5,
-            results: vec![
-                EngineBenchResult {
-                    group: "dist_sweep",
-                    implementation: "inproc",
-                    agents: 1024,
-                    workers: 4,
-                    ns_per_agent_step: 10.0,
-                    msteps_per_sec: 100.0,
-                },
-                EngineBenchResult {
-                    group: "rng_batch",
-                    implementation: "seq_fill",
-                    agents: 1024,
-                    workers: 1,
-                    ns_per_agent_step: 25.0,
-                    msteps_per_sec: 40.0,
-                },
-            ],
+            results,
         }
     }
 
-    #[test]
-    fn fusion_speedups_pair_fused_with_unfused() {
-        let mut r = tiny_report();
-        r.results.push(EngineBenchResult {
-            group: "observer_fusion",
-            implementation: "fused",
-            agents: 1024,
-            workers: 1,
-            ns_per_agent_step: 2.0,
-            msteps_per_sec: 500.0,
-        });
-        r.results.push(EngineBenchResult {
-            group: "observer_fusion",
-            implementation: "unfused",
-            agents: 1024,
-            workers: 1,
-            ns_per_agent_step: 9.0,
-            msteps_per_sec: 111.1,
-        });
-        let speedups = r.fusion_speedups();
-        assert_eq!(speedups.len(), 1);
-        assert_eq!(speedups[0].0, 1024);
-        assert!((speedups[0].1 - 4.5).abs() < 1e-9);
-        assert!(r.render().contains("fused observer pass"));
-        // fusion labels survive the JSON round trip
-        let parsed = parse_json(&r.to_json()).unwrap();
-        assert!(parsed
-            .results
-            .iter()
-            .any(|x| x.group == "observer_fusion" && x.implementation == "unfused"));
+    fn tiny_report() -> EngineBenchReport {
+        let mut inproc = row("dist_sweep", "inproc", 1024, &[10.0]);
+        inproc.workers = 4;
+        report(vec![inproc, row("rng_batch", "seq_fill", 1024, &[25.0])])
+    }
+
+    /// The ratio of the one check of `claim`'s numerator/denominator.
+    fn ratio_of(r: &EngineBenchReport, numerator: &str, denominator: &str) -> f64 {
+        let checks: Vec<ClaimCheck> = r
+            .claim_checks()
+            .into_iter()
+            .filter(|c| c.claim.numerator == numerator && c.claim.denominator == denominator)
+            .collect();
+        assert_eq!(checks.len(), 1, "{checks:?}");
+        checks[0].ratio.clone().unwrap()
     }
 
     #[test]
     fn csr_ratios_pair_rebuild_with_native() {
-        let mut r = tiny_report();
-        for (implementation, msteps) in [
-            ("torus_native", 100.0f64),
-            ("torus_csr", 80.0),
-            ("random_regular_csr", 50.0),
-        ] {
-            r.results.push(EngineBenchResult {
-                group: "csr_stepping",
-                implementation,
-                agents: 1024,
-                workers: 1,
-                ns_per_agent_step: 1e3 / msteps,
-                msteps_per_sec: msteps,
-            });
-        }
-        let ratios = r.csr_torus_ratios();
-        assert_eq!(ratios.len(), 1);
-        assert_eq!(ratios[0].0, 1024);
-        assert!((ratios[0].1 - 0.8).abs() < 1e-9);
-        assert!(r.render().contains("CSR torus vs native torus"));
-        // labels survive the JSON round trip
-        let parsed = parse_json(&r.to_json()).unwrap();
-        assert!(parsed
-            .results
-            .iter()
-            .any(|x| x.group == "csr_stepping" && x.implementation == "random_regular_csr"));
+        let r = report(vec![
+            row("csr_stepping", "torus_native", 1024, &[10.0, 20.0, 10.0]),
+            row("csr_stepping", "torus_csr", 1024, &[12.0, 25.0, 12.5]),
+            row(
+                "csr_stepping",
+                "random_regular_csr",
+                1024,
+                &[20.0, 20.0, 20.0],
+            ),
+        ]);
+        assert!((ratio_of(&r, "torus_csr", "torus_native") - 1.25).abs() < 1e-9);
+        assert!(r.claim_checks().iter().all(ClaimCheck::passed));
+        let text = r.render();
+        assert!(
+            text.contains("CSR torus vs native torus at 1024 agents: torus_csr/torus_native = 1.250x (informational)\n"),
+            "{text}"
+        );
     }
 
     #[test]
     fn telemetry_overheads_pair_all_three_rows() {
-        let mut r = tiny_report();
-        for (implementation, ns) in [
-            ("untouched", 10.0f64),
-            ("disabled", 10.1),
-            ("enabled", 11.0),
-        ] {
-            r.results.push(EngineBenchResult {
-                group: "telemetry_overhead",
-                implementation,
-                agents: 1024,
-                workers: 1,
-                ns_per_agent_step: ns,
-                msteps_per_sec: 1e3 / ns,
-            });
+        let mut rows = Vec::new();
+        for agents in [128, 1024] {
+            rows.push(row(
+                "telemetry_overhead",
+                "untouched",
+                agents,
+                &[10.0, 12.0],
+            ));
+            rows.push(row(
+                "telemetry_overhead",
+                "disabled",
+                agents,
+                &[10.1, 12.12],
+            ));
+            rows.push(row("telemetry_overhead", "enabled", agents, &[11.0, 13.2]));
         }
-        let overheads = r.telemetry_overheads();
-        assert_eq!(overheads.len(), 1);
-        let t = overheads[0];
-        assert_eq!(t.agents, 1024);
-        assert!((t.disabled_ratio - 1.01).abs() < 1e-9);
-        assert!((t.enabled_ratio - 1.1).abs() < 1e-9);
-        assert!(r.render().contains("overhead vs the untouched kernel"));
-        // the new labels survive the JSON round trip (baseline gating)
-        let parsed = parse_json(&r.to_json()).unwrap();
-        assert!(parsed
-            .results
-            .iter()
-            .any(|x| x.group == "telemetry_overhead" && x.implementation == "disabled"));
+        let r = report(rows);
+        let checks = r.claim_checks();
+        assert_eq!(checks.len(), 4);
+        for c in &checks {
+            let want = if c.claim.numerator == "disabled" {
+                1.01
+            } else {
+                1.1
+            };
+            assert!((c.ratio.clone().unwrap() - want).abs() < 1e-9, "{c:?}");
+            assert!(c.passed(), "{c:?}");
+        }
+        let text = r.render();
+        assert!(
+            text.contains("telemetry on vs the round without the gate at 128 agents: enabled/untouched = 1.100x (bound <= 1.10): ok\n"),
+            "{text}"
+        );
     }
 
     #[test]
     fn dist_sweep_ratios_pair_sim_rows_with_inproc() {
-        let mut r = tiny_report();
-        for (implementation, msteps) in [
-            ("inproc", 100.0f64),
-            ("dist_sim", 95.0),
-            ("dist_sim_faulty", 80.0),
-        ] {
-            r.results.push(EngineBenchResult {
-                group: "dist_sweep",
-                implementation,
-                agents: 4096,
-                workers: 4,
-                ns_per_agent_step: 1e3 / msteps,
-                msteps_per_sec: msteps,
-            });
-        }
-        let ratios = r.dist_sweep_ratios();
-        assert_eq!(ratios.len(), 2);
-        assert_eq!(ratios[0].0, "dist_sim");
-        assert!((ratios[0].1 - 0.95).abs() < 1e-9);
-        assert_eq!(ratios[1].0, "dist_sim_faulty");
-        assert!((ratios[1].1 - 0.8).abs() < 1e-9);
-        assert!(r.render().contains("distributed sweep (dist_sim_faulty)"));
-        // the dist labels survive the JSON round trip (baseline gating)
-        let parsed = parse_json(&r.to_json()).unwrap();
-        assert!(parsed
-            .results
-            .iter()
-            .any(|x| x.group == "dist_sweep" && x.implementation == "dist_sim_faulty"));
+        let r = report(vec![
+            row("dist_sweep", "inproc", 48, &[10.0]),
+            row("dist_sweep", "dist_sim", 48, &[35.0]),
+            row("dist_sweep", "dist_sim_faulty", 48, &[40.0]),
+        ]);
+        assert!((ratio_of(&r, "dist_sim", "inproc") - 3.5).abs() < 1e-9);
+        assert!((ratio_of(&r, "dist_sim_faulty", "inproc") - 4.0).abs() < 1e-9);
+        assert!(r.render().contains("dist_sim_faulty/inproc = 4.000x"));
     }
 
     #[test]
     fn mega_scale_speedups_pair_counts_with_agent_level() {
-        let mut r = tiny_report();
-        for (implementation, msteps) in [("agent_level", 100.0f64), ("counts", 900.0)] {
-            r.results.push(EngineBenchResult {
-                group: "mega_scale",
-                implementation,
-                agents: 1 << 20,
-                workers: 1,
-                ns_per_agent_step: 1e3 / msteps,
-                msteps_per_sec: msteps,
-            });
-        }
-        let speedups = r.mega_scale_speedups();
-        assert_eq!(speedups.len(), 1);
-        assert_eq!(speedups[0].0, 1 << 20);
-        assert!((speedups[0].1 - 9.0).abs() < 1e-9);
-        assert!(r.render().contains("count-based stepping vs agent-level"));
-        // the mega-scale labels survive the JSON round trip
-        let parsed = parse_json(&r.to_json()).unwrap();
-        assert!(parsed
-            .results
-            .iter()
-            .any(|x| x.group == "mega_scale" && x.implementation == "counts"));
+        let r = report(vec![
+            row("mega_scale", "agent_level", 1 << 20, &[9.0, 18.0, 9.0]),
+            row("mega_scale", "counts", 1 << 20, &[1.0, 2.0, 1.0]),
+        ]);
+        assert!((ratio_of(&r, "agent_level", "counts") - 9.0).abs() < 1e-9);
+        assert!(r
+            .render()
+            .contains("agent_level/counts = 9.000x (bound >= 5.00): ok"));
     }
 
     #[test]
     fn rng_batch_speedup_pairs_lane_with_sequential_fill() {
-        let mut r = tiny_report();
-        assert_eq!(r.rng_batch_speedup(), None);
-        for (implementation, msteps) in [
-            ("scalar_draws", 500.0f64),
-            ("seq_fill", 650.0),
-            ("lane_fill", 700.0),
-            ("bulk_u64", 1200.0),
-        ] {
-            r.results.push(EngineBenchResult {
-                group: "rng_batch",
-                implementation,
-                agents: 1 << 16,
-                workers: 1,
-                ns_per_agent_step: 1e3 / msteps,
-                msteps_per_sec: msteps,
-            });
+        let r = report(
+            [
+                ("scalar_draws", 2.8f64),
+                ("seq_fill", 1.5),
+                ("lane_fill", 2.0),
+                ("bulk_u64", 0.8),
+            ]
+            .map(|(implementation, ns)| row("rng_batch", implementation, 1 << 16, &[ns]))
+            .to_vec(),
+        );
+        assert!((ratio_of(&r, "scalar_draws", "lane_fill") - 1.4).abs() < 1e-9);
+        assert!(r
+            .render()
+            .contains("per-draw scalar sampling vs the batched lane fill"));
+    }
+
+    /// A gated claim passes inside its bound and fails outside it, in
+    /// either direction of bound, and `render` says which.
+    #[test]
+    fn a_claim_within_its_bound_passes_and_one_beyond_fails() {
+        let telemetry = |enabled: f64| {
+            report(vec![
+                row("telemetry_overhead", "untouched", 128, &[10.0]),
+                row("telemetry_overhead", "disabled", 128, &[10.2]),
+                row("telemetry_overhead", "enabled", 128, &[enabled]),
+            ])
+        };
+        let verdicts = |r: &EngineBenchReport| -> Vec<bool> {
+            r.claim_checks().iter().map(ClaimCheck::passed).collect()
+        };
+        assert_eq!(verdicts(&telemetry(10.9)), [true, true]);
+        let slow = telemetry(12.0);
+        assert_eq!(verdicts(&slow), [true, false]);
+        assert!(slow.render().contains("= 1.200x (bound <= 1.10): FAILED\n"));
+
+        let mega = |counts: f64| {
+            report(vec![
+                row("mega_scale", "agent_level", 1 << 20, &[8.0]),
+                row("mega_scale", "counts", 1 << 20, &[counts]),
+            ])
+        };
+        assert_eq!(verdicts(&mega(1.0)), [true]);
+        assert_eq!(verdicts(&mega(2.5)), [false]);
+        // informational claims never fail on their value
+        let csr = report(vec![
+            row("csr_stepping", "torus_native", 1024, &[1.0]),
+            row("csr_stepping", "torus_csr", 1024, &[100.0]),
+        ]);
+        assert_eq!(verdicts(&csr), [true]);
+    }
+
+    /// A claim of a measured group whose row is gone (a renamed
+    /// implementation, a dropped population) fails instead of vanishing
+    /// from the gate; groups the run did not measure are not checked.
+    #[test]
+    fn a_claim_with_a_missing_row_fails() {
+        let renamed = report(vec![
+            row("mega_scale", "agent_level", 1 << 20, &[8.0]),
+            row("mega_scale", "count_based", 1 << 20, &[1.0]),
+        ]);
+        let checks = renamed.claim_checks();
+        assert_eq!(checks.len(), 1);
+        assert_eq!(checks[0].ratio, Err("no `counts` row".to_string()));
+        assert!(!checks[0].passed());
+        assert!(renamed
+            .render()
+            .contains("agent_level/counts = no `counts` row (bound >= 5.00): FAILED"));
+
+        // one population lost its `enabled` row
+        let mut rows = Vec::new();
+        for agents in [128, 1024] {
+            rows.push(row("telemetry_overhead", "untouched", agents, &[10.0]));
+            rows.push(row("telemetry_overhead", "disabled", agents, &[10.0]));
         }
-        let speedup = r.rng_batch_speedup().unwrap();
-        assert!((speedup - 1.4).abs() < 1e-9);
-        assert!(r.render().contains("batched lane fill vs per-draw scalar"));
-        let parsed = parse_json(&r.to_json()).unwrap();
-        assert!(parsed
-            .results
-            .iter()
-            .any(|x| x.group == "rng_batch" && x.implementation == "bulk_u64"));
+        rows.push(row("telemetry_overhead", "enabled", 128, &[10.0]));
+        let failed: Vec<(usize, &str)> = report(rows)
+            .claim_checks()
+            .into_iter()
+            .filter(|c| !c.passed())
+            .map(|c| (c.agents, c.claim.numerator))
+            .collect();
+        assert_eq!(failed, [(1024, "enabled")]);
+
+        // informational claims fail on missing rows too
+        let inproc_only = report(vec![row("dist_sweep", "inproc", 48, &[1.0])]);
+        assert!(inproc_only.claim_checks().iter().all(|c| !c.passed()));
+
+        // a `--group rng_batch` run checks only its own claim
+        let checks = tiny_report().claim_checks();
+        assert!(checks.iter().all(|c| c.claim.group != "mega_scale"));
+    }
+
+    /// The gate is the median of per-sample ratios: drift shared by
+    /// both sides of a cycle divides out, one disturbed cycle does not
+    /// flip it, and rows that were not timed together do not pair.
+    #[test]
+    fn claims_gate_the_median_of_paired_ratios() {
+        let r = report(vec![
+            row(
+                "mega_scale",
+                "agent_level",
+                1,
+                &[40.0, 80.0, 44.0, 88.0, 500.0],
+            ),
+            row("mega_scale", "counts", 1, &[10.0, 20.0, 10.0, 20.0, 10.0]),
+        ]);
+        // per-sample 4, 4, 4.4, 4.4, 50; the row medians give 88/10
+        assert!((ratio_of(&r, "agent_level", "counts") - 4.4).abs() < 1e-9);
+
+        let unpaired = report(vec![
+            row("mega_scale", "agent_level", 1, &[40.0, 40.0]),
+            row("mega_scale", "counts", 1, &[10.0]),
+        ]);
+        let checks = unpaired.claim_checks();
+        assert_eq!(
+            checks[0].ratio,
+            Err("2 and 1 samples do not pair".to_string())
+        );
+        assert!(!checks[0].passed());
+    }
+
+    #[test]
+    fn every_claim_names_a_group() {
+        for c in CLAIMS {
+            assert!(GROUPS.contains(&c.group), "{c:?}");
+        }
     }
 
     #[test]
@@ -1257,12 +1084,15 @@ mod tests {
         assert!(err.contains("unknown bench group `bogus`"), "{err}");
         assert!(err.contains("rng_batch"), "{err}");
 
-        // the cheapest real family: three fills over a 64k buffer
+        // the cheapest real family: four fills over a 64k buffer
         let report = run_engine_bench_group(Effort::Quick, Some("rng_batch")).unwrap();
         assert!(report.results.iter().all(|r| r.group == "rng_batch"));
+        assert!(report.results.iter().all(|r| r.samples_ns.len() == SAMPLES));
         let impls: Vec<&str> = report.results.iter().map(|r| r.implementation).collect();
         assert_eq!(impls, ["scalar_draws", "seq_fill", "lane_fill", "bulk_u64"]);
-        assert!(report.rng_batch_speedup().is_some());
+        let checks = report.claim_checks();
+        assert_eq!(checks.len(), 1);
+        assert!(checks[0].passed(), "{checks:?}");
     }
 
     #[test]
@@ -1287,140 +1117,6 @@ mod tests {
             .find(|cells| cells.get(2) == Some(&"inproc"))
             .expect("inproc row rendered");
         assert_eq!(&inproc_row[3..6], ["1024", "4", "10.00"]);
-    }
-
-    #[test]
-    fn parser_ignores_the_retired_effective_workers_key() {
-        let old = tiny_report().to_json().replace(
-            "\"workers\": 4,",
-            "\"workers\": 4, \"effective_workers\": 2,",
-        );
-        assert!(old.contains("effective_workers"));
-        assert_eq!(parse_json(&old).unwrap(), tiny_report());
-    }
-
-    #[test]
-    fn committed_baseline_parses_with_known_groups() {
-        let baseline = parse_json(include_str!("../../../BENCH_baseline.json"))
-            .expect("BENCH_baseline.json parses");
-        for r in &baseline.results {
-            assert!(
-                GROUPS.contains(&r.group),
-                "baseline row has unknown group `{}`",
-                r.group
-            );
-        }
-    }
-
-    #[test]
-    fn json_round_trips_through_parser() {
-        let report = tiny_report();
-        let parsed = parse_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.mode, report.mode);
-        assert_eq!(parsed.samples, report.samples);
-        assert_eq!(parsed.results.len(), report.results.len());
-        for (a, b) in parsed.results.iter().zip(&report.results) {
-            assert_eq!(a.group, b.group);
-            assert_eq!(a.implementation, b.implementation);
-            assert_eq!((a.agents, a.workers), (b.agents, b.workers));
-            assert!((a.msteps_per_sec - b.msteps_per_sec).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("{}").is_err());
-        assert!(parse_json("not json at all").is_err());
-        let broken = tiny_report()
-            .to_json()
-            .replace("\"agents\": 1024", "\"agents\": oops");
-        assert!(parse_json(&broken).is_err());
-    }
-
-    fn scaled_report(factor: f64) -> EngineBenchReport {
-        let mut r = tiny_report();
-        for res in &mut r.results {
-            res.msteps_per_sec *= factor;
-            res.ns_per_agent_step /= factor;
-        }
-        r
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance_and_fails_beyond() {
-        let base = tiny_report();
-        let same = compare(&base, &base, 0.25).unwrap();
-        assert!((same.median_ratio - 1.0).abs() < 1e-12);
-        assert!(!same.regressed());
-
-        let slightly_slower = compare(&scaled_report(0.85), &base, 0.25).unwrap();
-        assert!(
-            !slightly_slower.regressed(),
-            "15% loss is inside the 25% gate"
-        );
-
-        let much_slower = compare(&scaled_report(0.5), &base, 0.25).unwrap();
-        assert!(much_slower.regressed());
-        assert!((much_slower.median_ratio - 0.5).abs() < 1e-9);
-        let text = much_slower.render();
-        assert!(text.contains("REGRESSED"));
-        assert!(text.contains("median throughput ratio 0.500"));
-    }
-
-    #[test]
-    fn gate_uses_median_not_worst_case() {
-        // one outlier config tanks, the rest hold: the gate stays green
-        let base = EngineBenchReport {
-            mode: "quick",
-            samples: 5,
-            results: (0..5)
-                .map(|i| EngineBenchResult {
-                    group: "csr_stepping",
-                    implementation: "torus_native",
-                    agents: 1024 << i,
-                    workers: 1,
-                    ns_per_agent_step: 10.0,
-                    msteps_per_sec: 100.0,
-                })
-                .collect(),
-        };
-        let mut current = base.clone();
-        current.results[0].msteps_per_sec *= 0.1;
-        let cmp = compare(&current, &base, 0.25).unwrap();
-        assert_eq!(cmp.rows.len(), 5);
-        assert!(!cmp.regressed(), "median ratio {}", cmp.median_ratio);
-    }
-
-    #[test]
-    fn compare_fails_on_a_vanished_baseline_row() {
-        let mut base = tiny_report();
-        base.results.push(EngineBenchResult {
-            group: "rng_batch",
-            implementation: "lane_fill",
-            agents: 1024,
-            workers: 1,
-            ns_per_agent_step: 20.0,
-            msteps_per_sec: 50.0,
-        });
-        // The run measured `rng_batch` but has no `lane_fill` row.
-        let err = compare(&tiny_report(), &base, 0.25).unwrap_err();
-        assert!(err.starts_with("1 baseline config(s)"), "{err}");
-        assert!(err.contains("rng_batch/lane_fill/1024/1"), "{err}");
-        // A run of one group (`--group dist_sweep`) expects only its rows.
-        let mut one_group = tiny_report();
-        one_group.results.retain(|r| r.group == "dist_sweep");
-        let cmp = compare(&one_group, &base, 0.25).unwrap();
-        assert_eq!((cmp.rows.len(), cmp.unmatched), (1, 0));
-    }
-
-    #[test]
-    fn compare_requires_overlap() {
-        let base = tiny_report();
-        let mut foreign = tiny_report();
-        for r in &mut foreign.results {
-            r.agents += 1;
-        }
-        assert!(compare(&foreign, &base, 0.25).is_err());
     }
 
     #[test]

@@ -280,6 +280,22 @@ fn usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(ExitCode::Usage.code()));
 }
 
+/// `repro bench` checks its claims inside one run, so the flags of the
+/// retired gate against a stored baseline file are usage errors.
+#[test]
+fn bench_rejects_the_retired_baseline_gate_flags() {
+    for retired in ["compare", "tolerance"] {
+        let flag = format!("--{retired}");
+        let out = repro(&["bench", &flag, "0.5"]);
+        assert_eq!(out.status.code(), Some(ExitCode::Usage.code()), "{flag}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains(&format!("`bench` got unknown flag `{flag}`")),
+            "{err}"
+        );
+    }
+}
+
 /// `repro <cmd> --help` exits 0 and prints every row the flag table
 /// gives `<cmd>`; `repro --help` and `repro help` list every command.
 #[test]

@@ -512,6 +512,33 @@ impl<T: Topology> Engine<T> {
         }
     }
 
+    /// Writes every agent's [`Self::count_in_group`] for every declared
+    /// group into `out`, group-major (`out[g * n + a]` for `n` agents),
+    /// in one pass over the positions per group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is unplaced or `out` does not hold one slot
+    /// per agent per declared group.
+    pub(crate) fn group_counts_into(&self, out: &mut [u32]) {
+        assert!(self.placed, "arena not placed yet");
+        let n = self.positions.len();
+        assert_eq!(
+            out.len(),
+            self.group_occ.num_groups() * n,
+            "one slot per agent per group"
+        );
+        if n == 0 {
+            return;
+        }
+        for (g, row) in out.chunks_exact_mut(n).enumerate() {
+            let at_node = self.group_occ.group_counts(g);
+            for ((slot, &p), member) in row.iter_mut().zip(&self.positions).zip(&self.groups) {
+                *slot = at_node[p as usize] - u32::from(*member == Some(g));
+            }
+        }
+    }
+
     /// Number of *other* agents of `group` at `agent`'s node — the
     /// per-type encounter sensing of Section 5.2.
     ///
@@ -659,6 +686,25 @@ mod tests {
         assert_eq!(e.count_in_group(0, 1), 1);
         assert_eq!(e.count_in_group(3, 0), 2);
         assert_eq!(e.count(3), 3);
+    }
+
+    #[test]
+    fn group_counts_into_matches_count_in_group() {
+        let mut e = Engine::new(Torus2d::new(4), 9).with_seed_sequence(SeedSequence::new(2));
+        e.declare_groups(3);
+        for a in 0..7 {
+            e.assign_group(a, a % 3);
+        }
+        e.place_uniform(&mut SmallRng::seed_from_u64(2));
+        for _ in 0..4 {
+            e.step_round();
+            let mut out = vec![u32::MAX; 3 * 9];
+            e.group_counts_into(&mut out);
+            for (g, row) in out.chunks_exact(9).enumerate() {
+                let want: Vec<u32> = (0..9).map(|a| e.count_in_group(a, g)).collect();
+                assert_eq!(row, want, "group {g}");
+            }
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use observer::{
     Alg1Observer, Alg4Observer, EncounterTallies, Observer, QuorumObserver, RecordingObserver,
     RelFreqObserver, RoundEvents, Schedule, SimFamily, UnbiasedObserver,
 };
-pub use occupancy::{DenseOccupancy, GroupOccupancy, MAX_NODES};
+pub use occupancy::{DenseOccupancy, GroupOccupancy, BLOCKED_ROUND_MIN_AGENTS, MAX_NODES};
 pub use pool::WorkerPool;
 pub use scenario::{
     EstimatorSpec, NoiseSpec, ObserverTap, Scenario, ScenarioOutcome, TopologySpec,

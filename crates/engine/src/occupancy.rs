@@ -25,7 +25,7 @@ const BLOCKED_REBUILD_MIN_AGENTS: usize = 1 << 18;
 /// (whole-round move buffer, tiled gather, then this module's blocked
 /// rebuild). It is bit-identical to the per-block round, so the floor
 /// moves wall clock only.
-pub(crate) const BLOCKED_ROUND_MIN_AGENTS: usize = 1 << 18;
+pub const BLOCKED_ROUND_MIN_AGENTS: usize = 1 << 18;
 
 /// Node-count floor for the tile-blocked rebuild: below this the counts
 /// array is L2-resident and scattered increments are already cheap.
@@ -248,6 +248,16 @@ impl GroupOccupancy {
                 self.record(g, p);
             }
         }
+    }
+
+    /// Agents of `group` at every node this round, indexed by node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` was never declared.
+    pub(crate) fn group_counts(&self, group: usize) -> &[u32] {
+        assert!(group < self.num_groups, "group {group} unassigned");
+        &self.counts[group * self.num_nodes..][..self.num_nodes]
     }
 
     /// Agents of `group` at `node` this round; 0 for an out-of-range

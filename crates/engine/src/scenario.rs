@@ -741,9 +741,22 @@ impl Scenario {
     }
 
     /// Starts agent `a` at `positions[a]`, stacks allowed and nothing
-    /// drawn, instead of at a uniform node (the paper's default). A run
-    /// panics as [`Engine::place_at`] on a wrong count or node.
+    /// drawn, instead of at a uniform node (the paper's default).
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is not one position per agent, or a position is
+    /// not a node of the topology.
     pub fn with_positions(mut self, positions: Vec<NodeId>) -> Self {
+        assert_eq!(
+            positions.len(),
+            self.num_agents,
+            "position count must equal agent count"
+        );
+        let nodes = self.topology.num_nodes();
+        if let Some(&p) = positions.iter().find(|&&p| p >= nodes) {
+            panic!("position {p} out of range for {nodes} nodes");
+        }
         self.positions = Some(positions);
         self
     }
@@ -1127,11 +1140,7 @@ impl Scenario {
                 }
             };
             if let Some(gb) = &mut group_buf {
-                for (g, row) in gb.chunks_exact_mut(n).enumerate() {
-                    for (a, slot) in row.iter_mut().enumerate() {
-                        *slot = engine.count_in_group(a, g);
-                    }
-                }
+                engine.group_counts_into(gb);
             }
             let ev = RoundEvents {
                 round,
@@ -1670,6 +1679,18 @@ mod tests {
         assert_eq!(noise.to_string().parse::<NoiseSpec>().unwrap(), noise);
         assert!("sense:0:0.1".parse::<NoiseSpec>().is_err());
         assert!("sense:0.5".parse::<NoiseSpec>().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "position count must equal agent count")]
+    fn with_positions_rejects_a_wrong_count() {
+        let _ = Scenario::new(TopologySpec::Ring { nodes: 8 }, 4, 8).with_positions(vec![0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "position 8 out of range for 8 nodes")]
+    fn with_positions_rejects_a_node_off_the_topology() {
+        let _ = Scenario::new(TopologySpec::Ring { nodes: 8 }, 3, 8).with_positions(vec![0, 8, 1]);
     }
 
     #[test]
