@@ -13,7 +13,7 @@
 
 use crate::report::{Effort, ExperimentReport};
 use antdensity_core::recollision;
-use antdensity_graphs::{Topology, Torus2d};
+use antdensity_graphs::{dist, Topology, Torus2d};
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::table::{format_sig, Table};
 
@@ -29,8 +29,8 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let t_max = effort.size(512, 2048);
     let start = torus.node(side / 2, side / 2);
 
-    let exact = recollision::exact_recollision_curve(&torus, start, t_max);
-    let maxp = recollision::exact_max_prob_curve(&torus, start, t_max);
+    let exact = dist::recollision_series(&torus, start, t_max);
+    let maxp = dist::max_probability_series(&torus, start, t_max);
     let mc_lags = effort.size(64, 128);
     let mc_trials = effort.trials(20_000, 100_000);
     let mc = recollision::mc_recollision_curve(

@@ -7,8 +7,7 @@
 //! whole power-law regime.
 
 use crate::report::{Effort, ExperimentReport};
-use antdensity_core::recollision;
-use antdensity_graphs::{Topology, Torus2d};
+use antdensity_graphs::{dist, Topology, Torus2d};
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::table::{format_sig, Table};
 
@@ -22,7 +21,7 @@ pub fn run(effort: Effort, _seed: u64) -> ExperimentReport {
     let torus = Torus2d::new(side);
     let a = torus.num_nodes() as f64;
     let t_max = effort.size(512, 2048);
-    let series = recollision::exact_return_curve(&torus, 0, t_max);
+    let series = dist::return_probability_series(&torus, 0, t_max);
 
     // odd lags must vanish exactly
     let odd_max = (1..=t_max as usize)

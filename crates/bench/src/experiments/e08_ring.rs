@@ -7,9 +7,8 @@
 
 use super::util;
 use crate::report::{Effort, ExperimentReport};
-use antdensity_core::recollision;
 use antdensity_engine::TopologySpec;
-use antdensity_graphs::Ring;
+use antdensity_graphs::{dist, Ring};
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::table::{format_sig, Table};
 
@@ -23,7 +22,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let a_exact = effort.size(2048, 8192);
     let ring = Ring::new(a_exact);
     let t_max = effort.size(512, 2048);
-    let exact = recollision::exact_recollision_curve(&ring, 0, t_max);
+    let exact = dist::recollision_series(&ring, 0, t_max);
     let mut rec_table = Table::new(
         "ring_recollision",
         &["m", "P_exact", "envelope_sqrt", "ratio"],

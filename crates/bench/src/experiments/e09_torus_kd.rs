@@ -8,9 +8,8 @@
 
 use super::util;
 use crate::report::{Effort, ExperimentReport};
-use antdensity_core::recollision;
 use antdensity_engine::TopologySpec;
-use antdensity_graphs::{Topology, TorusKd};
+use antdensity_graphs::{dist, Topology, TorusKd};
 use antdensity_stats::regression::LogLogFit;
 use antdensity_stats::table::{format_sig, Table};
 
@@ -32,7 +31,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         let torus = TorusKd::new(k, side);
         let a = torus.num_nodes() as f64;
         let t_max = effort.size(96, 256);
-        let exact = recollision::exact_recollision_curve(&torus, 0, t_max);
+        let exact = dist::recollision_series(&torus, 0, t_max);
         // Fit from m = 4 onward (small-m lattice corrections steepen the
         // apparent slope) and stop well before the 1/A stationarity floor.
         let mut xs = Vec::new();

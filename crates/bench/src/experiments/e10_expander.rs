@@ -9,9 +9,8 @@
 
 use super::util;
 use crate::report::{Effort, ExperimentReport};
-use antdensity_core::recollision;
 use antdensity_engine::TopologySpec;
-use antdensity_graphs::{generators, spectral, CsrGraph};
+use antdensity_graphs::{dist, generators, spectral, CsrGraph};
 use antdensity_stats::regression::SemiLogFit;
 use antdensity_stats::table::{format_sig, Table};
 use rand::rngs::SmallRng;
@@ -45,14 +44,14 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
             spectral::walk_matrix_lambda(&g, 4000, &mut rng).lambda
         };
         let t_max = 64u64;
-        let exact = recollision::exact_recollision_curve(&g, 0, t_max);
+        let exact = dist::recollision_series(&g, 0, t_max);
         // Rate fit: Lemma 24 upper-bounds |p_m(v) − 1/A| by lambda^m, so
         // the fitted geometric rate of the max-probability excess must be
         // AT MOST lambda (on random regular graphs it is in fact slightly
         // faster, by a Kesten-spectral-density m^{-3/2} polynomial factor
         // — the bound is an upper bound, not an equality). Use even lags
         // to dampen negative-eigenvalue oscillation.
-        let maxp = recollision::exact_max_prob_curve(&g, 0, t_max);
+        let maxp = dist::max_probability_series(&g, 0, t_max);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for m in (2..=t_max).step_by(2) {

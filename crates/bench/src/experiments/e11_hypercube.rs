@@ -7,8 +7,7 @@
 //! dimensions and locate the geometric-to-floor crossover.
 
 use crate::report::{Effort, ExperimentReport};
-use antdensity_core::recollision;
-use antdensity_graphs::{Hypercube, Topology};
+use antdensity_graphs::{dist, Hypercube, Topology};
 use antdensity_stats::table::{format_sig, Table};
 
 /// Runs E11.
@@ -38,7 +37,7 @@ pub fn run(effort: Effort, _seed: u64) -> ExperimentReport {
         let h = Hypercube::new(dims);
         let a = h.num_nodes() as f64;
         let t_max = 64u64;
-        let exact = recollision::exact_recollision_curve(&h, 0, t_max);
+        let exact = dist::recollision_series(&h, 0, t_max);
         let mut max_violation = 0.0f64;
         for m in 0..=t_max {
             let bound = if m == 0 {

@@ -27,7 +27,7 @@ fn measured_b(graph: &CsrGraph, t: u64, starts: &[u64]) -> f64 {
     starts
         .iter()
         .map(|&s| {
-            antdensity_core::recollision::exact_recollision_curve(graph, s, t)
+            antdensity_graphs::dist::recollision_series(graph, s, t)
                 .iter()
                 .sum::<f64>()
         })

@@ -94,18 +94,13 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     );
     let mut biases = Vec::new();
     for &gap in &[1u64, 4, 16, 64] {
-        let sw = SingleWalk::new(samples, gap);
-        let mut ests: Vec<f64> = (0..reps)
-            .map(|r| {
-                let mut srng = SmallRng::seed_from_u64(seed ^ r ^ gap);
-                sw.run(
-                    &g,
-                    8.0,
-                    g.sample_stationary(&mut srng),
-                    seed ^ (r << 5) ^ gap,
-                )
-                .estimate
-            })
+        let starts: Vec<u64> = (0..reps)
+            .map(|r| g.sample_stationary(&mut SmallRng::seed_from_u64(seed ^ r ^ gap)))
+            .collect();
+        let mut ests: Vec<f64> = SingleWalk::new(samples, gap)
+            .run(&g, 8.0, &starts, seed ^ gap)
+            .into_iter()
+            .map(|run| run.estimate)
             .filter(|e| e.is_finite())
             .collect();
         ests.sort_by(|a, b| a.partial_cmp(b).unwrap());

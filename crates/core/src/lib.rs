@@ -17,7 +17,8 @@
 //!   Theorems 21/32, Lemmas 20/22/23/25).
 //! * [`recollision`] — measurement APIs for re-collision curves and
 //!   collision-count moments (Lemma 11, Corollaries 15/16), both
-//!   Monte-Carlo and exact.
+//!   Monte-Carlo (trials as the agents of fixed-size engine batches,
+//!   fanned out over `run_trials`) and exact.
 //! * [`quorum`] — density-threshold detection (quorum sensing), the
 //!   Section 6.2 use-case: an adaptive stopping rule on top of
 //!   Algorithm 1, run as a `Scenario` observer that ends the run once

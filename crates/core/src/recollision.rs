@@ -4,37 +4,24 @@
 //!
 //! Each quantity comes in two flavours:
 //!
-//! * **exact** — computed from the walk-distribution evolution in
-//!   [`antdensity_graphs::dist`] (no sampling noise; preferred for shape
-//!   verification);
-//! * **Monte-Carlo** — one- and two-walk samplers (at the end of this
-//!   module) fanned out over `antdensity_engine::pool::run_trials`
-//!   (validates sampled walks against the exact math, and scales to
-//!   quantities with no closed form, like conditional-on-path moments).
+//! * **exact** — the walk-distribution evolution in
+//!   [`antdensity_graphs::dist`]: `recollision_series` (Lemma 4),
+//!   `max_probability_series` (Lemma 9's bound target, which also bounds
+//!   Lemma 4's conditional form) and `return_probability_series`
+//!   (Corollary 10), with no sampling noise (preferred for shape
+//!   verification) — plus [`expected_equalizations`] below;
+//! * **Monte-Carlo** — trials of one or two interaction-free walks run
+//!   as the agents of one engine per fixed-size batch, fanned out over
+//!   `antdensity_engine::pool::run_trials` (validates sampled walks
+//!   against the exact math, and scales to quantities with no closed
+//!   form, like conditional-on-path moments).
 
 use antdensity_engine::pool::run_trials;
+use antdensity_engine::Engine;
 use antdensity_graphs::{dist, NodeId, Topology};
 use antdensity_stats::moments::CentralMoments;
 use antdensity_stats::rng::SeedSequence;
-use rand::RngCore;
-
-/// Exact re-collision probability at each lag `0..=t` for two walks
-/// launched from the same node (Lemma 4's unconditional form).
-pub fn exact_recollision_curve<T: Topology>(topo: &T, start: NodeId, t: u64) -> Vec<f64> {
-    dist::recollision_series(topo, start, t)
-}
-
-/// Exact `max_v P[walk at v after m]` for `m = 0..=t` (Lemma 9's bound
-/// target, which also upper-bounds the *conditional* re-collision
-/// probability of Lemma 4 for every conditioning path).
-pub fn exact_max_prob_curve<T: Topology>(topo: &T, start: NodeId, t: u64) -> Vec<f64> {
-    dist::max_probability_series(topo, start, t)
-}
-
-/// Exact equalization (return) probability at each lag (Corollary 10).
-pub fn exact_return_curve<T: Topology>(topo: &T, start: NodeId, t: u64) -> Vec<f64> {
-    dist::return_probability_series(topo, start, t)
-}
+use std::ops::ControlFlow;
 
 /// Monte-Carlo re-collision curve: fraction of `trials` walk pairs (both
 /// from `start`) that share a node at each lag `0..=t`. Deterministic in
@@ -47,33 +34,24 @@ pub fn mc_recollision_curve<T: Topology + Sync>(
     seed: u64,
     threads: usize,
 ) -> Vec<f64> {
-    let seq = SeedSequence::new(seed);
-    let per_trial = run_trials(trials, threads, seq, |_, rng| {
-        recollision_series(topo, start, t, rng)
-    });
-    let mut counts = vec![0u64; t as usize + 1];
-    for series in &per_trial {
-        for (m, &hit) in series.iter().enumerate() {
-            if hit {
-                counts[m] += 1;
-            }
-        }
-    }
-    counts
-        .into_iter()
-        .map(|c| c as f64 / trials as f64)
-        .collect()
+    let (_, mut hits) = walk_trials(topo, 2, Some(start), t, trials, seed, threads, same_node);
+    hits[0] = trials;
+    hits.into_iter().map(|c| c as f64 / trials as f64).collect()
 }
 
 /// Expected number of equalizations of a `t`-step walk from `start`,
 /// computed exactly: `Σ_{m=1..t} P[return at m]`.
 pub fn expected_equalizations<T: Topology>(topo: &T, start: NodeId, t: u64) -> f64 {
-    exact_return_curve(topo, start, t)[1..].iter().sum()
+    dist::return_probability_series(topo, start, t)[1..]
+        .iter()
+        .sum()
 }
 
 /// Central moments (orders `1..=max_order`, centered on the exact mean
 /// `t/A`) of the pairwise collision count `c_j` — the object of
-/// **Lemma 11**: `E[c̄ⱼᵏ] ≤ (t/A)·wᵏ·k!·logᵏ(2t)` on the 2-d torus.
+/// **Lemma 11**: `E[c̄ⱼᵏ] ≤ (t/A)·wᵏ·k!·logᵏ(2t)` on the 2-d torus. Both
+/// agents start at independent uniform nodes; `c_j` counts the rounds
+/// (after moving) in which they share a node.
 pub fn pair_count_moments<T: Topology + Sync>(
     topo: &T,
     t: u64,
@@ -83,13 +61,8 @@ pub fn pair_count_moments<T: Topology + Sync>(
     threads: usize,
 ) -> CentralMoments {
     let center = t as f64 / topo.num_nodes() as f64;
-    let seq = SeedSequence::new(seed);
-    let samples = run_trials(trials, threads, seq, |_, rng| {
-        pair_collision_count(topo, t, rng) as f64
-    });
-    let mut cm = CentralMoments::new(center, max_order);
-    samples.iter().for_each(|&x| cm.push(x));
-    cm
+    let (counts, _) = walk_trials(topo, 2, None, t, trials, seed, threads, same_node);
+    moments(center, max_order, counts)
 }
 
 /// Central moments of the visit count of a `t`-step walk (uniform start)
@@ -105,13 +78,9 @@ pub fn visit_count_moments<T: Topology + Sync>(
     threads: usize,
 ) -> CentralMoments {
     let center = t as f64 / topo.num_nodes() as f64;
-    let seq = SeedSequence::new(seed);
-    let samples = run_trials(trials, threads, seq, |_, rng| {
-        visit_count(topo, target, t, rng) as f64
-    });
-    let mut cm = CentralMoments::new(center, max_order);
-    samples.iter().for_each(|&x| cm.push(x));
-    cm
+    let at_target = |walk: &[NodeId]| walk[0] == target;
+    let (counts, _) = walk_trials(topo, 1, None, t, trials, seed, threads, at_target);
+    moments(center, max_order, counts)
 }
 
 /// Central moments of the equalization count of a `t`-step walk from
@@ -127,90 +96,82 @@ pub fn equalization_moments<T: Topology + Sync>(
     threads: usize,
 ) -> CentralMoments {
     let center = expected_equalizations(topo, start, t);
-    let seq = SeedSequence::new(seed);
-    let samples = run_trials(trials, threads, seq, |_, rng| {
-        equalization_count(topo, start, t, rng) as f64
-    });
+    let at_start = |walk: &[NodeId]| walk[0] == start;
+    let (counts, _) = walk_trials(topo, 1, Some(start), t, trials, seed, threads, at_start);
+    moments(center, max_order, counts)
+}
+
+/// Central moments about `center` of the samples `xs`.
+fn moments(center: f64, max_order: u32, xs: Vec<u64>) -> CentralMoments {
     let mut cm = CentralMoments::new(center, max_order);
-    samples.iter().for_each(|&x| cm.push(x));
+    xs.into_iter().for_each(|x| cm.push(x as f64));
     cm
 }
 
-// Monte-Carlo samplers of one and two walks: the per-trial variables the
-// measurements above average. Each has an exact counterpart in
-// `antdensity_graphs::dist`.
+/// Whether a trial's two walks share a node.
+fn same_node(pair: &[NodeId]) -> bool {
+    pair[0] == pair[1]
+}
 
-/// Simulates two independent walks from the same start for `t` rounds and
-/// returns the 0/1 re-collision indicator at every lag `0..=t` (Lemma 4's
-/// event: both walks start at one collision node).
-pub(crate) fn recollision_series<T: Topology>(
+/// Trials per engine: fixed, so a sampler's result depends on
+/// `(seed, trials)` alone, whatever the thread count.
+const TRIALS_PER_ENGINE: u64 = 256;
+
+/// The Monte-Carlo sampler behind every measurement above: runs `trials`
+/// trials of `walks` independent walks each for `t` rounds, all placed
+/// at `start` or, for `None`, uniformly, and counts the rounds after
+/// whose move `hit` holds for a trial's positions. Returns the hits per
+/// trial and per round `0..=t` (round 0 is never counted). Every batch
+/// of [`TRIALS_PER_ENGINE`] trials is one engine whose agents
+/// `k·walks ..` are trial `k`'s walks; the batches fan out over
+/// [`run_trials`].
+#[allow(clippy::too_many_arguments)]
+fn walk_trials<T: Topology + Sync>(
     topo: &T,
-    start: NodeId,
+    walks: usize,
+    start: Option<NodeId>,
     t: u64,
-    rng: &mut dyn RngCore,
-) -> Vec<bool> {
-    let mut a = start;
-    let mut b = start;
-    let mut out = Vec::with_capacity(t as usize + 1);
-    out.push(true);
-    for _ in 0..t {
-        a = topo.random_neighbor(a, rng);
-        b = topo.random_neighbor(b, rng);
-        out.push(a == b);
-    }
-    out
-}
-
-/// Samples the pairwise collision count `c_j` of Section 3.2: both agents
-/// start at independent uniform nodes, walk `t` rounds, and we count the
-/// rounds (after moving) in which they share a node.
-pub(crate) fn pair_collision_count<T: Topology>(topo: &T, t: u64, rng: &mut dyn RngCore) -> u64 {
-    let mut a = topo.uniform_node(rng);
-    let mut b = topo.uniform_node(rng);
-    let mut c = 0u64;
-    for _ in 0..t {
-        a = topo.random_neighbor(a, rng);
-        b = topo.random_neighbor(b, rng);
-        if a == b {
-            c += 1;
+    trials: u64,
+    seed: u64,
+    threads: usize,
+    hit: impl Fn(&[NodeId]) -> bool + Sync,
+) -> (Vec<u64>, Vec<u64>) {
+    let seq = SeedSequence::new(seed);
+    let steps = seq.subsequence(1);
+    let batches = trials.div_ceil(TRIALS_PER_ENGINE);
+    let per_batch = run_trials(batches, threads, seq.subsequence(0), |b, rng| {
+        let in_batch = TRIALS_PER_ENGINE.min(trials - b * TRIALS_PER_ENGINE) as usize;
+        let mut engine =
+            Engine::new(topo, in_batch * walks).with_seed_sequence(steps.subsequence(b));
+        match start {
+            Some(v) => engine.place_at(&vec![v; in_batch * walks]),
+            None => engine.place_uniform(rng),
         }
+        let (mut per_trial, mut per_round) = (vec![0; in_batch], vec![0; t as usize + 1]);
+        let mut positions = Vec::with_capacity(in_batch * walks);
+        engine.run(t, |engine| {
+            positions.clear();
+            positions.extend(engine.agent_positions().map(|(_, v)| v));
+            let round = &mut per_round[engine.round() as usize];
+            for (count, trial) in per_trial.iter_mut().zip(positions.chunks_exact(walks)) {
+                if hit(trial) {
+                    *count += 1;
+                    *round += 1;
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        (per_trial, per_round)
+    });
+    let mut all = (Vec::with_capacity(trials as usize), vec![0; t as usize + 1]);
+    for (per_trial, per_round) in per_batch {
+        all.0.extend(per_trial);
+        all.1
+            .iter_mut()
+            .zip(per_round)
+            .for_each(|(sum, x)| *sum += x);
     }
-    c
-}
-
-/// Counts equalizations — returns to the starting node — of a single
-/// `t`-step walk (Corollary 16's variable).
-pub fn equalization_count<T: Topology>(
-    topo: &T,
-    start: NodeId,
-    t: u64,
-    rng: &mut dyn RngCore,
-) -> u64 {
-    let mut v = start;
-    let mut c = 0u64;
-    for _ in 0..t {
-        v = topo.random_neighbor(v, rng);
-        if v == start {
-            c += 1;
-        }
-    }
-    c
-}
-
-/// Counts visits to `target` by a `t`-step walk from a uniformly random
-/// start (Corollary 15's variable; the initial position counts as a visit
-/// if it equals `target`, matching the corollary's round-1..t convention
-/// after the first move).
-pub fn visit_count<T: Topology>(topo: &T, target: NodeId, t: u64, rng: &mut dyn RngCore) -> u64 {
-    let mut v = topo.uniform_node(rng);
-    let mut c = 0u64;
-    for _ in 0..t {
-        v = topo.random_neighbor(v, rng);
-        if v == target {
-            c += 1;
-        }
-    }
-    c
+    all
 }
 
 #[cfg(test)]
@@ -233,7 +194,7 @@ mod tests {
     fn exact_and_mc_recollision_agree() {
         let topo = Torus2d::new(8);
         let t = 12;
-        let exact = exact_recollision_curve(&topo, 0, t);
+        let exact = dist::recollision_series(&topo, 0, t);
         let mc = mc_recollision_curve(&topo, 0, t, 60_000, 1, 4);
         for m in 0..=t as usize {
             // 60k trials: 5-sigma band on a proportion is ~0.01
@@ -251,7 +212,7 @@ mod tests {
         // exact curve <= C * (1/(m+1) + 1/A) for a single modest C.
         let topo = Torus2d::new(32); // A = 1024
         let t = 128;
-        let curve = exact_recollision_curve(&topo, 0, t);
+        let curve = dist::recollision_series(&topo, 0, t);
         let a = 1024.0;
         for (m, &p) in curve.iter().enumerate() {
             let envelope = 1.0 / (m as f64 + 1.0) + 1.0 / a;
@@ -265,8 +226,8 @@ mod tests {
     #[test]
     fn max_prob_dominates_recollision() {
         let topo = Torus2d::new(16);
-        let rec = exact_recollision_curve(&topo, 0, 40);
-        let max = exact_max_prob_curve(&topo, 0, 40);
+        let rec = dist::recollision_series(&topo, 0, 40);
+        let max = dist::max_probability_series(&topo, 0, 40);
         for m in 0..rec.len() {
             assert!(rec[m] <= max[m] + 1e-12);
         }

@@ -7,7 +7,8 @@
 //! scratch — the cost per round is O(agents), independent of the node
 //! count and free of hashing.
 //!
-//! [`Engine::step_round`] is the one way to step it. Agents are
+//! [`Engine::run`], the round loop every simulation runs, steps it
+//! through [`Engine::step_round`]. Agents are
 //! partitioned into fixed [`STREAM_BLOCK`]-sized blocks and block `b` of
 //! round `r` draws from an RNG derived from `(seed sequence, round,
 //! block index)`. A block's stream depends only on its index, so the
@@ -39,6 +40,7 @@ use antdensity_graphs::{MoveScratch, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
 use rand::RngCore;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 // Telemetry metrics of the round.
@@ -76,14 +78,13 @@ pub type GroupId = usize;
 /// use antdensity_engine::Engine;
 /// use antdensity_graphs::Torus2d;
 /// use antdensity_stats::rng::SeedSequence;
+/// use std::ops::ControlFlow;
 ///
 /// let seq = SeedSequence::new(1);
 /// let mut engine = Engine::new(Torus2d::new(16), 10).with_seed_sequence(seq.subsequence(1));
 /// engine.place_uniform(&mut seq.rng(0));
-/// for _ in 0..5 {
-///     engine.step_round();
-/// }
-/// assert_eq!(engine.round(), 5);
+/// let stepped = engine.run(5, |_| ControlFlow::Continue(()));
+/// assert_eq!((stepped, engine.round()), (5, 5));
 /// let total: u32 = (0..10).map(|a| engine.count(a)).sum();
 /// assert_eq!(total % 2, 0); // collisions are counted by both parties
 /// ```
@@ -375,6 +376,27 @@ impl<T: Topology> Engine<T> {
         self.step_round_with(self.block_kernel(), blocked);
     }
 
+    /// The round loop every simulation runs: steps up to `rounds`
+    /// rounds, handing the engine to `on_round` after each one, and
+    /// stops early when it returns [`ControlFlow::Break`]. Returns the
+    /// number of rounds stepped. The callback reads the post-move state
+    /// ([`Self::round`] is the round just stepped) and may change
+    /// movement models for the next round. Panics as
+    /// [`Self::step_round`] does.
+    pub fn run(
+        &mut self,
+        rounds: u64,
+        mut on_round: impl FnMut(&mut Self) -> ControlFlow<()>,
+    ) -> u64 {
+        for stepped in 1..=rounds {
+            self.step_round();
+            if on_round(self).is_break() {
+                return stepped;
+            }
+        }
+        rounds
+    }
+
     /// [`Self::step_round`] through `kernel`, applying pure
     /// moves with the tiled gather when `blocked` is set.
     fn step_round_with(&mut self, kernel: BlockKernel, blocked: bool) {
@@ -607,6 +629,53 @@ mod tests {
             assert_eq!(total, 20);
             assert!(e.occupied_nodes() <= 20);
         }
+    }
+
+    #[test]
+    fn run_stops_on_break_and_returns_the_rounds_stepped() {
+        let mut e = Engine::new(Ring::new(32), 5).with_seed_sequence(SeedSequence::new(3));
+        e.place_uniform(&mut SmallRng::seed_from_u64(3));
+        let mut seen = Vec::new();
+        let stepped = e.run(10, |e| {
+            seen.push(e.round());
+            if e.round() == 4 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!((stepped, e.round()), (4, 4));
+        assert_eq!(seen, [1, 2, 3, 4]);
+        assert_eq!(e.run(3, |_| ControlFlow::Continue(())), 3);
+        assert_eq!(e.run(0, |_| ControlFlow::Break(())), 0);
+        assert_eq!(e.round(), 7);
+    }
+
+    #[test]
+    fn run_matches_step_round_calls_bit_for_bit() {
+        // Every kernel: the pure batch, the lazy batch and the per-agent
+        // path (on an irregular CSR graph).
+        use antdensity_graphs::CsrGraph;
+        fn check<T: Topology + Clone>(topo: T, model: MovementModel) {
+            let mut by_hand = Engine::new(topo, 300).with_seed_sequence(SeedSequence::new(9));
+            by_hand.set_movement_all(&model);
+            by_hand.place_uniform(&mut SmallRng::seed_from_u64(9));
+            let mut looped = by_hand.clone();
+            for _ in 0..7 {
+                by_hand.step_round();
+            }
+            assert_eq!(looped.run(7, |_| ControlFlow::Continue(())), 7);
+            assert_eq!(looped.round(), by_hand.round());
+            let nodes = by_hand.topology().num_nodes();
+            let occupancy = |e: &Engine<T>| (0..nodes).map(|v| e.occupancy(v)).collect::<Vec<_>>();
+            assert_eq!(occupancy(&looped), occupancy(&by_hand));
+            let positions = |e: &Engine<T>| e.agent_positions().collect::<Vec<_>>();
+            assert_eq!(positions(&looped), positions(&by_hand));
+        }
+        check(Torus2d::new(16), MovementModel::Pure);
+        check(Torus2d::new(16), MovementModel::Lazy { stay_prob: 0.3 });
+        let path = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (1, 3)]).unwrap();
+        check(path, MovementModel::Pure);
     }
 
     #[test]

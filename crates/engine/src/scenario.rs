@@ -41,6 +41,7 @@ use antdensity_graphs::{
 };
 use antdensity_stats::rng::SeedSequence;
 use rand::Rng;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Which graph the scenario runs on.
@@ -1125,8 +1126,8 @@ impl Scenario {
         let mut group_buf: Option<Vec<u32>> = (k > 0).then(|| vec![0u32; k * n]);
         let true_density = engine.density();
 
-        for round in 1..=max_rounds {
-            engine.step_round();
+        engine.run(max_rounds, |engine| {
+            let round = engine.round();
             engine.counts_into(&mut raw);
             // Noise draws happen once, in agent order — exactly the
             // stream a dedicated per-estimator run would consume.
@@ -1163,9 +1164,11 @@ impl Scenario {
                 }
             }
             if stop {
-                break;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-        }
+        });
         (results, tallies)
     }
 }

@@ -88,7 +88,12 @@ pub fn step_slice<T: Topology, R: RngCore>(
     debug_assert_eq!(positions.len(), movement.len());
     if interaction.is_pure() {
         for (pos, model) in positions.iter_mut().zip(movement) {
-            *pos = model.step(topo, *pos as NodeId, rng) as u32;
+            // `step` draws the same for `Pure`; the direct call inlines.
+            let v = *pos as NodeId;
+            *pos = match model {
+                MovementModel::Pure => topo.random_neighbor(v, rng),
+                model => model.step(topo, v, rng),
+            } as u32;
         }
         return;
     }

@@ -11,6 +11,7 @@ use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::ops::ControlFlow;
 use std::sync::{Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -142,6 +143,38 @@ fn a_cloned_engine_counts_only_its_own_rounds() {
     });
     telemetry::set_enabled(false);
     assert_eq!(delta, with_split(14));
+}
+
+#[test]
+fn run_counts_the_rounds_that_step_round_counts() {
+    let _g = live();
+    let stepped = |by_hand: bool| {
+        engine_delta(|| {
+            let mut engine = Engine::new(antdensity_graphs::Torus2d::new(32), AGENTS)
+                .with_seed_sequence(SeedSequence::new(7));
+            engine.place_uniform(&mut SmallRng::seed_from_u64(8));
+            if by_hand {
+                for _ in 0..20 {
+                    engine.step_round();
+                }
+            } else {
+                let mut seen = 0;
+                let rounds = engine.run(30, |_| {
+                    seen += 1;
+                    if seen == 20 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                assert_eq!(rounds, 20);
+            }
+        })
+    };
+    let (by_hand, looped) = (stepped(true), stepped(false));
+    telemetry::set_enabled(false);
+    assert_eq!(looped, by_hand);
+    assert_eq!(looped, with_split(20));
 }
 
 #[test]

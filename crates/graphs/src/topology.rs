@@ -208,8 +208,9 @@ impl Iterator for NeighborIter<'_> {
 
 impl ExactSizeIterator for NeighborIter<'_> {}
 
-/// Blanket impl so `&T` is itself a topology (lets generic code borrow).
-impl<T: Topology + ?Sized> Topology for &T {
+/// Blanket impl so `&T` is itself a topology (lets generic code borrow);
+/// every method forwards, so a borrow keeps `T`'s fast paths.
+impl<T: Topology> Topology for &T {
     fn num_nodes(&self) -> u64 {
         (**self).num_nodes()
     }
@@ -218,6 +219,12 @@ impl<T: Topology + ?Sized> Topology for &T {
     }
     fn neighbor(&self, v: NodeId, i: usize) -> NodeId {
         (**self).neighbor(v, i)
+    }
+    fn random_neighbor<R: RngCore + ?Sized>(&self, v: NodeId, rng: &mut R) -> NodeId {
+        (**self).random_neighbor(v, rng)
+    }
+    fn uniform_node<R: RngCore + ?Sized>(&self, rng: &mut R) -> NodeId {
+        (**self).uniform_node(rng)
     }
     fn apply_moves(&self, positions: &mut [u32], moves: &[u32]) {
         (**self).apply_moves(positions, moves)

@@ -16,11 +16,15 @@
 //! Collisions are weighted by `1/deg` because the stationary distribution
 //! visits high-degree vertices more often; the weighting debiases exactly
 //! (Lemma 28: `E[C] = 1/|V|`).
+//!
+//! The walks are the agents of one [`Engine`]; a seeded start stacks
+//! them on the seed vertex and burns in with uncounted rounds.
 
-use crate::burnin;
 use crate::queries::QueryCount;
+use antdensity_engine::Engine;
 use antdensity_graphs::{CsrGraph, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
+use std::ops::ControlFlow;
 
 /// How walks obtain their starting positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,44 +103,22 @@ impl Algorithm2 {
         seed: u64,
     ) -> NetSizeRun {
         assert!(avg_degree > 0.0, "average degree must be positive");
-        let seq = SeedSequence::new(seed);
-        let mut rng = seq.rng(0);
-        let mut queries = QueryCount::new();
-        let mut positions: Vec<NodeId> = match start {
-            StartMode::Stationary => (0..self.num_walks)
-                .map(|_| graph.sample_stationary(&mut rng))
-                .collect(),
-            StartMode::SeedWithBurnin { seed_vertex, steps } => {
-                assert!(
-                    seed_vertex < graph.num_nodes(),
-                    "seed vertex {seed_vertex} out of range"
-                );
-                let pos = burnin::burn_in(graph, seed_vertex, steps, self.num_walks, &mut rng);
-                queries.burnin = steps * self.num_walks as u64;
-                pos
-            }
-        };
+        let (mut walks, burnin) = place_walks(graph, start, self.num_walks, seed);
         let mut weighted: f64 = 0.0;
-        let mut sorted: Vec<NodeId> = Vec::with_capacity(self.num_walks);
-        for _ in 0..self.rounds {
-            for p in positions.iter_mut() {
-                *p = graph.random_neighbor(*p, &mut rng);
-            }
-            queries.walking += self.num_walks as u64;
-            // Sum in ascending node order, so the float total is the same
-            // in every process.
-            sorted.clear();
-            sorted.extend_from_slice(&positions);
-            sorted.sort_unstable();
-            for run in sorted.chunk_by(|a, b| a == b) {
-                if run.len() >= 2 {
-                    // each of the occ walkers counts (occ-1) others,
-                    // weighted by 1/deg(node)
-                    let occ = run.len() as f64;
-                    weighted += occ * (occ - 1.0) / graph.degree(run[0]) as f64;
+        walks.run(self.rounds, |walks| {
+            for (_, v) in walks.agent_positions() {
+                let others = walks.occupancy(v) - 1;
+                if others > 0 {
+                    weighted += f64::from(others) / graph.degree(v) as f64;
                 }
             }
-        }
+            ControlFlow::Continue(())
+        });
+        let queries = QueryCount {
+            burnin: burnin * self.num_walks as u64,
+            walking: self.rounds * self.num_walks as u64,
+            degree_sampling: 0,
+        };
         let n = self.num_walks as f64;
         let c = avg_degree * weighted / (n * (n - 1.0) * self.rounds as f64);
         let estimate = if c > 0.0 { 1.0 / c } else { f64::INFINITY };
@@ -146,6 +128,34 @@ impl Algorithm2 {
             queries,
             walks: self.num_walks,
             rounds: self.rounds,
+        }
+    }
+}
+
+/// `num_walks` walks on `graph`, placed as `start` asks, and the burn-in
+/// steps each took: a seeded start stacks them on the seed vertex and
+/// steps `steps` uncounted rounds.
+pub(crate) fn place_walks(
+    graph: &CsrGraph,
+    start: StartMode,
+    num_walks: usize,
+    seed: u64,
+) -> (Engine<&CsrGraph>, u64) {
+    let seq = SeedSequence::new(seed);
+    let mut walks = Engine::new(graph, num_walks).with_seed_sequence(seq.subsequence(1));
+    match start {
+        StartMode::Stationary => {
+            let mut rng = seq.rng(0);
+            let starts: Vec<NodeId> = (0..num_walks)
+                .map(|_| graph.sample_stationary(&mut rng))
+                .collect();
+            walks.place_at(&starts);
+            (walks, 0)
+        }
+        StartMode::SeedWithBurnin { seed_vertex, steps } => {
+            walks.place_at(&vec![seed_vertex; num_walks]);
+            walks.run(steps, |_| ControlFlow::Continue(()));
+            (walks, steps)
         }
     }
 }

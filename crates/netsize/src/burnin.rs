@@ -6,34 +6,14 @@
 //! burn-in steps, after which their locations are within total-variation
 //! distance `δ` of stationarity and Theorem 27 applies with failure
 //! probability `2δ`.
+//!
+//! The burn-in walk itself runs inside Algorithm 2
+//! ([`crate::algorithm2::StartMode::SeedWithBurnin`]): uncounted rounds
+//! of the engine that then counts collisions. This module plans its
+//! length and measures how close it gets.
 
 use antdensity_graphs::spectral;
-use antdensity_graphs::{CsrGraph, NodeId, Topology, WalkDistribution};
-use rand::RngCore;
-
-/// Walks `num_walks` independent walkers from `seed_vertex` for `steps`
-/// rounds; returns their final positions.
-pub fn burn_in(
-    graph: &CsrGraph,
-    seed_vertex: NodeId,
-    steps: u64,
-    num_walks: usize,
-    rng: &mut dyn RngCore,
-) -> Vec<NodeId> {
-    assert!(
-        seed_vertex < graph.num_nodes(),
-        "seed vertex {seed_vertex} out of range"
-    );
-    (0..num_walks)
-        .map(|_| {
-            let mut v = seed_vertex;
-            for _ in 0..steps {
-                v = graph.random_neighbor(v, rng);
-            }
-            v
-        })
-        .collect()
-}
+use antdensity_graphs::{CsrGraph, NodeId, WalkDistribution};
 
 /// The paper's burn-in length `M = c·ln(|E|/δ)/(1−λ)` (Section 5.1.4),
 /// with λ measured by power iteration if not supplied.
@@ -73,9 +53,17 @@ pub fn tv_profile(graph: &CsrGraph, seed_vertex: NodeId, max_steps: u64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm2::{place_walks, StartMode};
     use antdensity_graphs::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Positions of `walks` walks after `steps` burn-in rounds from `seed_vertex`.
+    fn burn_in(g: &CsrGraph, seed_vertex: NodeId, steps: u64, walks: usize) -> Vec<NodeId> {
+        let start = StartMode::SeedWithBurnin { seed_vertex, steps };
+        let (walks, _) = place_walks(g, start, walks, 1);
+        walks.agent_positions().map(|(_, v)| v).collect()
+    }
 
     #[test]
     fn burn_in_positions_approach_stationarity() {
@@ -84,7 +72,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let g = generators::random_regular(64, 6, 300, &mut rng).unwrap();
         let walks = 20_000;
-        let pos = burn_in(&g, 0, 50, walks, &mut rng);
+        let pos = burn_in(&g, 0, 50, walks);
         let at_seed = pos.iter().filter(|&&v| v == 0).count() as f64 / walks as f64;
         assert!(
             (at_seed - 1.0 / 64.0).abs() < 0.01,
@@ -94,9 +82,8 @@ mod tests {
 
     #[test]
     fn zero_steps_stay_at_seed() {
-        let mut rng = SmallRng::seed_from_u64(2);
         let g = generators::cycle_graph(11);
-        let pos = burn_in(&g, 4, 0, 5, &mut rng);
+        let pos = burn_in(&g, 4, 0, 5);
         assert!(pos.iter().all(|&v| v == 4));
     }
 

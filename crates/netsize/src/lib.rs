@@ -12,11 +12,12 @@
 //!
 //! Components:
 //!
-//! * [`algorithm2`] — the multi-round collision estimator (Algorithm 2).
+//! * [`algorithm2`] — the multi-round collision estimator (Algorithm 2);
+//!   its walks, burn-in included, are the agents of one engine.
 //! * [`degree`] — Algorithm 3: inverse-degree sampling for `deḡ`
 //!   (Theorem 31).
-//! * [`burnin`] — seed-vertex starts, burn-in length planning (Section
-//!   5.1.4), exact TV-distance profiles.
+//! * [`burnin`] — burn-in length planning (Section 5.1.4) and exact
+//!   TV-distance profiles.
 //! * [`katzir`] — the KLSC14 baseline: collisions in a single
 //!   post-burn-in round.
 //! * [`queries`] — link-query accounting (the paper's cost model: every

@@ -15,11 +15,14 @@
 //! (under-estimating `|V|` because nearby samples re-collide), large gaps
 //! approach independence. The bias-vs-cost trade-off is exactly the
 //! local-mixing phenomenon the paper analyses, and is measured in the
-//! harness.
+//! harness. Walks are the agents of an [`Engine`], their positions read
+//! every `gap` rounds.
 
 use crate::queries::QueryCount;
+use antdensity_engine::Engine;
 use antdensity_graphs::{CsrGraph, NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
+use std::ops::ControlFlow;
 
 /// The outcome of a single-walk estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,60 +66,69 @@ impl SingleWalk {
         self.gap
     }
 
-    /// Runs the estimator from `start` (pass a stationary sample for the
-    /// idealised analysis, or any seed vertex plus enough initial gap in
-    /// the realistic one).
+    /// Runs one independent estimator from each of `starts` (pass
+    /// stationary samples for the idealised analysis, or any seed vertex
+    /// plus enough initial gap in the realistic one); the walks are the
+    /// agents of one engine.
     ///
     /// # Panics
     ///
-    /// Panics if `avg_degree <= 0` or `start` is out of range.
+    /// Panics if `avg_degree <= 0`, `starts` is empty or a start is out
+    /// of range.
     pub fn run(
         &self,
         graph: &CsrGraph,
         avg_degree: f64,
-        start: NodeId,
+        starts: &[NodeId],
         seed: u64,
-    ) -> SingleWalkRun {
+    ) -> Vec<SingleWalkRun> {
         assert!(avg_degree > 0.0, "average degree must be positive");
-        assert!(start < graph.num_nodes(), "start node out of range");
-        let seq = SeedSequence::new(seed);
-        let mut rng = seq.rng(0);
-        let mut v = start;
-        let mut observed: Vec<NodeId> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            for _ in 0..self.gap {
-                v = graph.random_neighbor(v, &mut rng);
+        let mut walks =
+            Engine::new(graph, starts.len()).with_seed_sequence(SeedSequence::new(seed));
+        walks.place_at(starts);
+        let mut observed = vec![Vec::with_capacity(self.samples); starts.len()];
+        walks.run(self.samples as u64 * self.gap, |walks| {
+            if walks.round() % self.gap == 0 {
+                for ((_, v), seen) in walks.agent_positions().zip(&mut observed) {
+                    seen.push(v);
+                }
             }
-            observed.push(v);
-        }
-        // weighted collision mass over all pairs: group samples by node,
-        // summed in ascending node order so the float total is the same
-        // in every process.
-        observed.sort_unstable();
-        let weighted: f64 = observed
-            .chunk_by(|a, b| a == b)
-            .filter(|run| run.len() >= 2)
-            .map(|run| {
-                let cf = run.len() as f64;
-                cf * (cf - 1.0) / 2.0 / graph.degree(run[0]) as f64
-            })
-            .sum();
+            ControlFlow::Continue(())
+        });
         let pairs = self.samples as f64 * (self.samples as f64 - 1.0) / 2.0;
-        let estimate = if weighted > 0.0 {
-            pairs / (avg_degree * weighted)
-        } else {
-            f64::INFINITY
+        let queries = QueryCount {
+            burnin: 0,
+            walking: self.samples as u64 * self.gap,
+            degree_sampling: 0,
         };
-        SingleWalkRun {
-            estimate,
-            samples: self.samples,
-            weighted_collisions: weighted,
-            queries: QueryCount {
-                burnin: 0,
-                walking: self.samples as u64 * self.gap,
-                degree_sampling: 0,
-            },
-        }
+        observed
+            .into_iter()
+            .map(|mut seen| {
+                // weighted collision mass over all pairs: group samples by
+                // node, summed in ascending node order so the float total
+                // is the same in every process.
+                seen.sort_unstable();
+                let weighted: f64 = seen
+                    .chunk_by(|a, b| a == b)
+                    .filter(|run| run.len() >= 2)
+                    .map(|run| {
+                        let cf = run.len() as f64;
+                        cf * (cf - 1.0) / 2.0 / graph.degree(run[0]) as f64
+                    })
+                    .sum();
+                let estimate = if weighted > 0.0 {
+                    pairs / (avg_degree * weighted)
+                } else {
+                    f64::INFINITY
+                };
+                SingleWalkRun {
+                    estimate,
+                    samples: self.samples,
+                    weighted_collisions: weighted,
+                    queries,
+                }
+            })
+            .collect()
     }
 }
 
@@ -139,7 +151,7 @@ mod tests {
         // gap 32 >> mixing time of an 8-regular expander on 256 nodes
         let sw = SingleWalk::new(200, 32);
         let ests: Vec<f64> = (0..15)
-            .map(|s| sw.run(&g, 8.0, g.sample_stationary(&mut rng), s).estimate)
+            .map(|s| sw.run(&g, 8.0, &[g.sample_stationary(&mut rng)], s)[0].estimate)
             .filter(|e| e.is_finite())
             .collect();
         assert!(ests.len() >= 12);
@@ -158,11 +170,7 @@ mod tests {
         let g = generators::random_regular(256, 8, 500, &mut rng).unwrap();
         let tight = SingleWalk::new(200, 1);
         let ests: Vec<f64> = (0..15)
-            .map(|s| {
-                tight
-                    .run(&g, 8.0, g.sample_stationary(&mut rng), s)
-                    .estimate
-            })
+            .map(|s| tight.run(&g, 8.0, &[g.sample_stationary(&mut rng)], s)[0].estimate)
             .filter(|e| e.is_finite())
             .collect();
         let med = median(ests);
@@ -176,7 +184,7 @@ mod tests {
     fn query_accounting() {
         let mut rng = SmallRng::seed_from_u64(3);
         let g = generators::random_regular(64, 4, 500, &mut rng).unwrap();
-        let run = SingleWalk::new(10, 7).run(&g, 4.0, 0, 1);
+        let run = SingleWalk::new(10, 7).run(&g, 4.0, &[0], 1)[0];
         assert_eq!(run.queries.walking, 70);
         assert_eq!(run.queries.total(), 70);
         assert_eq!(run.samples, 10);
@@ -187,7 +195,7 @@ mod tests {
         // 2 samples on a big graph almost surely differ.
         let mut rng = SmallRng::seed_from_u64(4);
         let g = generators::random_regular(2048, 4, 500, &mut rng).unwrap();
-        let run = SingleWalk::new(2, 50).run(&g, 4.0, 0, 5);
+        let run = SingleWalk::new(2, 50).run(&g, 4.0, &[0], 5)[0];
         assert!(run.estimate.is_infinite() || run.estimate > 0.0);
     }
 
@@ -197,10 +205,7 @@ mod tests {
         let g = generators::barabasi_albert(400, 3, &mut rng).unwrap();
         let sw = SingleWalk::new(250, 24);
         let ests: Vec<f64> = (0..15)
-            .map(|s| {
-                sw.run(&g, g.avg_degree(), g.sample_stationary(&mut rng), s)
-                    .estimate
-            })
+            .map(|s| sw.run(&g, g.avg_degree(), &[g.sample_stationary(&mut rng)], s)[0].estimate)
             .filter(|e| e.is_finite())
             .collect();
         let med = median(ests);
@@ -215,7 +220,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(6);
         let g = generators::random_regular(64, 4, 500, &mut rng).unwrap();
         let sw = SingleWalk::new(20, 5);
-        assert_eq!(sw.run(&g, 4.0, 0, 9), sw.run(&g, 4.0, 0, 9));
+        assert_eq!(sw.run(&g, 4.0, &[0], 9), sw.run(&g, 4.0, &[0], 9));
     }
 
     #[test]

@@ -156,7 +156,7 @@ fn render() -> String {
                 bits(&[boosted.estimate])
             )
             .unwrap();
-            let sw = SingleWalk::new(200, 3).run(g, avg, 0, seed);
+            let sw = SingleWalk::new(200, 3).run(g, avg, &[0], seed)[0];
             writeln!(
                 out,
                 "  singlewalk seed {seed} estimate {} weighted {} walking {}",

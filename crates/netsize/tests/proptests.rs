@@ -90,7 +90,7 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = generators::random_regular(32, 4, 500, &mut rng).unwrap();
-        let run = SingleWalk::new(samples, gap).run(&g, 4.0, 0, seed);
+        let run = SingleWalk::new(samples, gap).run(&g, 4.0, &[0], seed)[0];
         prop_assert_eq!(run.queries.walking, samples as u64 * gap);
         prop_assert_eq!(run.samples, samples);
         prop_assert!(run.estimate > 0.0);

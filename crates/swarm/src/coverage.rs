@@ -12,12 +12,14 @@
 //!   encounter rate (its local density estimate); a robot whose estimate
 //!   exceeds a target takes **two** walk steps per round instead of one
 //!   until the estimate drops. Clustered swarms spread measurably faster
-//!   than with plain random walking.
+//!   than with plain random walking. A swarm round is two rounds of an
+//!   [`Engine`], the second taken only by the robots that move fast.
 
+use antdensity_engine::{Engine, MovementModel};
 use antdensity_graphs::{NodeId, Topology, Torus2d};
 use antdensity_stats::rng::SeedSequence;
-use rand::RngCore;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
+use std::ops::ControlFlow;
 
 /// Fraction of nodes visited by at least one of `num_agents` random
 /// walkers (uniform starts) after each round `0..=rounds`.
@@ -33,21 +35,16 @@ pub fn coverage_curve<T: Topology>(
 ) -> Vec<f64> {
     assert!(num_agents > 0, "need at least one agent");
     let seq = SeedSequence::new(seed);
-    let mut rng = seq.rng(0);
+    let mut swarm = Engine::new(topo, num_agents).with_seed_sequence(seq.subsequence(1));
+    swarm.place_uniform(&mut seq.rng(0));
     let a = topo.num_nodes() as f64;
-    let mut positions: Vec<NodeId> = (0..num_agents)
-        .map(|_| topo.uniform_node(&mut rng))
-        .collect();
-    let mut visited: HashSet<NodeId> = positions.iter().copied().collect();
-    let mut curve = Vec::with_capacity(rounds as usize + 1);
-    curve.push(visited.len() as f64 / a);
-    for _ in 0..rounds {
-        for p in positions.iter_mut() {
-            *p = topo.random_neighbor(*p, &mut rng);
-            visited.insert(*p);
-        }
+    let mut visited: HashSet<NodeId> = swarm.agent_positions().map(|(_, v)| v).collect();
+    let mut curve = vec![visited.len() as f64 / a];
+    swarm.run(rounds, |swarm| {
+        visited.extend(swarm.agent_positions().map(|(_, v)| v));
         curve.push(visited.len() as f64 / a);
-    }
+        ControlFlow::Continue(())
+    });
     curve
 }
 
@@ -107,36 +104,37 @@ impl DispersionSim {
     /// round.
     pub fn run_clustered(&self, rounds: u64, seed: u64) -> Vec<f64> {
         let topo = Torus2d::new(self.side);
-        let seq = SeedSequence::new(seed);
-        let mut rng = seq.rng(0);
         let start = topo.node(self.side / 2, self.side / 2);
-        let mut positions = vec![start; self.num_robots];
+        let mut swarm =
+            Engine::new(topo, self.num_robots).with_seed_sequence(SeedSequence::new(seed));
+        swarm.place_at(&vec![start; self.num_robots]);
         let mut histories: Vec<VecDeque<u32>> =
             vec![VecDeque::with_capacity(self.window); self.num_robots];
+        let spread =
+            |swarm: &Engine<Torus2d>| swarm.occupied_nodes() as f64 / self.num_robots as f64;
         let mut curve = Vec::with_capacity(rounds as usize + 1);
-        curve.push(occupancy_spread(&positions));
-        let mut occupancy: HashMap<NodeId, u32> = HashMap::new();
-        for _ in 0..rounds {
-            for (r, p) in positions.iter_mut().enumerate() {
-                let fast = self.adaptive && self.rate(&histories[r]) > self.trigger;
-                *p = topo.random_neighbor(*p, &mut rng as &mut dyn RngCore);
-                if fast {
-                    *p = topo.random_neighbor(*p, &mut rng as &mut dyn RngCore);
+        curve.push(spread(&swarm));
+        swarm.run(2 * rounds, |swarm| {
+            if swarm.round() % 2 == 1 {
+                // Every robot has taken its first step; the slow ones sit
+                // out the second.
+                for (r, h) in histories.iter().enumerate() {
+                    if !(self.adaptive && self.rate(h) > self.trigger) {
+                        swarm.set_movement(r, MovementModel::Stationary);
+                    }
                 }
-            }
-            occupancy.clear();
-            for &p in &positions {
-                *occupancy.entry(p).or_insert(0) += 1;
-            }
-            for (r, &p) in positions.iter().enumerate() {
-                let h = &mut histories[r];
-                if h.len() == self.window {
-                    h.pop_front();
+            } else {
+                for (r, h) in histories.iter_mut().enumerate() {
+                    if h.len() == self.window {
+                        h.pop_front();
+                    }
+                    h.push_back(swarm.count(r));
                 }
-                h.push_back(occupancy[&p] - 1);
+                curve.push(spread(swarm));
+                swarm.set_movement_all(&MovementModel::Pure);
             }
-            curve.push(occupancy_spread(&positions));
-        }
+            ControlFlow::Continue(())
+        });
         curve
     }
 

@@ -14,7 +14,8 @@
 //! * [`coverage`] — Section 6.3.4: swarm coverage statistics
 //!   (distinct-cells-visited over time) and a density-triggered
 //!   dispersion protocol sketch ("detect regions with high robot density
-//!   and … spread out this density").
+//!   and … spread out this density"). Its robots, like the sensor
+//!   token, are the agents of an `Engine`.
 //!
 //! # Example
 //!

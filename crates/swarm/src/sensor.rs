@@ -12,11 +12,14 @@
 //! relative to i.i.d. sampling. The paper's Corollary 15 moment bound
 //! says the inflation on a grid is only logarithmic — [`TokenEstimate`]
 //! exposes the revisit statistics so experiments can verify exactly that.
+//! Tokens are the agents of an [`Engine`] stepped by [`Engine::run`].
 
+use antdensity_engine::Engine;
 use antdensity_graphs::{NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 use rand::Rng;
 use rand::RngCore;
+use std::ops::ControlFlow;
 
 /// A field of sensors on a topology: one value per node, plus an alive
 /// flag (failed sensors still relay tokens but contribute no reading).
@@ -122,7 +125,7 @@ impl<T: Topology> SensorField<T> {
 }
 
 /// The result of one token walk.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TokenEstimate {
     /// The aggregated mean estimate.
     pub mean: f64,
@@ -136,56 +139,56 @@ pub struct TokenEstimate {
     pub failed_reads: u64,
 }
 
-/// Walks a query token for `hops` hops from `start` and aggregates the
-/// mean reading. The token is memoryless — exactly the scheme the paper
-/// argues stays accurate thanks to strong local mixing.
+/// Walks `tokens` independent query tokens for `hops` hops each from
+/// `start`, as the agents of one engine (tokens never interact), and
+/// aggregates each token's mean reading. A token is memoryless — exactly
+/// the scheme the paper argues stays accurate thanks to strong local
+/// mixing.
 ///
 /// # Panics
 ///
-/// Panics if `hops == 0` or `start` is out of range.
-pub fn token_mean_estimate<T: Topology>(
+/// Panics if `hops == 0`, `tokens == 0` or `start` is out of range.
+pub fn token_mean_estimates<T: Topology>(
     field: &SensorField<T>,
     start: NodeId,
     hops: u64,
+    tokens: usize,
     seed: u64,
-) -> TokenEstimate {
+) -> Vec<TokenEstimate> {
     assert!(hops > 0, "token needs at least one hop");
-    assert!(
-        start < field.topo.num_nodes(),
-        "start node {start} out of range"
-    );
-    let seq = SeedSequence::new(seed);
-    let mut rng = seq.rng(0);
-    let mut v = start;
-    let mut sum = 0.0;
-    let mut samples = 0u64;
-    let mut revisits = 0u64;
-    let mut failed_reads = 0u64;
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(v);
-    for _ in 0..hops {
-        v = field.topo.random_neighbor(v, &mut rng);
-        if !seen.insert(v) {
-            revisits += 1;
+    let mut walk = Engine::new(&field.topo, tokens).with_seed_sequence(SeedSequence::new(seed));
+    walk.place_at(&vec![start; tokens]);
+    let nodes = field.values.len();
+    // Per token: its visited sensors, and its running sum in `mean`.
+    let mut seen = vec![false; tokens * nodes];
+    let mut out = vec![TokenEstimate::default(); tokens];
+    for visited in seen.chunks_exact_mut(nodes) {
+        visited[start as usize] = true;
+    }
+    walk.run(hops, |walk| {
+        let tokens = walk.agent_positions().zip(seen.chunks_exact_mut(nodes));
+        for (((_, v), visited), est) in tokens.zip(&mut out) {
+            if std::mem::replace(&mut visited[v as usize], true) {
+                est.revisits += 1;
+            } else {
+                est.distinct += 1;
+            }
+            if field.is_alive(v) {
+                est.mean += field.value(v);
+                est.samples += 1;
+            } else {
+                est.failed_reads += 1;
+            }
         }
-        if field.is_alive(v) {
-            sum += field.value(v);
-            samples += 1;
-        } else {
-            failed_reads += 1;
+        ControlFlow::Continue(())
+    });
+    for est in &mut out {
+        est.distinct += 1; // the start
+        if est.samples > 0 {
+            est.mean /= est.samples as f64;
         }
     }
-    TokenEstimate {
-        mean: if samples > 0 {
-            sum / samples as f64
-        } else {
-            0.0
-        },
-        samples,
-        revisits,
-        distinct: seen.len() as u64,
-        failed_reads,
-    }
+    out
 }
 
 /// I.i.d.-sampling baseline: `samples` uniform random alive sensors (with
@@ -219,6 +222,10 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    fn token(field: &SensorField<Torus2d>, start: NodeId, hops: u64, seed: u64) -> TokenEstimate {
+        token_mean_estimates(field, start, hops, 1, seed)[0]
+    }
+
     fn checkerboard_field(side: u64) -> SensorField<Torus2d> {
         let topo = Torus2d::new(side);
         let values = (0..topo.num_nodes())
@@ -234,7 +241,7 @@ mod tests {
     fn token_estimates_checkerboard_mean() {
         // mean is exactly 0.5; a long token walk should get close.
         let field = checkerboard_field(16);
-        let est = token_mean_estimate(&field, 0, 4000, 1);
+        let est = token(&field, 0, 4000, 1);
         assert!((est.mean - 0.5).abs() < 0.05, "mean {}", est.mean);
         assert_eq!(est.samples, 4000);
         assert_eq!(est.failed_reads, 0);
@@ -243,7 +250,7 @@ mod tests {
     #[test]
     fn token_revisits_are_counted() {
         let field = checkerboard_field(8); // small field: many revisits
-        let est = token_mean_estimate(&field, 0, 1000, 2);
+        let est = token(&field, 0, 1000, 2);
         assert!(est.revisits > 0);
         assert!(est.distinct <= 64);
         assert_eq!(est.revisits + est.distinct, (1000 + 1)); // revisits + distinct = hops + 1 when nothing else counted... see below
@@ -255,7 +262,7 @@ mod tests {
         // plus the start node is distinct. So distinct + revisits = hops + 1.
         let field = checkerboard_field(8);
         for seed in 0..5 {
-            let est = token_mean_estimate(&field, 5, 300, seed);
+            let est = token(&field, 5, 300, seed);
             assert_eq!(est.distinct + est.revisits, 301);
         }
     }
@@ -267,7 +274,7 @@ mod tests {
         field.fail_random(0.5, &mut rng);
         let alive = field.alive_count();
         assert!(alive > 64 && alive < 192, "alive {alive}");
-        let est = token_mean_estimate(&field, 0, 2000, 4);
+        let est = token(&field, 0, 2000, 4);
         assert!(est.failed_reads > 0);
         assert_eq!(est.samples + est.failed_reads, 2000);
         // estimate still tracks the alive-sensor mean
@@ -287,7 +294,7 @@ mod tests {
         let field = SensorField::bernoulli(Torus2d::new(32), 0.2, &mut rng);
         let truth = field.true_mean();
         assert!((truth - 0.2).abs() < 0.05, "field mean {truth}");
-        let est = token_mean_estimate(&field, 0, 5000, 7);
+        let est = token(&field, 0, 5000, 7);
         assert!((est.mean - truth).abs() < 0.05, "token mean {}", est.mean);
     }
 
@@ -300,7 +307,7 @@ mod tests {
         let hops = 512;
         let reps = 200u64;
         let token_ests: Vec<f64> = (0..reps)
-            .map(|s| token_mean_estimate(&field, 0, hops, 100 + s).mean)
+            .map(|s| token(&field, 0, hops, 100 + s).mean)
             .collect();
         let iid_ests: Vec<f64> = (0..reps)
             .map(|s| iid_mean_estimate(&field, hops, 500 + s))
@@ -328,10 +335,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let field = checkerboard_field(8);
-        assert_eq!(
-            token_mean_estimate(&field, 0, 100, 9),
-            token_mean_estimate(&field, 0, 100, 9)
-        );
+        assert_eq!(token(&field, 0, 100, 9), token(&field, 0, 100, 9));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use antdensity_graphs::Torus2d;
 use antdensity_swarm::coverage::{coverage_curve, occupancy_spread, DispersionSim};
 use antdensity_swarm::robot::SwarmConfig;
-use antdensity_swarm::sensor::{token_mean_estimate, SensorField};
+use antdensity_swarm::sensor::{token_mean_estimates, SensorField};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -86,7 +86,7 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let field = SensorField::bernoulli(Torus2d::new(side), p, &mut rng);
-        let est = token_mean_estimate(&field, 0, hops, seed);
+        let est = token_mean_estimates(&field, 0, hops, 1, seed)[0];
         // revisit accounting: distinct + revisits = hops + 1
         prop_assert_eq!(est.distinct + est.revisits, hops + 1);
         // all sensors alive: every hop reads
@@ -104,7 +104,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut field = SensorField::bernoulli(Torus2d::new(8), 0.5, &mut rng);
         field.fail_random(fail_p, &mut rng);
-        let est = token_mean_estimate(&field, 0, 300, seed);
+        let est = token_mean_estimates(&field, 0, 300, 1, seed)[0];
         prop_assert_eq!(est.samples + est.failed_reads, 300);
         if field.alive_count() == 0 {
             prop_assert_eq!(est.samples, 0);

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example sensor_field`
 
 use antdensity::graphs::Torus2d;
-use antdensity::swarm::sensor::{iid_mean_estimate, token_mean_estimate, SensorField};
+use antdensity::swarm::sensor::{iid_mean_estimate, token_mean_estimates, SensorField};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -50,8 +50,7 @@ fn summarize(field: &SensorField<Torus2d>, hops: u64, truth: f64) {
     let tokens = 20u64;
     let mut token_errs = Vec::new();
     let mut revisit_frac = 0.0;
-    for s in 0..tokens {
-        let est = token_mean_estimate(field, 0, hops, 100 + s);
+    for est in token_mean_estimates(field, 0, hops, tokens as usize, 100) {
         token_errs.push((est.mean - truth).abs());
         revisit_frac += est.revisits as f64 / hops as f64;
     }

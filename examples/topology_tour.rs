@@ -9,8 +9,8 @@
 //!
 //! Run with: `cargo run --release --example topology_tour`
 
-use antdensity::core::recollision::exact_recollision_curve;
 use antdensity::core::theory::TopologyClass;
+use antdensity::graphs::dist::recollision_series;
 use antdensity::graphs::{generators, spectral, CompleteGraph, Hypercube, Ring, Torus2d, TorusKd};
 use antdensity::stats::table::{format_sig, Table};
 use rand::rngs::SmallRng;
@@ -33,32 +33,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let curves: Vec<(&str, Vec<f64>, TopologyClass)> = vec![
         (
             "ring (1-d)",
-            exact_recollision_curve(&ring, 0, t_max),
+            recollision_series(&ring, 0, t_max),
             TopologyClass::Ring { nodes: a },
         ),
         (
             "torus 2-d",
-            exact_recollision_curve(&torus, 0, t_max),
+            recollision_series(&torus, 0, t_max),
             TopologyClass::Torus2d { nodes: a },
         ),
         (
             "torus 3-d",
-            exact_recollision_curve(&torus3, 0, t_max),
+            recollision_series(&torus3, 0, t_max),
             TopologyClass::TorusKd { dims: 3, nodes: a },
         ),
         (
             "hypercube",
-            exact_recollision_curve(&hyper, 0, t_max),
+            recollision_series(&hyper, 0, t_max),
             TopologyClass::Hypercube { dims: 12 },
         ),
         (
             "expander d=8",
-            exact_recollision_curve(&expander, 0, t_max),
+            recollision_series(&expander, 0, t_max),
             TopologyClass::Expander { lambda, nodes: a },
         ),
         (
             "complete",
-            exact_recollision_curve(&complete, 0, t_max),
+            recollision_series(&complete, 0, t_max),
             TopologyClass::Complete { nodes: a },
         ),
     ];

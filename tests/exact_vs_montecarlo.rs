@@ -53,7 +53,7 @@ fn return_probabilities_agree_on_torus() {
 fn recollision_agrees_on_ring() {
     let ring = Ring::new(64);
     let t = 24;
-    let exact = recollision::exact_recollision_curve(&ring, 0, t);
+    let exact = dist::recollision_series(&ring, 0, t);
     let mc = recollision::mc_recollision_curve(&ring, 0, t, 60_000, 7, 4);
     for m in 0..=t as usize {
         assert!(
@@ -69,7 +69,7 @@ fn recollision_agrees_on_ring() {
 fn recollision_agrees_on_hypercube() {
     let h = Hypercube::new(6);
     let t = 16;
-    let exact = recollision::exact_recollision_curve(&h, 0, t);
+    let exact = dist::recollision_series(&h, 0, t);
     let mc = recollision::mc_recollision_curve(&h, 0, t, 60_000, 9, 4);
     for m in 0..=t as usize {
         assert!(
@@ -85,7 +85,7 @@ fn recollision_agrees_on_hypercube() {
 fn recollision_agrees_on_3d_torus() {
     let t3 = TorusKd::new(3, 5);
     let t = 12;
-    let exact = recollision::exact_recollision_curve(&t3, 0, t);
+    let exact = dist::recollision_series(&t3, 0, t);
     let mc = recollision::mc_recollision_curve(&t3, 0, t, 60_000, 11, 4);
     for m in 0..=t as usize {
         assert!(
@@ -104,14 +104,9 @@ fn visit_counts_match_expectation_from_distribution() {
     let topo = Torus2d::new(8);
     let a = topo.num_nodes() as f64;
     let t = 32u64;
-    let seq = SeedSequence::new(0xBEEF);
     let trials = 80_000u64;
-    let total: u64 = run_trials(trials, 4, seq, |_, rng| {
-        recollision::visit_count(&topo, 5, t, rng)
-    })
-    .into_iter()
-    .sum();
-    let mc_mean = total as f64 / trials as f64;
+    let cm = recollision::visit_count_moments(&topo, 5, t, 1, trials, 0xBEEF, 4);
+    let mc_mean = cm.center() + cm.moment(1);
     assert!(
         (mc_mean - t as f64 / a).abs() < 0.02,
         "mc mean {mc_mean} vs t/A {}",
@@ -124,14 +119,9 @@ fn equalization_expectation_matches_exact_sum() {
     let topo = Torus2d::new(8);
     let t = 32u64;
     let exact_mean = recollision::expected_equalizations(&topo, 0, t);
-    let seq = SeedSequence::new(0xFACE);
     let trials = 80_000u64;
-    let total: u64 = run_trials(trials, 4, seq, |_, rng| {
-        recollision::equalization_count(&topo, 0, t, rng)
-    })
-    .into_iter()
-    .sum();
-    let mc_mean = total as f64 / trials as f64;
+    let cm = recollision::equalization_moments(&topo, 0, t, 1, trials, 0xFACE, 4);
+    let mc_mean = cm.center() + cm.moment(1);
     assert!(
         (mc_mean - exact_mean).abs() < 0.03,
         "mc {mc_mean} vs exact {exact_mean}"
