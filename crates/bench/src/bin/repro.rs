@@ -457,7 +457,6 @@ fn run_serve(req: &cli::ServeRequest) {
         max_queue: req.max_queue,
         executors: req.executors,
         job_workers: req.job_workers,
-        dist_workers: req.dist_workers,
         cache: open_cache(req.cache.as_deref()),
     };
     if req.stdio {

@@ -223,8 +223,6 @@ pub struct ServeRequest {
     pub executors: usize,
     /// `--workers`.
     pub job_workers: usize,
-    /// `--dist`.
-    pub dist_workers: Option<usize>,
     /// `--cache` (`None` for `off`), shared by every executor.
     pub cache: Option<PathBuf>,
 }
@@ -333,7 +331,6 @@ pub const FLAGS: &[Flag] = &[
     Flag { commands: &["serve"],                                 name: "--max-queue",     operand: Required("N"),     help: "queue slots before submits are rejected (default 64)" },
     Flag { commands: &["serve"],                                 name: "--executors",     operand: Required("N"),     help: "jobs run at once, sharing one worker pool (default 2)" },
     Flag { commands: &["serve"],                                 name: "--workers",       operand: Required("N"),     help: "worker threads per job (default 0 runs as 1: shards one at a time)" },
-    Flag { commands: &["serve"],                                 name: "--dist",          operand: Required("N"),     help: "run each job's shards on N child worker processes" },
     Flag { commands: &["serve-submit"],                          name: "--metrics",       operand: Required("FILE"),  help: "also fetch the daemon's metrics snapshot into FILE" },
 ];
 
@@ -610,7 +607,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 max_queue: 64,
                 executors: 2,
                 job_workers: 0,
-                dist_workers: None,
                 cache: None,
             };
             for (flag, value) in flags {
@@ -621,7 +617,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                     "--max-queue" => req.max_queue = positive(flag, v)?,
                     "--executors" => req.executors = positive(flag, v)?,
                     "--workers" => req.job_workers = num(flag, v)?,
-                    "--dist" => req.dist_workers = Some(positive(flag, v)?),
                     "--cache" => req.cache = cache_dir(v),
                     _ => unreachable!("`serve` has no arm for `{flag}`"),
                 }
@@ -762,7 +757,7 @@ mod tests {
     #[test]
     fn serve_and_clients_parse() {
         let cmd = parse(&argv(
-            "serve --listen 127.0.0.1:4710 --max-queue 8 --executors 3 --dist 2",
+            "serve --listen 127.0.0.1:4710 --max-queue 8 --executors 3",
         ))
         .unwrap();
         assert_eq!(
@@ -773,7 +768,6 @@ mod tests {
                 max_queue: 8,
                 executors: 3,
                 job_workers: 0,
-                dist_workers: Some(2),
                 cache: None,
             })
         );

@@ -45,10 +45,8 @@ use crate::report::Effort;
 use antdensity_engine::sampling::{
     fill_uniform_indices, fill_uniform_indices_lanes, lane_rngs, RNG_LANES,
 };
-use antdensity_engine::{
-    CountsEngine, DenseOccupancy, Engine, BLOCKED_ROUND_MIN_AGENTS, STREAM_BLOCK,
-};
-use antdensity_graphs::{generators, CsrGraph, MoveScratch, Topology, Torus2d};
+use antdensity_engine::{CountsEngine, DenseOccupancy, Engine, STREAM_BLOCK};
+use antdensity_graphs::{generators, CsrGraph, Topology, Torus2d};
 use antdensity_stats::quantile::median;
 use antdensity_stats::rng::SeedSequence;
 use antdensity_stats::table::Table;
@@ -575,11 +573,8 @@ fn bench_csr_stepping(effort: Effort, agent_grid: &[usize], results: &mut Vec<En
 ///   the same per-round [`SeedSequence::subsequence`] derivation, each
 ///   `STREAM_BLOCK` block's move indices filled by
 ///   [`fill_uniform_indices`] from its own stream into one buffer, the
-///   same apply ([`Topology::apply_moves`], or from
-///   [`BLOCKED_ROUND_MIN_AGENTS`] the tiled
-///   [`Topology::apply_moves_blocked`], as [`Engine::step_round`]
-///   chooses) and the occupancy rebuild, with **no** telemetry call
-///   sites at all;
+///   same [`Topology::apply_moves`] and [`DenseOccupancy::rebuild`],
+///   with **no** telemetry call sites at all;
 /// * `disabled` — the instrumented [`Engine::step_round`]
 ///   with the global flag off: the per-round cost is exactly one
 ///   relaxed atomic load, so this row must sit within noise of
@@ -611,8 +606,6 @@ fn bench_telemetry_overhead(
         let mut positions = vec![0u32; agents];
         let mut moves = vec![0u32; agents];
         let mut occ = DenseOccupancy::new(topo.num_nodes());
-        let mut scratch = MoveScratch::new();
-        let blocked = agents >= BLOCKED_ROUND_MIN_AGENTS;
         let mut rng = SmallRng::seed_from_u64(5);
         for p in positions.iter_mut() {
             *p = topo.uniform_node(&mut rng) as u32;
@@ -625,11 +618,7 @@ fn bench_telemetry_overhead(
             for (b, chunk) in moves.chunks_mut(STREAM_BLOCK).enumerate() {
                 fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
             }
-            if blocked {
-                topo.apply_moves_blocked(&mut positions, &moves, &mut scratch);
-            } else {
-                topo.apply_moves(&mut positions, &moves);
-            }
+            topo.apply_moves(&mut positions, &moves);
             occ.rebuild(&positions);
             round += 1;
         };

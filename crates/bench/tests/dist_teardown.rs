@@ -3,8 +3,8 @@
 //! Real `repro sweep-worker --stdio` children serve a sweep whose
 //! checkpoint path is an existing, non-empty directory, so the first
 //! checkpoint write fails. The driver must return that error only after
-//! sending `SHUTDOWN` and reaping every child: a long-lived coordinator
-//! (`repro serve --dist N`) would otherwise collect zombies. Kept in its
+//! sending `SHUTDOWN` and reaping every child: a long-lived process that
+//! embeds the sweep driver would otherwise collect zombies. Kept in its
 //! own test binary so no other test's children share the process.
 #![cfg(target_os = "linux")]
 
@@ -23,13 +23,18 @@ rounds    = 8
 estimator = alg1, quorum:0.05
 ";
 
-/// Child PIDs of every thread of this process, zombies included.
+/// Child PIDs of every thread of this process, zombies included. A
+/// thread that exits between the directory listing and the read has no
+/// children to count, so its vanished `children` file reads as empty.
 fn children() -> Vec<String> {
     let mut pids = Vec::new();
     for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let path = task.expect("task entry").path().join("children");
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => panic!("{}: {e}", path.display()),
+        };
         pids.extend(text.split_whitespace().map(String::from));
     }
     pids

@@ -19,7 +19,8 @@
 //! [`crate::pool::run_trials`].
 //!
 //! Pure-walk populations on regular topologies draw every block's move
-//! indices into one buffer before applying them all; populations that
+//! indices into one buffer before applying them all in one
+//! [`Topology::apply_moves`] call, at every population size; populations that
 //! all share one `lazy:p` model on a regular power-of-two-span topology
 //! take the batched lazy kernel (`step::step_block_lazy`); every other
 //! population steps agent by agent through [`crate::step::step_slice`].
@@ -32,11 +33,11 @@
 
 use crate::config::STREAM_BLOCK;
 use crate::movement::MovementModel;
-use crate::occupancy::{DenseOccupancy, GroupOccupancy, BLOCKED_ROUND_MIN_AGENTS, MAX_NODES};
+use crate::occupancy::{DenseOccupancy, GroupOccupancy, MAX_NODES};
 use crate::sampling::fill_uniform_indices;
 use crate::step::{step_block_lazy, step_slice, Interaction};
 use crate::tally::{msteps_per_sec, ns_between, RoundMetrics, RoundTally};
-use antdensity_graphs::{MoveScratch, NodeId, Topology};
+use antdensity_graphs::{NodeId, Topology};
 use antdensity_stats::rng::SeedSequence;
 use antdensity_telemetry as telemetry;
 use rand::RngCore;
@@ -113,8 +114,6 @@ pub struct Engine<T: Topology> {
     /// Whole-round move-index buffer of the pure per-block round
     /// (empty until the first such round; reused afterwards).
     moves_scratch: Vec<u32>,
-    /// Tile-partition buffers for the blocked gather, likewise reused.
-    tile_scratch: MoveScratch,
     /// This engine's round telemetry, merged into the registry on drop.
     tally: RoundTally<4>,
 }
@@ -154,7 +153,6 @@ impl<T: Topology> Engine<T> {
             impure_movers: 0,
             shared_lazy: None,
             moves_scratch: Vec::new(),
-            tile_scratch: MoveScratch::new(),
             tally: RoundTally::new(&ROUND_METRICS),
         }
     }
@@ -353,10 +351,10 @@ impl<T: Topology> Engine<T> {
     /// indices into one engine-owned buffer first (block `b` fills its
     /// slice from `round_seq.rng(b)`, drawing bit-for-bit what
     /// [`step_slice`] draws for pure agents), then applies them in one
-    /// call: [`Topology::apply_moves`], or from
-    /// `2^18` agents [`Topology::apply_moves_blocked`], whose gathers
-    /// stay within L2-sized node tiles. Other populations step block by
-    /// block through the lazy or the per-agent kernel.
+    /// [`Topology::apply_moves`] call, at every population size. Other
+    /// populations step block by block through the lazy or the
+    /// per-agent kernel. Every round ends with one
+    /// [`DenseOccupancy::rebuild`].
     ///
     /// With telemetry on (checked once per round) every round is
     /// counted, exactly, in the engine's tally. The first round, then
@@ -372,8 +370,43 @@ impl<T: Topology> Engine<T> {
     /// Panics if the engine is unplaced.
     pub fn step_round(&mut self) {
         assert!(self.placed, "place agents before stepping");
-        let blocked = self.positions.len() >= BLOCKED_ROUND_MIN_AGENTS;
-        self.step_round_with(self.block_kernel(), blocked);
+        let kernel = self.block_kernel();
+        // The hot path's single telemetry gate: one relaxed load per
+        // round. A disabled run reads no clock and records nothing; an
+        // enabled one reads it only on rounds the tally times.
+        let observe = telemetry::enabled();
+        let phases = match kernel {
+            BlockKernel::Pure(_) => SPLIT_PHASES,
+            _ => BLOCK_PHASES,
+        };
+        let timed = observe && self.tally.times_next(phases);
+        let start = timed.then(Instant::now);
+        let round_seq = self.seeds.subsequence(self.round);
+        let drawn = match kernel {
+            BlockKernel::Pure(span) => {
+                let n = self.positions.len();
+                self.moves_scratch.resize(n, 0);
+                for (b, chunk) in self.moves_scratch.chunks_mut(STREAM_BLOCK).enumerate() {
+                    fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
+                }
+                let drawn = timed.then(Instant::now);
+                self.topo
+                    .apply_moves(&mut self.positions, &self.moves_scratch);
+                drawn
+            }
+            kernel => {
+                self.step_blocks(kernel, &round_seq);
+                None
+            }
+        };
+        let moved = timed.then(Instant::now);
+        self.round += 1;
+        self.rebuild_occupancy();
+        if let (Some(start), Some(moved)) = (start, moved) {
+            self.tally_round(phases, start, drawn, moved, Instant::now());
+        } else if observe {
+            self.tally.count_round(self.positions.len() as u64);
+        }
     }
 
     /// The round loop every simulation runs: steps up to `rounds`
@@ -395,55 +428,6 @@ impl<T: Topology> Engine<T> {
             }
         }
         rounds
-    }
-
-    /// [`Self::step_round`] through `kernel`, applying pure
-    /// moves with the tiled gather when `blocked` is set.
-    fn step_round_with(&mut self, kernel: BlockKernel, blocked: bool) {
-        // The hot path's single telemetry gate: one relaxed load per
-        // round. A disabled run reads no clock and records nothing; an
-        // enabled one reads it only on rounds the tally times.
-        let observe = telemetry::enabled();
-        let phases = match kernel {
-            BlockKernel::Pure(_) => SPLIT_PHASES,
-            _ => BLOCK_PHASES,
-        };
-        let timed = observe && self.tally.times_next(phases);
-        let start = timed.then(Instant::now);
-        let round_seq = self.seeds.subsequence(self.round);
-        let drawn = match kernel {
-            BlockKernel::Pure(span) => {
-                let n = self.positions.len();
-                self.moves_scratch.resize(n, 0);
-                for (b, chunk) in self.moves_scratch.chunks_mut(STREAM_BLOCK).enumerate() {
-                    fill_uniform_indices(span, chunk, &mut round_seq.rng(b as u64));
-                }
-                let drawn = timed.then(Instant::now);
-                if blocked {
-                    self.topo.apply_moves_blocked(
-                        &mut self.positions,
-                        &self.moves_scratch,
-                        &mut self.tile_scratch,
-                    );
-                } else {
-                    self.topo
-                        .apply_moves(&mut self.positions, &self.moves_scratch);
-                }
-                drawn
-            }
-            kernel => {
-                self.step_blocks(kernel, &round_seq);
-                None
-            }
-        };
-        let moved = timed.then(Instant::now);
-        self.round += 1;
-        self.rebuild_occupancy();
-        if let (Some(start), Some(moved)) = (start, moved) {
-            self.tally_round(phases, start, drawn, moved, Instant::now());
-        } else if observe {
-            self.tally.count_round(self.positions.len() as u64);
-        }
     }
 
     /// Steps every stream block through the lazy kernel, or through the
@@ -689,33 +673,6 @@ mod tests {
         assert_eq!(e.round(), 8);
         let total: u32 = (0..e.topology().num_nodes()).map(|v| e.occupancy(v)).sum();
         assert_eq!(total, 1000);
-    }
-
-    #[test]
-    fn blocked_round_is_bit_identical_to_per_block_path() {
-        // The tiled gather must replay the plain pure round exactly, on
-        // a native and a CSR topology. Both paths run on the same 3000
-        // agents (12 blocks, the last partial), far below the population
-        // that selects the blocked path on its own.
-        use antdensity_graphs::CsrGraph;
-        fn run<T: Topology + Clone>(topo: T, blocked: bool) -> Vec<NodeId> {
-            let mut e = Engine::new(topo, 3000).with_seed_sequence(SeedSequence::new(55));
-            e.place_uniform(&mut SmallRng::seed_from_u64(6));
-            let span = e.pure_batch_span().expect("regular pure walk");
-            for _ in 0..12 {
-                e.step_round_with(BlockKernel::Pure(span), blocked);
-            }
-            let occupancy_total: u32 = (0..e.topology().num_nodes()).map(|v| e.occupancy(v)).sum();
-            assert_eq!(occupancy_total, 3000, "rebuild lost agents");
-            (0..3000).map(|a| e.position(a)).collect()
-        }
-        let torus = Torus2d::new(64);
-        let reference = run(torus, false);
-        assert_eq!(reference, run(torus, true));
-        let csr = CsrGraph::from_topology(&torus);
-        assert_eq!(reference, run(csr.clone(), false));
-        // Same walk on the CSR rebuild consumes the identical streams.
-        assert_eq!(reference, run(csr, true));
     }
 
     #[test]

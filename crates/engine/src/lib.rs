@@ -80,9 +80,9 @@ pub use engine::{AgentId, Engine, GroupId};
 pub use movement::MovementModel;
 pub use observer::{
     Alg1Observer, Alg4Observer, EncounterTallies, Observer, QuorumObserver, RecordingObserver,
-    RelFreqObserver, RoundEvents, Schedule, SimFamily, UnbiasedObserver,
+    RelFreqObserver, RoundEvents, Schedule, SimFamily,
 };
-pub use occupancy::{DenseOccupancy, GroupOccupancy, BLOCKED_ROUND_MIN_AGENTS, MAX_NODES};
+pub use occupancy::{DenseOccupancy, GroupOccupancy, MAX_NODES};
 pub use pool::WorkerPool;
 pub use scenario::{
     EstimatorSpec, NoiseSpec, ObserverTap, Scenario, ScenarioOutcome, TopologySpec,

@@ -23,7 +23,6 @@
 //! [`Scenario::run_streamed`](crate::scenario::Scenario::run_streamed)
 //! is the driver; `antdensity-sweep` plans grid-wide fusion on top.
 
-use crate::sampling::CollisionNoise;
 use crate::scenario::{EstimatorSpec, ScenarioOutcome};
 pub use antdensity_stats::schedule::Schedule;
 
@@ -237,37 +236,6 @@ impl Observer for RelFreqObserver {
             rounds: tallies.rounds(),
             true_density,
         }
-    }
-}
-
-/// Section 6.1 noise unbiasing as a composable observer layer: wraps any
-/// observer and corrects its density estimates by the known sensor
-/// parameters, `d̃ = (d̃_obs − s)/p` (clamped at 0). Property estimates
-/// are corrected the same way; counts and decisions pass through.
-#[derive(Debug, Clone)]
-pub struct UnbiasedObserver<O> {
-    /// The estimator whose snapshot is corrected.
-    pub inner: O,
-    /// The (known) sensor model to invert.
-    pub noise: CollisionNoise,
-}
-
-impl<O: Observer> Observer for UnbiasedObserver<O> {
-    fn on_round(&mut self, ev: &RoundEvents<'_>) {
-        self.inner.on_round(ev);
-    }
-
-    fn snapshot(&self, tallies: &EncounterTallies, true_density: f64) -> ScenarioOutcome {
-        let mut out = self.inner.snapshot(tallies, true_density);
-        for e in &mut out.estimates {
-            *e = self.noise.correct(*e);
-        }
-        if let Some(prop) = &mut out.property_estimates {
-            for e in prop {
-                *e = self.noise.correct(*e);
-            }
-        }
-        out
     }
 }
 
@@ -545,21 +513,6 @@ mod tests {
         let o = RelFreqObserver.snapshot(&t, 0.2);
         assert_eq!(o.estimates, vec![2.0, 1.0]);
         assert_eq!(o.property_estimates, Some(vec![1.0, 0.5]));
-    }
-
-    #[test]
-    fn unbiased_observer_inverts_known_noise() {
-        let t = tallies_of(&[&[4, 0]], None);
-        let noisy = Alg1Observer.snapshot(&t, 0.1);
-        let unbiased = UnbiasedObserver {
-            inner: Alg1Observer,
-            noise: CollisionNoise::new(0.5, 1.0),
-        }
-        .snapshot(&t, 0.1);
-        assert_eq!(noisy.estimates, vec![4.0, 0.0]);
-        // (4 - 1) / 0.5 = 6; (0 - 1)/0.5 clamps at 0
-        assert_eq!(unbiased.estimates, vec![6.0, 0.0]);
-        assert_eq!(unbiased.collision_counts, noisy.collision_counts);
     }
 
     #[test]

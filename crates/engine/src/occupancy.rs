@@ -17,34 +17,11 @@ use antdensity_graphs::NodeId;
 /// Maximum node count the dense engine supports (positions are `u32`).
 pub const MAX_NODES: u64 = u32::MAX as u64;
 
-/// Agent-count floor for the tile-blocked rebuild: below this the two
-/// partition passes cost more than the scattered increments they avoid.
-const BLOCKED_REBUILD_MIN_AGENTS: usize = 1 << 18;
-
-/// Agent-count floor for the engine's cache-blocked pure-walk round
-/// (whole-round move buffer, tiled gather, then this module's blocked
-/// rebuild). It is bit-identical to the per-block round, so the floor
-/// moves wall clock only.
-pub const BLOCKED_ROUND_MIN_AGENTS: usize = 1 << 18;
-
-/// Node-count floor for the tile-blocked rebuild: below this the counts
-/// array is L2-resident and scattered increments are already cheap.
-const BLOCKED_REBUILD_MIN_NODES: usize = 1 << 17;
-
-/// Nodes per rebuild tile (`1 << REBUILD_TILE_SHIFT`): 16k nodes keep
-/// one tile's `u32` counts in 64 KiB, comfortably inside L2 alongside
-/// the streamed partition buffers.
-const REBUILD_TILE_SHIFT: u32 = 14;
-
 /// Per-node agent counts for one round, reset via a touched list.
 #[derive(Debug, Clone, Default)]
 pub struct DenseOccupancy {
     counts: Vec<u32>,
     touched: Vec<u32>,
-    /// Counting-sort buffers for the tile-blocked rebuild (empty until
-    /// the first large rebuild; reused across rounds).
-    tile_counts: Vec<u32>,
-    tile_sorted: Vec<u32>,
 }
 
 impl DenseOccupancy {
@@ -61,8 +38,6 @@ impl DenseOccupancy {
         Self {
             counts: vec![0; num_nodes as usize],
             touched: Vec::new(),
-            tile_counts: Vec::new(),
-            tile_sorted: Vec::new(),
         }
     }
 
@@ -90,64 +65,10 @@ impl DenseOccupancy {
     }
 
     /// Resets and re-counts from a position array.
-    ///
-    /// Large rebuilds (mega-scale populations over node sets whose
-    /// counts array exceeds L2) automatically take a tile-blocked path:
-    /// positions are counting-sorted into 16k-node tiles first, so the
-    /// per-node increments of one tile hit a cache-resident window
-    /// instead of scattering across the whole array. Counts are
-    /// identical either way; only the order of [`DenseOccupancy::touched`]
-    /// differs (first-touch vs tile-major).
     pub fn rebuild(&mut self, positions: &[u32]) {
         self.clear();
-        if positions.len() >= BLOCKED_REBUILD_MIN_AGENTS
-            && self.counts.len() >= BLOCKED_REBUILD_MIN_NODES
-        {
-            self.rebuild_tiled(positions, REBUILD_TILE_SHIFT);
-            return;
-        }
         for &p in positions {
             self.record(p);
-        }
-    }
-
-    /// The tile-blocked rebuild core: counting-sort `positions` by node
-    /// tile, then record tile by tile. Counts match the plain loop
-    /// exactly; `touched` holds the same set in tile-major order.
-    /// Caller must have cleared first.
-    fn rebuild_tiled(&mut self, positions: &[u32], tile_shift: u32) {
-        assert!(
-            positions.len() <= u32::MAX as usize,
-            "tile cursors are u32; rebuild of {} agents overflows",
-            positions.len()
-        );
-        let num_tiles = ((self.counts.len().max(1) - 1) >> tile_shift) + 1;
-        self.tile_counts.clear();
-        self.tile_counts.resize(num_tiles, 0);
-        for &p in positions {
-            self.tile_counts[(p >> tile_shift) as usize] += 1;
-        }
-        let mut cursors = Vec::with_capacity(num_tiles);
-        let mut acc = 0u32;
-        for &c in &self.tile_counts {
-            cursors.push(acc);
-            acc += c;
-        }
-        self.tile_sorted.clear();
-        self.tile_sorted.resize(positions.len(), 0);
-        for &p in positions {
-            let cursor = &mut cursors[(p >> tile_shift) as usize];
-            self.tile_sorted[*cursor as usize] = p;
-            *cursor += 1;
-        }
-        // Same-set-of-increments as the plain loop, grouped so one
-        // tile's counts window stays hot.
-        for &p in &self.tile_sorted {
-            let c = &mut self.counts[p as usize];
-            if *c == 0 {
-                self.touched.push(p);
-            }
-            *c += 1;
         }
     }
 
@@ -162,9 +83,7 @@ impl DenseOccupancy {
         self.touched.len()
     }
 
-    /// The distinct occupied nodes. Order is unspecified: first-touch
-    /// for small rebuilds and direct [`DenseOccupancy::record`] use,
-    /// tile-major when a large rebuild takes the blocked path.
+    /// The distinct occupied nodes, in first-touch order.
     pub fn touched(&self) -> &[u32] {
         &self.touched
     }
@@ -317,41 +236,6 @@ mod tests {
         assert_eq!(occ.count(2), 0);
         assert_eq!(occ.count(4), 1);
         assert_eq!(occ.occupied_nodes(), 2);
-    }
-
-    #[test]
-    fn tiled_rebuild_counts_match_plain_exactly() {
-        // Force tiny tiles (shift 2 → 4-node tiles over 37 nodes, ragged
-        // last tile) and compare against the plain record loop: counts
-        // identical per node, touched the same set (order may differ).
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..5u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let positions: Vec<u32> = (0..10_000)
-                .map(|_| rng.gen_range(0..37u64) as u32)
-                .collect();
-            let mut plain = DenseOccupancy::new(37);
-            plain.rebuild(&positions);
-            let mut tiled = DenseOccupancy::new(37);
-            tiled.clear();
-            tiled.rebuild_tiled(&positions, 2);
-            for v in 0..37 {
-                assert_eq!(tiled.count(v), plain.count(v), "node {v} seed {seed}");
-            }
-            let mut a: Vec<u32> = plain.touched().to_vec();
-            let mut b: Vec<u32> = tiled.touched().to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-            // The blocked buffers reset correctly for reuse.
-            tiled.rebuild(&positions[..100]);
-            let mut small = DenseOccupancy::new(37);
-            small.rebuild(&positions[..100]);
-            for v in 0..37 {
-                assert_eq!(tiled.count(v), small.count(v));
-            }
-        }
     }
 
     #[test]

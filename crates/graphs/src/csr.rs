@@ -34,7 +34,7 @@
 //! bipartiteness, and O(1) stationary sampling.
 
 use crate::fastdiv::lemire_zone;
-use crate::topology::{MoveScratch, NodeId, Topology};
+use crate::topology::{NodeId, Topology};
 use rand::RngCore;
 
 /// Errors building a [`CsrGraph`] from an edge list.
@@ -91,15 +91,6 @@ impl std::fmt::Display for BuildGraphError {
 }
 
 impl std::error::Error for BuildGraphError {}
-
-/// Per-tile CSR data footprint the blocked gather aims for: half of a
-/// conservative 512 KiB L2, leaving the other half for the streamed
-/// position/move/key traffic.
-const TILE_FOOTPRINT_BYTES: usize = 256 * 1024;
-
-/// Below this many agents a blocked apply cannot pay for its extra
-/// passes; fall through to the plain gather.
-const BLOCKED_MIN_AGENTS: usize = 1 << 15;
 
 /// A general undirected graph in compact CSR form, tuned for the walk
 /// kernels. Neighbor lists are ascending sets when built by
@@ -368,57 +359,6 @@ impl CsrGraph {
         NodeId::from(self.targets[idx])
     }
 
-    /// The counting-sort core of [`Topology::apply_moves_blocked`]:
-    /// partitions agents into node tiles of `1 << tile_shift` source
-    /// nodes, then gathers tile by tile so the offset/target reads of one
-    /// tile stay cache-resident. Output is bit-identical to
-    /// [`Topology::apply_moves`] — only the gather order changes.
-    fn apply_moves_tiled(
-        &self,
-        positions: &mut [u32],
-        moves: &[u32],
-        scratch: &mut MoveScratch,
-        tile_shift: u32,
-    ) {
-        assert_eq!(positions.len(), moves.len(), "one move per position");
-        assert!(
-            positions.len() <= u32::MAX as usize,
-            "blocked apply packs agent indices into u32"
-        );
-        let num_tiles = ((self.num_nodes() as usize - 1) >> tile_shift) + 1;
-        scratch.tile_counts.clear();
-        scratch.tile_counts.resize(num_tiles, 0);
-        for &p in positions.iter() {
-            scratch.tile_counts[(p >> tile_shift) as usize] += 1;
-        }
-        scratch.cursors.clear();
-        scratch.cursors.reserve(num_tiles);
-        let mut acc = 0u32;
-        for &c in &scratch.tile_counts {
-            scratch.cursors.push(acc);
-            acc += c;
-        }
-        scratch.keys.clear();
-        scratch.keys.resize(positions.len(), 0);
-        for (j, &p) in positions.iter().enumerate() {
-            let cursor = &mut scratch.cursors[(p >> tile_shift) as usize];
-            scratch.keys[*cursor as usize] = ((p as u64) << 32) | j as u64;
-            *cursor += 1;
-        }
-        // Tile-major gather: `keys` is sorted by tile, so the offset and
-        // target reads of consecutive iterations share one tile's working
-        // set; the `moves[j]` / `positions[j]` accesses are increasing
-        // within each tile (the sort is stable), so those streams advance
-        // monotonically instead of thrashing.
-        for &key in &scratch.keys {
-            let p = (key >> 32) as usize;
-            let j = key as u32 as usize;
-            let start = self.offsets[p];
-            debug_assert!(moves[j] < self.offsets[p + 1] - start);
-            positions[j] = self.targets[(start + moves[j]) as usize];
-        }
-    }
-
     /// Whether the graph is connected (BFS from node 0).
     pub fn is_connected(&self) -> bool {
         let n = self.num_nodes() as usize;
@@ -538,24 +478,6 @@ impl Topology for CsrGraph {
         }
     }
 
-    /// Counting-sort tiling of the gather (see
-    /// [`Topology::apply_moves_blocked`]): agents are partitioned by
-    /// source-node tile sized so one tile's offsets + targets fit in half
-    /// an L2, then gathered tile-major. Falls back to the plain gather
-    /// when the whole CSR already fits one tile or the agent count is too
-    /// small to amortize the partition passes.
-    fn apply_moves_blocked(&self, positions: &mut [u32], moves: &[u32], scratch: &mut MoveScratch) {
-        let n = self.offsets.len() - 1;
-        // Offsets plus the average move list, in bytes per node.
-        let per_node = 4 + 4 * (self.targets.len() / n).max(1);
-        let nodes_per_tile = ((TILE_FOOTPRINT_BYTES / per_node).max(1) + 1).next_power_of_two() / 2;
-        if positions.len() < BLOCKED_MIN_AGENTS || n <= nodes_per_tile {
-            self.apply_moves(positions, moves);
-            return;
-        }
-        self.apply_moves_tiled(positions, moves, scratch, nodes_per_tile.trailing_zeros());
-    }
-
     #[inline]
     fn regular_degree(&self) -> Option<usize> {
         self.regular
@@ -640,50 +562,6 @@ mod tests {
             .collect();
         g.apply_moves(&mut positions, &moves);
         assert_eq!(positions, expect);
-    }
-
-    #[test]
-    fn tiled_apply_is_bit_identical_to_plain() {
-        // Force tiny tiles so the counting-sort path runs on a small
-        // graph — regular (torus) and irregular (lollipop) degrees, with
-        // ragged tile counts (25 nodes, 8-node tiles).
-        let graphs = [CsrGraph::from_topology(&Torus2d::new(5)), lollipop(20, 5)];
-        for g in &graphs {
-            let n = g.num_nodes();
-            for seed in 0..5u64 {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let mut plain: Vec<u32> = (0..5000).map(|_| rng.gen_range(0..n) as u32).collect();
-                let moves: Vec<u32> = plain
-                    .iter()
-                    .map(|&p| rng.gen_range(0..g.degree(p as NodeId) as u64) as u32)
-                    .collect();
-                let mut tiled = plain.clone();
-                g.apply_moves(&mut plain, &moves);
-                let mut scratch = MoveScratch::new();
-                for shift in [0u32, 3] {
-                    let mut t = tiled.clone();
-                    g.apply_moves_tiled(&mut t, &moves, &mut scratch, shift);
-                    assert_eq!(t, plain, "shift {shift} seed {seed}");
-                }
-                g.apply_moves_tiled(&mut tiled, &moves, &mut scratch, 3);
-                assert_eq!(tiled, plain);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_apply_entry_point_matches_plain() {
-        // The public entry point (auto tile sizing, which on this small
-        // graph falls back to the plain gather) and a forced-tile run
-        // agree with apply_moves.
-        let g = CsrGraph::from_topology(&Hypercube::new(6));
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut plain: Vec<u32> = (0..3000).map(|_| rng.gen_range(0..64u64) as u32).collect();
-        let moves: Vec<u32> = (0..3000).map(|_| rng.gen_range(0..6u64) as u32).collect();
-        let mut blocked = plain.clone();
-        g.apply_moves(&mut plain, &moves);
-        g.apply_moves_blocked(&mut blocked, &moves, &mut MoveScratch::new());
-        assert_eq!(blocked, plain);
     }
 
     #[test]

@@ -60,5 +60,5 @@ pub use csr::CsrGraph;
 pub use dist::WalkDistribution;
 pub use fastdiv::FastDiv;
 pub use hypercube::Hypercube;
-pub use topology::{MoveScratch, NodeId, Topology};
+pub use topology::{NodeId, Topology};
 pub use torus::{Ring, Torus2d, TorusKd};

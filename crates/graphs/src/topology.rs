@@ -95,27 +95,6 @@ pub trait Topology {
         }
     }
 
-    /// [`Topology::apply_moves`] with an L2-sized node-tiling option for
-    /// the memory-bound regime (hundreds of thousands of agents, or node
-    /// data too large to stay cache-resident).
-    ///
-    /// The contract is **bit-identical output**: after the call,
-    /// `positions` holds exactly what [`Topology::apply_moves`] would
-    /// have produced — implementations may only reorder the *gathers*,
-    /// never change a value. The default ignores `scratch` and delegates;
-    /// [`crate::CsrGraph`] overrides with a counting-sort partition of
-    /// agents by source-node tile so its offset/target gathers stay
-    /// within one L2-sized tile at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length; implementations may panic
-    /// on out-of-range entries.
-    fn apply_moves_blocked(&self, positions: &mut [u32], moves: &[u32], scratch: &mut MoveScratch) {
-        let _ = scratch;
-        self.apply_moves(positions, moves);
-    }
-
     /// If every node has the same degree, that degree.
     ///
     /// Regularity matters: the paper's unbiasedness argument (Lemma 2)
@@ -143,28 +122,6 @@ pub trait Topology {
             i: 0,
             d: self.degree(v),
         }
-    }
-}
-
-/// Reusable buffers for [`Topology::apply_moves_blocked`]: the tile
-/// histogram, write cursors, and the tile-partitioned `(position, agent)`
-/// key array of a counting sort. One instance amortizes its allocations
-/// across every round of a run; `Default` starts empty and implementations
-/// size the buffers on first use.
-#[derive(Debug, Clone, Default)]
-pub struct MoveScratch {
-    /// Agents per node tile (counting-sort histogram).
-    pub(crate) tile_counts: Vec<u32>,
-    /// Per-tile write cursor (exclusive prefix sum of `tile_counts`).
-    pub(crate) cursors: Vec<u32>,
-    /// Tile-ordered keys packing `(position << 32) | agent_index`.
-    pub(crate) keys: Vec<u64>,
-}
-
-impl MoveScratch {
-    /// An empty scratch; buffers grow on first blocked apply.
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -228,9 +185,6 @@ impl<T: Topology> Topology for &T {
     }
     fn apply_moves(&self, positions: &mut [u32], moves: &[u32]) {
         (**self).apply_moves(positions, moves)
-    }
-    fn apply_moves_blocked(&self, positions: &mut [u32], moves: &[u32], scratch: &mut MoveScratch) {
-        (**self).apply_moves_blocked(positions, moves, scratch)
     }
     fn regular_degree(&self) -> Option<usize> {
         (**self).regular_degree()

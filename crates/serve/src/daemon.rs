@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Admission happens entirely at submit time: the spec is parsed and
-//! resolved ([`SweepJob::validate`]) and the bounded queue is checked
+//! resolved ([`antdensity_sweep::SweepJob::validate`]) and the bounded queue is checked
 //! under one lock, so a job that gets an `accepted` event will run —
 //! the only later failures are runner I/O. Rejected submits carry the
 //! exact error text the CLI would print for the same spec.
@@ -36,9 +36,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 
-use antdensity_sweep::dist::{DistOptions, FaultPlan, Transport};
 use antdensity_sweep::runner::SweepOptions;
-use antdensity_sweep::{build_report, build_row, run_resolved, SweepJob, ValidatedJob};
+use antdensity_sweep::{build_report, build_row, run_resolved, ValidatedJob};
 use antdensity_telemetry::registry::LazyCounter;
 use antdensity_telemetry::span::SpanMetric;
 
@@ -67,9 +66,6 @@ pub struct ServeConfig {
     /// driver runs at least one, so `0` (the default) runs each job's
     /// shards one at a time.
     pub job_workers: usize,
-    /// When set, run each job's shards on the distributed runtime with
-    /// this many child-process workers instead of in-process.
-    pub dist_workers: Option<usize>,
     /// Shard result cache shared by every executor (`repro serve
     /// --cache DIR`): repeated or grid-overlapping client specs hit
     /// instead of recomputing. Can never change result bytes — cached
@@ -83,7 +79,6 @@ impl Default for ServeConfig {
             max_queue: 64,
             executors: 2,
             job_workers: 0, // runs as 1: shards one at a time
-            dist_workers: None,
             cache: None,
         }
     }
@@ -120,9 +115,9 @@ const MAX_TERMINAL_JOBS: usize = 1024;
 /// Registry entry for one admitted job.
 #[derive(Debug)]
 struct JobEntry {
-    /// The submitted spec and its resolved plan, until an executor
-    /// takes them to run; a terminal job holds neither.
-    work: Option<(SweepJob, ValidatedJob)>,
+    /// The submitted spec's resolved plan, until an executor takes it
+    /// to run; a terminal job holds none.
+    work: Option<ValidatedJob>,
     state: JobState,
     /// Polled by the runner between shards; set by `cancel`.
     cancel: Arc<AtomicBool>,
@@ -498,7 +493,7 @@ fn submit(state: &Arc<ServerState>, sub: &Submit, tx: &mpsc::Sender<String>) {
     reg.jobs.insert(
         id,
         JobEntry {
-            work: Some((sub.job.clone(), validated)),
+            work: Some(validated),
             state: JobState::Queued,
             cancel: Arc::new(AtomicBool::new(false)),
             rows: 0,
@@ -621,7 +616,7 @@ fn executor_loop(state: &Arc<ServerState>) {
 /// Runs one admitted job to a terminal state, streaming rows through
 /// its outbox.
 fn execute(state: &Arc<ServerState>, id: u64) {
-    let (job, validated, cancel, outbox) = {
+    let (validated, cancel, outbox) = {
         let mut reg = state.inner.lock().expect("serve registry poisoned");
         let Some(entry) = reg.jobs.get_mut(&id) else {
             return;
@@ -631,16 +626,11 @@ fn execute(state: &Arc<ServerState>, id: u64) {
         if entry.state != JobState::Queued {
             return;
         }
-        let Some((job, validated)) = entry.work.take() else {
+        let Some(validated) = entry.work.take() else {
             return;
         };
         entry.state = JobState::Running;
-        let taken = (
-            job,
-            validated,
-            Arc::clone(&entry.cancel),
-            entry.outbox.clone(),
-        );
+        let taken = (validated, Arc::clone(&entry.cancel), entry.outbox.clone());
         reg.running += 1;
         taken
     };
@@ -679,15 +669,6 @@ fn execute(state: &Arc<ServerState>, id: u64) {
         // at shard granularity.
         checkpoint_every: 1,
         cache: state.cfg.cache.clone(),
-        dist: state
-            .cfg
-            .dist_workers
-            .filter(|&workers| workers > 0)
-            .map(|workers| DistOptions {
-                transport: Transport::Children { workers },
-                spec_text: Some(job.effective_spec_text()),
-                ..DistOptions::sim(workers, FaultPlan::none())
-            }),
         ..SweepOptions::default()
     };
     let result = run_resolved(&validated.resolved, &opts, &mut on_shard).map_err(|e| e.to_string());
@@ -729,6 +710,7 @@ fn execute(state: &Arc<ServerState>, id: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use antdensity_sweep::SweepJob;
 
     fn queued_entry() -> JobEntry {
         JobEntry {
@@ -778,14 +760,15 @@ mod tests {
 
     #[test]
     fn finishing_drops_the_spec_plan_and_outbox() {
-        let job = SweepJob::new(include_str!("../../../specs/smoke.sweep"));
-        let validated = job.validate().expect("valid spec");
+        let validated = SweepJob::new(include_str!("../../../specs/smoke.sweep"))
+            .validate()
+            .expect("valid spec");
         let (tx, _rx) = mpsc::channel();
         let mut reg = Registry::default();
         reg.jobs.insert(
             7,
             JobEntry {
-                work: Some((job, validated)),
+                work: Some(validated),
                 outbox: Some(tx),
                 ..queued_entry()
             },

@@ -12,8 +12,7 @@
 //!   type the CLI builds, so wire jobs and argv jobs cannot drift.
 //! - [`daemon`] — admission control (bounded queue), the job registry
 //!   and lifecycle state machine, executor threads over the shared
-//!   process-global worker pool, optional dispatch onto the
-//!   distributed runtime.
+//!   process-global worker pool.
 //! - [`client`] — a blocking client used by `repro serve-submit` and
 //!   the property suite.
 //!

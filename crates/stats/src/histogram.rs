@@ -1,8 +1,7 @@
-//! Fixed-width and logarithmic histograms.
+//! Fixed-width histograms.
 //!
 //! Used by the harness to render error distributions and collision-count
-//! distributions (which the paper shows are heavy-tailed on slow-mixing
-//! graphs: the log-binned view makes the tail visible).
+//! distributions.
 
 /// A histogram over `[lo, hi)` with equal-width bins plus underflow and
 /// overflow counters.
@@ -237,94 +236,6 @@ impl Histogram {
     }
 }
 
-/// A histogram with logarithmically spaced bins over `[lo, hi)`,
-/// `lo > 0`. Bin `i` covers `[lo·r^i, lo·r^{i+1})`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogHistogram {
-    lo: f64,
-    ratio: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl LogHistogram {
-    /// Creates a log histogram over `[lo, hi)` with `bins` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0`, `lo <= 0`, or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo > 0.0, "log histogram requires lo > 0");
-        assert!(lo < hi, "lo must be strictly below hi");
-        let ratio = (hi / lo).powf(1.0 / bins as f64);
-        Self {
-            lo,
-            ratio,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Adds an observation.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x / self.lo).ln() / self.ratio.ln()) as usize;
-        if idx >= self.bins.len() {
-            self.overflow += 1;
-        } else {
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Total observations including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Count in bin `i`.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// `[lo, hi)` edges of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.bins.len(), "bin {i} out of range");
-        (
-            self.lo * self.ratio.powi(i as i32),
-            self.lo * self.ratio.powi(i as i32 + 1),
-        )
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the top edge.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,31 +290,6 @@ mod tests {
         let h = Histogram::new(-1.0, 1.0, 4);
         assert_eq!(h.bin_edges(0), (-1.0, -0.5));
         assert_eq!(h.bin_edges(3), (0.5, 1.0));
-    }
-
-    #[test]
-    fn log_histogram_bins_geometrically() {
-        let mut h = LogHistogram::new(1.0, 16.0, 4); // edges 1,2,4,8,16
-        h.push(1.5); // bin 0
-        h.push(3.0); // bin 1
-        h.push(5.0); // bin 2
-        h.push(12.0); // bin 3
-        for i in 0..4 {
-            assert_eq!(h.bin_count(i), 1, "bin {i}");
-        }
-        let (lo, hi) = h.bin_edges(2);
-        assert!((lo - 4.0).abs() < 1e-12);
-        assert!((hi - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_histogram_under_overflow() {
-        let mut h = LogHistogram::new(1.0, 16.0, 4);
-        h.push(0.5);
-        h.push(16.0);
-        h.push(100.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
     }
 
     #[test]
@@ -559,11 +445,5 @@ mod tests {
     #[should_panic(expected = "at least one bin")]
     fn zero_bins_panics() {
         let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "lo > 0")]
-    fn log_histogram_requires_positive_lo() {
-        let _ = LogHistogram::new(0.0, 1.0, 4);
     }
 }
