@@ -135,11 +135,10 @@ impl Store {
             .join(format!("{:016x}.cas", fnv1a64(key.as_bytes())))
     }
 
-    /// Renders an entry: one header line, the key line, the payload.
-    /// `key` must be newline-free (enforced by [`Store::put`]).
-    fn render(&self, key: &str, payload: &str) -> String {
+    /// The header line of `key`'s entry holding `payload`.
+    fn header(&self, key: &str, payload: &str) -> String {
         format!(
-            "{ENTRY_MAGIC} ns={:016x} key_len={} payload_len={} checksum={:016x}\n{key}\n{payload}",
+            "{ENTRY_MAGIC} ns={:016x} key_len={} payload_len={} checksum={:016x}",
             fnv1a64(self.namespace.as_bytes()),
             key.len(),
             payload.len(),
@@ -147,12 +146,15 @@ impl Store {
         )
     }
 
-    /// Verified read. Any failure — missing header fields, wrong
-    /// namespace, wrong key, short payload, checksum mismatch — comes
-    /// back as [`Lookup::Corrupt`] (or [`Lookup::Miss`] if there is no
-    /// entry at all); the payload is returned only when every check
-    /// passes. A hit also bumps the entry's modification time so the
-    /// LRU eviction pass sees it as recently used.
+    /// Verified read: the entry file must be byte for byte what
+    /// [`Store::put`] writes for `key` and the payload it carries. So any
+    /// failure — a missing or non-canonical header field, wrong
+    /// namespace, wrong key, short payload, checksum mismatch, bytes that
+    /// are not UTF-8 — comes back as [`Lookup::Corrupt`] (or
+    /// [`Lookup::Miss`] if there is no entry at all); the payload is
+    /// returned only when every check passes. A hit also bumps the
+    /// entry's modification time so the LRU eviction pass sees it as
+    /// recently used.
     pub fn get(&self, key: &str) -> Lookup {
         let path = self.entry_path(key);
         let text = match std::fs::read_to_string(&path) {
@@ -163,38 +165,10 @@ impl Store {
         let Some((header, rest)) = text.split_once('\n') else {
             return Lookup::Corrupt;
         };
-        let mut fields = header.split(' ');
-        if fields.next() != Some("antdensity-cas") || fields.next() != Some("v1") {
-            return Lookup::Corrupt;
-        }
-        let mut ns = None;
-        let mut key_len = None;
-        let mut payload_len = None;
-        let mut checksum = None;
-        for field in fields {
-            match field.split_once('=') {
-                Some(("ns", v)) => ns = u64::from_str_radix(v, 16).ok(),
-                Some(("key_len", v)) => key_len = v.parse::<usize>().ok(),
-                Some(("payload_len", v)) => payload_len = v.parse::<usize>().ok(),
-                Some(("checksum", v)) => checksum = u64::from_str_radix(v, 16).ok(),
-                _ => return Lookup::Corrupt,
-            }
-        }
-        let (Some(ns), Some(key_len), Some(payload_len), Some(checksum)) =
-            (ns, key_len, payload_len, checksum)
-        else {
-            return Lookup::Corrupt;
-        };
-        if ns != fnv1a64(self.namespace.as_bytes()) {
-            return Lookup::Corrupt;
-        }
         let Some((stored_key, payload)) = rest.split_once('\n') else {
             return Lookup::Corrupt;
         };
-        if stored_key.len() != key_len || stored_key != key {
-            return Lookup::Corrupt;
-        }
-        if payload.len() != payload_len || fnv1a64(payload.as_bytes()) != checksum {
+        if stored_key != key || header != self.header(key, payload) {
             return Lookup::Corrupt;
         }
         // Touch for LRU; best-effort (a read-only cache still serves).
@@ -217,7 +191,7 @@ impl Store {
         if key.contains('\n') {
             return Err(format!("cache key contains a newline: {key:?}"));
         }
-        let text = self.render(key, payload);
+        let text = format!("{}\n{key}\n{payload}", self.header(key, payload));
         let path = self.entry_path(key);
         let tmp = self.dir.join(format!("tmp.{}", tmp_suffix()));
         let write = (|| -> std::io::Result<()> {

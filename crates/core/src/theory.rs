@@ -209,8 +209,12 @@ impl TopologyClass {
 
 /// Store namespace for disk-cached measured λ values. Folds in the
 /// power-iteration configuration (seed, iteration budget, deflation
-/// scheme) implicitly: change any of those and this must be bumped so
-/// stale values are never served.
+/// scheme) and the kernel's floating-point operations, including the
+/// summation order of every matvec row and reduction, since each is
+/// part of λ's bits: change any of those and this must be bumped so
+/// stale values are never served. The pull-form kernel kept `v1`
+/// because it reproduces the push form's bits exactly (every pin in
+/// `tests/lambda_golden.rs` held).
 const LAMBDA_CACHE_NS: &str = "antdensity-lambda v1";
 
 /// Power-iteration seed of the measured-λ path ("LAMB"). Fixed, so the
@@ -274,11 +278,13 @@ fn measured_lambda(spec: TopologySpec) -> f64 {
 /// Fills the measured-λ memo for every spec in `specs` with at most
 /// `threads` estimates in flight: that many tasks on the process-wide
 /// [`WorkerPool`] pull from one shared queue, the graph with the most
-/// moves first (power-iteration cost scales with moves, so the longest
-/// estimate starts at once instead of last). The pool's threads are
-/// already running, so the warm-up spawns none. Every λ is a pure
-/// function of its spec, so the memo ends up holding the same bits as
-/// serial measurement, for any thread count.
+/// moves first. An iteration of the pull-form kernel gathers one slot
+/// per move and divides once per distinct (node, scale) slot, so moves
+/// are the best cost proxy known before the iteration count is, and
+/// the longest estimate starts at once instead of last. The pool's
+/// threads are already running, so the warm-up spawns none. Every λ is
+/// a pure function of its spec, so the memo ends up holding the same
+/// bits as serial measurement, for any thread count.
 pub fn warm_measured_lambdas(specs: &[TopologySpec], threads: usize) {
     use antdensity_graphs::Topology;
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -9,7 +9,9 @@
 
 use antdensity_core::theory::{measure_lambda, warm_measured_lambdas, TopologyClass};
 use antdensity_engine::TopologySpec;
-use antdensity_graphs::spectral::walk_matrix_lambda;
+use antdensity_graphs::generators::{barabasi_albert, star_graph, watts_strogatz};
+use antdensity_graphs::spectral::{walk_matrix_lambda, SpectralEstimate};
+use antdensity_graphs::Topology;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -57,6 +59,51 @@ fn walk_matrix_lambda_bits_are_pinned_on_non_bipartite_graphs() {
             (bits, iterations),
             "{token}: λ {}",
             est.lambda
+        );
+    }
+}
+
+/// `walk_matrix_lambda` under power-iteration seed 9 and 4000 iterations.
+fn plain<T: Topology>(graph: &T) -> SpectralEstimate {
+    walk_matrix_lambda(graph, 4000, &mut SmallRng::seed_from_u64(9))
+}
+
+#[test]
+fn walk_matrix_lambda_bits_are_pinned_on_hub_and_heavy_tailed_graphs() {
+    let cases = [
+        (
+            "barabasi_albert(300, 3), seed 5",
+            plain(&barabasi_albert(300, 3, &mut SmallRng::seed_from_u64(5)).unwrap()),
+            0x3fe707f8c8ba95eb,
+            277,
+        ),
+        (
+            "star_graph(2000)",
+            plain(&star_graph(2000)),
+            0x3feffffffffffc98,
+            12,
+        ),
+        (
+            "watts_strogatz(512, 6, 0.05), seed 6",
+            plain(&watts_strogatz(512, 6, 0.05, &mut SmallRng::seed_from_u64(6)).unwrap()),
+            0x3fef7f39e897099f,
+            1564,
+        ),
+        // every move listed twice: side 2 wraps x+1 and x-1 onto one node
+        (
+            "toruskd:5x2",
+            plain(&spec("toruskd:5x2").build()),
+            0x3feffffffffb897a,
+            24,
+        ),
+    ];
+    for (graph, est, bits, iterations) in cases {
+        assert_eq!(
+            (est.lambda.to_bits(), est.iterations),
+            (bits, iterations),
+            "{graph}: λ {} ({:016x})",
+            est.lambda,
+            est.lambda.to_bits()
         );
     }
 }
